@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -80,7 +81,7 @@ def build_context(config: dict) -> band_mod.BandContext:
         )
         return band_mod.BandContext(
             lat=lat, folded=folded, schedule=schedule,
-            eps=float(config["coupling"]),
+            eps=_finite(config["coupling"], "coupling"),
             truncation_R=float(config.get("truncation_R", 12.0)),
             s_cap=int(sched_cfg.get("s_cap", 1)),
             use_domains=bool(config.get("use_domains", False)),
@@ -91,12 +92,26 @@ def build_context(config: dict) -> band_mod.BandContext:
         raise ConfigError(f"invalid config value: {exc}")
 
 
+def _finite(value, name: str) -> float:
+    """float(value), rejecting NaN and infinities with a ConfigError."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {name}: {exc}")
+    if not math.isfinite(x):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
+
+
 def k_grid_from(config: dict) -> list[float]:
     kg = config.get("k_grid", {})
     if "list" in kg:
-        return [float(x) for x in kg["list"]]
-    lo, hi = float(kg.get("min", 0.05)), float(kg.get("max", 0.45))
-    step = float(kg.get("step", 0.01))
+        return [_finite(x, "k_grid.list entry") for x in kg["list"]]
+    lo = _finite(kg.get("min", 0.05), "k_grid.min")
+    hi = _finite(kg.get("max", 0.45), "k_grid.max")
+    step = _finite(kg.get("step", 0.01), "k_grid.step")
+    if step == 0:
+        raise ConfigError("k_grid.step must be nonzero")
     count = int(round((hi - lo) / step)) + 1
     return [lo + i * step for i in range(count)]
 
@@ -278,9 +293,8 @@ def main(argv=None) -> int:
         prog="hillbands",
         description="Band-gap toolkit for operators dual to Hill's equation",
     )
-    parser.add_argument("--threads", type=int,
-                        default=max(1, os.cpu_count() or 1),
-                        help="parallelism for per-k work")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="parallelism for per-k work (default: 1)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_band = sub.add_parser("band", help="run a band sweep from a config file")

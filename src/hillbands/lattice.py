@@ -129,15 +129,19 @@ def _sign_normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Canonical coset representative with cached norm and xi value.
+    """Canonical coset representative with cached norm, xi value and coordinate.
 
     ``rep`` minimizes the ell-infinity norm over the coset; among minimizers it
     is lexicographically smallest. Equality and hashing are by ``rep`` alone.
+    ``t = xi / xi_spacing`` is the element's integer coordinate: xi is
+    injective on the quotient and its image is xi_spacing * Z, so t is an
+    isomorphism onto Z and t(a - b) = t(a) - t(b).
     """
 
     rep: tuple[int, ...]
     norm: int = field(compare=False)
     xi: Fraction = field(compare=False)
+    t: int = field(compare=False)
 
     def key(self):
         """Deterministic sort key: (norm, rep)."""
@@ -165,6 +169,10 @@ class QuotientLattice:
         self._canon: dict[tuple[int, ...], GroupElement] = {}
         self._ball_cache: dict[int, tuple[GroupElement, ...]] = {}
         self._coeff_rows = self._pinv_row_norms()
+        # xi(v) = xi_spacing * sum_j v_j w_j / g for the integer form w and
+        # g = gcd(w), so these integer weights give t without a division.
+        g = math.gcd(*omega.integer_form)
+        self._t_weights = tuple(w // g for w in omega.integer_form)
 
     def _pinv_row_norms(self):
         if self.null.rank == 0:
@@ -177,6 +185,10 @@ class QuotientLattice:
 
     def xi(self, vec: Sequence[int]) -> Fraction:
         return self.omega.xi_raw(vec)
+
+    def _element(self, rep: tuple[int, ...], norm: int) -> GroupElement:
+        t = sum(v * w for v, w in zip(rep, self._t_weights))
+        return GroupElement(rep=rep, norm=norm, xi=self.xi(rep), t=t)
 
     @property
     def identity(self) -> GroupElement:
@@ -219,7 +231,7 @@ class QuotientLattice:
         if cached is not None:
             return cached
         if self.null.rank == 0:
-            elem = GroupElement(rep=v, norm=_linf(v), xi=self.xi(v))
+            elem = self._element(v, _linf(v))
             self._canon[v] = elem
             return elem
         r = _linf(v)
@@ -230,7 +242,7 @@ class QuotientLattice:
             n = _linf(cand)
             if n < best_norm or (n == best_norm and cand < best):
                 best, best_norm = cand, n
-        elem = GroupElement(rep=best, norm=best_norm, xi=self.xi(best))
+        elem = self._element(best, best_norm)
         self._canon[v] = elem
         if best != v:
             self._canon[best] = elem

@@ -41,13 +41,17 @@ class OperatorSpec:
     B1: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.epsilon) and math.isfinite(self.k)):
+            raise ValueError(f"epsilon and k must be finite, got "
+                             f"epsilon={self.epsilon!r}, k={self.k!r}")
         if not (0 < self.B1 <= 1):
             raise ValueError("B1 must lie in (0, 1]")
         if self.normalized and self.gamma is None:
             object.__setattr__(self, "gamma", gamma_for(self.k))
             g = self.gamma
-            # auto gamma must satisfy gamma-1 <= |k| <= gamma
-            assert g >= 1 and g - 1 <= abs(self.k) <= g + 1e-12
+            if not (g >= 1 and g - 1 <= abs(self.k) <= g + 1e-12):
+                raise ValueError(f"auto gamma={g} violates gamma-1 <= |k| <= "
+                                 f"gamma for k={self.k!r}")
         elif self.normalized and self.gamma < 1:
             raise ValueError("gamma must be >= 1")
 
@@ -94,46 +98,66 @@ def order_domain(domain) -> tuple[GroupElement, ...]:
 def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
              folded: FoldedCoefficients, lat: QuotientLattice,
              check_decay: bool = True) -> DualMatrix:
-    """Assemble the matrix; Hermitian exactly (fill upper triangle, mirror-conjugate)."""
+    """Assemble the matrix by one gather per row over the coordinate t.
+
+    H[i, j] = eps*c(t_i - t_j) off the diagonal, read from a table of
+    scale*c over the offsets that can occur. ``fold`` stores c(-n) as exactly
+    conj(c(n)), so the gathered matrix is Hermitian bit for bit.
+    """
     dom = order_domain(domain)
     if not dom:
         raise ValueError("domain must be nonempty")
     n = len(dom)
-    H = np.zeros((n, n), dtype=np.complex128)
+    t = np.array([e.t for e in dom], dtype=np.int64)
     scale = spec.coupling_scale()
-    for i, a in enumerate(dom):
-        H[i, i] = spec.diagonal(a.xi)
-        for j in range(i + 1, n):
-            diff = lat.sub(a, dom[j])  # H[row, col] = eps * c(row - col)
-            val = scale * folded.value(diff)
-            if val != 0:
-                H[i, j] = val
-                H[j, i] = val.conjugate()
+    # table[span + 1 + d] = scale*c(d) for |d| <= span, with a zero at both
+    # ends that the clipped gather returns for every farther offset
+    span = int(t.max() - t.min())
+    span = min(span, max((abs(e.t) for e in folded.entries), default=0))
+    table = np.zeros(2 * span + 3, dtype=np.complex128)
+    entries = {}
+    for e, c in folded.entries.items():
+        if e.t != 0 and abs(e.t) <= span:
+            val = scale * c
+            table[span + 1 + e.t] = val
+            entries[e.t] = (e.norm, abs(val))
+    H = np.empty((n, n), dtype=np.complex128)
+    for i in range(n):
+        np.take(table, t[i] - t + (span + 1), out=H[i], mode="clip")
+    H[np.diag_indices(n)] = [spec.diagonal(a.xi) for a in dom]
     if check_decay:
-        bad = _decay_violations(H, dom, spec, folded, lat)
-        if bad:
-            i, j, a, b = bad[0]
-            raise OffDiagonalDecayError(
-                f"|H({dom[i]},{dom[j]})| = {a:.3e} > {b:.3e} "
-                f"(eps*B1*exp(-kappa0 |m-n|^alpha0))"
-            )
+        _check_decay(H, dom, t, entries, spec, folded)
     return DualMatrix(domain=dom, values=H, spec=spec,
                       index={e.rep: i for i, e in enumerate(dom)})
 
 
-def _decay_violations(H, dom, spec, folded, lat):
-    bad = []
+def _check_decay(H, dom, t, entries, spec, folded) -> None:
+    """Raise on an entry above eps*B1*exp(-kappa0 |m-n|^alpha0).
+
+    The bound depends only on the offset d = t_i - t_j, whose norm is that of
+    its folded key, so each distinct offset is checked once and counts only
+    when some pair of the domain realizes it.
+    """
     eps = abs(spec.coupling_scale())
+    bounds = {}
+    for d, (norm, v) in entries.items():
+        if v == 0:
+            continue
+        bound = eps * spec.B1 * math.exp(-folded.kappa0 * norm**folded.alpha0)
+        if v > bound * (1 + 1e-12) and np.isin(t + d, t).any():
+            bounds[d] = bound
+    if not bounds:
+        return
+    bad = np.array(list(bounds))
     for i in range(len(dom)):
-        for j in range(i + 1, len(dom)):
-            v = abs(H[i, j])
-            if v == 0:
-                continue
-            d = lat.sub(dom[j], dom[i]).norm
-            bound = eps * spec.B1 * math.exp(-folded.kappa0 * d**folded.alpha0)
-            if v > bound * (1 + 1e-12):
-                bad.append((i, j, v, bound))
-    return bad
+        hits = np.flatnonzero(np.isin(t[i] - t[i + 1:], bad))
+        if hits.size:
+            j = i + 1 + int(hits[0])
+            raise OffDiagonalDecayError(
+                f"|H({dom[i]},{dom[j]})| = {abs(H[i, j]):.3e} > "
+                f"{bounds[int(t[i] - t[j])]:.3e} "
+                f"(eps*B1*exp(-kappa0 |m-n|^alpha0))"
+            )
 
 
 def translated_domain(domain: Sequence[GroupElement], m: GroupElement,

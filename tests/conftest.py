@@ -1,9 +1,16 @@
 import pytest
+from hypothesis import settings
 
 from hillbands.band import BandContext
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.potential import cosine, fold
 from hillbands.scales import build_schedule
+
+# Fixed examples and no deadline: the property tests must not depend on the
+# seed of the run or on how fast the host happens to be.
+settings.register_profile("hillbands", deadline=None, derandomize=True,
+                          database=None, max_examples=60)
+settings.load_profile("hillbands")
 
 
 @pytest.fixture(scope="session")

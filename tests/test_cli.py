@@ -99,6 +99,23 @@ def test_config_error_exit_code(tmp_path):
     assert main(["band", str(missing)]) == 2
 
 
+@pytest.mark.parametrize("overrides", [
+    {"coupling": math.nan},
+    {"coupling": math.inf},
+    {"k_grid": {"list": [math.nan, 0.11]}},
+    {"k_grid": {"list": [0.11, "abc"]}},
+    {"k_grid": {"min": -math.inf, "max": 0.2, "step": 0.05}},
+    {"k_grid": {"min": 0.05, "max": 0.2, "step": 0}},
+])
+def test_nonfinite_inputs_are_config_errors(tmp_path, overrides):
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 2
+    assert not (out / "report.json").exists()
+    if "k_grid" in overrides:
+        assert main(["verify", str(cfg), "--suite", "band"]) == 2
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     cfg = write_config(tmp_path)
     target = tmp_path / "env_out"
@@ -170,3 +187,4 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "band" in proc.stdout and "verify" in proc.stdout
+    assert "(default: 1)" in " ".join(proc.stdout.split())

@@ -216,6 +216,21 @@ def test_xi_subgroup_spacing(line_lattice, half_lattice, mixed_lattice):
     assert mixed_lattice.xi_spacing() == Fraction(1, 35)
 
 
+def test_integer_coordinate(line_lattice, half_lattice, mixed_lattice):
+    # t = xi / spacing is an integer, injective on the quotient and additive
+    three = QuotientLattice(FrequencyVector.parse(["1/2", "1/3", "1/6"]))
+    rescaled = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
+    for lat in (line_lattice, half_lattice, mixed_lattice, three, rescaled):
+        spacing = lat.xi_spacing()
+        ball = lat.ball(3)
+        for e in ball:
+            assert isinstance(e.t, int) and e.t * spacing == e.xi
+        assert len({e.t for e in ball}) == len(ball)
+        for a, b in itertools.product(ball[:9], repeat=2):
+            assert lat.sub(a, b).t == a.t - b.t
+    assert len({e.t for e in rescaled.ball(6)}) == len(rescaled.ball(6)) == 109
+
+
 def test_frequency_vector_validation():
     with pytest.raises(ValueError):
         FrequencyVector.parse(["0", "0"])

@@ -1,14 +1,133 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hillbands.errors import OffDiagonalDecayError
-from hillbands.operators import (TWO_PI_SQ, OperatorSpec, assemble, gamma_for,
+from hillbands.lattice import FrequencyVector, QuotientLattice
+from hillbands.operators import (TWO_PI_SQ, DualMatrix, OperatorSpec, assemble,
+                                 gamma_for, negated_domain, order_domain,
                                  symmetry_conjugation_check,
+                                 translated_domain,
                                  translation_conjugation_check)
 from hillbands.potential import (FourierCoefficients, cosine, exp_decay, fold,
                                  random_phase)
+
+
+# --- reference oracle: pairwise assembly, one lat.sub per pair ---
+
+def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
+    """Fill the upper triangle pair by pair and mirror-conjugate it."""
+    dom = order_domain(domain)
+    if not dom:
+        raise ValueError("domain must be nonempty")
+    n = len(dom)
+    H = np.zeros((n, n), dtype=np.complex128)
+    scale = spec.coupling_scale()
+    for i, a in enumerate(dom):
+        H[i, i] = spec.diagonal(a.xi)
+        for j in range(i + 1, n):
+            diff = lat.sub(a, dom[j])  # H[row, col] = eps * c(row - col)
+            val = scale * folded.value(diff)
+            if val != 0:
+                H[i, j] = val
+                H[j, i] = val.conjugate()
+    if check_decay:
+        bad = pairwise_decay_violations(H, dom, spec, folded, lat)
+        if bad:
+            i, j, a, b = bad[0]
+            raise OffDiagonalDecayError(
+                f"|H({dom[i]},{dom[j]})| = {a:.3e} > {b:.3e} "
+                f"(eps*B1*exp(-kappa0 |m-n|^alpha0))"
+            )
+    return DualMatrix(domain=dom, values=H, spec=spec,
+                      index={e.rep: i for i, e in enumerate(dom)})
+
+
+def pairwise_decay_violations(H, dom, spec, folded, lat):
+    bad = []
+    eps = abs(spec.coupling_scale())
+    for i in range(len(dom)):
+        for j in range(i + 1, len(dom)):
+            v = abs(H[i, j])
+            if v == 0:
+                continue
+            d = lat.sub(dom[j], dom[i]).norm
+            bound = eps * spec.B1 * math.exp(-folded.kappa0 * d**folded.alpha0)
+            if v > bound * (1 + 1e-12):
+                bad.append((i, j, v, bound))
+    return bad
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args), None
+    except OffDiagonalDecayError as exc:
+        return None, str(exc)
+
+
+OMEGAS = [("1",), ("2/3",), ("1", "3/7"), ("1/2", "1/2"), ("2/5", "3/7")]
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(omega):
+    return QuotientLattice(FrequencyVector.parse(omega))
+
+
+@st.composite
+def assembly_cases(draw):
+    omega = draw(st.sampled_from(OMEGAS))
+    lat = _lattice(omega)
+    nu = lat.nu
+    kind = draw(st.sampled_from(["cosine", "random_phase", "exp_decay"]))
+    kappa0 = draw(st.sampled_from([0.3, 1.0]))
+    radius = draw(st.integers(1, 3 if nu == 1 else 2))
+    if kind == "cosine":
+        n0 = draw(st.lists(st.integers(-radius, radius), min_size=nu,
+                           max_size=nu).filter(any))
+        coeffs = cosine(n0, kappa0=kappa0)
+    elif kind == "random_phase":
+        coeffs = random_phase(radius, nu=nu, kappa0=kappa0,
+                              seed=draw(st.integers(0, 99)))
+    else:
+        coeffs = exp_decay(radius, nu=nu, kappa0=kappa0)
+    folded = fold(coeffs, lat, enforce_bound=False)
+
+    ball = lat.ball(draw(st.integers(0, 6 if nu == 1 else 3)))
+    pick = st.lists(st.integers(-4, 4), min_size=nu, max_size=nu)
+    shape = draw(st.sampled_from(["ball", "translate", "negate", "mirror"]))
+    if shape == "translate":
+        domain = translated_domain(ball, lat.canonicalize(draw(pick)), lat)
+    elif shape == "negate":
+        domain = negated_domain(translated_domain(
+            ball, lat.canonicalize(draw(pick)), lat), lat)
+    elif shape == "mirror":
+        n_top = lat.canonicalize(draw(pick))
+        domain = list(ball) + [lat.sub(n_top, e) for e in ball]
+    else:
+        domain = ball
+
+    k = draw(st.floats(0.01, 1.9)) * draw(st.sampled_from([1, -1]))
+    spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])), k=k,
+                        normalized=draw(st.booleans()),
+                        B1=draw(st.sampled_from([1.0, 0.5])))
+    return domain, spec, folded, lat
+
+
+@given(assembly_cases())
+def test_assemble_matches_pairwise_oracle(case):
+    fast, fast_err = _outcome(assemble, *case)
+    ref, ref_err = _outcome(pairwise_assemble, *case)
+    assert fast_err == ref_err
+    if ref is None:
+        return
+    assert fast.domain == ref.domain
+    assert fast.index == ref.index
+    assert np.array_equal(fast.values, ref.values)
+    assert np.array_equal(fast.values, fast.values.conj().T)
 
 
 def test_assemble_diagonal_at_zero_coupling(line_lattice, cosine_folded):
@@ -112,8 +231,34 @@ def test_offdiagonal_decay_enforced(line_lattice):
                             kappa0=0.1, alpha0=1.0, support_radius=1)
     folded = fold(c, line_lattice)
     bad_spec = OperatorSpec(epsilon=0.1, k=0.3, B1=0.5)
-    with pytest.raises(OffDiagonalDecayError):
+    with pytest.raises(OffDiagonalDecayError) as fast:
         assemble(line_lattice.ball(2), bad_spec, folded, line_lattice)
+    with pytest.raises(OffDiagonalDecayError) as ref:
+        pairwise_assemble(line_lattice.ball(2), bad_spec, folded, line_lattice)
+    assert str(fast.value) == str(ref.value)
+    # the violating offset must occur in the domain: a lone site has none
+    assemble(line_lattice.ball(0), bad_spec, folded, line_lattice)
+
+
+def test_assemble_hermitian_bit_for_bit(half_lattice):
+    # complex folded data on a rank-1 quotient; no mirror step is applied
+    folded = fold(random_phase(3, nu=2, kappa0=0.6, seed=5,
+                               amplitude_scale=0.5), half_lattice,
+                  enforce_bound=False)
+    m = assemble(half_lattice.ball(3), OperatorSpec(epsilon=0.05, k=-0.3),
+                 folded, half_lattice)
+    H = m.values
+    assert np.any(H.imag != 0)
+    assert np.array_equal(H, H.conj().T)
+
+
+@pytest.mark.parametrize("field", ["epsilon", "k"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_spec_rejects_nonfinite(field, bad, normalized):
+    kwargs = {"epsilon": 0.05, "k": 0.3, "normalized": normalized, field: bad}
+    with pytest.raises(ValueError, match="finite"):
+        OperatorSpec(**kwargs)
 
 
 def test_eigenvalues_real(line_lattice):

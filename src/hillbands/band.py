@@ -18,18 +18,22 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .domains import DomainBuilder, symmetrize_S, symmetrize_T
-from .errors import ExcludedK, HillbandsError, PreconditionFailed
+from .errors import (ExcludedK, HillbandsError, HypothesisFailed,
+                     PreconditionFailed)
 from .lattice import GroupElement, QuotientLattice
 from .operators import (TWO_PI_SQ, DualMatrix, OperatorSpec, assemble,
                         order_domain)
 from .potential import FoldedCoefficients
 from .scales import ResonanceProfile, ScaleSchedule, resonance_profile
 from .schur import q_g_functions
-from .eigensolve import solve_simple, solve_pair
+from .eigensolve import PuncturedResolvent, solve_simple, solve_pair
 from .oracle import dense_spectrum
 
 # increments at desk scale sit below float64 resolution; audits use this floor
 NOISE_FLOOR_ULPS = 256.0
+# gap edges: allowed |Q, G (resolvent) - Q, G (dense)| per max(1, |E|); the
+# reference and resonant_2d gaps measured at most 1.7e-16
+GAP_EDGE_CROSSCHECK_TOL = 1e-9
 
 
 @dataclass
@@ -289,7 +293,12 @@ def gap_edge_limit_crosscheck(ctx: BandContext, gap: GapRecord,
 def gap_edges(ctx: BandContext, m: GroupElement,
               s_use: int | None = None) -> GapRecord:
     """Gap edges at k_m = -xi(m)/2 from the two scalar equations
-    E - v(0,k_m) - Q(E) -+ |G(E)| = 0 on the T-symmetrized domain."""
+    E - v(0,k_m) - Q(E) -+ |G(E)| = 0 on the T-symmetrized domain.
+
+    Both root solves evaluate Q and G on one PuncturedResolvent; at each
+    edge the dense q_g_functions recomputes them, and a difference above
+    GAP_EDGE_CROSSCHECK_TOL * max(1, |E|) raises HypothesisFailed.
+    """
     k_m = -float(m.xi) / 2.0
     if k_m == 0.0:
         raise PreconditionFailed("k_m must be nonzero")
@@ -308,18 +317,30 @@ def gap_edges(ctx: BandContext, m: GroupElement,
     im = matrix.row_of(m)
     v0 = float(H[i0, i0].real)
 
-    def equation(E: float, sign: float) -> float:
-        qg = q_g_functions(H, [i0, im], E)
-        return E - v0 - qg.Q[i0] - sign * abs(qg.G[(i0, im)])
-
-    w, _ = dense_spectrum(matrix)
+    w = dense_spectrum(matrix)[0]
     order = np.argsort(np.abs(w - v0))
     two = np.sort(w[order[:2]])
     spread = max(two[1] - two[0], 1e-9 * max(1.0, abs(v0)))
     lo, hi = two[0] - 0.5 * spread, two[1] + 0.5 * spread
-    e_plus = brentq(lambda E: equation(E, +1.0), lo, hi, xtol=1e-13)
-    e_minus = brentq(lambda E: equation(E, -1.0), lo, hi, xtol=1e-13)
-    e_minus, e_plus = min(e_minus, e_plus), max(e_minus, e_plus)
+    punctured = PuncturedResolvent(matrix, [i0, im])
+
+    def equation(E: float, sign: float) -> float:
+        return (E - v0 - punctured.Q(i0, E)
+                - sign * abs(punctured.G(i0, im, E)))
+
+    edges = {}
+    for sign in (+1.0, -1.0):
+        E = brentq(lambda x: equation(x, sign), lo, hi, xtol=1e-13)
+        edges[sign] = (E, punctured.Q(i0, E), punctured.G(i0, im, E))
+    del punctured
+    for E, Q, G in edges.values():
+        qg = q_g_functions(H, [i0, im], E)
+        diff = max(abs(Q - qg.Q[i0]), abs(G - qg.G[(i0, im)]))
+        if diff > GAP_EDGE_CROSSCHECK_TOL * max(1.0, abs(E)):
+            raise HypothesisFailed(
+                "gap-edge resolvent vs dense Q/G",
+                f"difference {diff:.3e} at E = {E!r}")
+    e_minus, e_plus = sorted((edges[-1.0][0], edges[+1.0][0]))
     bound = 2.0 * abs(ctx.eps) * math.exp(
         -ctx.folded.kappa0 * m.norm ** ctx.folded.alpha0 / 2.0)
     return GapRecord(m=m, k_m=k_m, E_minus=float(e_minus), E_plus=float(e_plus),

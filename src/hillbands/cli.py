@@ -123,23 +123,25 @@ def output_dir(config: dict, override: str | None) -> Path:
     return path
 
 
-def _band_csv(points, path: Path) -> None:
+def _band_csv(samples, path: Path) -> None:
+    """band.csv from the report's ``samples`` rows (BandPoint.to_dict)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["k", "E", "scale", "class"])
-        for p in points:
-            writer.writerow([repr(p.k), "" if p.E is None else repr(p.E),
-                             p.scale, p.klass])
+        for s in samples:
+            writer.writerow([repr(s["k"]), "" if s["E"] is None else repr(s["E"]),
+                             s["scale"], s["class"]])
 
 
 def _gaps_csv(gaps, path: Path) -> None:
+    """gaps.csv from the report's ``gaps`` rows (GapRecord.to_dict)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["m", "k_m", "E_minus", "E_plus", "width", "bound"])
         for g in gaps:
-            writer.writerow([";".join(str(v) for v in g.m.rep), repr(g.k_m),
-                             repr(g.E_minus), repr(g.E_plus), repr(g.width),
-                             repr(g.bound)])
+            writer.writerow([";".join(str(v) for v in g["m"]), repr(g["k_m"]),
+                             repr(g["E_minus"]), repr(g["E_plus"]),
+                             repr(g["width"]), repr(g["bound"])])
 
 
 def run_band(config: dict, out_override: str | None = None,
@@ -223,13 +225,14 @@ def run_band(config: dict, out_override: str | None = None,
             k_n0=k_n0_ref, eps0=ctx.schedule.eps0),
     )
     coeffs = from_config(config["potential"], nu=ctx.lat.nu)
+    report_rows = report.to_dict()
     payload = {
         "config": config,
         "content_hash": content_hash(config),
         "schedule": ctx.schedule.to_dict(),
         "diophantine": dio_report,
         "potential_truncation_tail": coeffs.truncation_tail_bound(ctx.lat.nu),
-        "report": report.to_dict(),
+        "report": report_rows,
     }
     if floquet_data is not None:
         payload["floquet_bands"] = [list(b) for b in floquet_data.bands]
@@ -239,8 +242,8 @@ def run_band(config: dict, out_override: str | None = None,
             writer.writerow(["E", "Delta"])
             for E, d in zip(floquet_data.E_grid, floquet_data.discriminant):
                 writer.writerow([repr(E), repr(d)])
-    _band_csv(points, outdir / "band.csv")
-    _gaps_csv(gaps, outdir / "gaps.csv")
+    _band_csv(report_rows["samples"], outdir / "band.csv")
+    _gaps_csv(report_rows["gaps"], outdir / "gaps.csv")
     with open(outdir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
         fh.write("\n")
@@ -265,25 +268,9 @@ def export_report(report_path: str, fmt: str,
             fh.write("\n")
         return target
     if fmt == "csv":
-        samples = payload["report"]["samples"]
         target = outdir / "band.export.csv"
-        with open(target, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["k", "E", "scale", "class"])
-            for s in samples:
-                writer.writerow([repr(s["k"]),
-                                 "" if s["E"] is None else repr(s["E"]),
-                                 s["scale"], s["class"]])
-        gaps = payload["report"]["gaps"]
-        gap_target = outdir / "gaps.export.csv"
-        with open(gap_target, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["m", "k_m", "E_minus", "E_plus", "width", "bound"])
-            for g in gaps:
-                writer.writerow([";".join(str(v) for v in g["m"]),
-                                 repr(g["k_m"]), repr(g["E_minus"]),
-                                 repr(g["E_plus"]), repr(g["width"]),
-                                 repr(g["bound"])])
+        _band_csv(payload["report"]["samples"], target)
+        _gaps_csv(payload["report"]["gaps"], outdir / "gaps.export.csv")
         return target
     raise ConfigError(f"unknown export format {fmt!r}")
 

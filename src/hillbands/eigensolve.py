@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import (AdmissibilityFailed, HypothesisFailed, NoConvergence,
                      OrderingFailed, PreconditionFailed, RootCountMismatch)
@@ -28,17 +29,24 @@ class PuncturedResolvent:
 
     One Hermitian diagonalization buys O(n) evaluation of Q(p, E), G(p, q, E)
     and the eigenvector tail for every E afterwards; the dense-solve route in
-    q_g_functions stays available as the independent cross-check.
+    q_g_functions stays available as the independent cross-check. A matrix
+    that is tridiagonal in t order (bandwidth <= 1) stays tridiagonal once
+    principal rows are removed, and is diagonalized as such in O(n^2);
+    every other matrix takes the dense ``eigh``.
     """
 
-    def __init__(self, H: np.ndarray, principal):
+    def __init__(self, matrix: DualMatrix, principal):
+        H = matrix.values
         self.principal = tuple(int(p) for p in principal)
         n = H.shape[0]
         self.others = [i for i in range(n) if i not in self.principal]
         if not self.others:
             raise ValueError("puncturing removed the whole domain")
-        sub = H[np.ix_(self.others, self.others)]
-        self.w, self.V = np.linalg.eigh(sub)
+        if matrix.bandwidth is not None and matrix.bandwidth <= 1:
+            self.w, self.V = _tridiagonal_eigh(matrix, self.others)
+        else:
+            sub = H[np.ix_(self.others, self.others)]
+            self.w, self.V = np.linalg.eigh(sub)
         # projections of the coupling columns h(., p) onto the eigenbasis
         self.proj = {p: self.V.conj().T @ H[self.others, p]
                      for p in self.principal}
@@ -63,6 +71,29 @@ class PuncturedResolvent:
 
     def smallest_gap(self, E: float) -> float:
         return float(np.min(np.abs(E - self.w)))
+
+
+def _tridiagonal_eigh(matrix: DualMatrix, others: list[int]):
+    """Eigenpairs of H[others, others] for H tridiagonal in t order.
+
+    The diagonal unitary D = diag(cumprod(b/|b|)) turns the Hermitian
+    tridiagonal block T (subdiagonal b) into the real symmetric D^H T D with
+    subdiagonal |b| (Golub & Van Loan, Matrix Computations, sec. 8.4), so
+    T = (D Vr) diag(w) (D Vr)^H. Rows come back in ``others`` order.
+    """
+    H = matrix.values
+    t = np.array([matrix.domain[i].t for i in others], dtype=np.int64)
+    order = np.argsort(t)
+    rows = np.asarray(others)[order]
+    diag = H[rows, rows].real
+    sub = H[rows[1:], rows[:-1]]
+    mag = np.abs(sub)
+    unit = np.ones_like(sub)
+    np.divide(sub, mag, out=unit, where=mag != 0)
+    phase = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
+    w, Vr = eigh_tridiagonal(diag, mag)
+    inverse = np.argsort(order)
+    return w, phase[inverse, None] * Vr[inverse]
 
 
 @dataclass(frozen=True)
@@ -106,7 +137,7 @@ def solve_simple(matrix: DualMatrix, m0: GroupElement, *, E_init: float | None =
     i0 = matrix.row_of(m0)
     v0 = float(H[i0, i0].real)
     E = v0 if E_init is None else float(E_init)
-    punctured = PuncturedResolvent(H, [i0])
+    punctured = PuncturedResolvent(matrix, [i0])
     prev_resid = math.inf
     converged = False
     iterations = 0
@@ -214,7 +245,7 @@ def solve_pair(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
     H = matrix.values
     ip, im = matrix.row_of(m_plus), matrix.row_of(m_minus)
     vp, vm = float(H[ip, ip].real), float(H[im, im].real)
-    punctured = PuncturedResolvent(H, [ip, im])
+    punctured = PuncturedResolvent(matrix, [ip, im])
 
     tau_seen = math.inf
     for E in np.linspace(bracket[0], bracket[1], ordering_grid):

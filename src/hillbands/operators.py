@@ -78,6 +78,9 @@ class DualMatrix:
     values: np.ndarray
     spec: OperatorSpec
     index: dict = field(compare=False, repr=False)
+    # largest rank distance, in the domain sorted by t, between two points
+    # coupled by a nonzero entry; None (unknown) means treat as dense
+    bandwidth: int | None = field(default=None, compare=False)
 
     @property
     def size(self) -> int:
@@ -128,7 +131,25 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     if check_decay:
         _check_decay(H, dom, t, entries, spec, folded)
     return DualMatrix(domain=dom, values=H, spec=spec,
-                      index={e.rep: i for i, e in enumerate(dom)})
+                      index={e.rep: i for i, e in enumerate(dom)},
+                      bandwidth=_t_order_bandwidth(t, entries))
+
+
+def _t_order_bandwidth(t, entries) -> int:
+    """Largest rank distance between t and t + d in sorted t, over the
+    nonzero offsets d that occur in the domain; O(#offsets n log n)."""
+    ts = np.sort(t)
+    ranks = np.arange(len(ts))
+    width = 0
+    for d, (_, v) in entries.items():
+        if v == 0:
+            continue
+        pos = np.searchsorted(ts, ts + d)
+        hit = pos < len(ts)
+        hit[hit] = ts[pos[hit]] == ts[hit] + d
+        if hit.any():
+            width = max(width, int(np.max(np.abs(pos[hit] - ranks[hit]))))
+    return width
 
 
 def _check_decay(H, dom, t, entries, spec, folded) -> None:

@@ -31,7 +31,8 @@ def dense_spectrum(matrix, residual_tol: float = 1e-10):
     if H.shape[0] > 4000:
         raise PreconditionFailed("dense oracle capped at |Lambda| <= 4000")
     w, V = np.linalg.eigh(H)
-    scale = max(1.0, float(np.linalg.norm(H, 2)))
+    # ||H||_2 = max|w| for Hermitian H: no second factorization for the scale
+    scale = max(1.0, float(np.max(np.abs(w))))
     resid = float(np.max(np.abs(H @ V - V * w)))
     if resid > residual_tol * scale:
         raise IntegratorFailure(

@@ -23,13 +23,12 @@ from .lattice import GroupElement, QuotientLattice
 
 # --- dense linear algebra with singularity reporting ---
 
-def _smallest_singular_value(A: np.ndarray) -> float:
-    return float(np.linalg.svd(A, compute_uv=False)[-1])
-
-
 def _checked_inverse(A: np.ndarray, label: str, rcond: float = 1e-13) -> np.ndarray:
-    s_min = _smallest_singular_value(A)
-    scale = max(1.0, float(np.linalg.norm(A, ord=2)))
+    """inv(A), or SingularBlock when sigma_min <= rcond * max(1, sigma_max);
+    both singular values come from one SVD."""
+    sigma = np.linalg.svd(A, compute_uv=False)
+    s_min = float(sigma[-1])
+    scale = max(1.0, float(sigma[0]))
     if s_min <= rcond * scale:
         raise SingularBlock(label, s_min)
     return np.linalg.inv(A)

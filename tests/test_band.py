@@ -1,15 +1,20 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from hillbands import band
 from hillbands.band import (BandContext, band_curve, compute_point,
                             conjugate_reflection_audit, decay_audit,
                             gap_edges, gap_resolvent_audit,
                             gap_spectrum_audit, increment_audit,
                             monotonicity_audit, symmetry_audit)
-from hillbands.errors import PreconditionFailed
+from hillbands.cli import build_context
+from hillbands.errors import HypothesisFailed, PreconditionFailed
 from hillbands.operators import TWO_PI_SQ, OperatorSpec, assemble
 from hillbands.oracle import dense_spectrum
 from hillbands.scales import build_schedule
+from hillbands.schur import q_g_functions
 
 from conftest import make_context
 
@@ -149,6 +154,53 @@ def test_gap_edge_limits_crosscheck(toy_context):
     theta = 0.25 * toy_context.schedule.delta[1] ** 0.75
     rec = gap_edge_limit_crosscheck(toy_context, g, theta)
     assert rec.passed and rec.checked == 2
+
+
+def test_gap_edges_crosscheck_is_live(toy_context, monkeypatch):
+    # Q off by 1e-6 in the dense cross-check must stop the gap
+    def shifted(H, principal, E, **kwargs):
+        qg = q_g_functions(H, principal, E, **kwargs)
+        return dataclasses.replace(
+            qg, Q={p: q + 1e-6 for p, q in qg.Q.items()})
+
+    monkeypatch.setattr(band, "q_g_functions", shifted)
+    with pytest.raises(HypothesisFailed, match="gap-edge resolvent"):
+        gap_edges(toy_context, toy_context.lat.canonicalize([-1]))
+
+
+class _DenseQG:
+    """Stand-in for PuncturedResolvent that recomputes Q and G with the
+    dense q_g_functions at every E: the reference route for the gap edges."""
+
+    def __init__(self, matrix, principal):
+        self.H, self.principal = matrix.values, principal
+
+    def Q(self, p, E):
+        return q_g_functions(self.H, self.principal, E).Q[p]
+
+    def G(self, p, q, E):
+        return q_g_functions(self.H, self.principal, E).G[(p, q)]
+
+
+def test_gap_edges_match_dense_q_g_route_on_2d_lattice(monkeypatch):
+    # nu = 2, omega = (1, 3/7), complex random_phase data: a dense matrix
+    ctx = build_context({
+        "lattice": {"nu": 2, "omega": ["1", "3/7"]},
+        "potential": {"kind": "random_phase", "support_radius": 2,
+                      "amplitude_scale": 0.5, "kappa0": 0.5, "alpha0": 1.0,
+                      "seed": 1},
+        "coupling": 0.05,
+        "schedule": {"beta": 0.5, "R1": 9.0, "s_max": 2, "s_cap": 1,
+                     "sigma_scale": 1e-8, "eps0": 0.5},
+        "truncation_R": 6,
+    })
+    m = ctx.lat.canonicalize([0, 1])
+    fast = gap_edges(ctx, m)
+    monkeypatch.setattr(band, "PuncturedResolvent", _DenseQG)
+    slow = gap_edges(ctx, m)
+    assert fast.width > 0
+    for a, b in ((fast.E_minus, slow.E_minus), (fast.E_plus, slow.E_plus)):
+        assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
 
 def test_gap_edges_rejects_zero_momentum(toy_context):

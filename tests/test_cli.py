@@ -81,6 +81,11 @@ def test_export_round_trip(tmp_path):
     lines = (out / "band.export.csv").read_text().strip().splitlines()
     assert lines[0] == "k,E,scale,class"
     assert lines[1:] == (out / "band.csv").read_text().strip().splitlines()[1:]
+    # one writer: the exports equal the run's CSVs byte for byte
+    assert original["report"]["gaps"]
+    for name in ("band", "gaps"):
+        assert (out / f"{name}.export.csv").read_bytes() == \
+            (out / f"{name}.csv").read_bytes()
 
 
 def test_gaps_csv_header_only_when_no_gaps(tmp_path):

@@ -1,16 +1,122 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from hillbands.eigensolve import (CffNode, cff_branch_solve, cff_build, leaf,
+from hillbands.eigensolve import (CffNode, PuncturedResolvent,
+                                  cff_branch_solve, cff_build, leaf,
                                   pair_chi, quadratic_dichotomy, solve_pair,
                                   solve_simple)
 from hillbands.errors import (AdmissibilityFailed, OrderingFailed,
                               PreconditionFailed, RootCountMismatch)
-from hillbands.operators import TWO_PI_SQ, OperatorSpec, assemble
+from hillbands.lattice import FrequencyVector, QuotientLattice
+from hillbands.operators import (TWO_PI_SQ, OperatorSpec, assemble,
+                                 translated_domain)
 from hillbands.oracle import dense_spectrum
-from hillbands.potential import cosine, fold
+from hillbands.potential import cosine, fold, random_phase
+from hillbands.schur import q_g_functions
+
+
+# --- the punctured resolvent on the t-order tridiagonal path ---
+
+@functools.lru_cache(maxsize=None)
+def _lattice(omega):
+    return QuotientLattice(FrequencyVector.parse([omega]))
+
+
+@st.composite
+def tridiagonal_cases(draw):
+    """nu = 1 data with folded support radius 1: cosine, or complex
+    random_phase, on ball, translated and ball+mirror domains."""
+    lat = _lattice(draw(st.sampled_from(["1", "2/3"])))
+    if draw(st.booleans()):
+        coeffs = cosine([1], kappa0=draw(st.sampled_from([0.3, 1.0])))
+    else:
+        coeffs = random_phase(1, nu=1, kappa0=0.5,
+                              seed=draw(st.integers(0, 99)))
+    folded = fold(coeffs, lat, enforce_bound=False)
+    ball = lat.ball(draw(st.integers(1, 8)))
+    shape = draw(st.sampled_from(["ball", "translate", "mirror"]))
+    shift = lat.canonicalize([draw(st.integers(-6, 6))])
+    if shape == "translate":
+        domain = translated_domain(ball, shift, lat)
+    elif shape == "mirror":
+        domain = list(ball) + [lat.sub(shift, e) for e in ball]
+    else:
+        domain = ball
+    spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])),
+                        k=draw(st.floats(-1.9, 1.9)),
+                        normalized=draw(st.booleans()))
+    matrix = assemble(domain, spec, folded, lat, check_decay=False)
+    by_t = sorted(range(matrix.size), key=lambda i: matrix.domain[i].t)
+    ends = [by_t[0], by_t[-1]]
+    pick = st.sampled_from(range(matrix.size))
+    kind = draw(st.sampled_from([
+        "one", "first", "last", "ends", "adjacent", "two"]))
+    if kind == "one":
+        principal = [draw(pick)]
+    elif kind in ("first", "last"):
+        principal = [ends[kind == "last"]]
+    elif kind == "ends":
+        principal = ends
+    elif kind == "adjacent":
+        pos = draw(st.integers(0, matrix.size - 2))
+        principal = [by_t[pos], by_t[pos + 1]]
+    else:
+        principal = draw(st.lists(pick, min_size=2, max_size=2, unique=True))
+    assume(len(set(principal)) < matrix.size)
+    return matrix, principal, draw(st.floats(0.0, 1.0))
+
+
+@given(tridiagonal_cases())
+def test_tridiagonal_resolvent_matches_dense_q_g(case):
+    matrix, principal, where = case
+    assert matrix.bandwidth <= 1
+    res = PuncturedResolvent(matrix, principal)
+    H = matrix.values
+    others = res.others
+    w = np.linalg.eigvalsh(H[np.ix_(others, others)])
+    scale = max(1.0, float(np.max(np.abs(w))))
+    E = float(w[0] - 1.0 + where * (w[-1] - w[0] + 2.0))
+    assume(np.min(np.abs(E - w)) > 1e-3 * scale)
+    # the same decomposition, up to eigenvector phases, as the dense path
+    assert np.allclose(res.w, w, rtol=0, atol=1e-12 * scale)
+    qg = q_g_functions(H, principal, E)
+    for p in res.principal:
+        assert res.Q(p, E) == pytest.approx(qg.Q[p], rel=1e-10)
+    if len(res.principal) == 2:
+        p, q = res.principal
+        assert res.G(p, q, E) == pytest.approx(qg.G[(p, q)], rel=1e-10)
+    else:
+        p = res.principal[0]
+        F = res.tail(E, res.proj[p])
+        assert np.linalg.norm(F - qg.F) <= 1e-10 * np.linalg.norm(qg.F)
+
+
+def test_tridiagonal_and_dense_resolvent_agree(line_lattice):
+    # complex tridiagonal data, with a domain gap that zeroes a subdiagonal
+    folded = fold(random_phase(1, nu=1, kappa0=0.5, seed=7), line_lattice,
+                  enforce_bound=False)
+    domain = [line_lattice.canonicalize([v])
+              for v in (-5, -4, -3, -1, 0, 1, 2, 6, 7)]
+    tri = assemble(domain, OperatorSpec(epsilon=0.3, k=0.21), folded,
+                   line_lattice)
+    assert tri.bandwidth == 1 and np.any(tri.values.imag != 0)
+    dense = dataclasses.replace(tri, bandwidth=None)
+    i0 = tri.row_of(line_lattice.identity)
+    a, b = PuncturedResolvent(tri, [i0, 2]), PuncturedResolvent(dense, [i0, 2])
+    assert a.others == b.others
+    assert np.allclose(a.w, b.w, rtol=1e-13)
+    # V agrees up to one phase per (nondegenerate) eigenvector
+    overlap = np.abs(np.sum(a.V.conj() * b.V, axis=0))
+    assert np.allclose(overlap, 1.0, rtol=0, atol=1e-12)
+    for E in (0.0, 3.3, 50.0):
+        assert a.Q(i0, E) == pytest.approx(b.Q(i0, E), rel=1e-12)
+        assert a.G(i0, 2, E) == pytest.approx(b.G(i0, 2, E), rel=1e-12)
 
 
 def test_solve_simple_zero_coupling(line_lattice, cosine_folded):

@@ -130,6 +130,34 @@ def test_assemble_matches_pairwise_oracle(case):
     assert np.array_equal(fast.values, fast.values.conj().T)
 
 
+def brute_force_bandwidth(matrix):
+    """Largest |i - j| over the nonzero entries of H permuted to t order."""
+    order = np.argsort([e.t for e in matrix.domain])
+    i, j = np.nonzero(matrix.values[np.ix_(order, order)])
+    return int(np.max(np.abs(i - j)))
+
+
+@given(assembly_cases())
+def test_bandwidth_matches_brute_force(case):
+    matrix = assemble(*case, check_decay=False)
+    assert matrix.bandwidth == brute_force_bandwidth(matrix)
+
+
+def test_bandwidth_of_cosine_ball_and_oracle_default(line_lattice,
+                                                     cosine_folded):
+    spec = OperatorSpec(epsilon=0.05, k=0.3)
+    assert assemble(line_lattice.ball(5), spec, cosine_folded,
+                    line_lattice).bandwidth == 1
+    assert assemble(line_lattice.ball(0), spec, cosine_folded,
+                    line_lattice).bandwidth == 0
+    assert assemble(line_lattice.ball(5), OperatorSpec(epsilon=0.0, k=0.3),
+                    cosine_folded, line_lattice).bandwidth == 0
+    # built without assemble: unknown, which the resolvent treats as dense
+    ref = pairwise_assemble(line_lattice.ball(5), spec, cosine_folded,
+                            line_lattice)
+    assert ref.bandwidth is None
+
+
 def test_assemble_diagonal_at_zero_coupling(line_lattice, cosine_folded):
     spec = OperatorSpec(epsilon=0.0, k=0.3)
     m = assemble(line_lattice.ball(3), spec, cosine_folded, line_lattice)

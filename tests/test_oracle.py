@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from hillbands.errors import PreconditionFailed
+from hillbands.errors import IntegratorFailure, PreconditionFailed
 from hillbands.lattice import FrequencyVector
 from hillbands.oracle import (bloch_residual, dense_spectrum,
                               floquet_discriminant, floquet_gap_edges,
@@ -29,6 +31,34 @@ def test_dense_spectrum_two_by_two_closed_form():
 def test_dense_spectrum_size_cap():
     with pytest.raises(PreconditionFailed):
         dense_spectrum(np.eye(4001))
+
+
+@given(st.integers(1, 12), st.integers(0, 2**32 - 1),
+       st.sampled_from([1e-3, 1.0, 1e3]))
+def test_dense_spectrum_scale_is_two_norm(n, seed, size):
+    # the residual certificate's scale max(1, max|w|) is ||H||_2
+    rng = np.random.default_rng(seed)
+    A = size * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    H = (A + A.conj().T) / 2.0
+    w, _ = dense_spectrum(H)
+    assert np.max(np.abs(w)) == pytest.approx(np.linalg.norm(H, 2), rel=1e-12)
+
+
+def test_dense_spectrum_rejects_tampered_eigenvector(monkeypatch):
+    rng = np.random.default_rng(2)
+    A = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    H = (A + A.conj().T) / 2.0
+    real_eigh = np.linalg.eigh
+
+    def tampered(M):
+        w, V = real_eigh(M)
+        V = V.copy()
+        V[:, 3] = V[:, 2]
+        return w, V
+
+    monkeypatch.setattr(np.linalg, "eigh", tampered)
+    with pytest.raises(IntegratorFailure, match="residual"):
+        dense_spectrum(H)
 
 
 def test_period_examples():

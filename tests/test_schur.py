@@ -5,7 +5,8 @@ import pytest
 
 from hillbands.errors import HypothesisFailed, SingularBlock
 from hillbands.lattice import FrequencyVector, QuotientLattice
-from hillbands.schur import (WeightProfile, enumerate_trajectories,
+from hillbands.schur import (WeightProfile, _checked_inverse,
+                             enumerate_trajectories,
                              msa_step, mu_of_set,
                              path_norm, q_g_functions, schur_block_inverse,
                              trajectory_weight, two_point_extension,
@@ -76,6 +77,21 @@ def test_q_g_pair_against_dense_punctured_inverse():
     expected_g = H[0, 2] + H[0, others] @ K @ H[others, 2]
     assert qg.G[(0, 2)] == pytest.approx(expected_g)
     assert qg.G[(0, 2)] == pytest.approx(np.conj(qg.G[(2, 0)]))
+
+
+def test_checked_inverse_singular_and_regular():
+    rng = np.random.default_rng(11)
+    A = random_hermitian(rng, 6)
+    assert np.array_equal(_checked_inverse(A, "A"), np.linalg.inv(A))
+    B = A.copy()
+    B[:, 5] = B[:, 0]           # rank 5
+    with pytest.raises(SingularBlock, match="singular block block B"):
+        _checked_inverse(B, "block B")
+    # the threshold is relative to max(1, sigma_max)
+    with pytest.raises(SingularBlock):
+        _checked_inverse(np.diag([1.0, 1e-14]), "small")
+    assert np.array_equal(_checked_inverse(np.diag([1.0, 1e-12]), "ok"),
+                          np.linalg.inv(np.diag([1.0, 1e-12])))
 
 
 def small_profile(lat, reps, D=None, T=8.0, kappa0=0.9):

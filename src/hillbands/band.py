@@ -466,7 +466,7 @@ def decay_audit(ctx: BandContext, point: BandPoint, mode: str = "strict",
             if a > 2.0 + 1e-12:
                 violations.append((e, a, 2.0))
             continue
-        dists = [float(ctx.lat.sub(e, c).norm) for c in centers]
+        dists = [float(ctx.lat.dist(e, c)) for c in centers]
         if mode == "strict":
             if min(dists) <= strict_radius:
                 continue
@@ -575,7 +575,7 @@ def gap_resolvent_audit(ctx: BandContext, m: GroupElement, E: float,
         worst_uniform = max(worst_uniform, float(np.max(np.abs(R))))
         for i, a in enumerate(matrix.domain):
             for j, b in enumerate(matrix.domain):
-                d = float(ctx.lat.sub(a, b).norm)
+                d = float(ctx.lat.dist(a, b))
                 if d > cutoff:
                     bound = math.exp(-kappa0 * d ** alpha0 / 8.0)
                     if abs(R[i, j]) > bound:

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 from .errors import ExcludedK, NotProper, PreconditionFailed
 from .lattice import GroupElement, QuotientLattice
 from .scales import ScaleSchedule
+from .schur import mu_of_set
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,7 @@ class Domain:
 
     def boundary_distance(self, m: GroupElement, lat: QuotientLattice) -> int:
         """mu_Lambda(m) = dist(m, T \\ Lambda) in the quotient metric."""
-        if m not in self.elements:
-            return 0
-        r = 1
-        while True:
-            for d in lat.ball(r):
-                if d.norm < r:
-                    continue
-                if lat.add(m, d) not in self.elements:
-                    return r
-            r += 1
+        return mu_of_set(self.elements, m, lat)
 
     def reps(self) -> list[list[int]]:
         return [list(e.rep) for e in self.sorted_elements()]
@@ -66,7 +58,7 @@ def _chained(a: frozenset, b: frozenset) -> bool:
 
 
 def set_distance(a, b, lat: QuotientLattice) -> int:
-    return min(lat.sub(x, y).norm for x in a for y in b)
+    return min(lat.dist(x, y) for x in a for y in b)
 
 
 @dataclass

@@ -18,7 +18,8 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (AdmissibilityFailed, HypothesisFailed, NoConvergence,
-                     OrderingFailed, PreconditionFailed, RootCountMismatch)
+                     OrderingFailed, PreconditionFailed, RootCountMismatch,
+                     SingularBlock)
 from .lattice import GroupElement
 from .operators import DualMatrix
 from .schur import q_g_functions

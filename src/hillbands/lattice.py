@@ -166,7 +166,9 @@ class QuotientLattice:
         self.omega = omega
         self.null = null_lattice(omega)
         self.nu = omega.nu
-        self._canon: dict[tuple[int, ...], GroupElement] = {}
+        # The one element table, keyed by the integer coordinate t: every
+        # vector of a coset has the same t, so each coset is searched once.
+        self._by_t: dict[int, GroupElement] = {}
         self._ball_cache: dict[int, tuple[GroupElement, ...]] = {}
         self._coeff_rows = self._pinv_row_norms()
         # xi(v) = xi_spacing * sum_j v_j w_j / g for the integer form w and
@@ -185,10 +187,6 @@ class QuotientLattice:
 
     def xi(self, vec: Sequence[int]) -> Fraction:
         return self.omega.xi_raw(vec)
-
-    def _element(self, rep: tuple[int, ...], norm: int) -> GroupElement:
-        t = sum(v * w for v, w in zip(rep, self._t_weights))
-        return GroupElement(rep=rep, norm=norm, xi=self.xi(rep), t=t)
 
     @property
     def identity(self) -> GroupElement:
@@ -223,41 +221,50 @@ class QuotientLattice:
     def canonicalize(self, vec: Sequence[int]) -> GroupElement:
         """Minimal-ell-infinity, lexicographically-smallest coset representative.
 
-        The search over N-translates is confined to the box of the input's norm:
-        any farther translate has a larger norm.
+        The element is looked up by its coordinate t; only a coset not seen
+        before is searched. The search runs over the N-translates p with
+        |p| <= 2|v|: a minimal representative v - p has |v - p| <= |v|, so
+        every one lies in that box, and the result does not depend on which
+        vector of the coset comes in.
         """
         v = tuple(int(x) for x in vec)
-        cached = self._canon.get(v)
-        if cached is not None:
-            return cached
-        if self.null.rank == 0:
-            elem = self._element(v, _linf(v))
-            self._canon[v] = elem
+        t = sum(a * w for a, w in zip(v, self._t_weights))
+        elem = self._by_t.get(t)
+        if elem is not None:
             return elem
         r = _linf(v)
         best = v
         best_norm = r
-        for p in self._null_points_in_box(2 * r):
-            cand = tuple(a - b for a, b in zip(v, p))
-            n = _linf(cand)
-            if n < best_norm or (n == best_norm and cand < best):
-                best, best_norm = cand, n
-        elem = self._element(best, best_norm)
-        self._canon[v] = elem
-        if best != v:
-            self._canon[best] = elem
+        if self.null.rank:
+            for p in self._null_points_in_box(2 * r):
+                cand = tuple(a - b for a, b in zip(v, p))
+                n = _linf(cand)
+                if n < best_norm or (n == best_norm and cand < best):
+                    best, best_norm = cand, n
+        elem = GroupElement(rep=best, norm=best_norm, xi=self.xi(best), t=t)
+        self._by_t[t] = elem
         return elem
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.canonicalize(tuple(x + y for x, y in zip(a.rep, b.rep)))
+        elem = self._by_t.get(a.t + b.t)
+        if elem is not None:
+            return elem
+        return self.canonicalize([x + y for x, y in zip(a.rep, b.rep)])
 
     def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return self.canonicalize(tuple(x - y for x, y in zip(a.rep, b.rep)))
+        elem = self._by_t.get(a.t - b.t)
+        if elem is not None:
+            return elem
+        return self.canonicalize([x - y for x, y in zip(a.rep, b.rep)])
 
     def neg(self, a: GroupElement) -> GroupElement:
-        return self.canonicalize(tuple(-x for x in a.rep))
+        elem = self._by_t.get(-a.t)
+        if elem is not None:
+            return elem
+        return self.canonicalize([-x for x in a.rep])
 
     def dist(self, a: GroupElement, b: GroupElement) -> int:
+        """|a - b|, the metric of the quotient."""
         return self.sub(a, b).norm
 
     def ball(self, R: float) -> list[GroupElement]:

@@ -155,27 +155,14 @@ class WeightProfile:
     def M(self) -> float:
         return 4.0 * self.T / self.kappa0
 
-    def in_class(self, domain: Sequence[GroupElement], lat: QuotientLattice,
-                 mu: Callable[[GroupElement], float]) -> bool:
-        """Class G_{Lambda,T,kappa0}: D(m) <= T mu(m)^{alpha0/5} when D(m) >= M."""
-        for m in domain:
-            d = self.D[m]
-            if d >= self.M and not d <= self.T * mu(m) ** (self.alpha0 / 5.0):
-                return False
-        return True
-
 
 def path_norm(points: Sequence[GroupElement], lat: QuotientLattice,
               alpha0: float) -> float:
     """||gamma|| = sum |n_i - n_{i+1}|^alpha0 (0 for single-point trajectories)."""
     total = 0.0
     for a, b in zip(points, points[1:]):
-        total += float(lat.sub(a, b).norm) ** alpha0
+        total += float(lat.dist(a, b)) ** alpha0
     return total
-
-
-def _segment_norm(points, lat, alpha0, i, j):
-    return path_norm(points[i:j + 1], lat, alpha0)
 
 
 def admissible_plain(points: Sequence[GroupElement], profile: WeightProfile,
@@ -188,7 +175,7 @@ def admissible_plain(points: Sequence[GroupElement], profile: WeightProfile,
         for j in range(i + 1, k):
             dmin = min(profile.D[points[i]], profile.D[points[j]])
             if dmin >= M:
-                seg = _segment_norm(points, lat, profile.alpha0, i, j)
+                seg = path_norm(points[i:j + 1], lat, profile.alpha0)
                 if not dmin <= profile.T * seg ** (profile.alpha0 / 5.0):
                     return False
     return True
@@ -207,30 +194,30 @@ def admissible_resonant(points: Sequence[GroupElement], profile: WeightProfile,
         for j in range(i + 2, k):
             dmin = min(D[points[i]], D[points[j]])
             if dmin >= M:
-                seg = _segment_norm(points, lat, profile.alpha0, i, j)
+                seg = path_norm(points[i:j + 1], lat, profile.alpha0)
                 if not dmin <= T * seg ** a5:
                     return False
     for i in range(k - 1):
         dmin = min(D[points[i]], D[points[i + 1]])
         if dmin < M:
             continue
-        hop = float(lat.sub(points[i], points[i + 1]).norm) ** profile.alpha0
+        hop = float(lat.dist(points[i], points[i + 1])) ** profile.alpha0
         if dmin <= T * hop ** a5:
             continue
         # exempt adjacent resonant hop: compensating conditions
         for jp in range(i):
             if not min(D[points[jp]], D[points[i]]) <= \
-                    T * _segment_norm(points, lat, profile.alpha0, jp, i) ** a5:
+                    T * path_norm(points[jp:i + 1], lat, profile.alpha0) ** a5:
                 return False
             if not min(D[points[jp]], D[points[i + 1]]) <= \
-                    T * _segment_norm(points, lat, profile.alpha0, jp, i + 1) ** a5:
+                    T * path_norm(points[jp:i + 2], lat, profile.alpha0) ** a5:
                 return False
         for jpp in range(i + 2, k):
             if not min(D[points[i]], D[points[jpp]]) <= \
-                    T * _segment_norm(points, lat, profile.alpha0, i, jpp) ** a5:
+                    T * path_norm(points[i:jpp + 1], lat, profile.alpha0) ** a5:
                 return False
             if not min(D[points[i + 1]], D[points[jpp]]) <= \
-                    T * _segment_norm(points, lat, profile.alpha0, i + 1, jpp) ** a5:
+                    T * path_norm(points[i + 1:jpp + 1], lat, profile.alpha0) ** a5:
                 return False
     return True
 
@@ -239,7 +226,7 @@ def default_hop_weight(profile: WeightProfile, lat: QuotientLattice):
     """w(m,n) = exp(-kappa0 |m-n|^alpha0), the canonical bound-saturating weight."""
 
     def w(a: GroupElement, b: GroupElement) -> float:
-        return math.exp(-profile.kappa0 * float(lat.sub(a, b).norm) ** profile.alpha0)
+        return math.exp(-profile.kappa0 * float(lat.dist(a, b)) ** profile.alpha0)
 
     return w
 
@@ -355,17 +342,20 @@ def verify_weight_lemma(domain: Sequence[GroupElement], profile: WeightProfile,
     checked = 0
     cor_viol = []
     kap_eff = profile.kappa0 * (1.0 - 2.0 ** (-9))
-    sums_by_k: dict[int, float] = {}
+    # hop-sum constant: sum over length-k trajectories of e^{-kappa ||gamma||}
+    # between fixed endpoints should stay < C^{k-1}
+    C = hop_sum_constant(lat, kap_eff, profile.alpha0)
+    hop_ok = True
     for a in domain:
         for b in domain:
+            by_k: dict[int, float] = {}
             for pts in enumerate_trajectories(domain, a, b, k_max):
                 k = len(pts)
                 gnorm = path_norm(pts, lat, profile.alpha0)
-                sums_by_k[k] = sums_by_k.get(k, 0.0) + math.exp(-kap_eff * gnorm)
+                by_k[k] = by_k.get(k, 0.0) + math.exp(-kap_eff * gnorm)
                 if not admissible_resonant(pts, profile, lat):
                     continue
                 checked += 1
-                W = trajectory_majorant(pts, profile, lat)
                 dbar = max(profile.D[p] for p in pts)
                 log_bound = k * M**2 - kap_eff * gnorm + 2.0 * dbar
                 log_W = -profile.kappa0 * gnorm + math.fsum(profile.D[p] for p in pts)
@@ -379,17 +369,6 @@ def verify_weight_lemma(domain: Sequence[GroupElement], profile: WeightProfile,
                     if log_W > -(15.0 / 16.0) * profile.kappa0 * gnorm \
                             + 2.0 * dbar + k * M**2 + 1e-9:
                         cor_viol.append(("case-large-Dbar", pts))
-    # hop-sum constant: sum over length-k trajectories of e^{-kappa ||gamma||}
-    # between fixed endpoints should stay < C^{k-1}
-    C = hop_sum_constant(lat, profile.kappa0 * (1 - 2.0 ** (-9)), profile.alpha0)
-    hop_ok = True
-    for a in domain:
-        for b in domain:
-            by_k: dict[int, float] = {}
-            for pts in enumerate_trajectories(domain, a, b, k_max):
-                k = len(pts)
-                by_k[k] = by_k.get(k, 0.0) + math.exp(
-                    -kap_eff * path_norm(pts, lat, profile.alpha0))
             for k, s in by_k.items():
                 if k >= 2 and s >= C ** (k - 1):
                     hop_ok = False
@@ -469,6 +448,7 @@ def weight_sum_upper_bound_audit(domain: Sequence[GroupElement],
     """
     threshold = epscond_threshold(lat, profile, C_growth)
     dbar = max(profile.D[p] for p in domain)
+    mu = {a: mu_of_set(domain, a, lat) for a in domain}
     worst_ratio = 0.0
     worst_pair = None
     for a in domain:
@@ -476,8 +456,7 @@ def weight_sum_upper_bound_audit(domain: Sequence[GroupElement],
             ws = weight_sum_bruteforce(domain, profile, a, b, "R", k_max,
                                        eps0, lat, use_majorant=True)
             total = ws.lower_bound + ws.tail_bound
-            mu_a = mu_of_set(domain, a, lat)
-            mu_b = mu_of_set(domain, b, lat)
+            mu_a, mu_b = mu[a], mu[b]
             if a == b:
                 bound = min(
                     math.exp(profile.D[a]) + 3.0 * eps0**0.5
@@ -485,7 +464,7 @@ def weight_sum_upper_bound_audit(domain: Sequence[GroupElement],
                     2.0 * math.exp(2.0 * dbar),
                 )
             else:
-                dist = float(lat.sub(a, b).norm) ** profile.alpha0
+                dist = float(lat.dist(a, b)) ** profile.alpha0
                 bound = min(
                     3.0 * eps0**0.5 * math.exp(
                         -(7.0 / 8.0) * profile.kappa0 * dist
@@ -632,7 +611,7 @@ def two_point_extension(H: np.ndarray, domain: Sequence[GroupElement],
         full_inv = _checked_inverse(M, "full matrix")
     except SingularBlock as exc:
         raise HypothesisFailed("full invertibility", str(exc))
-    hop = float(lat.sub(m_plus, m_minus).norm) ** profile.alpha0
+    hop = float(lat.dist(m_plus, m_minus)) ** profile.alpha0
     D0 = math.log(np.linalg.norm(full_inv, 2)) + math.log(1.0 / eps0) \
         + profile.kappa0 * hop
     D0 = max(D0, 1.0)

@@ -12,7 +12,8 @@ from hillbands.eigensolve import (CffNode, PuncturedResolvent,
                                   pair_chi, quadratic_dichotomy, solve_pair,
                                   solve_simple)
 from hillbands.errors import (AdmissibilityFailed, OrderingFailed,
-                              PreconditionFailed, RootCountMismatch)
+                              PreconditionFailed, RootCountMismatch,
+                              SingularBlock)
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.operators import (TWO_PI_SQ, OperatorSpec, assemble,
                                  translated_domain)
@@ -117,6 +118,15 @@ def test_tridiagonal_and_dense_resolvent_agree(line_lattice):
     for E in (0.0, 3.3, 50.0):
         assert a.Q(i0, E) == pytest.approx(b.Q(i0, E), rel=1e-12)
         assert a.G(i0, 2, E) == pytest.approx(b.G(i0, 2, E), rel=1e-12)
+
+
+def test_resolvent_at_punctured_eigenvalue_raises_singular_block(
+        line_lattice, cosine_folded):
+    m = assemble(line_lattice.ball(5), OperatorSpec(epsilon=0.05, k=0.3),
+                 cosine_folded, line_lattice)
+    res = PuncturedResolvent(m, [0])
+    with pytest.raises(SingularBlock):
+        res.Q(0, res.w[0])
 
 
 def test_solve_simple_zero_coupling(line_lattice, cosine_folded):

@@ -1,13 +1,17 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hillbands.errors import HypothesisFailed, SingularBlock
 from hillbands.lattice import FrequencyVector, QuotientLattice
-from hillbands.schur import (WeightProfile, _checked_inverse,
-                             enumerate_trajectories,
-                             msa_step, mu_of_set,
+from hillbands.schur import (WeightLemmaReport, WeightProfile, _checked_inverse,
+                             admissible_resonant, enumerate_trajectories,
+                             hop_sum_constant, msa_step, mu_of_set,
                              path_norm, q_g_functions, schur_block_inverse,
                              trajectory_weight, two_point_extension,
                              verify_weight_lemma, weight_sum_bruteforce,
@@ -158,6 +162,83 @@ def test_verify_weight_lemma_bound_and_hop_sums(lat):
     assert rep.passed
     assert rep.hop_sum_ok
     assert rep.checked > 0
+
+
+def two_pass_verify_weight_lemma(domain, profile, lat, k_max=5):
+    """Reference path: the lemma over every trajectory set, then a second
+    enumeration of the same sets for the hop sums."""
+    M = profile.M
+    worst = math.inf
+    checked = 0
+    cor_viol = []
+    kap_eff = profile.kappa0 * (1.0 - 2.0 ** (-9))
+    for a in domain:
+        for b in domain:
+            for pts in enumerate_trajectories(domain, a, b, k_max):
+                k = len(pts)
+                gnorm = path_norm(pts, lat, profile.alpha0)
+                if not admissible_resonant(pts, profile, lat):
+                    continue
+                checked += 1
+                dbar = max(profile.D[p] for p in pts)
+                log_bound = k * M**2 - kap_eff * gnorm + 2.0 * dbar
+                log_W = -profile.kappa0 * gnorm + math.fsum(profile.D[p] for p in pts)
+                worst = min(worst, log_bound - log_W)
+                if dbar <= M**5:
+                    if log_W > -profile.kappa0 * gnorm + k * M**5 + 1e-9:
+                        cor_viol.append(("case-small-Dbar", pts))
+                else:
+                    if log_W > -(15.0 / 16.0) * profile.kappa0 * gnorm \
+                            + 2.0 * dbar + k * M**2 + 1e-9:
+                        cor_viol.append(("case-large-Dbar", pts))
+    C = hop_sum_constant(lat, profile.kappa0 * (1 - 2.0 ** (-9)), profile.alpha0)
+    hop_ok = True
+    for a in domain:
+        for b in domain:
+            by_k = {}
+            for pts in enumerate_trajectories(domain, a, b, k_max):
+                k = len(pts)
+                by_k[k] = by_k.get(k, 0.0) + math.exp(
+                    -kap_eff * path_norm(pts, lat, profile.alpha0))
+            for k, s in by_k.items():
+                if k >= 2 and s >= C ** (k - 1):
+                    hop_ok = False
+    return WeightLemmaReport(
+        passed=(worst >= -1e-9), checked=checked, worst_margin=worst,
+        corollary_violations=tuple(cor_viol), hop_sum_constant=C, hop_sum_ok=hop_ok,
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _lattice(omega):
+    return QuotientLattice(FrequencyVector.parse(omega))
+
+
+@st.composite
+def weight_lemma_cases(draw):
+    omega = draw(st.sampled_from([("1",), ("1/2", "1/2")]))
+    lat = _lattice(omega)
+    vecs = st.lists(st.integers(-30, 30), min_size=len(omega),
+                    max_size=len(omega))
+    domain = {lat.canonicalize(v) for v in draw(st.lists(vecs, min_size=1,
+                                                          max_size=5))}
+    domain = sorted(domain, key=lambda e: e.key())
+    T = draw(st.floats(8.0, 12.0))
+    kappa0 = draw(st.floats(0.5, 0.99))
+    M = 4.0 * T / kappa0
+    D = {e: draw(st.floats(1.0, 1.8 * M)) for e in domain}
+    profile = WeightProfile(D=D, T=T, kappa0=kappa0,
+                            alpha0=draw(st.sampled_from([1.0, 0.5])))
+    return domain, profile, lat, draw(st.integers(1, 4))
+
+
+@given(weight_lemma_cases())
+def test_verify_weight_lemma_matches_two_pass_oracle(case):
+    domain, profile, lat, k_max = case
+    got = verify_weight_lemma(domain, profile, lat, k_max=k_max)
+    want = two_pass_verify_weight_lemma(domain, profile, lat, k_max=k_max)
+    for f in dataclasses.fields(WeightLemmaReport):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
 def test_weight_sum_upper_bounds(lat):

@@ -166,7 +166,7 @@ def _pair_bracket(matrix: DualMatrix, i0: int, i1: int) -> tuple[float, float]:
     diagonal, widened by 10% of their spread (plus a floor)."""
     H = matrix.values
     target = 0.5 * (H[i0, i0].real + H[i1, i1].real)
-    w, _ = dense_spectrum(matrix)
+    w = np.linalg.eigvalsh(H)
     order = np.argsort(np.abs(w - target))
     two = np.sort(w[order[:2]])
     spread = max(two[1] - two[0], 1e-8 * max(1.0, abs(target)))
@@ -317,7 +317,7 @@ def gap_edges(ctx: BandContext, m: GroupElement,
     im = matrix.row_of(m)
     v0 = float(H[i0, i0].real)
 
-    w = dense_spectrum(matrix)[0]
+    w = np.linalg.eigvalsh(H)
     order = np.argsort(np.abs(w - v0))
     two = np.sort(w[order[:2]])
     spread = max(two[1] - two[0], 1e-9 * max(1.0, abs(v0)))

@@ -116,6 +116,21 @@ def k_grid_from(config: dict) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
+def floquet_grid_from(config: dict) -> list[float]:
+    """The Floquet scan's energies: count >= 2 equispaced points on [min, max]."""
+    fg = config.get("floquet_grid", {})
+    lo = _finite(fg.get("min", 0.5), "floquet_grid.min")
+    hi = _finite(fg.get("max", 30.0), "floquet_grid.max")
+    count = _finite(fg.get("count", 120), "floquet_grid.count")
+    if count != int(count) or count < 2:
+        raise ConfigError(
+            f"floquet_grid.count must be an integer >= 2, got {fg.get('count')!r}")
+    if not lo < hi:
+        raise ConfigError(f"floquet_grid needs min < max, got {lo!r}, {hi!r}")
+    count = int(count)
+    return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
+
+
 def output_dir(config: dict, override: str | None) -> Path:
     env = os.environ.get(OUTPUT_DIR_ENV)
     path = Path(override or env or config.get("output_dir", "out"))
@@ -150,6 +165,10 @@ def run_band(config: dict, out_override: str | None = None,
     ctx = build_context(config)
     outdir = output_dir(config, out_override)
     k_grid = k_grid_from(config)
+    audit_names = config.get("audits", ["symmetry", "monotonicity",
+                                        "increments"])
+    floquet_grid = (floquet_grid_from(config) if "floquet" in audit_names
+                    else None)
     points = band_mod.band_curve(ctx, k_grid, threads=threads)
 
     gaps = []
@@ -161,8 +180,6 @@ def run_band(config: dict, out_override: str | None = None,
             print(f"gap at m={mvec} failed: {exc}", file=sys.stderr)
 
     audits = []
-    audit_names = config.get("audits", ["symmetry", "monotonicity",
-                                        "increments"])
     if "symmetry" in audit_names:
         neg = band_mod.band_curve(ctx, [-p.k for p in points], threads=threads)
         audits.append(band_mod.symmetry_audit(points, neg))
@@ -186,16 +203,11 @@ def run_band(config: dict, out_override: str | None = None,
             audits.append(band_mod.gap_edge_limit_crosscheck(ctx, g, theta))
 
     floquet_data = None
-    if "floquet" in audit_names:
+    if floquet_grid is not None:
         from .oracle import floquet_scan, period
 
-        T = period(ctx.lat.omega)
-        fg = config.get("floquet_grid", {})
-        lo = float(fg.get("min", 0.5))
-        hi = float(fg.get("max", 30.0))
-        count = int(fg.get("count", 120))
-        grid = [lo + i * (hi - lo) / (count - 1) for i in range(count)]
-        floquet_data = floquet_scan(grid, ctx.eps, ctx.folded, T)
+        floquet_data = floquet_scan(floquet_grid, ctx.eps, ctx.folded,
+                                    period(ctx.lat.omega))
 
     try:
         e0_point = band_mod._ball_fallback(ctx, 0.0)
@@ -236,6 +248,7 @@ def run_band(config: dict, out_override: str | None = None,
     }
     if floquet_data is not None:
         payload["floquet_bands"] = [list(b) for b in floquet_data.bands]
+        payload["floquet_wronskian_drift"] = floquet_data.wronskian_drift
         with open(outdir / "floquet.csv", "w", newline="",
                   encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -1,9 +1,11 @@
 """Independent ground truth: dense eigensolving and the Floquet ODE analysis.
 
 The dense route diagonalizes truncations of the dual matrix; the ODE route
-integrates -y'' + eps*V~(x) y = E y over one period and reads bands off the
-monodromy trace. Both are kept free of the multi-scale machinery so they can
-arbitrate its outputs.
+propagates -y'' + eps*V~(x) y = E y over one period, for every energy at once
+with a fourth-order Magnus scheme, and reads bands off the monodromy trace.
+An adaptive solve_ivp integration survives as the cross-check of each scan.
+Both routes are kept free of the multi-scale machinery so they can arbitrate
+its outputs.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .errors import IntegratorFailure, PreconditionFailed
+from .errors import IntegratorFailure, NonRealValue, PreconditionFailed
 from .lattice import FrequencyVector
 from .operators import DualMatrix
-from .potential import FoldedCoefficients, eval_potential
+from .potential import FoldedCoefficients
 
 
 def dense_spectrum(matrix, residual_tol: float = 1e-10):
@@ -55,34 +57,135 @@ def period(omega: FrequencyVector) -> Fraction:
     return Fraction(T)
 
 
+# Fourth-order Magnus scheme on the two Gauss-Legendre nodes of each step
+# (Blanes, Casas, Oteo & Ros, Phys. Rep. 470 (2009), section 5).
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_COMMUTATOR_WEIGHT = math.sqrt(3.0) / 12.0
+# Step matrices held at once for each energy: memory is O(len(E) * CHUNK_STEPS)
+# whatever the step count.
+CHUNK_STEPS = 64
+# The step count doubles until no Delta moves by more than
+# STEP_DOUBLING_TOL * max(1, |Delta|); past MAX_STEPS the scheme gives up.
+STEP_DOUBLING_TOL = 1e-11
+MAX_STEPS = 1 << 20
+WRONSKIAN_TOL = 1e-9
+# Allowed |Delta_Magnus - Delta_solve_ivp| / max(1, |Delta|) at the grid point
+# each floquet_scan re-integrates with solve_ivp.
+CROSSCHECK_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class FloquetData:
     T: Fraction
     E_grid: tuple
     discriminant: tuple
     bands: tuple  # intervals {E : |Delta(E)| <= 2}
+    wronskian_drift: float  # max |det M - 1| over the grid
 
 
 def potential_callable(folded: FoldedCoefficients):
-    """Fast vectorized V~(x) evaluator (frequencies and amplitudes prebaked)."""
+    """Vectorized V~(x) for a scalar or an array of x (frequencies and
+    amplitudes prebaked); raises NonRealValue, as eval_potential does, when
+    the imaginary residue exceeds 1e-12 * max(1, sum |c|)."""
     freqs = np.array([2.0 * math.pi * float(e.xi) for e in folded.entries])
     amps = np.array(list(folded.entries.values()), dtype=np.complex128)
+    scale = max(1.0, float(np.sum(np.abs(amps))))
 
-    def V(x: float) -> float:
-        if freqs.size == 0:
-            return 0.0
-        return float(np.sum(amps * np.exp(1j * freqs * x)).real)
+    def V(x):
+        total = np.exp(1j * np.multiply.outer(np.asarray(x, dtype=float),
+                                              freqs)) @ amps
+        residue = float(np.max(np.abs(total.imag), initial=0.0))
+        if residue > 1e-12 * scale:
+            raise NonRealValue(
+                f"imaginary residue {residue:.3e} of V~ exceeds tolerance")
+        return total.real
 
     return V
 
 
-def floquet_discriminant(E: float, eps: float, folded: FoldedCoefficients,
-                         T: Fraction, *, rtol: float = 1e-12,
-                         atol: float = 1e-12,
-                         wronskian_tol: float = 1e-9) -> float:
-    """Delta(E) = y1(T) + y2'(T) for -y'' + eps V~ y = E y, with the canonical
-    initial conditions; Wronskian conservation asserted to 1e-9."""
-    Tf = float(T)
+def _ordered_product(S: np.ndarray) -> np.ndarray:
+    """S[m-1] @ ... @ S[1] @ S[0] over axis 0, multiplied as a pairwise tree."""
+    while len(S) > 1:
+        paired = S[1::2] @ S[0:len(S) - 1:2]
+        S = np.concatenate([paired, S[-1:]]) if len(S) % 2 else paired
+    return S[0]
+
+
+def _monodromy(E: np.ndarray, eps: float, V, T: Fraction,
+               n: int) -> np.ndarray:
+    """M(E) = Y(T), Y(0) = I, of Y' = A Y with A = [[0, 1], [eps V~ - E, 0]],
+    for every E at once by n Magnus steps; shape (len(E), 2, 2).
+
+    With q = eps V~ - E at the two nodes, Omega = h/2 (A1 + A2)
+    + (sqrt(3)/12) h^2 [A2, A1] = [[a, h], [b, -a]]: the commutator is
+    diag(q1 - q2, q2 - q1), free of E. Omega is traceless, so
+    exp(Omega) = cosh(s) I + sinh(s)/s Omega with s^2 = -det Omega.
+    """
+    h = float(T) / n
+    M = np.broadcast_to(np.eye(2), (E.size, 2, 2)).copy()
+    for start in range(0, n, CHUNK_STEPS):
+        j = np.arange(start, min(n, start + CHUNK_STEPS), dtype=float)
+        v1 = eps * V((j + _GAUSS_NODES[0]) * h)
+        v2 = eps * V((j + _GAUSS_NODES[1]) * h)
+        a = (_COMMUTATOR_WEIGHT * h * h * (v1 - v2))[:, None]
+        b = 0.5 * h * ((v1 + v2)[:, None] - 2.0 * E)
+        s2 = a * a + h * b
+        r = np.sqrt(np.abs(s2))
+        growing = s2 > 0.0
+        cosh_s = np.where(growing, np.cosh(r), np.cos(r))
+        sinh_s = np.where(growing, np.sinh(r), np.sin(r))
+        sinhc_s = np.where(r > 0.0, sinh_s / np.where(r > 0.0, r, 1.0), 1.0)
+        S = np.empty(s2.shape + (2, 2))
+        S[..., 0, 0] = cosh_s + sinhc_s * a
+        S[..., 0, 1] = sinhc_s * h
+        S[..., 1, 0] = sinhc_s * b
+        S[..., 1, 1] = cosh_s - sinhc_s * a
+        M = _ordered_product(S) @ M
+    return M
+
+
+def _discriminants(E, eps: float, folded: FoldedCoefficients,
+                   T: Fraction) -> tuple[np.ndarray, np.ndarray]:
+    """(Delta(E), |det M(E) - 1|) for a 1-D array of E, from one Magnus run.
+
+    The step count starts at 8 T sqrt(max(1, max|E|)) and doubles until no
+    Delta changes by more than STEP_DOUBLING_TOL * max(1, |Delta|); the finer
+    run is returned. Raises IntegratorFailure past MAX_STEPS or when the
+    Wronskian det M drifts from 1 by more than WRONSKIAN_TOL.
+    """
+    E = np.asarray(E, dtype=float)
+    if not (np.all(np.isfinite(E)) and math.isfinite(eps)):
+        raise PreconditionFailed("Floquet energies and coupling must be finite")
+    V = potential_callable(folded)
+    E_max = float(np.max(np.abs(E), initial=0.0))
+    n = math.ceil(8.0 * float(T) * math.sqrt(max(1.0, E_max)))
+    coarse = None
+    while True:
+        if n > MAX_STEPS:
+            raise IntegratorFailure(
+                f"Magnus step doubling did not settle to "
+                f"{STEP_DOUBLING_TOL:.0e} within {MAX_STEPS} steps")
+        M = _monodromy(E, eps, V, T, n)
+        delta = M[:, 0, 0] + M[:, 1, 1]
+        if coarse is not None and np.all(
+                np.abs(delta - coarse)
+                <= STEP_DOUBLING_TOL * np.maximum(1.0, np.abs(delta))):
+            break
+        coarse = delta
+        n *= 2
+    drift = np.abs(M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] - 1.0)
+    worst = float(np.max(drift, initial=0.0))
+    if worst > WRONSKIAN_TOL:
+        raise IntegratorFailure(
+            f"Wronskian drift {worst:.3e} exceeds {WRONSKIAN_TOL:.0e}")
+    return delta, drift
+
+
+def ivp_discriminant(E: float, eps: float, folded: FoldedCoefficients,
+                     T: Fraction, *, rtol: float = 1e-12,
+                     atol: float = 1e-12) -> float:
+    """Delta(E) by adaptive solve_ivp (DOP853): the cross-check of
+    floquet_scan and the oracle of the Magnus tests."""
     V = potential_callable(folded)
 
     def rhs(x, y):
@@ -90,17 +193,25 @@ def floquet_discriminant(E: float, eps: float, folded: FoldedCoefficients,
         # y = (y1, y1', y2, y2')
         return [y[1], (v - E) * y[0], y[3], (v - E) * y[2]]
 
-    sol = solve_ivp(rhs, (0.0, Tf), [1.0, 0.0, 0.0, 1.0], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=False)
+    sol = solve_ivp(rhs, (0.0, float(T)), [1.0, 0.0, 0.0, 1.0],
+                    method="DOP853", rtol=rtol, atol=atol, dense_output=False)
     if not sol.success:
         raise IntegratorFailure(sol.message)
     y1, y1p, y2, y2p = sol.y[:, -1]
     wronskian = y1 * y2p - y1p * y2
-    if abs(wronskian - 1.0) > wronskian_tol:
+    if abs(wronskian - 1.0) > WRONSKIAN_TOL:
         raise IntegratorFailure(
-            f"Wronskian drift {abs(wronskian - 1.0):.3e} exceeds {wronskian_tol:.0e}"
-        )
+            f"Wronskian drift {abs(wronskian - 1.0):.3e} exceeds "
+            f"{WRONSKIAN_TOL:.0e}")
     return float(y1 + y2p)
+
+
+def floquet_discriminant(E: float, eps: float, folded: FoldedCoefficients,
+                         T: Fraction) -> float:
+    """Delta(E) = y1(T) + y2'(T) for -y'' + eps V~ y = E y, with the canonical
+    initial conditions; Wronskian conservation asserted to 1e-9."""
+    delta, _ = _discriminants([E], eps, folded, T)
+    return float(delta[0])
 
 
 def floquet_gap_edges(center: float, bracket_low: tuple[float, float],
@@ -130,21 +241,36 @@ def floquet_gap_edges(center: float, bracket_low: tuple[float, float],
 
 def floquet_scan(E_grid, eps: float, folded: FoldedCoefficients,
                  T: Fraction) -> FloquetData:
-    """Tabulate Delta over a grid and mark the |Delta| <= 2 band intervals."""
-    deltas = [floquet_discriminant(float(E), eps, folded, T) for E in E_grid]
+    """Tabulate Delta over a grid and mark the |Delta| <= 2 band intervals.
+
+    The grid point whose |Delta| is closest to 2, whose band membership is
+    the most at risk, is re-integrated with solve_ivp; a difference above
+    CROSSCHECK_TOL * max(1, |Delta|) raises IntegratorFailure.
+    """
+    E = np.array([float(x) for x in E_grid])
+    delta, drift = _discriminants(E, eps, folded, T)
+    if E.size:
+        i = int(np.argmin(np.abs(np.abs(delta) - 2.0)))
+        reference = ivp_discriminant(float(E[i]), eps, folded, T)
+        if abs(reference - delta[i]) > CROSSCHECK_TOL * max(1.0, abs(delta[i])):
+            raise IntegratorFailure(
+                f"Magnus Delta {delta[i]!r} and solve_ivp Delta {reference!r} "
+                f"differ at E={E[i]!r}")
+    deltas = [float(d) for d in delta]
     bands = []
     start = None
-    for E, d in zip(E_grid, deltas):
+    for Ei, d in zip(E_grid, deltas):
         inside = abs(d) <= 2.0
         if inside and start is None:
-            start = float(E)
+            start = float(Ei)
         if not inside and start is not None:
-            bands.append((start, float(E)))
+            bands.append((start, float(Ei)))
             start = None
     if start is not None:
         bands.append((start, float(E_grid[-1])))
-    return FloquetData(T=T, E_grid=tuple(float(E) for E in E_grid),
-                       discriminant=tuple(deltas), bands=tuple(bands))
+    return FloquetData(T=T, E_grid=tuple(float(x) for x in E_grid),
+                       discriminant=tuple(deltas), bands=tuple(bands),
+                       wronskian_drift=float(np.max(drift, initial=0.0)))
 
 
 def bloch_residual(domain, phi, k: float, E: float, eps: float,
@@ -152,17 +278,16 @@ def bloch_residual(domain, phi, k: float, E: float, eps: float,
                    samples: int = 128) -> float:
     """Max |(-y'' + eps V~ y - E y)(x)| over one period for the Bloch candidate
     y(x) = sum phi(n) e^{2 pi i (xi(n)+k) x}; small residual certifies the
-    matrix-ODE duality up to the Lambda-truncation tail."""
-    freqs = np.array([float(e.xi) + k for e in domain])
+    matrix-ODE duality up to the Lambda-truncation tail.
+
+    The samples x_i = T i / samples are evaluated at once, as one
+    (samples x |domain|) phase matrix.
+    """
+    freqs = 2.0 * math.pi * np.array([float(e.xi) + k for e in domain])
     amps = np.asarray(phi, dtype=np.complex128)
-    worst = 0.0
-    Tf = float(T)
-    for i in range(samples):
-        x = Tf * i / samples
-        phase = np.exp(2j * math.pi * freqs * x)
-        y = np.sum(amps * phase)
-        ypp = np.sum(amps * phase * (2j * math.pi * freqs) ** 2)
-        v = eps * eval_potential(x, folded)
-        r = -ypp + (v - E) * y
-        worst = max(worst, abs(r))
-    return float(worst)
+    x = float(T) * np.arange(samples) / samples
+    phase = np.exp(1j * np.multiply.outer(x, freqs))
+    y = phase @ amps
+    ypp = phase @ (amps * (1j * freqs) ** 2)
+    r = -ypp + (eps * potential_callable(folded)(x) - E) * y
+    return float(np.max(np.abs(r), initial=0.0))

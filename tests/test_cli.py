@@ -111,6 +111,9 @@ def test_config_error_exit_code(tmp_path):
     {"k_grid": {"list": [0.11, "abc"]}},
     {"k_grid": {"min": -math.inf, "max": 0.2, "step": 0.05}},
     {"k_grid": {"min": 0.05, "max": 0.2, "step": 0}},
+    {"audits": ["floquet"], "floquet_grid": {"count": 1}},
+    {"audits": ["floquet"], "floquet_grid": {"max": "abc"}},
+    {"audits": ["floquet"], "floquet_grid": {"max": math.nan}},
 ])
 def test_nonfinite_inputs_are_config_errors(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
@@ -119,6 +122,21 @@ def test_nonfinite_inputs_are_config_errors(tmp_path, overrides):
     assert not (out / "report.json").exists()
     if "k_grid" in overrides:
         assert main(["verify", str(cfg), "--suite", "band"]) == 2
+
+
+def test_run_band_floquet_outputs(tmp_path):
+    cfg = write_config(tmp_path, {
+        "audits": ["floquet"],
+        "floquet_grid": {"min": 0.5, "max": 25.0, "count": 12},
+    })
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["floquet_bands"]
+    assert 0.0 <= payload["floquet_wronskian_drift"] <= 1e-9
+    rows = (out / "floquet.csv").read_text().strip().splitlines()
+    assert rows[0] == "E,Delta" and len(rows) == 13
+    assert rows[1].split(",")[0] == "0.5" and rows[-1].split(",")[0] == "25.0"
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
+from hillbands import oracle
 from hillbands.errors import IntegratorFailure, PreconditionFailed
-from hillbands.lattice import FrequencyVector
+from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.oracle import (bloch_residual, dense_spectrum,
                               floquet_discriminant, floquet_gap_edges,
-                              floquet_scan, period)
-from hillbands.potential import cosine, fold
+                              floquet_scan, ivp_discriminant, period)
+from hillbands.potential import (cosine, eval_potential, exp_decay, fold,
+                                 random_phase)
 
 
 def test_dense_spectrum_diagonal():
@@ -152,3 +155,204 @@ def test_floquet_gap_edges_bracket_check(line_lattice, cosine_folded):
     with pytest.raises(PreconditionFailed):
         floquet_gap_edges(9.87, (9.0, 9.1), (10.9, 11.0), 0.05,
                           cosine_folded, T)
+
+
+# --- the Magnus discriminant against the solve_ivp path it replaced ---
+
+FLOQUET_OMEGAS = [("1",), ("3/7",), ("1", "3/7"), ("2/7", "1/2")]
+
+
+def ivp_scan_bands(E_grid, deltas):
+    """Band intervals of the replaced floquet_scan, from given Delta values."""
+    bands, start = [], None
+    for E, d in zip(E_grid, deltas):
+        inside = abs(d) <= 2.0
+        if inside and start is None:
+            start = float(E)
+        if not inside and start is not None:
+            bands.append((start, float(E)))
+            start = None
+    if start is not None:
+        bands.append((start, float(E_grid[-1])))
+    return bands
+
+
+def ivp_gap_edges(bracket_low, bracket_high, eps, folded, T, xtol=1e-10):
+    """The replaced floquet_gap_edges: brentq on the solve_ivp discriminant."""
+    g = lambda E: abs(ivp_discriminant(E, eps, folded, T)) - 2.0
+    return tuple(float(brentq(g, a, b, xtol=xtol))
+                 for a, b in (bracket_low, bracket_high))
+
+
+def loop_bloch_residual(domain, phi, k, E, eps, folded, T, samples=128):
+    """The replaced bloch_residual: one Python iteration per sample."""
+    freqs = np.array([float(e.xi) + k for e in domain])
+    amps = np.asarray(phi, dtype=np.complex128)
+    worst = 0.0
+    Tf = float(T)
+    for i in range(samples):
+        x = Tf * i / samples
+        phase = np.exp(2j * math.pi * freqs * x)
+        y = np.sum(amps * phase)
+        ypp = np.sum(amps * phase * (2j * math.pi * freqs) ** 2)
+        v = eps * eval_potential(x, folded)
+        worst = max(worst, abs(-ypp + (v - E) * y))
+    return float(worst)
+
+
+@st.composite
+def floquet_cases(draw):
+    lat = QuotientLattice(FrequencyVector.parse(
+        list(draw(st.sampled_from(FLOQUET_OMEGAS)))))
+    nu = lat.omega.nu
+    kind = draw(st.sampled_from(["cosine", "random_phase", "exp_decay"]))
+    if kind == "cosine":
+        n0 = draw(st.sampled_from([[1], [2]] if nu == 1
+                                  else [[1, 0], [0, 1], [1, 1]]))
+        coeffs = cosine(n0, kappa0=1.0)
+    elif kind == "random_phase":
+        coeffs = random_phase(2, nu=nu, kappa0=1.0,
+                              seed=draw(st.integers(0, 99)))
+    else:
+        coeffs = exp_decay(2, nu=nu, kappa0=1.0)
+    folded = fold(coeffs, lat, enforce_bound=False)
+    T = period(lat.omega)
+    # sqrt(E) T = j pi is a gap (or, at eps = 0, a band edge);
+    # sqrt(E) T = (j + 1/2) pi lies inside a band
+    j_max = int(math.sqrt(60.0) * float(T) / math.pi)
+    energies = sorted({(math.pi * (j + half) / float(T)) ** 2
+                       for j, half in draw(st.lists(
+                           st.tuples(st.integers(1, j_max),
+                                     st.sampled_from([0.0, 0.25, 0.5])),
+                           min_size=1, max_size=3))})
+    eps = draw(st.sampled_from([0.0, 0.05]))
+    return energies, eps, folded, T
+
+
+@settings(max_examples=20)
+@given(floquet_cases())
+def test_magnus_discriminant_matches_solve_ivp(case):
+    energies, eps, folded, T = case
+    data = floquet_scan(energies, eps, folded, T)
+    for E, delta in zip(energies, data.discriminant):
+        reference = ivp_discriminant(E, eps, folded, T)
+        assert abs(delta - reference) <= 1e-9 * max(1.0, abs(reference))
+    assert 0.0 <= data.wronskian_drift <= 1e-9
+
+
+@settings(max_examples=20)
+@given(st.sampled_from(FLOQUET_OMEGAS),
+       st.lists(st.floats(0.05, 60.0), min_size=1, max_size=6))
+def test_magnus_free_equation(omega, energies):
+    lat = QuotientLattice(FrequencyVector.parse(list(omega)))
+    folded = fold(cosine([1] * lat.omega.nu, kappa0=1.0), lat,
+                  enforce_bound=False)
+    T = float(period(lat.omega))
+    data = floquet_scan(energies, 0.0, folded, period(lat.omega))
+    for E, delta in zip(energies, data.discriminant):
+        exact = 2.0 * math.cos(math.sqrt(E) * T)
+        assert abs(delta - exact) <= 1e-9 * max(1.0, abs(exact))
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.5, 25.0, 120),
+                                  np.linspace(0.5, 60.0, 90)])
+def test_floquet_scan_bands_match_ivp_scan(line_lattice, cosine_folded, grid):
+    T = period(line_lattice.omega)
+    data = floquet_scan(grid, 0.05, cosine_folded, T)
+    reference = [ivp_discriminant(float(E), 0.05, cosine_folded, T)
+                 for E in grid]
+    assert list(data.bands) == ivp_scan_bands(grid, reference)
+    assert data.E_grid == tuple(float(E) for E in grid)
+    assert all(abs(d - r) <= 1e-10 * max(1.0, abs(r))
+               for d, r in zip(data.discriminant, reference))
+    assert all(type(d) is float for d in data.discriminant)
+    assert 0.0 <= data.wronskian_drift <= 1e-9
+
+
+def _gap_and_brackets(line_lattice, cosine_folded, toy_schedule, m):
+    from hillbands.band import gap_edges
+
+    from conftest import make_context
+
+    ctx = make_context(line_lattice, cosine_folded, toy_schedule)
+    gap = gap_edges(ctx, line_lattice.canonicalize(m))
+    center = 0.5 * (gap.E_minus + gap.E_plus)
+    width = max(gap.width, 1e-4)
+    return gap, center, ((gap.E_minus - 8.0 * width, center),
+                         (center, gap.E_plus + 8.0 * width))
+
+
+def test_floquet_gap_edges_match_ivp_path(line_lattice, cosine_folded,
+                                          toy_schedule):
+    gap, center, brackets = _gap_and_brackets(line_lattice, cosine_folded,
+                                              toy_schedule, [-1])
+    T = period(line_lattice.omega)
+    fast = floquet_gap_edges(center, *brackets, 0.05, cosine_folded, T)
+    slow = ivp_gap_edges(*brackets, 0.05, cosine_folded, T)
+    assert fast == pytest.approx(slow, abs=1e-9)
+
+
+def test_floquet_gap_edges_on_second_order_gap(line_lattice, cosine_folded,
+                                               toy_schedule):
+    # The m = -2 gap is 1.7e-5 wide, so |Delta| - 2 is flat at its edges and
+    # an error in Delta moves an edge by far more. The Magnus edges stay within
+    # 1e-8 of the dual-matrix edges; the solve_ivp ones are off by about 1e-6.
+    gap, center, brackets = _gap_and_brackets(line_lattice, cosine_folded,
+                                              toy_schedule, [-2])
+    T = period(line_lattice.omega)
+    fast = floquet_gap_edges(center, *brackets, 0.05, cosine_folded, T)
+    assert fast == pytest.approx((gap.E_minus, gap.E_plus), abs=1e-8)
+
+
+def test_floquet_scan_crosscheck_is_live(line_lattice, cosine_folded,
+                                         monkeypatch):
+    T = period(line_lattice.omega)
+    grid = np.linspace(0.5, 25.0, 30)
+    floquet_scan(grid, 0.05, cosine_folded, T)
+    real = oracle.ivp_discriminant
+    monkeypatch.setattr(oracle, "ivp_discriminant",
+                        lambda *a, **kw: real(*a, **kw) + 1e-6)
+    with pytest.raises(IntegratorFailure, match="solve_ivp"):
+        floquet_scan(grid, 0.05, cosine_folded, T)
+
+
+def test_magnus_step_cap_is_live(line_lattice, cosine_folded, monkeypatch):
+    T = period(line_lattice.omega)
+    # the first step count, 8 T sqrt(1e12), is already past the cap
+    with pytest.raises(IntegratorFailure, match="did not settle"):
+        floquet_discriminant(1e12, 0.05, cosine_folded, T)
+    # a tolerance no doubling meets runs into the cap
+    monkeypatch.setattr(oracle, "STEP_DOUBLING_TOL", 0.0)
+    monkeypatch.setattr(oracle, "MAX_STEPS", 4096)
+    with pytest.raises(IntegratorFailure, match="did not settle"):
+        floquet_scan([1.0, 20.0], 0.05, cosine_folded, T)
+
+
+@pytest.mark.parametrize("E", [math.nan, math.inf])
+def test_floquet_rejects_nonfinite_energy(line_lattice, cosine_folded, E):
+    T = period(line_lattice.omega)
+    with pytest.raises(PreconditionFailed, match="finite"):
+        floquet_discriminant(E, 0.05, cosine_folded, T)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([("1",), ("2/5", "3/7")]), st.integers(0, 2**32 - 1),
+       st.floats(-0.5, 0.5), st.floats(-5.0, 60.0),
+       st.sampled_from([0.0, 0.05]))
+def test_bloch_residual_matches_loop(omega, seed, k, E, eps):
+    lat = QuotientLattice(FrequencyVector.parse(list(omega)))
+    folded = fold(random_phase(2, nu=lat.omega.nu, kappa0=1.0, seed=seed % 97),
+                  lat, enforce_bound=False)
+    domain = lat.ball(3)
+    rng = np.random.default_rng(seed)
+    phi = rng.standard_normal(len(domain)) + 1j * rng.standard_normal(len(domain))
+    T = period(lat.omega)
+    fast = bloch_residual(domain, phi, k, E, eps, folded, T)
+    slow = loop_bloch_residual(domain, phi, k, E, eps, folded, T)
+    # every term of the residual is bounded by this, so both sums carry
+    # rounding errors far below 1e-12 of it
+    vmax = sum(abs(c) for c in folded.entries.values())
+    bound = sum(abs(p) * ((2 * math.pi * (float(e.xi) + k)) ** 2 + abs(E)
+                          + abs(eps) * vmax)
+                for p, e in zip(phi, domain))
+    assert abs(fast - slow) <= 1e-12 * bound

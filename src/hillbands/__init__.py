@@ -22,7 +22,7 @@ from .domains import (Domain, DomainBuilder, SubtractionSystem,
                       symmetrize_S, symmetrize_T)
 from .schur import (WeightProfile, msa_step, q_g_functions,
                     schur_block_inverse, two_point_extension,
-                    verify_weight_lemma, weight_sum_bruteforce)
+                    verify_weight_lemma, weight_sums)
 from .eigensolve import (CffNode, EigenPair, PairBranches, cff_branch_solve,
                          cff_build, leaf, pair_chi, quadratic_dichotomy,
                          solve_pair, solve_simple)

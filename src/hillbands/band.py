@@ -161,16 +161,34 @@ def _nonresonant_point(ctx: BandContext, k: float,
                      domain=domain_elems, profile=profile, matrix_norm=hnorm)
 
 
-def _pair_bracket(matrix: DualMatrix, i0: int, i1: int) -> tuple[float, float]:
-    """Practical-mode bracket: the two dense eigenvalues nearest the pair
-    diagonal, widened by 10% of their spread (plus a floor)."""
+def _pair_setup(ctx: BandContext, k: float, n: GroupElement, s_use: int,
+                widen: float, min_spread: float
+                ) -> tuple[DualMatrix, tuple[float, float]]:
+    """The pair matrix of the resonance (0, n) at k and its dense bracket.
+
+    The domain is the T-symmetrized one at scale s_use, or with domains off
+    the ball B(2 R^(s_use)) and its mirror n - e. The bracket holds the two
+    eigenvalues nearest the mean of the two principal diagonals, each pushed
+    out by ``widen`` times their spread, which is taken to be at least
+    min_spread * max(1, |mean|).
+    """
+    if ctx.use_domains:
+        builder = DomainBuilder(k, ctx.schedule, ctx.lat, lam=ctx.lam)
+        dom, _ = symmetrize_T(k, s_use, n, builder, ctx.schedule, ctx.lat)
+        elems = dom.sorted_elements()
+    else:
+        ball = ctx.lat.ball(2.0 * ctx.schedule.R[s_use])
+        elems = order_domain(list(ball) + [ctx.lat.sub(n, e) for e in ball])
+    matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
     H = matrix.values
+    i0, i1 = matrix.row_of(ctx.lat.identity), matrix.row_of(n)
     target = 0.5 * (H[i0, i0].real + H[i1, i1].real)
     w = np.linalg.eigvalsh(H)
     order = np.argsort(np.abs(w - target))
     two = np.sort(w[order[:2]])
-    spread = max(two[1] - two[0], 1e-8 * max(1.0, abs(target)))
-    return float(two[0] - 0.1 * spread), float(two[1] + 0.1 * spread)
+    spread = max(two[1] - two[0], min_spread * max(1.0, abs(target)))
+    return matrix, (float(two[0] - widen * spread),
+                    float(two[1] + widen * spread))
 
 
 def _resonant_point(ctx: BandContext, k: float,
@@ -185,33 +203,26 @@ def _resonant_point(ctx: BandContext, k: float,
     s_top = profile.s_levels[-1]
     s_use = max(1, min(ctx.s_cap, ctx.schedule.feasible_s))
     s_use = max(s_use, min(s_top, ctx.schedule.feasible_s))
-    builder = DomainBuilder(k, ctx.schedule, ctx.lat, lam=ctx.lam)
-    if ctx.use_domains:
-        dom, _ = symmetrize_T(k, s_use, n_top, builder, ctx.schedule, ctx.lat)
-        elems = dom.sorted_elements()
-    else:
-        ball = ctx.lat.ball(2.0 * ctx.schedule.R[s_use])
-        mirrored = [ctx.lat.sub(n_top, e) for e in ball]
-        elems = order_domain(list(ball) + mirrored)
-    matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
+    matrix, bracket = _pair_setup(ctx, k, n_top, s_use, widen=0.1,
+                                  min_spread=1e-8)
     k_n0 = -float(n_top.xi) / 2.0
     ident = ctx.lat.identity
-    m_plus, m_minus = (ident, n_top) if abs(k) > abs(k_n0) else (n_top, ident)
-    i0, i1 = matrix.row_of(m_plus), matrix.row_of(m_minus)
-    bracket = _pair_bracket(matrix, i0, i1)
+    # |k| > |k_n0| puts k past the resonance, on the upper branch, on either
+    # side of k = 0: at -k the top resonance is -n_top with k_{-n_top} = -k_n0
+    upper = abs(k) > abs(k_n0)
+    m_plus, m_minus = (ident, n_top) if upper else (n_top, ident)
     # ordering margin requirement (stated at the normalized scale, so it is a
     # weak floor for the raw-scale margin)
     tau0 = min(2.0 * ctx.schedule.eps0 ** 0.75, abs(k_n0) / 256.0) \
         * abs(k - k_n0)
     branches = solve_pair(matrix, m_plus, m_minus, bracket, tau0_required=tau0)
-    side = 1.0 if k > k_n0 else -1.0
-    if side > 0:
+    if upper:
         E, phi = branches.E_plus, branches.phi_plus
     else:
         E, phi = branches.E_minus, branches.phi_minus
     klass = "OPR" if profile.ell == 0 else f"GSR-{profile.ell + 1}"
     return BandPoint(k=k, E=E, scale=s_use, klass=klass,
-                     domain_size=len(elems), phi=phi, domain=tuple(elems),
+                     domain_size=matrix.size, phi=phi, domain=matrix.domain,
                      profile=profile, matrix_norm=matrix.norm_bound())
 
 
@@ -304,24 +315,14 @@ def gap_edges(ctx: BandContext, m: GroupElement,
         raise PreconditionFailed("k_m must be nonzero")
     if s_use is None:
         s_use = max(1, min(ctx.s_cap, ctx.schedule.feasible_s))
-    builder = DomainBuilder(k_m, ctx.schedule, ctx.lat, lam=ctx.lam)
-    if ctx.use_domains:
-        dom, _ = symmetrize_T(k_m, s_use, m, builder, ctx.schedule, ctx.lat)
-        elems = dom.sorted_elements()
-    else:
-        ball = ctx.lat.ball(2.0 * ctx.schedule.R[s_use])
-        elems = order_domain(list(ball) + [ctx.lat.sub(m, e) for e in ball])
-    matrix = assemble(elems, ctx.spec(k_m), ctx.folded, ctx.lat)
+    # at k_m the two principal diagonals agree bit for bit, (xi(m)/2)^2, so
+    # the bracket is centred on v(0, k_m)
+    matrix, (lo, hi) = _pair_setup(ctx, k_m, m, s_use, widen=0.5,
+                                   min_spread=1e-9)
     H = matrix.values
     i0 = matrix.row_of(ctx.lat.identity)
     im = matrix.row_of(m)
     v0 = float(H[i0, i0].real)
-
-    w = np.linalg.eigvalsh(H)
-    order = np.argsort(np.abs(w - v0))
-    two = np.sort(w[order[:2]])
-    spread = max(two[1] - two[0], 1e-9 * max(1.0, abs(v0)))
-    lo, hi = two[0] - 0.5 * spread, two[1] + 0.5 * spread
     punctured = PuncturedResolvent(matrix, [i0, im])
 
     def equation(E: float, sign: float) -> float:

@@ -138,25 +138,27 @@ def output_dir(config: dict, override: str | None) -> Path:
     return path
 
 
-def _band_csv(samples, path: Path) -> None:
-    """band.csv from the report's ``samples`` rows (BandPoint.to_dict)."""
+def _write_csv(path: Path, header, rows) -> None:
+    """One CSV file: the header row, then the rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["k", "E", "scale", "class"])
-        for s in samples:
-            writer.writerow([repr(s["k"]), "" if s["E"] is None else repr(s["E"]),
-                             s["scale"], s["class"]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _band_csv(samples, path: Path) -> None:
+    """band.csv from the report's ``samples`` rows (BandPoint.to_dict)."""
+    _write_csv(path, ["k", "E", "scale", "class"],
+               ([repr(s["k"]), "" if s["E"] is None else repr(s["E"]),
+                 s["scale"], s["class"]] for s in samples))
 
 
 def _gaps_csv(gaps, path: Path) -> None:
     """gaps.csv from the report's ``gaps`` rows (GapRecord.to_dict)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "k_m", "E_minus", "E_plus", "width", "bound"])
-        for g in gaps:
-            writer.writerow([";".join(str(v) for v in g["m"]), repr(g["k_m"]),
-                             repr(g["E_minus"]), repr(g["E_plus"]),
-                             repr(g["width"]), repr(g["bound"])])
+    _write_csv(path, ["m", "k_m", "E_minus", "E_plus", "width", "bound"],
+               ([";".join(str(v) for v in g["m"]), repr(g["k_m"]),
+                 repr(g["E_minus"]), repr(g["E_plus"]),
+                 repr(g["width"]), repr(g["bound"])] for g in gaps))
 
 
 def run_band(config: dict, out_override: str | None = None,
@@ -249,12 +251,9 @@ def run_band(config: dict, out_override: str | None = None,
     if floquet_data is not None:
         payload["floquet_bands"] = [list(b) for b in floquet_data.bands]
         payload["floquet_wronskian_drift"] = floquet_data.wronskian_drift
-        with open(outdir / "floquet.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["E", "Delta"])
-            for E, d in zip(floquet_data.E_grid, floquet_data.discriminant):
-                writer.writerow([repr(E), repr(d)])
+        _write_csv(outdir / "floquet.csv", ["E", "Delta"],
+                   ([repr(E), repr(d)] for E, d in
+                    zip(floquet_data.E_grid, floquet_data.discriminant)))
     _band_csv(report_rows["samples"], outdir / "band.csv")
     _gaps_csv(report_rows["gaps"], outdir / "gaps.csv")
     with open(outdir / "report.json", "w", encoding="utf-8") as fh:

@@ -68,6 +68,8 @@ CHUNK_STEPS = 64
 # STEP_DOUBLING_TOL * max(1, |Delta|); past MAX_STEPS the scheme gives up.
 STEP_DOUBLING_TOL = 1e-11
 MAX_STEPS = 1 << 20
+# Allowed |det M - 1| per max(1, |M|_F^2): forming det M loses about
+# 1e-16 |M|^2 to cancellation, which a long period deep in a gap makes large.
 WRONSKIAN_TOL = 1e-9
 # Allowed |Delta_Magnus - Delta_solve_ivp| / max(1, |Delta|) at the grid point
 # each floquet_scan re-integrates with solve_ivp.
@@ -151,7 +153,7 @@ def _discriminants(E, eps: float, folded: FoldedCoefficients,
     The step count starts at 8 T sqrt(max(1, max|E|)) and doubles until no
     Delta changes by more than STEP_DOUBLING_TOL * max(1, |Delta|); the finer
     run is returned. Raises IntegratorFailure past MAX_STEPS or when the
-    Wronskian det M drifts from 1 by more than WRONSKIAN_TOL.
+    Wronskian det M drifts from 1 by more than WRONSKIAN_TOL * max(1, |M|^2).
     """
     E = np.asarray(E, dtype=float)
     if not (np.all(np.isfinite(E)) and math.isfinite(eps)):
@@ -173,12 +175,21 @@ def _discriminants(E, eps: float, folded: FoldedCoefficients,
             break
         coarse = delta
         n *= 2
+    return delta, _wronskian_drift(M)
+
+
+def _wronskian_drift(M: np.ndarray) -> np.ndarray:
+    """|det M - 1| over a stack of 2x2 monodromies; IntegratorFailure where it
+    exceeds WRONSKIAN_TOL * max(1, |M|_F^2)."""
     drift = np.abs(M[:, 0, 0] * M[:, 1, 1] - M[:, 0, 1] * M[:, 1, 0] - 1.0)
-    worst = float(np.max(drift, initial=0.0))
-    if worst > WRONSKIAN_TOL:
+    allowed = WRONSKIAN_TOL * np.maximum(1.0, np.sum(M * M, axis=(1, 2)))
+    over = np.flatnonzero(drift > allowed)
+    if over.size:
+        i = over[0]
         raise IntegratorFailure(
-            f"Wronskian drift {worst:.3e} exceeds {WRONSKIAN_TOL:.0e}")
-    return delta, drift
+            f"Wronskian drift {drift[i]:.3e} exceeds {allowed[i]:.3e} "
+            f"= {WRONSKIAN_TOL:.0e} * max(1, |M|^2)")
+    return drift
 
 
 def ivp_discriminant(E: float, eps: float, folded: FoldedCoefficients,
@@ -197,19 +208,17 @@ def ivp_discriminant(E: float, eps: float, folded: FoldedCoefficients,
                     method="DOP853", rtol=rtol, atol=atol, dense_output=False)
     if not sol.success:
         raise IntegratorFailure(sol.message)
-    y1, y1p, y2, y2p = sol.y[:, -1]
-    wronskian = y1 * y2p - y1p * y2
-    if abs(wronskian - 1.0) > WRONSKIAN_TOL:
-        raise IntegratorFailure(
-            f"Wronskian drift {abs(wronskian - 1.0):.3e} exceeds "
-            f"{WRONSKIAN_TOL:.0e}")
-    return float(y1 + y2p)
+    y = sol.y[:, -1]
+    # the rows (y1, y1') and (y2, y2') form M^T: same determinant and norm
+    _wronskian_drift(y.reshape(1, 2, 2))
+    return float(y[0] + y[3])
 
 
 def floquet_discriminant(E: float, eps: float, folded: FoldedCoefficients,
                          T: Fraction) -> float:
     """Delta(E) = y1(T) + y2'(T) for -y'' + eps V~ y = E y, with the canonical
-    initial conditions; Wronskian conservation asserted to 1e-9."""
+    initial conditions; Wronskian conservation asserted to
+    1e-9 * max(1, |M|^2)."""
     delta, _ = _discriminants([E], eps, folded, T)
     return float(delta[0])
 

@@ -260,11 +260,11 @@ def kpm_intervals(schedule: ScaleSchedule, lat: QuotientLattice,
             m=m, shell=shell, k_minus=km - sigma, k_plus=km + sigma,
             k_minus_s=tuple(minus), k_plus_s=tuple(plus),
         ))
-    by_rep = {iv.m.rep: iv for iv in out}
+    # -m has coordinate -t; its canonical rep need not be -rep (on
+    # omega = (1, 3/7), m = [1,4] has -m = [-4,3])
+    by_t = {iv.m.t: iv for iv in out}
     for iv in out:
-        mirror = by_rep.get(tuple(-v for v in iv.m.rep))
-        if mirror is None:
-            continue
+        mirror = by_t[-iv.m.t]
         for s in range(schedule.s_max + 1):
             assert abs(iv.k_plus_s[s] + mirror.k_minus_s[s]) <= 1e-14 * max(
                 1.0, abs(iv.k_plus_s[s]))

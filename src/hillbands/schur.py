@@ -2,18 +2,19 @@
 
 The weight bookkeeping follows the combinatorial definitions exactly: a
 trajectory is a sequence of points of Lambda with consecutive points distinct,
-path size ||gamma|| = sum |n_i - n_{i+1}|^alpha0, plain weight
-w_D(gamma) = prod w(n_j, n_{j+1}) * exp(sum D(n_j)) and the majorant
-W_{D,kappa0}(gamma) = exp(-kappa0 ||gamma|| + sum D). Weight sums carry
-eps0^{k-1} per trajectory of length k; brute-force enumeration is capped and
-the discarded lengths get an explicit geometric tail bound.
+path size ||gamma|| = sum |n_i - n_{i+1}|^alpha0 and weight
+W_{D,kappa0}(gamma) = exp(-kappa0 ||gamma|| + sum D), which equals w_D(gamma)
+for the canonical hop weight w(m,n) = exp(-kappa0 |m-n|^alpha0). Weight sums
+carry eps0^{k-1} per trajectory of length k; brute-force enumeration walks
+index tuples once per start point, is capped at 12 points, and the discarded
+lengths get an explicit geometric tail bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -156,170 +157,119 @@ class WeightProfile:
         return 4.0 * self.T / self.kappa0
 
 
-def path_norm(points: Sequence[GroupElement], lat: QuotientLattice,
-              alpha0: float) -> float:
-    """||gamma|| = sum |n_i - n_{i+1}|^alpha0 (0 for single-point trajectories)."""
-    total = 0.0
-    for a, b in zip(points, points[1:]):
-        total += float(lat.dist(a, b)) ** alpha0
-    return total
-
-
-def admissible_plain(points: Sequence[GroupElement], profile: WeightProfile,
-                     lat: QuotientLattice) -> bool:
-    """Plain class: min(D_i, D_j) <= T ||(n_i..n_j)||^{alpha0/5} for every i<j
-    with min(D_i, D_j) >= 4T/kappa0."""
-    M = profile.M
-    k = len(points)
-    for i in range(k):
-        for j in range(i + 1, k):
-            dmin = min(profile.D[points[i]], profile.D[points[j]])
-            if dmin >= M:
-                seg = path_norm(points[i:j + 1], lat, profile.alpha0)
-                if not dmin <= profile.T * seg ** (profile.alpha0 / 5.0):
-                    return False
-    return True
-
-
-def admissible_resonant(points: Sequence[GroupElement], profile: WeightProfile,
-                        lat: QuotientLattice) -> bool:
-    """R-class: the plain condition exempting adjacent pairs, plus the
-    compensating four-way conditions when an adjacent pair is exempt."""
-    M = profile.M
-    T = profile.T
-    a5 = profile.alpha0 / 5.0
-    k = len(points)
-    D = profile.D
-    for i in range(k):
-        for j in range(i + 2, k):
-            dmin = min(D[points[i]], D[points[j]])
-            if dmin >= M:
-                seg = path_norm(points[i:j + 1], lat, profile.alpha0)
-                if not dmin <= T * seg ** a5:
-                    return False
-    for i in range(k - 1):
-        dmin = min(D[points[i]], D[points[i + 1]])
-        if dmin < M:
-            continue
-        hop = float(lat.dist(points[i], points[i + 1])) ** profile.alpha0
-        if dmin <= T * hop ** a5:
-            continue
-        # exempt adjacent resonant hop: compensating conditions
-        for jp in range(i):
-            if not min(D[points[jp]], D[points[i]]) <= \
-                    T * path_norm(points[jp:i + 1], lat, profile.alpha0) ** a5:
-                return False
-            if not min(D[points[jp]], D[points[i + 1]]) <= \
-                    T * path_norm(points[jp:i + 2], lat, profile.alpha0) ** a5:
-                return False
-        for jpp in range(i + 2, k):
-            if not min(D[points[i]], D[points[jpp]]) <= \
-                    T * path_norm(points[i:jpp + 1], lat, profile.alpha0) ** a5:
-                return False
-            if not min(D[points[i + 1]], D[points[jpp]]) <= \
-                    T * path_norm(points[i + 1:jpp + 1], lat, profile.alpha0) ** a5:
-                return False
-    return True
-
-
-def default_hop_weight(profile: WeightProfile, lat: QuotientLattice):
-    """w(m,n) = exp(-kappa0 |m-n|^alpha0), the canonical bound-saturating weight."""
-
-    def w(a: GroupElement, b: GroupElement) -> float:
-        return math.exp(-profile.kappa0 * float(lat.dist(a, b)) ** profile.alpha0)
-
-    return w
-
-
-def trajectory_weight(points, profile: WeightProfile, lat: QuotientLattice,
-                      w: Callable | None = None) -> float:
-    """w_D(gamma) = [prod hop weights] * exp(sum D)."""
-    if w is None:
-        w = default_hop_weight(profile, lat)
-    total = math.fsum(profile.D[p] for p in points)
-    prod = 1.0
-    for a, b in zip(points, points[1:]):
-        prod *= w(a, b)
-    return prod * math.exp(total)
-
-
-def trajectory_majorant(points, profile: WeightProfile, lat: QuotientLattice) -> float:
-    """W_{D,kappa0}(gamma) = exp(-kappa0 ||gamma|| + sum D)."""
-    total = math.fsum(profile.D[p] for p in points)
-    return math.exp(-profile.kappa0 * path_norm(points, lat, profile.alpha0) + total)
-
-
-def enumerate_trajectories(domain: Sequence[GroupElement], m: GroupElement,
-                           n: GroupElement, k_max: int):
-    """All point sequences m -> n of length <= k_max with consecutive distinct."""
+def _hop_table(domain: Sequence[GroupElement], lat: QuotientLattice,
+               alpha0: float) -> list[list[float]]:
+    """hop[i][j] = |n_i - n_j|^alpha0 over the domain order."""
     if len(domain) > 12:
         raise ValueError("enumeration capped at |Lambda| <= 12")
-    out = []
-    if m == n:
-        out.append((m,))
-    frontier = [(m,)]
-    for _ in range(1, k_max):
+    return [[float(lat.dist(a, b)) ** alpha0 for b in domain] for a in domain]
+
+
+def _walk(start: int, hop: list[list[float]], D: list[float],
+          profile: WeightProfile, cls: str, k_max: int) -> list[list[tuple]]:
+    """Every trajectory from index ``start`` of length <= k_max (consecutive
+    points distinct), bucketed by end point: walks[b] lists
+    (indices, ||gamma||, admissible) by length, then lexicographically.
+
+    Admissibility in class cls: min(D_i, D_j) <= T ||(n_i..n_j)||^{alpha0/5}
+    for every i < j with min(D_i, D_j) >= M. The R class exempts an adjacent
+    pair that fails it, provided both of its points meet that inequality,
+    unguarded, against every other point of the trajectory. Segment norms are
+    summed left to right from n_i; a trajectory extends an admissible prefix,
+    so only the conditions that involve its last point are checked.
+    """
+    T, M, a5 = profile.T, profile.M, profile.alpha0 / 5.0
+
+    def fits(i, j, norm):
+        return min(D[i], D[j]) <= T * norm ** a5
+
+    def guarded(i, j, norm):
+        return min(D[i], D[j]) < M or fits(i, j, norm)
+
+    walks: list[list[tuple]] = [[] for _ in hop]
+    # (points, seg, admissible, exempt): seg[i] = ||(n_i..n_last)||, and
+    # exempt holds the positions i of the exempt pairs (i, i+1)
+    level = [((start,), (0.0,), True, ())]
+    for length in range(1, k_max + 1):
+        for pts, seg, ok, _ in level:
+            walks[pts[-1]].append((pts, seg[0], ok))
+        if length == k_max:
+            break
         nxt = []
-        for traj in frontier:
-            for p in domain:
-                if p == traj[-1]:
+        for pts, seg, ok, exempt in level:
+            last, q = pts[-1], len(pts)
+            for p in range(len(hop)):
+                if p == last:
                     continue
-                extended = traj + (p,)
-                nxt.append(extended)
-                if p == n:
-                    out.append(extended)
-        frontier = nxt
-    return out
+                h = hop[last][p]
+                new = tuple(s + h for s in seg)
+                fine, extended = ok, exempt
+                if ok:
+                    # p against every earlier point but the last, and against
+                    # both points of each exempt pair
+                    fine = all(guarded(pts[i], p, new[i])
+                               for i in range(q - 1)) and all(
+                        fits(pts[e], p, new[e]) and fits(pts[e + 1], p, new[e + 1])
+                        for e in exempt)
+                    if fine and not guarded(last, p, h):
+                        # the new adjacent pair fails: only R exempts it
+                        fine = cls == "R" and all(
+                            fits(pts[j], last, seg[j]) and fits(pts[j], p, new[j])
+                            for j in range(q - 1))
+                        extended = exempt + (q - 1,)
+                nxt.append((pts + (p,), new + (0.0,), fine, extended))
+        level = nxt
+    return walks
 
 
 @dataclass(frozen=True)
-class WeightSumResult:
-    lower_bound: float     # enumerated finite sum (a lower bound of the series)
-    tail_bound: float      # geometric majorant of the discarded lengths
-    trajectory_count: int
-    rejected_count: int
+class WeightSums:
+    """Weight sums s(m, n) over every pair of a domain, in the domain order."""
+
+    lower_bound: np.ndarray       # enumerated finite sums (lower bounds of the series)
+    tail_bound: float             # geometric majorant of the discarded lengths
+    trajectory_count: np.ndarray  # admissible trajectories per pair
+    rejected_count: np.ndarray    # inadmissible ones per pair
+
+    @property
+    def upper_bound(self) -> np.ndarray:
+        return self.lower_bound + self.tail_bound
 
 
-def weight_sum_bruteforce(domain: Sequence[GroupElement], profile: WeightProfile,
-                          m: GroupElement, n: GroupElement, cls: str,
-                          k_max: int, eps0: float, lat: QuotientLattice,
-                          w: Callable | None = None,
-                          use_majorant: bool = False) -> WeightSumResult:
-    """s_{D,T,kappa0,eps0; Lambda}(m,n): sum of eps0^{k-1} w_D over admissible
-    trajectories of length <= k_max, plus a geometric tail bound for k > k_max.
+def weight_sums(domain: Sequence[GroupElement], profile: WeightProfile,
+                cls: str, k_max: int, eps0: float,
+                lat: QuotientLattice) -> WeightSums:
+    """s_{D,T,kappa0,eps0; Lambda}(m,n) for every pair: the sum of
+    eps0^{k-1} W_{D,kappa0}(gamma) over admissible trajectories m -> n of
+    length <= k_max, plus one geometric tail bound for k > k_max.
 
-    cls is "plain" or "R". With the canonical hop weight, w_D == W_{D,kappa0}.
+    cls is "plain" or "R". One walk per start point covers every end point.
     """
-    admissible = admissible_plain if cls == "plain" else admissible_resonant
-    weight = trajectory_majorant if use_majorant else (
-        lambda pts, pr, la: trajectory_weight(pts, pr, la, w=w))
-    total = 0.0
-    count = 0
-    rejected = 0
-    for pts in enumerate_trajectories(domain, m, n, k_max):
-        if not admissible(pts, profile, lat):
-            rejected += 1
-            continue
-        count += 1
-        total += eps0 ** (len(pts) - 1) * weight(pts, profile, lat)
-    tail = _geometric_tail(domain, profile, k_max, eps0, lat)
-    return WeightSumResult(lower_bound=total, tail_bound=tail,
-                           trajectory_count=count, rejected_count=rejected)
-
-
-def _geometric_tail(domain, profile, k_max, eps0, lat) -> float:
-    w = default_hop_weight(profile, lat)
-    w_max = 0.0
-    for a in domain:
-        for b in domain:
-            if a != b:
-                w_max = max(w_max, w(a, b))
-    d_max = max(profile.D[p] for p in domain)
-    ratio = eps0 * max(1, len(domain) - 1) * w_max * math.exp(d_max)
-    if ratio >= 1.0:
-        return math.inf
-    first = math.exp(d_max) * ratio ** k_max
-    return first / (1.0 - ratio)
+    hop = _hop_table(domain, lat, profile.alpha0)
+    D = [profile.D[e] for e in domain]
+    n = len(domain)
+    total = np.zeros((n, n))
+    count = np.zeros((n, n), dtype=int)
+    rejected = np.zeros((n, n), dtype=int)
+    for a in range(n):
+        for b, trajs in enumerate(_walk(a, hop, D, profile, cls, k_max)):
+            s = 0.0
+            for pts, gnorm, ok in trajs:
+                if not ok:
+                    rejected[a, b] += 1
+                    continue
+                count[a, b] += 1
+                s += eps0 ** (len(pts) - 1) * math.exp(
+                    -profile.kappa0 * gnorm + math.fsum(D[i] for i in pts))
+            total[a, b] = s
+    w_max = max((math.exp(-profile.kappa0 * hop[a][b])
+                 for a in range(n) for b in range(n) if a != b), default=0.0)
+    d_max = max(D)
+    ratio = eps0 * max(1, n - 1) * w_max * math.exp(d_max)
+    tail = math.inf if ratio >= 1.0 else \
+        math.exp(d_max) * ratio ** k_max / (1.0 - ratio)
+    return WeightSums(lower_bound=total, tail_bound=tail,
+                      trajectory_count=count, rejected_count=rejected)
 
 
 @dataclass(frozen=True)
@@ -346,29 +296,34 @@ def verify_weight_lemma(domain: Sequence[GroupElement], profile: WeightProfile,
     # between fixed endpoints should stay < C^{k-1}
     C = hop_sum_constant(lat, kap_eff, profile.alpha0)
     hop_ok = True
-    for a in domain:
-        for b in domain:
+    hop = _hop_table(domain, lat, profile.alpha0)
+    D = [profile.D[e] for e in domain]
+
+    def points(pts):
+        return tuple(domain[i] for i in pts)
+
+    for a in range(len(domain)):
+        for trajs in _walk(a, hop, D, profile, "R", k_max):
             by_k: dict[int, float] = {}
-            for pts in enumerate_trajectories(domain, a, b, k_max):
+            for pts, gnorm, ok in trajs:
                 k = len(pts)
-                gnorm = path_norm(pts, lat, profile.alpha0)
                 by_k[k] = by_k.get(k, 0.0) + math.exp(-kap_eff * gnorm)
-                if not admissible_resonant(pts, profile, lat):
+                if not ok:
                     continue
                 checked += 1
-                dbar = max(profile.D[p] for p in pts)
+                dbar = max(D[i] for i in pts)
                 log_bound = k * M**2 - kap_eff * gnorm + 2.0 * dbar
-                log_W = -profile.kappa0 * gnorm + math.fsum(profile.D[p] for p in pts)
+                log_W = -profile.kappa0 * gnorm + math.fsum(D[i] for i in pts)
                 margin = log_bound - log_W
                 worst = min(worst, margin)
                 # corollary cases (audited):
                 if dbar <= M**5:
                     if log_W > -profile.kappa0 * gnorm + k * M**5 + 1e-9:
-                        cor_viol.append(("case-small-Dbar", pts))
+                        cor_viol.append(("case-small-Dbar", points(pts)))
                 else:
                     if log_W > -(15.0 / 16.0) * profile.kappa0 * gnorm \
                             + 2.0 * dbar + k * M**2 + 1e-9:
-                        cor_viol.append(("case-large-Dbar", pts))
+                        cor_viol.append(("case-large-Dbar", points(pts)))
             for k, s in by_k.items():
                 if k >= 2 and s >= C ** (k - 1):
                     hop_ok = False
@@ -376,8 +331,6 @@ def verify_weight_lemma(domain: Sequence[GroupElement], profile: WeightProfile,
         passed=(worst >= -1e-9), checked=checked, worst_margin=worst,
         corollary_violations=tuple(cor_viol), hop_sum_constant=C, hop_sum_ok=hop_ok,
     )
-
-
 def hop_sum_constant(lat: QuotientLattice, kappa: float, alpha0: float,
                      radius: int = 40) -> float:
     """C(nu, alpha0, kappa) = sum over the group of exp(-kappa |n|^alpha0),
@@ -449,13 +402,11 @@ def weight_sum_upper_bound_audit(domain: Sequence[GroupElement],
     threshold = epscond_threshold(lat, profile, C_growth)
     dbar = max(profile.D[p] for p in domain)
     mu = {a: mu_of_set(domain, a, lat) for a in domain}
+    total = weight_sums(domain, profile, "R", k_max, eps0, lat).upper_bound
     worst_ratio = 0.0
     worst_pair = None
-    for a in domain:
-        for b in domain:
-            ws = weight_sum_bruteforce(domain, profile, a, b, "R", k_max,
-                                       eps0, lat, use_majorant=True)
-            total = ws.lower_bound + ws.tail_bound
+    for i, a in enumerate(domain):
+        for j, b in enumerate(domain):
             mu_a, mu_b = mu[a], mu[b]
             if a == b:
                 bound = min(
@@ -472,7 +423,7 @@ def weight_sum_upper_bound_audit(domain: Sequence[GroupElement],
                     2.0 * eps0**0.5 * math.exp(
                         -(1.0 / 4.0) * profile.kappa0 * dist + 2.0 * dbar),
                 )
-            ratio = total / bound if bound > 0 else math.inf
+            ratio = float(total[i, j]) / bound if bound > 0 else math.inf
             if ratio > worst_ratio:
                 worst_ratio = ratio
                 worst_pair = (a, b)
@@ -531,15 +482,13 @@ def msa_step(H: np.ndarray, domain: Sequence[GroupElement],
         except SingularBlock as exc:
             raise HypothesisFailed("a", f"block not invertible: {exc}")
         if len(elems) <= 12:
-            for i, a in enumerate(elems):
-                for j, b in enumerate(elems):
-                    ws = weight_sum_bruteforce(elems, prof, a, b, "R", k_max,
-                                               eps0, lat)
-                    bound = ws.lower_bound + ws.tail_bound
-                    if abs(sub_inv[i, j]) > bound * (1 + 1e-9) + 1e-15:
-                        raise HypothesisFailed(
-                            "a", f"block resolvent entry ({a},{b}) = "
-                            f"{abs(sub_inv[i, j]):.3e} above weight sum {bound:.3e}")
+            bound = weight_sums(elems, prof, "R", k_max, eps0, lat).upper_bound
+            above = np.argwhere(np.abs(sub_inv) > bound * (1 + 1e-9) + 1e-15)
+            if above.size:
+                i, j = above[0]
+                raise HypothesisFailed(
+                    "a", f"block resolvent entry ({elems[i]},{elems[j]}) = "
+                    f"{abs(sub_inv[i, j]):.3e} above weight sum {bound[i, j]:.3e}")
 
     verbatim_floor = math.exp(-4.0 * T / kappa0) if 4.0 * T / kappa0 < 700 else 0.0
     floor = verbatim_floor if diagonal_floor is None else diagonal_floor
@@ -565,12 +514,8 @@ def msa_step(H: np.ndarray, domain: Sequence[GroupElement],
     audit_ok = True
     if audited:
         prof = WeightProfile(D=merged, T=T, kappa0=kappa0, alpha0=alpha0)
-        for i, a in enumerate(domain):
-            for j, b in enumerate(domain):
-                ws = weight_sum_bruteforce(domain, prof, a, b, "R", k_max,
-                                           eps0, lat)
-                if abs(resolvent[i, j]) > ws.lower_bound + ws.tail_bound + 1e-15:
-                    audit_ok = False
+        bound = weight_sums(domain, prof, "R", k_max, eps0, lat).upper_bound
+        audit_ok = not np.any(np.abs(resolvent) > bound + 1e-15)
     return MsaResult(resolvent=resolvent, merged_D=merged, audited=audited,
                      audit_ok=audit_ok, floor_substituted=substituted)
 
@@ -627,11 +572,7 @@ def two_point_extension(H: np.ndarray, domain: Sequence[GroupElement],
     audited = n <= 12
     audit_ok = True
     if audited:
-        for i, a in enumerate(domain):
-            for j, b in enumerate(domain):
-                ws = weight_sum_bruteforce(domain, ext_profile, a, b, "R",
-                                           k_max, eps0, lat)
-                if abs(full_inv[i, j]) > ws.lower_bound + ws.tail_bound + 1e-15:
-                    audit_ok = False
+        bound = weight_sums(domain, ext_profile, "R", k_max, eps0, lat).upper_bound
+        audit_ok = not np.any(np.abs(full_inv) > bound + 1e-15)
     return TwoPointResult(resolvent=full_inv, extended_D=extended, D0=D0,
                           audited=audited, audit_ok=audit_ok)

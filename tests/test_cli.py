@@ -2,10 +2,13 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from hillbands.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 BASE_CONFIG = {
     "lattice": {"nu": 1, "omega": ["1"]},
@@ -46,6 +49,25 @@ def test_run_band_writes_files(tmp_path):
     assert payload["report"]["gaps"]
     assert payload["diophantine"]["satisfied"] is True
 
+
+def test_run_band_symmetric_across_resonance(tmp_path):
+    # the shipped config on a k grid that crosses k_{-1} = 1/2: the pair
+    # route must give E(k) = E(-k) on both sides of the resonance
+    with open(ROOT / "configs" / "reference.json", encoding="utf-8") as fh:
+        config = json.load(fh)
+    config.update({"k_grid": {"min": 0.41, "max": 0.6, "step": 0.02},
+                   "gaps": [], "audits": ["symmetry"]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["--threads", "1", "band", str(path),
+                 "--output-dir", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())["report"]
+    pair_ks = [s["k"] for s in report["samples"] if s["class"] == "OPR"]
+    assert min(pair_ks) < 0.5 < max(pair_ks)
+    audits = {a["name"]: a for a in report["audits"]}
+    for name in ("symmetry", "conjugate_reflection"):
+        assert audits[name]["passed"], audits[name]
 
 def test_run_band_free_case_matches_parabola(tmp_path):
     cfg = write_config(tmp_path, {"coupling": 0.0, "gaps": []})

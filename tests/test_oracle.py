@@ -328,6 +328,26 @@ def test_magnus_step_cap_is_live(line_lattice, cosine_folded, monkeypatch):
         floquet_scan([1.0, 20.0], 0.05, cosine_folded, T)
 
 
+def test_wronskian_check_scales_with_the_monodromy(monkeypatch):
+    # T = 14 below the spectrum: |Delta| reaches 4e8, and forming det M
+    # loses about 1e-16 |M|^2, far above an absolute 1e-9
+    lat = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
+    folded = fold(cosine([1, 0], kappa0=1.0), lat, enforce_bound=False)
+    T = period(lat.omega)
+    energies = [-2.0, -0.5]
+    delta, drift = oracle._discriminants(energies, 0.05, folded, T)
+    assert drift[0] > 1.0
+    for E, d in zip(energies, delta):
+        reference = ivp_discriminant(E, 0.05, folded, T)
+        assert abs(reference) > 1e4
+        assert abs(d - reference) <= 1e-8 * abs(reference)
+    # a drift beyond the scaled bound still raises, on both paths
+    monkeypatch.setattr(oracle, "WRONSKIAN_TOL", 1e-30)
+    with pytest.raises(IntegratorFailure, match="Wronskian"):
+        oracle._discriminants(energies, 0.05, folded, T)
+    with pytest.raises(IntegratorFailure, match="Wronskian"):
+        ivp_discriminant(-0.5, 0.05, folded, T)
+
 @pytest.mark.parametrize("E", [math.nan, math.inf])
 def test_floquet_rejects_nonfinite_energy(line_lattice, cosine_folded, E):
     T = period(line_lattice.omega)

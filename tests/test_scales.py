@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from hillbands import scales
 from hillbands.errors import (BudgetExhausted, PreconditionFailed,
                               ScheduleInfeasible)
+from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.scales import (build_schedule, epsilon_budget, kpm_endpoints,
                               kpm_intervals, resonance_gap_ordering_audit,
                               resonance_profile, strict_epsilon0_log)
@@ -97,6 +99,25 @@ def test_kpm_mirror_identity(line_lattice, toy_schedule):
             assert iv.k_plus_s[s] == pytest.approx(-mirror.k_minus_s[s],
                                                    abs=1e-15)
 
+
+def test_kpm_mirror_check_reaches_every_interval(toy_schedule, monkeypatch):
+    # on omega = (1, 3/7) the canonical rep of -m is not always -rep(m)
+    lat = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
+    intervals = kpm_intervals(toy_schedule, lat, truncation_R=6.0)
+    by_t = {iv.m.t: iv for iv in intervals}
+    assert all(-t in by_t for t in by_t)
+    odd = [iv.m for iv in intervals
+           if by_t[-iv.m.t].m.rep != tuple(-v for v in iv.m.rep)]
+    assert (len(intervals), len(odd)) == (108, 6)
+    original = scales.kpm_endpoints
+    for m in odd:
+        def shifted(schedule, e, s, m=m):
+            lo, hi = original(schedule, e, s)
+            return (lo, hi + 1e-6) if e == m else (lo, hi)
+
+        monkeypatch.setattr(scales, "kpm_endpoints", shifted)
+        with pytest.raises(AssertionError):
+            kpm_intervals(toy_schedule, lat, truncation_R=6.0)
 
 def test_kpm_sigma_zero_and_monotonicity(line_lattice, toy_schedule):
     sigma0 = toy_schedule.sigma(0)

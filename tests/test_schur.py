@@ -4,18 +4,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillbands.errors import HypothesisFailed, SingularBlock
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.schur import (WeightLemmaReport, WeightProfile, _checked_inverse,
-                             admissible_resonant, enumerate_trajectories,
-                             hop_sum_constant, msa_step, mu_of_set,
-                             path_norm, q_g_functions, schur_block_inverse,
-                             trajectory_weight, two_point_extension,
-                             verify_weight_lemma, weight_sum_bruteforce,
-                             weight_sum_upper_bound_audit)
+                             _hop_table, _walk, hop_sum_constant, msa_step,
+                             mu_of_set, q_g_functions, schur_block_inverse,
+                             two_point_extension, verify_weight_lemma,
+                             weight_sum_upper_bound_audit, weight_sums)
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +96,129 @@ def test_checked_inverse_singular_and_regular():
                           np.linalg.inv(np.diag([1.0, 1e-12])))
 
 
+# --- element-based reference path: one trajectory set per (m, n) pair ---
+
+def path_norm(points, lat, alpha0):
+    """||gamma|| = sum |n_i - n_{i+1}|^alpha0 (0 for single-point trajectories)."""
+    total = 0.0
+    for a, b in zip(points, points[1:]):
+        total += float(lat.dist(a, b)) ** alpha0
+    return total
+
+
+def admissible_plain(points, profile, lat):
+    """Plain class: min(D_i, D_j) <= T ||(n_i..n_j)||^{alpha0/5} for every i<j
+    with min(D_i, D_j) >= 4T/kappa0."""
+    M = profile.M
+    k = len(points)
+    for i in range(k):
+        for j in range(i + 1, k):
+            dmin = min(profile.D[points[i]], profile.D[points[j]])
+            if dmin >= M:
+                seg = path_norm(points[i:j + 1], lat, profile.alpha0)
+                if not dmin <= profile.T * seg ** (profile.alpha0 / 5.0):
+                    return False
+    return True
+
+
+def admissible_resonant(points, profile, lat):
+    """R-class: the plain condition exempting adjacent pairs, plus the
+    compensating four-way conditions when an adjacent pair is exempt."""
+    M = profile.M
+    T = profile.T
+    a5 = profile.alpha0 / 5.0
+    k = len(points)
+    D = profile.D
+    for i in range(k):
+        for j in range(i + 2, k):
+            dmin = min(D[points[i]], D[points[j]])
+            if dmin >= M:
+                seg = path_norm(points[i:j + 1], lat, profile.alpha0)
+                if not dmin <= T * seg ** a5:
+                    return False
+    for i in range(k - 1):
+        dmin = min(D[points[i]], D[points[i + 1]])
+        if dmin < M:
+            continue
+        hop = float(lat.dist(points[i], points[i + 1])) ** profile.alpha0
+        if dmin <= T * hop ** a5:
+            continue
+        # exempt adjacent resonant hop: compensating conditions
+        for jp in range(i):
+            if not min(D[points[jp]], D[points[i]]) <= \
+                    T * path_norm(points[jp:i + 1], lat, profile.alpha0) ** a5:
+                return False
+            if not min(D[points[jp]], D[points[i + 1]]) <= \
+                    T * path_norm(points[jp:i + 2], lat, profile.alpha0) ** a5:
+                return False
+        for jpp in range(i + 2, k):
+            if not min(D[points[i]], D[points[jpp]]) <= \
+                    T * path_norm(points[i:jpp + 1], lat, profile.alpha0) ** a5:
+                return False
+            if not min(D[points[i + 1]], D[points[jpp]]) <= \
+                    T * path_norm(points[i + 1:jpp + 1], lat, profile.alpha0) ** a5:
+                return False
+    return True
+
+
+def trajectory_majorant(points, profile, lat):
+    """W_{D,kappa0}(gamma) = exp(-kappa0 ||gamma|| + sum D)."""
+    total = math.fsum(profile.D[p] for p in points)
+    return math.exp(-profile.kappa0 * path_norm(points, lat, profile.alpha0) + total)
+
+
+def enumerate_trajectories(domain, m, n, k_max):
+    """All point sequences m -> n of length <= k_max with consecutive distinct."""
+    if len(domain) > 12:
+        raise ValueError("enumeration capped at |Lambda| <= 12")
+    out = []
+    if m == n:
+        out.append((m,))
+    frontier = [(m,)]
+    for _ in range(1, k_max):
+        nxt = []
+        for traj in frontier:
+            for p in domain:
+                if p == traj[-1]:
+                    continue
+                extended = traj + (p,)
+                nxt.append(extended)
+                if p == n:
+                    out.append(extended)
+        frontier = nxt
+    return out
+
+
+def geometric_tail(domain, profile, k_max, eps0, lat):
+    w_max = 0.0
+    for a in domain:
+        for b in domain:
+            if a != b:
+                w_max = max(w_max, math.exp(
+                    -profile.kappa0 * float(lat.dist(a, b)) ** profile.alpha0))
+    d_max = max(profile.D[p] for p in domain)
+    ratio = eps0 * max(1, len(domain) - 1) * w_max * math.exp(d_max)
+    if ratio >= 1.0:
+        return math.inf
+    first = math.exp(d_max) * ratio ** k_max
+    return first / (1.0 - ratio)
+
+
+def weight_sum_bruteforce(domain, profile, m, n, cls, k_max, eps0, lat):
+    """(sum, tail, count, rejected) for one pair m -> n."""
+    admissible = admissible_plain if cls == "plain" else admissible_resonant
+    total = 0.0
+    count = 0
+    rejected = 0
+    for pts in enumerate_trajectories(domain, m, n, k_max):
+        if not admissible(pts, profile, lat):
+            rejected += 1
+            continue
+        count += 1
+        total += eps0 ** (len(pts) - 1) * trajectory_majorant(pts, profile, lat)
+    return total, geometric_tail(domain, profile, k_max, eps0, lat), count, rejected
+
+
 def small_profile(lat, reps, D=None, T=8.0, kappa0=0.9):
     domain = [lat.canonicalize([r]) for r in reps]
     if D is None:
@@ -109,12 +230,9 @@ def small_profile(lat, reps, D=None, T=8.0, kappa0=0.9):
 
 def test_weight_sum_length_one(lat):
     domain, prof = small_profile(lat, [0, 1, 2], D={0: 1.5, 1: 1.0, 2: 1.0})
-    m = lat.canonicalize([0])
-    res = weight_sum_bruteforce(domain, prof, m, m, "R", 1, 0.1, lat)
-    assert res.lower_bound == pytest.approx(math.exp(1.5))
-    n = lat.canonicalize([1])
-    res2 = weight_sum_bruteforce(domain, prof, m, n, "R", 1, 0.1, lat)
-    assert res2.lower_bound == 0.0
+    ws = weight_sums(domain, prof, "R", 1, 0.1, lat)
+    assert ws.lower_bound[0, 0] == pytest.approx(math.exp(1.5))
+    assert ws.lower_bound[0, 1] == 0.0
 
 
 def test_weight_sum_matches_independent_enumeration(lat):
@@ -122,8 +240,7 @@ def test_weight_sum_matches_independent_enumeration(lat):
     reps = [0, 1, 2, 3]
     domain, prof = small_profile(lat, reps)
     eps0 = 0.05
-    m, n = domain[0], domain[3]
-    res = weight_sum_bruteforce(domain, prof, m, n, "R", 3, eps0, lat)
+    ws = weight_sums(domain, prof, "R", 3, eps0, lat)
     # independent enumeration: length 2 and 3 sequences via product loops
     def w(a, b):
         return math.exp(-prof.kappa0 * abs(a - b))
@@ -134,8 +251,8 @@ def test_weight_sum_matches_independent_enumeration(lat):
     for mid in reps:
         if mid != 0 and mid != 3:
             total += eps0**2 * w(0, mid) * w(mid, 3) * math.exp(3.0)
-    assert res.lower_bound == pytest.approx(total, rel=1e-12)
-    assert res.tail_bound < math.inf
+    assert ws.lower_bound[0, 3] == pytest.approx(total, rel=1e-12)
+    assert ws.tail_bound < math.inf
 
 
 def test_trajectory_admissibility_filters(lat):
@@ -143,13 +260,11 @@ def test_trajectory_admissibility_filters(lat):
     reps = [0, 1000, 2000]
     domain, prof = small_profile(
         lat, reps, D={0: 200.0, 1000: 200.0, 2000: 200.0}, T=8.0, kappa0=0.9)
-    m = domain[0]
-    res_plain = weight_sum_bruteforce(domain, prof, m, domain[2], "plain",
-                                      3, 0.1, lat)
-    res_r = weight_sum_bruteforce(domain, prof, m, domain[2], "R", 3, 0.1, lat)
+    res_plain = weight_sums(domain, prof, "plain", 3, 0.1, lat)
+    res_r = weight_sums(domain, prof, "R", 3, 0.1, lat)
     # adjacent large-D hops are exempt only in the R class, so R admits more
-    assert res_r.trajectory_count >= res_plain.trajectory_count
-    assert res_plain.rejected_count > 0
+    assert res_r.trajectory_count[0, 2] >= res_plain.trajectory_count[0, 2]
+    assert res_plain.rejected_count[0, 2] > 0
 
 
 def test_verify_weight_lemma_bound_and_hop_sums(lat):
@@ -240,6 +355,63 @@ def test_verify_weight_lemma_matches_two_pass_oracle(case):
     for f in dataclasses.fields(WeightLemmaReport):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
+
+@st.composite
+def weight_sum_cases(draw):
+    omega = draw(st.sampled_from([("1",), ("1/2", "1/2"), ("2/5", "3/7")]))
+    lat = _lattice(omega)
+    size = draw(st.integers(1, 6))
+    vecs = st.lists(st.integers(-30, 30), min_size=len(omega),
+                    max_size=len(omega))
+    domain = {lat.canonicalize(v) for v in draw(st.lists(vecs, min_size=size,
+                                                          max_size=size))}
+    domain = sorted(domain, key=lambda e: e.key())
+    T = draw(st.floats(8.0, 12.0))
+    kappa0 = draw(st.floats(0.5, 0.99))
+    M = 4.0 * T / kappa0
+    # D below 4T lands on either side of T ||gamma||^(alpha0/5); D >= M
+    # makes a point resonant
+    D = {e: draw(st.floats(1.0, 4.0 * T) | st.floats(M, 1.8 * M))
+         for e in domain}
+    profile = WeightProfile(D=D, T=T, kappa0=kappa0,
+                            alpha0=draw(st.sampled_from([1.0, 0.5])))
+    return domain, profile, lat, draw(st.floats(1e-6, 0.5))
+
+
+@pytest.mark.parametrize("cls", ["plain", "R"])
+@pytest.mark.parametrize("k_max", [1, 2, 3, 4, 5])
+@settings(max_examples=25)
+@given(case=weight_sum_cases())
+def test_weight_sums_match_per_pair_oracle(case, k_max, cls):
+    domain, profile, lat, eps0 = case
+    ws = weight_sums(domain, profile, cls, k_max, eps0, lat)
+    for i, a in enumerate(domain):
+        for j, b in enumerate(domain):
+            total, tail, count, rejected = weight_sum_bruteforce(
+                domain, profile, a, b, cls, k_max, eps0, lat)
+            assert ws.lower_bound[i, j] == total
+            assert ws.tail_bound == tail
+            assert ws.trajectory_count[i, j] == count
+            assert ws.rejected_count[i, j] == rejected
+
+
+@settings(max_examples=30)
+@given(case=weight_sum_cases(), k_max=st.integers(1, 5))
+def test_walk_lists_each_pair_in_enumeration_order(case, k_max):
+    # one walk per start point, bucketed by end point, reproduces each
+    # per-pair trajectory list in order, so corollary_violations keeps its
+    # (m, n, enumeration) order
+    domain, profile, lat, _ = case
+    hop = _hop_table(domain, lat, profile.alpha0)
+    D = [profile.D[e] for e in domain]
+    for a, m in enumerate(domain):
+        walks = _walk(a, hop, D, profile, "R", k_max)
+        for b, n in enumerate(domain):
+            points = [tuple(domain[i] for i in pts) for pts, _, _ in walks[b]]
+            assert points == enumerate_trajectories(domain, m, n, k_max)
+            for pts, (_, gnorm, ok) in zip(points, walks[b]):
+                assert gnorm == path_norm(pts, lat, profile.alpha0)
+                assert ok == admissible_resonant(pts, profile, lat)
 
 def test_weight_sum_upper_bounds(lat):
     domain, prof = small_profile(lat, [-2, -1, 0, 1, 2],
@@ -361,20 +533,28 @@ def test_two_point_extension_d0_violation(lat):
 
 def test_path_norm_and_weights(lat):
     pts = [lat.canonicalize([r]) for r in (0, 2, 5)]
-    assert path_norm(pts, lat, 1.0) == pytest.approx(2 + 3)
-    assert path_norm(pts[:1], lat, 1.0) == 0.0
     prof = WeightProfile(D={p: 1.0 for p in pts}, T=8.0, kappa0=0.9,
                          alpha0=1.0)
-    w = trajectory_weight(pts, prof, lat)
-    assert w == pytest.approx(math.exp(-0.9 * 5) * math.exp(3.0))
+    ws = weight_sums(pts, prof, "plain", 3, 1.0, lat)
+    # 0 -> 5 directly and through 2: ||gamma|| = 5 both ways
+    assert ws.lower_bound[0, 2] == pytest.approx(
+        math.exp(-0.9 * 5) * (math.exp(2.0) + math.exp(3.0)))
+    # single-point trajectories have ||gamma|| = 0
+    assert weight_sums(pts, prof, "plain", 1, 1.0, lat).lower_bound[1, 1] \
+        == math.exp(1.0)
 
 
 def test_enumerate_trajectories_counts(lat):
     domain = [lat.canonicalize([r]) for r in (0, 1, 2)]
-    m, n = domain[0], domain[1]
-    trajs = enumerate_trajectories(domain, m, n, 3)
-    # lengths 2: (0,1); length 3: (0,1,?)->no, must END at 1: (0,2,1)
-    assert sorted(len(t) for t in trajs) == [2, 3]
+    prof = WeightProfile(D={p: 1.0 for p in domain}, T=8.0, kappa0=0.9,
+                         alpha0=1.0)
+    ws = weight_sums(domain, prof, "R", 3, 0.1, lat)
+    # 0 -> 1: (0,1) and (0,2,1); 0 -> 0: (0,), (0,1,0) and (0,2,0)
+    assert ws.trajectory_count[0, 1] == 2
+    assert ws.trajectory_count[0, 0] == 3
+    assert not ws.rejected_count.any()
+    big = [lat.canonicalize([r]) for r in range(13)]
     with pytest.raises(ValueError):
-        enumerate_trajectories([lat.canonicalize([r]) for r in range(13)],
-                               m, n, 2)
+        weight_sums(big, WeightProfile(D={p: 1.0 for p in big}, T=8.0,
+                                       kappa0=0.9, alpha0=1.0),
+                    "R", 2, 0.1, lat)

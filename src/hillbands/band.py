@@ -24,7 +24,8 @@ from .lattice import GroupElement, QuotientLattice
 from .operators import (TWO_PI_SQ, DualMatrix, OperatorSpec, assemble,
                         order_domain)
 from .potential import FoldedCoefficients
-from .scales import ResonanceProfile, ScaleSchedule, resonance_profile
+from .scales import (ModeTable, ResonanceProfile, ScaleSchedule, k_of,
+                     mode_table, resonance_profile)
 from .schur import q_g_functions
 from .eigensolve import PuncturedResolvent, solve_simple, solve_pair
 from .oracle import dense_spectrum
@@ -52,14 +53,17 @@ class BandContext:
     def spec(self, k: float) -> OperatorSpec:
         return OperatorSpec(epsilon=self.eps, k=k, normalized=False)
 
-    def k_points(self) -> list[tuple[GroupElement, float]]:
-        """All (m, k_m = -xi(m)/2) within the truncation ball."""
-        out = []
-        for e in self.lat.ball(self.truncation_R):
-            if e.is_identity:
-                continue
-            out.append((e, -float(e.xi) / 2.0))
-        return out
+    def modes(self) -> ModeTable:
+        """The modes 0 < |m| <= truncation_R with their k_m, in ball order."""
+        return mode_table(self.schedule, self.lat, self.truncation_R)
+
+    def modulus_tail(self, mask: np.ndarray) -> float:
+        """sum of (a0 (1+|m|)^(-b0-3))^(1/8) over the modes that ``mask``
+        selects from ``modes()``, summed in ball order."""
+        elements = self.modes().elements
+        a0, b0 = self.schedule.a0, self.schedule.b0
+        return sum((a0 * (1.0 + elements[i].norm) ** (-b0 - 3.0)) ** 0.125
+                   for i in np.flatnonzero(mask))
 
 
 @dataclass
@@ -205,7 +209,7 @@ def _resonant_point(ctx: BandContext, k: float,
     s_use = max(s_use, min(s_top, ctx.schedule.feasible_s))
     matrix, bracket = _pair_setup(ctx, k, n_top, s_use, widen=0.1,
                                   min_spread=1e-8)
-    k_n0 = -float(n_top.xi) / 2.0
+    k_n0 = k_of(n_top)
     ident = ctx.lat.identity
     # |k| > |k_n0| puts k past the resonance, on the upper branch, on either
     # side of k = 0: at -k the top resonance is -n_top with k_{-n_top} = -k_n0
@@ -257,12 +261,9 @@ def _ball_fallback(ctx: BandContext, k: float) -> BandPoint:
 def band_curve(ctx: BandContext, k_grid: Sequence[float],
                threads: int = 1) -> list[BandPoint]:
     """E(k) over the grid; points within 1e-12 of any k_m are dropped."""
-    k_values = []
-    k_points = ctx.k_points()
-    for k in k_grid:
-        if any(abs(k - km) < 1e-12 for _, km in k_points):
-            continue
-        k_values.append(float(k))
+    k_m = ctx.modes().k
+    k_values = [float(k) for k in k_grid
+                if not np.any(np.abs(k - k_m) < 1e-12)]
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
@@ -282,10 +283,9 @@ def gap_edge_limit_crosscheck(ctx: BandContext, gap: GapRecord,
     """
     failures = []
     lam = 256.0 * max(1.0, math.ceil(abs(gap.k_m)))
-    between = 2.0 * abs(ctx.eps) * sum(
-        (ctx.schedule.a0 * (1.0 + e.norm) ** (-ctx.schedule.b0 - 3.0)) ** 0.125
-        for e, km in ctx.k_points() if abs(km - gap.k_m) < theta and km != gap.k_m
-    )
+    k_m = ctx.modes().k
+    between = 2.0 * abs(ctx.eps) * ctx.modulus_tail(
+        (np.abs(k_m - gap.k_m) < theta) & (k_m != gap.k_m))
     bound = max(1e-7, TWO_PI_SQ * 2.0 * (abs(gap.k_m) + 1.0) * theta
                 + lam * TWO_PI_SQ * between)
     for side, edge in ((+1.0, gap.E_plus), (-1.0, gap.E_minus)):
@@ -310,7 +310,7 @@ def gap_edges(ctx: BandContext, m: GroupElement,
     edge the dense q_g_functions recomputes them, and a difference above
     GAP_EDGE_CROSSCHECK_TOL * max(1, |E|) raises HypothesisFailed.
     """
-    k_m = -float(m.xi) / 2.0
+    k_m = k_of(m)
     if k_m == 0.0:
         raise PreconditionFailed("k_m must be nonzero")
     if s_use is None:
@@ -386,11 +386,10 @@ def conjugate_reflection_audit(ctx: BandContext, points_pos, points_neg,
     for p, q in zip(points_pos, points_neg):
         if p.phi is None or q.phi is None:
             continue
-        index_q = {e.rep: i for i, e in enumerate(q.domain)}
+        index_q = {e.t: i for i, e in enumerate(q.domain)}
         ok_here = True
         for i, e in enumerate(p.domain):
-            neg = ctx.lat.neg(e)
-            j = index_q.get(neg.rep)
+            j = index_q.get(-e.t)
             if j is None:
                 ok_here = False
                 continue
@@ -413,7 +412,7 @@ def monotonicity_audit(ctx: BandContext, points: Sequence[BandPoint],
     usable.sort(key=lambda p: p.k)
     lam = 256.0 * max(1.0, math.ceil(max((p.k for p in usable), default=1.0)))
     eps0 = ctx.schedule.eps0
-    k_points = ctx.k_points()
+    k_m = ctx.modes().k
     failures = []
     checked = 0
     for i in range(len(usable)):
@@ -426,11 +425,7 @@ def monotonicity_audit(ctx: BandContext, points: Sequence[BandPoint],
             variants = k_zero_variants(k, k1, k_n0=k, eps0=eps0)
             k0 = min(variants.values())
             lower = k0 ** 2 * (k - k1) ** 2
-            between = [e for e, km in k_points if k1 < km < k]
-            tail = sum(
-                (ctx.schedule.a0 * (1.0 + e.norm) ** (-ctx.schedule.b0 - 3.0)) ** 0.125
-                for e in between
-            )
+            tail = ctx.modulus_tail((k1 < k_m) & (k_m < k))
             upper = 2.0 * k * (k - k1) + 2.0 * abs(ctx.eps) * tail
             if not (lower < dE < upper):
                 failures.append({"k1": k1, "k": k, "dE": dE,
@@ -558,7 +553,7 @@ def gap_resolvent_audit(ctx: BandContext, m: GroupElement, E: float,
     if delta <= 0:
         raise PreconditionFailed("delta must be positive")
     tau0 = float(ctx.lat.xi_spacing()) / 2.0
-    k_m = -float(m.xi) / 2.0
+    k_m = k_of(m)
     probes = [k_m - tau0 + (i + 1) * (2.0 * tau0 / probe_count)
               for i in range(probe_count)]
     if domain is None:

@@ -10,13 +10,13 @@ without floating-point drift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .errors import ExcludedK, NotProper, PreconditionFailed
 from .lattice import GroupElement, QuotientLattice
-from .scales import ScaleSchedule
+from .scales import ScaleSchedule, excluded_blocker
 from .schur import mu_of_set
 
 
@@ -66,7 +66,6 @@ class SubtractionSystem:
     """Family of (set, level) pairs with the pairing already merged into classes."""
 
     sets: list[tuple[frozenset, int]]
-    class_members: list[tuple] = field(default_factory=list)  # parallel metadata
 
     def check_proper(self, lat: QuotientLattice) -> dict[int, int]:
         """Condition (i): distinct same-level sets have positive distance.
@@ -126,7 +125,8 @@ class DomainBuilder:
 
     ``v_shift(m, offset)`` is the normalized diagonal difference
     v(m, k+offset) - v(0, k+offset); ``check_exclusions`` gates every scale on
-    the k-axis exclusion intervals (raising ExcludedK).
+    the k-axis exclusion intervals (raising ExcludedK), skipping the modes
+    whose coordinate t is in ``exempt_modes``.
     """
 
     def __init__(self, k: float, schedule: ScaleSchedule, lat: QuotientLattice,
@@ -165,8 +165,6 @@ class DomainBuilder:
     def _check_excluded(self, s: int, offset: Fraction) -> None:
         if not self.check_exclusions:
             return
-        from .scales import excluded_blocker
-
         k = self.momentum(offset)
         hit = excluded_blocker(self.schedule, self.lat, k, s,
                                exempt=self.exempt_modes)
@@ -335,11 +333,11 @@ def symmetrize_T(k: float, s: int, n0: GroupElement, builder: DomainBuilder,
     the builder is re-derived with {n0, -n0} exempted if necessary.
     """
     reflect = lambda e: lat.sub(n0, e)
-    if n0 not in builder.exempt_modes:
+    if n0.t not in builder.exempt_modes:
         builder = DomainBuilder(
             builder.k, builder.schedule, builder.lat, lam=builder.lam,
             check_exclusions=builder.check_exclusions,
-            exempt_modes=builder.exempt_modes | {n0, lat.neg(n0)})
+            exempt_modes=builder.exempt_modes | {n0.t, -n0.t})
     levels = builder.level_sets(s) if s >= 2 else {}
     system = _reflection_classes(levels, reflect, lat)
     ball = frozenset(lat.ball(3.0 * schedule.R[s]))

@@ -48,8 +48,9 @@ class PuncturedResolvent:
         else:
             sub = H[np.ix_(self.others, self.others)]
             self.w, self.V = np.linalg.eigh(sub)
-        # projections of the coupling columns h(., p) onto the eigenbasis
-        self.proj = {p: self.V.conj().T @ H[self.others, p]
+        # projections V^H h(., p) of the coupling columns onto the
+        # eigenbasis, as conj(conj(h) V) so that V is not copied per column
+        self.proj = {p: (H[self.others, p].conj() @ self.V).conj()
                      for p in self.principal}
         self.H = H
 

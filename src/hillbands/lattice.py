@@ -132,16 +132,17 @@ class GroupElement:
     """Canonical coset representative with cached norm, xi value and coordinate.
 
     ``rep`` minimizes the ell-infinity norm over the coset; among minimizers it
-    is lexicographically smallest. Equality and hashing are by ``rep`` alone.
-    ``t = xi / xi_spacing`` is the element's integer coordinate: xi is
-    injective on the quotient and its image is xi_spacing * Z, so t is an
-    isomorphism onto Z and t(a - b) = t(a) - t(b).
+    is lexicographically smallest. ``t = xi / xi_spacing`` is the element's
+    integer coordinate: xi is injective on the quotient and its image is
+    xi_spacing * Z, so t is an isomorphism onto Z and t(a - b) = t(a) - t(b).
+    Equality and hashing are by ``t`` alone, so they are meaningful only
+    between elements of one lattice.
     """
 
-    rep: tuple[int, ...]
+    rep: tuple[int, ...] = field(compare=False)
     norm: int = field(compare=False)
     xi: Fraction = field(compare=False)
-    t: int = field(compare=False)
+    t: int
 
     def key(self):
         """Deterministic sort key: (norm, rep)."""

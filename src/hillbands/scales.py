@@ -9,8 +9,11 @@ feasible iff R^(s) is float-finite and delta0^(s-1) does not underflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import BudgetExhausted, PreconditionFailed, ScheduleInfeasible
 from .lattice import GroupElement, QuotientLattice
@@ -59,14 +62,14 @@ class ScaleSchedule:
                 return s
         return None
 
-    def sigma(self, norm: float) -> float | None:
-        """sigma(m) = 32 (delta0^(s-1))^(1/6) on shell s; sigma(0) from delta0^(0)."""
-        if norm == 0:
-            return 32.0 * self.delta[0] ** (1.0 / 6.0) * self.sigma_scale
-        s = self.shell_of(norm)
-        if s is None:
-            return None
+    def shell_sigma(self, s: int) -> float:
+        """sigma = 32 (delta0^(s-1))^(1/6) on shell s."""
         return 32.0 * self.delta[s - 1] ** (1.0 / 6.0) * self.sigma_scale
+
+    def sigma(self, norm: float) -> float | None:
+        """sigma(m) on the shell of m; sigma(0) from delta0^(0); None beyond s_max."""
+        s = 1 if norm == 0 else self.shell_of(norm)
+        return None if s is None else self.shell_sigma(s)
 
     def to_dict(self) -> dict:
         return {
@@ -205,7 +208,69 @@ def epsilon_budget(schedule: ScaleSchedule) -> tuple[float, ...]:
     return schedule.eps
 
 
-# --- k-axis exclusion intervals (Eq.-7K.1 style) ---
+# --- the modes on the k axis: resonant momenta and exclusion intervals ---
+
+def k_of(m: GroupElement) -> float:
+    """The resonant momentum k_m = -xi(m)/2 of the mode m."""
+    return -float(m.xi) / 2.0
+
+
+@dataclass(frozen=True)
+class ModeTable:
+    """The modes 0 < |m| <= radius in ``lat.ball`` order, one column each.
+
+    ``shell`` is 0 beyond the schedule's shells. ``lo[s]``, ``hi[s]`` hold the
+    inflated endpoints k^-_{m,s}, k^+_{m,s} for s = 0..s_max (Eq.-7K.1
+    style); they are NaN on shell 0, so no k lies between them. The arrays
+    are shared by every caller and read-only.
+    """
+
+    elements: tuple[GroupElement, ...]
+    t: np.ndarray
+    norm: np.ndarray
+    k: np.ndarray
+    shell: np.ndarray
+    lo: np.ndarray      # (s_max + 1, n)
+    hi: np.ndarray
+
+
+@functools.lru_cache(maxsize=32)
+def mode_table(schedule: ScaleSchedule, lat: QuotientLattice,
+               radius: float) -> ModeTable:
+    """The table of the modes 0 < |m| <= radius, built once per
+    (schedule, lattice, radius)."""
+    elements = tuple(e for e in lat.ball(radius) if not e.is_identity)
+    s_max = schedule.s_max
+    # k^+-_{m,s} = k_m +- (sigma + 64 sum_{r<s, d_r <= sigma} d_r) with
+    # d_r = delta0^(r)^(1/2) sigma_scale; sigma and the inflation depend on
+    # the shell alone. Per element the float operations and their order are
+    # those of the scalar formula, so every endpoint is bit-identical to it.
+    sigma = np.full(s_max + 1, np.nan)
+    inflate = np.zeros((s_max + 1, s_max + 1))     # [s, shell]
+    for shell in range(1, s_max + 1):
+        sigma[shell] = schedule.shell_sigma(shell)
+        total = 0.0
+        for s in range(1, s_max + 1):
+            d = schedule.delta[s - 1] ** 0.5 * schedule.sigma_scale
+            if d <= sigma[shell]:
+                total += d
+            inflate[s, shell] = total * 64.0
+    shell = np.array([schedule.shell_of(e.norm) or 0 for e in elements],
+                     dtype=np.intp)
+    k = np.array([k_of(e) for e in elements], dtype=float)
+    table = ModeTable(
+        elements=elements,
+        t=np.array([e.t for e in elements], dtype=np.int64),
+        norm=np.array([e.norm for e in elements], dtype=np.int64),
+        k=k, shell=shell,
+        lo=k - sigma[shell] - inflate[:, shell],
+        hi=k + sigma[shell] + inflate[:, shell],
+    )
+    for column in (table.t, table.norm, table.k, table.shell, table.lo,
+                   table.hi):
+        column.flags.writeable = False
+    return table
+
 
 @dataclass(frozen=True)
 class KpmInterval:
@@ -217,106 +282,61 @@ class KpmInterval:
     k_plus_s: tuple[float, ...]
 
 
-def kpm_endpoints(schedule: ScaleSchedule, m: GroupElement,
-                  s_inflate: int) -> tuple[float, float] | None:
-    """(k^-_{m,s}, k^+_{m,s}) or None when m lies beyond the schedule's shells."""
-    sigma = schedule.sigma(m.norm)
-    if sigma is None:
-        return None
-    km = -float(m.xi) / 2.0
-    inflate = 0.0
-    for r in range(0, s_inflate):
-        dr = schedule.delta[r] ** 0.5 * schedule.sigma_scale
-        if dr <= sigma:
-            inflate += dr
-    inflate *= 64.0
-    return km - sigma - inflate, km + sigma + inflate
-
-
 def kpm_intervals(schedule: ScaleSchedule, lat: QuotientLattice,
                   truncation_R: float) -> list[KpmInterval]:
     """All intervals for 0 < |m| <= min(truncation_R, 12 R^(s_max)).
 
     The mirror identities k+-_{-m,s} = -k-+_{m,s} are asserted on the output.
     """
-    out = []
     upper = min(truncation_R, 12.0 * schedule.R[schedule.s_max])
     if not math.isfinite(upper):
         upper = min(truncation_R, 12.0 * schedule.R[schedule.feasible_s])
-    for m in lat.ball(upper):
-        if m.is_identity:
-            continue
-        shell = schedule.shell_of(m.norm)
-        if shell is None:
-            continue
-        sigma = schedule.sigma(m.norm)
-        km = -float(m.xi) / 2.0
-        minus, plus = [], []
-        for s in range(0, schedule.s_max + 1):
-            lo, hi = kpm_endpoints(schedule, m, s)
-            minus.append(lo)
-            plus.append(hi)
-        out.append(KpmInterval(
-            m=m, shell=shell, k_minus=km - sigma, k_plus=km + sigma,
-            k_minus_s=tuple(minus), k_plus_s=tuple(plus),
-        ))
+    table = mode_table(schedule, lat, upper)
     # -m has coordinate -t; its canonical rep need not be -rep (on
     # omega = (1, 3/7), m = [1,4] has -m = [-4,3])
-    by_t = {iv.m.t: iv for iv in out}
-    for iv in out:
-        mirror = by_t[-iv.m.t]
-        for s in range(schedule.s_max + 1):
-            assert abs(iv.k_plus_s[s] + mirror.k_minus_s[s]) <= 1e-14 * max(
-                1.0, abs(iv.k_plus_s[s]))
-            assert abs(iv.k_minus_s[s] + mirror.k_plus_s[s]) <= 1e-14 * max(
-                1.0, abs(iv.k_minus_s[s]))
-    return out
+    t = table.t.tolist()
+    row = {tm: i for i, tm in enumerate(t)}
+    mirror = [row[-tm] for tm in t]
+    for a, b in ((table.hi, table.lo), (table.lo, table.hi)):
+        assert np.all(np.abs(a + b[:, mirror])
+                      <= 1e-14 * np.maximum(1.0, np.abs(a)))
+    # at s = 0 nothing is inflated, so lo[0], hi[0] are k_m -+ sigma
+    return [KpmInterval(m=m, shell=int(table.shell[i]),
+                        k_minus=float(table.lo[0, i]),
+                        k_plus=float(table.hi[0, i]),
+                        k_minus_s=tuple(table.lo[:, i].tolist()),
+                        k_plus_s=tuple(table.hi[:, i].tolist()))
+            for i, m in enumerate(table.elements)]
 
 
 def excluded_blocker(schedule: ScaleSchedule, lat: QuotientLattice, k: float,
                      scale: int, exempt=frozenset()):
-    """First m with 0<|m|<=12R^(scale) whose (k^-_{m,scale-1}, k^+_{m,scale-1})
-    contains k, or None. ``exempt`` modes are skipped (the principal pair of a
-    resonant construction keeps its own interval as the allowed exception)."""
+    """First mode 0 < |m| <= 12 R^(scale), in ball order, whose open interval
+    (k^-_{m,scale-1}, k^+_{m,scale-1}) contains k, with that interval; None
+    when there is none. ``exempt`` holds the t of modes to skip (the principal
+    pair of a resonant construction keeps its own interval as the allowed
+    exception)."""
     upper = 12.0 * schedule.R[min(scale, schedule.s_max)]
     if not math.isfinite(upper):
         upper = 12.0 * schedule.R[schedule.feasible_s]
-    for m in lat.ball(upper):
-        if m.is_identity or m in exempt:
-            continue
-        endpoints = kpm_endpoints(schedule, m, scale - 1)
-        if endpoints is None:
-            continue
-        lo, hi = endpoints
-        if lo < k < hi:
-            return m, (lo, hi)
+    table = mode_table(schedule, lat, upper)
+    lo, hi = table.lo[scale - 1], table.hi[scale - 1]
+    for i in np.flatnonzero((lo < k) & (k < hi)):
+        m = table.elements[i]
+        if m.t not in exempt:
+            return m, (float(lo[i]), float(hi[i]))
     return None
 
 
 # --- resonance profile of a momentum ---
 
 @dataclass(frozen=True)
-class ResonanceMember:
-    element: GroupElement
-    k_n: float
-    shell: int
-    in_analysis: bool       # |k - k_n| < (delta0^(shell))^(3/4)   (curly-I family)
-    in_theorem: bool        # |k - k_n| < a0 (1+|n|)^(-b0-3)       (fraktur-J family)
-    margin_analysis: float
-    margin_theorem: float
-
-
-@dataclass(frozen=True)
 class ResonanceProfile:
     k: float
-    members: tuple[ResonanceMember, ...]
-    R_of_k: tuple[GroupElement, ...]      # analysis-family resonances, by norm
-    ell: int                              # ell(k); -1 when R(k) is empty
+    ell: int                              # ell(k); -1 when k resonates nowhere
     n_points: tuple[GroupElement, ...]    # n^(0..ell)
     s_levels: tuple[int, ...]
     reflection_sets: tuple[frozenset, ...]  # m^(0..ell)
-    in_G: bool
-    truncation_R: float
 
     @property
     def resonant(self) -> bool:
@@ -334,53 +354,36 @@ class ResonanceProfile:
 def resonance_profile(k: float, schedule: ScaleSchedule, lat: QuotientLattice,
                       truncation_R: float,
                       width_override=None) -> ResonanceProfile:
-    """Scan 0 < |n| <= truncation_R for resonances and build the reflection sets.
+    """The resonances of k among 0 < |n| <= truncation_R and their reflection sets.
 
-    Membership is recorded for both interval families; the enumeration and the
-    reflection sets m^(ell) use the analysis family. ``width_override`` is a
-    testing hook: either {shell: half-width} or a callable
-    (element, shell) -> half-width | None (None = schedule width).
+    n resonates when |k - k_n| < (delta0^(shell))^(3/4), the analysis family
+    of intervals. The resonances are ordered by norm, ties by t for k >= 0 and
+    by -t for k < 0, so the profile of -k mirrors that of k.
+    ``width_override`` is a testing hook: a callable (element, shell) ->
+    half-width | None (None = schedule width).
     """
-    members = []
-    for e in lat.ball(truncation_R):
-        if e.is_identity:
-            continue
-        shell = schedule.shell_of(e.norm)
-        if shell is None:
-            continue
-        k_n = -float(e.xi) / 2.0
-        width_a = schedule.delta[shell] ** 0.75
-        if callable(width_override):
-            replaced = width_override(e, shell)
+    table = mode_table(schedule, lat, truncation_R)
+    widths = [0.0] + [schedule.delta[s] ** 0.75
+                      for s in range(1, schedule.s_max + 1)]
+    width = np.array(widths)[table.shell]
+    if width_override is not None:
+        for i in np.flatnonzero(table.shell):
+            replaced = width_override(table.elements[i], int(table.shell[i]))
             if replaced is not None:
-                width_a = replaced
-        elif width_override and shell in width_override:
-            width_a = width_override[shell]
-        width_t = schedule.a0 * (1.0 + e.norm) ** (-schedule.b0 - 3.0)
-        d = abs(k - k_n)
-        members.append(ResonanceMember(
-            element=e, k_n=k_n, shell=shell,
-            in_analysis=d < width_a, in_theorem=d < width_t,
-            margin_analysis=(d / width_a if width_a > 0 else math.inf),
-            margin_theorem=(d / width_t if width_t > 0 else math.inf),
-        ))
-    res = sorted((m for m in members if m.in_analysis),
-                 key=lambda m: m.element.key())
-    n_points = tuple(m.element for m in res)
-    s_levels = tuple(m.shell for m in res)
+                width[i] = replaced
+    sign = 1 if k >= 0 else -1
+    hits = sorted(np.flatnonzero(np.abs(k - table.k) < width).tolist(),
+                  key=lambda i: (table.norm[i], sign * table.t[i]))
+    n_points = tuple(table.elements[i] for i in hits)
+    s_levels = tuple(int(table.shell[i]) for i in hits)
+    # m^(ell) = m^(ell-1) | (n^(ell) - m^(ell-1)), from m^(-1) = {0}
     reflection = []
-    if n_points:
-        current = frozenset({lat.identity, n_points[0]})
-        reflection.append(current)
-        for n_ell in n_points[1:]:
-            mirrored = frozenset(lat.sub(n_ell, x) for x in current)
-            current = current | mirrored
-            reflection.append(current)
-    return ResonanceProfile(
-        k=k, members=tuple(members), R_of_k=n_points,
-        ell=len(n_points) - 1, n_points=n_points, s_levels=s_levels,
-        reflection_sets=tuple(reflection), in_G=True, truncation_R=truncation_R,
-    )
+    for n_ell in n_points:
+        current = reflection[-1] if reflection else frozenset({lat.identity})
+        reflection.append(current | {lat.sub(n_ell, x) for x in current})
+    return ResonanceProfile(k=k, ell=len(n_points) - 1, n_points=n_points,
+                            s_levels=s_levels,
+                            reflection_sets=tuple(reflection))
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hillbands import band
@@ -122,24 +122,28 @@ def pair_route_cases(draw):
     else:
         use_domains = False
         k = draw(st.floats(0.05, 0.45))
-    return pair_context(nu, kind, seed, use_domains), k
+    return (nu, kind, seed, use_domains), k
 
 
 @settings(max_examples=24)
 @given(pair_route_cases())
+# k = 1/8 on nu = 2 lies midway between k_n = 3/28 and 4/28, which tie in norm
+@example(((2, "cosine", 0, False), 0.125))
+@example(((2, "random_phase", 1, False), 0.125))
 def test_pair_route_is_even_in_k(case):
     # E(k) = E(-k) and phi(n; -k) = conj phi(-n; k): at -k the top resonance
     # is -n_top, so the branch must follow |k| against |k_n0|
-    ctx, k = case
+    params, k = case
+    ctx = pair_context(*params)
     pos, neg = compute_point(ctx, k), compute_point(ctx, -k)
     assert pos.klass == neg.klass
     assert pos.klass == "OPR" or pos.klass.startswith("GSR")
+    assert [n.t for n in neg.profile.n_points] == [
+        -n.t for n in pos.profile.n_points]
     assert symmetry_audit([pos], [neg]).passed
-    # the audit compares phi on every point whose mirror is in the other
-    # domain; the domains mirror each other unless k ties two resonances
-    # (k = 1/8 on nu = 2), where the profiles at k and -k pick tops that are
-    # not mirrors and the audit leaves the sample out of ``checked``
-    assert conjugate_reflection_audit(ctx, [pos], [neg]).passed
+    # mirrored tops give mirrored domains, so phi is compared on every point
+    reflection = conjugate_reflection_audit(ctx, [pos], [neg])
+    assert reflection.passed and reflection.checked == 1
 
 def test_branch_monotonicity_and_splitting(toy_context):
     # E(+) increases and E(-) decreases away from k_m; the splitting clears

@@ -315,6 +315,15 @@ def test_integer_coordinate(line_lattice, half_lattice, mixed_lattice):
     assert len({e.t for e in rescaled.ball(6)}) == len(rescaled.ball(6)) == 109
 
 
+def test_elements_compare_and_hash_by_t(half_lattice):
+    # t is the one key: a record with another rep but the same t is equal
+    e = half_lattice.canonicalize([2, 1])
+    same_t = GroupElement(rep=(3, 0), norm=3, xi=e.xi, t=e.t)
+    assert same_t == e and hash(same_t) == hash(e) and {e: 1}[same_t] == 1
+    other = GroupElement(rep=e.rep, norm=e.norm, xi=e.xi, t=e.t + 1)
+    assert other != e
+
+
 def test_frequency_vector_validation():
     with pytest.raises(ValueError):
         FrequencyVector.parse(["0", "0"])

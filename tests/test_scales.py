@@ -1,14 +1,83 @@
+import dataclasses
+import functools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hillbands import scales
 from hillbands.errors import (BudgetExhausted, PreconditionFailed,
                               ScheduleInfeasible)
 from hillbands.lattice import FrequencyVector, QuotientLattice
-from hillbands.scales import (build_schedule, epsilon_budget, kpm_endpoints,
-                              kpm_intervals, resonance_gap_ordering_audit,
-                              resonance_profile, strict_epsilon0_log)
+from hillbands.scales import (build_schedule, epsilon_budget, excluded_blocker,
+                              kpm_intervals, mode_table,
+                              resonance_gap_ordering_audit, resonance_profile,
+                              strict_epsilon0_log)
+
+
+# --- reference oracles: the scalar per-mode loops the mode table replaced ---
+
+def kpm_endpoints(schedule, m, s_inflate):
+    """(k^-_{m,s}, k^+_{m,s}) or None when m lies beyond the schedule's shells."""
+    sigma = schedule.sigma(m.norm)
+    if sigma is None:
+        return None
+    km = -float(m.xi) / 2.0
+    inflate = 0.0
+    for r in range(0, s_inflate):
+        dr = schedule.delta[r] ** 0.5 * schedule.sigma_scale
+        if dr <= sigma:
+            inflate += dr
+    inflate *= 64.0
+    return km - sigma - inflate, km + sigma + inflate
+
+
+def excluded_blocker_oracle(schedule, lat, k, scale, exempt=frozenset()):
+    """Walks B(12 R^(scale)) and rebuilds every interval; ``exempt`` holds t."""
+    upper = 12.0 * schedule.R[min(scale, schedule.s_max)]
+    if not math.isfinite(upper):
+        upper = 12.0 * schedule.R[schedule.feasible_s]
+    for m in lat.ball(upper):
+        if m.is_identity or m.t in exempt:
+            continue
+        endpoints = kpm_endpoints(schedule, m, scale - 1)
+        if endpoints is None:
+            continue
+        lo, hi = endpoints
+        if lo < k < hi:
+            return m, (lo, hi)
+    return None
+
+
+def resonance_profile_oracle(k, schedule, lat, truncation_R,
+                             width_override=None):
+    """(n_points, s_levels, reflection_sets), resonances ordered by (norm, rep)."""
+    res = []
+    for e in lat.ball(truncation_R):
+        if e.is_identity:
+            continue
+        shell = schedule.shell_of(e.norm)
+        if shell is None:
+            continue
+        width = schedule.delta[shell] ** 0.75
+        if width_override is not None:
+            replaced = width_override(e, shell)
+            if replaced is not None:
+                width = replaced
+        if abs(k - (-float(e.xi) / 2.0)) < width:
+            res.append((e, shell))
+    res.sort(key=lambda pair: pair[0].key())
+    reflection = []
+    for e, _ in res:
+        if not reflection:
+            reflection.append(frozenset({lat.identity, e}))
+        else:
+            current = reflection[-1]
+            reflection.append(current | {lat.sub(e, x) for x in current})
+    return (tuple(e for e, _ in res), tuple(s for _, s in res),
+            tuple(reflection))
 
 
 def test_schedule_example_values():
@@ -109,13 +178,15 @@ def test_kpm_mirror_check_reaches_every_interval(toy_schedule, monkeypatch):
     odd = [iv.m for iv in intervals
            if by_t[-iv.m.t].m.rep != tuple(-v for v in iv.m.rep)]
     assert (len(intervals), len(odd)) == (108, 6)
-    original = scales.kpm_endpoints
+    original = scales.mode_table
     for m in odd:
-        def shifted(schedule, e, s, m=m):
-            lo, hi = original(schedule, e, s)
-            return (lo, hi + 1e-6) if e == m else (lo, hi)
+        def shifted(schedule, lattice, radius, m=m):
+            table = original(schedule, lattice, radius)
+            hi = table.hi.copy()
+            hi[:, table.elements.index(m)] += 1e-6
+            return dataclasses.replace(table, hi=hi)
 
-        monkeypatch.setattr(scales, "kpm_endpoints", shifted)
+        monkeypatch.setattr(scales, "mode_table", shifted)
         with pytest.raises(AssertionError):
             kpm_intervals(toy_schedule, lat, truncation_R=6.0)
 
@@ -124,9 +195,10 @@ def test_kpm_sigma_zero_and_monotonicity(line_lattice, toy_schedule):
     assert sigma0 == pytest.approx(
         32.0 * toy_schedule.delta[0] ** (1 / 6) * toy_schedule.sigma_scale)
     m = line_lattice.canonicalize([1])
+    iv, = [iv for iv in kpm_intervals(toy_schedule, line_lattice, 24.0)
+           if iv.m == m]
     prev = None
-    for s in range(toy_schedule.s_max + 1):
-        lo, hi = kpm_endpoints(toy_schedule, m, s)
+    for lo, hi in zip(iv.k_minus_s, iv.k_plus_s):
         if prev is not None:
             assert hi >= prev[1] - 1e-18
             assert lo <= prev[0] + 1e-18
@@ -216,3 +288,110 @@ def test_ordering_audit_flags_adversarial_widths(line_lattice, toy_schedule):
     assert rep.checked_pairs == 1
     assert 9 <= 0.5 * toy_schedule.R[2]
     assert not rep.passed and len(rep.violations) == 1
+
+
+# --- the mode table against the scalar oracles ---
+
+TABLE_OMEGAS = [("1",), ("1/2", "1/2"), ("2/5", "3/7"), ("1", "3/7")]
+# sigma_scale 1e-9 keeps every interval apart; from 1e-4 on the intervals of
+# omega = (2/5, 3/7) overlap (k_m spacing 1/70), from 1e-2 on every one does
+SIGMA_SCALES = [1e-9, 1e-5, 1e-4, 1e-3, 1e-2]
+
+
+@functools.lru_cache(maxsize=None)
+def _table_lattice(omega):
+    return QuotientLattice(FrequencyVector.parse(omega))
+
+
+@functools.lru_cache(maxsize=None)
+def _table_schedule(R1, beta, sigma_scale):
+    return build_schedule("practical", s_max=2, R1=R1, beta=beta, eps0=0.5,
+                          sigma_scale=sigma_scale, truncate=True)
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+def _same_hit(got, want):
+    if want is None:
+        return got is None
+    (m, (lo, hi)), (m0, (lo0, hi0)) = got, want
+    return ((m.rep, m.t) == (m0.rep, m0.t)
+            and (_bits(lo), _bits(hi)) == (_bits(lo0), _bits(hi0)))
+
+
+@st.composite
+def table_probes(draw):
+    """A schedule, a lattice and k at a k_m or at an endpoint, nudged by at
+    most one ulp. R1 = 4, beta = 0.9 keeps 12 R^(2) at 67, so the 2-D balls
+    stay small."""
+    lat = _table_lattice(draw(st.sampled_from(TABLE_OMEGAS)))
+    schedule = _table_schedule(4.0, 0.9, draw(st.sampled_from(SIGMA_SCALES)))
+    table = mode_table(schedule, lat, 12.0 * schedule.R[2])
+    i = draw(st.integers(0, len(table.elements) - 1))
+    row = draw(st.integers(0, schedule.s_max))
+    k = {"k_m": table.k, "lo": table.lo[row], "hi": table.hi[row]}[
+        draw(st.sampled_from(["k_m", "lo", "hi"]))][i]
+    k = float({-1: np.nextafter(k, -np.inf), 0: k,
+               1: np.nextafter(k, np.inf)}[draw(st.sampled_from([-1, 0, 1]))])
+    return schedule, lat, table.elements[i], k
+
+
+@given(table_probes(), st.sampled_from([1, 2]), st.booleans())
+def test_excluded_blocker_matches_scalar_oracle(probe, scale, exempt_mode):
+    schedule, lat, m, k = probe
+    exempt = frozenset({m.t, -m.t}) if exempt_mode else frozenset()
+    want = excluded_blocker_oracle(schedule, lat, k, scale, exempt)
+    got = excluded_blocker(schedule, lat, k, scale, exempt=exempt)
+    assert _same_hit(got, want)
+
+
+@given(st.sampled_from(TABLE_OMEGAS), st.sampled_from(SIGMA_SCALES),
+       st.sampled_from([6.0, 30.0, 200.0]))
+def test_kpm_intervals_match_scalar_endpoints(omega, sigma_scale, radius):
+    # radius 200 exceeds 12 R^(2) = 67, where the intervals stop
+    lat = _table_lattice(omega)
+    schedule = _table_schedule(4.0, 0.9, sigma_scale)
+    intervals = kpm_intervals(schedule, lat, truncation_R=radius)
+    upper = min(radius, 12.0 * schedule.R[schedule.s_max])
+    want = [m for m in lat.ball(upper)
+            if not m.is_identity and schedule.shell_of(m.norm) is not None]
+    assert [iv.m.rep for iv in intervals] == [m.rep for m in want]
+    for iv in intervals:
+        assert iv.shell == schedule.shell_of(iv.m.norm)
+        sigma = schedule.sigma(iv.m.norm)
+        km = -float(iv.m.xi) / 2.0
+        assert (_bits(iv.k_minus), _bits(iv.k_plus)) == (
+            _bits(km - sigma), _bits(km + sigma))
+        for s in range(schedule.s_max + 1):
+            lo, hi = kpm_endpoints(schedule, iv.m, s)
+            assert (_bits(iv.k_minus_s[s]), _bits(iv.k_plus_s[s])) == (
+                _bits(lo), _bits(hi))
+
+
+@given(st.sampled_from(TABLE_OMEGAS), st.sampled_from([(4.0, 0.9), (12.0, 0.5)]),
+       st.data())
+def test_resonance_profile_matches_scalar_oracle(omega, R1_beta, data):
+    lat = _table_lattice(omega)
+    schedule = _table_schedule(*R1_beta, 1e-8)
+    table = mode_table(schedule, lat, 12.0)
+    i = data.draw(st.integers(0, len(table.elements) - 1))
+    k = float(table.k[i] + data.draw(st.sampled_from([0.0, 1e-3, -2e-3, 0.01])))
+    p = resonance_profile(k, schedule, lat, truncation_R=12.0)
+    n_points, s_levels, reflection = resonance_profile_oracle(
+        k, schedule, lat, 12.0)
+    norms = [n.norm for n in p.n_points]
+    if len(set(norms)) == len(norms):
+        assert [n.rep for n in p.n_points] == [n.rep for n in n_points]
+        assert p.s_levels == s_levels
+        assert p.reflection_sets == reflection
+    else:
+        # equal norms: ordered by t at k >= 0 and by -t at k < 0
+        sign = 1 if k >= 0 else -1
+        assert set(p.n_points) == set(n_points)
+        assert norms == sorted(norms)
+        assert [(n.norm, sign * n.t) for n in p.n_points] == sorted(
+            (n.norm, sign * n.t) for n in p.n_points)
+    mirror = resonance_profile(-k, schedule, lat, truncation_R=12.0)
+    assert [n.t for n in mirror.n_points] == [-n.t for n in p.n_points]

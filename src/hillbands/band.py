@@ -81,6 +81,9 @@ class BandPoint:
     error: str = ""
     matrix_norm: float = 0.0
     decay_fit: float | None = None
+    iterations: int | None = None    # fixed-point iterations (simple route)
+    residual: float | None = None    # ||H phi - E phi||_inf of the returned phi
+    pair: dict | None = None         # pair route: tau0, |beta+-|, both residuals
 
     def to_dict(self) -> dict:
         resonances = []
@@ -92,6 +95,8 @@ class BandPoint:
             "increment_bounds": list(self.increment_bounds),
             "domain_size": self.domain_size, "error": self.error,
             "decay_fit": self.decay_fit, "resonances": resonances,
+            "iterations": self.iterations, "residual": self.residual,
+            "pair": self.pair,
         }
 
 
@@ -162,7 +167,8 @@ def _nonresonant_point(ctx: BandContext, k: float,
     return BandPoint(k=k, E=energies[-1], scale=scale_used, klass=klass,
                      increments=increments, increment_bounds=bounds,
                      domain_size=len(domain_elems), phi=pair.phi,
-                     domain=domain_elems, profile=profile, matrix_norm=hnorm)
+                     domain=domain_elems, profile=profile, matrix_norm=hnorm,
+                     iterations=pair.iterations, residual=pair.residual)
 
 
 def _pair_setup(ctx: BandContext, k: float, n: GroupElement, s_use: int,
@@ -222,12 +228,20 @@ def _resonant_point(ctx: BandContext, k: float,
     branches = solve_pair(matrix, m_plus, m_minus, bracket, tau0_required=tau0)
     if upper:
         E, phi = branches.E_plus, branches.phi_plus
+        residual = branches.residual_plus
     else:
         E, phi = branches.E_minus, branches.phi_minus
+        residual = branches.residual_minus
     klass = "OPR" if profile.ell == 0 else f"GSR-{profile.ell + 1}"
     return BandPoint(k=k, E=E, scale=s_use, klass=klass,
                      domain_size=matrix.size, phi=phi, domain=matrix.domain,
-                     profile=profile, matrix_norm=matrix.norm_bound())
+                     profile=profile, matrix_norm=matrix.norm_bound(),
+                     residual=residual,
+                     pair={"tau0": branches.tau0,
+                           "abs_beta_minus": abs(branches.beta_minus),
+                           "abs_beta_plus": abs(branches.beta_plus),
+                           "residual_minus": branches.residual_minus,
+                           "residual_plus": branches.residual_plus})
 
 
 def compute_point(ctx: BandContext, k: float) -> BandPoint:
@@ -255,7 +269,8 @@ def _ball_fallback(ctx: BandContext, k: float) -> BandPoint:
     pair = solve_simple(matrix, ctx.lat.identity, scale=1)
     return BandPoint(k=k, E=pair.E, scale=1, klass="N", domain_size=len(elems),
                      phi=pair.phi, domain=tuple(elems),
-                     matrix_norm=matrix.norm_bound())
+                     matrix_norm=matrix.norm_bound(),
+                     iterations=pair.iterations, residual=pair.residual)
 
 
 def band_curve(ctx: BandContext, k_grid: Sequence[float],

@@ -3,7 +3,9 @@
 Config is a single JSON file; frequency rationals are "p/q" strings so
 exactness survives parsing. Reports embed the config, the schedule and a
 content hash of the inputs; identical config + seed reproduces byte-identical
-report.json. Exit codes: 0 ok, 1 check failure, 2 config error.
+report.json. Exit codes: 0 ok, 1 check failure (for ``band``: a failed
+gap, sample or audit, each listed under ``failures`` in report.json),
+2 config error.
 """
 
 from __future__ import annotations
@@ -162,8 +164,13 @@ def _gaps_csv(gaps, path: Path) -> None:
 
 
 def run_band(config: dict, out_override: str | None = None,
-             threads: int = 1) -> Path:
-    """Full sweep: band.csv, gaps.csv, report.json under the output dir."""
+             threads: int = 1) -> tuple[Path, list[dict]]:
+    """Full sweep: band.csv, gaps.csv, report.json under the output dir.
+
+    Returns the output dir and the run's failures, which report.json lists
+    too: each requested gap that raised, each sample of class ``error`` and
+    each audit that did not pass.
+    """
     ctx = build_context(config)
     outdir = output_dir(config, out_override)
     k_grid = k_grid_from(config)
@@ -174,12 +181,14 @@ def run_band(config: dict, out_override: str | None = None,
     points = band_mod.band_curve(ctx, k_grid, threads=threads)
 
     gaps = []
+    failures = []
     for mvec in config.get("gaps", []):
         m = ctx.lat.canonicalize([int(v) for v in mvec])
         try:
             gaps.append(band_mod.gap_edges(ctx, m))
         except HillbandsError as exc:
-            print(f"gap at m={mvec} failed: {exc}", file=sys.stderr)
+            failures.append({"kind": "gap", "name": f"m={list(mvec)}",
+                             "detail": f"{type(exc).__name__}: {exc}"})
 
     audits = []
     if "symmetry" in audit_names:
@@ -238,6 +247,10 @@ def run_band(config: dict, out_override: str | None = None,
             k1=min((p.k for p in points), default=0.0),
             k_n0=k_n0_ref, eps0=ctx.schedule.eps0),
     )
+    failures += [{"kind": "sample", "name": f"k={p.k!r}", "detail": p.error}
+                 for p in points if p.klass == "error"]
+    failures += [{"kind": "audit", "name": a.name, "detail": ""}
+                 for a in audits if not a.passed]
     coeffs = from_config(config["potential"], nu=ctx.lat.nu)
     report_rows = report.to_dict()
     payload = {
@@ -247,6 +260,7 @@ def run_band(config: dict, out_override: str | None = None,
         "diophantine": dio_report,
         "potential_truncation_tail": coeffs.truncation_tail_bound(ctx.lat.nu),
         "report": report_rows,
+        "failures": failures,
     }
     if floquet_data is not None:
         payload["floquet_bands"] = [list(b) for b in floquet_data.bands]
@@ -263,7 +277,7 @@ def run_band(config: dict, out_override: str | None = None,
         for p in points:
             fh.write(f"k={p.k!r} class={p.klass} scale={p.scale} "
                      f"E={p.E!r} {p.error}\n")
-    return outdir
+    return outdir, failures
 
 
 def export_report(report_path: str, fmt: str,
@@ -316,10 +330,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "band":
             config = load_config(args.config)
-            outdir = run_band(config, args.output_dir, threads=args.threads)
+            outdir, failures = run_band(config, args.output_dir,
+                                        threads=args.threads)
             print(f"wrote {outdir / 'band.csv'}, {outdir / 'gaps.csv'}, "
                   f"{outdir / 'report.json'}")
-            return 0
+            for f in failures:
+                detail = f": {f['detail']}" if f["detail"] else ""
+                print(f"failed {f['kind']} {f['name']}{detail}", file=sys.stderr)
+            return 1 if failures else 0
         if args.command == "verify":
             config = load_config(args.config) if args.config else None
             results = run_suite(args.suite, config)

@@ -314,33 +314,82 @@ class DichotomyResult:
     bracket_ok: bool
 
 
+@dataclass(frozen=True)
+class DichotomyArrays:
+    """The checks of quadratic_dichotomy, elementwise over its inputs."""
+
+    ordered: np.ndarray     # a1 > a2
+    expr: np.ndarray        # (u - a1)(u - a2) - b^2
+    bound: np.ndarray       # (a1 - a2)^2 / 4
+    in_range: np.ndarray    # |expr| < bound
+    lam: np.ndarray
+    gamma: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+    bracket_ok: np.ndarray
+
+    @property
+    def classified(self) -> np.ndarray:
+        """Where quadratic_dichotomy returns a case instead of raising."""
+        return (self.ordered & self.in_range & (self.plus != self.minus)
+                & self.bracket_ok)
+
+
+def dichotomy_core(a1, a2, b, u) -> DichotomyArrays:
+    """quadratic_dichotomy over float64 arrays (or float64 scalars) at once.
+
+    Where a precondition fails the later fields are meaningless; the inf and
+    nan such elements produce are not warned about.
+    """
+    # Each element carries the bits of the formula evaluated in Python
+    # floats: every step is an IEEE-exact ufunc in the same order (+, -, *,
+    # / and sqrt are correctly rounded; abs, maximum and minimum only pick or
+    # flip an operand). There is no exp or pow here, whose numpy kernels
+    # differ from libm (see the schur module docstring: the trajectory
+    # weights evaluate those through math.exp and float **, and take
+    # sequential sums with np.cumsum, to stay bit-identical).
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        gap = a1 - a2
+        expr = (u - a1) * (u - a2) - b * b
+        bound = gap * gap / 4.0
+        lam = expr / (gap * gap)
+        gamma = (np.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0
+        spread = np.abs(gamma) * gap
+        abs_b = np.abs(b)
+        plus = u >= np.maximum(a1 - spread, 0.5 * (a1 + a2 + 2.0 * abs_b))
+        minus = u <= np.minimum(a2 + spread, 0.5 * (a1 + a2 - 2.0 * abs_b))
+        bracket_ok = (a2 - spread - abs_b <= u) & (u <= a1 + spread + abs_b)
+    return DichotomyArrays(ordered=a1 > a2, expr=expr, bound=bound,
+                           in_range=np.abs(expr) < bound, lam=lam, gamma=gamma,
+                           plus=plus, minus=minus, bracket_ok=bracket_ok)
+
+
 def quadratic_dichotomy(a1: float, a2: float, b: float, u: float) -> DichotomyResult:
     """Classify a solution of |(u-a1)(u-a2) - b^2| < (a1-a2)^2 / 4.
 
     Exactly one of the two cases holds; the universal bracket
     a2 - |gamma|(a1-a2) - |b| <= u <= a1 + |gamma|(a1-a2) + |b| is asserted.
+    Evaluated by dichotomy_core on float64 scalars. Raises
+    PreconditionFailed when a1 <= a2 or the inequality fails, then
+    HypothesisFailed when both or neither case holds or u escapes the
+    bracket.
     """
-    if not a1 > a2:
+    r = dichotomy_core(np.float64(a1), np.float64(a2), np.float64(b),
+                       np.float64(u))
+    if not r.ordered:
         raise PreconditionFailed("require a1 > a2")
-    gap = a1 - a2
-    expr = (u - a1) * (u - a2) - b * b
-    if not abs(expr) < gap * gap / 4.0:
+    if not r.in_range:
         raise PreconditionFailed(
-            f"|(u-a1)(u-a2) - b^2| = {abs(expr):.3e} not < (a1-a2)^2/4 = {gap*gap/4:.3e}"
+            f"|(u-a1)(u-a2) - b^2| = {abs(r.expr):.3e} not < (a1-a2)^2/4 = {r.bound:.3e}"
         )
-    lam = expr / (gap * gap)
-    gamma = (math.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0
-    plus = u >= max(a1 - abs(gamma) * gap, 0.5 * (a1 + a2 + 2.0 * abs(b)))
-    minus = u <= min(a2 + abs(gamma) * gap, 0.5 * (a1 + a2 - 2.0 * abs(b)))
-    if plus == minus:
+    if r.plus == r.minus:
         raise HypothesisFailed("dichotomy exclusivity",
-                               f"plus={plus} minus={minus} at u={u}")
-    bracket_ok = (a2 - abs(gamma) * gap - abs(b) <= u
-                  <= a1 + abs(gamma) * gap + abs(b))
-    if not bracket_ok:
+                               f"plus={bool(r.plus)} minus={bool(r.minus)} at u={u}")
+    if not r.bracket_ok:
         raise HypothesisFailed("dichotomy bracket", f"u={u} escapes the bracket")
-    return DichotomyResult(case="plus_case" if plus else "minus_case",
-                           lam=lam, gamma=gamma, bracket_ok=bracket_ok)
+    return DichotomyResult(case="plus_case" if r.plus else "minus_case",
+                           lam=float(r.lam), gamma=float(r.gamma),
+                           bracket_ok=True)
 
 
 # --- continued-fraction-functions ---

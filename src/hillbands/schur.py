@@ -5,13 +5,30 @@ trajectory is a sequence of points of Lambda with consecutive points distinct,
 path size ||gamma|| = sum |n_i - n_{i+1}|^alpha0 and weight
 W_{D,kappa0}(gamma) = exp(-kappa0 ||gamma|| + sum D), which equals w_D(gamma)
 for the canonical hop weight w(m,n) = exp(-kappa0 |m-n|^alpha0). Weight sums
-carry eps0^{k-1} per trajectory of length k; brute-force enumeration walks
-index tuples once per start point, is capped at 12 points, and the discarded
-lengths get an explicit geometric tail bound.
+carry eps0^{k-1} per trajectory of length k; brute-force enumeration is capped
+at 12 points, and the discarded lengths get an explicit geometric tail bound.
+
+The enumeration is one int array of index rows per length, and admissibility
+is a boolean mask over the rows. Its sums and margins equal, bit for bit, a
+walk over index tuples in Python floats (kept as the oracle in
+tests/test_schur.py), because the numpy-side arithmetic is IEEE-exact and in
+the same order, and the rest goes through Python:
+
+- exp and x ** a are evaluated by ``math.exp`` and float ``**`` (libm), once
+  per distinct value. numpy's own kernels are not libm's: on an x86-64 host
+  with numpy 2.4, np.exp differs from math.exp (by 1 ulp) on 45,981 of 1e6
+  uniform inputs in [-50, 50], and np.power(x, 0.2) from x ** 0.2 on 48,562
+  of 1e6 in [0, 100].
+- sum D over a trajectory is one ``math.fsum`` per multiset of points, which
+  is correctly rounded and so independent of the point order.
+- the sum over the trajectories of a pair (m, n) adds the terms one at a time
+  in enumeration order (``np.cumsum``); np.sum adds pairwise, and on rows of
+  100 uniform terms it differs from the sequential sum on 747 of 1000 rows.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -158,68 +175,122 @@ class WeightProfile:
 
 
 def _hop_table(domain: Sequence[GroupElement], lat: QuotientLattice,
-               alpha0: float) -> list[list[float]]:
-    """hop[i][j] = |n_i - n_j|^alpha0 over the domain order."""
+               alpha0: float) -> np.ndarray:
+    """hop[i, j] = |n_i - n_j|^alpha0 over the domain order."""
     if len(domain) > 12:
         raise ValueError("enumeration capped at |Lambda| <= 12")
-    return [[float(lat.dist(a, b)) ** alpha0 for b in domain] for a in domain]
+    return np.array([[float(lat.dist(a, b)) ** alpha0 for b in domain]
+                     for a in domain])
 
 
-def _walk(start: int, hop: list[list[float]], D: list[float],
-          profile: WeightProfile, cls: str, k_max: int) -> list[list[tuple]]:
-    """Every trajectory from index ``start`` of length <= k_max (consecutive
-    points distinct), bucketed by end point: walks[b] lists
-    (indices, ||gamma||, admissible) by length, then lexicographically.
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn (a Python float function) at every entry of x, called once per
+    distinct value; see the module docstring for why not the numpy ufunc."""
+    values, inverse = np.unique(x, return_inverse=True)
+    out = np.fromiter(map(fn, values.tolist()), dtype=float, count=len(values))
+    return out[inverse].reshape(x.shape)
+
+
+@functools.lru_cache(maxsize=32)
+def _index_rows(n: int, length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every index sequence over 0..n-1 of the given length with consecutive
+    entries distinct, in lexicographic order: (rows, bag, bags).
+
+    Row r extends row r // (n-1) of length - 1. bags holds each distinct
+    multiset of indices once, as a sorted row, and bag[r] is the multiset
+    of row r. The arrays are shared between calls and read-only.
+    """
+    if length == 1:
+        rows = np.arange(n).reshape(n, 1)
+    else:
+        prev = _index_rows(n, length - 1)[0]
+        step = np.tile(np.arange(n - 1), len(prev))
+        last = np.repeat(prev[:, -1], n - 1)
+        rows = np.column_stack([np.repeat(prev, n - 1, axis=0),
+                                step + (step >= last)])
+    ordered = np.sort(rows, axis=1)
+    code = ordered @ n ** np.arange(length)
+    _, first, bag = np.unique(code, return_index=True, return_inverse=True)
+    out = (rows, bag.reshape(-1), ordered[first])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class _Trajectories:
+    """Every trajectory of one length over a domain, in lexicographic order."""
+
+    rows: np.ndarray        # (count, length) domain indices
+    gnorm: np.ndarray       # ||gamma||, summed left to right
+    dsum: np.ndarray        # math.fsum of D over the points
+    admissible: np.ndarray  # bool, in the weight class asked for
+
+
+def _trajectories(hop: np.ndarray, D: Sequence[float], profile: WeightProfile,
+                  cls: str, k_max: int) -> list[_Trajectories]:
+    """Every trajectory of length 1..k_max over the domain (consecutive
+    points distinct), one entry per length.
 
     Admissibility in class cls: min(D_i, D_j) <= T ||(n_i..n_j)||^{alpha0/5}
     for every i < j with min(D_i, D_j) >= M. The R class exempts an adjacent
     pair that fails it, provided both of its points meet that inequality,
-    unguarded, against every other point of the trajectory. Segment norms are
-    summed left to right from n_i; a trajectory extends an admissible prefix,
-    so only the conditions that involve its last point are checked.
+    unguarded, against every other point of the trajectory. A row extends
+    its prefix of one point less, inherits the prefix's verdict, and adds
+    only the conditions that involve its last point. Segment norms
+    ||(n_i..n_last)|| are summed left to right from n_i.
     """
+    n = len(D)
     T, M, a5 = profile.T, profile.M, profile.alpha0 / 5.0
-
-    def fits(i, j, norm):
-        return min(D[i], D[j]) <= T * norm ** a5
-
-    def guarded(i, j, norm):
-        return min(D[i], D[j]) < M or fits(i, j, norm)
-
-    walks: list[list[tuple]] = [[] for _ in hop]
-    # (points, seg, admissible, exempt): seg[i] = ||(n_i..n_last)||, and
-    # exempt holds the positions i of the exempt pairs (i, i+1)
-    level = [((start,), (0.0,), True, ())]
+    Dv = np.asarray(D, dtype=float)
+    out = []
     for length in range(1, k_max + 1):
-        for pts, seg, ok, _ in level:
-            walks[pts[-1]].append((pts, seg[0], ok))
-        if length == k_max:
-            break
-        nxt = []
-        for pts, seg, ok, exempt in level:
-            last, q = pts[-1], len(pts)
-            for p in range(len(hop)):
-                if p == last:
-                    continue
-                h = hop[last][p]
-                new = tuple(s + h for s in seg)
-                fine, extended = ok, exempt
-                if ok:
-                    # p against every earlier point but the last, and against
-                    # both points of each exempt pair
-                    fine = all(guarded(pts[i], p, new[i])
-                               for i in range(q - 1)) and all(
-                        fits(pts[e], p, new[e]) and fits(pts[e + 1], p, new[e + 1])
-                        for e in exempt)
-                    if fine and not guarded(last, p, h):
-                        # the new adjacent pair fails: only R exempts it
-                        fine = cls == "R" and all(
-                            fits(pts[j], last, seg[j]) and fits(pts[j], p, new[j])
-                            for j in range(q - 1))
-                        extended = exempt + (q - 1,)
-                nxt.append((pts + (p,), new + (0.0,), fine, extended))
-        level = nxt
-    return walks
+        rows, bag, bags = _index_rows(n, length)
+        dsum = np.array([math.fsum(D[i] for i in b) for b in bags.tolist()])[bag]
+        if length == 1:
+            seg = np.zeros((n, 1))
+            ok = np.ones(n, dtype=bool)
+            fit = np.zeros((n, 0), dtype=bool)
+            exempt = np.zeros((n, 0), dtype=bool)
+        else:
+            parent = np.arange(len(rows)) // (n - 1)
+            j = length - 1                  # the new point's position
+            h = hop[rows[:, j - 1], rows[:, j]]
+            seg = np.column_stack([seg[parent] + h[:, None], np.zeros(len(rows))])
+            # fits and guarded of the new point against each earlier one
+            dmin = np.minimum(Dv[rows[:, :j]], Dv[rows[:, j:]])
+            fit_new = dmin <= T * _libm(lambda x: x ** a5, seg[:, :j])
+            guard = (dmin < M) | fit_new
+            exempt = exempt[parent]
+            # every earlier point but the last, and both points of each
+            # exempt pair (e, e+1)
+            fine = guard[:, :j - 1].all(axis=1) & ~(
+                exempt & ~(fit_new[:, :j - 1] & fit_new[:, 1:])).any(axis=1)
+            adjacent = guard[:, j - 1]
+            if cls == "R":
+                # a failing new adjacent pair is exempt when both of its
+                # points fit against every earlier point
+                adjacent = adjacent | (fit[parent] & fit_new[:, :j - 1]).all(axis=1)
+            ok = ok[parent] & fine & adjacent
+            fit = fit_new
+            exempt = np.column_stack([exempt, ~guard[:, j - 1]])
+        out.append(_Trajectories(rows=rows, gnorm=seg[:, 0], dsum=dsum,
+                                 admissible=ok))
+    return out
+
+
+def _bucket_sums(keys: np.ndarray, terms: np.ndarray,
+                 buckets: int) -> np.ndarray:
+    """For each bucket b, ((0 + t_1) + t_2) + ... over the terms with key b,
+    in the order given: the running sums of np.cumsum, not np.sum's pairwise
+    reduction."""
+    order = np.argsort(keys, kind="stable")
+    keys, terms = keys[order], terms[order]
+    counts = np.bincount(keys, minlength=buckets)
+    start = np.cumsum(counts) - counts
+    table = np.zeros((buckets, max(1, int(counts.max(initial=0)))))
+    table[keys, np.arange(len(keys)) - start[keys]] = terms
+    return np.cumsum(table, axis=1)[:, -1]
 
 
 @dataclass(frozen=True)
@@ -243,33 +314,33 @@ def weight_sums(domain: Sequence[GroupElement], profile: WeightProfile,
     eps0^{k-1} W_{D,kappa0}(gamma) over admissible trajectories m -> n of
     length <= k_max, plus one geometric tail bound for k > k_max.
 
-    cls is "plain" or "R". One walk per start point covers every end point.
+    cls is "plain" or "R". One enumeration of the domain's trajectories
+    covers every pair.
     """
     hop = _hop_table(domain, lat, profile.alpha0)
     D = [profile.D[e] for e in domain]
     n = len(domain)
-    total = np.zeros((n, n))
-    count = np.zeros((n, n), dtype=int)
-    rejected = np.zeros((n, n), dtype=int)
-    for a in range(n):
-        for b, trajs in enumerate(_walk(a, hop, D, profile, cls, k_max)):
-            s = 0.0
-            for pts, gnorm, ok in trajs:
-                if not ok:
-                    rejected[a, b] += 1
-                    continue
-                count[a, b] += 1
-                s += eps0 ** (len(pts) - 1) * math.exp(
-                    -profile.kappa0 * gnorm + math.fsum(D[i] for i in pts))
-            total[a, b] = s
-    w_max = max((math.exp(-profile.kappa0 * hop[a][b])
+    keys, terms = [], []
+    count = np.zeros(n * n, dtype=int)
+    rejected = np.zeros(n * n, dtype=int)
+    for length, tr in enumerate(_trajectories(hop, D, profile, cls, k_max), 1):
+        key = tr.rows[:, 0] * n + tr.rows[:, -1]     # the pair (start, end)
+        ok = tr.admissible
+        count += np.bincount(key[ok], minlength=n * n)
+        rejected += np.bincount(key[~ok], minlength=n * n)
+        keys.append(key[ok])
+        terms.append(eps0 ** (length - 1) * _libm(
+            math.exp, -profile.kappa0 * tr.gnorm[ok] + tr.dsum[ok]))
+    total = _bucket_sums(np.concatenate(keys), np.concatenate(terms), n * n)
+    w_max = max((math.exp(-profile.kappa0 * float(hop[a, b]))
                  for a in range(n) for b in range(n) if a != b), default=0.0)
     d_max = max(D)
     ratio = eps0 * max(1, n - 1) * w_max * math.exp(d_max)
     tail = math.inf if ratio >= 1.0 else \
         math.exp(d_max) * ratio ** k_max / (1.0 - ratio)
-    return WeightSums(lower_bound=total, tail_bound=tail,
-                      trajectory_count=count, rejected_count=rejected)
+    return WeightSums(lower_bound=total.reshape(n, n), tail_bound=tail,
+                      trajectory_count=count.reshape(n, n),
+                      rejected_count=rejected.reshape(n, n))
 
 
 @dataclass(frozen=True)
@@ -288,9 +359,6 @@ def verify_weight_lemma(domain: Sequence[GroupElement], profile: WeightProfile,
     for every admissible R-class trajectory; audit the corollary cases and the
     hop-sum growth constant."""
     M = profile.M
-    worst = math.inf
-    checked = 0
-    cor_viol = []
     kap_eff = profile.kappa0 * (1.0 - 2.0 ** (-9))
     # hop-sum constant: sum over length-k trajectories of e^{-kappa ||gamma||}
     # between fixed endpoints should stay < C^{k-1}
@@ -298,39 +366,44 @@ def verify_weight_lemma(domain: Sequence[GroupElement], profile: WeightProfile,
     hop_ok = True
     hop = _hop_table(domain, lat, profile.alpha0)
     D = [profile.D[e] for e in domain]
-
-    def points(pts):
-        return tuple(domain[i] for i in pts)
-
-    for a in range(len(domain)):
-        for trajs in _walk(a, hop, D, profile, "R", k_max):
-            by_k: dict[int, float] = {}
-            for pts, gnorm, ok in trajs:
-                k = len(pts)
-                by_k[k] = by_k.get(k, 0.0) + math.exp(-kap_eff * gnorm)
-                if not ok:
-                    continue
-                checked += 1
-                dbar = max(D[i] for i in pts)
-                log_bound = k * M**2 - kap_eff * gnorm + 2.0 * dbar
-                log_W = -profile.kappa0 * gnorm + math.fsum(D[i] for i in pts)
-                margin = log_bound - log_W
-                worst = min(worst, margin)
-                # corollary cases (audited):
-                if dbar <= M**5:
-                    if log_W > -profile.kappa0 * gnorm + k * M**5 + 1e-9:
-                        cor_viol.append(("case-small-Dbar", points(pts)))
-                else:
-                    if log_W > -(15.0 / 16.0) * profile.kappa0 * gnorm \
-                            + 2.0 * dbar + k * M**2 + 1e-9:
-                        cor_viol.append(("case-large-Dbar", points(pts)))
-            for k, s in by_k.items():
-                if k >= 2 and s >= C ** (k - 1):
-                    hop_ok = False
+    Dv = np.asarray(D)
+    n = len(domain)
+    worst = math.inf
+    checked = 0
+    found = []      # (pair key, length, row, case) of each corollary violation
+    levels = _trajectories(hop, D, profile, "R", k_max)
+    for k, tr in enumerate(levels, 1):
+        key = tr.rows[:, 0] * n + tr.rows[:, -1]
+        if k >= 2:
+            by_pair = _bucket_sums(key, _libm(math.exp, -kap_eff * tr.gnorm),
+                                   n * n)
+            hop_ok = hop_ok and not np.any(by_pair >= C ** (k - 1))
+        ok = np.flatnonzero(tr.admissible)
+        if not len(ok):
+            continue
+        checked += len(ok)
+        gnorm, dsum = tr.gnorm[ok], tr.dsum[ok]
+        dbar = Dv[tr.rows[ok]].max(axis=1)
+        log_bound = k * M**2 - kap_eff * gnorm + 2.0 * dbar
+        log_W = -profile.kappa0 * gnorm + dsum
+        worst = min(worst, float(np.min(log_bound - log_W)))
+        # corollary cases (audited):
+        small = dbar <= M**5
+        viol_small = small & (log_W > -profile.kappa0 * gnorm + k * M**5 + 1e-9)
+        viol_large = ~small & (log_W > -(15.0 / 16.0) * profile.kappa0 * gnorm
+                               + 2.0 * dbar + k * M**2 + 1e-9)
+        for case, viol in (("case-small-Dbar", viol_small),
+                           ("case-large-Dbar", viol_large)):
+            found.extend((int(key[r]), k, int(r), case) for r in ok[viol])
+    # in the order of the per-pair enumeration: (m, n), length, lexicographic
+    cor_viol = [(case, tuple(domain[i] for i in levels[k - 1].rows[r]))
+                for _, k, r, case in sorted(found)]
     return WeightLemmaReport(
         passed=(worst >= -1e-9), checked=checked, worst_margin=worst,
         corollary_violations=tuple(cor_viol), hop_sum_constant=C, hop_sum_ok=hop_ok,
     )
+
+
 def hop_sum_constant(lat: QuotientLattice, kappa: float, alpha0: float,
                      radius: int = 40) -> float:
     """C(nu, alpha0, kappa) = sum over the group of exp(-kappa |n|^alpha0),

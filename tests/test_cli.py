@@ -69,6 +69,74 @@ def test_run_band_symmetric_across_resonance(tmp_path):
     for name in ("symmetry", "conjugate_reflection"):
         assert audits[name]["passed"], audits[name]
 
+def test_failed_gap_exits_nonzero_and_reaches_report(tmp_path, capsys):
+    # k_m = 0 for m = 0, so that gap raises; the m = -1 gap still runs
+    cfg = write_config(tmp_path, {"gaps": [[0], [-1]]})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 1
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["failures"] == [{
+        "kind": "gap", "name": "m=[0]",
+        "detail": "PreconditionFailed: k_m must be nonzero"}]
+    assert [g["m"] for g in payload["report"]["gaps"]] == [[-1]]
+    assert "failed gap m=[0]" in capsys.readouterr().err
+
+
+def test_failed_audit_and_error_sample_exit_nonzero(tmp_path, monkeypatch):
+    import hillbands.band as band_mod
+
+    def failing_increments(points):
+        return band_mod.AuditRecord(name="increments", passed=False,
+                                    checked=len(points), details={})
+
+    monkeypatch.setattr(band_mod, "increment_audit", failing_increments)
+    # k = 0.25 is no k_m, and a one-iteration fixed point cannot converge
+    real_solve = band_mod.solve_simple
+    monkeypatch.setattr(
+        band_mod, "solve_simple",
+        lambda matrix, m0, **kw: real_solve(matrix, m0, **{**kw, "max_iter": 1})
+        if matrix.spec.k == 0.25 else real_solve(matrix, m0, **kw))
+    cfg = write_config(tmp_path, {"k_grid": {"list": [0.1, 0.25]}})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 1
+    failures = json.loads((out / "report.json").read_text())["failures"]
+    assert [(f["kind"], f["name"]) for f in failures] == [
+        ("sample", "k=0.25"), ("audit", "increments")]
+    assert failures[0]["detail"].startswith("NoConvergence")
+
+
+def test_report_carries_per_k_numerics(tmp_path):
+    # the shipped config on k around k_{-1} = 1/2: simple and pair routes
+    with open(ROOT / "configs" / "reference.json", encoding="utf-8") as fh:
+        config = json.load(fh)
+    config.update({"k_grid": {"list": [0.45, 0.49, 0.51]}, "gaps": [],
+                   "audits": ["increments"]})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["band", str(path), "--output-dir", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["failures"] == []
+    samples = payload["report"]["samples"]
+    assert [s["class"] for s in samples] == ["N", "OPR", "OPR"]
+    simple = samples[0]
+    assert simple["iterations"] >= 1 and simple["pair"] is None
+    assert 0.0 <= simple["residual"] < 1e-10
+    for s in samples[1:]:
+        pair = s["pair"]
+        assert s["iterations"] is None
+        assert set(pair) == {"tau0", "abs_beta_minus", "abs_beta_plus",
+                             "residual_minus", "residual_plus"}
+        assert pair["tau0"] > 0.0
+        assert 0.0 <= pair["abs_beta_minus"] <= 1.0
+        assert 0.0 <= pair["abs_beta_plus"] <= 1.0
+        # the sample's residual is that of the branch it reports
+        assert s["residual"] in (pair["residual_minus"], pair["residual_plus"])
+        assert max(pair["residual_minus"], pair["residual_plus"]) < 1e-10
+    # band.csv keeps its four columns
+    assert (out / "band.csv").read_text().splitlines()[0] == "k,E,scale,class"
+
+
 def test_run_band_free_case_matches_parabola(tmp_path):
     cfg = write_config(tmp_path, {"coupling": 0.0, "gaps": []})
     out = tmp_path / "out"
@@ -220,6 +288,15 @@ def test_strict_mode_run(tmp_path):
 
 def test_verify_subcommand_exit_codes():
     assert main(["verify", "--suite", "schur"]) == 0
+
+
+@pytest.mark.parametrize("suite", ["weights", "dichotomy"])
+def test_verify_output_matches_golden(suite, capsys):
+    # the stdout of these suites, byte for byte, as committed under
+    # tests/golden/: the brute-force lemma checks keep their exact results
+    assert main(["verify", "--suite", suite]) == 0
+    golden = (ROOT / "tests" / "golden" / f"verify_{suite}.txt").read_text()
+    assert capsys.readouterr().out == golden
 
 
 def test_verify_subcommand_with_config(tmp_path):

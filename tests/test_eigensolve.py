@@ -4,16 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hillbands.eigensolve import (CffNode, PuncturedResolvent,
-                                  cff_branch_solve, cff_build, leaf,
-                                  pair_chi, quadratic_dichotomy, solve_pair,
+from hillbands.eigensolve import (CffNode, DichotomyResult,
+                                  PuncturedResolvent, cff_branch_solve,
+                                  cff_build, dichotomy_core, leaf, pair_chi,
+                                  quadratic_dichotomy, solve_pair,
                                   solve_simple)
-from hillbands.errors import (AdmissibilityFailed, OrderingFailed,
-                              PreconditionFailed, RootCountMismatch,
-                              SingularBlock)
+from hillbands.errors import (AdmissibilityFailed, HypothesisFailed,
+                              OrderingFailed, PreconditionFailed,
+                              RootCountMismatch, SingularBlock)
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.operators import (TWO_PI_SQ, OperatorSpec, assemble,
                                  translated_domain)
@@ -275,6 +276,119 @@ def test_quadratic_dichotomy_examples():
         quadratic_dichotomy(0.0, 1.0, 0.0, 0.5)  # a1 <= a2
     with pytest.raises(PreconditionFailed):
         quadratic_dichotomy(1.0, 0.0, 0.0, 0.5)  # u exactly at the midpoint
+
+
+def dichotomy_oracle(a1, a2, b, u):
+    """Reference path: quadratic_dichotomy in Python floats, check by check."""
+    if not a1 > a2:
+        raise PreconditionFailed("require a1 > a2")
+    gap = a1 - a2
+    expr = (u - a1) * (u - a2) - b * b
+    if not abs(expr) < gap * gap / 4.0:
+        raise PreconditionFailed(
+            f"|(u-a1)(u-a2) - b^2| = {abs(expr):.3e} not < (a1-a2)^2/4 = {gap*gap/4:.3e}"
+        )
+    lam = expr / (gap * gap)
+    gamma = (math.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0
+    plus = u >= max(a1 - abs(gamma) * gap, 0.5 * (a1 + a2 + 2.0 * abs(b)))
+    minus = u <= min(a2 + abs(gamma) * gap, 0.5 * (a1 + a2 - 2.0 * abs(b)))
+    if plus == minus:
+        raise HypothesisFailed("dichotomy exclusivity",
+                               f"plus={plus} minus={minus} at u={u}")
+    bracket_ok = (a2 - abs(gamma) * gap - abs(b) <= u
+                  <= a1 + abs(gamma) * gap + abs(b))
+    if not bracket_ok:
+        raise HypothesisFailed("dichotomy bracket", f"u={u} escapes the bracket")
+    return DichotomyResult(case="plus_case" if plus else "minus_case",
+                           lam=lam, gamma=gamma, bracket_ok=bracket_ok)
+
+
+def _outcome(fn, *args):
+    """A DichotomyResult with lam and gamma as bit patterns, or the exception
+    type and message."""
+    try:
+        res = fn(*args)
+    except (PreconditionFailed, HypothesisFailed) as exc:
+        return type(exc), str(exc)
+    return res.case, float(res.lam).hex(), float(res.gamma).hex(), res.bracket_ok
+
+
+_reals = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_wide = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def dichotomy_tuples(draw):
+    """(a1, a2, b, u): admissible tuples as in the verify suite, u at the
+    midpoint, |expr| at the bound, a1 <= a2, and arbitrary floats."""
+    kind = draw(st.sampled_from(["admissible", "midpoint", "at_bound",
+                                 "threshold", "unordered", "any", "wide"]))
+    if kind == "wide":
+        return tuple(draw(_wide) for _ in range(4))
+    a1, a2, b, u = (draw(_reals) for _ in range(4))
+    if kind == "any":
+        return a1, a2, b, u
+    if kind == "unordered":
+        return min(a1, a2), max(a1, a2), b, u
+    gap = draw(st.floats(1e-6, 2.0))
+    a2 = a1 - gap
+    if kind == "midpoint":
+        return a1, a2, b * gap, (a1 + a2) / 2.0
+    if kind == "at_bound":
+        # b = 0 and u at the midpoint: (u-a1)(u-a2) = -(a1-a2)^2/4 up to
+        # rounding; exactly so on dyadic data
+        if draw(st.booleans()):
+            a1, gap = float(round(a1)), 2.0 ** draw(st.integers(-20, 1))
+            a2 = a1 - gap
+        return a1, a2, 0.0, (a1 + a2) / 2.0
+    b = draw(st.floats(0.0, 1.0)) * gap / 4.0
+    if kind == "threshold":
+        # u within a few ulps of a case threshold (a1 + a2 +- 2|b|)/2, where
+        # |expr| sits at the bound up to rounding
+        u = 0.5 * (a1 + a2 + draw(st.sampled_from([-2.0, 2.0])) * abs(b))
+        for _ in range(draw(st.integers(-3, 3)) % 7):
+            u = math.nextafter(u, draw(st.sampled_from([-math.inf, math.inf])))
+        return a1, a2, b, u
+    t = draw(st.floats(-0.999, 0.999))
+    disc = gap * gap / 4.0 + b * b + t * gap * gap / 4.0
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    return a1, a2, b, (a1 + a2) / 2.0 + side * math.sqrt(max(disc, 0.0))
+
+
+@settings(max_examples=300)
+@given(st.lists(dichotomy_tuples(), min_size=1, max_size=40))
+# u at a case threshold, where the rounding of (a1 + a2 +- 2|b|)/2 decides
+# the case (the first tuple raises the exclusivity check)
+@example([(-15.266314576329023, -17.115159879299416, 0.31627684907351344,
+           -15.874460378740705),
+          (1.066265319979152, -0.7723407366441521, 0.08408930433865333,
+           0.06287298732884664)])
+def test_dichotomy_core_and_wrapper_match_scalar_oracle(tuples):
+    a1, a2, b, u = (np.array(col) for col in zip(*tuples))
+    r = dichotomy_core(a1, a2, b, u)
+    for i, args in enumerate(tuples):
+        want = _outcome(dichotomy_oracle, *args)
+        assert _outcome(quadratic_dichotomy, *args) == want
+        # the array core element by element, read in the wrapper's order
+        if not r.ordered[i] or not r.in_range[i]:
+            got = PreconditionFailed
+        elif r.plus[i] == r.minus[i] or not r.bracket_ok[i]:
+            got = HypothesisFailed
+        else:
+            got = ("plus_case" if r.plus[i] else "minus_case",
+                   float(r.lam[i]).hex(), float(r.gamma[i]).hex(), True)
+        assert got == (want if isinstance(want[0], str) else want[0])
+        assert bool(r.classified[i]) == isinstance(want[0], str)
+
+
+def test_dichotomy_bound_is_exclusive():
+    # |expr| exactly (a1-a2)^2/4: u at the midpoint with b = 0 is outside
+    assert _outcome(quadratic_dichotomy, 1.0, 0.0, 0.0, 0.5) == \
+        _outcome(dichotomy_oracle, 1.0, 0.0, 0.0, 0.5)
+    r = dichotomy_core(np.array([1.0, 3.0]), np.array([0.0, 1.0]),
+                       np.array([0.0, 0.0]), np.array([0.5, 2.0]))
+    assert list(r.expr) == [-0.25, -1.0] and list(r.bound) == [0.25, 1.0]
+    assert not r.in_range.any() and not r.classified.any()
 
 
 def test_cff_leaf_and_degenerate_composite():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hillbands.errors import HypothesisFailed, SingularBlock
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.schur import (WeightLemmaReport, WeightProfile, _checked_inverse,
-                             _hop_table, _walk, hop_sum_constant, msa_step,
+                             _hop_table, _trajectories, hop_sum_constant, msa_step,
                              mu_of_set, q_g_functions, schur_block_inverse,
                              two_point_extension, verify_weight_lemma,
                              weight_sum_upper_bound_audit, weight_sums)
@@ -267,6 +267,25 @@ def test_trajectory_admissibility_filters(lat):
     assert res_plain.rejected_count[0, 2] > 0
 
 
+def test_admissibility_at_equality_follows_python_pow(lat):
+    # D = T |m - n|^(1/5) meets min(D_m, D_n) <= T ||gamma||^(alpha0/5) with
+    # equality, so the hop (0, x) is admissible in the plain class. x is a
+    # distance where np.power(x, 0.2) falls below x ** 0.2, if there is one,
+    # so the verdict depends on which pow evaluates the condition
+    xs = [x for x in range(1100, 3000)
+          if np.power(float(x), 0.2) < float(x) ** 0.2]
+    x = xs[0] if xs else 1113
+    T, kappa0 = 8.0, 0.99
+    d = T * float(x) ** 0.2         # above M = 4T/kappa0: the condition applies
+    domain, prof = small_profile(lat, [0, x], D={0: d, x: d}, T=T,
+                                 kappa0=kappa0)
+    ws = weight_sums(domain, prof, "plain", 2, 0.1, lat)
+    assert ws.trajectory_count[0, 1] == 1 and ws.rejected_count[0, 1] == 0
+    _, _, count, rejected = weight_sum_bruteforce(
+        domain, prof, domain[0], domain[1], "plain", 2, 0.1, lat)
+    assert (count, rejected) == (1, 0)
+
+
 def test_verify_weight_lemma_bound_and_hop_sums(lat):
     rng = np.random.default_rng(7)
     reps = sorted(rng.choice(np.arange(-20, 21), size=5, replace=False).tolist())
@@ -356,6 +375,26 @@ def test_verify_weight_lemma_matches_two_pass_oracle(case):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
+@dataclasses.dataclass(frozen=True)
+class _LowThreshold(WeightProfile):
+    """A profile with M = 1: every point is resonant, and the corollary
+    cases, which hold at the true M, fail on many trajectories."""
+
+    @property
+    def M(self) -> float:
+        return 1.0
+
+
+def test_verify_weight_lemma_lists_violations_in_oracle_order(lat):
+    domain = [lat.canonicalize([r]) for r in (-7, 0, 3, 11)]
+    D = dict(zip(domain, (5.0, 6.5, 4.0, 7.25)))
+    profile = _LowThreshold(D=D, T=9.0, kappa0=0.8, alpha0=1.0)
+    got = verify_weight_lemma(domain, profile, lat, k_max=4)
+    want = two_pass_verify_weight_lemma(domain, profile, lat, k_max=4)
+    assert len(want.corollary_violations) > 10
+    assert got == want
+
+
 @st.composite
 def weight_sum_cases(draw):
     omega = draw(st.sampled_from([("1",), ("1/2", "1/2"), ("2/5", "3/7")]))
@@ -395,23 +434,92 @@ def test_weight_sums_match_per_pair_oracle(case, k_max, cls):
             assert ws.rejected_count[i, j] == rejected
 
 
-@settings(max_examples=30)
-@given(case=weight_sum_cases(), k_max=st.integers(1, 5))
-def test_walk_lists_each_pair_in_enumeration_order(case, k_max):
-    # one walk per start point, bucketed by end point, reproduces each
-    # per-pair trajectory list in order, so corollary_violations keeps its
-    # (m, n, enumeration) order
+def walk(start, hop, D, profile, cls, k_max):
+    """Reference path: every trajectory from index ``start`` of length
+    <= k_max (consecutive points distinct), walked tuple by tuple and
+    bucketed by end point: walks[b] lists (indices, ||gamma||, admissible)
+    by length, then lexicographically.
+
+    Admissibility in class cls: min(D_i, D_j) <= T ||(n_i..n_j)||^{alpha0/5}
+    for every i < j with min(D_i, D_j) >= M. The R class exempts an adjacent
+    pair that fails it, provided both of its points meet that inequality,
+    unguarded, against every other point of the trajectory. Segment norms
+    are summed left to right from n_i; a trajectory extends an admissible
+    prefix, so only the conditions that involve its last point are checked.
+    """
+    T, M, a5 = profile.T, profile.M, profile.alpha0 / 5.0
+
+    def fits(i, j, norm):
+        return min(D[i], D[j]) <= T * norm ** a5
+
+    def guarded(i, j, norm):
+        return min(D[i], D[j]) < M or fits(i, j, norm)
+
+    walks = [[] for _ in hop]
+    # (points, seg, admissible, exempt): seg[i] = ||(n_i..n_last)||, and
+    # exempt holds the positions i of the exempt pairs (i, i+1)
+    level = [((start,), (0.0,), True, ())]
+    for length in range(1, k_max + 1):
+        for pts, seg, ok, _ in level:
+            walks[pts[-1]].append((pts, seg[0], ok))
+        if length == k_max:
+            break
+        nxt = []
+        for pts, seg, ok, exempt in level:
+            last, q = pts[-1], len(pts)
+            for p in range(len(hop)):
+                if p == last:
+                    continue
+                h = hop[last][p]
+                new = tuple(s + h for s in seg)
+                fine, extended = ok, exempt
+                if ok:
+                    # p against every earlier point but the last, and against
+                    # both points of each exempt pair
+                    fine = all(guarded(pts[i], p, new[i])
+                               for i in range(q - 1)) and all(
+                        fits(pts[e], p, new[e]) and fits(pts[e + 1], p, new[e + 1])
+                        for e in exempt)
+                    if fine and not guarded(last, p, h):
+                        # the new adjacent pair fails: only R exempts it
+                        fine = cls == "R" and all(
+                            fits(pts[j], last, seg[j]) and fits(pts[j], p, new[j])
+                            for j in range(q - 1))
+                        extended = exempt + (q - 1,)
+                nxt.append((pts + (p,), new + (0.0,), fine, extended))
+        level = nxt
+    return walks
+
+
+@settings(max_examples=60)
+@given(case=weight_sum_cases(), k_max=st.integers(1, 5),
+       cls=st.sampled_from(["plain", "R"]))
+def test_walk_lists_each_pair_in_enumeration_order(case, k_max, cls):
+    # the array enumeration, read per (start, end) pair in length then row
+    # order, reproduces the tuple walk and each per-pair trajectory list in
+    # order, so corollary_violations keeps its (m, n, enumeration) order
     domain, profile, lat, _ = case
     hop = _hop_table(domain, lat, profile.alpha0)
     D = [profile.D[e] for e in domain]
+    levels = _trajectories(hop, D, profile, cls, k_max)
     for a, m in enumerate(domain):
-        walks = _walk(a, hop, D, profile, "R", k_max)
+        walks = walk(a, hop.tolist(), D, profile, cls, k_max)
         for b, n in enumerate(domain):
-            points = [tuple(domain[i] for i in pts) for pts, _, _ in walks[b]]
+            got = [(tuple(int(i) for i in tr.rows[r]), tr.gnorm[r],
+                    tr.admissible[r], tr.dsum[r])
+                   for tr in levels
+                   for r in np.flatnonzero((tr.rows[:, 0] == a)
+                                           & (tr.rows[:, -1] == b))]
+            assert [g[:3] for g in got] == walks[b]
+            points = [tuple(domain[i] for i in pts) for pts, _, _, _ in got]
             assert points == enumerate_trajectories(domain, m, n, k_max)
-            for pts, (_, gnorm, ok) in zip(points, walks[b]):
+            for pts, (_, gnorm, ok, dsum) in zip(points, got):
                 assert gnorm == path_norm(pts, lat, profile.alpha0)
-                assert ok == admissible_resonant(pts, profile, lat)
+                admissible = admissible_plain if cls == "plain" \
+                    else admissible_resonant
+                assert ok == admissible(pts, profile, lat)
+                assert dsum == math.fsum(profile.D[p] for p in pts)
+
 
 def test_weight_sum_upper_bounds(lat):
     domain, prof = small_profile(lat, [-2, -1, 0, 1, 2],

@@ -35,6 +35,9 @@ NOISE_FLOOR_ULPS = 256.0
 # gap edges: allowed |Q, G (resolvent) - Q, G (dense)| per max(1, |E|); the
 # reference and resonant_2d gaps measured at most 1.7e-16
 GAP_EDGE_CROSSCHECK_TOL = 1e-9
+# E(k) = E(-k) and phi(n; -k) = conj(phi(-n; k)) hold exactly; this is the
+# allowed difference between the two independent solves at k and -k
+SYMMETRY_TOL = 1e-9
 
 
 @dataclass
@@ -46,9 +49,8 @@ class BandContext:
     schedule: ScaleSchedule
     eps: float
     truncation_R: float
-    s_cap: int = 1                  # largest scale the sweep attempts
-    use_domains: bool = True        # False: plain balls B(2 R^(1)) only
-    lam: float = 256.0              # normalization for domain thresholds
+    s_cap: int                      # largest scale the sweep attempts
+    use_domains: bool               # False: plain balls B(2 R^(1)) only
 
     def spec(self, k: float) -> OperatorSpec:
         return OperatorSpec(epsilon=self.eps, k=k, normalized=False)
@@ -132,7 +134,7 @@ def _nonresonant_point(ctx: BandContext, k: float,
     pair = None
     domain_elems = None
     hnorm = 0.0
-    builder = DomainBuilder(k, ctx.schedule, ctx.lat, lam=ctx.lam)
+    builder = DomainBuilder(k, ctx.schedule, ctx.lat)
     for s in range(1, ctx.s_cap + 1):
         if s > ctx.schedule.feasible_s:
             break
@@ -183,7 +185,7 @@ def _pair_setup(ctx: BandContext, k: float, n: GroupElement, s_use: int,
     min_spread * max(1, |mean|).
     """
     if ctx.use_domains:
-        builder = DomainBuilder(k, ctx.schedule, ctx.lat, lam=ctx.lam)
+        builder = DomainBuilder(k, ctx.schedule, ctx.lat)
         dom, _ = symmetrize_T(k, s_use, n, builder, ctx.schedule, ctx.lat)
         elems = dom.sorted_elements()
     else:
@@ -316,8 +318,7 @@ def gap_edge_limit_crosscheck(ctx: BandContext, gap: GapRecord,
                                 "failures": failures})
 
 
-def gap_edges(ctx: BandContext, m: GroupElement,
-              s_use: int | None = None) -> GapRecord:
+def gap_edges(ctx: BandContext, m: GroupElement) -> GapRecord:
     """Gap edges at k_m = -xi(m)/2 from the two scalar equations
     E - v(0,k_m) - Q(E) -+ |G(E)| = 0 on the T-symmetrized domain.
 
@@ -328,8 +329,7 @@ def gap_edges(ctx: BandContext, m: GroupElement,
     k_m = k_of(m)
     if k_m == 0.0:
         raise PreconditionFailed("k_m must be nonzero")
-    if s_use is None:
-        s_use = max(1, min(ctx.s_cap, ctx.schedule.feasible_s))
+    s_use = max(1, min(ctx.s_cap, ctx.schedule.feasible_s))
     # at k_m the two principal diagonals agree bit for bit, (xi(m)/2)^2, so
     # the bracket is centred on v(0, k_m)
     matrix, (lo, hi) = _pair_setup(ctx, k_m, m, s_use, widen=0.5,
@@ -378,8 +378,7 @@ class AuditRecord:
 
 
 def symmetry_audit(points_pos: Sequence[BandPoint],
-                   points_neg: Sequence[BandPoint],
-                   tol: float = 1e-9) -> AuditRecord:
+                   points_neg: Sequence[BandPoint]) -> AuditRecord:
     """E(k) = E(-k) on paired samples."""
     worst = 0.0
     checked = 0
@@ -389,12 +388,13 @@ def symmetry_audit(points_pos: Sequence[BandPoint],
         assert abs(p.k + q.k) < 1e-15
         checked += 1
         worst = max(worst, abs(p.E - q.E))
-    return AuditRecord(name="symmetry", passed=worst <= tol, checked=checked,
-                       details={"max_difference": worst, "tolerance": tol})
+    return AuditRecord(name="symmetry", passed=worst <= SYMMETRY_TOL,
+                       checked=checked, details={"max_difference": worst,
+                                                 "tolerance": SYMMETRY_TOL})
 
 
-def conjugate_reflection_audit(ctx: BandContext, points_pos, points_neg,
-                               tol: float = 1e-9) -> AuditRecord:
+def conjugate_reflection_audit(ctx: BandContext, points_pos,
+                               points_neg) -> AuditRecord:
     """phi(n; -k) = conj(phi(-n; k)) on paired samples."""
     worst = 0.0
     checked = 0
@@ -411,13 +411,13 @@ def conjugate_reflection_audit(ctx: BandContext, points_pos, points_neg,
             worst = max(worst, abs(q.phi[j] - np.conj(p.phi[i])))
         if ok_here:
             checked += 1
-    return AuditRecord(name="conjugate_reflection", passed=worst <= tol,
-                       checked=checked,
-                       details={"max_difference": worst, "tolerance": tol})
+    return AuditRecord(name="conjugate_reflection",
+                       passed=worst <= SYMMETRY_TOL, checked=checked,
+                       details={"max_difference": worst, "tolerance": SYMMETRY_TOL})
 
 
-def monotonicity_audit(ctx: BandContext, points: Sequence[BandPoint],
-                       max_gap: float = 0.25) -> AuditRecord:
+def monotonicity_audit(ctx: BandContext,
+                       points: Sequence[BandPoint]) -> AuditRecord:
     """Thm-C-style lower/upper bounds on normalized energies, weakest k^(0).
 
     Admissible pairs: 0 < k1 < k, k - k1 < 1/4, both non-resonant samples.
@@ -433,7 +433,7 @@ def monotonicity_audit(ctx: BandContext, points: Sequence[BandPoint],
     for i in range(len(usable)):
         for j in range(i + 1, len(usable)):
             k1, k = usable[i].k, usable[j].k
-            if not (0 < k1 < k and k - k1 < max_gap):
+            if not (0 < k1 < k and k - k1 < 0.25):
                 continue
             checked += 1
             dE = (usable[j].E - usable[i].E) / (lam * TWO_PI_SQ)
@@ -450,12 +450,12 @@ def monotonicity_audit(ctx: BandContext, points: Sequence[BandPoint],
                        details={"failures": failures, "lambda": lam})
 
 
-def decay_audit(ctx: BandContext, point: BandPoint, mode: str = "strict",
-                strict_radius: float = 2.0) -> AuditRecord:
+def decay_audit(ctx: BandContext, point: BandPoint,
+                mode: str = "strict") -> AuditRecord:
     """Multi-center eigenvector decay.
 
     strict: |phi(n)| <= sqrt(eps) sum_{m in m^(l)} exp(-(7/8) kappa0 |n-m|^alpha0)
-    outside the reflection set (checked outside ``strict_radius``) and
+    outside the reflection set (checked beyond distance 2) and
     |phi(n)| <= 2 on it. practical: fitted rate >= kappa0/2 outside radius 2.
     """
     if point.phi is None:
@@ -479,7 +479,7 @@ def decay_audit(ctx: BandContext, point: BandPoint, mode: str = "strict",
             continue
         dists = [float(ctx.lat.dist(e, c)) for c in centers]
         if mode == "strict":
-            if min(dists) <= strict_radius:
+            if min(dists) <= 2.0:
                 continue
             checked += 1
             env = sq_eps * sum(math.exp(-(7.0 / 8.0) * kappa0 * d ** alpha0)
@@ -544,14 +544,13 @@ def increment_audit(points: Sequence[BandPoint]) -> AuditRecord:
                        checked=checked, details={"failures": failures})
 
 
-def gap_spectrum_audit(ctx: BandContext, gap: GapRecord,
-                       domain=None, margin_scale: float = 1e-6) -> AuditRecord:
-    """No dense eigenvalue of the largest truncation inside the open gap."""
-    if domain is None:
-        domain = ctx.lat.ball(ctx.truncation_R)
-    matrix = assemble(domain, ctx.spec(gap.k_m), ctx.folded, ctx.lat)
+def gap_spectrum_audit(ctx: BandContext, gap: GapRecord) -> AuditRecord:
+    """No dense eigenvalue of the largest truncation inside the open gap,
+    shrunk by 1e-6 ||H|| at each edge."""
+    matrix = assemble(ctx.lat.ball(ctx.truncation_R), ctx.spec(gap.k_m),
+                      ctx.folded, ctx.lat)
     w, _ = dense_spectrum(matrix)
-    delta = margin_scale * matrix.norm_bound()
+    delta = 1e-6 * matrix.norm_bound()
     inside = [float(x) for x in w
               if gap.E_minus + delta < x < gap.E_plus - delta]
     return AuditRecord(name="gap_spectrum", passed=not inside, checked=len(w),
@@ -559,8 +558,7 @@ def gap_spectrum_audit(ctx: BandContext, gap: GapRecord,
 
 
 def gap_resolvent_audit(ctx: BandContext, m: GroupElement, E: float,
-                        probe_count: int, delta: float,
-                        domain=None) -> AuditRecord:
+                        probe_count: int, delta: float) -> AuditRecord:
     """In-gap resolvent bounds on probes covering the fundamental interval
     J(m) = (k_m - tau0, k_m + tau0] (xi(T) is discrete for rational data):
     entries <= delta^-1 everywhere and <= exp(-kappa0 |m-n|^alpha0 / 8) beyond
@@ -571,8 +569,7 @@ def gap_resolvent_audit(ctx: BandContext, m: GroupElement, E: float,
     k_m = k_of(m)
     probes = [k_m - tau0 + (i + 1) * (2.0 * tau0 / probe_count)
               for i in range(probe_count)]
-    if domain is None:
-        domain = ctx.lat.ball(ctx.truncation_R)
+    domain = ctx.lat.ball(ctx.truncation_R)
     kappa0, alpha0 = ctx.folded.kappa0, ctx.folded.alpha0
     cutoff = (16.0 * math.log(1.0 / delta)) ** (1.0 / alpha0)
     worst_uniform = 0.0

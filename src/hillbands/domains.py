@@ -19,6 +19,11 @@ from .lattice import GroupElement, QuotientLattice
 from .scales import ScaleSchedule, excluded_blocker
 from .schur import mu_of_set
 
+# lambda = 256 gamma with gamma = 1: the normalization of the diagonal
+# v(m, k) = xi(m)(xi(m) + 2k) / lambda that the threshold sets compare
+# against delta0^(s').
+LAMBDA = 256.0
+
 
 @dataclass(frozen=True)
 class Domain:
@@ -33,21 +38,12 @@ class Domain:
         if self.center not in self.elements:
             raise ValueError("domain must contain its center")
 
-    def __len__(self):
-        return len(self.elements)
-
-    def __contains__(self, e: GroupElement) -> bool:
-        return e in self.elements
-
     def sorted_elements(self) -> list[GroupElement]:
         return sorted(self.elements, key=GroupElement.key)
 
     def boundary_distance(self, m: GroupElement, lat: QuotientLattice) -> int:
         """mu_Lambda(m) = dist(m, T \\ Lambda) in the quotient metric."""
         return mu_of_set(self.elements, m, lat)
-
-    def reps(self) -> list[list[int]]:
-        return [list(e.rep) for e in self.sorted_elements()]
 
 
 def _chained(a: frozenset, b: frozenset) -> bool:
@@ -124,19 +120,16 @@ class DomainBuilder:
     """Builds the per-momentum hierarchy Lambda^(s)_k(m) with exact-offset memoization.
 
     ``v_shift(m, offset)`` is the normalized diagonal difference
-    v(m, k+offset) - v(0, k+offset); ``check_exclusions`` gates every scale on
-    the k-axis exclusion intervals (raising ExcludedK), skipping the modes
-    whose coordinate t is in ``exempt_modes``.
+    v(m, k+offset) - v(0, k+offset). Every scale is gated on the k-axis
+    exclusion intervals (raising ExcludedK), skipping the modes whose
+    coordinate t is in ``exempt_modes``.
     """
 
     def __init__(self, k: float, schedule: ScaleSchedule, lat: QuotientLattice,
-                 lam: float = 256.0, check_exclusions: bool = True,
                  exempt_modes=frozenset()):
         self.k = k
         self.schedule = schedule
         self.lat = lat
-        self.lam = lam
-        self.check_exclusions = check_exclusions
         self.exempt_modes = frozenset(exempt_modes)
         self._memo: dict[tuple[int, Fraction], frozenset] = {}
         self._level_memo: dict[tuple[int, Fraction], dict] = {}
@@ -145,10 +138,7 @@ class DomainBuilder:
         """v(m,k') - v(0,k') = xi(m)(xi(m) + 2k') / lambda at k' = k + offset."""
         xi = float(m.xi)
         kk = self.k + float(offset)
-        return xi * (xi + 2.0 * kk) / self.lam
-
-    def momentum(self, offset: Fraction) -> float:
-        return self.k + float(offset)
+        return xi * (xi + 2.0 * kk) / LAMBDA
 
     def threshold(self, s_prime: int, s: int) -> float:
         """Membership threshold for level s' inside the scale-s build."""
@@ -163,9 +153,7 @@ class DomainBuilder:
         return 0.75 * delta[s_prime - 1] - correction
 
     def _check_excluded(self, s: int, offset: Fraction) -> None:
-        if not self.check_exclusions:
-            return
-        k = self.momentum(offset)
+        k = self.k + float(offset)
         hit = excluded_blocker(self.schedule, self.lat, k, s,
                                exempt=self.exempt_modes)
         if hit is not None:
@@ -225,20 +213,9 @@ class DomainBuilder:
         self._level_memo[key] = out
         return out
 
-    def domain(self, s: int, kind: str = "plain") -> Domain:
+    def domain(self, s: int) -> Domain:
         return Domain(elements=self.lambda0(s), scale=s,
-                      center=self.lat.identity, kind=kind)
-
-
-def build_level_sets(k: float, s: int, schedule: ScaleSchedule,
-                     lat: QuotientLattice, lam: float = 256.0,
-                     check_exclusions: bool = True):
-    """One-shot wrapper: returns (level sets, Lambda^(s)_k(0) Domain, builder)."""
-    builder = DomainBuilder(k, schedule, lat, lam=lam,
-                            check_exclusions=check_exclusions)
-    levels = builder.level_sets(s) if s >= 2 else {}
-    dom = builder.domain(s)
-    return levels, dom, builder
+                      center=self.lat.identity)
 
 
 @dataclass(frozen=True)
@@ -298,17 +275,15 @@ def _reflection_classes(level_sets: dict, reflect: Callable[[GroupElement], Grou
 
 
 def symmetrize_S(k: float, s: int, builder: DomainBuilder,
-                 schedule: ScaleSchedule, lat: QuotientLattice,
-                 enforce_small_k: bool = True) -> tuple[Domain, int]:
+                 schedule: ScaleSchedule, lat: QuotientLattice) -> tuple[Domain, int]:
     """S-symmetrized Lambda^(s)_{k,sym}(0): start from B(3 R^(s)), subtract
     reflection-merged classes to a fixed point; result is S-invariant.
 
-    Precondition: |k| < delta0^(s-2) (the small-k regime), checked unless
-    disabled for synthetic tests.
+    Precondition: |k| < delta0^(s-2) (the small-k regime), always checked.
     """
     if s < 2:
         raise PreconditionFailed("S-symmetrization needs s >= 2")
-    if enforce_small_k and not abs(k) < schedule.delta[s - 2]:
+    if not abs(k) < schedule.delta[s - 2]:
         raise PreconditionFailed(
             f"|k|={abs(k)} not below delta0^({s-2})={schedule.delta[s-2]:.3e}"
         )
@@ -335,8 +310,7 @@ def symmetrize_T(k: float, s: int, n0: GroupElement, builder: DomainBuilder,
     reflect = lambda e: lat.sub(n0, e)
     if n0.t not in builder.exempt_modes:
         builder = DomainBuilder(
-            builder.k, builder.schedule, builder.lat, lam=builder.lam,
-            check_exclusions=builder.check_exclusions,
+            builder.k, builder.schedule, builder.lat,
             exempt_modes=builder.exempt_modes | {n0.t, -n0.t})
     levels = builder.level_sets(s) if s >= 2 else {}
     system = _reflection_classes(levels, reflect, lat)

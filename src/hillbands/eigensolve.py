@@ -24,6 +24,17 @@ from .lattice import GroupElement
 from .operators import DualMatrix
 from .schur import q_g_functions
 
+# width at which the fixed point and every root refinement stop
+ROOT_TOL = 1e-12
+# central-difference step of cff_branch_solve: near eps^(1/3), where the
+# O(h^2) truncation and O(eps/h) cancellation errors of a first difference
+# balance
+CFF_FD_STEP = 1e-5
+# sign-change scan of cff_branch_solve over the whole u window
+CFF_SCAN_POINTS = 513
+# float64 floor under the strict thresholds of check_branch_hypotheses
+BRANCH_NOISE_FLOOR = 1e-14
+
 
 class PuncturedResolvent:
     """Eigen-decomposed resolvent of the punctured block.
@@ -70,9 +81,6 @@ class PuncturedResolvent:
     def tail(self, E: float, rhs_proj: np.ndarray) -> np.ndarray:
         """(E - H_punctured)^{-1} applied to a vector given in projections."""
         return self.V @ (self._weights(E) * rhs_proj)
-
-    def smallest_gap(self, E: float) -> float:
-        return float(np.min(np.abs(E - self.w)))
 
 
 def _tridiagonal_eigh(matrix: DualMatrix, others: list[int]):
@@ -127,18 +135,18 @@ def _residual(H: np.ndarray, phi: np.ndarray, E: float) -> float:
     return float(np.max(np.abs(H @ phi - E * phi)))
 
 
-def solve_simple(matrix: DualMatrix, m0: GroupElement, *, E_init: float | None = None,
-                 tol: float = 1e-12, max_iter: int = 200, theta: float = 0.5,
+def solve_simple(matrix: DualMatrix, m0: GroupElement, *, max_iter: int = 200,
                  scale: int = 1) -> EigenPair:
     """Damped fixed point for E = v(m0) + Q(m0; E); eigenvector phi = -F.
 
-    Starts at E = v(m0); damping theta halves itself whenever the equation
-    residual |E - v - Q(E)| increases.
+    Starts at E = v(m0) with damping theta = 1/2, which halves itself
+    whenever the equation residual |E - v - Q(E)| increases.
     """
     H = matrix.values
     i0 = matrix.row_of(m0)
     v0 = float(H[i0, i0].real)
-    E = v0 if E_init is None else float(E_init)
+    E = v0
+    theta = 0.5
     punctured = PuncturedResolvent(matrix, [i0])
     prev_resid = math.inf
     converged = False
@@ -150,7 +158,7 @@ def solve_simple(matrix: DualMatrix, m0: GroupElement, *, E_init: float | None =
             theta = theta / 2.0
         prev_resid = resid
         E_new = (1.0 - theta) * E + theta * target
-        if abs(E_new - E) < tol:
+        if abs(E_new - E) < ROOT_TOL:
             E = E_new
             converged = True
             break
@@ -169,7 +177,7 @@ def solve_simple(matrix: DualMatrix, m0: GroupElement, *, E_init: float | None =
 
 
 def pair_chi(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
-             E: float, audit_tol: float = 1e-10) -> float:
+             E: float) -> float:
     """chi(eps,E) = (E - v+ - Q+)(E - v- - Q-) - G+- G-+, audited against the
     direct 2x2 Schur-complement determinant."""
     H = matrix.values
@@ -191,15 +199,15 @@ def pair_chi(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
     H2t = H2 - G21 @ qg.K @ G12
     det = complex(np.linalg.det(H2t)).real
     scale = max(1.0, abs(chi), abs(det))
-    if abs(chi - det) > audit_tol * scale:
+    if abs(chi - det) > 1e-10 * scale:
         raise HypothesisFailed("chi-vs-det", f"|chi - det| = {abs(chi - det):.3e}")
     return float(chi)
 
 
 def _sign_change_roots(f: Callable[[float], float], lo: float, hi: float,
-                       grid_points: int, tol: float) -> list[float]:
+                       grid_points: int) -> list[float]:
     """All roots of f located by sign changes on a grid, refined by
-    bisection+secant to ``tol``."""
+    bisection+secant to ROOT_TOL."""
     xs = np.linspace(lo, hi, grid_points)
     vals = [f(float(x)) for x in xs]
     roots = []
@@ -210,13 +218,13 @@ def _sign_change_roots(f: Callable[[float], float], lo: float, hi: float,
             roots.append(a)
             continue
         if fa * fb < 0:
-            roots.append(_refine_root(f, a, b, fa, fb, tol))
+            roots.append(_refine_root(f, a, b, fa, fb))
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
 
 
-def _refine_root(f, a, b, fa, fb, tol):
+def _refine_root(f, a, b, fa, fb):
     for _ in range(200):
         # secant proposal, guarded by the bracket
         denom = fb - fa
@@ -225,7 +233,7 @@ def _refine_root(f, a, b, fa, fb, tol):
         if not (a < x < b):
             x = mid
         fx = f(x)
-        if fx == 0.0 or (b - a) < tol:
+        if fx == 0.0 or (b - a) < ROOT_TOL:
             return x
         if fa * fx < 0:
             b, fb = x, fx
@@ -235,14 +243,13 @@ def _refine_root(f, a, b, fa, fb, tol):
 
 
 def solve_pair(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
-               bracket: tuple[float, float], *, tau0_required: float = 0.0,
-               tol: float = 1e-12, grid_points: int = 257,
-               ordering_grid: int = 33) -> PairBranches:
+               bracket: tuple[float, float], *,
+               tau0_required: float = 0.0) -> PairBranches:
     """Both roots of chi = 0 inside the bracket, with branch eigenvectors.
 
-    Verifies the Schur-complement ordering v+ + Q+ >= v- + Q- + tau0 on the
-    bracket grid (OrderingFailed), demands exactly two sign changes
-    (RootCountMismatch) and audits |beta+-| <= 1.
+    Verifies the Schur-complement ordering v+ + Q+ >= v- + Q- + tau0 on a
+    33-point bracket grid (OrderingFailed), demands exactly two sign changes
+    on a 257-point grid (RootCountMismatch) and audits |beta+-| <= 1.
     """
     H = matrix.values
     ip, im = matrix.row_of(m_plus), matrix.row_of(m_minus)
@@ -250,7 +257,7 @@ def solve_pair(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
     punctured = PuncturedResolvent(matrix, [ip, im])
 
     tau_seen = math.inf
-    for E in np.linspace(bracket[0], bracket[1], ordering_grid):
+    for E in np.linspace(bracket[0], bracket[1], 33):
         margin = (vp + punctured.Q(ip, float(E))) \
             - (vm + punctured.Q(im, float(E)))
         tau_seen = min(tau_seen, margin)
@@ -266,7 +273,7 @@ def solve_pair(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
         return ((E - vp - punctured.Q(ip, E)) * (E - vm - punctured.Q(im, E))
                 - abs(g) ** 2)
 
-    roots = _sign_change_roots(chi, bracket[0], bracket[1], grid_points, tol)
+    roots = _sign_change_roots(chi, bracket[0], bracket[1], 257)
     if len(roots) != 2:
         raise RootCountMismatch(2, len(roots), roots)
     e_minus, e_plus = sorted(roots)
@@ -306,6 +313,9 @@ def solve_pair(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
 
 # --- quadratic dichotomy ---
 
+_EPS = float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class DichotomyResult:
     case: str           # "plus_case" | "minus_case"
@@ -321,7 +331,8 @@ class DichotomyArrays:
     ordered: np.ndarray     # a1 > a2
     expr: np.ndarray        # (u - a1)(u - a2) - b^2
     bound: np.ndarray       # (a1 - a2)^2 / 4
-    in_range: np.ndarray    # |expr| < bound
+    margin: np.ndarray      # rounding margin taken off the bound
+    in_range: np.ndarray    # |expr| < bound - margin
     lam: np.ndarray
     gamma: np.ndarray
     plus: np.ndarray
@@ -340,6 +351,11 @@ def dichotomy_core(a1, a2, b, u) -> DichotomyArrays:
 
     Where a precondition fails the later fields are meaningless; the inf and
     nan such elements produce are not warned about.
+
+    |expr| is exactly the bound at a case threshold (a1 + a2 +- 2|b|)/2,
+    which floats place to within 3 ulps of the largest operand S. The bound
+    loses the margin 16 eps S (|u - a1| + |u - a2|) >= 16 eps S |d expr/du|,
+    so a u that close to a threshold is rejected, not left in neither case.
     """
     # Each element carries the bits of the formula evaluated in Python
     # floats: every step is an IEEE-exact ufunc in the same order (+, -, *,
@@ -352,6 +368,10 @@ def dichotomy_core(a1, a2, b, u) -> DichotomyArrays:
         gap = a1 - a2
         expr = (u - a1) * (u - a2) - b * b
         bound = gap * gap / 4.0
+        scale = np.maximum(np.maximum(np.abs(a1), np.abs(a2)),
+                           np.maximum(np.abs(b), np.abs(u)))
+        margin = (16.0 * _EPS * scale) * (np.abs(u - a1) + np.abs(u - a2))
+        in_range = np.abs(expr) < bound - margin
         lam = expr / (gap * gap)
         gamma = (np.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0
         spread = np.abs(gamma) * gap
@@ -360,12 +380,14 @@ def dichotomy_core(a1, a2, b, u) -> DichotomyArrays:
         minus = u <= np.minimum(a2 + spread, 0.5 * (a1 + a2 - 2.0 * abs_b))
         bracket_ok = (a2 - spread - abs_b <= u) & (u <= a1 + spread + abs_b)
     return DichotomyArrays(ordered=a1 > a2, expr=expr, bound=bound,
-                           in_range=np.abs(expr) < bound, lam=lam, gamma=gamma,
-                           plus=plus, minus=minus, bracket_ok=bracket_ok)
+                           margin=margin, in_range=in_range, lam=lam,
+                           gamma=gamma, plus=plus, minus=minus,
+                           bracket_ok=bracket_ok)
 
 
 def quadratic_dichotomy(a1: float, a2: float, b: float, u: float) -> DichotomyResult:
-    """Classify a solution of |(u-a1)(u-a2) - b^2| < (a1-a2)^2 / 4.
+    """Classify a solution of |(u-a1)(u-a2) - b^2| < (a1-a2)^2 / 4, less the
+    rounding margin of dichotomy_core.
 
     Exactly one of the two cases holds; the universal bracket
     a2 - |gamma|(a1-a2) - |b| <= u <= a1 + |gamma|(a1-a2) + |b| is asserted.
@@ -380,8 +402,8 @@ def quadratic_dichotomy(a1: float, a2: float, b: float, u: float) -> DichotomyRe
         raise PreconditionFailed("require a1 > a2")
     if not r.in_range:
         raise PreconditionFailed(
-            f"|(u-a1)(u-a2) - b^2| = {abs(r.expr):.3e} not < (a1-a2)^2/4 = {r.bound:.3e}"
-        )
+            f"|(u-a1)(u-a2) - b^2| = {abs(r.expr):.3e} not < (a1-a2)^2/4 = "
+            f"{r.bound:.3e} less the rounding margin {r.margin:.3e}")
     if r.plus == r.minus:
         raise HypothesisFailed("dichotomy exclusivity",
                                f"plus={bool(r.plus)} minus={bool(r.minus)} at u={u}")
@@ -568,9 +590,8 @@ class BranchSolveResult:
 
 
 def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
-                     u_window: Callable[[float], tuple[float, float]],
-                     *, tol: float = 1e-12, scan_points: int = 513,
-                     fd_step: float = 1e-5) -> BranchSolveResult:
+                     u_window: Callable[[float], tuple[float, float]]
+                     ) -> BranchSolveResult:
     """Per x: the two roots of chi^{(f)}(x, .) = 0 with continuation seeding.
 
     Asserts the derivative-sign split (d_u chi <= -(tau^f)^2 at zeta-, >= +
@@ -588,26 +609,25 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
         lo, hi = u_window(x)
         if prev is None:
             roots = _sign_change_roots(lambda u: node.chi(x, u), lo, hi,
-                                       scan_points, tol)
+                                       CFF_SCAN_POINTS)
         else:
             roots = []
             for seed in prev:
-                width = max(4.0 * abs(prev[1] - prev[0]), 64.0 * tol,
-                            (hi - lo) / scan_points)
+                width = max(4.0 * abs(prev[1] - prev[0]), 64.0 * ROOT_TOL,
+                            (hi - lo) / CFF_SCAN_POINTS)
                 a, b = seed - width, seed + width
-                local = _sign_change_roots(lambda u: node.chi(x, u), a, b,
-                                           65, tol)
+                local = _sign_change_roots(lambda u: node.chi(x, u), a, b, 65)
                 roots.extend(local)
             if len(roots) != 2:
                 roots = _sign_change_roots(lambda u: node.chi(x, u), lo, hi,
-                                           scan_points, tol)
+                                           CFF_SCAN_POINTS)
         if len(roots) != 2:
             raise RootCountMismatch(2, len(roots), roots)
         zm, zp = sorted(roots)
         chi_u = lambda u: node.chi(x, u)
         for z, want_negative in ((zm, True), (zp, False)):
-            d1 = _fd(lambda _x, u: chi_u(u), x, z, h=fd_step, order=1)
-            d1_half = _fd(lambda _x, u: chi_u(u), x, z, h=fd_step / 2, order=1)
+            d1 = _fd(lambda _x, u: chi_u(u), x, z, h=CFF_FD_STEP, order=1)
+            d1_half = _fd(lambda _x, u: chi_u(u), x, z, h=CFF_FD_STEP / 2, order=1)
             if abs(d1 - d1_half) > 1e-3 * max(1.0, abs(d1)):
                 raise HypothesisFailed("finite-difference consistency",
                                        f"Richardson gap at x={x}")
@@ -617,7 +637,7 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
                 split_ok = False
             if not want_negative and not d1 >= threshold - 1e-12:
                 split_ok = False
-            d2 = _fd(lambda _x, u: chi_u(u), x, z, h=fd_step, order=2)
+            d2 = _fd(lambda _x, u: chi_u(u), x, z, h=CFF_FD_STEP, order=2)
             mt = node.children_min_tau(x, z)
             min_tau = min(min_tau, mt)
             if not d2 > 0.5 * mt**4 - 1e-12:
@@ -626,11 +646,11 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
             dx = abs(x - xs[pos - 1])
             for znew, zold in ((zm, prev[0]), (zp, prev[1])):
                 slope = abs(_fd(lambda _x, u: node.chi(x, u), x, znew,
-                               h=fd_step, order=1))
+                               h=CFF_FD_STEP, order=1))
                 dchidx = abs((node.chi(x, znew) - node.chi(xs[pos - 1], znew)) / dx) \
                     if dx > 0 else 0.0
                 local_bound = (dchidx / max(slope, 1e-12) + 1e-9) * dx
-                if abs(znew - zold) > 10.0 * max(local_bound, tol * 100):
+                if abs(znew - zold) > 10.0 * max(local_bound, ROOT_TOL * 100):
                     cont_ok = False
         prev = (zm, zp)
         zminus.append(zm)
@@ -644,13 +664,13 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
 
 def check_branch_hypotheses(node: CffNode, x_grid, g_minus: Callable,
                             g_plus: Callable, rho: float,
-                            rho_ell: float, noise_floor: float = 1e-14) -> dict:
+                            rho_ell: float) -> dict:
     """Numeric check of the four branch-lemma hypotheses on the grid.
 
     sigma1 = (1/8) (grid-inf of min_i tau^{(f_i)})^4; infima are grid infima,
     never claimed as true infima. The strict thresholds (sigma1^13 rho^8 / 2^83
-    style) can undercut float64 resolution, so comparisons carry an explicit
-    ``noise_floor``; the measured worst values are reported alongside.
+    style) can undercut float64 resolution, so comparisons are floored at
+    BRANCH_NOISE_FLOOR; the measured worst values are reported alongside.
     """
     taus = []
     for x in x_grid:
@@ -666,12 +686,12 @@ def check_branch_hypotheses(node: CffNode, x_grid, g_minus: Callable,
             worst_chi = max(worst_chi, abs(node.chi(x, g(x))))
     out["worst_chi_on_guides"] = worst_chi
     out["alpha_threshold"] = thr_alpha
-    if worst_chi >= max(thr_alpha, noise_floor):
+    if worst_chi >= max(thr_alpha, BRANCH_NOISE_FLOOR):
         out["alpha"] = False
     x0 = x_grid[0]
     prod = node.f1.chi(x0, g_minus(x0)) * node.f2.chi(x0, g_minus(x0))
     prod_p = node.f1.chi(x0, g_plus(x0)) * node.f2.chi(x0, g_plus(x0))
-    if max(abs(prod), abs(prod_p)) > noise_floor:
+    if max(abs(prod), abs(prod_p)) > BRANCH_NOISE_FLOOR:
         out["beta"] = False
     for x in x_grid:
         dm = _fd(node.chi, x, g_minus(x), order=1)

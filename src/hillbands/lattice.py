@@ -289,17 +289,6 @@ class QuotientLattice:
         return list(cached)
 
 
-def group_op(lat: QuotientLattice, a: GroupElement, b: GroupElement,
-             sign: int = +1) -> GroupElement:
-    """a +/- b on the quotient; xi is additive exactly in rational arithmetic."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = lat.add(a, b) if sign == +1 else lat.sub(a, b)
-    # xi is constant on cosets, so the canonical rep carries the exact sum.
-    assert out.xi == a.xi + sign * b.xi
-    return out
-
-
 def ball_growth_constant(lat: QuotientLattice, radii: Sequence[float]) -> float:
     """Empirical C with |B(R)| <= C R^nu, maximized over the sampled radii."""
     best = 0.0

@@ -60,8 +60,8 @@ class OperatorSpec:
         """lambda = 256*gamma in normalized mode, 1 otherwise."""
         return 256.0 * self.gamma if self.normalized else 1.0
 
-    def diagonal(self, xi: Fraction, k_offset: Fraction = Fraction(0)) -> float:
-        base = (float(xi + k_offset) + self.k) ** 2
+    def diagonal(self, xi: Fraction) -> float:
+        base = (float(xi) + self.k) ** 2
         if self.normalized:
             return base / self.lam
         return TWO_PI_SQ * base
@@ -197,34 +197,35 @@ class ConjugationReport:
     passed: bool
 
 
+def _compare_spectra(left: DualMatrix, right: DualMatrix) -> ConjugationReport:
+    """The two spectra agree to 1e-10."""
+    diff = float(np.max(np.abs(np.linalg.eigvalsh(left.values)
+                               - np.linalg.eigvalsh(right.values))))
+    return ConjugationReport(max_eig_difference=diff, tolerance=1e-10,
+                             passed=diff <= 1e-10)
+
+
 def translation_conjugation_check(domain: Sequence[GroupElement], m: GroupElement,
                                   spec: OperatorSpec, folded: FoldedCoefficients,
-                                  lat: QuotientLattice,
-                                  tol: float = 1e-10) -> ConjugationReport:
+                                  lat: QuotientLattice) -> ConjugationReport:
     """Spectra of H_{m+Lambda, eps, k} and H_{Lambda, eps, k+xi(m)} must agree."""
     left = assemble(translated_domain(domain, m, lat), spec, folded, lat)
     shifted = OperatorSpec(epsilon=spec.epsilon, k=spec.k + float(m.xi),
                            normalized=spec.normalized,
                            gamma=spec.gamma if spec.normalized else None,
                            B1=spec.B1)
-    right = assemble(order_domain(domain), shifted, folded, lat)
-    dl = np.linalg.eigvalsh(left.values)
-    dr = np.linalg.eigvalsh(right.values)
-    diff = float(np.max(np.abs(dl - dr)))
-    return ConjugationReport(max_eig_difference=diff, tolerance=tol, passed=diff <= tol)
+    return _compare_spectra(left, assemble(order_domain(domain), shifted,
+                                           folded, lat))
 
 
 def symmetry_conjugation_check(domain: Sequence[GroupElement], spec: OperatorSpec,
-                               folded: FoldedCoefficients, lat: QuotientLattice,
-                               tol: float = 1e-10) -> ConjugationReport:
+                               folded: FoldedCoefficients,
+                               lat: QuotientLattice) -> ConjugationReport:
     """Spectra of H_{Lambda, eps, k} and H_{-Lambda, eps, -k} must agree."""
     left = assemble(order_domain(domain), spec, folded, lat)
     flipped = OperatorSpec(epsilon=spec.epsilon, k=-spec.k,
                            normalized=spec.normalized,
                            gamma=spec.gamma if spec.normalized else None,
                            B1=spec.B1)
-    right = assemble(negated_domain(domain, lat), flipped, folded, lat)
-    dl = np.linalg.eigvalsh(left.values)
-    dr = np.linalg.eigvalsh(right.values)
-    diff = float(np.max(np.abs(dl - dr)))
-    return ConjugationReport(max_eig_difference=diff, tolerance=tol, passed=diff <= tol)
+    return _compare_spectra(left, assemble(negated_domain(domain, lat),
+                                           flipped, folded, lat))

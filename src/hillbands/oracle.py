@@ -24,8 +24,9 @@ from .operators import DualMatrix
 from .potential import FoldedCoefficients
 
 
-def dense_spectrum(matrix, residual_tol: float = 1e-10):
-    """Full Hermitian eigendecomposition with a residual certificate.
+def dense_spectrum(matrix):
+    """Full Hermitian eigendecomposition with a residual certificate:
+    ||H V - V diag(w)||_max <= 1e-10 max(1, ||H||_2).
 
     Accepts a DualMatrix or a plain ndarray; returns (eigenvalues, vectors).
     """
@@ -36,10 +37,9 @@ def dense_spectrum(matrix, residual_tol: float = 1e-10):
     # ||H||_2 = max|w| for Hermitian H: no second factorization for the scale
     scale = max(1.0, float(np.max(np.abs(w))))
     resid = float(np.max(np.abs(H @ V - V * w)))
-    if resid > residual_tol * scale:
+    if resid > 1e-10 * scale:
         raise IntegratorFailure(
-            f"eigendecomposition residual {resid:.3e} above {residual_tol:.0e}*||H||"
-        )
+            f"eigendecomposition residual {resid:.3e} above 1e-10*||H||")
     return w, V
 
 
@@ -193,10 +193,9 @@ def _wronskian_drift(M: np.ndarray) -> np.ndarray:
 
 
 def ivp_discriminant(E: float, eps: float, folded: FoldedCoefficients,
-                     T: Fraction, *, rtol: float = 1e-12,
-                     atol: float = 1e-12) -> float:
-    """Delta(E) by adaptive solve_ivp (DOP853): the cross-check of
-    floquet_scan and the oracle of the Magnus tests."""
+                     T: Fraction) -> float:
+    """Delta(E) by adaptive solve_ivp (DOP853, rtol = atol = 1e-12): the
+    cross-check of floquet_scan and the oracle of the Magnus tests."""
     V = potential_callable(folded)
 
     def rhs(x, y):
@@ -205,7 +204,7 @@ def ivp_discriminant(E: float, eps: float, folded: FoldedCoefficients,
         return [y[1], (v - E) * y[0], y[3], (v - E) * y[2]]
 
     sol = solve_ivp(rhs, (0.0, float(T)), [1.0, 0.0, 0.0, 1.0],
-                    method="DOP853", rtol=rtol, atol=atol, dense_output=False)
+                    method="DOP853", rtol=1e-12, atol=1e-12, dense_output=False)
     if not sol.success:
         raise IntegratorFailure(sol.message)
     y = sol.y[:, -1]
@@ -225,8 +224,8 @@ def floquet_discriminant(E: float, eps: float, folded: FoldedCoefficients,
 
 def floquet_gap_edges(center: float, bracket_low: tuple[float, float],
                       bracket_high: tuple[float, float], eps: float,
-                      folded: FoldedCoefficients, T: Fraction,
-                      xtol: float = 1e-10) -> tuple[float, float]:
+                      folded: FoldedCoefficients, T: Fraction
+                      ) -> tuple[float, float]:
     """Gap edges by bisection on |Delta| - 2 inside each one-sided bracket.
 
     In a gap |Delta| > 2 and on band interiors |Delta| < 2; the brackets must
@@ -241,7 +240,7 @@ def floquet_gap_edges(center: float, bracket_low: tuple[float, float],
             raise PreconditionFailed(
                 f"bracket ({a}, {b}) does not straddle |Delta| = 2"
             )
-        return brentq(g, a, b, xtol=xtol)
+        return brentq(g, a, b, xtol=1e-10)
 
     lo = edge(bracket_low)
     hi = edge(bracket_high)
@@ -283,18 +282,17 @@ def floquet_scan(E_grid, eps: float, folded: FoldedCoefficients,
 
 
 def bloch_residual(domain, phi, k: float, E: float, eps: float,
-                   folded: FoldedCoefficients, T: Fraction,
-                   samples: int = 128) -> float:
+                   folded: FoldedCoefficients, T: Fraction) -> float:
     """Max |(-y'' + eps V~ y - E y)(x)| over one period for the Bloch candidate
     y(x) = sum phi(n) e^{2 pi i (xi(n)+k) x}; small residual certifies the
     matrix-ODE duality up to the Lambda-truncation tail.
 
-    The samples x_i = T i / samples are evaluated at once, as one
-    (samples x |domain|) phase matrix.
+    The 128 samples x_i = T i / 128 are evaluated at once, as one
+    (128 x |domain|) phase matrix.
     """
     freqs = 2.0 * math.pi * np.array([float(e.xi) + k for e in domain])
     amps = np.asarray(phi, dtype=np.complex128)
-    x = float(T) * np.arange(samples) / samples
+    x = float(T) * np.arange(128) / 128
     phase = np.exp(1j * np.multiply.outer(x, freqs))
     y = phase @ amps
     ypp = phase @ (amps * (1j * freqs) ** 2)

@@ -34,14 +34,15 @@ class FourierCoefficients:
     def value(self, n: tuple[int, ...]) -> complex:
         return self.entries.get(tuple(n), 0.0 + 0.0j)
 
-    def truncation_tail_bound(self, nu: int, shells: int = 4000) -> float:
-        """sum over |n| > support_radius of exp(-kappa0 |n|^alpha0).
+    def truncation_tail_bound(self, nu: int) -> float:
+        """sum over |n| > support_radius of exp(-kappa0 |n|^alpha0), over at
+        most 4000 shells.
 
         The finite-support contract replaces a sub-exponentially decaying
         tail; this is the documented bound on what the truncation discards.
         """
         total = 0.0
-        for r in range(self.support_radius + 1, self.support_radius + shells):
+        for r in range(self.support_radius + 1, self.support_radius + 4000):
             count = (2 * r + 1) ** nu - (2 * r - 1) ** nu
             term = count * math.exp(-self.kappa0 * r**self.alpha0)
             total += term
@@ -136,13 +137,15 @@ def fold(c: FourierCoefficients, lat: QuotientLattice,
     )
 
 
-def eval_potential(x: float, folded: FoldedCoefficients, tol: float = 1e-12) -> float:
-    """V~(x) = sum over cosets of c(n_bar) e^{2 pi i xi(n_bar) x} (real by symmetry)."""
+def eval_potential(x: float, folded: FoldedCoefficients) -> float:
+    """V~(x) = sum over cosets of c(n_bar) e^{2 pi i xi(n_bar) x} (real by
+    symmetry); NonRealValue when the imaginary residue exceeds
+    1e-12 * max(1, sum |c|)."""
     total = 0.0 + 0.0j
     for e, v in folded.entries.items():
         total += v * cmath.exp(2j * math.pi * float(e.xi) * x)
     scale = max(1.0, sum(abs(v) for v in folded.entries.values()))
-    if abs(total.imag) > tol * scale:
+    if abs(total.imag) > 1e-12 * scale:
         raise NonRealValue(
             f"imaginary residue {total.imag:.3e} at x={x} exceeds tolerance"
         )
@@ -159,10 +162,6 @@ def eval_potential_raw(x: float, c: FourierCoefficients, omega) -> float:
 
 
 # --- built-in generators (seeded, reproducible) ---
-
-def _zero(nu: int) -> tuple[int, ...]:
-    return tuple([0] * nu)
-
 
 def cosine(n0, kappa0: float = 1.0, alpha0: float = 1.0,
            amplitude: float | None = None) -> FourierCoefficients:

@@ -38,28 +38,34 @@ import numpy as np
 from .errors import HypothesisFailed, SingularBlock
 from .lattice import GroupElement, QuotientLattice
 
+# Q real and G_pq = conj(G_qp), relative to max(1, |value|): both hold
+# exactly for a Hermitian H
+HERMITIAN_TOL = 1e-12
+# hop_sum_constant sums the ball of this radius exactly and bounds the shells
+# beyond it
+HOP_SUM_RADIUS = 40
 
 # --- dense linear algebra with singularity reporting ---
 
-def _checked_inverse(A: np.ndarray, label: str, rcond: float = 1e-13) -> np.ndarray:
-    """inv(A), or SingularBlock when sigma_min <= rcond * max(1, sigma_max);
+def _checked_inverse(A: np.ndarray, label: str) -> np.ndarray:
+    """inv(A), or SingularBlock when sigma_min <= 1e-13 * max(1, sigma_max);
     both singular values come from one SVD."""
     sigma = np.linalg.svd(A, compute_uv=False)
     s_min = float(sigma[-1])
     scale = max(1.0, float(sigma[0]))
-    if s_min <= rcond * scale:
+    if s_min <= 1e-13 * scale:
         raise SingularBlock(label, s_min)
     return np.linalg.inv(A)
 
 
 def schur_block_inverse(H: np.ndarray, split: tuple[Sequence[int], Sequence[int]],
-                        E: float, audit: bool | None = None,
-                        audit_tol: float = 1e-9) -> np.ndarray:
+                        E: float, audit: bool | None = None) -> np.ndarray:
     """(E - H)^{-1} assembled from the four Schur blocks.
 
     split = (indices of block 1, indices of block 2). Raises SingularBlock when
     (E - H)_11 or the reduced block H2~ is numerically singular. For |Lambda|
-    <= 64 (or audit=True) the result is checked against direct dense inversion.
+    <= 64 (or audit=True) the result is checked against direct dense inversion
+    to a relative error of 1e-9.
     """
     n = H.shape[0]
     idx1 = np.asarray(split[0], dtype=int)
@@ -85,7 +91,7 @@ def schur_block_inverse(H: np.ndarray, split: tuple[Sequence[int], Sequence[int]
     if audit:
         direct = np.linalg.inv(M)
         rel = np.linalg.norm(out - direct) / max(np.linalg.norm(direct), 1e-300)
-        if rel > audit_tol:
+        if rel > 1e-9:
             raise SingularBlock(f"schur-vs-direct relative error {rel:.3e}", rel)
     return out
 
@@ -102,8 +108,7 @@ class QGResult:
     F: np.ndarray | None                # F(m0, n) over others (single principal only)
 
 
-def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float,
-                  herm_tol: float = 1e-12) -> QGResult:
+def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float) -> QGResult:
     """Q, G, K, F relative to one or two principal points.
 
     K = (E - H_punctured)^{-1}; Q(p) = sum h(p,.) K h(.,p);
@@ -124,7 +129,7 @@ def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float,
         row = H[p, list(others)]
         col = H[list(others), p]
         q_val = complex(row @ K @ col)
-        if abs(q_val.imag) > herm_tol * max(1.0, abs(q_val)):
+        if abs(q_val.imag) > HERMITIAN_TOL * max(1.0, abs(q_val)):
             raise HypothesisFailed("Q self-adjointness",
                                    f"Im Q = {q_val.imag:.3e}")
         Q[p] = q_val.real
@@ -139,7 +144,7 @@ def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float,
         p, q = principal
         mismatch = abs(G[(p, q)] - np.conj(G[(q, p)]))
         scale = max(1.0, abs(G[(p, q)]))
-        if mismatch > herm_tol * scale:
+        if mismatch > HERMITIAN_TOL * scale:
             raise HypothesisFailed("G conjugate symmetry",
                                    f"|G_pq - conj(G_qp)| = {mismatch:.3e}")
     F = None
@@ -404,21 +409,20 @@ def verify_weight_lemma(domain: Sequence[GroupElement], profile: WeightProfile,
     )
 
 
-def hop_sum_constant(lat: QuotientLattice, kappa: float, alpha0: float,
-                     radius: int = 40) -> float:
+def hop_sum_constant(lat: QuotientLattice, kappa: float, alpha0: float) -> float:
     """C(nu, alpha0, kappa) = sum over the group of exp(-kappa |n|^alpha0),
     computed over a ball with an explicit geometric remainder."""
     total = 0.0
-    for e in lat.ball(radius):
+    for e in lat.ball(HOP_SUM_RADIUS):
         total += math.exp(-kappa * float(e.norm) ** alpha0)
-    # remainder: shells r > radius have <= C_growth ((r+1)^nu - r^nu + ...) points;
+    # remainder: shells r > HOP_SUM_RADIUS have <= C_growth ((r+1)^nu - r^nu + ...) points;
     # crude but safe: count <= 3^nu r^(nu-1) * 2nu per shell for the box lattice
     rem = 0.0
-    r = radius + 1
+    r = HOP_SUM_RADIUS + 1
     while True:
         term = (2 * r + 1) ** lat.nu * math.exp(-kappa * r**alpha0)
         rem += term
-        if term < 1e-18 or r > radius + 2000:
+        if term < 1e-18 or r > HOP_SUM_RADIUS + 2000:
             break
         r += 1
     return total + rem
@@ -462,17 +466,18 @@ class WeightSumBoundReport:
 
 def weight_sum_upper_bound_audit(domain: Sequence[GroupElement],
                                  profile: WeightProfile, eps0: float,
-                                 lat: QuotientLattice, k_max: int = 5,
-                                 C_growth: float = 3.0) -> WeightSumBoundReport:
+                                 lat: QuotientLattice,
+                                 k_max: int = 5) -> WeightSumBoundReport:
     """Audit the closed-form weight-sum upper bounds against brute force:
 
     S(m,n) <= min[ 3 eps0^(1/2) exp(-(7/8) kappa0 |m-n|^alpha0 + 2T (min mu)^(1/5)),
                    2 eps0^(1/2) exp(-(1/4) kappa0 |m-n|^alpha0 + 2 Dbar) ]  (m != n)
     S(m,m) <= min[ exp(D(m)) + 3 eps0^(1/2) exp(2T mu(m)^(1/5)), 2 exp(2 Dbar) ]
 
-    valid under the eps0 smallness condition, which is evaluated and reported.
+    valid under the eps0 smallness condition (ball growth constant 3), which
+    is evaluated and reported.
     """
-    threshold = epscond_threshold(lat, profile, C_growth)
+    threshold = epscond_threshold(lat, profile, 3.0)
     dbar = max(profile.D[p] for p in domain)
     mu = {a: mu_of_set(domain, a, lat) for a in domain}
     total = weight_sums(domain, profile, "R", k_max, eps0, lat).upper_bound
@@ -513,21 +518,19 @@ class MsaResult:
     merged_D: dict
     audited: bool
     audit_ok: bool
-    floor_substituted: bool
 
 
 def msa_step(H: np.ndarray, domain: Sequence[GroupElement],
              blocks: Sequence[tuple[Sequence[GroupElement], WeightProfile]],
              E: float, eps0: float, lat: QuotientLattice,
              T: float, kappa0: float, alpha0: float,
-             diagonal_floor: float | None = None,
              k_max: int = 4) -> MsaResult:
     """One general multi-scale step: verify the hypotheses, return the full
     resolvent and the merged D profile.
 
     Hypotheses: (a) each block resolvent is entrywise below its weight sums
     (verified by brute force for |block| <= 12); (b) leftover diagonals of
-    (E - H) at least exp(-4T/kappa0) (or the practical floor, flagged);
+    (E - H) at least exp(-4T/kappa0);
     (epscond) smallness of eps0. The conclusion is audited on |Lambda| <= 12.
     """
     domain = list(domain)
@@ -563,9 +566,7 @@ def msa_step(H: np.ndarray, domain: Sequence[GroupElement],
                     "a", f"block resolvent entry ({elems[i]},{elems[j]}) = "
                     f"{abs(sub_inv[i, j]):.3e} above weight sum {bound[i, j]:.3e}")
 
-    verbatim_floor = math.exp(-4.0 * T / kappa0) if 4.0 * T / kappa0 < 700 else 0.0
-    floor = verbatim_floor if diagonal_floor is None else diagonal_floor
-    substituted = diagonal_floor is not None and diagonal_floor != verbatim_floor
+    floor = math.exp(-4.0 * T / kappa0) if 4.0 * T / kappa0 < 700 else 0.0
     for e in domain:
         if e in covered:
             continue
@@ -590,7 +591,7 @@ def msa_step(H: np.ndarray, domain: Sequence[GroupElement],
         bound = weight_sums(domain, prof, "R", k_max, eps0, lat).upper_bound
         audit_ok = not np.any(np.abs(resolvent) > bound + 1e-15)
     return MsaResult(resolvent=resolvent, merged_D=merged, audited=audited,
-                     audit_ok=audit_ok, floor_substituted=substituted)
+                     audit_ok=audit_ok)
 
 
 @dataclass(frozen=True)

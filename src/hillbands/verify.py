@@ -46,16 +46,14 @@ class CheckResult:
                 "margin": self.margin, "detail": self.detail}
 
 
-def _toy_context(eps: float = 0.05, kappa0: float = 1.0,
-                 truncation_R: float = 12.0) -> band_mod.BandContext:
-    omega = FrequencyVector.parse(["1"])
-    lat = QuotientLattice(omega)
-    coeffs = cosine([1], kappa0=kappa0)
-    folded = fold(coeffs, lat)
+def _toy_context() -> band_mod.BandContext:
+    """eps = 0.05 on the cosine c(+-1) = e^-1 over omega = 1."""
+    lat = QuotientLattice(FrequencyVector.parse(["1"]))
+    folded = fold(cosine([1], kappa0=1.0), lat)
     schedule = build_schedule("practical", s_max=2, R1=12.0, beta=0.5,
                               eps0=0.5, sigma_scale=1e-8, truncate=True)
     return band_mod.BandContext(lat=lat, folded=folded, schedule=schedule,
-                                eps=eps, truncation_R=truncation_R,
+                                eps=0.05, truncation_R=12.0,
                                 s_cap=1, use_domains=False)
 
 
@@ -67,11 +65,11 @@ def _context_from(config: dict | None) -> band_mod.BandContext:
     return build_context(config)
 
 
-def suite_schur(seed: int = 7, count: int = 100) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def suite_schur() -> list[CheckResult]:
+    rng = np.random.default_rng(7)
     worst = 0.0
     ok = True
-    for _ in range(count):
+    for _ in range(100):
         n = int(rng.integers(4, 65))
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = (A + A.conj().T) / 2.0
@@ -90,11 +88,12 @@ def suite_schur(seed: int = 7, count: int = 100) -> list[CheckResult]:
         worst = max(worst, rel)
     passed = ok and worst <= 1e-9
     return [CheckResult("schur", "block-inverse identity", passed, worst,
-                        f"{count} random matrices")]
+                        "100 random matrices")]
 
 
-def suite_dichotomy(seed: int = 11, count: int = 100000) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def suite_dichotomy() -> list[CheckResult]:
+    rng = np.random.default_rng(11)
+    count = 100000
     a1 = rng.uniform(-1.0, 2.0, count)
     gap = rng.uniform(1e-6, 2.0, count)
     a2 = a1 - gap
@@ -123,15 +122,15 @@ def suite_dichotomy(seed: int = 11, count: int = 100000) -> list[CheckResult]:
                         f"{count} random admissible tuples")]
 
 
-def suite_weights(seed: int = 3, profiles: int = 20) -> list[CheckResult]:
-    rng = np.random.default_rng(seed)
+def suite_weights() -> list[CheckResult]:
+    rng = np.random.default_rng(3)
     omega = FrequencyVector.parse(["1"])
     lat = QuotientLattice(omega)
     out = []
     worst_margin = math.inf
     lemma_ok = True
     sums_ok = True
-    for trial in range(profiles):
+    for trial in range(20):
         spread = int(rng.integers(1, 40))
         points = sorted(rng.choice(np.arange(-3 * spread, 3 * spread), size=5,
                                    replace=False).tolist())
@@ -152,7 +151,7 @@ def suite_weights(seed: int = 3, profiles: int = 20) -> list[CheckResult]:
                                                  eps0=1e-120, lat=lat, k_max=5)
         sums_ok = sums_ok and bound_rep.passed
     out.append(CheckResult("weights", "trajectory majorant bound", lemma_ok,
-                           worst_margin, f"{profiles} random profiles"))
+                           worst_margin, "20 random profiles"))
     out.append(CheckResult("weights", "weight-sum upper bounds", sums_ok))
     return out
 
@@ -216,7 +215,7 @@ def suite_domains() -> list[CheckResult]:
     return out
 
 
-def suite_band(eps: float = 0.05, config: dict | None = None) -> list[CheckResult]:
+def suite_band(config: dict | None = None) -> list[CheckResult]:
     ctx = _context_from(config)
     if config is None:
         ks = [0.05 + 0.01 * i for i in range(20)]
@@ -250,10 +249,8 @@ def suite_band(eps: float = 0.05, config: dict | None = None) -> list[CheckResul
     return out
 
 
-def suite_floquet(eps: float = 0.05, config: dict | None = None) -> list[CheckResult]:
+def suite_floquet(config: dict | None = None) -> list[CheckResult]:
     ctx = _context_from(config)
-    if config is not None:
-        eps = ctx.eps
     T = period(ctx.lat.omega)
     out = []
     # free equation: Delta(E) = 2 cos(sqrt(E) T)
@@ -269,7 +266,7 @@ def suite_floquet(eps: float = 0.05, config: dict | None = None) -> list[CheckRe
     lo, hi = floquet_gap_edges(center,
                                (gap.E_minus - 8.0 * width, center),
                                (center, gap.E_plus + 8.0 * width),
-                               eps, ctx.folded, T)
+                               ctx.eps, ctx.folded, T)
     err = max(abs(lo - gap.E_minus), abs(hi - gap.E_plus))
     out.append(CheckResult("floquet", "gap edges vs dual matrix",
                            err <= 1e-5, err))

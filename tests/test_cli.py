@@ -299,9 +299,12 @@ def test_verify_output_matches_golden(suite, capsys):
     assert capsys.readouterr().out == golden
 
 
-def test_verify_subcommand_with_config(tmp_path):
-    cfg = write_config(tmp_path)
-    assert main(["verify", str(cfg), "--suite", "band"]) == 0
+@pytest.mark.parametrize("suite", ["band", "floquet"])
+def test_verify_subcommand_with_config(tmp_path, suite):
+    # coupling 0.02, not the 0.05 of the built-in context: the floquet gap
+    # edges agree with the dual matrix's only if both read the config's
+    cfg = write_config(tmp_path, {"coupling": 0.02})
+    assert main(["verify", str(cfg), "--suite", suite]) == 0
 
 
 def test_console_script_help():

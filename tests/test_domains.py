@@ -1,9 +1,9 @@
 import pytest
 
 from hillbands.domains import (Domain, DomainBuilder, SubtractionSystem,
-                               build_level_sets, nesting_audit,
-                               partition_audit, separation_audit,
-                               subtract_stabilize, symmetrize_S, symmetrize_T)
+                               nesting_audit, partition_audit,
+                               separation_audit, subtract_stabilize,
+                               symmetrize_S, symmetrize_T)
 from hillbands.errors import ExcludedK, NotProper, PreconditionFailed
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.scales import build_schedule
@@ -26,8 +26,7 @@ def fset(lat, reps):
 
 
 def test_scale_one_is_plain_ball(lat, schedule):
-    levels, dom, _ = build_level_sets(0.37, 1, schedule, lat)
-    assert levels == {}
+    dom = DomainBuilder(0.37, schedule, lat).domain(1)
     assert dom.elements == frozenset(lat.ball(2.0 * schedule.R[1]))
 
 

@@ -22,6 +22,7 @@ from hillbands.oracle import dense_spectrum
 from hillbands.potential import cosine, fold, random_phase
 from hillbands.schur import q_g_functions
 
+EPS = float(np.finfo(float).eps)
 
 # --- the punctured resolvent on the t-order tridiagonal path ---
 
@@ -284,10 +285,12 @@ def dichotomy_oracle(a1, a2, b, u):
         raise PreconditionFailed("require a1 > a2")
     gap = a1 - a2
     expr = (u - a1) * (u - a2) - b * b
-    if not abs(expr) < gap * gap / 4.0:
+    scale = max(abs(a1), abs(a2), abs(b), abs(u))
+    margin = (16.0 * EPS * scale) * (abs(u - a1) + abs(u - a2))
+    if not abs(expr) < gap * gap / 4.0 - margin:
         raise PreconditionFailed(
-            f"|(u-a1)(u-a2) - b^2| = {abs(expr):.3e} not < (a1-a2)^2/4 = {gap*gap/4:.3e}"
-        )
+            f"|(u-a1)(u-a2) - b^2| = {abs(expr):.3e} not < (a1-a2)^2/4 = "
+            f"{gap * gap / 4.0:.3e} less the rounding margin {margin:.3e}")
     lam = expr / (gap * gap)
     gamma = (math.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0
     plus = u >= max(a1 - abs(gamma) * gap, 0.5 * (a1 + a2 + 2.0 * abs(b)))
@@ -358,7 +361,7 @@ def dichotomy_tuples(draw):
 @settings(max_examples=300)
 @given(st.lists(dichotomy_tuples(), min_size=1, max_size=40))
 # u at a case threshold, where the rounding of (a1 + a2 +- 2|b|)/2 decides
-# the case (the first tuple raises the exclusivity check)
+# the case (the first tuple falls inside the rounding margin)
 @example([(-15.266314576329023, -17.115159879299416, 0.31627684907351344,
            -15.874460378740705),
           (1.066265319979152, -0.7723407366441521, 0.08408930433865333,
@@ -379,6 +382,37 @@ def test_dichotomy_core_and_wrapper_match_scalar_oracle(tuples):
                    float(r.lam[i]).hex(), float(r.gamma[i]).hex(), True)
         assert got == (want if isinstance(want[0], str) else want[0])
         assert bool(r.classified[i]) == isinstance(want[0], str)
+
+
+def test_dichotomy_threshold_tuple_is_on_the_boundary():
+    # u = (a1 + a2 + 2|b|)/2 up to rounding: |expr| is the bound in exact
+    # arithmetic, and without the rounding margin this tuple met neither case
+    args = (-15.266314576329023, -17.115159879299416, 0.31627684907351344,
+            -15.874460378740705)
+    with pytest.raises(PreconditionFailed, match="rounding margin"):
+        quadratic_dichotomy(*args)
+    r = dichotomy_core(*(np.float64(x) for x in args))
+    assert abs(r.expr) < r.bound and not r.in_range and not r.classified
+
+
+@settings(max_examples=300)
+@given(st.floats(-1e3, 1e3), st.floats(1e-6, 2.0), st.floats(0.0, 1.0),
+       st.sampled_from([-1.0, 1.0]), st.integers(1, 4),
+       st.sampled_from([-math.inf, math.inf]))
+def test_dichotomy_never_fails_exclusivity_near_a_threshold(
+        a1, gap, b_frac, side, ulps, direction):
+    # u at (a1 + a2 +- 2|b|)/2 moved 1-4 ulps: inside the rounding of the
+    # boundary, so a single case or PreconditionFailed, never HypothesisFailed
+    a2 = a1 - gap
+    b = b_frac * gap / 4.0
+    u = 0.5 * (a1 + a2 + side * 2.0 * b)
+    for _ in range(ulps):
+        u = math.nextafter(u, direction)
+    try:
+        res = quadratic_dichotomy(a1, a2, b, u)
+    except PreconditionFailed:
+        return
+    assert res.case == ("plus_case" if side > 0 else "minus_case")
 
 
 def test_dichotomy_bound_is_exclusive():

@@ -21,8 +21,7 @@ from .domains import DomainBuilder, symmetrize_S, symmetrize_T
 from .errors import (ExcludedK, HillbandsError, HypothesisFailed,
                      PreconditionFailed)
 from .lattice import GroupElement, QuotientLattice
-from .operators import (TWO_PI_SQ, DualMatrix, OperatorSpec, assemble,
-                        order_domain)
+from .operators import TWO_PI_SQ, DualMatrix, OperatorSpec, assemble, gamma_for
 from .potential import FoldedCoefficients
 from .scales import (ModeTable, ResonanceProfile, ScaleSchedule, k_of,
                      mode_table, resonance_profile)
@@ -132,8 +131,6 @@ def _nonresonant_point(ctx: BandContext, k: float,
     klass = "N"
     scale_used = 0
     pair = None
-    domain_elems = None
-    hnorm = 0.0
     builder = DomainBuilder(k, ctx.schedule, ctx.lat)
     for s in range(1, ctx.s_cap + 1):
         if s > ctx.schedule.feasible_s:
@@ -141,11 +138,11 @@ def _nonresonant_point(ctx: BandContext, k: float,
         try:
             if ctx.use_domains:
                 if s >= 2 and abs(k) < ctx.schedule.delta[s - 2]:
-                    dom, _ = symmetrize_S(k, s, builder, ctx.schedule, ctx.lat)
-                    elems = dom.sorted_elements()
+                    ts, _ = symmetrize_S(k, s, builder, ctx.schedule, ctx.lat)
                     klass = "N-sym"
                 else:
-                    elems = sorted(builder.lambda0(s), key=GroupElement.key)
+                    ts = builder.lambda0(s)
+                elems = [ctx.lat.element(t) for t in ts]
             else:
                 elems = ctx.lat.ball(2.0 * ctx.schedule.R[s])
         except ExcludedK:
@@ -157,8 +154,6 @@ def _nonresonant_point(ctx: BandContext, k: float,
         pair = solve_simple(matrix, ctx.lat.identity, scale=s)
         energies.append(pair.E)
         scale_used = s
-        domain_elems = tuple(elems)
-        hnorm = matrix.norm_bound()
     if not energies:
         raise PreconditionFailed(f"no feasible scale at k={k}")
     increments = tuple(abs(b - a) for a, b in zip(energies, energies[1:]))
@@ -168,8 +163,9 @@ def _nonresonant_point(ctx: BandContext, k: float,
     )
     return BandPoint(k=k, E=energies[-1], scale=scale_used, klass=klass,
                      increments=increments, increment_bounds=bounds,
-                     domain_size=len(domain_elems), phi=pair.phi,
-                     domain=domain_elems, profile=profile, matrix_norm=hnorm,
+                     domain_size=matrix.size, phi=pair.phi,
+                     domain=matrix.domain, profile=profile,
+                     matrix_norm=matrix.norm_bound(),
                      iterations=pair.iterations, residual=pair.residual)
 
 
@@ -186,11 +182,11 @@ def _pair_setup(ctx: BandContext, k: float, n: GroupElement, s_use: int,
     """
     if ctx.use_domains:
         builder = DomainBuilder(k, ctx.schedule, ctx.lat)
-        dom, _ = symmetrize_T(k, s_use, n, builder, ctx.schedule, ctx.lat)
-        elems = dom.sorted_elements()
+        ts, _ = symmetrize_T(k, s_use, n, builder, ctx.schedule, ctx.lat)
+        elems = [ctx.lat.element(t) for t in ts]
     else:
         ball = ctx.lat.ball(2.0 * ctx.schedule.R[s_use])
-        elems = order_domain(list(ball) + [ctx.lat.sub(n, e) for e in ball])
+        elems = ball + [ctx.lat.sub(n, e) for e in ball]
     matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
     H = matrix.values
     i0, i1 = matrix.row_of(ctx.lat.identity), matrix.row_of(n)
@@ -269,8 +265,8 @@ def _ball_fallback(ctx: BandContext, k: float) -> BandPoint:
     elems = ctx.lat.ball(2.0 * ctx.schedule.R[1])
     matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
     pair = solve_simple(matrix, ctx.lat.identity, scale=1)
-    return BandPoint(k=k, E=pair.E, scale=1, klass="N", domain_size=len(elems),
-                     phi=pair.phi, domain=tuple(elems),
+    return BandPoint(k=k, E=pair.E, scale=1, klass="N",
+                     domain_size=matrix.size, phi=pair.phi, domain=matrix.domain,
                      matrix_norm=matrix.norm_bound(),
                      iterations=pair.iterations, residual=pair.residual)
 
@@ -299,7 +295,7 @@ def gap_edge_limit_crosscheck(ctx: BandContext, gap: GapRecord,
     (2 pi)^2 (and lambda on the resonance sum) factors. Floor 1e-7.
     """
     failures = []
-    lam = 256.0 * max(1.0, math.ceil(abs(gap.k_m)))
+    lam = 256.0 * gamma_for(gap.k_m)
     k_m = ctx.modes().k
     between = 2.0 * abs(ctx.eps) * ctx.modulus_tail(
         (np.abs(k_m - gap.k_m) < theta) & (k_m != gap.k_m))
@@ -393,8 +389,7 @@ def symmetry_audit(points_pos: Sequence[BandPoint],
                                                  "tolerance": SYMMETRY_TOL})
 
 
-def conjugate_reflection_audit(ctx: BandContext, points_pos,
-                               points_neg) -> AuditRecord:
+def conjugate_reflection_audit(points_pos, points_neg) -> AuditRecord:
     """phi(n; -k) = conj(phi(-n; k)) on paired samples."""
     worst = 0.0
     checked = 0
@@ -425,7 +420,7 @@ def monotonicity_audit(ctx: BandContext,
     usable = [p for p in points
               if p.E is not None and p.klass.startswith("N") and p.k > 0]
     usable.sort(key=lambda p: p.k)
-    lam = 256.0 * max(1.0, math.ceil(max((p.k for p in usable), default=1.0)))
+    lam = 256.0 * gamma_for(max((p.k for p in usable), default=1.0))
     eps0 = ctx.schedule.eps0
     k_m = ctx.modes().k
     failures = []

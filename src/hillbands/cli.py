@@ -194,7 +194,7 @@ def run_band(config: dict, out_override: str | None = None,
     if "symmetry" in audit_names:
         neg = band_mod.band_curve(ctx, [-p.k for p in points], threads=threads)
         audits.append(band_mod.symmetry_audit(points, neg))
-        audits.append(band_mod.conjugate_reflection_audit(ctx, points, neg))
+        audits.append(band_mod.conjugate_reflection_audit(points, neg))
     if "monotonicity" in audit_names:
         audits.append(band_mod.monotonicity_audit(ctx, points))
     if "increments" in audit_names:

@@ -6,6 +6,11 @@ those lower sets come from the threshold sets on |v(m,k) - v(0,k)| (normalized
 diagonal), built top-down with the subtracted corrections. Translated sets are
 memoized on the exact rational momentum offset, so the recursion terminates
 without floating-point drift.
+
+Every set here is a frozenset of the integer coordinate t of its elements:
+t is an isomorphism of the quotient onto Z, so translates m + Lambda and the
+reflections n -> -n and n -> n0 - n are integer maps, and
+``QuotientLattice.element`` turns a t back into its element.
 """
 
 from __future__ import annotations
@@ -17,33 +22,11 @@ from typing import Callable, Sequence
 from .errors import ExcludedK, NotProper, PreconditionFailed
 from .lattice import GroupElement, QuotientLattice
 from .scales import ScaleSchedule, excluded_blocker
-from .schur import mu_of_set
 
 # lambda = 256 gamma with gamma = 1: the normalization of the diagonal
 # v(m, k) = xi(m)(xi(m) + 2k) / lambda that the threshold sets compare
 # against delta0^(s').
 LAMBDA = 256.0
-
-
-@dataclass(frozen=True)
-class Domain:
-    """Finite subset of the quotient with a (scale, center, kind) label."""
-
-    elements: frozenset[GroupElement]
-    scale: int
-    center: GroupElement
-    kind: str = "plain"  # plain | sym | Tsym
-
-    def __post_init__(self):
-        if self.center not in self.elements:
-            raise ValueError("domain must contain its center")
-
-    def sorted_elements(self) -> list[GroupElement]:
-        return sorted(self.elements, key=GroupElement.key)
-
-    def boundary_distance(self, m: GroupElement, lat: QuotientLattice) -> int:
-        """mu_Lambda(m) = dist(m, T \\ Lambda) in the quotient metric."""
-        return mu_of_set(self.elements, m, lat)
 
 
 def _chained(a: frozenset, b: frozenset) -> bool:
@@ -53,22 +36,24 @@ def _chained(a: frozenset, b: frozenset) -> bool:
     return not (a <= b or b <= a)
 
 
-def set_distance(a, b, lat: QuotientLattice) -> int:
-    return min(lat.dist(x, y) for x in a for y in b)
+def set_distance(a: frozenset[int], b: frozenset[int],
+                 lat: QuotientLattice) -> int:
+    return min(lat.element(x - y).norm for x in a for y in b)
 
 
 @dataclass
 class SubtractionSystem:
-    """Family of (set, level) pairs with the pairing already merged into classes."""
+    """Family of (set of t, level) pairs with the pairing already merged into
+    classes."""
 
-    sets: list[tuple[frozenset, int]]
+    sets: list[tuple[frozenset[int], int]]
 
     def check_proper(self, lat: QuotientLattice) -> dict[int, int]:
         """Condition (i): distinct same-level sets have positive distance.
 
         Returns the per-level separation radii R_a. Raises NotProper on overlap.
         """
-        by_level: dict[int, list[frozenset]] = {}
+        by_level: dict[int, list[frozenset[int]]] = {}
         for s, t in self.sets:
             by_level.setdefault(t, []).append(s)
         radii = {}
@@ -89,9 +74,9 @@ class SubtractionSystem:
         return radii
 
 
-def subtract_stabilize(start: frozenset, system: SubtractionSystem,
-                       lat: QuotientLattice,
-                       ell_bound: int | None = None) -> tuple[frozenset, int]:
+def subtract_stabilize(start: frozenset[int], system: SubtractionSystem,
+                       lat: QuotientLattice, ell_bound: int | None = None
+                       ) -> tuple[frozenset[int], int]:
     """Iterate removal of system sets straddling the current set until stable.
 
     Returns (stabilized set, ell0). Asserts the Lemma-7.5-style dichotomy on the
@@ -131,7 +116,7 @@ class DomainBuilder:
         self.schedule = schedule
         self.lat = lat
         self.exempt_modes = frozenset(exempt_modes)
-        self._memo: dict[tuple[int, Fraction], frozenset] = {}
+        self._memo: dict[tuple[int, Fraction], frozenset[int]] = {}
         self._level_memo: dict[tuple[int, Fraction], dict] = {}
 
     def v_shift(self, m: GroupElement, offset: Fraction) -> float:
@@ -159,8 +144,8 @@ class DomainBuilder:
         if hit is not None:
             raise ExcludedK(k, s, hit[0], hit[1])
 
-    def lambda0(self, s: int, offset: Fraction = Fraction(0)) -> frozenset:
-        """Lambda^(s)_{k+offset}(0) as a frozenset of elements."""
+    def lambda0(self, s: int, offset: Fraction = Fraction(0)) -> frozenset[int]:
+        """Lambda^(s)_{k+offset}(0) as a frozenset of t."""
         self.schedule.require_feasible(s)
         key = (s, offset)
         cached = self._memo.get(key)
@@ -168,54 +153,45 @@ class DomainBuilder:
             return cached
         self._check_excluded(s, offset)
         if s == 1:
-            out = frozenset(self.lat.ball(2.0 * self.schedule.R[1]))
+            out = frozenset(e.t for e in self.lat.ball(2.0 * self.schedule.R[1]))
         else:
             levels = self.level_sets(s, offset)
-            ball = frozenset(self.lat.ball(3.0 * self.schedule.R[s]))
-            straddlers = []
-            for per_level in levels.values():
-                for dom in per_level.values():
-                    if _chained(dom, ball):
-                        straddlers.append(dom)
-            out = ball
-            if straddlers:
-                out = ball - frozenset().union(*straddlers)
+            ball = frozenset(e.t for e in self.lat.ball(3.0 * self.schedule.R[s]))
+            straddlers = [dom for per_level in levels.values()
+                          for dom in per_level.values() if _chained(dom, ball)]
+            out = ball - frozenset().union(*straddlers)
         self._memo[key] = out
         return out
 
     def level_sets(self, s: int, offset: Fraction = Fraction(0)) -> dict:
         """Threshold sets M^(s')_{k,s-1} and their translated domains, s' = s-1..1.
 
-        Returns {s': {center: frozenset}}, built top-down; a center already
-        swallowed by a higher level is skipped (the paper's exclusion clause).
+        Returns {s': {t of the center: frozenset of t}}, built top-down; a
+        center already swallowed by a higher level is skipped (the paper's
+        exclusion clause).
         """
         key = (s, offset)
         cached = self._level_memo.get(key)
         if cached is not None:
             return cached
-        out: dict[int, dict[GroupElement, frozenset]] = {}
-        claimed: set[GroupElement] = set()
+        out: dict[int, dict[int, frozenset[int]]] = {}
+        claimed: set[int] = set()
         scan = self.lat.ball(3.0 * self.schedule.R[s] + 3.0 * self.schedule.R[s - 1] + 1)
         for s_prime in range(s - 1, 0, -1):
             tau = self.threshold(s_prime, s)
-            sets_here: dict[GroupElement, frozenset] = {}
+            sets_here: dict[int, frozenset[int]] = {}
             if tau > 0:
                 for m in scan:
-                    if m in claimed:
+                    if m.t in claimed:
                         continue
                     if abs(self.v_shift(m, offset)) <= tau:
                         inner = self.lambda0(s_prime, offset + m.xi)
-                        dom = frozenset(self.lat.add(m, e) for e in inner)
-                        sets_here[m] = dom
+                        sets_here[m.t] = frozenset(m.t + x for x in inner)
             out[s_prime] = sets_here
             for dom in sets_here.values():
                 claimed.update(dom)
         self._level_memo[key] = out
         return out
-
-    def domain(self, s: int) -> Domain:
-        return Domain(elements=self.lambda0(s), scale=s,
-                      center=self.lat.identity)
 
 
 @dataclass(frozen=True)
@@ -252,22 +228,22 @@ def partition_audit(level_sets: dict) -> bool:
     return True
 
 
-def _reflection_classes(level_sets: dict, reflect: Callable[[GroupElement], GroupElement],
-                        lat: QuotientLattice) -> SubtractionSystem:
+def _reflection_classes(level_sets: dict,
+                        reflect: Callable[[int], int]) -> SubtractionSystem:
     """Classes Lambda(m-class) = union of Lambda(m') and reflect(Lambda(m')) over {m, Sm}."""
-    sets: list[tuple[frozenset, int]] = []
+    sets: list[tuple[frozenset[int], int]] = []
     for s_prime, per_level in level_sets.items():
-        done: set[GroupElement] = set()
+        done: set[int] = set()
         for m, dom in per_level.items():
             if m in done:
                 continue
             partner = reflect(m)
-            members = [dom, frozenset(reflect(e) for e in dom)]
+            members = [dom, frozenset(map(reflect, dom))]
             done.add(m)
             if partner != m and partner in per_level:
                 pdom = per_level[partner]
                 members.append(pdom)
-                members.append(frozenset(reflect(e) for e in pdom))
+                members.append(frozenset(map(reflect, pdom)))
                 done.add(partner)
             merged = frozenset().union(*members)
             sets.append((merged, s_prime))
@@ -275,9 +251,11 @@ def _reflection_classes(level_sets: dict, reflect: Callable[[GroupElement], Grou
 
 
 def symmetrize_S(k: float, s: int, builder: DomainBuilder,
-                 schedule: ScaleSchedule, lat: QuotientLattice) -> tuple[Domain, int]:
-    """S-symmetrized Lambda^(s)_{k,sym}(0): start from B(3 R^(s)), subtract
-    reflection-merged classes to a fixed point; result is S-invariant.
+                 schedule: ScaleSchedule, lat: QuotientLattice
+                 ) -> tuple[frozenset[int], int]:
+    """S-symmetrized Lambda^(s)_{k,sym}(0) as a set of t: start from
+    B(3 R^(s)), subtract reflection-merged classes to a fixed point; the
+    result is S-invariant, S being t -> -t.
 
     Precondition: |k| < delta0^(s-2) (the small-k regime), always checked.
     """
@@ -287,51 +265,46 @@ def symmetrize_S(k: float, s: int, builder: DomainBuilder,
         raise PreconditionFailed(
             f"|k|={abs(k)} not below delta0^({s-2})={schedule.delta[s-2]:.3e}"
         )
-    levels = builder.level_sets(s)
-    system = _reflection_classes(levels, lat.neg, lat)
-    start = frozenset(lat.ball(3.0 * schedule.R[s]))
+    system = _reflection_classes(builder.level_sets(s), lambda t: -t)
+    start = frozenset(e.t for e in lat.ball(3.0 * schedule.R[s]))
     stabilized, ell0 = subtract_stabilize(start, system, lat, ell_bound=2**s)
-    for e in stabilized:
-        if lat.neg(e) not in stabilized:
-            raise NotProper("S-symmetrized set is not S-invariant")
-    return Domain(elements=stabilized, scale=s, center=lat.identity,
-                  kind="sym"), ell0
+    if any(-t not in stabilized for t in stabilized):
+        raise NotProper("S-symmetrized set is not S-invariant")
+    return stabilized, ell0
 
 
 def symmetrize_T(k: float, s: int, n0: GroupElement, builder: DomainBuilder,
-                 schedule: ScaleSchedule, lat: QuotientLattice) -> tuple[Domain, int]:
-    """T-symmetrized domain for the pair {0, n0}: start from
+                 schedule: ScaleSchedule, lat: QuotientLattice
+                 ) -> tuple[frozenset[int], int]:
+    """T-symmetrized domain for the pair {0, n0} as a set of t: start from
     B(3 R^(s)) union T(B(3 R^(s))), T(n) = n0 - n; subtract to a fixed point.
 
     The result is T-invariant and must contain B(0, R^(s)) and B(n0, R^(s)).
     The principal pair's own exclusion intervals are the allowed exception, so
     the builder is re-derived with {n0, -n0} exempted if necessary.
     """
-    reflect = lambda e: lat.sub(n0, e)
+    reflect = lambda t: n0.t - t
     if n0.t not in builder.exempt_modes:
         builder = DomainBuilder(
             builder.k, builder.schedule, builder.lat,
             exempt_modes=builder.exempt_modes | {n0.t, -n0.t})
     levels = builder.level_sets(s) if s >= 2 else {}
-    system = _reflection_classes(levels, reflect, lat)
-    ball = frozenset(lat.ball(3.0 * schedule.R[s]))
-    start = ball | frozenset(reflect(e) for e in ball)
+    system = _reflection_classes(levels, reflect)
+    ball = frozenset(e.t for e in lat.ball(3.0 * schedule.R[s]))
+    start = ball | frozenset(map(reflect, ball))
     stabilized, ell0 = subtract_stabilize(start, system, lat, ell_bound=2**s)
-    for e in stabilized:
-        if reflect(e) not in stabilized:
-            raise NotProper("T-symmetrized set is not T-invariant")
+    if any(reflect(t) not in stabilized for t in stabilized):
+        raise NotProper("T-symmetrized set is not T-invariant")
     for e in lat.ball(schedule.R[s]):
-        if e not in stabilized or lat.add(n0, e) not in stabilized:
+        if e.t not in stabilized or n0.t + e.t not in stabilized:
             raise NotProper(
                 "T-symmetrized set lost a point of B(0,R^(s)) or B(n0,R^(s))"
             )
-    return Domain(elements=stabilized, scale=s, center=lat.identity,
-                  kind="Tsym"), ell0
+    return stabilized, ell0
 
 
 def separation_audit(level_sets: dict, schedule: ScaleSchedule,
-                     lat: QuotientLattice,
-                     reflect: Callable[[GroupElement], GroupElement]) -> list:
+                     lat: QuotientLattice, reflect: Callable[[int], int]) -> list:
     """Lemma-7.11(2)-style audit: distinct same-level reflected classes are
     more than 6 R^(s') apart. Returns violation records (empty = pass)."""
     violations = []
@@ -344,7 +317,7 @@ def separation_audit(level_sets: dict, schedule: ScaleSchedule,
                 m1, m2 = centers[i], centers[j]
                 if reflect(m1) == m2:
                     continue
-                mirrored = frozenset(reflect(e) for e in per_level[m1])
+                mirrored = frozenset(map(reflect, per_level[m1]))
                 d = set_distance(mirrored, per_level[m2], lat)
                 if not d > 6.0 * schedule.R[s_prime]:
                     violations.append((s_prime, m1, m2, d))

@@ -225,6 +225,8 @@ def _sign_change_roots(f: Callable[[float], float], lo: float, hi: float,
 
 
 def _refine_root(f, a, b, fa, fb):
+    """Guarded secant on the bracket [a, b]; raises NoConvergence when the
+    bracket has not shrunk below ROOT_TOL after 200 steps."""
     for _ in range(200):
         # secant proposal, guarded by the bracket
         denom = fb - fa
@@ -239,7 +241,7 @@ def _refine_root(f, a, b, fa, fb):
             b, fb = x, fx
         else:
             a, fa = x, fx
-    return 0.5 * (a + b)
+    raise NoConvergence(200, abs(fx))
 
 
 def solve_pair(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
@@ -356,6 +358,13 @@ def dichotomy_core(a1, a2, b, u) -> DichotomyArrays:
     which floats place to within 3 ulps of the largest operand S. The bound
     loses the margin 16 eps S (|u - a1| + |u - a2|) >= 16 eps S |d expr/du|,
     so a u that close to a threshold is rejected, not left in neither case.
+
+    At b = 0, u itself is a root of (x - a1)(x - a2) = expr, like the other
+    thresholds a1 - |gamma|(a1 - a2), a2 + |gamma|(a1 - a2) and the bracket
+    ends. An error of margin in expr moves those roots by margin / width,
+    width = (a1 - a2) sqrt(1 + 4 lam) being their distance, so u is compared
+    with each as (u - threshold) * width against -margin. Both cases at once
+    would need |u - (a1 + a2)/2| < margin / width, which in_range excludes.
     """
     # Each element carries the bits of the formula evaluated in Python
     # floats: every step is an IEEE-exact ufunc in the same order (+, -, *,
@@ -373,12 +382,17 @@ def dichotomy_core(a1, a2, b, u) -> DichotomyArrays:
         margin = (16.0 * _EPS * scale) * (np.abs(u - a1) + np.abs(u - a2))
         in_range = np.abs(expr) < bound - margin
         lam = expr / (gap * gap)
-        gamma = (np.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0
+        root = np.sqrt(1.0 + 4.0 * lam)
+        gamma = (root - 1.0) / 2.0
         spread = np.abs(gamma) * gap
+        width = gap * root
         abs_b = np.abs(b)
-        plus = u >= np.maximum(a1 - spread, 0.5 * (a1 + a2 + 2.0 * abs_b))
-        minus = u <= np.minimum(a2 + spread, 0.5 * (a1 + a2 - 2.0 * abs_b))
-        bracket_ok = (a2 - spread - abs_b <= u) & (u <= a1 + spread + abs_b)
+        plus = (u - np.maximum(a1 - spread, 0.5 * (a1 + a2 + 2.0 * abs_b))
+                ) * width >= -margin
+        minus = (np.minimum(a2 + spread, 0.5 * (a1 + a2 - 2.0 * abs_b))
+                 - u) * width >= -margin
+        bracket_ok = (((a2 - spread - abs_b - u) * width <= margin)
+                      & ((u - a1 - spread - abs_b) * width <= margin))
     return DichotomyArrays(ordered=a1 > a2, expr=expr, bound=bound,
                            margin=margin, in_range=in_range, lam=lam,
                            gamma=gamma, plus=plus, minus=minus,
@@ -390,7 +404,8 @@ def quadratic_dichotomy(a1: float, a2: float, b: float, u: float) -> DichotomyRe
     rounding margin of dichotomy_core.
 
     Exactly one of the two cases holds; the universal bracket
-    a2 - |gamma|(a1-a2) - |b| <= u <= a1 + |gamma|(a1-a2) + |b| is asserted.
+    a2 - |gamma|(a1-a2) - |b| <= u <= a1 + |gamma|(a1-a2) + |b| is asserted,
+    both within the rounding margin.
     Evaluated by dichotomy_core on float64 scalars. Raises
     PreconditionFailed when a1 <= a2 or the inequality fails, then
     HypothesisFailed when both or neither case holds or u escapes the

@@ -81,7 +81,7 @@ class SingularBlock(HillbandsError):
 
 
 class NoConvergence(HillbandsError):
-    """Fixed-point iteration did not reach tolerance."""
+    """An iteration (fixed point or root refinement) did not reach tolerance."""
 
     def __init__(self, iterations, last_residual):
         self.iterations = iterations

@@ -87,10 +87,15 @@ class FrequencyVector:
 
 @dataclass(frozen=True)
 class NullLattice:
-    """Integer basis of N(omega) = { m : m.omega = 0 }, saturated by construction."""
+    """Integer basis of N(omega) = { m : m.omega = 0 }, saturated by construction.
+
+    ``unit`` is an integer vector u with u.w = gcd(w) for the integer form w:
+    a vector of coordinate t = 1, so t * u is a vector of coordinate t.
+    """
 
     basis: tuple[tuple[int, ...], ...]
     rank: int
+    unit: tuple[int, ...]
 
     def __post_init__(self):
         assert self.rank == len(self.basis)
@@ -117,7 +122,11 @@ def null_lattice(omega: FrequencyVector) -> NullLattice:
     basis = [tuple(rows[i]) for i in range(nu) if g[i] == 0]
     basis = [_sign_normalize(b) for b in basis]
     basis.sort()
-    return NullLattice(basis=tuple(basis), rank=len(basis))
+    # the rows stay unimodular, so the one row left with g != 0 has
+    # row.w = +-gcd(w)
+    (last,) = nz
+    unit = tuple(a if g[last] > 0 else -a for a in rows[last])
+    return NullLattice(basis=tuple(basis), rank=len(basis), unit=unit)
 
 
 def _sign_normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -171,35 +180,33 @@ class QuotientLattice:
         # vector of a coset has the same t, so each coset is searched once.
         self._by_t: dict[int, GroupElement] = {}
         self._ball_cache: dict[int, tuple[GroupElement, ...]] = {}
-        self._coeff_rows = self._pinv_row_norms()
+        self._pinv = self._null_pinv()
+        self._coeff_rows = [sum(abs(x) for x in row) for row in self._pinv]
         # xi(v) = xi_spacing * sum_j v_j w_j / g for the integer form w and
         # g = gcd(w), so these integer weights give t without a division.
         g = math.gcd(*omega.integer_form)
         self._t_weights = tuple(w // g for w in omega.integer_form)
 
-    def _pinv_row_norms(self):
+    def _null_pinv(self) -> list[tuple[float, ...]]:
+        """Rows of the pseudo-inverse of the null basis (rank x nu)."""
         if self.null.rank == 0:
             return []
         import numpy as np
 
         B = np.array(self.null.basis, dtype=float).T  # nu x rank
-        pinv = np.linalg.pinv(B)  # rank x nu
-        return [float(np.sum(np.abs(pinv[i]))) for i in range(self.null.rank)]
+        return [tuple(float(x) for x in row) for row in np.linalg.pinv(B)]
 
     def xi(self, vec: Sequence[int]) -> Fraction:
         return self.omega.xi_raw(vec)
 
     @property
     def identity(self) -> GroupElement:
-        return self.canonicalize([0] * self.nu)
+        return self.element(0)
 
     def xi_spacing(self) -> Fraction:
         """Exact spacing of the (always discrete, rational data) subgroup xi(T)."""
-        w = self.omega.integer_form
-        g = 0
-        for v in w:
-            g = math.gcd(g, abs(v))
-        return Fraction(g, self.omega.common_denominator)
+        return Fraction(math.gcd(*self.omega.integer_form),
+                        self.omega.common_denominator)
 
     def _null_points_in_box(self, radius: int):
         """All p in N(omega) with |p|_inf <= radius."""
@@ -246,23 +253,31 @@ class QuotientLattice:
         self._by_t[t] = elem
         return elem
 
-    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        elem = self._by_t.get(a.t + b.t)
+    def element(self, t: int) -> GroupElement:
+        """The element of coordinate t.
+
+        A coordinate not yet in the table is canonicalized from its preimage
+        t * unit, first shortened by the nearest integer combination of the
+        null basis: the raw preimage grows like |t| * |unit| and would widen
+        the null-translate search of ``canonicalize`` to match.
+        """
+        elem = self._by_t.get(t)
         if elem is not None:
             return elem
-        return self.canonicalize([x + y for x, y in zip(a.rep, b.rep)])
+        v = [t * a for a in self.null.unit]
+        coeffs = [round(sum(p * a for p, a in zip(row, v))) for row in self._pinv]
+        for c, b in zip(coeffs, self.null.basis):
+            v = [a - c * x for a, x in zip(v, b)]
+        return self.canonicalize(v)
+
+    def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        return self.element(a.t + b.t)
 
     def sub(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        elem = self._by_t.get(a.t - b.t)
-        if elem is not None:
-            return elem
-        return self.canonicalize([x - y for x, y in zip(a.rep, b.rep)])
+        return self.element(a.t - b.t)
 
     def neg(self, a: GroupElement) -> GroupElement:
-        elem = self._by_t.get(-a.t)
-        if elem is not None:
-            return elem
-        return self.canonicalize([-x for x in a.rep])
+        return self.element(-a.t)
 
     def dist(self, a: GroupElement, b: GroupElement) -> int:
         """|a - b|, the metric of the quotient."""
@@ -279,12 +294,9 @@ class QuotientLattice:
         r = int(math.floor(R + 1e-12))
         cached = self._ball_cache.get(r)
         if cached is None:
-            seen: dict[tuple[int, ...], GroupElement] = {}
-            for vec in itertools.product(range(-r, r + 1), repeat=self.nu):
-                e = self.canonicalize(vec)
-                if e.norm <= r:
-                    seen[e.rep] = e
-            cached = tuple(sorted(seen.values(), key=GroupElement.key))
+            box = itertools.product(range(-r, r + 1), repeat=self.nu)
+            seen = {e for e in map(self.canonicalize, box) if e.norm <= r}
+            cached = tuple(sorted(seen, key=GroupElement.key))
             self._ball_cache[r] = cached
         return list(cached)
 

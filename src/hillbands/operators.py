@@ -87,7 +87,7 @@ class DualMatrix:
         return len(self.domain)
 
     def row_of(self, e: GroupElement) -> int:
-        return self.index[e.rep]
+        return self.index[e]
 
     def norm_bound(self) -> float:
         return float(np.linalg.norm(self.values, ord=np.inf))
@@ -131,7 +131,7 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     if check_decay:
         _check_decay(H, dom, t, entries, spec, folded)
     return DualMatrix(domain=dom, values=H, spec=spec,
-                      index={e.rep: i for i, e in enumerate(dom)},
+                      index={e: i for i, e in enumerate(dom)},
                       bandwidth=_t_order_bandwidth(t, entries))
 
 

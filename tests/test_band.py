@@ -1,5 +1,7 @@
 import dataclasses
 import functools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -142,7 +144,7 @@ def test_pair_route_is_even_in_k(case):
         -n.t for n in pos.profile.n_points]
     assert symmetry_audit([pos], [neg]).passed
     # mirrored tops give mirrored domains, so phi is compared on every point
-    reflection = conjugate_reflection_audit(ctx, [pos], [neg])
+    reflection = conjugate_reflection_audit([pos], [neg])
     assert reflection.passed and reflection.checked == 1
 
 def test_branch_monotonicity_and_splitting(toy_context):
@@ -171,7 +173,7 @@ def test_symmetry_and_conjugate_reflection(toy_context):
     neg = band_curve(toy_context, [-k for k in ks])
     rec = symmetry_audit(pos, neg)
     assert rec.passed and rec.checked == 3
-    rec2 = conjugate_reflection_audit(toy_context, pos, neg)
+    rec2 = conjugate_reflection_audit(pos, neg)
     assert rec2.passed
 
 
@@ -318,7 +320,6 @@ def test_eigenvector_scale_increment(line_lattice, cosine_folded):
     # max(2 eps delta0^(s-1)^5, machine-noise floor)
     from hillbands.domains import DomainBuilder
     from hillbands.eigensolve import solve_simple
-    from hillbands.lattice import GroupElement
 
     schedule = build_schedule("practical", s_max=3, R1=9.0, beta=0.5,
                               eps0=0.5, sigma_scale=1e-9, truncate=True)
@@ -327,7 +328,7 @@ def test_eigenvector_scale_increment(line_lattice, cosine_folded):
     builder = DomainBuilder(k, schedule, lat)
     pairs = {}
     for s in (2, 3):
-        elems = sorted(builder.lambda0(s), key=GroupElement.key)
+        elems = [lat.element(t) for t in builder.lambda0(s)]
         matrix = assemble(elems, OperatorSpec(epsilon=0.05, k=k),
                           cosine_folded, lat)
         pairs[s] = (matrix, solve_simple(matrix, lat.identity, scale=s))
@@ -429,3 +430,32 @@ def test_error_points_recorded_not_raised(line_lattice, cosine_folded):
     points = band_curve(ctx, [0.3])
     assert len(points) == 1
     assert points[0].E is not None or points[0].klass == "error"
+
+
+# k, class, scale, lowest and highest t of the (contiguous) domain, E
+REFERENCE_ROUTES = [
+    (0.005, "N-sym", 2, (-33, 33), 0.0009698183190635925),
+    (-0.005, "N-sym", 2, (-33, 33), 0.0009698183190635925),
+    (0.37, "N", 2, (-33, 33), 5.404557482409826),
+    (0.49, "OPR", 2, (-34, 33), 9.478335460472076),
+    (0.51, "OPR", 2, (-34, 33), 10.268760454163319),
+    (-0.49, "OPR", 2, (-33, 34), 9.478335460472076),
+]
+
+
+@pytest.fixture(scope="module")
+def reference_context():
+    path = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+    return build_context(json.loads(path.read_text()))
+
+
+@pytest.mark.parametrize("k, klass, scale, span, E", REFERENCE_ROUTES)
+def test_reference_config_domain_routes(reference_context, k, klass, scale,
+                                        span, E):
+    # the shipped config reaches all three domain routes: the S-symmetrized
+    # domain at small |k|, the inductive domain at s = 2, and the
+    # T-symmetrized pair domain around k_{-1} = 1/2 (mirrored at -k)
+    p = compute_point(reference_context, k)
+    assert (p.klass, p.scale) == (klass, scale)
+    assert sorted(e.t for e in p.domain) == list(range(span[0], span[1] + 1))
+    assert p.E == pytest.approx(E, rel=1e-12)

@@ -313,3 +313,20 @@ def test_console_script_help():
     assert proc.returncode == 0
     assert "band" in proc.stdout and "verify" in proc.stdout
     assert "(default: 1)" in " ".join(proc.stdout.split())
+
+
+def test_decay_fit_is_the_decay_audit_rate(tmp_path):
+    # with the decay audit each sample carries its audit's fitted rate;
+    # without it every decay_fit is null
+    for audits in (["decay"], ["increments"]):
+        cfg = write_config(tmp_path, {"audits": audits, "gaps": []})
+        out = tmp_path / audits[0]
+        main(["band", str(cfg), "--output-dir", str(out)])
+        report = json.loads((out / "report.json").read_text())["report"]
+        fits = [s["decay_fit"] for s in report["samples"]]
+        rates = [a["details"]["fitted_rate"] for a in report["audits"]
+                 if a["name"] == "decay"]
+        if audits == ["decay"]:
+            assert fits == rates and all(f is not None for f in fits)
+        else:
+            assert rates == [] and fits == [None] * len(fits)

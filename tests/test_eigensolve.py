@@ -8,12 +8,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hillbands.eigensolve import (CffNode, DichotomyResult,
-                                  PuncturedResolvent, cff_branch_solve,
+                                  PuncturedResolvent, _refine_root,
+                                  cff_branch_solve,
                                   cff_build, dichotomy_core, leaf, pair_chi,
                                   quadratic_dichotomy, solve_pair,
                                   solve_simple)
 from hillbands.errors import (AdmissibilityFailed, HypothesisFailed,
-                              OrderingFailed, PreconditionFailed,
+                              NoConvergence, OrderingFailed,
+                              PreconditionFailed,
                               RootCountMismatch, SingularBlock)
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.operators import (TWO_PI_SQ, OperatorSpec, assemble,
@@ -292,14 +294,19 @@ def dichotomy_oracle(a1, a2, b, u):
             f"|(u-a1)(u-a2) - b^2| = {abs(expr):.3e} not < (a1-a2)^2/4 = "
             f"{gap * gap / 4.0:.3e} less the rounding margin {margin:.3e}")
     lam = expr / (gap * gap)
-    gamma = (math.sqrt(1.0 + 4.0 * lam) - 1.0) / 2.0
-    plus = u >= max(a1 - abs(gamma) * gap, 0.5 * (a1 + a2 + 2.0 * abs(b)))
-    minus = u <= min(a2 + abs(gamma) * gap, 0.5 * (a1 + a2 - 2.0 * abs(b)))
+    root = math.sqrt(1.0 + 4.0 * lam)
+    gamma = (root - 1.0) / 2.0
+    spread, width = abs(gamma) * gap, gap * root
+    # each threshold compared with u within the margin carried to u-units
+    plus = (u - max(a1 - spread, 0.5 * (a1 + a2 + 2.0 * abs(b)))) * width \
+        >= -margin
+    minus = (min(a2 + spread, 0.5 * (a1 + a2 - 2.0 * abs(b))) - u) * width \
+        >= -margin
     if plus == minus:
         raise HypothesisFailed("dichotomy exclusivity",
                                f"plus={plus} minus={minus} at u={u}")
-    bracket_ok = (a2 - abs(gamma) * gap - abs(b) <= u
-                  <= a1 + abs(gamma) * gap + abs(b))
+    bracket_ok = ((a2 - spread - abs(b) - u) * width <= margin
+                  and (u - a1 - spread - abs(b)) * width <= margin)
     if not bracket_ok:
         raise HypothesisFailed("dichotomy bracket", f"u={u} escapes the bracket")
     return DichotomyResult(case="plus_case" if plus else "minus_case",
@@ -423,6 +430,43 @@ def test_dichotomy_bound_is_exclusive():
                        np.array([0.0, 0.0]), np.array([0.5, 2.0]))
     assert list(r.expr) == [-0.25, -1.0] and list(r.bound) == [0.25, 1.0]
     assert not r.in_range.any() and not r.classified.any()
+
+
+def test_dichotomy_at_zero_coupling_regression():
+    # b = 0 puts u exactly on a threshold, a1 - |gamma|(a1 - a2) here:
+    # without the margin on the thresholds rounding left it in neither case
+    res = quadratic_dichotomy(0.9108850619643629, -0.3031060739581761, 0.0,
+                              -0.14530864354001088)
+    assert res.case == "minus_case" and res.bracket_ok
+
+
+@pytest.mark.parametrize("b_scale", [0.0, 1e-9])
+def test_dichotomy_sweep_with_vanishing_coupling(b_scale):
+    # the verify suite's draw with b = 0, and with 0 <= b <= 1e-9 (a1 - a2):
+    # no admissible tuple fails exclusivity or the bracket
+    rng = np.random.default_rng(0)
+    count = 100000
+    a1 = rng.uniform(-1.0, 2.0, count)
+    gap = rng.uniform(1e-6, 2.0, count)
+    a2 = a1 - gap
+    b = rng.uniform(0.0, 1.0, count) * gap * b_scale
+    t = rng.uniform(-0.999, 0.999, count)
+    disc = gap * gap / 4.0 + b * b + t * gap * gap / 4.0
+    side = rng.integers(0, 2, count) * 2 - 1
+    u = (a1 + a2) / 2.0 + side * np.sqrt(np.maximum(disc, 0.0))
+    r = dichotomy_core(a1, a2, b, u)
+    admissible = r.ordered & r.in_range
+    assert admissible.sum() > 0.99 * count
+    assert not (admissible & (r.plus == r.minus)).any()
+    assert not (admissible & ~r.bracket_ok).any()
+
+
+def test_refine_root_raises_when_the_bracket_does_not_shrink():
+    # the secant keeps one end of [-1, 1] fixed on exp(10 x) - 2, so after
+    # 200 steps the bracket is still wide; its midpoint 0.018 is no root
+    f = lambda x: math.exp(10.0 * x) - 2.0
+    with pytest.raises(NoConvergence):
+        _refine_root(f, -1.0, 1.0, f(-1.0), f(1.0))
 
 
 def test_cff_leaf_and_degenerate_composite():

@@ -318,6 +318,18 @@ def test_integer_coordinate(line_lattice, half_lattice, mixed_lattice):
     assert len({e.t for e in rescaled.ball(6)}) == len(rescaled.ball(6)) == 109
 
 
+def test_element_of_coordinate_on_a_fresh_table():
+    # element(t) on a table that holds none of the ball canonicalizes the
+    # shortened preimage t * unit to the same record the ball found
+    for omega in OMEGAS + [("1/2", "1/3", "1/6")]:
+        ref = QuotientLattice(FrequencyVector.parse(omega))
+        fresh = QuotientLattice(FrequencyVector.parse(omega))
+        unit = fresh.null.unit
+        assert sum(u * w for u, w in zip(unit, fresh._t_weights)) == 1
+        for e in reversed(ref.ball(6)):
+            assert _fields(fresh.element(e.t)) == _fields(e)
+
+
 def test_elements_compare_and_hash_by_t(half_lattice):
     # t is the one key: a record with another rep but the same t is equal
     e = half_lattice.canonicalize([2, 1])

@@ -44,7 +44,7 @@ def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
                 f"(eps*B1*exp(-kappa0 |m-n|^alpha0))"
             )
     return DualMatrix(domain=dom, values=H, spec=spec,
-                      index={e.rep: i for i, e in enumerate(dom)})
+                      index={e: i for i, e in enumerate(dom)})
 
 
 def pairwise_decay_violations(H, dom, spec, folded, lat):

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .domains import DomainBuilder, symmetrize_S, symmetrize_T
 from .errors import (ExcludedK, HillbandsError, HypothesisFailed,
@@ -26,7 +25,8 @@ from .potential import FoldedCoefficients
 from .scales import (ModeTable, ResonanceProfile, ScaleSchedule, k_of,
                      mode_table, resonance_profile)
 from .schur import q_g_functions
-from .eigensolve import PuncturedResolvent, solve_simple, solve_pair
+from .eigensolve import (PuncturedResolvent, refine_root, solve_simple,
+                         solve_pair)
 from .oracle import dense_spectrum
 
 # increments at desk scale sit below float64 resolution; audits use this floor
@@ -342,7 +342,7 @@ def gap_edges(ctx: BandContext, m: GroupElement) -> GapRecord:
 
     edges = {}
     for sign in (+1.0, -1.0):
-        E = brentq(lambda x: equation(x, sign), lo, hi, xtol=1e-13)
+        E = refine_root(lambda x: equation(x, sign), lo, hi, 1e-13)
         edges[sign] = (E, punctured.Q(i0, E), punctured.G(i0, im, E))
     del punctured
     for E, Q, G in edges.values():

@@ -169,7 +169,8 @@ def run_band(config: dict, out_override: str | None = None,
 
     Returns the output dir and the run's failures, which report.json lists
     too: each requested gap that raised, each sample of class ``error`` and
-    each audit that did not pass.
+    each audit that did not pass. A grid of which band_curve keeps no k
+    raises ConfigError.
     """
     ctx = build_context(config)
     outdir = output_dir(config, out_override)
@@ -179,6 +180,9 @@ def run_band(config: dict, out_override: str | None = None,
     floquet_grid = (floquet_grid_from(config) if "floquet" in audit_names
                     else None)
     points = band_mod.band_curve(ctx, k_grid, threads=threads)
+    if not points:
+        raise ConfigError(f"no k of k_grid is left: every k within 1e-12 of "
+                          f"a k_m is dropped, here {k_grid}")
 
     gaps = []
     failures = []

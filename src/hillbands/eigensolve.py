@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.optimize import brentq
 
 from .errors import (AdmissibilityFailed, HypothesisFailed, NoConvergence,
                      OrderingFailed, PreconditionFailed, RootCountMismatch,
@@ -24,7 +25,7 @@ from .lattice import GroupElement
 from .operators import DualMatrix
 from .schur import q_g_functions
 
-# width at which the fixed point and every root refinement stop
+# width at which the fixed point and the sign-change roots stop
 ROOT_TOL = 1e-12
 # central-difference step of cff_branch_solve: near eps^(1/3), where the
 # O(h^2) truncation and O(eps/h) cancellation errors of a first difference
@@ -206,42 +207,41 @@ def pair_chi(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
 
 def _sign_change_roots(f: Callable[[float], float], lo: float, hi: float,
                        grid_points: int) -> list[float]:
-    """All roots of f located by sign changes on a grid, refined by
-    bisection+secant to ROOT_TOL."""
+    """All roots of f located by sign changes on a grid, each refined by
+    refine_root to ROOT_TOL."""
     xs = np.linspace(lo, hi, grid_points)
     vals = [f(float(x)) for x in xs]
     roots = []
     for i in range(len(xs) - 1):
         a, b = float(xs[i]), float(xs[i + 1])
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
+        if vals[i] == 0.0:
             roots.append(a)
-            continue
-        if fa * fb < 0:
-            roots.append(_refine_root(f, a, b, fa, fb))
+        elif vals[i] * vals[i + 1] < 0:
+            roots.append(refine_root(f, a, b, ROOT_TOL))
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
 
 
-def _refine_root(f, a, b, fa, fb):
-    """Guarded secant on the bracket [a, b]; raises NoConvergence when the
-    bracket has not shrunk below ROOT_TOL after 200 steps."""
-    for _ in range(200):
-        # secant proposal, guarded by the bracket
-        denom = fb - fa
-        mid = 0.5 * (a + b)
-        x = mid if denom == 0 else b - fb * (b - a) / denom
-        if not (a < x < b):
-            x = mid
-        fx = f(x)
-        if fx == 0.0 or (b - a) < ROOT_TOL:
-            return x
-        if fa * fx < 0:
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-    raise NoConvergence(200, abs(fx))
+def refine_root(f: Callable[[float], float], a: float, b: float,
+                xtol: float) -> float:
+    """The root of f in the sign-changing bracket [a, b] to xtol, by scipy's
+    brentq (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 4). NoConvergence when brentq stops unconverged or raises on a NaN
+    of f, the latter with residual NaN."""
+    # brentq's NaN guard refers to itself, so what it wraps lives until the
+    # cycle collector runs: a box emptied on return frees f at once
+    box = [f]
+    try:
+        x, result = brentq(lambda x: box[0](x), a, b, xtol=xtol,
+                           full_output=True, disp=False)
+    except ValueError as exc:
+        raise NoConvergence(0, math.nan) from exc
+    finally:
+        box.clear()
+    if not result.converged:
+        raise NoConvergence(result.iterations, abs(f(x)))
+    return x
 
 
 def solve_pair(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
@@ -622,27 +622,22 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
     xs = list(x_grid)
     for pos, x in enumerate(xs):
         lo, hi = u_window(x)
-        if prev is None:
-            roots = _sign_change_roots(lambda u: node.chi(x, u), lo, hi,
-                                       CFF_SCAN_POINTS)
-        else:
-            roots = []
+        chi_u = lambda u: node.chi(x, u)
+        roots = []
+        if prev is not None:
+            width = max(4.0 * abs(prev[1] - prev[0]), 64.0 * ROOT_TOL,
+                        (hi - lo) / CFF_SCAN_POINTS)
             for seed in prev:
-                width = max(4.0 * abs(prev[1] - prev[0]), 64.0 * ROOT_TOL,
-                            (hi - lo) / CFF_SCAN_POINTS)
-                a, b = seed - width, seed + width
-                local = _sign_change_roots(lambda u: node.chi(x, u), a, b, 65)
-                roots.extend(local)
-            if len(roots) != 2:
-                roots = _sign_change_roots(lambda u: node.chi(x, u), lo, hi,
-                                           CFF_SCAN_POINTS)
+                roots += _sign_change_roots(chi_u, seed - width, seed + width,
+                                            65)
+        if len(roots) != 2:
+            roots = _sign_change_roots(chi_u, lo, hi, CFF_SCAN_POINTS)
         if len(roots) != 2:
             raise RootCountMismatch(2, len(roots), roots)
         zm, zp = sorted(roots)
-        chi_u = lambda u: node.chi(x, u)
         for z, want_negative in ((zm, True), (zp, False)):
-            d1 = _fd(lambda _x, u: chi_u(u), x, z, h=CFF_FD_STEP, order=1)
-            d1_half = _fd(lambda _x, u: chi_u(u), x, z, h=CFF_FD_STEP / 2, order=1)
+            d1 = _fd(node.chi, x, z, h=CFF_FD_STEP, order=1)
+            d1_half = _fd(node.chi, x, z, h=CFF_FD_STEP / 2, order=1)
             if abs(d1 - d1_half) > 1e-3 * max(1.0, abs(d1)):
                 raise HypothesisFailed("finite-difference consistency",
                                        f"Richardson gap at x={x}")
@@ -652,7 +647,7 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
                 split_ok = False
             if not want_negative and not d1 >= threshold - 1e-12:
                 split_ok = False
-            d2 = _fd(lambda _x, u: chi_u(u), x, z, h=CFF_FD_STEP, order=2)
+            d2 = _fd(node.chi, x, z, h=CFF_FD_STEP, order=2)
             mt = node.children_min_tau(x, z)
             min_tau = min(min_tau, mt)
             if not d2 > 0.5 * mt**4 - 1e-12:
@@ -660,8 +655,7 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
         if prev is not None:
             dx = abs(x - xs[pos - 1])
             for znew, zold in ((zm, prev[0]), (zp, prev[1])):
-                slope = abs(_fd(lambda _x, u: node.chi(x, u), x, znew,
-                               h=CFF_FD_STEP, order=1))
+                slope = abs(_fd(node.chi, x, znew, h=CFF_FD_STEP, order=1))
                 dchidx = abs((node.chi(x, znew) - node.chi(xs[pos - 1], znew)) / dx) \
                     if dx > 0 else 0.0
                 local_bound = (dchidx / max(slope, 1e-12) + 1e-9) * dx

@@ -1,9 +1,10 @@
 """Assembly of the dual Hermitian matrices on finite domains.
 
-Raw form: diagonal (2 pi)^2 (xi(n)+k)^2, off-diagonal H[row n, col m] =
-eps*c(n-m) -- the orientation under which y(x) = sum phi(n) e^{2 pi i
-(xi(n)+k) x} solves the Hill equation exactly (for real coefficient data the
-two orientations coincide; for complex data only this one keeps the duality).
+Raw form: diagonal (2 pi)^2 (xi(n)+k)^2 + eps*c(0), off-diagonal H[row n,
+col m] = eps*c(n-m) -- the orientation under which y(x) = sum phi(n)
+e^{2 pi i (xi(n)+k) x} solves the Hill equation exactly (for real coefficient
+data the two orientations coincide; for complex data only this one keeps the
+duality).
 Normalized form divides everything by lambda = 256*gamma,
 gamma-1 <= |k| <= gamma; the two are related by
 H_raw(k, (2 pi)^2 eps) = lambda (2 pi)^2 H_norm(k, eps).
@@ -38,14 +39,11 @@ class OperatorSpec:
     k: float
     normalized: bool = False
     gamma: float | None = None
-    B1: float = 1.0
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and math.isfinite(self.k)):
             raise ValueError(f"epsilon and k must be finite, got "
                              f"epsilon={self.epsilon!r}, k={self.k!r}")
-        if not (0 < self.B1 <= 1):
-            raise ValueError("B1 must lie in (0, 1]")
         if self.normalized and self.gamma is None:
             object.__setattr__(self, "gamma", gamma_for(self.k))
             g = self.gamma
@@ -104,8 +102,10 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     """Assemble the matrix by one gather per row over the coordinate t.
 
     H[i, j] = eps*c(t_i - t_j) off the diagonal, read from a table of
-    scale*c over the offsets that can occur. ``fold`` stores c(-n) as exactly
-    conj(c(n)), so the gathered matrix is Hermitian bit for bit.
+    scale*c over the offsets that can occur; the diagonal adds eps*c(0), the
+    folded zero mode that the Floquet potential carries too. ``fold`` stores
+    c(-n) as exactly conj(c(n)), so the gathered matrix is Hermitian bit for
+    bit.
     """
     dom = order_domain(domain)
     if not dom:
@@ -127,7 +127,8 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     H = np.empty((n, n), dtype=np.complex128)
     for i in range(n):
         np.take(table, t[i] - t + (span + 1), out=H[i], mode="clip")
-    H[np.diag_indices(n)] = [spec.diagonal(a.xi) for a in dom]
+    zero_mode = scale * folded.value(lat.identity)
+    H[np.diag_indices(n)] = [spec.diagonal(a.xi) + zero_mode for a in dom]
     if check_decay:
         _check_decay(H, dom, t, entries, spec, folded)
     return DualMatrix(domain=dom, values=H, spec=spec,
@@ -153,7 +154,7 @@ def _t_order_bandwidth(t, entries) -> int:
 
 
 def _check_decay(H, dom, t, entries, spec, folded) -> None:
-    """Raise on an entry above eps*B1*exp(-kappa0 |m-n|^alpha0).
+    """Raise on an entry above eps*exp(-kappa0 |m-n|^alpha0).
 
     The bound depends only on the offset d = t_i - t_j, whose norm is that of
     its folded key, so each distinct offset is checked once and counts only
@@ -164,7 +165,7 @@ def _check_decay(H, dom, t, entries, spec, folded) -> None:
     for d, (norm, v) in entries.items():
         if v == 0:
             continue
-        bound = eps * spec.B1 * math.exp(-folded.kappa0 * norm**folded.alpha0)
+        bound = eps * math.exp(-folded.kappa0 * norm**folded.alpha0)
         if v > bound * (1 + 1e-12) and np.isin(t + d, t).any():
             bounds[d] = bound
     if not bounds:
@@ -177,7 +178,7 @@ def _check_decay(H, dom, t, entries, spec, folded) -> None:
             raise OffDiagonalDecayError(
                 f"|H({dom[i]},{dom[j]})| = {abs(H[i, j]):.3e} > "
                 f"{bounds[int(t[i] - t[j])]:.3e} "
-                f"(eps*B1*exp(-kappa0 |m-n|^alpha0))"
+                f"(eps*exp(-kappa0 |m-n|^alpha0))"
             )
 
 
@@ -212,8 +213,7 @@ def translation_conjugation_check(domain: Sequence[GroupElement], m: GroupElemen
     left = assemble(translated_domain(domain, m, lat), spec, folded, lat)
     shifted = OperatorSpec(epsilon=spec.epsilon, k=spec.k + float(m.xi),
                            normalized=spec.normalized,
-                           gamma=spec.gamma if spec.normalized else None,
-                           B1=spec.B1)
+                           gamma=spec.gamma if spec.normalized else None)
     return _compare_spectra(left, assemble(order_domain(domain), shifted,
                                            folded, lat))
 
@@ -225,7 +225,6 @@ def symmetry_conjugation_check(domain: Sequence[GroupElement], spec: OperatorSpe
     left = assemble(order_domain(domain), spec, folded, lat)
     flipped = OperatorSpec(epsilon=spec.epsilon, k=-spec.k,
                            normalized=spec.normalized,
-                           gamma=spec.gamma if spec.normalized else None,
-                           B1=spec.B1)
+                           gamma=spec.gamma if spec.normalized else None)
     return _compare_spectra(left, assemble(negated_domain(domain, lat),
                                            flipped, folded, lat))

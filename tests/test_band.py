@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hillbands import band
+from hillbands import band, eigensolve
 from hillbands.band import (BandContext, band_curve, compute_point,
                             conjugate_reflection_audit, decay_audit,
                             gap_edges, gap_resolvent_audit,
@@ -17,7 +18,7 @@ from hillbands.band import (BandContext, band_curve, compute_point,
 from hillbands.cli import build_context
 from hillbands.errors import HypothesisFailed, PreconditionFailed
 from hillbands.operators import TWO_PI_SQ, OperatorSpec, assemble
-from hillbands.oracle import dense_spectrum
+from hillbands.oracle import dense_spectrum, floquet_gap_edges, period
 from hillbands.scales import build_schedule
 from hillbands.schur import q_g_functions
 
@@ -245,10 +246,11 @@ class _DenseQG:
         return q_g_functions(self.H, self.principal, E).G[(p, q)]
 
 
-def test_gap_edges_match_dense_q_g_route_on_2d_lattice(monkeypatch):
-    # nu = 2, omega = (1, 3/7), complex random_phase data: a dense matrix
-    ctx = build_context({
-        "lattice": {"nu": 2, "omega": ["1", "3/7"]},
+def random_phase_2d_context(omega):
+    """The resonant_2d benchmark's data (complex random_phase, seed 1) on
+    the given nu = 2 frequency."""
+    return build_context({
+        "lattice": {"nu": 2, "omega": list(omega)},
         "potential": {"kind": "random_phase", "support_radius": 2,
                       "amplitude_scale": 0.5, "kappa0": 0.5, "alpha0": 1.0,
                       "seed": 1},
@@ -257,6 +259,11 @@ def test_gap_edges_match_dense_q_g_route_on_2d_lattice(monkeypatch):
                      "sigma_scale": 1e-8, "eps0": 0.5},
         "truncation_R": 6,
     })
+
+
+def test_gap_edges_match_dense_q_g_route_on_2d_lattice(monkeypatch):
+    # nu = 2, omega = (1, 3/7), complex random_phase data: a dense matrix
+    ctx = random_phase_2d_context(["1", "3/7"])
     m = ctx.lat.canonicalize([0, 1])
     fast = gap_edges(ctx, m)
     monkeypatch.setattr(band, "PuncturedResolvent", _DenseQG)
@@ -264,6 +271,23 @@ def test_gap_edges_match_dense_q_g_route_on_2d_lattice(monkeypatch):
     assert fast.width > 0
     for a, b in ((fast.E_minus, slow.E_minus), (fast.E_plus, slow.E_plus)):
         assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+@pytest.mark.parametrize("omega", [["1", "1/2"], ["1/2", "1/2"], ["1", "2"]])
+def test_gap_edges_match_floquet_with_a_folded_zero_mode(omega):
+    # the null lattice of each omega meets the support, so folding leaves a
+    # constant c(0) in the identity coset; the Floquet potential carries
+    # eps c(0), and the dual gap edges must carry it too
+    ctx = random_phase_2d_context(omega)
+    assert abs(ctx.folded.value(ctx.lat.identity)) > 0.03
+    gap = gap_edges(ctx, ctx.lat.canonicalize([0, 1]))
+    center = 0.5 * (gap.E_minus + gap.E_plus)
+    width = max(gap.width, 1e-4)
+    lo, hi = floquet_gap_edges(center, (gap.E_minus - 8.0 * width, center),
+                               (center, gap.E_plus + 8.0 * width), ctx.eps,
+                               ctx.folded, period(ctx.lat.omega))
+    for dual, ode in ((gap.E_minus, lo), (gap.E_plus, hi)):
+        assert abs(dual - ode) <= 1e-9 * max(1.0, abs(dual))
 
 
 def test_gap_edges_rejects_zero_momentum(toy_context):
@@ -459,3 +483,15 @@ def test_reference_config_domain_routes(reference_context, k, klass, scale,
     assert (p.klass, p.scale) == (klass, scale)
     assert sorted(e.t for e in p.domain) == list(range(span[0], span[1] + 1))
     assert p.E == pytest.approx(E, rel=1e-12)
+
+
+def test_failed_root_refinement_lands_in_class_error(reference_context,
+                                                     monkeypatch):
+    # f is NaN inside every bracket, so brentq raises ValueError there;
+    # the sample must record NoConvergence instead of aborting the sweep
+    real = eigensolve.brentq
+    monkeypatch.setattr(
+        eigensolve, "brentq", lambda f, a, b, **kw: real(
+            lambda x: f(x) if x in (a, b) else math.nan, a, b, **kw))
+    p = compute_point(reference_context, 0.49)
+    assert p.klass == "error" and p.error.startswith("NoConvergence")

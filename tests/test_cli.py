@@ -194,6 +194,16 @@ def test_config_error_exit_code(tmp_path):
     assert main(["band", str(missing)]) == 2
 
 
+def test_grid_of_resonance_momenta_is_a_config_error(tmp_path, capsys):
+    # 0.5 and 1.0 are k_m, which band_curve drops: no sample would be left
+    cfg = write_config(tmp_path, {"k_grid": {"list": [0.5, 1.0]},
+                                  "gaps": []})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 2
+    assert not (out / "report.json").exists()
+    assert "[0.5, 1.0]" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("overrides", [
     {"coupling": math.nan},
     {"coupling": math.inf},

@@ -1,18 +1,20 @@
 import dataclasses
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hillbands.eigensolve import (CffNode, DichotomyResult,
-                                  PuncturedResolvent, _refine_root,
+from hillbands.eigensolve import (ROOT_TOL, CffNode, DichotomyResult,
+                                  PuncturedResolvent, _sign_change_roots,
                                   cff_branch_solve,
                                   cff_build, dichotomy_core, leaf, pair_chi,
-                                  quadratic_dichotomy, solve_pair,
-                                  solve_simple)
+                                  quadratic_dichotomy, refine_root,
+                                  solve_pair, solve_simple)
 from hillbands.errors import (AdmissibilityFailed, HypothesisFailed,
                               NoConvergence, OrderingFailed,
                               PreconditionFailed,
@@ -461,12 +463,66 @@ def test_dichotomy_sweep_with_vanishing_coupling(b_scale):
     assert not (admissible & ~r.bracket_ok).any()
 
 
-def test_refine_root_raises_when_the_bracket_does_not_shrink():
-    # the secant keeps one end of [-1, 1] fixed on exp(10 x) - 2, so after
-    # 200 steps the bracket is still wide; its midpoint 0.018 is no root
+def test_refine_root_converges_where_a_secant_stalls():
+    # a secant that keeps one end of [-1, 1] fixed still has |f| = 2 on
+    # exp(10 x) - 2 after 200 steps; Brent's method brackets ln 2 / 10
     f = lambda x: math.exp(10.0 * x) - 2.0
+    want = math.log(2.0) / 10.0
+    assert abs(refine_root(f, -1.0, 1.0, ROOT_TOL) - want) <= ROOT_TOL
+    for points in (2, 9):
+        roots = _sign_change_roots(f, -1.0, 1.0, points)
+        assert len(roots) == 1 and abs(roots[0] - want) <= ROOT_TOL
+
+
+def test_refine_root_frees_f_on_return():
+    # brentq holds the function it is given in a reference cycle; refine_root
+    # must not pass f on, or each pair solve keeps its resolvent until the
+    # cycle collector runs (peak RSS of the resonant_2d run: 100 -> 126 MB)
+    f = lambda x: x - 0.3
+    ref = weakref.ref(f)
+    gc.disable()
+    try:
+        assert abs(refine_root(f, 0.0, 1.0, ROOT_TOL) - 0.3) <= ROOT_TOL
+        del f
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@st.composite
+def known_root_cases(draw):
+    """(grid points, function, its roots in [-1, 1]): a steep exponential
+    e^{a(x - r)} - 1, or (x - r1)(x - r2) e^{bx} with the roots at least two
+    grid spacings apart, so that each sits in its own sign change."""
+    points = draw(st.integers(9, 257))
+    if draw(st.booleans()):
+        a = draw(st.floats(1.0, 40.0))
+        r = draw(st.floats(-0.99, 0.99))
+        return points, lambda x: math.exp(a * (x - r)) - 1.0, [r]
+    spacing = 2.0 / (points - 1)
+    r1 = draw(st.floats(-0.99, 0.9))
+    r2 = draw(st.floats(r1 + 2.0 * spacing, 2.0 * spacing + 0.99))
+    assume(r2 <= 0.99)
+    b = draw(st.floats(-5.0, 5.0))
+    return points, lambda x: (x - r1) * (x - r2) * math.exp(b * x), [r1, r2]
+
+
+@given(known_root_cases())
+def test_sign_change_roots_finds_every_simple_root(case):
+    points, f, want = case
+    roots = _sign_change_roots(f, -1.0, 1.0, points)
+    assert len(roots) == len(want)
+    for got, r in zip(roots, want):
+        # brentq stops once the root is bracketed to xtol + 4 eps |x|
+        assert abs(got - r) <= ROOT_TOL + 4.0 * EPS * abs(r)
+
+
+def test_sign_change_roots_raise_on_nan():
+    # the bracket [0.25, 0.5] changes sign, but f is NaN inside it around
+    # the root 0.3: no refinement may return a point there as a root
+    g = lambda x: math.nan if 0.25 < x < 0.35 else x - 0.3
     with pytest.raises(NoConvergence):
-        _refine_root(f, -1.0, 1.0, f(-1.0), f(1.0))
+        _sign_change_roots(g, -1.0, 1.0, 9)
 
 
 def test_cff_leaf_and_degenerate_composite():

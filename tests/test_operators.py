@@ -13,8 +13,7 @@ from hillbands.operators import (TWO_PI_SQ, DualMatrix, OperatorSpec, assemble,
                                  symmetry_conjugation_check,
                                  translated_domain,
                                  translation_conjugation_check)
-from hillbands.potential import (FourierCoefficients, cosine, exp_decay, fold,
-                                 random_phase)
+from hillbands.potential import cosine, exp_decay, fold, random_phase
 
 
 # --- reference oracle: pairwise assembly, one lat.sub per pair ---
@@ -27,8 +26,9 @@ def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
     n = len(dom)
     H = np.zeros((n, n), dtype=np.complex128)
     scale = spec.coupling_scale()
+    zero_mode = scale * folded.value(lat.identity)
     for i, a in enumerate(dom):
-        H[i, i] = spec.diagonal(a.xi)
+        H[i, i] = spec.diagonal(a.xi) + zero_mode
         for j in range(i + 1, n):
             diff = lat.sub(a, dom[j])  # H[row, col] = eps * c(row - col)
             val = scale * folded.value(diff)
@@ -41,7 +41,7 @@ def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
             i, j, a, b = bad[0]
             raise OffDiagonalDecayError(
                 f"|H({dom[i]},{dom[j]})| = {a:.3e} > {b:.3e} "
-                f"(eps*B1*exp(-kappa0 |m-n|^alpha0))"
+                f"(eps*exp(-kappa0 |m-n|^alpha0))"
             )
     return DualMatrix(domain=dom, values=H, spec=spec,
                       index={e: i for i, e in enumerate(dom)})
@@ -56,7 +56,7 @@ def pairwise_decay_violations(H, dom, spec, folded, lat):
             if v == 0:
                 continue
             d = lat.sub(dom[j], dom[i]).norm
-            bound = eps * spec.B1 * math.exp(-folded.kappa0 * d**folded.alpha0)
+            bound = eps * math.exp(-folded.kappa0 * d**folded.alpha0)
             if v > bound * (1 + 1e-12):
                 bad.append((i, j, v, bound))
     return bad
@@ -69,7 +69,8 @@ def _outcome(build, *args):
         return None, str(exc)
 
 
-OMEGAS = [("1",), ("2/3",), ("1", "3/7"), ("1/2", "1/2"), ("2/5", "3/7")]
+OMEGAS = [("1",), ("2/3",), ("1", "3/7"), ("1/2", "1/2"), ("2/5", "3/7"),
+          ("1", "1/2"), ("1", "2")]
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,8 +113,7 @@ def assembly_cases(draw):
 
     k = draw(st.floats(0.01, 1.9)) * draw(st.sampled_from([1, -1]))
     spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])), k=k,
-                        normalized=draw(st.booleans()),
-                        B1=draw(st.sampled_from([1.0, 0.5])))
+                        normalized=draw(st.booleans()))
     return domain, spec, folded, lat
 
 
@@ -253,19 +253,37 @@ def test_symmetric_domain_at_k_zero(line_lattice, cosine_folded):
     assert rep.passed and rep.max_eig_difference <= 1e-12
 
 
-def test_offdiagonal_decay_enforced(line_lattice):
-    # a coefficient above the B1 envelope must be rejected at assembly
-    c = FourierCoefficients(entries={(1,): 0.9 + 0j, (-1,): 0.9 + 0j},
-                            kappa0=0.1, alpha0=1.0, support_radius=1)
-    folded = fold(c, line_lattice)
-    bad_spec = OperatorSpec(epsilon=0.1, k=0.3, B1=0.5)
+def test_offdiagonal_decay_enforced(half_lattice):
+    # folding stacks cosets: on omega = (1/2, 1/2) the coset of (1, 0) holds
+    # (1, 0), (0, 1), (2, -1) and (-1, 2), so c sums to 2e^-1 + 2e^-2, above
+    # the envelope e^-1, and assembly must reject it
+    folded = fold(exp_decay(2, nu=2, kappa0=1.0), half_lattice)
+    spec = OperatorSpec(epsilon=0.1, k=0.3)
     with pytest.raises(OffDiagonalDecayError) as fast:
-        assemble(line_lattice.ball(2), bad_spec, folded, line_lattice)
+        assemble(half_lattice.ball(2), spec, folded, half_lattice)
     with pytest.raises(OffDiagonalDecayError) as ref:
-        pairwise_assemble(line_lattice.ball(2), bad_spec, folded, line_lattice)
+        pairwise_assemble(half_lattice.ball(2), spec, folded, half_lattice)
     assert str(fast.value) == str(ref.value)
     # the violating offset must occur in the domain: a lone site has none
-    assemble(line_lattice.ball(0), bad_spec, folded, line_lattice)
+    assemble(half_lattice.ball(0), spec, folded, half_lattice)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_assemble_diagonal_carries_folded_zero_mode(half_lattice, normalized):
+    # (1, -1) spans the null lattice of omega = (1/2, 1/2): folding sums c
+    # over its multiples into the identity coset, the constant c(0)
+    coeffs = random_phase(2, nu=2, kappa0=0.5, seed=1, amplitude_scale=0.5)
+    folded = fold(coeffs, half_lattice, enforce_bound=False)
+    c0 = sum(coeffs.value((j, -j)) for j in (-2, -1, 1, 2))
+    assert abs(c0) > 0.1
+    assert folded.value(half_lattice.identity) == pytest.approx(c0, abs=1e-15)
+    spec = OperatorSpec(epsilon=0.05, k=0.3, normalized=normalized)
+    m = assemble(half_lattice.ball(3), spec, folded, half_lattice,
+                 check_decay=False)
+    want = [spec.diagonal(e.xi) + spec.coupling_scale() * c0.real
+            for e in m.domain]
+    assert np.diag(m.values).real == pytest.approx(want, abs=1e-15)
+    assert not np.diag(m.values).imag.any()
 
 
 def test_assemble_hermitian_bit_for_bit(half_lattice):

@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import zhetrd, zhetrd_lwork, zunmqr
 from scipy.optimize import brentq
 
 from .errors import (AdmissibilityFailed, HypothesisFailed, NoConvergence,
@@ -38,14 +39,20 @@ BRANCH_NOISE_FLOOR = 1e-14
 
 
 class PuncturedResolvent:
-    """Eigen-decomposed resolvent of the punctured block.
+    """Resolvent of the punctured block through one real tridiagonal
+    eigendecomposition.
 
-    One Hermitian diagonalization buys O(n) evaluation of Q(p, E), G(p, q, E)
-    and the eigenvector tail for every E afterwards; the dense-solve route in
-    q_g_functions stays available as the independent cross-check. A matrix
-    that is tridiagonal in t order (bandwidth <= 1) stays tridiagonal once
-    principal rows are removed, and is diagonalized as such in O(n^2);
-    every other matrix takes the dense ``eigh``.
+    H_punctured = U T U^H with T real symmetric tridiagonal and U unitary,
+    and T = Z diag(w) Z^T by one ``eigh_tridiagonal`` call. U is never
+    formed: a matrix that is tridiagonal in t order (bandwidth <= 1) stays
+    tridiagonal once principal rows are removed, and U is its t-order
+    permutation times the phases cumprod(b/|b|) of its subdiagonal b; every
+    other block is reduced by the Householder reflectors of LAPACK zhetrd,
+    which zunmqr applies (Golub & Van Loan, Matrix Computations, sec. 8.3).
+    Afterwards Q(p, E), G(p, q, E) and the tail (E - H_punctured)^{-1} x
+    cost O(n) per E from the projections Z^T U^H h(., p), for a scalar E
+    or an array of them; the dense-solve route in q_g_functions stays the
+    independent cross-check.
     """
 
     def __init__(self, matrix: DualMatrix, principal):
@@ -56,55 +63,111 @@ class PuncturedResolvent:
         if not self.others:
             raise ValueError("puncturing removed the whole domain")
         if matrix.bandwidth is not None and matrix.bandwidth <= 1:
-            self.w, self.V = _tridiagonal_eigh(matrix, self.others)
+            form = _TOrderPhases(matrix, self.others)
         else:
-            sub = H[np.ix_(self.others, self.others)]
-            self.w, self.V = np.linalg.eigh(sub)
-        # projections V^H h(., p) of the coupling columns onto the
-        # eigenbasis, as conj(conj(h) V) so that V is not copied per column
-        self.proj = {p: (H[self.others, p].conj() @ self.V).conj()
-                     for p in self.principal}
+            form = _Householder(H[np.ix_(self.others, self.others)])
+        self._form = form
+        self.w, self._Z = eigh_tridiagonal(form.d, form.e)
+        # projections of the coupling columns h(., p)
+        columns = self.project(H[np.ix_(self.others, self.principal)])
+        self.proj = dict(zip(self.principal, columns.T))
         self.H = H
 
-    def _weights(self, E: float) -> np.ndarray:
-        d = E - self.w
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Z^T U^H x for a vector x in ``others`` order, or for each column
+        of x: the input that ``tail`` takes."""
+        x = np.asarray(x)
+        columns = self._form.to_tridiagonal(x.reshape(len(x), -1))
+        return (self._Z.T @ columns).reshape(x.shape)
+
+    def _weights(self, E) -> np.ndarray:
+        """1/(E - w) over the last axis, for a scalar E or an array."""
+        d = np.asarray(E, dtype=float)[..., None] - self.w
         if np.min(np.abs(d)) < 1e-300:
             raise SingularBlock("punctured block at E", float(np.min(np.abs(d))))
         return 1.0 / d
 
-    def Q(self, p: int, E: float) -> float:
-        return float(np.sum(np.abs(self.proj[p]) ** 2 * self._weights(E)))
+    def Q(self, p: int, E):
+        q = np.sum(np.abs(self.proj[p]) ** 2 * self._weights(E), axis=-1)
+        return float(q) if q.ndim == 0 else q
 
-    def G(self, p: int, q: int, E: float) -> complex:
-        s = np.sum(np.conj(self.proj[p]) * self.proj[q] * self._weights(E))
-        return complex(self.H[p, q] + s)
+    def G(self, p: int, q: int, E):
+        s = np.sum(np.conj(self.proj[p]) * self.proj[q] * self._weights(E),
+                   axis=-1)
+        g = self.H[p, q] + s
+        return complex(g) if g.ndim == 0 else g
+
+    def chi(self, E):
+        """The 2x2 Schur determinant (E - v_p - Q_p)(E - v_q - Q_q) - |G_pq|^2
+        of the two principals (p, q), for a scalar E or an array."""
+        p, q = self.principal
+        vp, vq = float(self.H[p, p].real), float(self.H[q, q].real)
+        return ((E - vp - self.Q(p, E)) * (E - vq - self.Q(q, E))
+                - np.abs(self.G(p, q, E)) ** 2)
 
     def tail(self, E: float, rhs_proj: np.ndarray) -> np.ndarray:
-        """(E - H_punctured)^{-1} applied to a vector given in projections."""
-        return self.V @ (self._weights(E) * rhs_proj)
+        """(E - H_punctured)^{-1} applied to a vector given in projections,
+        U Z (rhs_proj / (E - w)), in ``others`` order."""
+        y = self._Z @ (self._weights(E) * rhs_proj)
+        return self._form.from_tridiagonal(y[:, None])[:, 0]
 
 
-def _tridiagonal_eigh(matrix: DualMatrix, others: list[int]):
-    """Eigenpairs of H[others, others] for H tridiagonal in t order.
+class _TOrderPhases:
+    """U = P^T D for a block tridiagonal in t order: P sorts ``others`` by t
+    and D = diag(cumprod(b/|b|)) turns the Hermitian subdiagonal b into |b|
+    (Golub & Van Loan, Matrix Computations, sec. 8.4)."""
 
-    The diagonal unitary D = diag(cumprod(b/|b|)) turns the Hermitian
-    tridiagonal block T (subdiagonal b) into the real symmetric D^H T D with
-    subdiagonal |b| (Golub & Van Loan, Matrix Computations, sec. 8.4), so
-    T = (D Vr) diag(w) (D Vr)^H. Rows come back in ``others`` order.
-    """
-    H = matrix.values
-    t = np.array([matrix.domain[i].t for i in others], dtype=np.int64)
-    order = np.argsort(t)
-    rows = np.asarray(others)[order]
-    diag = H[rows, rows].real
-    sub = H[rows[1:], rows[:-1]]
-    mag = np.abs(sub)
-    unit = np.ones_like(sub)
-    np.divide(sub, mag, out=unit, where=mag != 0)
-    phase = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
-    w, Vr = eigh_tridiagonal(diag, mag)
-    inverse = np.argsort(order)
-    return w, phase[inverse, None] * Vr[inverse]
+    def __init__(self, matrix: DualMatrix, others: list[int]):
+        H = matrix.values
+        t = np.array([matrix.domain[i].t for i in others], dtype=np.int64)
+        self.order = np.argsort(t)
+        self.inverse = np.argsort(self.order)
+        rows = np.asarray(others)[self.order]
+        self.d = H[rows, rows].real
+        sub = H[rows[1:], rows[:-1]]
+        self.e = np.abs(sub)
+        unit = np.ones_like(sub)
+        np.divide(sub, self.e, out=unit, where=self.e != 0)
+        self.phase = np.concatenate(([1.0 + 0j], np.cumprod(unit)))
+
+    def to_tridiagonal(self, x: np.ndarray) -> np.ndarray:
+        """U^H x for the columns of x."""
+        return self.phase.conj()[:, None] * x[self.order]
+
+    def from_tridiagonal(self, y: np.ndarray) -> np.ndarray:
+        """U y for the columns of y."""
+        return (self.phase[:, None] * y)[self.inverse]
+
+
+class _Householder:
+    """U = H(1) ... H(n-1), the reflectors of zhetrd('L'), kept as zhetrd
+    leaves them and applied by zunmqr to rows 1: as LAPACK's zunmtr does."""
+
+    def __init__(self, block: np.ndarray):
+        n = block.shape[0]
+        lwork = int(zhetrd_lwork(n, lower=1)[0].real)
+        c, self.d, self.e, self.tau, info = zhetrd(block, lower=1, lwork=lwork)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"zhetrd info {info}")
+        # contiguous once, so that zunmqr does not copy the view per call
+        self.reflectors = np.asfortranarray(c[1:, :-1])
+
+    def _apply(self, trans: bytes, x: np.ndarray) -> np.ndarray:
+        out = np.array(x, dtype=np.complex128)
+        if self.tau.size:
+            out[1:], _, info = zunmqr(b"L", trans, self.reflectors, self.tau,
+                                      out[1:], max(1, out.shape[1]))
+            if info != 0:
+                raise np.linalg.LinAlgError(f"zunmqr info {info}")
+        return out
+
+    def to_tridiagonal(self, x: np.ndarray) -> np.ndarray:
+        """U^H x for the columns of x."""
+        return self._apply(b"C", x)
+
+    def from_tridiagonal(self, y: np.ndarray) -> np.ndarray:
+        """U y for the columns of y."""
+        return self._apply(b"N", y)
 
 
 @dataclass(frozen=True)
@@ -205,19 +268,23 @@ def pair_chi(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
     return float(chi)
 
 
-def _sign_change_roots(f: Callable[[float], float], lo: float, hi: float,
+def _sign_change_roots(f: Callable, lo: float, hi: float,
                        grid_points: int) -> list[float]:
     """All roots of f located by sign changes on a grid, each refined by
-    refine_root to ROOT_TOL."""
+    refine_root to ROOT_TOL.
+
+    f maps the whole grid array in one call and a scalar in each refinement
+    step. A grid value that is not finite raises NoConvergence (residual
+    NaN): a sign change next to it could not be seen.
+    """
     xs = np.linspace(lo, hi, grid_points)
-    vals = [f(float(x)) for x in xs]
+    vals = np.asarray(f(xs), dtype=float)
+    if not np.all(np.isfinite(vals)):
+        raise NoConvergence(0, math.nan)
     roots = []
-    for i in range(len(xs) - 1):
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0)):
         a, b = float(xs[i]), float(xs[i + 1])
-        if vals[i] == 0.0:
-            roots.append(a)
-        elif vals[i] * vals[i + 1] < 0:
-            roots.append(refine_root(f, a, b, ROOT_TOL))
+        roots.append(a if vals[i] == 0.0 else refine_root(f, a, b, ROOT_TOL))
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
@@ -258,11 +325,9 @@ def solve_pair(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
     vp, vm = float(H[ip, ip].real), float(H[im, im].real)
     punctured = PuncturedResolvent(matrix, [ip, im])
 
-    tau_seen = math.inf
-    for E in np.linspace(bracket[0], bracket[1], 33):
-        margin = (vp + punctured.Q(ip, float(E))) \
-            - (vm + punctured.Q(im, float(E)))
-        tau_seen = min(tau_seen, margin)
+    grid = np.linspace(bracket[0], bracket[1], 33)
+    tau_seen = float(np.min((vp + punctured.Q(ip, grid))
+                            - (vm + punctured.Q(im, grid))))
     # roundoff floor: at an exactly symmetric resonance the true margin is 0
     noise = 64.0 * np.finfo(float).eps * float(np.linalg.norm(H, np.inf))
     if tau_seen < tau0_required - noise:
@@ -270,12 +335,7 @@ def solve_pair(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
             f"ordering margin {tau_seen:.3e} below required {tau0_required:.3e}"
         )
 
-    def chi(E: float) -> float:
-        g = punctured.G(ip, im, E)
-        return ((E - vp - punctured.Q(ip, E)) * (E - vm - punctured.Q(im, E))
-                - abs(g) ** 2)
-
-    roots = _sign_change_roots(chi, bracket[0], bracket[1], 257)
+    roots = _sign_change_roots(punctured.chi, bracket[0], bracket[1], 257)
     if len(roots) != 2:
         raise RootCountMismatch(2, len(roots), roots)
     e_minus, e_plus = sorted(roots)
@@ -622,7 +682,7 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
     xs = list(x_grid)
     for pos, x in enumerate(xs):
         lo, hi = u_window(x)
-        chi_u = lambda u: node.chi(x, u)
+        chi_u = np.vectorize(lambda u: node.chi(x, u), otypes=[float])
         roots = []
         if prev is not None:
             width = max(4.0 * abs(prev[1] - prev[0]), 64.0 * ROOT_TOL,

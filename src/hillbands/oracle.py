@@ -222,7 +222,7 @@ def floquet_discriminant(E: float, eps: float, folded: FoldedCoefficients,
     return float(delta[0])
 
 
-def floquet_gap_edges(center: float, bracket_low: tuple[float, float],
+def floquet_gap_edges(bracket_low: tuple[float, float],
                       bracket_high: tuple[float, float], eps: float,
                       folded: FoldedCoefficients, T: Fraction
                       ) -> tuple[float, float]:

@@ -263,8 +263,7 @@ def suite_floquet(config: dict | None = None) -> list[CheckResult]:
     gap = band_mod.gap_edges(ctx, ctx.lat.canonicalize([-1]))
     center = 0.5 * (gap.E_minus + gap.E_plus)
     width = max(gap.width, 1e-4)
-    lo, hi = floquet_gap_edges(center,
-                               (gap.E_minus - 8.0 * width, center),
+    lo, hi = floquet_gap_edges((gap.E_minus - 8.0 * width, center),
                                (center, gap.E_plus + 8.0 * width),
                                ctx.eps, ctx.folded, T)
     err = max(abs(lo - gap.E_minus), abs(hi - gap.E_plus))

@@ -152,8 +152,7 @@ def test_criterion_04_gap_bound_and_floquet(lat, schedule):
         ok = ok and gap.width <= bound
         center = 0.5 * (gap.E_minus + gap.E_plus)
         margin = max(20.0 * gap.width, 0.5)
-        lo, hi = floquet_gap_edges(center,
-                                   (gap.E_minus - margin, center),
+        lo, hi = floquet_gap_edges((gap.E_minus - margin, center),
                                    (center, gap.E_plus + margin),
                                    0.05, rich, T)
         err = max(abs(lo - gap.E_minus), abs(hi - gap.E_plus))

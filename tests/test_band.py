@@ -283,7 +283,7 @@ def test_gap_edges_match_floquet_with_a_folded_zero_mode(omega):
     gap = gap_edges(ctx, ctx.lat.canonicalize([0, 1]))
     center = 0.5 * (gap.E_minus + gap.E_plus)
     width = max(gap.width, 1e-4)
-    lo, hi = floquet_gap_edges(center, (gap.E_minus - 8.0 * width, center),
+    lo, hi = floquet_gap_edges((gap.E_minus - 8.0 * width, center),
                                (center, gap.E_plus + 8.0 * width), ctx.eps,
                                ctx.folded, period(ctx.lat.omega))
     for dual, ode in ((gap.E_minus, lo), (gap.E_plus, hi)):

@@ -28,11 +28,11 @@ from hillbands.schur import q_g_functions
 
 EPS = float(np.finfo(float).eps)
 
-# --- the punctured resolvent on the t-order tridiagonal path ---
+# --- the punctured resolvent: t-order phases and Householder reductions ---
 
 @functools.lru_cache(maxsize=None)
-def _lattice(omega):
-    return QuotientLattice(FrequencyVector.parse([omega]))
+def _lattice(*omega):
+    return QuotientLattice(FrequencyVector.parse(list(omega)))
 
 
 @st.composite
@@ -118,12 +118,81 @@ def test_tridiagonal_and_dense_resolvent_agree(line_lattice):
     a, b = PuncturedResolvent(tri, [i0, 2]), PuncturedResolvent(dense, [i0, 2])
     assert a.others == b.others
     assert np.allclose(a.w, b.w, rtol=1e-13)
-    # V agrees up to one phase per (nondegenerate) eigenvector
-    overlap = np.abs(np.sum(a.V.conj() * b.V, axis=0))
-    assert np.allclose(overlap, 1.0, rtol=0, atol=1e-12)
+    # the tails of the coupling columns and of random vectors agree: both
+    # paths apply the same resolvent, whatever the phases of their bases
+    rng = np.random.default_rng(7)
+    n = len(a.others)
+    vectors = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
     for E in (0.0, 3.3, 50.0):
         assert a.Q(i0, E) == pytest.approx(b.Q(i0, E), rel=1e-12)
         assert a.G(i0, 2, E) == pytest.approx(b.G(i0, 2, E), rel=1e-12)
+        pairs = [(a.proj[p], b.proj[p]) for p in (i0, 2)]
+        pairs += [(a.project(x), b.project(x)) for x in vectors]
+        for xa, xb in pairs:
+            ta, tb = a.tail(E, xa), b.tail(E, xb)
+            assert np.linalg.norm(ta - tb) <= 1e-12 * np.linalg.norm(tb)
+
+
+@st.composite
+def householder_cases(draw):
+    """nu = 2 complex random_phase data on the first points of a ball, with
+    one or two principals and punctured blocks of 1, 2, 3 or 50 points; the
+    bandwidth is dropped so that even a tiny block takes the zhetrd path."""
+    lat = _lattice("1", "3/7")
+    coeffs = random_phase(2, nu=2, kappa0=0.5, seed=draw(st.integers(0, 99)),
+                          amplitude_scale=0.5)
+    folded = fold(coeffs, lat, enforce_bound=False)
+    count = draw(st.integers(1, 2))
+    domain = list(lat.ball(4))[:draw(st.sampled_from([1, 2, 3, 50])) + count]
+    spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])),
+                        k=draw(st.floats(-0.45, 0.45)),
+                        normalized=draw(st.booleans()))
+    matrix = dataclasses.replace(
+        assemble(domain, spec, folded, lat, check_decay=False), bandwidth=None)
+    principal = draw(st.lists(st.sampled_from(range(matrix.size)),
+                              min_size=count, max_size=count, unique=True))
+    return matrix, principal, draw(st.floats(0.0, 1.0))
+
+
+@given(householder_cases())
+def test_householder_resolvent_matches_dense_q_g(case):
+    matrix, principal, where = case
+    res = PuncturedResolvent(matrix, principal)
+    H = matrix.values
+    others = res.others
+    w = np.linalg.eigvalsh(H[np.ix_(others, others)])
+    scale = max(1.0, float(np.max(np.abs(w))))
+    assert np.max(np.abs(res.w - w)) <= 1e-13 * scale
+    E = float(w[0] - 1.0 + where * (w[-1] - w[0] + 2.0))
+    assume(np.min(np.abs(E - w)) > 1e-3 * scale)
+    qg = q_g_functions(H, principal, E)
+    for p in res.principal:
+        assert res.Q(p, E) == pytest.approx(qg.Q[p], rel=1e-10)
+        F = qg.K @ H[others, p]
+        assert np.linalg.norm(res.tail(E, res.proj[p]) - F) \
+            <= 1e-10 * np.linalg.norm(F)
+    if len(res.principal) == 2:
+        p, q = res.principal
+        assert res.G(p, q, E) == pytest.approx(qg.G[(p, q)], rel=1e-10)
+        assert res.G(q, p, E) == pytest.approx(qg.G[(q, p)], rel=1e-10)
+
+
+@given(st.one_of(tridiagonal_cases(), householder_cases()))
+def test_array_energies_match_scalar_calls_bit_for_bit(case):
+    matrix, principal, _ = case
+    res = PuncturedResolvent(matrix, principal)
+    grid = np.linspace(res.w[0] - 1.0, res.w[-1] + 1.0, 33)
+    assume(np.min(np.abs(grid[:, None] - res.w)) > 1e-9)
+    p = res.principal[0]
+    q = res.principal[-1]
+    Q, G = res.Q(p, grid), res.G(p, q, grid)
+    assert Q.shape == G.shape == grid.shape
+    for i, E in enumerate(grid):
+        assert Q[i] == res.Q(p, float(E))
+        assert G[i] == res.G(p, q, float(E))
+    if len(res.principal) == 2:
+        chi = res.chi(grid)
+        assert [float(x) for x in chi] == [res.chi(float(E)) for E in grid]
 
 
 def test_resolvent_at_punctured_eigenvalue_raises_singular_block(
@@ -466,7 +535,7 @@ def test_dichotomy_sweep_with_vanishing_coupling(b_scale):
 def test_refine_root_converges_where_a_secant_stalls():
     # a secant that keeps one end of [-1, 1] fixed still has |f| = 2 on
     # exp(10 x) - 2 after 200 steps; Brent's method brackets ln 2 / 10
-    f = lambda x: math.exp(10.0 * x) - 2.0
+    f = lambda x: np.exp(10.0 * x) - 2.0
     want = math.log(2.0) / 10.0
     assert abs(refine_root(f, -1.0, 1.0, ROOT_TOL) - want) <= ROOT_TOL
     for points in (2, 9):
@@ -498,19 +567,20 @@ def known_root_cases(draw):
     if draw(st.booleans()):
         a = draw(st.floats(1.0, 40.0))
         r = draw(st.floats(-0.99, 0.99))
-        return points, lambda x: math.exp(a * (x - r)) - 1.0, [r]
+        return points, lambda x: np.exp(a * (x - r)) - 1.0, [r]
     spacing = 2.0 / (points - 1)
     r1 = draw(st.floats(-0.99, 0.9))
     r2 = draw(st.floats(r1 + 2.0 * spacing, 2.0 * spacing + 0.99))
     assume(r2 <= 0.99)
     b = draw(st.floats(-5.0, 5.0))
-    return points, lambda x: (x - r1) * (x - r2) * math.exp(b * x), [r1, r2]
+    return points, lambda x: (x - r1) * (x - r2) * np.exp(b * x), [r1, r2]
 
 
 @given(known_root_cases())
 def test_sign_change_roots_finds_every_simple_root(case):
     points, f, want = case
     roots = _sign_change_roots(f, -1.0, 1.0, points)
+    assert roots == _scalar_scan(f, -1.0, 1.0, points)
     assert len(roots) == len(want)
     for got, r in zip(roots, want):
         # brentq stops once the root is bracketed to xtol + 4 eps |x|
@@ -520,9 +590,47 @@ def test_sign_change_roots_finds_every_simple_root(case):
 def test_sign_change_roots_raise_on_nan():
     # the bracket [0.25, 0.5] changes sign, but f is NaN inside it around
     # the root 0.3: no refinement may return a point there as a root
-    g = lambda x: math.nan if 0.25 < x < 0.35 else x - 0.3
+    g = lambda x: np.where((0.25 < x) & (x < 0.35), np.nan, x - 0.3)
     with pytest.raises(NoConvergence):
         _sign_change_roots(g, -1.0, 1.0, 9)
+
+
+def test_sign_change_roots_raise_on_nan_grid_value():
+    # g is NaN at the grid point 0.25, next to the root 0.3: the sign change
+    # of [0.25, 0.5] is hidden, so no scan may report that there is no root
+    g = lambda x: np.where(np.abs(x - 0.25) < 0.01, np.nan, x - 0.3)
+    with pytest.raises(NoConvergence):
+        _sign_change_roots(g, -1.0, 1.0, 9)
+
+
+def _scalar_scan(f, lo, hi, grid_points):
+    """The sign-change scan one grid point at a time: the reference for the
+    one-call grid of _sign_change_roots."""
+    xs = np.linspace(lo, hi, grid_points)
+    vals = [f(float(x)) for x in xs]
+    roots = []
+    for i in range(len(xs) - 1):
+        a, b = float(xs[i]), float(xs[i + 1])
+        if vals[i] == 0.0:
+            roots.append(a)
+        elif vals[i] * vals[i + 1] < 0:
+            roots.append(refine_root(f, a, b, ROOT_TOL))
+    if vals[-1] == 0.0:
+        roots.append(float(xs[-1]))
+    return roots
+
+
+@given(st.one_of(tridiagonal_cases(), householder_cases()))
+def test_pair_chi_scan_matches_the_scalar_scan(case):
+    matrix, principal, _ = case
+    assume(len(principal) == 2)
+    res = PuncturedResolvent(matrix, principal)
+    lo, hi = res.w[0] - 1.0, res.w[min(3, len(res.w) - 1)] + 1.0
+    try:
+        want = _scalar_scan(res.chi, lo, hi, 257)
+    except SingularBlock:
+        assume(False)
+    assert _sign_change_roots(res.chi, lo, hi, 257) == want
 
 
 def test_cff_leaf_and_degenerate_composite():

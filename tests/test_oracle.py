@@ -153,7 +153,7 @@ def test_bloch_duality_complex_potential(line_lattice):
 def test_floquet_gap_edges_bracket_check(line_lattice, cosine_folded):
     T = period(line_lattice.omega)
     with pytest.raises(PreconditionFailed):
-        floquet_gap_edges(9.87, (9.0, 9.1), (10.9, 11.0), 0.05,
+        floquet_gap_edges((9.0, 9.1), (10.9, 11.0), 0.05,
                           cosine_folded, T)
 
 
@@ -287,7 +287,7 @@ def test_floquet_gap_edges_match_ivp_path(line_lattice, cosine_folded,
     gap, center, brackets = _gap_and_brackets(line_lattice, cosine_folded,
                                               toy_schedule, [-1])
     T = period(line_lattice.omega)
-    fast = floquet_gap_edges(center, *brackets, 0.05, cosine_folded, T)
+    fast = floquet_gap_edges(*brackets, 0.05, cosine_folded, T)
     slow = ivp_gap_edges(*brackets, 0.05, cosine_folded, T)
     assert fast == pytest.approx(slow, abs=1e-9)
 
@@ -300,7 +300,7 @@ def test_floquet_gap_edges_on_second_order_gap(line_lattice, cosine_folded,
     gap, center, brackets = _gap_and_brackets(line_lattice, cosine_folded,
                                               toy_schedule, [-2])
     T = period(line_lattice.omega)
-    fast = floquet_gap_edges(center, *brackets, 0.05, cosine_folded, T)
+    fast = floquet_gap_edges(*brackets, 0.05, cosine_folded, T)
     assert fast == pytest.approx((gap.E_minus, gap.E_plus), abs=1e-8)
 
 

@@ -20,7 +20,7 @@ from .domains import DomainBuilder, symmetrize_S, symmetrize_T
 from .errors import (ExcludedK, HillbandsError, HypothesisFailed,
                      PreconditionFailed)
 from .lattice import GroupElement, QuotientLattice
-from .operators import TWO_PI_SQ, DualMatrix, OperatorSpec, assemble, gamma_for
+from .operators import TWO_PI_SQ, OperatorSpec, assemble, gamma_for
 from .potential import FoldedCoefficients
 from .scales import (ModeTable, ResonanceProfile, ScaleSchedule, k_of,
                      mode_table, resonance_profile)
@@ -31,8 +31,10 @@ from .oracle import dense_spectrum
 
 # increments at desk scale sit below float64 resolution; audits use this floor
 NOISE_FLOOR_ULPS = 256.0
-# gap edges: allowed |Q, G (resolvent) - Q, G (dense)| per max(1, |E|); the
-# reference and resonant_2d gaps measured at most 1.7e-16
+# gap edges: allowed |Q, G (resolvent) - Q, G (dense)| per max(1, |E|); with
+# the dense side a Hermitian solve, the reference gaps, the resonant_2d gap
+# on seeds 1-3 and the omega = (1, 5/8), (1, 8/13) gaps measured at most
+# 1.6e-16
 GAP_EDGE_CROSSCHECK_TOL = 1e-9
 # E(k) = E(-k) and phi(n; -k) = conj(phi(-n; k)) hold exactly; this is the
 # allowed difference between the two independent solves at k and -k
@@ -73,6 +75,7 @@ class BandPoint:
     E: float | None
     scale: int
     klass: str                       # "N" | "N-sym" | "OPR" | "GSR-2" | "error"
+    punctured_gap: float | None      # min|E - w| over the punctured block
     increments: tuple = ()
     increment_bounds: tuple = ()
     domain_size: int = 0
@@ -97,7 +100,7 @@ class BandPoint:
             "domain_size": self.domain_size, "error": self.error,
             "decay_fit": self.decay_fit, "resonances": resonances,
             "iterations": self.iterations, "residual": self.residual,
-            "pair": self.pair,
+            "punctured_gap": self.punctured_gap, "pair": self.pair,
         }
 
 
@@ -162,7 +165,8 @@ def _nonresonant_point(ctx: BandContext, k: float,
         for s in range(2, scale_used + 1)
     )
     return BandPoint(k=k, E=energies[-1], scale=scale_used, klass=klass,
-                     increments=increments, increment_bounds=bounds,
+                     punctured_gap=pair.punctured_gap, increments=increments,
+                     increment_bounds=bounds,
                      domain_size=matrix.size, phi=pair.phi,
                      domain=matrix.domain, profile=profile,
                      matrix_norm=matrix.norm_bound(),
@@ -171,14 +175,17 @@ def _nonresonant_point(ctx: BandContext, k: float,
 
 def _pair_setup(ctx: BandContext, k: float, n: GroupElement, s_use: int,
                 widen: float, min_spread: float
-                ) -> tuple[DualMatrix, tuple[float, float]]:
-    """The pair matrix of the resonance (0, n) at k and its dense bracket.
+                ) -> tuple[PuncturedResolvent, tuple[float, float]]:
+    """The resolvent of the pair matrix of the resonance (0, n) at k,
+    punctured at (0, n), and its bracket.
 
     The domain is the T-symmetrized one at scale s_use, or with domains off
     the ball B(2 R^(s_use)) and its mirror n - e. The bracket holds the two
     eigenvalues nearest the mean of the two principal diagonals, each pushed
     out by ``widen`` times their spread, which is taken to be at least
-    min_spread * max(1, |mean|).
+    min_spread * max(1, |mean|). The eigenvalues come from inertia counts
+    on the resolvent (``eigenvalues_around``), so the punctured block's one
+    reduction is the only O(n^3) step.
     """
     if ctx.use_domains:
         builder = DomainBuilder(k, ctx.schedule, ctx.lat)
@@ -191,12 +198,13 @@ def _pair_setup(ctx: BandContext, k: float, n: GroupElement, s_use: int,
     H = matrix.values
     i0, i1 = matrix.row_of(ctx.lat.identity), matrix.row_of(n)
     target = 0.5 * (H[i0, i0].real + H[i1, i1].real)
-    w = np.linalg.eigvalsh(H)
+    punctured = PuncturedResolvent(matrix, [i0, i1])
+    w = punctured.eigenvalues_around(target)
     order = np.argsort(np.abs(w - target))
     two = np.sort(w[order[:2]])
     spread = max(two[1] - two[0], min_spread * max(1.0, abs(target)))
-    return matrix, (float(two[0] - widen * spread),
-                    float(two[1] + widen * spread))
+    return punctured, (float(two[0] - widen * spread),
+                       float(two[1] + widen * spread))
 
 
 def _resonant_point(ctx: BandContext, k: float,
@@ -211,8 +219,9 @@ def _resonant_point(ctx: BandContext, k: float,
     s_top = profile.s_levels[-1]
     s_use = max(1, min(ctx.s_cap, ctx.schedule.feasible_s))
     s_use = max(s_use, min(s_top, ctx.schedule.feasible_s))
-    matrix, bracket = _pair_setup(ctx, k, n_top, s_use, widen=0.1,
-                                  min_spread=1e-8)
+    punctured, bracket = _pair_setup(ctx, k, n_top, s_use, widen=0.1,
+                                     min_spread=1e-8)
+    matrix = punctured.matrix
     k_n0 = k_of(n_top)
     ident = ctx.lat.identity
     # |k| > |k_n0| puts k past the resonance, on the upper branch, on either
@@ -223,7 +232,8 @@ def _resonant_point(ctx: BandContext, k: float,
     # weak floor for the raw-scale margin)
     tau0 = min(2.0 * ctx.schedule.eps0 ** 0.75, abs(k_n0) / 256.0) \
         * abs(k - k_n0)
-    branches = solve_pair(matrix, m_plus, m_minus, bracket, tau0_required=tau0)
+    branches = solve_pair(punctured, m_plus, m_minus, bracket,
+                          tau0_required=tau0)
     if upper:
         E, phi = branches.E_plus, branches.phi_plus
         residual = branches.residual_plus
@@ -232,7 +242,8 @@ def _resonant_point(ctx: BandContext, k: float,
         residual = branches.residual_minus
     klass = "OPR" if profile.ell == 0 else f"GSR-{profile.ell + 1}"
     return BandPoint(k=k, E=E, scale=s_use, klass=klass,
-                     domain_size=matrix.size, phi=phi, domain=matrix.domain,
+                     punctured_gap=punctured.gap(E), domain_size=matrix.size,
+                     phi=phi, domain=matrix.domain,
                      profile=profile, matrix_norm=matrix.norm_bound(),
                      residual=residual,
                      pair={"tau0": branches.tau0,
@@ -258,6 +269,7 @@ def compute_point(ctx: BandContext, k: float) -> BandPoint:
             except HillbandsError as exc2:
                 exc = exc2
         return BandPoint(k=k, E=None, scale=0, klass="error",
+                         punctured_gap=None,
                          error=f"{type(exc).__name__}: {exc}")
 
 
@@ -266,7 +278,8 @@ def _ball_fallback(ctx: BandContext, k: float) -> BandPoint:
     matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
     pair = solve_simple(matrix, ctx.lat.identity, scale=1)
     return BandPoint(k=k, E=pair.E, scale=1, klass="N",
-                     domain_size=matrix.size, phi=pair.phi, domain=matrix.domain,
+                     punctured_gap=pair.punctured_gap, domain_size=matrix.size,
+                     phi=pair.phi, domain=matrix.domain,
                      matrix_norm=matrix.norm_bound(),
                      iterations=pair.iterations, residual=pair.residual)
 
@@ -318,8 +331,9 @@ def gap_edges(ctx: BandContext, m: GroupElement) -> GapRecord:
     """Gap edges at k_m = -xi(m)/2 from the two scalar equations
     E - v(0,k_m) - Q(E) -+ |G(E)| = 0 on the T-symmetrized domain.
 
-    Both root solves evaluate Q and G on one PuncturedResolvent; at each
-    edge the dense q_g_functions recomputes them, and a difference above
+    Both root solves evaluate Q and G on the PuncturedResolvent that
+    brackets them; at each edge the dense q_g_functions recomputes them by a
+    Hermitian solve, and a difference above
     GAP_EDGE_CROSSCHECK_TOL * max(1, |E|) raises HypothesisFailed.
     """
     k_m = k_of(m)
@@ -328,13 +342,13 @@ def gap_edges(ctx: BandContext, m: GroupElement) -> GapRecord:
     s_use = max(1, min(ctx.s_cap, ctx.schedule.feasible_s))
     # at k_m the two principal diagonals agree bit for bit, (xi(m)/2)^2, so
     # the bracket is centred on v(0, k_m)
-    matrix, (lo, hi) = _pair_setup(ctx, k_m, m, s_use, widen=0.5,
-                                   min_spread=1e-9)
+    punctured, (lo, hi) = _pair_setup(ctx, k_m, m, s_use, widen=0.5,
+                                      min_spread=1e-9)
+    matrix = punctured.matrix
     H = matrix.values
     i0 = matrix.row_of(ctx.lat.identity)
     im = matrix.row_of(m)
     v0 = float(H[i0, i0].real)
-    punctured = PuncturedResolvent(matrix, [i0, im])
 
     def equation(E: float, sign: float) -> float:
         return (E - v0 - punctured.Q(i0, E)

@@ -1,4 +1,4 @@
-"""Schur-complement resolvent engine, Q/G/K/F functions, trajectory weights.
+"""Schur-complement resolvent engine, Q/G/F functions, trajectory weights.
 
 The weight bookkeeping follows the combinatorial definitions exactly: a
 trajectory is a sequence of points of Lambda with consecutive points distinct,
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg.lapack import zhecon, zhesv, zhesv_lwork
 
 from .errors import HypothesisFailed, SingularBlock
 from .lattice import GroupElement, QuotientLattice
@@ -98,21 +99,25 @@ def schur_block_inverse(H: np.ndarray, split: tuple[Sequence[int], Sequence[int]
 
 @dataclass(frozen=True)
 class QGResult:
-    """Q values, G couplings, punctured resolvent K and the F vector."""
+    """Q values, G couplings and the F vector."""
 
     principal: tuple[int, ...]          # indices into the domain ordering
     others: tuple[int, ...]
-    K: np.ndarray                       # resolvent of the punctured block
     Q: dict                             # principal index -> Q value (real for real data)
     G: dict                             # (i, j) principal pairs -> G value
     F: np.ndarray | None                # F(m0, n) over others (single principal only)
 
 
 def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float) -> QGResult:
-    """Q, G, K, F relative to one or two principal points.
+    """Q, G, F relative to one or two principal points, from one Hermitian
+    solve (E - H_punctured) X = h(., principal) by LAPACK zhesv
+    (Bunch-Kaufman); no inverse is formed.
 
-    K = (E - H_punctured)^{-1}; Q(p) = sum h(p,.) K h(.,p);
-    G(p,q) = h(p,q) + sum h(p,.) K h(.,q); F(p,n) = sum_m K(n,m) h(m,p).
+    Q(p) = h(p,.) X(., p); G(p,q) = h(p,q) + h(p,.) X(., q); F(p,n) = X(n, p).
+    SingularBlock when zhesv meets an exactly singular factor, or when
+    zhecon's estimate of 1/||A^-1||_1 = rcond ||A||_1 is at most
+    1e-13 max(1, ||A||_1), A = E - H_punctured: the 1-norm form of the rule
+    sigma_min <= 1e-13 max(1, sigma_max) that _checked_inverse applies.
     Self-adjointness (Q real, G_{pq} = conj(G_{qp})) verified for real inputs.
     """
     n = H.shape[0]
@@ -120,15 +125,26 @@ def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float) -> QGResult
     others = tuple(i for i in range(n) if i not in principal)
     if not others:
         raise ValueError("puncturing removed the whole domain")
-    Hp = H[np.ix_(others, others)]
-    M = E * np.eye(len(others), dtype=np.complex128) - Hp
-    K = _checked_inverse(M, "punctured block (E - H_punctured)")
+    rows = list(others)
+    A = E * np.eye(len(others), dtype=np.complex128) - H[np.ix_(rows, rows)]
+    label = "punctured block (E - H_punctured)"
+    lwork = int(zhesv_lwork(len(others))[0].real)
+    factor, ipiv, X, info = zhesv(A, H[np.ix_(rows, principal)], lwork=lwork)
+    if info > 0:
+        raise SingularBlock(label, 0.0)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"zhesv info {info}")
+    a_norm = float(np.linalg.norm(A, 1))
+    rcond, info = zhecon(factor, ipiv, a_norm)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zhecon info {info}")
+    if rcond * a_norm <= 1e-13 * max(1.0, a_norm):
+        raise SingularBlock(label, rcond * a_norm)
+    column = dict(zip(principal, X.T))
     Q: dict = {}
     G: dict = {}
     for p in principal:
-        row = H[p, list(others)]
-        col = H[list(others), p]
-        q_val = complex(row @ K @ col)
+        q_val = complex(H[p, rows] @ column[p])
         if abs(q_val.imag) > HERMITIAN_TOL * max(1.0, abs(q_val)):
             raise HypothesisFailed("Q self-adjointness",
                                    f"Im Q = {q_val.imag:.3e}")
@@ -137,9 +153,7 @@ def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float) -> QGResult
         for q in principal:
             if p == q:
                 continue
-            row = H[p, list(others)]
-            col = H[list(others), q]
-            G[(p, q)] = complex(H[p, q] + row @ K @ col)
+            G[(p, q)] = complex(H[p, q] + H[p, rows] @ column[q])
     if len(principal) == 2:
         p, q = principal
         mismatch = abs(G[(p, q)] - np.conj(G[(q, p)]))
@@ -147,11 +161,8 @@ def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float) -> QGResult
         if mismatch > HERMITIAN_TOL * scale:
             raise HypothesisFailed("G conjugate symmetry",
                                    f"|G_pq - conj(G_qp)| = {mismatch:.3e}")
-    F = None
-    if len(principal) == 1:
-        p = principal[0]
-        F = K @ H[list(others), p]
-    return QGResult(principal=principal, others=others, K=K, Q=Q, G=G, F=F)
+    F = column[principal[0]] if len(principal) == 1 else None
+    return QGResult(principal=principal, others=others, Q=Q, G=G, F=F)
 
 
 # --- trajectory weights ---

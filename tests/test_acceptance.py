@@ -18,7 +18,8 @@ from hillbands.domains import (DomainBuilder, SubtractionSystem, nesting_audit,
                                subtract_stabilize, symmetrize_S, symmetrize_T)
 from hillbands.errors import HillbandsError, ScheduleInfeasible
 from hillbands.lattice import FrequencyVector, QuotientLattice
-from hillbands.eigensolve import quadratic_dichotomy, solve_pair, solve_simple
+from hillbands.eigensolve import (PuncturedResolvent, quadratic_dichotomy,
+                                  solve_pair, solve_simple)
 from hillbands.operators import TWO_PI_SQ, OperatorSpec, assemble
 from hillbands.oracle import (bloch_residual, dense_spectrum,
                               floquet_gap_edges, period)
@@ -119,7 +120,8 @@ def test_criterion_03_pair_branches(lat, folded):
     v0 = TWO_PI_SQ * 0.25
     two = np.sort(w[np.argsort(np.abs(w - v0))[:2]])
     spread = two[1] - two[0]
-    branches = solve_pair(matrix, lat.identity, n0,
+    pair = [matrix.row_of(lat.identity), matrix.row_of(n0)]
+    branches = solve_pair(PuncturedResolvent(matrix, pair), lat.identity, n0,
                           (float(two[0] - 0.1 * spread),
                            float(two[1] + 0.1 * spread)))
     err = max(abs(branches.E_minus - two[0]), abs(branches.E_plus - two[1]))
@@ -350,7 +352,8 @@ def test_criterion_12_duality_residual(lat, folded):
     v0 = TWO_PI_SQ * 0.25
     two = np.sort(w[np.argsort(np.abs(w - v0))[:2]])
     spread = two[1] - two[0]
-    br = solve_pair(m2, lat.identity, n0,
+    pair = [m2.row_of(lat.identity), m2.row_of(n0)]
+    br = solve_pair(PuncturedResolvent(m2, pair), lat.identity, n0,
                     (float(two[0] - 0.1 * spread), float(two[1] + 0.1 * spread)))
     worst = max(worst, bloch_residual(m2.domain, br.phi_plus, -0.5, br.E_plus,
                                       eps, folded, T))

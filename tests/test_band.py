@@ -233,11 +233,16 @@ def test_gap_edges_crosscheck_is_live(toy_context, monkeypatch):
 
 
 class _DenseQG:
-    """Stand-in for PuncturedResolvent that recomputes Q and G with the
-    dense q_g_functions at every E: the reference route for the gap edges."""
+    """Stand-in for PuncturedResolvent that brackets by a dense eigvalsh of
+    the whole matrix and recomputes Q and G with the dense q_g_functions at
+    every E: the reference route for the gap edges."""
 
     def __init__(self, matrix, principal):
-        self.H, self.principal = matrix.values, principal
+        self.matrix, self.principal = matrix, principal
+        self.H = matrix.values
+
+    def eigenvalues_around(self, target):
+        return np.linalg.eigvalsh(self.H)
 
     def Q(self, p, E):
         return q_g_functions(self.H, self.principal, E).Q[p]
@@ -288,6 +293,32 @@ def test_gap_edges_match_floquet_with_a_folded_zero_mode(omega):
                                ctx.folded, period(ctx.lat.omega))
     for dual, ode in ((gap.E_minus, lo), (gap.E_plus, hi)):
         assert abs(dual - ode) <= 1e-9 * max(1.0, abs(dual))
+
+
+@pytest.mark.parametrize("where", ["simple", "pair", "pair_2d"])
+def test_punctured_gap_matches_dense_punctured_block(toy_context, where):
+    # min |E - w| over the punctured block of the sample's own matrix, on
+    # the simple route (punctured at 0) and the pair route (at 0 and n_top)
+    if where == "pair_2d":
+        ctx, k = random_phase_2d_context(["1", "3/7"]), 0.05
+    else:
+        width = toy_context.schedule.delta[1] ** 0.75
+        ctx = toy_context
+        k = 0.3 if where == "simple" else 0.5 - 0.25 * width
+    point = compute_point(ctx, k)
+    assert point.klass.startswith("N") == (where == "simple")
+    principal = [ctx.lat.identity]
+    if where != "simple":
+        principal.append(point.profile.top())
+    matrix = assemble(list(point.domain), ctx.spec(k), ctx.folded, ctx.lat)
+    assert matrix.domain == point.domain
+    rows = [matrix.row_of(e) for e in principal]
+    others = [i for i in range(matrix.size) if i not in rows]
+    w = np.linalg.eigvalsh(matrix.values[np.ix_(others, others)])
+    expected = float(np.min(np.abs(point.E - w)))
+    assert point.punctured_gap == pytest.approx(
+        expected, abs=1e-12 * max(1.0, matrix.norm_bound()))
+    assert point.to_dict()["punctured_gap"] == point.punctured_gap
 
 
 def test_gap_edges_rejects_zero_momentum(toy_context):
@@ -367,7 +398,7 @@ def test_eigenvector_scale_increment(line_lattice, cosine_folded):
 
 def test_pair_spectral_window_uniqueness(toy_context):
     # exactly the two branch values inside |E - E^(s-1)| < 8 delta^(1/4)
-    from hillbands.eigensolve import solve_pair
+    from hillbands.eigensolve import PuncturedResolvent, solve_pair
 
     lat = toy_context.lat
     n0 = lat.canonicalize([1])
@@ -379,7 +410,8 @@ def test_pair_spectral_window_uniqueness(toy_context):
     v0 = TWO_PI_SQ * 0.25
     two = np.sort(w[np.argsort(np.abs(w - v0))[:2]])
     spread = two[1] - two[0]
-    br = solve_pair(matrix, lat.identity, n0,
+    pair = [matrix.row_of(lat.identity), matrix.row_of(n0)]
+    br = solve_pair(PuncturedResolvent(matrix, pair), lat.identity, n0,
                     (float(two[0] - 0.1 * spread), float(two[1] + 0.1 * spread)))
     window = 8.0 * toy_context.schedule.delta[1] ** 0.25
     inside = [x for x in w if abs(x - v0) < window]
@@ -495,3 +527,4 @@ def test_failed_root_refinement_lands_in_class_error(reference_context,
             lambda x: f(x) if x in (a, b) else math.nan, a, b, **kw))
     p = compute_point(reference_context, 0.49)
     assert p.klass == "error" and p.error.startswith("NoConvergence")
+    assert p.to_dict()["punctured_gap"] is None

@@ -166,9 +166,10 @@ def test_householder_resolvent_matches_dense_q_g(case):
     E = float(w[0] - 1.0 + where * (w[-1] - w[0] + 2.0))
     assume(np.min(np.abs(E - w)) > 1e-3 * scale)
     qg = q_g_functions(H, principal, E)
+    K = np.linalg.inv(E * np.eye(len(others)) - H[np.ix_(others, others)])
     for p in res.principal:
         assert res.Q(p, E) == pytest.approx(qg.Q[p], rel=1e-10)
-        F = qg.K @ H[others, p]
+        F = K @ H[others, p]
         assert np.linalg.norm(res.tail(E, res.proj[p]) - F) \
             <= 1e-10 * np.linalg.norm(F)
     if len(res.principal) == 2:
@@ -282,7 +283,8 @@ def test_solve_pair_zero_coupling(line_lattice, cosine_folded):
     i0, i1 = m.row_of(line_lattice.identity), m.row_of(n0)
     vp, vm = m.values[i0, i0].real, m.values[i1, i1].real
     lo, hi = min(vp, vm) - 0.05, max(vp, vm) + 0.05
-    br = solve_pair(m, n0, line_lattice.identity, (lo, hi))
+    br = solve_pair(PuncturedResolvent(m, [i1, i0]), n0,
+                    line_lattice.identity, (lo, hi))
     assert br.E_minus == pytest.approx(min(vp, vm), abs=1e-11)
     assert br.E_plus == pytest.approx(max(vp, vm), abs=1e-11)
 
@@ -299,7 +301,8 @@ def test_solve_pair_matches_dense(line_lattice, cosine_folded):
     v0 = TWO_PI_SQ * 0.25
     two = np.sort(w[np.argsort(np.abs(w - v0))[:2]])
     spread = two[1] - two[0]
-    br = solve_pair(m, line_lattice.identity, n0,
+    pair = [m.row_of(line_lattice.identity), m.row_of(n0)]
+    br = solve_pair(PuncturedResolvent(m, pair), line_lattice.identity, n0,
                     (two[0] - 0.1 * spread, two[1] + 0.1 * spread))
     assert br.E_minus == pytest.approx(two[0], abs=1e-9)
     assert br.E_plus == pytest.approx(two[1], abs=1e-9)
@@ -317,8 +320,10 @@ def test_solve_pair_root_count_mismatch(line_lattice, cosine_folded):
     n0 = line_lattice.canonicalize([1])
     m = assemble(line_lattice.ball(3), OperatorSpec(epsilon=0.05, k=k),
                  cosine_folded, line_lattice)
+    pair = [m.row_of(line_lattice.identity), m.row_of(n0)]
     with pytest.raises(RootCountMismatch):
-        solve_pair(m, line_lattice.identity, n0, (-1000.0, -999.0))
+        solve_pair(PuncturedResolvent(m, pair), line_lattice.identity, n0,
+                   (-1000.0, -999.0))
 
 
 def test_solve_pair_ordering_hypothesis(line_lattice, cosine_folded):
@@ -331,11 +336,12 @@ def test_solve_pair_ordering_hypothesis(line_lattice, cosine_folded):
     vp, vm = m.values[i0, i0].real, m.values[i1, i1].real
     assert vm > vp
     lo, hi = vp - 0.05, vm + 0.05
+    punctured = PuncturedResolvent(m, [i0, i1])
     with pytest.raises(OrderingFailed):
-        solve_pair(m, line_lattice.identity, n0, (lo, hi),
+        solve_pair(punctured, line_lattice.identity, n0, (lo, hi),
                    tau0_required=1e-6)
     # correct orientation passes
-    br = solve_pair(m, n0, line_lattice.identity, (lo, hi),
+    br = solve_pair(punctured, n0, line_lattice.identity, (lo, hi),
                     tau0_required=1e-6)
     assert br.E_minus < br.E_plus
 
@@ -631,6 +637,81 @@ def test_pair_chi_scan_matches_the_scalar_scan(case):
     except SingularBlock:
         assume(False)
     assert _sign_change_roots(res.chi, lo, hi, 257) == want
+
+
+def _pair_matrix(family, seed, radius, n_index, eps, k):
+    """A pair matrix as the band builds it: the ball of the radius and its
+    mirror n - e, punctured at (0, n), n the n_index-th point of the ball
+    after 0. nu = 1 cosine takes the t-order phases; nu = 2 cosine, whose
+    one harmonic leaves sites of the domain decoupled (their diagonals are
+    exact eigenvalues of H and of the punctured block alike), and nu = 2
+    complex random_phase take zhetrd."""
+    if family == "cosine_1d":
+        lat = _lattice("1")
+        coeffs = cosine([1], kappa0=1.0)
+    else:
+        lat = _lattice("1", "3/7")
+        coeffs = cosine([1, 0], kappa0=1.0) if family == "cosine_2d" else \
+            random_phase(2, nu=2, kappa0=0.5, seed=seed, amplitude_scale=0.5)
+    folded = fold(coeffs, lat, enforce_bound=False)
+    ball = lat.ball(radius)
+    rest = [e for e in ball if e != lat.identity]
+    n = rest[n_index % len(rest)]
+    spec = OperatorSpec(epsilon=eps, k=k, normalized=False)
+    matrix = assemble(list(ball) + [lat.sub(n, e) for e in ball], spec,
+                      folded, lat, check_decay=False)
+    assert (matrix.bandwidth <= 1) == (family == "cosine_1d")
+    return matrix, [matrix.row_of(lat.identity), matrix.row_of(n)]
+
+
+pair_matrix_params = st.tuples(
+    st.sampled_from(["cosine_1d", "cosine_2d", "random_phase_2d"]),
+    st.integers(0, 99), st.integers(1, 5), st.integers(0, 200),
+    st.sampled_from([0.05, 0.3, 2.0]), st.floats(-0.45, 0.45))
+
+
+def _target(matrix, principal):
+    p, q = principal
+    return 0.5 * (matrix.values[p, p].real + matrix.values[q, q].real)
+
+
+@settings(max_examples=60)
+@given(pair_matrix_params, st.lists(st.floats(0.0, 1.0), max_size=8))
+# two w one ulp apart at k = 0: the nudge off the first must pass the second
+@example(("cosine_1d", 0, 4, 0, 0.05, 0.0), [])
+# a w near 0, whose ulp puts its pole term 1e16 times the others
+@example(("random_phase_2d", 28, 1, 86, 2.0, -0.1971421247836615), [])
+@example(("random_phase_2d", 1, 1, 2, 0.3, 0.21468299104832483), [])
+def test_inertia_count_matches_dense_eigenvalues(params, where):
+    # #{lambda(H) < x} at the target, exactly on every eigenvalue of the
+    # punctured block and of H, and at random x; an eigenvalue within tol
+    # of x may fall on either side
+    matrix, principal = _pair_matrix(*params)
+    res = PuncturedResolvent(matrix, principal)
+    lam = np.linalg.eigvalsh(matrix.values)
+    tol = 1e-14 * max(1.0, matrix.norm_bound())
+    spread = lam[0] - 1.0 + np.asarray(where) * (lam[-1] - lam[0] + 2.0)
+    x = np.concatenate(([_target(matrix, principal)], res.w, lam, spread))
+    for count in (res.count_below(x),
+                  [int(res.count_below(float(v))) for v in x]):
+        assert np.all(np.searchsorted(lam, x - tol) <= count)
+        assert np.all(count <= np.searchsorted(lam, x + tol))
+
+
+@settings(max_examples=60)
+@given(pair_matrix_params)
+def test_counted_eigenvalues_match_eigvalsh(params):
+    matrix, principal = _pair_matrix(*params)
+    res = PuncturedResolvent(matrix, principal)
+    lam = np.linalg.eigvalsh(matrix.values)
+    tol = 1e-14 * max(1.0, matrix.norm_bound())
+    assert np.max(np.abs(res.eigenvalues(np.arange(len(lam))) - lam)) <= tol
+    # the eigenvalues around the target hold the two nearest it
+    target = _target(matrix, principal)
+    around = res.eigenvalues_around(target)
+    assert 2 <= len(around) <= 4
+    for value in lam[np.argsort(np.abs(lam - target))[:2]]:
+        assert np.min(np.abs(around - value)) <= tol
 
 
 def test_cff_leaf_and_degenerate_composite():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hillbands.errors import HypothesisFailed, SingularBlock
@@ -72,13 +72,59 @@ def test_q_g_pair_against_dense_punctured_inverse():
     qg = q_g_functions(H, [0, 2], E)
     others = [1, 3, 4]
     K = np.linalg.inv(E * np.eye(3) - H[np.ix_(others, others)])
-    assert np.allclose(qg.K, K)
+    # the solved columns K h(., p), read through F with one principal
+    for p in (0, 2):
+        rest = [i for i in range(5) if i != p]
+        K_p = np.linalg.inv(E * np.eye(4) - H[np.ix_(rest, rest)])
+        assert np.allclose(q_g_functions(H, [p], E).F, K_p @ H[rest, p])
     for p in (0, 2):
         expected = (H[p, others] @ K @ H[others, p]).real
         assert qg.Q[p] == pytest.approx(expected)
     expected_g = H[0, 2] + H[0, others] @ K @ H[others, 2]
     assert qg.G[(0, 2)] == pytest.approx(expected_g)
     assert qg.G[(0, 2)] == pytest.approx(np.conj(qg.G[(2, 0)]))
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(0,), (0, 3), (6, 2)]),
+       st.floats(0.0, 1.0))
+def test_q_g_solve_matches_explicit_inverses(seed, principal, where):
+    # SingularBlock on every eigenvalue of the punctured block; elsewhere
+    # Q, G and F equal their values through an explicit inverse
+    H = random_hermitian(np.random.default_rng(seed), 7)
+    others = [i for i in range(7) if i not in principal]
+    w = np.linalg.eigvalsh(H[np.ix_(others, others)])
+    for E in w:
+        with pytest.raises(SingularBlock):
+            q_g_functions(H, principal, float(E))
+    E = float(w[0] - 1.0 + where * (w[-1] - w[0] + 2.0))
+    assume(np.min(np.abs(E - w)) > 1e-3)
+    K = np.linalg.inv(E * np.eye(len(others)) - H[np.ix_(others, others)])
+    qg = q_g_functions(H, principal, E)
+    assert qg.others == tuple(others)
+    for p in principal:
+        expected = (H[p, others] @ K @ H[others, p]).real
+        assert qg.Q[p] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+    if len(principal) == 2:
+        p, q = principal
+        expected = H[p, q] + H[p, others] @ K @ H[others, q]
+        assert qg.G[(p, q)] == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        assert qg.F is None
+    else:
+        F = K @ H[others, principal[0]]
+        assert np.linalg.norm(qg.F - F) <= 1e-10 * np.linalg.norm(F)
+
+
+def test_q_g_singular_threshold_is_relative_to_the_one_norm():
+    # A = E - H_punctured = diag(1, d): 1/||A^-1||_1 = d against
+    # 1e-13 max(1, ||A||_1) = 1e-13
+    for d, singular in ((1e-14, True), (1e-12, False)):
+        H = np.diag([5.0, -1.0, -d]).astype(complex)
+        H[0, 1] = H[1, 0] = 0.5
+        if singular:
+            with pytest.raises(SingularBlock):
+                q_g_functions(H, [0], 0.0)
+        else:
+            assert q_g_functions(H, [0], 0.0).Q[0] == pytest.approx(0.25)
 
 
 def test_checked_inverse_singular_and_regular():

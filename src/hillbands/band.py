@@ -54,7 +54,7 @@ class BandContext:
     use_domains: bool               # False: plain balls B(2 R^(1)) only
 
     def spec(self, k: float) -> OperatorSpec:
-        return OperatorSpec(epsilon=self.eps, k=k, normalized=False)
+        return OperatorSpec(epsilon=self.eps, k=k)
 
     def modes(self) -> ModeTable:
         """The modes 0 < |m| <= truncation_R with their k_m, in ball order."""

@@ -27,6 +27,9 @@ from .scales import build_schedule
 from .verify import run_suite
 
 OUTPUT_DIR_ENV = "HILLBANDS_OUTDIR"
+# most points a k_grid min/max/step range may expand to; the shipped configs
+# use 21
+K_GRID_MAX_POINTS = 100_000
 
 
 def load_config(path: str) -> dict:
@@ -114,7 +117,12 @@ def k_grid_from(config: dict) -> list[float]:
     step = _finite(kg.get("step", 0.01), "k_grid.step")
     if step == 0:
         raise ConfigError("k_grid.step must be nonzero")
-    count = int(round((hi - lo) / step)) + 1
+    ratio = (hi - lo) / step
+    count = int(round(ratio)) + 1 if math.isfinite(ratio) else 0
+    if not 1 <= count <= K_GRID_MAX_POINTS:
+        raise ConfigError(
+            f"k_grid min={lo!r}, max={hi!r}, step={step!r} must give 1 to "
+            f"{K_GRID_MAX_POINTS} points: max - min and step of one sign")
     return [lo + i * step for i in range(count)]
 
 

@@ -5,9 +5,6 @@ col m] = eps*c(n-m) -- the orientation under which y(x) = sum phi(n)
 e^{2 pi i (xi(n)+k) x} solves the Hill equation exactly (for real coefficient
 data the two orientations coincide; for complex data only this one keeps the
 duality).
-Normalized form divides everything by lambda = 256*gamma,
-gamma-1 <= |k| <= gamma; the two are related by
-H_raw(k, (2 pi)^2 eps) = lambda (2 pi)^2 H_norm(k, eps).
 """
 
 from __future__ import annotations
@@ -33,39 +30,18 @@ def gamma_for(k: float) -> float:
 
 @dataclass(frozen=True)
 class OperatorSpec:
-    """Coupling, quasi-momentum and normalization of one dual matrix."""
+    """Coupling and quasi-momentum of one dual matrix."""
 
     epsilon: float
     k: float
-    normalized: bool = False
-    gamma: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and math.isfinite(self.k)):
             raise ValueError(f"epsilon and k must be finite, got "
                              f"epsilon={self.epsilon!r}, k={self.k!r}")
-        if self.normalized and self.gamma is None:
-            object.__setattr__(self, "gamma", gamma_for(self.k))
-            g = self.gamma
-            if not (g >= 1 and g - 1 <= abs(self.k) <= g + 1e-12):
-                raise ValueError(f"auto gamma={g} violates gamma-1 <= |k| <= "
-                                 f"gamma for k={self.k!r}")
-        elif self.normalized and self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-
-    @property
-    def lam(self) -> float:
-        """lambda = 256*gamma in normalized mode, 1 otherwise."""
-        return 256.0 * self.gamma if self.normalized else 1.0
 
     def diagonal(self, xi: Fraction) -> float:
-        base = (float(xi) + self.k) ** 2
-        if self.normalized:
-            return base / self.lam
-        return TWO_PI_SQ * base
-
-    def coupling_scale(self) -> float:
-        return self.epsilon / self.lam if self.normalized else self.epsilon
+        return TWO_PI_SQ * (float(xi) + self.k) ** 2
 
 
 @dataclass(frozen=True)
@@ -102,7 +78,7 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     """Assemble the matrix by one gather per row over the coordinate t.
 
     H[i, j] = eps*c(t_i - t_j) off the diagonal, read from a table of
-    scale*c over the offsets that can occur; the diagonal adds eps*c(0), the
+    eps*c over the offsets that can occur; the diagonal adds eps*c(0), the
     folded zero mode that the Floquet potential carries too. ``fold`` stores
     c(-n) as exactly conj(c(n)), so the gathered matrix is Hermitian bit for
     bit.
@@ -112,8 +88,8 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
         raise ValueError("domain must be nonempty")
     n = len(dom)
     t = np.array([e.t for e in dom], dtype=np.int64)
-    scale = spec.coupling_scale()
-    # table[span + 1 + d] = scale*c(d) for |d| <= span, with a zero at both
+    eps = spec.epsilon
+    # table[span + 1 + d] = eps*c(d) for |d| <= span, with a zero at both
     # ends that the clipped gather returns for every farther offset
     span = int(t.max() - t.min())
     span = min(span, max((abs(e.t) for e in folded.entries), default=0))
@@ -121,13 +97,13 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     entries = {}
     for e, c in folded.entries.items():
         if e.t != 0 and abs(e.t) <= span:
-            val = scale * c
+            val = eps * c
             table[span + 1 + e.t] = val
             entries[e.t] = (e.norm, abs(val))
     H = np.empty((n, n), dtype=np.complex128)
     for i in range(n):
         np.take(table, t[i] - t + (span + 1), out=H[i], mode="clip")
-    zero_mode = scale * folded.value(lat.identity)
+    zero_mode = eps * folded.value(lat.identity)
     H[np.diag_indices(n)] = [spec.diagonal(a.xi) + zero_mode for a in dom]
     if check_decay:
         _check_decay(H, dom, t, entries, spec, folded)
@@ -160,7 +136,7 @@ def _check_decay(H, dom, t, entries, spec, folded) -> None:
     its folded key, so each distinct offset is checked once and counts only
     when some pair of the domain realizes it.
     """
-    eps = abs(spec.coupling_scale())
+    eps = abs(spec.epsilon)
     bounds = {}
     for d, (norm, v) in entries.items():
         if v == 0:
@@ -211,9 +187,7 @@ def translation_conjugation_check(domain: Sequence[GroupElement], m: GroupElemen
                                   lat: QuotientLattice) -> ConjugationReport:
     """Spectra of H_{m+Lambda, eps, k} and H_{Lambda, eps, k+xi(m)} must agree."""
     left = assemble(translated_domain(domain, m, lat), spec, folded, lat)
-    shifted = OperatorSpec(epsilon=spec.epsilon, k=spec.k + float(m.xi),
-                           normalized=spec.normalized,
-                           gamma=spec.gamma if spec.normalized else None)
+    shifted = OperatorSpec(epsilon=spec.epsilon, k=spec.k + float(m.xi))
     return _compare_spectra(left, assemble(order_domain(domain), shifted,
                                            folded, lat))
 
@@ -223,8 +197,6 @@ def symmetry_conjugation_check(domain: Sequence[GroupElement], spec: OperatorSpe
                                lat: QuotientLattice) -> ConjugationReport:
     """Spectra of H_{Lambda, eps, k} and H_{-Lambda, eps, -k} must agree."""
     left = assemble(order_domain(domain), spec, folded, lat)
-    flipped = OperatorSpec(epsilon=spec.epsilon, k=-spec.k,
-                           normalized=spec.normalized,
-                           gamma=spec.gamma if spec.normalized else None)
+    flipped = OperatorSpec(epsilon=spec.epsilon, k=-spec.k)
     return _compare_spectra(left, assemble(negated_domain(domain, lat),
                                            flipped, folded, lat))

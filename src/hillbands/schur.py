@@ -48,26 +48,47 @@ HOP_SUM_RADIUS = 40
 
 # --- dense linear algebra with singularity reporting ---
 
-def _checked_inverse(A: np.ndarray, label: str) -> np.ndarray:
-    """inv(A), or SingularBlock when sigma_min <= 1e-13 * max(1, sigma_max);
-    both singular values come from one SVD."""
-    sigma = np.linalg.svd(A, compute_uv=False)
-    s_min = float(sigma[-1])
-    scale = max(1.0, float(sigma[0]))
-    if s_min <= 1e-13 * scale:
-        raise SingularBlock(label, s_min)
-    return np.linalg.inv(A)
+def _require_hermitian(H: np.ndarray) -> None:
+    """ValueError unless H == H^H exactly: the solves read one triangle."""
+    if not np.array_equal(H, H.conj().T):
+        raise ValueError("H must be exactly Hermitian (H == H^H)")
+
+
+def _hermitian_solve(A: np.ndarray, B: np.ndarray, label: str) -> np.ndarray:
+    """X with A X = B for a Hermitian A, by LAPACK zhesv (Bunch-Kaufman);
+    zhesv reads only the upper triangle of A.
+
+    The one singularity rule: SingularBlock(label) when zhesv meets an
+    exactly singular factor, or when zhecon's estimate of
+    1/||A^-1||_1 = rcond ||A||_1 is at most 1e-13 max(1, ||A||_1), the 1-norm
+    form of sigma_min <= 1e-13 max(1, sigma_max).
+    """
+    lwork = int(zhesv_lwork(len(A))[0].real)
+    factor, ipiv, X, info = zhesv(A, B, lwork=lwork)
+    if info > 0:
+        raise SingularBlock(label, 0.0)
+    if info < 0:
+        raise np.linalg.LinAlgError(f"zhesv info {info}")
+    a_norm = float(np.linalg.norm(A, 1))
+    rcond, info = zhecon(factor, ipiv, a_norm)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zhecon info {info}")
+    if rcond * a_norm <= 1e-13 * max(1.0, a_norm):
+        raise SingularBlock(label, rcond * a_norm)
+    return X
 
 
 def schur_block_inverse(H: np.ndarray, split: tuple[Sequence[int], Sequence[int]],
                         E: float, audit: bool | None = None) -> np.ndarray:
     """(E - H)^{-1} assembled from the four Schur blocks.
 
-    split = (indices of block 1, indices of block 2). Raises SingularBlock when
-    (E - H)_11 or the reduced block H2~ is numerically singular. For |Lambda|
+    split = (indices of block 1, indices of block 2); H exactly Hermitian.
+    Raises SingularBlock when (E - H)_11 or the reduced block H2~ is
+    numerically singular (the rule of _hermitian_solve). For |Lambda|
     <= 64 (or audit=True) the result is checked against direct dense inversion
     to a relative error of 1e-9.
     """
+    _require_hermitian(H)
     n = H.shape[0]
     idx1 = np.asarray(split[0], dtype=int)
     idx2 = np.asarray(split[1], dtype=int)
@@ -78,9 +99,10 @@ def schur_block_inverse(H: np.ndarray, split: tuple[Sequence[int], Sequence[int]
     H2 = M[np.ix_(idx2, idx2)]
     G12 = M[np.ix_(idx1, idx2)]
     G21 = M[np.ix_(idx2, idx1)]
-    H1_inv = _checked_inverse(H1, "H1 = (E-H)_11")
+    H1_inv = _hermitian_solve(H1, np.eye(len(idx1)), "H1 = (E-H)_11")
     H2_tilde = H2 - G21 @ H1_inv @ G12
-    H2t_inv = _checked_inverse(H2_tilde, "H2~ = H2 - G21 H1^-1 G12")
+    H2t_inv = _hermitian_solve(H2_tilde, np.eye(len(idx2)),
+                               "H2~ = H2 - G21 H1^-1 G12")
     out = np.zeros_like(M)
     top_left = H1_inv + H1_inv @ G12 @ H2t_inv @ G21 @ H1_inv
     out[np.ix_(idx1, idx1)] = top_left
@@ -110,16 +132,13 @@ class QGResult:
 
 def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float) -> QGResult:
     """Q, G, F relative to one or two principal points, from one Hermitian
-    solve (E - H_punctured) X = h(., principal) by LAPACK zhesv
-    (Bunch-Kaufman); no inverse is formed.
+    solve (E - H_punctured) X = h(., principal); no inverse is formed.
 
     Q(p) = h(p,.) X(., p); G(p,q) = h(p,q) + h(p,.) X(., q); F(p,n) = X(n, p).
-    SingularBlock when zhesv meets an exactly singular factor, or when
-    zhecon's estimate of 1/||A^-1||_1 = rcond ||A||_1 is at most
-    1e-13 max(1, ||A||_1), A = E - H_punctured: the 1-norm form of the rule
-    sigma_min <= 1e-13 max(1, sigma_max) that _checked_inverse applies.
+    H exactly Hermitian; SingularBlock by the rule of _hermitian_solve.
     Self-adjointness (Q real, G_{pq} = conj(G_{qp})) verified for real inputs.
     """
+    _require_hermitian(H)
     n = H.shape[0]
     principal = tuple(int(p) for p in principal)
     others = tuple(i for i in range(n) if i not in principal)
@@ -127,19 +146,8 @@ def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float) -> QGResult
         raise ValueError("puncturing removed the whole domain")
     rows = list(others)
     A = E * np.eye(len(others), dtype=np.complex128) - H[np.ix_(rows, rows)]
-    label = "punctured block (E - H_punctured)"
-    lwork = int(zhesv_lwork(len(others))[0].real)
-    factor, ipiv, X, info = zhesv(A, H[np.ix_(rows, principal)], lwork=lwork)
-    if info > 0:
-        raise SingularBlock(label, 0.0)
-    if info < 0:
-        raise np.linalg.LinAlgError(f"zhesv info {info}")
-    a_norm = float(np.linalg.norm(A, 1))
-    rcond, info = zhecon(factor, ipiv, a_norm)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"zhecon info {info}")
-    if rcond * a_norm <= 1e-13 * max(1.0, a_norm):
-        raise SingularBlock(label, rcond * a_norm)
+    X = _hermitian_solve(A, H[np.ix_(rows, principal)],
+                         "punctured block (E - H_punctured)")
     column = dict(zip(principal, X.T))
     Q: dict = {}
     G: dict = {}
@@ -544,6 +552,7 @@ def msa_step(H: np.ndarray, domain: Sequence[GroupElement],
     (E - H) at least exp(-4T/kappa0);
     (epscond) smallness of eps0. The conclusion is audited on |Lambda| <= 12.
     """
+    _require_hermitian(H)
     domain = list(domain)
     index = {e: i for i, e in enumerate(domain)}
     n = len(domain)
@@ -565,7 +574,7 @@ def msa_step(H: np.ndarray, domain: Sequence[GroupElement],
         idx = [index[e] for e in elems]
         sub = M[np.ix_(idx, idx)]
         try:
-            sub_inv = _checked_inverse(sub, f"block {elems}")
+            sub_inv = _hermitian_solve(sub, np.eye(len(idx)), f"block {elems}")
         except SingularBlock as exc:
             raise HypothesisFailed("a", f"block not invertible: {exc}")
         if len(elems) <= 12:
@@ -586,7 +595,7 @@ def msa_step(H: np.ndarray, domain: Sequence[GroupElement],
                 "b", f"leftover diagonal at {e}: {abs(M[index[e], index[e]]):.3e} "
                 f"< floor {floor:.3e}")
 
-    resolvent = _checked_inverse(M, "full (E - H)")
+    resolvent = _hermitian_solve(M, np.eye(n), "full (E - H)")
     merged: dict = {}
     for elems, prof in blocks:
         for e in elems:
@@ -626,6 +635,7 @@ def two_point_extension(H: np.ndarray, domain: Sequence[GroupElement],
 
     m_plus == m_minus is allowed (single puncture).
     """
+    _require_hermitian(H)
     domain = list(domain)
     index = {e: i for i, e in enumerate(domain)}
     n = len(domain)
@@ -634,11 +644,12 @@ def two_point_extension(H: np.ndarray, domain: Sequence[GroupElement],
     others = [e for e in domain if e not in pair]
     idx_others = [index[e] for e in others]
     try:
-        _checked_inverse(M[np.ix_(idx_others, idx_others)], "punctured block")
+        _hermitian_solve(M[np.ix_(idx_others, idx_others)],
+                         np.eye(len(idx_others)), "punctured block")
     except SingularBlock as exc:
         raise HypothesisFailed("punctured resolvent", str(exc))
     try:
-        full_inv = _checked_inverse(M, "full matrix")
+        full_inv = _hermitian_solve(M, np.eye(n), "full matrix")
     except SingularBlock as exc:
         raise HypothesisFailed("full invertibility", str(exc))
     hop = float(lat.dist(m_plus, m_minus)) ** profile.alpha0

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from hillbands.cli import main
+from hillbands.cli import K_GRID_MAX_POINTS, k_grid_from, main
+from hillbands.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -222,6 +223,33 @@ def test_nonfinite_inputs_are_config_errors(tmp_path, overrides):
     assert not (out / "report.json").exists()
     if "k_grid" in overrides:
         assert main(["verify", str(cfg), "--suite", "band"]) == 2
+
+
+@pytest.mark.parametrize("grid", [
+    {"min": 0.45, "max": 0.05, "step": 0.02},
+    {"min": 0.05, "max": 0.45, "step": -0.02},
+])
+def test_k_grid_of_the_wrong_direction_is_a_config_error(tmp_path, capsys,
+                                                         grid):
+    cfg = write_config(tmp_path, {"k_grid": grid})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"min={grid['min']!r}, max={grid['max']!r}, "
+            f"step={grid['step']!r}") in err
+    assert "k_m is dropped" not in err
+
+
+def test_k_grid_point_cap():
+    # a count just above the cap; a tiny step would otherwise build an
+    # unbounded list
+    cap = {"min": 0.0, "step": 1.0}
+    assert len(k_grid_from({"k_grid": dict(cap, max=K_GRID_MAX_POINTS - 1.0)})) \
+        == K_GRID_MAX_POINTS
+    with pytest.raises(ConfigError, match="must give 1 to"):
+        k_grid_from({"k_grid": dict(cap, max=float(K_GRID_MAX_POINTS))})
+    with pytest.raises(ConfigError, match="must give 1 to"):
+        k_grid_from({"k_grid": {"min": -1e308, "max": 1e308, "step": 1.0}})
 
 
 def test_run_band_floquet_outputs(tmp_path):

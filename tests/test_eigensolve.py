@@ -56,8 +56,7 @@ def tridiagonal_cases(draw):
     else:
         domain = ball
     spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])),
-                        k=draw(st.floats(-1.9, 1.9)),
-                        normalized=draw(st.booleans()))
+                        k=draw(st.floats(-1.9, 1.9)))
     matrix = assemble(domain, spec, folded, lat, check_decay=False)
     by_t = sorted(range(matrix.size), key=lambda i: matrix.domain[i].t)
     ends = [by_t[0], by_t[-1]]
@@ -145,8 +144,7 @@ def householder_cases(draw):
     count = draw(st.integers(1, 2))
     domain = list(lat.ball(4))[:draw(st.sampled_from([1, 2, 3, 50])) + count]
     spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])),
-                        k=draw(st.floats(-0.45, 0.45)),
-                        normalized=draw(st.booleans()))
+                        k=draw(st.floats(-0.45, 0.45)))
     matrix = dataclasses.replace(
         assemble(domain, spec, folded, lat, check_decay=False), bandwidth=None)
     principal = draw(st.lists(st.sampled_from(range(matrix.size)),
@@ -657,7 +655,7 @@ def _pair_matrix(family, seed, radius, n_index, eps, k):
     ball = lat.ball(radius)
     rest = [e for e in ball if e != lat.identity]
     n = rest[n_index % len(rest)]
-    spec = OperatorSpec(epsilon=eps, k=k, normalized=False)
+    spec = OperatorSpec(epsilon=eps, k=k)
     matrix = assemble(list(ball) + [lat.sub(n, e) for e in ball], spec,
                       folded, lat, check_decay=False)
     assert (matrix.bandwidth <= 1) == (family == "cosine_1d")

@@ -15,6 +15,8 @@ from hillbands.operators import (TWO_PI_SQ, DualMatrix, OperatorSpec, assemble,
                                  translation_conjugation_check)
 from hillbands.potential import cosine, exp_decay, fold, random_phase
 
+from conftest import make_context
+
 
 # --- reference oracle: pairwise assembly, one lat.sub per pair ---
 
@@ -25,7 +27,7 @@ def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
         raise ValueError("domain must be nonempty")
     n = len(dom)
     H = np.zeros((n, n), dtype=np.complex128)
-    scale = spec.coupling_scale()
+    scale = spec.epsilon
     zero_mode = scale * folded.value(lat.identity)
     for i, a in enumerate(dom):
         H[i, i] = spec.diagonal(a.xi) + zero_mode
@@ -49,7 +51,7 @@ def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
 
 def pairwise_decay_violations(H, dom, spec, folded, lat):
     bad = []
-    eps = abs(spec.coupling_scale())
+    eps = abs(spec.epsilon)
     for i in range(len(dom)):
         for j in range(i + 1, len(dom)):
             v = abs(H[i, j])
@@ -112,8 +114,7 @@ def assembly_cases(draw):
         domain = ball
 
     k = draw(st.floats(0.01, 1.9)) * draw(st.sampled_from([1, -1]))
-    spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])), k=k,
-                        normalized=draw(st.booleans()))
+    spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])), k=k)
     return domain, spec, folded, lat
 
 
@@ -181,20 +182,6 @@ def test_assemble_three_by_three_entries(line_lattice):
     assert abs(H[0, 2]) == pytest.approx(0.1 * math.exp(-1))
     assert H[1, 2] == 0  # distance 2: no coefficient
     assert np.allclose(H, H.conj().T)
-
-
-def test_normalized_vs_raw_identity(line_lattice, cosine_folded):
-    # H_raw(k, (2 pi)^2 eps) = lambda (2 pi)^2 H_norm(k, eps), gamma = 1
-    eps, k = 0.03, 0.4
-    raw = assemble(line_lattice.ball(4),
-                   OperatorSpec(epsilon=TWO_PI_SQ * eps, k=k),
-                   cosine_folded, line_lattice)
-    norm = assemble(line_lattice.ball(4),
-                    OperatorSpec(epsilon=eps, k=k, normalized=True),
-                    cosine_folded, line_lattice)
-    lam = norm.spec.lam
-    assert lam == 256.0
-    assert np.allclose(raw.values, lam * TWO_PI_SQ * norm.values, rtol=1e-14)
 
 
 def test_gamma_bracketing():
@@ -268,20 +255,20 @@ def test_offdiagonal_decay_enforced(half_lattice):
     assemble(half_lattice.ball(0), spec, folded, half_lattice)
 
 
-@pytest.mark.parametrize("normalized", [False, True])
-def test_assemble_diagonal_carries_folded_zero_mode(half_lattice, normalized):
+@pytest.mark.parametrize("check_decay", [False, True])
+def test_assemble_diagonal_carries_folded_zero_mode(half_lattice, check_decay):
     # (1, -1) spans the null lattice of omega = (1/2, 1/2): folding sums c
-    # over its multiples into the identity coset, the constant c(0)
+    # over its multiples into the identity coset, the constant c(0); the
+    # decay check, which passes here, leaves the diagonal alone
     coeffs = random_phase(2, nu=2, kappa0=0.5, seed=1, amplitude_scale=0.5)
     folded = fold(coeffs, half_lattice, enforce_bound=False)
     c0 = sum(coeffs.value((j, -j)) for j in (-2, -1, 1, 2))
     assert abs(c0) > 0.1
     assert folded.value(half_lattice.identity) == pytest.approx(c0, abs=1e-15)
-    spec = OperatorSpec(epsilon=0.05, k=0.3, normalized=normalized)
+    spec = OperatorSpec(epsilon=0.05, k=0.3)
     m = assemble(half_lattice.ball(3), spec, folded, half_lattice,
-                 check_decay=False)
-    want = [spec.diagonal(e.xi) + spec.coupling_scale() * c0.real
-            for e in m.domain]
+                 check_decay=check_decay)
+    want = [spec.diagonal(e.xi) + spec.epsilon * c0.real for e in m.domain]
     assert np.diag(m.values).real == pytest.approx(want, abs=1e-15)
     assert not np.diag(m.values).imag.any()
 
@@ -300,11 +287,17 @@ def test_assemble_hermitian_bit_for_bit(half_lattice):
 
 @pytest.mark.parametrize("field", ["epsilon", "k"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("normalized", [False, True])
-def test_spec_rejects_nonfinite(field, bad, normalized):
-    kwargs = {"epsilon": 0.05, "k": 0.3, "normalized": normalized, field: bad}
+@pytest.mark.parametrize("via_context", [False, True])
+def test_spec_rejects_nonfinite(field, bad, via_context, line_lattice,
+                                cosine_folded, toy_schedule):
+    # via_context: through BandContext.spec, the constructor the sweep uses
+    kwargs = {"epsilon": 0.05, "k": 0.3, field: bad}
     with pytest.raises(ValueError, match="finite"):
-        OperatorSpec(**kwargs)
+        if via_context:
+            make_context(line_lattice, cosine_folded, toy_schedule,
+                         eps=kwargs["epsilon"]).spec(kwargs["k"])
+        else:
+            OperatorSpec(**kwargs)
 
 
 def test_eigenvalues_real(line_lattice):

@@ -1,6 +1,8 @@
-"""The package's import surface: what a bare import loads, and the names the
-span tracer of the benchmark (perfbench/tracing.py) rebinds."""
+"""The package's import surface: what a bare import loads, the names the
+span tracer of the benchmark (perfbench/tracing.py) rebinds, and the number
+of options the package exposes."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -11,6 +13,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# defaulted parameters and defaulted dataclass fields in src/hillbands
+MAX_DEFAULTED = 86
 
 
 def test_bare_import_loads_no_submodule_numpy_or_scipy():
@@ -40,3 +44,28 @@ def test_traced_name_resolves(module, attr):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def _defaulted_count(root: Path) -> int:
+    """Defaults of every function and lambda (positional and keyword-only)
+    plus every annotated field with a value in a @dataclass class body."""
+    count = 0
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                count += len(node.args.defaults) + sum(
+                    d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+    return count
+
+
+def test_defaulted_options_do_not_grow():
+    count = _defaulted_count(ROOT / "src" / "hillbands")
+    assert count <= MAX_DEFAULTED, (
+        f"{count} defaulted parameters and dataclass fields in src/hillbands, "
+        f"above {MAX_DEFAULTED}: make a single-valued option a constant; "
+        f"lower MAX_DEFAULTED to the new count whenever an option goes")

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from hillbands.errors import HypothesisFailed, SingularBlock
 from hillbands.lattice import FrequencyVector, QuotientLattice
-from hillbands.schur import (WeightLemmaReport, WeightProfile, _checked_inverse,
-                             _hop_table, _trajectories, hop_sum_constant, msa_step,
+from hillbands.schur import (WeightLemmaReport, WeightProfile, _hop_table,
+                             _trajectories, hop_sum_constant, msa_step,
                              mu_of_set, q_g_functions, schur_block_inverse,
                              two_point_extension, verify_weight_lemma,
                              weight_sum_upper_bound_audit, weight_sums)
@@ -127,19 +127,86 @@ def test_q_g_singular_threshold_is_relative_to_the_one_norm():
             assert q_g_functions(H, [0], 0.0).Q[0] == pytest.approx(0.25)
 
 
-def test_checked_inverse_singular_and_regular():
+EPS0 = 1e-40
+
+
+def _near_diagonal(lat, n):
+    """A domain of n points and an exactly Hermitian H on it: a diagonal in
+    [1, 2] plus couplings EPS0 e^{-0.9 |i-j|}, within the msa_step and
+    two_point_extension hypotheses; with its weight profile."""
+    domain = [lat.canonicalize([r]) for r in range(n)]
+    H = np.diag(np.linspace(1.0, 2.0, n)).astype(complex)
+    for i in range(n):
+        for j in range(i + 1, n):
+            H[i, j] = H[j, i] = EPS0 * math.exp(-0.9 * abs(i - j))
+    prof = WeightProfile(D={e: 1.2 for e in domain}, T=8.0, kappa0=0.9,
+                         alpha0=1.0)
+    return domain, H, prof
+
+
+def _msa(H, domain, blocks, E, lat):
+    return msa_step(H, domain, blocks, E, EPS0, lat, T=8.0, kappa0=0.9,
+                    alpha0=1.0)
+
+
+def _two_point(H, domain, prof, E, lat):
+    return two_point_extension(H, domain, domain[0], domain[1], prof, E,
+                               EPS0, lat, boundary_distance=1e6)
+
+
+def test_checked_inverse_singular_and_regular(lat):
+    # every inverse goes through the one checked Hermitian solve
+    def rel(out, want):
+        return np.linalg.norm(out - want) / np.linalg.norm(want)
+
     rng = np.random.default_rng(11)
     A = random_hermitian(rng, 6)
-    assert np.array_equal(_checked_inverse(A, "A"), np.linalg.inv(A))
+    # E = 0 and H = -A: E - H is A exactly
+    out = schur_block_inverse(-A, ([0, 1, 2], [3, 4, 5]), 0.0)
+    assert rel(out, np.linalg.inv(A)) <= 1e-12
+    domain, H, prof = _near_diagonal(lat, 5)
+    M = 5.0 * np.eye(5) - H
+    assert rel(_msa(H, domain, [(domain, prof)], 5.0, lat).resolvent,
+               np.linalg.inv(M)) <= 1e-12
+    assert rel(_two_point(H, domain, prof, 5.0, lat).resolvent,
+               np.linalg.inv(M)) <= 1e-12
+
     B = A.copy()
-    B[:, 5] = B[:, 0]           # rank 5
-    with pytest.raises(SingularBlock, match="singular block block B"):
-        _checked_inverse(B, "block B")
-    # the threshold is relative to max(1, sigma_max)
-    with pytest.raises(SingularBlock):
-        _checked_inverse(np.diag([1.0, 1e-14]), "small")
-    assert np.array_equal(_checked_inverse(np.diag([1.0, 1e-12]), "ok"),
-                          np.linalg.inv(np.diag([1.0, 1e-12])))
+    B[5, :] = B[0, :]           # rank 5, still exactly Hermitian
+    B[:, 5] = B[:, 0]
+    with pytest.raises(SingularBlock, match="singular block H2~"):
+        schur_block_inverse(-B, ([0, 1, 2], [3, 4, 5]), 0.0)
+    # the threshold is relative to max(1, sigma_max); no blocks leaves the
+    # whole 2 x 2 matrix to the full inverse
+    two = [lat.canonicalize([0]), lat.canonicalize([1])]
+    with pytest.raises(SingularBlock, match="full"):
+        _msa(-np.diag([1.0, 1e-14]), two, [], 0.0, lat)
+    small = np.diag([1.0, 1e-12])
+    assert rel(_msa(-small, two, [], 0.0, lat).resolvent,
+               np.linalg.inv(small)) <= 1e-12
+
+
+@pytest.mark.parametrize("entry", ["schur_block_inverse", "q_g_functions",
+                                   "msa_step", "two_point_extension"])
+@pytest.mark.parametrize("defect", ["off-diagonal", "diagonal"])
+def test_non_hermitian_input_is_rejected(lat, entry, defect):
+    # the solves read one triangle of each block, so without the check a
+    # matrix that is not exactly Hermitian would silently be solved as
+    # another one
+    domain, H, prof = _near_diagonal(lat, 5)
+    if defect == "off-diagonal":
+        H[3, 1] += 1e-3
+    else:
+        H[2, 2] += 1e-3j
+    call = {
+        "schur_block_inverse":
+            lambda: schur_block_inverse(H, ([0, 1], [2, 3, 4]), 5.0),
+        "q_g_functions": lambda: q_g_functions(H, [0], 5.0),
+        "msa_step": lambda: _msa(H, domain, [(domain, prof)], 5.0, lat),
+        "two_point_extension": lambda: _two_point(H, domain, prof, 5.0, lat),
+    }[entry]
+    with pytest.raises(ValueError, match="exactly Hermitian"):
+        call()
 
 
 # --- element-based reference path: one trajectory set per (m, n) pair ---

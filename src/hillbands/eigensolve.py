@@ -18,13 +18,13 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import zhetrd, zhetrd_lwork, zunmqr
-from scipy.optimize import brentq
 
 from .errors import (AdmissibilityFailed, HypothesisFailed, NoConvergence,
                      OrderingFailed, PreconditionFailed, RootCountMismatch,
                      SingularBlock)
 from .lattice import GroupElement
 from .operators import DualMatrix
+from .oracle import brent_root
 from .schur import q_g_functions
 
 # width at which the fixed point and the sign-change roots stop
@@ -91,7 +91,9 @@ class PuncturedResolvent:
         """1/(E - w) over the last axis, for a scalar E or an array."""
         d = np.asarray(E, dtype=float)[..., None] - self.w
         if np.min(np.abs(d)) < 1e-300:
-            raise SingularBlock("punctured block at E", float(np.min(np.abs(d))))
+            # min|E - w| is exactly 1/||(E - H_punctured)^-1||_2
+            raise SingularBlock("punctured block at E",
+                                float(np.min(np.abs(d))), "2")
         return 1.0 / d
 
     def Q(self, p: int, E):
@@ -402,22 +404,16 @@ def _sign_change_roots(f: Callable, lo: float, hi: float,
 
 def refine_root(f: Callable[[float], float], a: float, b: float,
                 xtol: float) -> float:
-    """The root of f in the sign-changing bracket [a, b] to xtol, by scipy's
-    brentq (Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 4). NoConvergence when brentq stops unconverged or raises on a NaN
-    of f, the latter with residual NaN."""
-    # brentq's NaN guard refers to itself, so what it wraps lives until the
-    # cycle collector runs: a box emptied on return frees f at once
-    box = [f]
+    """The root of f in the sign-changing bracket [a, b] to xtol, by
+    oracle.brent_root (Brent's method as scipy's brentq runs it).
+    NoConvergence when it stops unconverged after its 100 iterations, or
+    with residual NaN when f is NaN or [a, b] does not change sign."""
     try:
-        x, result = brentq(lambda x: box[0](x), a, b, xtol=xtol,
-                           full_output=True, disp=False)
+        x, iterations, converged = brent_root(f, a, b, xtol)
     except ValueError as exc:
         raise NoConvergence(0, math.nan) from exc
-    finally:
-        box.clear()
-    if not result.converged:
-        raise NoConvergence(result.iterations, abs(f(x)))
+    if not converged:
+        raise NoConvergence(iterations, abs(f(x)))
     return x
 
 

@@ -68,15 +68,17 @@ class NotProper(HillbandsError):
 class SingularBlock(HillbandsError):
     """A block that must be inverted is numerically singular.
 
-    ``smallest_singular_value`` and ``block`` identify the offender.
+    ``block`` names the offender and ``distance_to_singularity`` is
+    1/||A^-1|| in the matrix norm ``norm`` ("1" or "2"), exact or estimated.
     """
 
-    def __init__(self, block, smallest_singular_value):
+    def __init__(self, block, distance_to_singularity, norm):
         self.block = block
-        self.smallest_singular_value = smallest_singular_value
+        self.distance_to_singularity = distance_to_singularity
+        self.norm = norm
         super().__init__(
-            f"singular block {block}: smallest singular value "
-            f"{smallest_singular_value:.3e}"
+            f"singular block {block}: distance to singularity "
+            f"1/||A^-1||_{norm} = {distance_to_singularity:.3e}"
         )
 
 

@@ -3,25 +3,102 @@
 The dense route diagonalizes truncations of the dual matrix; the ODE route
 propagates -y'' + eps*V~(x) y = E y over one period, for every energy at once
 with a fourth-order Magnus scheme, and reads bands off the monodromy trace.
-An adaptive solve_ivp integration survives as the cross-check of each scan.
-Both routes are kept free of the multi-scale machinery so they can arbitrate
-its outputs.
+Each scan is cross-checked at one energy by order-8 Gauss-Legendre
+collocation, an implicit Runge-Kutta method that shares no formula with the
+Magnus scheme. Both routes are kept free of the multi-scale machinery so they
+can arbitrate its outputs; Brent's root finder lives here for the same reason,
+and the multi-scale layers import it from this module.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
-from .errors import IntegratorFailure, NonRealValue, PreconditionFailed
+from .errors import (IntegratorFailure, NoConvergence, NonRealValue,
+                     PreconditionFailed)
 from .lattice import FrequencyVector
 from .operators import DualMatrix
 from .potential import FoldedCoefficients
+
+
+# Brent's method stops once the bracket is below xtol + BRENT_RTOL |x|, or
+# gives up after BRENT_MAXITER steps: scipy's brentq defaults.
+BRENT_RTOL = 4.0 * sys.float_info.epsilon
+BRENT_MAXITER = 100
+
+
+def brent_root(f: Callable[[float], float], a: float, b: float,
+               xtol: float) -> tuple[float, int, bool]:
+    """(x, iterations, converged) for a root of f in the bracket [a, b].
+
+    Brent's method (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4) as scipy's brentq runs it (Zeros/brentq.c), step for step:
+    inverse quadratic extrapolation or secant interpolation when the step is
+    short enough, bisection otherwise, so it returns the same x after the
+    same number of iterations. ValueError when f is NaN, or when f(a) and
+    f(b) have the same sign.
+    """
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre, 0, True
+    if fcur == 0.0:
+        return xcur, 0, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for iteration in range(1, BRENT_MAXITER + 1):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, iteration, True
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # an underflowed divisor: C gets an infinite or NaN step,
+                # which the test below rejects
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    return xcur, BRENT_MAXITER, False
 
 
 def dense_spectrum(matrix):
@@ -71,9 +148,34 @@ MAX_STEPS = 1 << 20
 # Allowed |det M - 1| per max(1, |M|_F^2): forming det M loses about
 # 1e-16 |M|^2 to cancellation, which a long period deep in a gap makes large.
 WRONSKIAN_TOL = 1e-9
-# Allowed |Delta_Magnus - Delta_solve_ivp| / max(1, |Delta|) at the grid point
-# each floquet_scan re-integrates with solve_ivp.
+# Allowed |Delta_Magnus - Delta_collocation| / max(1, |Delta|) at the grid
+# point each floquet_scan re-integrates by collocation.
 CROSSCHECK_TOL = 1e-8
+# Four-stage Gauss-Legendre collocation, order 8 (Hairer, Lubich & Wanner,
+# Geometric Numerical Integration, section II.1.3): the nodes are the roots of
+# the Legendre polynomial P_4 on [0, 1].
+_COLLOCATION_NODES = np.array(sorted(
+    0.5 + sign * 0.5 * math.sqrt(3.0 / 7.0 + inner * 2.0 / 7.0 * math.sqrt(1.2))
+    for sign in (-1.0, 1.0) for inner in (-1.0, 1.0)))
+
+
+def _collocation_tableau(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Runge-Kutta coefficients of collocation on the nodes c:
+    a_ij = int_0^{c_i} l_j and b_j = int_0^1 l_j, with l_j the Lagrange
+    basis polynomials of c."""
+    powers = np.arange(len(c))
+    # l_j(x) = sum_k L_kj x^k with L the inverse of V_ik = c_i^k
+    L = np.linalg.inv(c[:, None] ** powers)
+    ends = np.append(c, 1.0)
+    integrals = ends[:, None] ** (powers + 1) / (powers + 1)
+    coefficients = integrals @ L
+    return coefficients[:-1], coefficients[-1]
+
+
+_COLLOCATION_A, _COLLOCATION_B = _collocation_tableau(_COLLOCATION_NODES)
+# Collocation steps solved at once: memory is O(COLLOCATION_CHUNK_STEPS)
+# whatever the step count.
+COLLOCATION_CHUNK_STEPS = 4096
 
 
 @dataclass(frozen=True)
@@ -194,23 +296,59 @@ def _wronskian_drift(M: np.ndarray) -> np.ndarray:
 
 def ivp_discriminant(E: float, eps: float, folded: FoldedCoefficients,
                      T: Fraction) -> float:
-    """Delta(E) by adaptive solve_ivp (DOP853, rtol = atol = 1e-12): the
-    cross-check of floquet_scan and the oracle of the Magnus tests."""
+    """Delta(E) by four-stage Gauss-Legendre collocation: the cross-check of
+    floquet_scan, independent of the Magnus kernel.
+
+    Each step solves the collocation system of Y' = A Y on its four nodes
+    for the 2x2 step propagator, every step of a chunk in one batched 8x8
+    solve, and the propagators are multiplied in order. The step count starts
+    at 2 T sqrt(max(1, |E|)) and doubles until Delta changes by at most
+    STEP_DOUBLING_TOL * max(1, |Delta|); IntegratorFailure past MAX_STEPS or
+    when the Wronskian drifts as in _wronskian_drift.
+    """
     V = potential_callable(folded)
-
-    def rhs(x, y):
-        v = eps * V(x)
-        # y = (y1, y1', y2, y2')
-        return [y[1], (v - E) * y[0], y[3], (v - E) * y[2]]
-
-    sol = solve_ivp(rhs, (0.0, float(T)), [1.0, 0.0, 0.0, 1.0],
-                    method="DOP853", rtol=1e-12, atol=1e-12, dense_output=False)
-    if not sol.success:
-        raise IntegratorFailure(sol.message)
-    y = sol.y[:, -1]
-    # the rows (y1, y1') and (y2, y2') form M^T: same determinant and norm
-    _wronskian_drift(y.reshape(1, 2, 2))
-    return float(y[0] + y[3])
+    stages = len(_COLLOCATION_NODES)
+    # the 8x8 system of the stage values, ordered (y, y') per stage:
+    # Z_i - h sum_j a_ij A_j Z_j = Y_n with A_j = [[0, 1], [q_j, 0]]
+    upper = np.kron(_COLLOCATION_A, [[0.0, 1.0], [0.0, 0.0]])
+    lower = np.kron(_COLLOCATION_A, [[0.0, 0.0], [1.0, 0.0]])
+    initial = np.tile(np.eye(2), (stages, 1))
+    # a quarter of the Magnus scheme's first count: order 8 settles on
+    # coarser steps
+    n = math.ceil(2.0 * float(T) * math.sqrt(max(1.0, abs(E))))
+    coarse = None
+    while True:
+        if n > MAX_STEPS:
+            raise IntegratorFailure(
+                f"collocation step doubling did not settle to "
+                f"{STEP_DOUBLING_TOL:.0e} within {MAX_STEPS} steps")
+        h = float(T) / n
+        m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+        for first in range(0, n, COLLOCATION_CHUNK_STEPS):
+            steps = np.arange(first, min(n, first + COLLOCATION_CHUNK_STEPS))
+            q = eps * V((steps[:, None] + _COLLOCATION_NODES) * h) - E
+            system = (np.eye(2 * stages) - h * upper
+                      - h * lower * np.repeat(q, 2, axis=1)[:, None, :])
+            Z = np.linalg.solve(
+                system, np.broadcast_to(initial, (len(steps), 2 * stages, 2)))
+            # Y_{n+1} = Y_n + h sum_j b_j A_j Z_j
+            top = h * np.einsum("j,njk->nk", _COLLOCATION_B, Z[:, 1::2])
+            bottom = h * np.einsum("j,nj,njk->nk", _COLLOCATION_B, q,
+                                   Z[:, 0::2])
+            for (p00, p01), (p10, p11) in zip((top + [1.0, 0.0]).tolist(),
+                                              (bottom + [0.0, 1.0]).tolist()):
+                m00, m01, m10, m11 = (p00 * m00 + p01 * m10,
+                                      p00 * m01 + p01 * m11,
+                                      p10 * m00 + p11 * m10,
+                                      p10 * m01 + p11 * m11)
+        delta = m00 + m11
+        if coarse is not None and (abs(delta - coarse)
+                                   <= STEP_DOUBLING_TOL * max(1.0, abs(delta))):
+            break
+        coarse = delta
+        n *= 2
+    _wronskian_drift(np.array([[[m00, m01], [m10, m11]]]))
+    return delta
 
 
 def floquet_discriminant(E: float, eps: float, folded: FoldedCoefficients,
@@ -226,7 +364,8 @@ def floquet_gap_edges(bracket_low: tuple[float, float],
                       bracket_high: tuple[float, float], eps: float,
                       folded: FoldedCoefficients, T: Fraction
                       ) -> tuple[float, float]:
-    """Gap edges by bisection on |Delta| - 2 inside each one-sided bracket.
+    """Gap edges by Brent's method on |Delta| - 2 inside each one-sided
+    bracket, to 1e-10; NoConvergence when an edge does not converge.
 
     In a gap |Delta| > 2 and on band interiors |Delta| < 2; the brackets must
     straddle one crossing each (typically seeded from the dense spectrum).
@@ -240,11 +379,12 @@ def floquet_gap_edges(bracket_low: tuple[float, float],
             raise PreconditionFailed(
                 f"bracket ({a}, {b}) does not straddle |Delta| = 2"
             )
-        return brentq(g, a, b, xtol=1e-10)
+        x, iterations, converged = brent_root(g, a, b, 1e-10)
+        if not converged:
+            raise NoConvergence(iterations, abs(g(x)))
+        return x
 
-    lo = edge(bracket_low)
-    hi = edge(bracket_high)
-    return float(lo), float(hi)
+    return edge(bracket_low), edge(bracket_high)
 
 
 def floquet_scan(E_grid, eps: float, folded: FoldedCoefficients,
@@ -252,8 +392,9 @@ def floquet_scan(E_grid, eps: float, folded: FoldedCoefficients,
     """Tabulate Delta over a grid and mark the |Delta| <= 2 band intervals.
 
     The grid point whose |Delta| is closest to 2, whose band membership is
-    the most at risk, is re-integrated with solve_ivp; a difference above
-    CROSSCHECK_TOL * max(1, |Delta|) raises IntegratorFailure.
+    the most at risk, is re-integrated by collocation (ivp_discriminant); a
+    difference above CROSSCHECK_TOL * max(1, |Delta|) raises
+    IntegratorFailure.
     """
     E = np.array([float(x) for x in E_grid])
     delta, drift = _discriminants(E, eps, folded, T)
@@ -262,8 +403,8 @@ def floquet_scan(E_grid, eps: float, folded: FoldedCoefficients,
         reference = ivp_discriminant(float(E[i]), eps, folded, T)
         if abs(reference - delta[i]) > CROSSCHECK_TOL * max(1.0, abs(delta[i])):
             raise IntegratorFailure(
-                f"Magnus Delta {delta[i]!r} and solve_ivp Delta {reference!r} "
-                f"differ at E={E[i]!r}")
+                f"Magnus Delta {delta[i]!r} and collocation Delta "
+                f"{reference!r} differ at E={E[i]!r}")
     deltas = [float(d) for d in delta]
     bands = []
     start = None

@@ -66,7 +66,7 @@ def _hermitian_solve(A: np.ndarray, B: np.ndarray, label: str) -> np.ndarray:
     lwork = int(zhesv_lwork(len(A))[0].real)
     factor, ipiv, X, info = zhesv(A, B, lwork=lwork)
     if info > 0:
-        raise SingularBlock(label, 0.0)
+        raise SingularBlock(label, 0.0, "1")
     if info < 0:
         raise np.linalg.LinAlgError(f"zhesv info {info}")
     a_norm = float(np.linalg.norm(A, 1))
@@ -74,7 +74,7 @@ def _hermitian_solve(A: np.ndarray, B: np.ndarray, label: str) -> np.ndarray:
     if info != 0:
         raise np.linalg.LinAlgError(f"zhecon info {info}")
     if rcond * a_norm <= 1e-13 * max(1.0, a_norm):
-        raise SingularBlock(label, rcond * a_norm)
+        raise SingularBlock(label, rcond * a_norm, "1")
     return X
 
 
@@ -115,7 +115,8 @@ def schur_block_inverse(H: np.ndarray, split: tuple[Sequence[int], Sequence[int]
         direct = np.linalg.inv(M)
         rel = np.linalg.norm(out - direct) / max(np.linalg.norm(direct), 1e-300)
         if rel > 1e-9:
-            raise SingularBlock(f"schur-vs-direct relative error {rel:.3e}", rel)
+            raise SingularBlock(f"schur-vs-direct relative error {rel:.3e}",
+                                1.0 / np.linalg.norm(direct, 2), "2")
     return out
 
 

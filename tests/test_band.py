@@ -519,12 +519,12 @@ def test_reference_config_domain_routes(reference_context, k, klass, scale,
 
 def test_failed_root_refinement_lands_in_class_error(reference_context,
                                                      monkeypatch):
-    # f is NaN inside every bracket, so brentq raises ValueError there;
+    # f is NaN inside every bracket, so brent_root raises ValueError there;
     # the sample must record NoConvergence instead of aborting the sweep
-    real = eigensolve.brentq
+    real = eigensolve.brent_root
     monkeypatch.setattr(
-        eigensolve, "brentq", lambda f, a, b, **kw: real(
-            lambda x: f(x) if x in (a, b) else math.nan, a, b, **kw))
+        eigensolve, "brent_root", lambda f, a, b, xtol: real(
+            lambda x: f(x) if x in (a, b) else math.nan, a, b, xtol))
     p = compute_point(reference_context, 0.49)
     assert p.klass == "error" and p.error.startswith("NoConvergence")
     assert p.to_dict()["punctured_gap"] is None

@@ -548,9 +548,9 @@ def test_refine_root_converges_where_a_secant_stalls():
 
 
 def test_refine_root_frees_f_on_return():
-    # brentq holds the function it is given in a reference cycle; refine_root
-    # must not pass f on, or each pair solve keeps its resolvent until the
-    # cycle collector runs (peak RSS of the resonant_2d run: 100 -> 126 MB)
+    # nothing may hold f in a reference cycle, or each pair solve keeps its
+    # resolvent until the cycle collector runs (peak RSS of the resonant_2d
+    # run went 100 -> 126 MB when scipy's brentq did)
     f = lambda x: x - 0.3
     ref = weakref.ref(f)
     gc.disable()
@@ -560,6 +560,20 @@ def test_refine_root_frees_f_on_return():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_refine_root_failures_are_no_convergence():
+    # 100 iterations of bisection on [-1e300, 1e300] stay far above 1e-13
+    with pytest.raises(NoConvergence) as exc:
+        refine_root(lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300, 1e-13)
+    assert exc.value.iterations == 100 and exc.value.last_residual == 1.0
+    nan_inside = lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5
+    no_sign_change = lambda x: x * x + 1.0
+    for f in (nan_inside, no_sign_change):
+        with pytest.raises(NoConvergence) as exc:
+            refine_root(f, -1.0, 2.0, ROOT_TOL)
+        assert exc.value.iterations == 0
+        assert math.isnan(exc.value.last_residual)
 
 
 @st.composite

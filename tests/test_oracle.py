@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from hillbands import oracle
-from hillbands.errors import IntegratorFailure, PreconditionFailed
+from hillbands.errors import (IntegratorFailure, NoConvergence,
+                              PreconditionFailed)
 from hillbands.lattice import FrequencyVector, QuotientLattice
-from hillbands.oracle import (bloch_residual, dense_spectrum,
+from hillbands.oracle import (bloch_residual, brent_root, dense_spectrum,
                               floquet_discriminant, floquet_gap_edges,
-                              floquet_scan, ivp_discriminant, period)
+                              floquet_scan, ivp_discriminant, period,
+                              potential_callable)
 from hillbands.potential import (cosine, eval_potential, exp_decay, fold,
                                  random_phase)
 
@@ -162,6 +165,22 @@ def test_floquet_gap_edges_bracket_check(line_lattice, cosine_folded):
 FLOQUET_OMEGAS = [("1",), ("3/7",), ("1", "3/7"), ("2/7", "1/2")]
 
 
+def dop853_discriminant(E, eps, folded, T):
+    """The replaced ivp_discriminant: Delta(E) by adaptive solve_ivp
+    (DOP853, rtol = atol = 1e-12)."""
+    V = potential_callable(folded)
+
+    def rhs(x, y):
+        v = eps * V(x)
+        # y = (y1, y1', y2, y2')
+        return [y[1], (v - E) * y[0], y[3], (v - E) * y[2]]
+
+    sol = solve_ivp(rhs, (0.0, float(T)), [1.0, 0.0, 0.0, 1.0],
+                    method="DOP853", rtol=1e-12, atol=1e-12)
+    assert sol.success, sol.message
+    return float(sol.y[0, -1] + sol.y[3, -1])
+
+
 def ivp_scan_bands(E_grid, deltas):
     """Band intervals of the replaced floquet_scan, from given Delta values."""
     bands, start = [], None
@@ -179,7 +198,7 @@ def ivp_scan_bands(E_grid, deltas):
 
 def ivp_gap_edges(bracket_low, bracket_high, eps, folded, T, xtol=1e-10):
     """The replaced floquet_gap_edges: brentq on the solve_ivp discriminant."""
-    g = lambda E: abs(ivp_discriminant(E, eps, folded, T)) - 2.0
+    g = lambda E: abs(dop853_discriminant(E, eps, folded, T)) - 2.0
     return tuple(float(brentq(g, a, b, xtol=xtol))
                  for a, b in (bracket_low, bracket_high))
 
@@ -235,9 +254,33 @@ def test_magnus_discriminant_matches_solve_ivp(case):
     energies, eps, folded, T = case
     data = floquet_scan(energies, eps, folded, T)
     for E, delta in zip(energies, data.discriminant):
-        reference = ivp_discriminant(E, eps, folded, T)
+        reference = dop853_discriminant(E, eps, folded, T)
         assert abs(delta - reference) <= 1e-9 * max(1.0, abs(reference))
     assert 0.0 <= data.wronskian_drift <= 1e-9
+
+
+@pytest.mark.parametrize("omega", FLOQUET_OMEGAS)
+@pytest.mark.parametrize("E", [-0.5, 1.3, 60.0])
+def test_collocation_matches_dop853(omega, E):
+    # E = -0.5 lies below the spectrum: at omega = (1, 3/7) (T = 14) |Delta|
+    # is about 2e4
+    lat = QuotientLattice(FrequencyVector.parse(list(omega)))
+    folded = fold(random_phase(2, nu=lat.omega.nu, kappa0=1.0, seed=1), lat,
+                  enforce_bound=False)
+    T = period(lat.omega)
+    reference = dop853_discriminant(E, 0.05, folded, T)
+    delta = ivp_discriminant(E, 0.05, folded, T)
+    assert abs(delta - reference) <= 1e-9 * max(1.0, abs(reference))
+
+
+def test_collocation_chunks_multiply_in_order(monkeypatch):
+    lat = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
+    folded = fold(cosine([1, 0], kappa0=1.0), lat, enforce_bound=False)
+    T = period(lat.omega)
+    whole = ivp_discriminant(3.0, 0.05, folded, T)
+    monkeypatch.setattr(oracle, "COLLOCATION_CHUNK_STEPS", 7)
+    chunked = ivp_discriminant(3.0, 0.05, folded, T)
+    assert abs(chunked - whole) <= 1e-12 * max(1.0, abs(whole))
 
 
 @settings(max_examples=20)
@@ -259,7 +302,7 @@ def test_magnus_free_equation(omega, energies):
 def test_floquet_scan_bands_match_ivp_scan(line_lattice, cosine_folded, grid):
     T = period(line_lattice.omega)
     data = floquet_scan(grid, 0.05, cosine_folded, T)
-    reference = [ivp_discriminant(float(E), 0.05, cosine_folded, T)
+    reference = [dop853_discriminant(float(E), 0.05, cosine_folded, T)
                  for E in grid]
     assert list(data.bands) == ivp_scan_bands(grid, reference)
     assert data.E_grid == tuple(float(E) for E in grid)
@@ -292,6 +335,16 @@ def test_floquet_gap_edges_match_ivp_path(line_lattice, cosine_folded,
     assert fast == pytest.approx(slow, abs=1e-9)
 
 
+def test_unconverged_floquet_edge_raises_no_convergence(
+        line_lattice, cosine_folded, toy_schedule, monkeypatch):
+    _, _, brackets = _gap_and_brackets(line_lattice, cosine_folded,
+                                       toy_schedule, [-1])
+    monkeypatch.setattr(oracle, "BRENT_MAXITER", 2)
+    with pytest.raises(NoConvergence, match="after 2 iterations"):
+        floquet_gap_edges(*brackets, 0.05, cosine_folded,
+                          period(line_lattice.omega))
+
+
 def test_floquet_gap_edges_on_second_order_gap(line_lattice, cosine_folded,
                                                toy_schedule):
     # The m = -2 gap is 1.7e-5 wide, so |Delta| - 2 is flat at its edges and
@@ -312,7 +365,7 @@ def test_floquet_scan_crosscheck_is_live(line_lattice, cosine_folded,
     real = oracle.ivp_discriminant
     monkeypatch.setattr(oracle, "ivp_discriminant",
                         lambda *a, **kw: real(*a, **kw) + 1e-6)
-    with pytest.raises(IntegratorFailure, match="solve_ivp"):
+    with pytest.raises(IntegratorFailure, match="collocation"):
         floquet_scan(grid, 0.05, cosine_folded, T)
 
 
@@ -326,6 +379,8 @@ def test_magnus_step_cap_is_live(line_lattice, cosine_folded, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_STEPS", 4096)
     with pytest.raises(IntegratorFailure, match="did not settle"):
         floquet_scan([1.0, 20.0], 0.05, cosine_folded, T)
+    with pytest.raises(IntegratorFailure, match="collocation step doubling"):
+        ivp_discriminant(20.0, 0.05, cosine_folded, T)
 
 
 def test_wronskian_check_scales_with_the_monodromy(monkeypatch):
@@ -376,3 +431,67 @@ def test_bloch_residual_matches_loop(omega, seed, k, E, eps):
                           + abs(eps) * vmax)
                 for p, e in zip(phi, domain))
     assert abs(fast - slow) <= 1e-12 * bound
+
+
+# --- the Brent port against scipy's brentq ---
+
+@st.composite
+def brent_cases(draw):
+    """(f, a, b, xtol): a steep exponential, a cubic or a flat tanh, scaled
+    by 1 or by 1e-250 (whose differences underflow), on a bracket around
+    its root r."""
+    r = draw(st.floats(-0.9, 0.9))
+    kind = draw(st.sampled_from(["exp", "cubic", "tanh"]))
+    if kind == "exp":
+        slope = draw(st.floats(1.0, 60.0))
+        g = lambda x: math.expm1(slope * (x - r))
+    elif kind == "cubic":
+        c = draw(st.floats(-3.0, 3.0))
+        g = lambda x: (x - r) * ((x - c) ** 2 + 0.1)
+    else:
+        steepness = draw(st.floats(0.01, 1e4))
+        g = lambda x: math.tanh(steepness * (x - r))
+    scale = draw(st.sampled_from([1.0, -1.0, 1e-250]))
+    a, b = draw(st.floats(-1.0, r)), draw(st.floats(r, 1.0))
+    if draw(st.booleans()):
+        a, b = b, a
+    return (lambda x: scale * g(x)), a, b, draw(
+        st.sampled_from([1e-13, 1e-12, 1e-10]))
+
+
+@settings(max_examples=300)
+@given(brent_cases())
+def test_brent_root_is_scipy_brentq_bit_for_bit(case):
+    f, a, b, xtol = case
+    try:
+        x, result = brentq(f, a, b, xtol=xtol, full_output=True, disp=False)
+    except ValueError:
+        with pytest.raises(ValueError):
+            brent_root(f, a, b, xtol)
+        return
+    got = brent_root(f, a, b, xtol)
+    if f(a) == 0.0 or f(b) == 0.0:
+        # scipy leaves the iteration count unset on a root at an end
+        assert got == (x, 0, True) and result.converged
+    else:
+        assert got == (x, result.iterations, result.converged)
+
+
+def test_brent_root_exhausts_its_iterations_as_brentq_does():
+    # a step function on [-1e300, 1e300] leaves Brent's method bisecting
+    # down to 1e-13 for far more than 100 steps
+    f = lambda x: 1.0 if x > 0.3 else -1.0
+    x, result = brentq(f, -1e300, 1e300, xtol=1e-13, full_output=True,
+                       disp=False)
+    assert not result.converged
+    assert brent_root(f, -1e300, 1e300, 1e-13) == (x, 100, False)
+
+
+def test_brent_root_rejects_nan_and_an_unsigned_bracket():
+    with pytest.raises(ValueError, match="NaN"):
+        brent_root(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5,
+                   -1.0, 2.0, 1e-12)
+    with pytest.raises(ValueError, match="different signs"):
+        brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+    # an exact zero at an end is the root, with no iteration
+    assert brent_root(lambda x: x, 0.0, 1.0, 1e-12) == (0.0, 0, True)

@@ -1,6 +1,7 @@
-"""The package's import surface: what a bare import loads, the names the
-span tracer of the benchmark (perfbench/tracing.py) rebinds, and the number
-of options the package exposes."""
+"""The package's import surface: what a bare import loads, which scipy
+subpackages the entry points pull in, the names the span tracer of the
+benchmark (perfbench/tracing.py) rebinds, and the number of options the
+package exposes."""
 
 import ast
 import importlib
@@ -15,17 +16,50 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 # defaulted parameters and defaulted dataclass fields in src/hillbands
 MAX_DEFAULTED = 86
+# scipy.linalg is the only scipy subpackage the package needs; these cost
+# set-up time on every run (scipy.integrate loads scipy.optimize, which loads
+# scipy.fft and scipy.special)
+UNWANTED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.special",
+                  "scipy.fft")
 
 
-def test_bare_import_loads_no_submodule_numpy_or_scipy():
-    code = ("import sys, hillbands; print(sorted(m for m in sys.modules "
-            "if m.startswith(('hillbands.', 'numpy', 'scipy'))))")
+def _fresh_interpreter(code: str) -> str:
     path = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=path))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_bare_import_loads_no_submodule_numpy_or_scipy():
+    assert _fresh_interpreter(
+        "import sys, hillbands; print(sorted(m for m in sys.modules "
+        "if m.startswith(('hillbands.', 'numpy', 'scipy'))))") == "[]"
+
+
+def test_entry_points_load_no_scipy_optimize_or_integrate():
+    loaded = _fresh_interpreter(
+        "import sys, hillbands.cli, hillbands.verify; print(sorted(m for m "
+        f"in sys.modules if m.startswith({UNWANTED_SCIPY})))")
+    assert loaded == "[]"
+
+
+def test_no_module_imports_scipy_optimize_or_integrate():
+    # function bodies included, so a lazy import cannot come back
+    found = []
+    for path in sorted((ROOT / "src" / "hillbands").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}"
+                                         for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith(("scipy.optimize", "scipy.integrate"))]
+    assert found == []
 
 
 def _tracing_targets():

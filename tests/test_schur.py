@@ -174,8 +174,13 @@ def test_checked_inverse_singular_and_regular(lat):
     B = A.copy()
     B[5, :] = B[0, :]           # rank 5, still exactly Hermitian
     B[:, 5] = B[:, 0]
-    with pytest.raises(SingularBlock, match="singular block H2~"):
+    with pytest.raises(SingularBlock, match="singular block H2~") as exc:
         schur_block_inverse(-B, ([0, 1, 2], [3, 4, 5]), 0.0)
+    # the number is zhecon's estimate of 1/||A^-1||_1, not a singular value
+    assert "distance to singularity 1/||A^-1||_1" in str(exc.value)
+    assert "singular value" not in str(exc.value)
+    assert exc.value.norm == "1"
+    assert exc.value.distance_to_singularity <= 1e-13
     # the threshold is relative to max(1, sigma_max); no blocks leaves the
     # whole 2 x 2 matrix to the full inverse
     two = [lat.canonicalize([0]), lat.canonicalize([1])]

@@ -25,9 +25,8 @@ from .potential import FoldedCoefficients
 from .scales import (ModeTable, ResonanceProfile, ScaleSchedule, k_of,
                      mode_table, resonance_profile)
 from .schur import q_g_functions
-from .eigensolve import (PuncturedResolvent, refine_root, solve_simple,
-                         solve_pair)
-from .oracle import dense_spectrum
+from .eigensolve import PuncturedResolvent, solve_simple, solve_pair
+from .oracle import dense_spectrum, refine_root
 
 # increments at desk scale sit below float64 resolution; audits use this floor
 NOISE_FLOOR_ULPS = 256.0
@@ -154,7 +153,7 @@ def _nonresonant_point(ctx: BandContext, k: float,
                 break
             raise
         matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
-        pair = solve_simple(matrix, ctx.lat.identity, scale=s)
+        pair = solve_simple(matrix, ctx.lat.identity)
         energies.append(pair.E)
         scale_used = s
     if not energies:
@@ -276,7 +275,7 @@ def compute_point(ctx: BandContext, k: float) -> BandPoint:
 def _ball_fallback(ctx: BandContext, k: float) -> BandPoint:
     elems = ctx.lat.ball(2.0 * ctx.schedule.R[1])
     matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
-    pair = solve_simple(matrix, ctx.lat.identity, scale=1)
+    pair = solve_simple(matrix, ctx.lat.identity)
     return BandPoint(k=k, E=pair.E, scale=1, klass="N",
                      punctured_gap=pair.punctured_gap, domain_size=matrix.size,
                      phi=pair.phi, domain=matrix.domain,
@@ -284,18 +283,11 @@ def _ball_fallback(ctx: BandContext, k: float) -> BandPoint:
                      iterations=pair.iterations, residual=pair.residual)
 
 
-def band_curve(ctx: BandContext, k_grid: Sequence[float],
-               threads: int = 1) -> list[BandPoint]:
+def band_curve(ctx: BandContext, k_grid: Sequence[float]) -> list[BandPoint]:
     """E(k) over the grid; points within 1e-12 of any k_m are dropped."""
     k_m = ctx.modes().k
-    k_values = [float(k) for k in k_grid
-                if not np.any(np.abs(k - k_m) < 1e-12)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda k: compute_point(ctx, k), k_values))
-    return [compute_point(ctx, k) for k in k_values]
+    return [compute_point(ctx, float(k)) for k in k_grid
+            if not np.any(np.abs(k - k_m) < 1e-12)]
 
 
 def gap_edge_limit_crosscheck(ctx: BandContext, gap: GapRecord,

@@ -30,6 +30,9 @@ OUTPUT_DIR_ENV = "HILLBANDS_OUTDIR"
 # most points a k_grid min/max/step range may expand to; the shipped configs
 # use 21
 K_GRID_MAX_POINTS = 100_000
+# the names a config's "audits" list may hold
+AUDITS = ("symmetry", "monotonicity", "increments", "decay", "gap_spectrum",
+          "gap_edge_limits", "floquet")
 
 
 def load_config(path: str) -> dict:
@@ -171,23 +174,29 @@ def _gaps_csv(gaps, path: Path) -> None:
                  repr(g["width"]), repr(g["bound"])] for g in gaps))
 
 
-def run_band(config: dict, out_override: str | None = None,
-             threads: int = 1) -> tuple[Path, list[dict]]:
+def run_band(config: dict,
+             out_override: str | None = None) -> tuple[Path, list[dict]]:
     """Full sweep: band.csv, gaps.csv, report.json under the output dir.
 
     Returns the output dir and the run's failures, which report.json lists
     too: each requested gap that raised, each sample of class ``error`` and
-    each audit that did not pass. A grid of which band_curve keeps no k
-    raises ConfigError.
+    each audit that did not pass. An ``audits`` entry outside AUDITS, or a
+    grid of which band_curve keeps no k, raises ConfigError.
     """
     ctx = build_context(config)
-    outdir = output_dir(config, out_override)
-    k_grid = k_grid_from(config)
     audit_names = config.get("audits", ["symmetry", "monotonicity",
                                         "increments"])
+    if not isinstance(audit_names, list):
+        raise ConfigError(f"audits must be a list, got {audit_names!r}")
+    unknown = [name for name in audit_names if name not in AUDITS]
+    if unknown:
+        raise ConfigError(f"unknown audits {unknown}: the known ones are "
+                          f"{list(AUDITS)}")
+    outdir = output_dir(config, out_override)
+    k_grid = k_grid_from(config)
     floquet_grid = (floquet_grid_from(config) if "floquet" in audit_names
                     else None)
-    points = band_mod.band_curve(ctx, k_grid, threads=threads)
+    points = band_mod.band_curve(ctx, k_grid)
     if not points:
         raise ConfigError(f"no k of k_grid is left: every k within 1e-12 of "
                           f"a k_m is dropped, here {k_grid}")
@@ -204,7 +213,7 @@ def run_band(config: dict, out_override: str | None = None,
 
     audits = []
     if "symmetry" in audit_names:
-        neg = band_mod.band_curve(ctx, [-p.k for p in points], threads=threads)
+        neg = band_mod.band_curve(ctx, [-p.k for p in points])
         audits.append(band_mod.symmetry_audit(points, neg))
         audits.append(band_mod.conjugate_reflection_audit(points, neg))
     if "monotonicity" in audit_names:
@@ -318,8 +327,10 @@ def main(argv=None) -> int:
         prog="hillbands",
         description="Band-gap toolkit for operators dual to Hill's equation",
     )
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallelism for per-k work (default: 1)")
+    # retired: the per-k work runs on one thread; 1 stays accepted because
+    # scripts pass it
+    parser.add_argument("--threads", type=int, choices=[1], default=1,
+                        help=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_band = sub.add_parser("band", help="run a band sweep from a config file")
@@ -342,8 +353,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "band":
             config = load_config(args.config)
-            outdir, failures = run_band(config, args.output_dir,
-                                        threads=args.threads)
+            outdir, failures = run_band(config, args.output_dir)
             print(f"wrote {outdir / 'band.csv'}, {outdir / 'gaps.csv'}, "
                   f"{outdir / 'report.json'}")
             for f in failures:

@@ -24,8 +24,7 @@ from .errors import (AdmissibilityFailed, HypothesisFailed, NoConvergence,
                      SingularBlock)
 from .lattice import GroupElement
 from .operators import DualMatrix
-from .oracle import brent_root
-from .schur import q_g_functions
+from .oracle import refine_root
 
 # width at which the fixed point and the sign-change roots stop
 ROOT_TOL = 1e-12
@@ -285,9 +284,7 @@ class EigenPair:
     phi: np.ndarray             # over the matrix's domain ordering, phi(m0) = 1
     residual: float             # ||H phi - E phi||_inf
     punctured_gap: float        # min |E - w| over the punctured block
-    scale: int
-    center: GroupElement
-    iterations: int = 0
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -301,16 +298,14 @@ class PairBranches:
     tau0: float                 # ordering margin observed on the bracket grid
     residual_minus: float
     residual_plus: float
-    m_plus: GroupElement
-    m_minus: GroupElement
 
 
 def _residual(H: np.ndarray, phi: np.ndarray, E: float) -> float:
     return float(np.max(np.abs(H @ phi - E * phi)))
 
 
-def solve_simple(matrix: DualMatrix, m0: GroupElement, *, max_iter: int = 200,
-                 scale: int = 1) -> EigenPair:
+def solve_simple(matrix: DualMatrix, m0: GroupElement, *,
+                 max_iter: int = 200) -> EigenPair:
     """Damped fixed point for E = v(m0) + Q(m0; E); eigenvector phi = -F.
 
     Starts at E = v(m0) with damping theta = 1/2, which halves itself
@@ -347,37 +342,7 @@ def solve_simple(matrix: DualMatrix, m0: GroupElement, *, max_iter: int = 200,
     for pos, j in enumerate(punctured.others):
         phi[j] = tail[pos]
     return EigenPair(E=E, phi=phi, residual=_residual(H, phi, E),
-                     punctured_gap=punctured.gap(E), scale=scale, center=m0,
-                     iterations=iterations)
-
-
-def pair_chi(matrix: DualMatrix, m_plus: GroupElement, m_minus: GroupElement,
-             E: float) -> float:
-    """chi(eps,E) = (E - v+ - Q+)(E - v- - Q-) - G+- G-+, audited against the
-    direct 2x2 Schur-complement determinant."""
-    H = matrix.values
-    ip, im = matrix.row_of(m_plus), matrix.row_of(m_minus)
-    vp, vm = float(H[ip, ip].real), float(H[im, im].real)
-    if matrix.size == 2:
-        # no interior points: Q = 0 and G is the direct hop
-        return float((E - vp) * (E - vm) - abs(H[ip, im]) ** 2)
-    qg = q_g_functions(H, [ip, im], E)
-    chi = (E - vp - qg.Q[ip]) * (E - vm - qg.Q[im]) \
-        - (qg.G[(ip, im)] * qg.G[(im, ip)]).real
-    # direct determinant of H2~ = (E-H)_22 - Gamma21 (E-H)_11^-1 Gamma12,
-    # with (E-H)_11^-1 Gamma12 from an LU solve of its two columns
-    n = matrix.size
-    others = list(qg.others)
-    M = E * np.eye(n, dtype=np.complex128) - H
-    H2 = M[np.ix_([ip, im], [ip, im])]
-    G21 = M[np.ix_([ip, im], others)]
-    G12 = M[np.ix_(others, [ip, im])]
-    H2t = H2 - G21 @ np.linalg.solve(M[np.ix_(others, others)], G12)
-    det = complex(np.linalg.det(H2t)).real
-    scale = max(1.0, abs(chi), abs(det))
-    if abs(chi - det) > 1e-10 * scale:
-        raise HypothesisFailed("chi-vs-det", f"|chi - det| = {abs(chi - det):.3e}")
-    return float(chi)
+                     punctured_gap=punctured.gap(E), iterations=iterations)
 
 
 def _sign_change_roots(f: Callable, lo: float, hi: float,
@@ -400,21 +365,6 @@ def _sign_change_roots(f: Callable, lo: float, hi: float,
     if vals[-1] == 0.0:
         roots.append(float(xs[-1]))
     return roots
-
-
-def refine_root(f: Callable[[float], float], a: float, b: float,
-                xtol: float) -> float:
-    """The root of f in the sign-changing bracket [a, b] to xtol, by
-    oracle.brent_root (Brent's method as scipy's brentq runs it).
-    NoConvergence when it stops unconverged after its 100 iterations, or
-    with residual NaN when f is NaN or [a, b] does not change sign."""
-    try:
-        x, iterations, converged = brent_root(f, a, b, xtol)
-    except ValueError as exc:
-        raise NoConvergence(0, math.nan) from exc
-    if not converged:
-        raise NoConvergence(iterations, abs(f(x)))
-    return x
 
 
 def solve_pair(punctured: PuncturedResolvent, m_plus: GroupElement,
@@ -478,7 +428,6 @@ def solve_pair(punctured: PuncturedResolvent, m_plus: GroupElement,
         beta_minus=betas["-"], beta_plus=betas["+"],
         tau0=tau_seen,
         residual_minus=residuals["-"], residual_plus=residuals["+"],
-        m_plus=m_plus, m_minus=m_minus,
     )
 
 

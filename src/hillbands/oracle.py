@@ -6,8 +6,9 @@ with a fourth-order Magnus scheme, and reads bands off the monodromy trace.
 Each scan is cross-checked at one energy by order-8 Gauss-Legendre
 collocation, an implicit Runge-Kutta method that shares no formula with the
 Magnus scheme. Both routes are kept free of the multi-scale machinery so they
-can arbitrate its outputs; Brent's root finder lives here for the same reason,
-and the multi-scale layers import it from this module.
+can arbitrate its outputs; Brent's root finder (brent_root, and refine_root,
+which raises NoConvergence for it) lives here for the same reason, and the
+multi-scale layers import it from this module.
 """
 
 from __future__ import annotations
@@ -101,6 +102,21 @@ def brent_root(f: Callable[[float], float], a: float, b: float,
     return xcur, BRENT_MAXITER, False
 
 
+def refine_root(f: Callable[[float], float], a: float, b: float,
+                xtol: float) -> float:
+    """The root of f in the sign-changing bracket [a, b] to xtol, by
+    brent_root. NoConvergence when it stops unconverged after its 100
+    iterations, or with residual NaN when f is NaN or [a, b] does not change
+    sign."""
+    try:
+        x, iterations, converged = brent_root(f, a, b, xtol)
+    except ValueError as exc:
+        raise NoConvergence(0, math.nan) from exc
+    if not converged:
+        raise NoConvergence(iterations, abs(f(x)))
+    return x
+
+
 def dense_spectrum(matrix):
     """Full Hermitian eigendecomposition with a residual certificate:
     ||H V - V diag(w)||_max <= 1e-10 max(1, ||H||_2).
@@ -151,6 +167,12 @@ WRONSKIAN_TOL = 1e-9
 # Allowed |Delta_Magnus - Delta_collocation| / max(1, |Delta|) at the grid
 # point each floquet_scan re-integrates by collocation.
 CROSSCHECK_TOL = 1e-8
+# Doublings of its first step count after which the collocation gives up.
+# Cosine potentials of period T <= 68 at E in [-0.5, 200] and eps in
+# {0.05, 2} settle within 4. The cap is relative to the first count,
+# 2 T sqrt(max(1, |E|)): omega = (1, 21/34) at E = 200 needs 15392 steps,
+# which an absolute cap tight enough for T = 1 would refuse.
+COLLOCATION_MAX_DOUBLINGS = 8
 # Four-stage Gauss-Legendre collocation, order 8 (Hairer, Lubich & Wanner,
 # Geometric Numerical Integration, section II.1.3): the nodes are the roots of
 # the Legendre polynomial P_4 on [0, 1].
@@ -303,8 +325,9 @@ def ivp_discriminant(E: float, eps: float, folded: FoldedCoefficients,
     for the 2x2 step propagator, every step of a chunk in one batched 8x8
     solve, and the propagators are multiplied in order. The step count starts
     at 2 T sqrt(max(1, |E|)) and doubles until Delta changes by at most
-    STEP_DOUBLING_TOL * max(1, |Delta|); IntegratorFailure past MAX_STEPS or
-    when the Wronskian drifts as in _wronskian_drift.
+    STEP_DOUBLING_TOL * max(1, |Delta|); IntegratorFailure after
+    COLLOCATION_MAX_DOUBLINGS doublings or when the Wronskian drifts as in
+    _wronskian_drift.
     """
     V = potential_callable(folded)
     stages = len(_COLLOCATION_NODES)
@@ -316,12 +339,13 @@ def ivp_discriminant(E: float, eps: float, folded: FoldedCoefficients,
     # a quarter of the Magnus scheme's first count: order 8 settles on
     # coarser steps
     n = math.ceil(2.0 * float(T) * math.sqrt(max(1.0, abs(E))))
+    max_steps = n << COLLOCATION_MAX_DOUBLINGS
     coarse = None
     while True:
-        if n > MAX_STEPS:
+        if n > max_steps:
             raise IntegratorFailure(
                 f"collocation step doubling did not settle to "
-                f"{STEP_DOUBLING_TOL:.0e} within {MAX_STEPS} steps")
+                f"{STEP_DOUBLING_TOL:.0e} within {max_steps} steps")
         h = float(T) / n
         m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
         for first in range(0, n, COLLOCATION_CHUNK_STEPS):
@@ -364,25 +388,30 @@ def floquet_gap_edges(bracket_low: tuple[float, float],
                       bracket_high: tuple[float, float], eps: float,
                       folded: FoldedCoefficients, T: Fraction
                       ) -> tuple[float, float]:
-    """Gap edges by Brent's method on |Delta| - 2 inside each one-sided
-    bracket, to 1e-10; NoConvergence when an edge does not converge.
+    """Gap edges by refine_root on |Delta| - 2 inside each one-sided
+    bracket, to 1e-10; NoConvergence when an edge does not converge or
+    Delta is NaN.
 
     In a gap |Delta| > 2 and on band interiors |Delta| < 2; the brackets must
-    straddle one crossing each (typically seeded from the dense spectrum).
+    straddle one crossing each (typically seeded from the dense spectrum),
+    else PreconditionFailed. Each distinct energy is integrated once: the
+    straddle check and Brent's first steps read the same ends, and the two
+    brackets typically share their inner end.
     """
-    g = lambda E: abs(floquet_discriminant(E, eps, folded, T)) - 2.0
+    values: dict[float, float] = {}
+
+    def g(E: float) -> float:
+        if E not in values:
+            values[E] = abs(floquet_discriminant(E, eps, folded, T)) - 2.0
+        return values[E]
 
     def edge(bracket):
         a, b = bracket
-        ga, gb = g(a), g(b)
-        if ga * gb > 0:
+        if g(a) * g(b) > 0:
             raise PreconditionFailed(
                 f"bracket ({a}, {b}) does not straddle |Delta| = 2"
             )
-        x, iterations, converged = brent_root(g, a, b, 1e-10)
-        if not converged:
-            raise NoConvergence(iterations, abs(g(x)))
-        return x
+        return refine_root(g, a, b, 1e-10)
 
     return edge(bracket_low), edge(bracket_high)
 

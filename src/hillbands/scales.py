@@ -46,8 +46,8 @@ class ScaleSchedule:
     b0: float
     kappa0: float
     alpha0: float
-    sigma_scale: float = 1.0
-    strict_delta_condition_ok: bool | None = None
+    sigma_scale: float
+    strict_delta_condition_ok: bool | None
 
     def require_feasible(self, s: int) -> None:
         if s > self.feasible_s:

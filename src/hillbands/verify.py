@@ -41,10 +41,6 @@ class CheckResult:
         detail = f" ({self.detail})" if self.detail else ""
         return f"[{status}] {self.suite}/{self.name}{margin}{detail}"
 
-    def to_dict(self) -> dict:
-        return {"suite": self.suite, "name": self.name, "passed": self.passed,
-                "margin": self.margin, "detail": self.detail}
-
 
 def _toy_context() -> band_mod.BandContext:
     """eps = 0.05 on the cosine c(+-1) = e^-1 over omega = 1."""

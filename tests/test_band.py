@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hillbands import band, eigensolve
+from hillbands import band, oracle
 from hillbands.band import (BandContext, band_curve, compute_point,
                             conjugate_reflection_audit, decay_audit,
                             gap_edges, gap_resolvent_audit,
@@ -386,7 +386,7 @@ def test_eigenvector_scale_increment(line_lattice, cosine_folded):
         elems = [lat.element(t) for t in builder.lambda0(s)]
         matrix = assemble(elems, OperatorSpec(epsilon=0.05, k=k),
                           cosine_folded, lat)
-        pairs[s] = (matrix, solve_simple(matrix, lat.identity, scale=s))
+        pairs[s] = (matrix, solve_simple(matrix, lat.identity))
     m2, p2 = pairs[2]
     m3, p3 = pairs[3]
     floor = 256 * np.finfo(float).eps * m3.norm_bound()
@@ -521,9 +521,9 @@ def test_failed_root_refinement_lands_in_class_error(reference_context,
                                                      monkeypatch):
     # f is NaN inside every bracket, so brent_root raises ValueError there;
     # the sample must record NoConvergence instead of aborting the sweep
-    real = eigensolve.brent_root
+    real = oracle.brent_root
     monkeypatch.setattr(
-        eigensolve, "brent_root", lambda f, a, b, xtol: real(
+        oracle, "brent_root", lambda f, a, b, xtol: real(
             lambda x: f(x) if x in (a, b) else math.nan, a, b, xtol))
     p = compute_point(reference_context, 0.49)
     assert p.klass == "error" and p.error.startswith("NoConvergence")

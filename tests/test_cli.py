@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hillbands.cli import K_GRID_MAX_POINTS, k_grid_from, main
+from hillbands.cli import K_GRID_MAX_POINTS, k_grid_from, main, run_band
 from hillbands.errors import ConfigError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,7 +38,7 @@ def write_config(tmp_path, overrides=None):
 def test_run_band_writes_files(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
-    rc = main(["--threads", "1", "band", str(cfg), "--output-dir", str(out)])
+    rc = main(["band", str(cfg), "--output-dir", str(out)])
     assert rc == 0
     for name in ("band.csv", "gaps.csv", "report.json"):
         assert (out / name).stat().st_size > 0
@@ -61,8 +61,7 @@ def test_run_band_symmetric_across_resonance(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
-    assert main(["--threads", "1", "band", str(path),
-                 "--output-dir", str(out)]) == 0
+    assert main(["band", str(path), "--output-dir", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())["report"]
     pair_ks = [s["k"] for s in report["samples"] if s["class"] == "OPR"]
     assert min(pair_ks) < 0.5 < max(pair_ks)
@@ -293,15 +292,40 @@ def test_two_dimensional_lattice_run(tmp_path):
     assert payload["report"]["gaps"][0]["k_m"] == 0.25
 
 
-def test_threaded_run_deterministic(tmp_path):
+def test_retired_threads_flag_accepts_only_one(tmp_path):
+    # scripts still pass --threads 1: the run is the same, byte for byte, as
+    # a rerun without the flag; any other count is a usage error
     cfg = write_config(tmp_path)
     out1, out2 = tmp_path / "t1", tmp_path / "t2"
-    assert main(["--threads", "4", "band", str(cfg),
-                 "--output-dir", str(out1)]) == 0
     assert main(["--threads", "1", "band", str(cfg),
-                 "--output-dir", str(out2)]) == 0
-    assert (out1 / "report.json").read_bytes() == \
-        (out2 / "report.json").read_bytes()
+                 "--output-dir", str(out1)]) == 0
+    assert main(["band", str(cfg), "--output-dir", str(out2)]) == 0
+    for name in ("band.csv", "gaps.csv", "report.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "band", str(cfg)])
+    assert exc.value.code == 2
+
+
+def test_unknown_audit_name_is_a_config_error(tmp_path, monkeypatch):
+    from hillbands import band
+
+    def no_samples(*args, **kwargs):
+        raise AssertionError("a sample was computed")
+
+    monkeypatch.setattr(band, "compute_point", no_samples)
+    cfg = write_config(tmp_path, {"audits": ["symmetry", "symetry"]})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 2
+    with pytest.raises(ConfigError, match="symetry") as exc:
+        run_band(json.loads(cfg.read_text()), str(out))
+    for name in ("symmetry", "monotonicity", "increments", "decay",
+                 "gap_spectrum", "gap_edge_limits", "floquet"):
+        assert repr(name) in str(exc.value)
+    cfg = write_config(tmp_path, {"audits": "symmetry"})
+    with pytest.raises(ConfigError, match="must be a list"):
+        run_band(json.loads(cfg.read_text()), str(out))
+    assert not out.exists()
 
 
 def test_strict_mode_run(tmp_path):
@@ -350,7 +374,7 @@ def test_console_script_help():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "band" in proc.stdout and "verify" in proc.stdout
-    assert "(default: 1)" in " ".join(proc.stdout.split())
+    assert "--threads" not in proc.stdout
 
 
 def test_decay_fit_is_the_decay_audit_rate(tmp_path):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hillbands.eigensolve import (ROOT_TOL, CffNode, DichotomyResult,
                                   PuncturedResolvent, _sign_change_roots,
                                   cff_branch_solve,
-                                  cff_build, dichotomy_core, leaf, pair_chi,
+                                  cff_build, dichotomy_core, leaf,
                                   quadratic_dichotomy, refine_root,
                                   solve_pair, solve_simple)
 from hillbands.errors import (AdmissibilityFailed, HypothesisFailed,
@@ -227,6 +227,7 @@ def test_solve_simple_matches_dense(line_lattice, cosine_folded):
 
 
 def test_pair_chi_zero_coupling(line_lattice, cosine_folded):
+    # at eps = 0, Q and G vanish: chi = (E - v+)(E - v-)
     k = -0.47
     n0 = line_lattice.canonicalize([1])
     m = assemble(line_lattice.ball(4), OperatorSpec(epsilon=0.0, k=k),
@@ -234,25 +235,9 @@ def test_pair_chi_zero_coupling(line_lattice, cosine_folded):
     i0 = m.row_of(line_lattice.identity)
     i1 = m.row_of(n0)
     vp, vm = m.values[i0, i0].real, m.values[i1, i1].real
+    res = PuncturedResolvent(m, [i0, i1])
     for E in (vp - 0.2, 0.5 * (vp + vm), vm + 0.3):
-        assert pair_chi(m, line_lattice.identity, n0, E) == pytest.approx(
-            (E - vp) * (E - vm), rel=1e-12)
-
-
-def test_pair_chi_two_by_two_closed_form(line_lattice, cosine_folded):
-    # Lambda = {m0+, m0-} only: chi = (E-v+)(E-v-) - eps^2 |c|^2
-    k = -0.5
-    n0 = line_lattice.canonicalize([1])
-    dom = [line_lattice.identity, n0]
-    eps = 0.05
-    m = assemble(dom, OperatorSpec(epsilon=eps, k=k), cosine_folded,
-                 line_lattice)
-    vp = m.values[0, 0].real
-    vm = m.values[1, 1].real
-    c1 = eps * math.exp(-1)
-    for E in (vp - 0.1, vp + 0.01, vp + 0.1):
-        got = pair_chi(m, line_lattice.identity, n0, E)
-        assert got == pytest.approx((E - vp) * (E - vm) - c1**2, rel=1e-10)
+        assert res.chi(E) == pytest.approx((E - vp) * (E - vm), rel=1e-12)
 
 
 def test_pair_chi_vanishes_at_dense_eigenvalue(line_lattice, cosine_folded):
@@ -267,7 +252,9 @@ def test_pair_chi_vanishes_at_dense_eigenvalue(line_lattice, cosine_folded):
     v0 = TWO_PI_SQ * 0.25
     root = float(w[np.argmin(np.abs(w - v0))])
     scale = max(1.0, abs(root))
-    assert abs(pair_chi(m, line_lattice.identity, n0, root)) <= 1e-9 * scale
+    res = PuncturedResolvent(m, [m.row_of(line_lattice.identity),
+                                 m.row_of(n0)])
+    assert abs(res.chi(root)) <= 1e-9 * scale
 
 
 def test_solve_pair_zero_coupling(line_lattice, cosine_folded):

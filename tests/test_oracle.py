@@ -345,6 +345,40 @@ def test_unconverged_floquet_edge_raises_no_convergence(
                           period(line_lattice.omega))
 
 
+def test_floquet_gap_edges_integrate_each_energy_once(
+        line_lattice, cosine_folded, toy_schedule, monkeypatch):
+    # the straddle checks, Brent's first steps and the shared inner end of
+    # the two brackets all read one value per energy
+    _, _, brackets = _gap_and_brackets(line_lattice, cosine_folded,
+                                       toy_schedule, [-1])
+    T = period(line_lattice.omega)
+    want = floquet_gap_edges(*brackets, 0.05, cosine_folded, T)
+    energies = []
+    real = oracle.floquet_discriminant
+
+    def counted(E, *args):
+        energies.append(E)
+        return real(E, *args)
+
+    monkeypatch.setattr(oracle, "floquet_discriminant", counted)
+    assert floquet_gap_edges(*brackets, 0.05, cosine_folded, T) == want
+    assert brackets[0][1] == brackets[1][0] in energies
+    assert len(energies) == len(set(energies)) > 3
+
+
+def test_nan_discriminant_is_no_convergence(line_lattice, cosine_folded,
+                                            toy_schedule, monkeypatch):
+    _, _, brackets = _gap_and_brackets(line_lattice, cosine_folded,
+                                       toy_schedule, [-1])
+    real = oracle.floquet_discriminant
+    monkeypatch.setattr(
+        oracle, "floquet_discriminant",
+        lambda E, *args: real(E, *args) if E == brackets[0][0] else math.nan)
+    with pytest.raises(NoConvergence, match="NaN|nan"):
+        floquet_gap_edges(*brackets, 0.05, cosine_folded,
+                          period(line_lattice.omega))
+
+
 def test_floquet_gap_edges_on_second_order_gap(line_lattice, cosine_folded,
                                                toy_schedule):
     # The m = -2 gap is 1.7e-5 wide, so |Delta| - 2 is flat at its edges and
@@ -379,8 +413,26 @@ def test_magnus_step_cap_is_live(line_lattice, cosine_folded, monkeypatch):
     monkeypatch.setattr(oracle, "MAX_STEPS", 4096)
     with pytest.raises(IntegratorFailure, match="did not settle"):
         floquet_scan([1.0, 20.0], 0.05, cosine_folded, T)
-    with pytest.raises(IntegratorFailure, match="collocation step doubling"):
+    # the collocation has a cap of its own: 8 doublings of its first count,
+    # ceil(2 T sqrt(20)) = 9 steps, whatever MAX_STEPS; each run fits one
+    # chunk, so V is called once per run, on (steps, 4) nodes
+    monkeypatch.setattr(oracle, "MAX_STEPS", 16)
+    steps = []
+    real = oracle.potential_callable
+
+    def counted(folded):
+        V = real(folded)
+
+        def traced(x):
+            steps.append(len(x))
+            return V(x)
+        return traced
+
+    monkeypatch.setattr(oracle, "potential_callable", counted)
+    with pytest.raises(IntegratorFailure,
+                       match="collocation step doubling .* within 2304 steps"):
         ivp_discriminant(20.0, 0.05, cosine_folded, T)
+    assert steps == [9 << i for i in range(9)]
 
 
 def test_wronskian_check_scales_with_the_monodromy(monkeypatch):

@@ -1,7 +1,7 @@
 """Band function E(k), gap edges, and the band-level audit suite.
 
 Per k the pipeline builds the resonance profile, routes to the matching class
-(simple fixed point on the inductive domain, pair solving on the T-symmetrized
+(simple root on the inductive domain, pair solving on the T-symmetrized
 domain for a resonance, iterated pair solving for chains validated to nesting
 depth 2), and records E at every feasible scale together with the
 scale-increment convergence certificate. Audits compare against the paper-level
@@ -73,7 +73,7 @@ class BandPoint:
     k: float
     E: float | None
     scale: int
-    klass: str                       # "N" | "N-sym" | "OPR" | "GSR-2" | "error"
+    klass: str                       # N | N-sym | N-ball | OPR | GSR-2 | error
     punctured_gap: float | None      # min|E - w| over the punctured block
     increments: tuple = ()
     increment_bounds: tuple = ()
@@ -84,7 +84,7 @@ class BandPoint:
     error: str = ""
     matrix_norm: float = 0.0
     decay_fit: float | None = None
-    iterations: int | None = None    # fixed-point iterations (simple route)
+    iterations: int | None = None    # evaluations of f (simple route)
     residual: float | None = None    # ||H phi - E phi||_inf of the returned phi
     pair: dict | None = None         # pair route: tau0, |beta+-|, both residuals
 
@@ -273,10 +273,12 @@ def compute_point(ctx: BandContext, k: float) -> BandPoint:
 
 
 def _ball_fallback(ctx: BandContext, k: float) -> BandPoint:
+    """The simple route on the ball B(2 R^(1)), class N-ball: the retreat of
+    a k that the sigma-intervals exclude but the profile does not."""
     elems = ctx.lat.ball(2.0 * ctx.schedule.R[1])
     matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
     pair = solve_simple(matrix, ctx.lat.identity)
-    return BandPoint(k=k, E=pair.E, scale=1, klass="N",
+    return BandPoint(k=k, E=pair.E, scale=1, klass="N-ball",
                      punctured_gap=pair.punctured_gap, domain_size=matrix.size,
                      phi=pair.phi, domain=matrix.domain,
                      matrix_norm=matrix.norm_bound(),

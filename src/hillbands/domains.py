@@ -117,7 +117,6 @@ class DomainBuilder:
         self.lat = lat
         self.exempt_modes = frozenset(exempt_modes)
         self._memo: dict[tuple[int, Fraction], frozenset[int]] = {}
-        self._level_memo: dict[tuple[int, Fraction], dict] = {}
 
     def v_shift(self, m: GroupElement, offset: Fraction) -> float:
         """v(m,k') - v(0,k') = xi(m)(xi(m) + 2k') / lambda at k' = k + offset."""
@@ -170,10 +169,6 @@ class DomainBuilder:
         center already swallowed by a higher level is skipped (the paper's
         exclusion clause).
         """
-        key = (s, offset)
-        cached = self._level_memo.get(key)
-        if cached is not None:
-            return cached
         out: dict[int, dict[int, frozenset[int]]] = {}
         claimed: set[int] = set()
         scan = self.lat.ball(3.0 * self.schedule.R[s] + 3.0 * self.schedule.R[s - 1] + 1)
@@ -190,7 +185,6 @@ class DomainBuilder:
             out[s_prime] = sets_here
             for dom in sets_here.values():
                 claimed.update(dom)
-        self._level_memo[key] = out
         return out
 
 

@@ -1,8 +1,9 @@
-"""Eigenvalue extraction: fixed point, pair-resonance branches, CFF machinery.
+"""Eigenvalue extraction: simple root, pair-resonance branches, CFF machinery.
 
-The simple route solves E = v(m0) + Q(m0; E) by a damped fixed point and reads
-the eigenvector off the punctured resolvent. The pair route locates the two
-roots of the 2x2 Schur determinant chi and assembles both branch eigenvectors.
+The simple route solves E = v(m0) + Q(m0; E) by Brent's method on a bracket
+that holds the root and no pole, and reads the eigenvector off the punctured
+resolvent. The pair route locates the two roots of the 2x2 Schur determinant
+chi and assembles both branch eigenvectors.
 The continued-fraction-function (CFF) layer tracks nested resonant branches
 through the regularized companions chi^{(f)} = mu^{(f)} f, which stay smooth
 where f itself blows up.
@@ -26,7 +27,7 @@ from .lattice import GroupElement
 from .operators import DualMatrix
 from .oracle import refine_root
 
-# width at which the fixed point and the sign-change roots stop
+# width at which the simple root and the sign-change roots stop
 ROOT_TOL = 1e-12
 # central-difference step of cff_branch_solve: near eps^(1/3), where the
 # O(h^2) truncation and O(eps/h) cancellation errors of a first difference
@@ -304,45 +305,43 @@ def _residual(H: np.ndarray, phi: np.ndarray, E: float) -> float:
     return float(np.max(np.abs(H @ phi - E * phi)))
 
 
-def solve_simple(matrix: DualMatrix, m0: GroupElement, *,
-                 max_iter: int = 200) -> EigenPair:
-    """Damped fixed point for E = v(m0) + Q(m0; E); eigenvector phi = -F.
+def solve_simple(matrix: DualMatrix, m0: GroupElement) -> EigenPair:
+    """The root of f(E) = E - v(m0) - Q(m0; E) by refine_root; eigenvector
+    phi = -F. ``iterations`` counts the evaluations of f.
 
-    Starts at E = v(m0) with damping theta = 1/2, which halves itself
-    whenever the equation residual |E - v - Q(E)| increases.
+    Between the punctured eigenvalues w, f' = 1 + sum |p|^2/(E - w)^2 >= 1,
+    so the root lies within |Q(v)| of v = v(m0), on the side of Q(v):
+    [v, v + 2 Q(v)], each end pushed out by one ulp, holds it with a margin
+    of |Q(v)| in f at the far end. A w inside that bracket is a pole of f,
+    onto which Brent would converge: HypothesisFailed.
     """
     H = matrix.values
     i0 = matrix.row_of(m0)
     v0 = float(H[i0, i0].real)
-    E = v0
-    theta = 0.5
     punctured = PuncturedResolvent(matrix, [i0])
-    prev_resid = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        target = v0 + punctured.Q(i0, E)
-        resid = abs(E - target)
-        if resid > prev_resid:
-            theta = theta / 2.0
-        prev_resid = resid
-        E_new = (1.0 - theta) * E + theta * target
-        if abs(E_new - E) < ROOT_TOL:
-            E = E_new
-            converged = True
-            break
-        E = E_new
-    if not converged:
-        raise NoConvergence(iterations, prev_resid)
+    evaluations = 0
+
+    def f(E: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        return E - v0 - punctured.Q(i0, E)
+
+    # f(v) = -Q(v)
+    lo, hi = sorted((v0, v0 - 2.0 * f(v0)))
+    lo, hi = float(np.nextafter(lo, -np.inf)), float(np.nextafter(hi, np.inf))
+    poles = punctured.w[(punctured.w >= lo) & (punctured.w <= hi)]
+    if poles.size:
+        raise HypothesisFailed(
+            "simple bracket", f"punctured eigenvalue {float(poles[0])!r} inside "
+            f"[{lo!r}, {hi!r}]")
+    E = refine_root(f, lo, hi, ROOT_TOL)
     phi = np.zeros(matrix.size, dtype=np.complex128)
     phi[i0] = 1.0
     # phi restricted off m0 solves (E - H_punctured) phi = h(., m0), i.e. +F;
     # the 2x2 closed form pins this sign.
-    tail = punctured.tail(E, punctured.proj[i0])
-    for pos, j in enumerate(punctured.others):
-        phi[j] = tail[pos]
+    phi[punctured.others] = punctured.tail(E, punctured.proj[i0])
     return EigenPair(E=E, phi=phi, residual=_residual(H, phi, E),
-                     punctured_gap=punctured.gap(E), iterations=iterations)
+                     punctured_gap=punctured.gap(E), iterations=evaluations)
 
 
 def _sign_change_roots(f: Callable, lo: float, hi: float,
@@ -413,10 +412,8 @@ def solve_pair(punctured: PuncturedResolvent, m_plus: GroupElement,
         phi[own] = 1.0
         phi[other] = beta
         # rows off the pair: (E - H_punctured) phi = h(., own) + h(., other) beta
-        phi_rest = punctured.tail(
+        phi[punctured.others] = punctured.tail(
             E_val, punctured.proj[own] + punctured.proj[other] * beta)
-        for pos, j in enumerate(punctured.others):
-            phi[j] = phi_rest[pos]
         phis[sign] = phi
         betas[sign] = complex(beta)
         residuals[sign] = _residual(H, phi, E_val)
@@ -719,7 +716,6 @@ class BranchSolveResult:
     derivative_split_ok: bool
     convexity_ok: bool
     continuity_ok: bool
-    min_tau_grid: float   # grid infimum (not a certified true infimum)
 
 
 def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
@@ -735,7 +731,6 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
     split_ok = True
     convex_ok = True
     cont_ok = True
-    min_tau = math.inf
     prev = None
     xs = list(x_grid)
     for pos, x in enumerate(xs):
@@ -767,7 +762,6 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
                 split_ok = False
             d2 = _fd(node.chi, x, z, h=CFF_FD_STEP, order=2)
             mt = node.children_min_tau(x, z)
-            min_tau = min(min_tau, mt)
             if not d2 > 0.5 * mt**4 - 1e-12:
                 convex_ok = False
         if prev is not None:
@@ -785,7 +779,7 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
     return BranchSolveResult(
         x_grid=tuple(x_grid), zeta_minus=tuple(zminus), zeta_plus=tuple(zplus),
         derivative_split_ok=split_ok, convexity_ok=convex_ok,
-        continuity_ok=cont_ok, min_tau_grid=min_tau,
+        continuity_ok=cont_ok,
     )
 
 

@@ -83,7 +83,7 @@ class SingularBlock(HillbandsError):
 
 
 class NoConvergence(HillbandsError):
-    """An iteration (fixed point or root refinement) did not reach tolerance."""
+    """A root refinement did not reach tolerance."""
 
     def __init__(self, iterations, last_residual):
         self.iterations = iterations

@@ -103,7 +103,7 @@ def test_criterion_02_fixed_point_eigenvalue(lat, folded):
             worst_pert = max(worst_pert, abs(pair.E - v0) / eps)
             ok = ok and abs(pair.E - v0) < eps
     elapsed = time.perf_counter() - start
-    report(2, "fixed-point eigenvalue vs dense oracle (80 solves)", elapsed,
+    report(2, "simple-route eigenvalue vs dense oracle (80 solves)", elapsed,
            30.0, ok and worst_dense <= 1e-8,
            f"max |E-dense|/||H|| {worst_dense:.2e}, max |E-v|/eps {worst_pert:.2e}")
 

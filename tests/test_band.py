@@ -15,7 +15,8 @@ from hillbands.band import (BandContext, band_curve, compute_point,
                             gap_edges, gap_resolvent_audit,
                             gap_spectrum_audit, increment_audit,
                             monotonicity_audit, symmetry_audit)
-from hillbands.cli import build_context
+from hillbands.cli import build_context, k_grid_from
+from hillbands.eigensolve import PuncturedResolvent, solve_simple
 from hillbands.errors import HypothesisFailed, PreconditionFailed
 from hillbands.operators import TWO_PI_SQ, OperatorSpec, assemble
 from hillbands.oracle import dense_spectrum, floquet_gap_edges, period
@@ -528,3 +529,98 @@ def test_failed_root_refinement_lands_in_class_error(reference_context,
     p = compute_point(reference_context, 0.49)
     assert p.klass == "error" and p.error.startswith("NoConvergence")
     assert p.to_dict()["punctured_gap"] is None
+
+
+def _reference_config(**overrides) -> dict:
+    path = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
+    config = json.loads(path.read_text())
+    config.update(overrides)
+    return config
+
+
+def _simple_route_errors(config: dict) -> tuple[list[str], list[float]]:
+    """The class of each sample of the config's k grid, and for each sample
+    of the simple route |E - nearest eigvalsh| / max(1, |E|) on the matrix
+    of its domain."""
+    ctx = build_context(config)
+    points = band_curve(ctx, k_grid_from(config))
+    errors = []
+    for p in points:
+        if p.klass.startswith("N"):
+            matrix = assemble(list(p.domain), ctx.spec(p.k), ctx.folded,
+                              ctx.lat)
+            w = np.linalg.eigvalsh(matrix.values)
+            errors.append(float(np.min(np.abs(w - p.E))) / max(1.0, abs(p.E)))
+    return [p.klass for p in points], errors
+
+
+def test_simple_route_matches_eigvalsh_on_reference():
+    classes, errors = _simple_route_errors(_reference_config())
+    assert len(errors) == len(classes) == 21
+    assert max(errors) <= 1e-13
+
+
+@pytest.mark.parametrize("coupling",
+                         [1e-14, 1e-10, 1e-6, 1e-3, 0.05, 0.2, 0.5, 1.0])
+def test_simple_route_holds_across_couplings(coupling):
+    # the bracket [v, v + 2 Q(v)] keeps its margin down to weak coupling,
+    # where Q(v) is a few ulps of v
+    classes, errors = _simple_route_errors(_reference_config(coupling=coupling))
+    assert "error" not in classes
+    assert errors and max(errors) <= 1e-12
+
+
+def _pole_in_bracket(matrix, m0):
+    """The matrix with its last row coupled to m0 alone, by |q|/2, and its
+    diagonal at v + q, where q = Q(m0; v) of the other rows and v = v(m0).
+    Its punctured block then has the eigenvalue v + q, a pole of
+    f(E) = E - v - Q(m0; E), while Q(m0; v) = q - q/4: the bracket
+    [v, v + 2 Q(m0; v)] holds the pole."""
+    i0, j = matrix.row_of(m0), matrix.size - 1
+    H = matrix.values.copy()
+    H[j, :] = H[:, j] = 0.0
+    decoupled = dataclasses.replace(matrix, values=H, bandwidth=None)
+    v = float(H[i0, i0].real)
+    q = PuncturedResolvent(decoupled, [i0]).Q(i0, v)
+    H[j, j] = v + q
+    H[j, i0] = H[i0, j] = abs(q) / 2.0
+    return dataclasses.replace(matrix, values=H, bandwidth=None)
+
+
+def test_pole_inside_the_simple_bracket_is_an_error(reference_context,
+                                                    monkeypatch):
+    ctx = reference_context
+    matrix = _pole_in_bracket(
+        assemble(ctx.lat.ball(18.0), ctx.spec(0.37), ctx.folded, ctx.lat),
+        ctx.lat.identity)
+    with pytest.raises(HypothesisFailed, match="simple bracket"):
+        solve_simple(matrix, ctx.lat.identity)
+    real = band.assemble
+    monkeypatch.setattr(band, "assemble", lambda *args: _pole_in_bracket(
+        real(*args), ctx.lat.identity))
+    p = compute_point(ctx, 0.37)
+    assert p.klass == "error" and p.error.startswith("HypothesisFailed")
+
+
+def test_ball_fallback_samples_are_labelled_n_ball(monkeypatch):
+    # sigma_scale 1e-2 widens the exclusion intervals until some k of the
+    # reference grid are excluded without being resonant
+    config = _reference_config()
+    config["schedule"] = {**config["schedule"], "sigma_scale": 1e-2}
+    fallen = []
+    real = band._ball_fallback
+
+    def spy(ctx, k):
+        fallen.append(k)
+        return real(ctx, k)
+
+    monkeypatch.setattr(band, "_ball_fallback", spy)
+    ctx = build_context(config)
+    points = band_curve(ctx, k_grid_from(config))
+    assert len(fallen) == 6
+    assert [p.k for p in points if p.klass == "N-ball"] == fallen
+    assert all(p.klass in ("N", "N-sym") for p in points if p.k not in fallen)
+    # the N prefix keeps them among the simple samples of the audits
+    relabelled = [dataclasses.replace(p, klass="N") for p in points]
+    assert (monotonicity_audit(ctx, points).checked
+            == monotonicity_audit(ctx, relabelled).checked)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from hillbands import oracle
 from hillbands.cli import K_GRID_MAX_POINTS, k_grid_from, main, run_band
 from hillbands.errors import ConfigError
 
@@ -90,12 +91,18 @@ def test_failed_audit_and_error_sample_exit_nonzero(tmp_path, monkeypatch):
                                     checked=len(points), details={})
 
     monkeypatch.setattr(band_mod, "increment_audit", failing_increments)
-    # k = 0.25 is no k_m, and a one-iteration fixed point cannot converge
+    # k = 0.25 is no k_m; there Brent stops unconverged
     real_solve = band_mod.solve_simple
-    monkeypatch.setattr(
-        band_mod, "solve_simple",
-        lambda matrix, m0, **kw: real_solve(matrix, m0, **{**kw, "max_iter": 1})
-        if matrix.spec.k == 0.25 else real_solve(matrix, m0, **kw))
+
+    def solve_simple(matrix, m0):
+        if matrix.spec.k != 0.25:
+            return real_solve(matrix, m0)
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "brent_root",
+                          lambda f, a, b, xtol: (a, 100, False))
+            return real_solve(matrix, m0)
+
+    monkeypatch.setattr(band_mod, "solve_simple", solve_simple)
     cfg = write_config(tmp_path, {"k_grid": {"list": [0.1, 0.25]}})
     out = tmp_path / "out"
     assert main(["band", str(cfg), "--output-dir", str(out)]) == 1

@@ -15,7 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # defaulted parameters and defaulted dataclass fields in src/hillbands
-MAX_DEFAULTED = 80
+MAX_DEFAULTED = 79
 # scipy.linalg is the only scipy subpackage the package needs; these cost
 # set-up time on every run (scipy.integrate loads scipy.optimize, which loads
 # scipy.fft and scipy.special)

@@ -77,7 +77,6 @@ class BandPoint:
     punctured_gap: float | None      # min|E - w| over the punctured block
     increments: tuple = ()
     increment_bounds: tuple = ()
-    domain_size: int = 0
     phi: np.ndarray | None = None
     domain: tuple = ()
     profile: ResonanceProfile | None = None
@@ -96,7 +95,7 @@ class BandPoint:
             "k": self.k, "E": self.E, "scale": self.scale, "class": self.klass,
             "increments": list(self.increments),
             "increment_bounds": list(self.increment_bounds),
-            "domain_size": self.domain_size, "error": self.error,
+            "domain_size": len(self.domain), "error": self.error,
             "decay_fit": self.decay_fit, "resonances": resonances,
             "iterations": self.iterations, "residual": self.residual,
             "punctured_gap": self.punctured_gap, "pair": self.pair,
@@ -140,7 +139,7 @@ def _nonresonant_point(ctx: BandContext, k: float,
         try:
             if ctx.use_domains:
                 if s >= 2 and abs(k) < ctx.schedule.delta[s - 2]:
-                    ts, _ = symmetrize_S(k, s, builder, ctx.schedule, ctx.lat)
+                    ts, _ = symmetrize_S(builder, s)
                     klass = "N-sym"
                 else:
                     ts = builder.lambda0(s)
@@ -165,8 +164,7 @@ def _nonresonant_point(ctx: BandContext, k: float,
     )
     return BandPoint(k=k, E=energies[-1], scale=scale_used, klass=klass,
                      punctured_gap=pair.punctured_gap, increments=increments,
-                     increment_bounds=bounds,
-                     domain_size=matrix.size, phi=pair.phi,
+                     increment_bounds=bounds, phi=pair.phi,
                      domain=matrix.domain, profile=profile,
                      matrix_norm=matrix.norm_bound(),
                      iterations=pair.iterations, residual=pair.residual)
@@ -188,7 +186,7 @@ def _pair_setup(ctx: BandContext, k: float, n: GroupElement, s_use: int,
     """
     if ctx.use_domains:
         builder = DomainBuilder(k, ctx.schedule, ctx.lat)
-        ts, _ = symmetrize_T(k, s_use, n, builder, ctx.schedule, ctx.lat)
+        ts, _ = symmetrize_T(builder, s_use, n)
         elems = [ctx.lat.element(t) for t in ts]
     else:
         ball = ctx.lat.ball(2.0 * ctx.schedule.R[s_use])
@@ -241,7 +239,7 @@ def _resonant_point(ctx: BandContext, k: float,
         residual = branches.residual_minus
     klass = "OPR" if profile.ell == 0 else f"GSR-{profile.ell + 1}"
     return BandPoint(k=k, E=E, scale=s_use, klass=klass,
-                     punctured_gap=punctured.gap(E), domain_size=matrix.size,
+                     punctured_gap=punctured.gap(E),
                      phi=phi, domain=matrix.domain,
                      profile=profile, matrix_norm=matrix.norm_bound(),
                      residual=residual,
@@ -279,7 +277,7 @@ def _ball_fallback(ctx: BandContext, k: float) -> BandPoint:
     matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
     pair = solve_simple(matrix, ctx.lat.identity)
     return BandPoint(k=k, E=pair.E, scale=1, klass="N-ball",
-                     punctured_gap=pair.punctured_gap, domain_size=matrix.size,
+                     punctured_gap=pair.punctured_gap,
                      phi=pair.phi, domain=matrix.domain,
                      matrix_norm=matrix.norm_bound(),
                      iterations=pair.iterations, residual=pair.residual)
@@ -469,7 +467,7 @@ def decay_audit(ctx: BandContext, point: BandPoint,
         centers = sorted(point.profile.top_reflection_set(),
                          key=GroupElement.key)
     kappa0, alpha0 = ctx.folded.kappa0, ctx.folded.alpha0
-    sq_eps = math.sqrt(abs(ctx.eps)) if ctx.eps != 0 else 0.0
+    sq_eps = math.sqrt(abs(ctx.eps))
     center_set = set(centers)
     violations = []
     checked = 0
@@ -487,8 +485,6 @@ def decay_audit(ctx: BandContext, point: BandPoint,
             checked += 1
             env = sq_eps * sum(math.exp(-(7.0 / 8.0) * kappa0 * d ** alpha0)
                                for d in dists)
-            if ctx.eps == 0:
-                env = 0.0
             if a > env + 1e-15:
                 violations.append((e, a, env))
         else:

@@ -20,11 +20,11 @@ import sys
 from pathlib import Path
 
 from . import band as band_mod
-from .errors import ConfigError, HillbandsError
+from .errors import ConfigError, HillbandsError, PreconditionFailed
 from .lattice import FrequencyVector, QuotientLattice, check_diophantine
 from .potential import fold, from_config
 from .scales import build_schedule
-from .verify import run_suite
+from .verify import SUITES, run_suite
 
 OUTPUT_DIR_ENV = "HILLBANDS_OUTDIR"
 # most points a k_grid min/max/step range may expand to; the shipped configs
@@ -74,14 +74,14 @@ def build_context(config: dict) -> band_mod.BandContext:
         coeffs = from_config(config["potential"], nu=omega.nu)
         folded = fold(coeffs, lat)
         sched_cfg = config.get("schedule", {})
-        dio = config.get("diophantine", {})
+        dio = config.get("diophantine")
+        a0, b0 = (dio["a0"], dio["b0"]) if dio else (0.5, 2.0)
         schedule = build_schedule(
             config.get("mode", "practical"),
             s_max=int(sched_cfg.get("s_max", 2)),
             R1=float(sched_cfg.get("R1", 12.0)),
             beta=sched_cfg.get("beta"),
-            a0=float(dio.get("a0", 0.5)),
-            b0=float(dio.get("b0", 2.0)),
+            a0=float(a0), b0=float(b0),
             kappa0=coeffs.kappa0, alpha0=coeffs.alpha0, nu=omega.nu,
             eps0=sched_cfg.get("eps0"),
             sigma_scale=float(sched_cfg.get("sigma_scale", 1.0)),
@@ -180,10 +180,23 @@ def run_band(config: dict,
 
     Returns the output dir and the run's failures, which report.json lists
     too: each requested gap that raised, each sample of class ``error`` and
-    each audit that did not pass. An ``audits`` entry outside AUDITS, or a
-    grid of which band_curve keeps no k, raises ConfigError.
+    each audit that did not pass. A bad ``diophantine`` block or ``gaps``
+    entry, an ``audits`` entry outside AUDITS, or a grid of which band_curve
+    keeps no k, raises ConfigError; all but the last before the output dir
+    is made. The diophantine check runs on the schedule's a0 and b0.
     """
     ctx = build_context(config)
+    dio = config.get("diophantine")
+    try:
+        dio_check = check_diophantine(
+            ctx.lat, ctx.schedule.a0, ctx.schedule.b0,
+            _finite(dio["Rbar0"], "diophantine.Rbar0")) if dio else None
+        gap_modes = [(mvec, ctx.lat.canonicalize([int(v) for v in mvec]))
+                     for mvec in config.get("gaps", [])]
+    except KeyError as exc:
+        raise ConfigError(f"missing config key: {exc}")
+    except (PreconditionFailed, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value: {exc}")
     audit_names = config.get("audits", ["symmetry", "monotonicity",
                                         "increments"])
     if not isinstance(audit_names, list):
@@ -203,8 +216,7 @@ def run_band(config: dict,
 
     gaps = []
     failures = []
-    for mvec in config.get("gaps", []):
-        m = ctx.lat.canonicalize([int(v) for v in mvec])
+    for mvec, m in gap_modes:
         try:
             gaps.append(band_mod.gap_edges(ctx, m))
         except HillbandsError as exc:
@@ -247,17 +259,14 @@ def run_band(config: dict,
     except HillbandsError:
         E0 = None
 
-    dio = config.get("diophantine")
     dio_report = None
-    if dio:
-        rep = check_diophantine(ctx.lat, float(dio["a0"]), float(dio["b0"]),
-                                float(dio["Rbar0"]))
+    if dio_check is not None:
         dio_report = {
-            "satisfied": rep.satisfied,
-            "box_condition_ok": rep.box_condition_ok,
-            "worst_margin": None if rep.worst_pair is None
-            else rep.worst_pair[1],
-            "checked": rep.checked_count,
+            "satisfied": dio_check.satisfied,
+            "box_condition_ok": dio_check.box_condition_ok,
+            "worst_margin": None if dio_check.worst_pair is None
+            else dio_check.worst_pair[1],
+            "checked": dio_check.checked_count,
         }
 
     k_n0_ref = abs(gaps[0].k_m) if gaps else 0.5
@@ -341,8 +350,7 @@ def main(argv=None) -> int:
     p_verify.add_argument("config", nargs="?", default=None,
                           help="optional config (suites use built-in toys)")
     p_verify.add_argument("--suite", default="all",
-                          choices=["weights", "schur", "dichotomy", "cff",
-                                   "domains", "band", "floquet", "all"])
+                          choices=[*SUITES, "all"])
 
     p_export = sub.add_parser("export", help="re-emit a report")
     p_export.add_argument("report")

@@ -68,8 +68,6 @@ class SubtractionSystem:
                     d = set_distance(group[i], group[j], lat)
                     best = d if best is None else min(best, d)
             if best is not None:
-                if best <= 0:
-                    raise NotProper(f"level {t} separation {best} <= 0")
                 radii[t] = best
         return radii
 
@@ -244,15 +242,15 @@ def _reflection_classes(level_sets: dict,
     return SubtractionSystem(sets=sets)
 
 
-def symmetrize_S(k: float, s: int, builder: DomainBuilder,
-                 schedule: ScaleSchedule, lat: QuotientLattice
+def symmetrize_S(builder: DomainBuilder, s: int
                  ) -> tuple[frozenset[int], int]:
-    """S-symmetrized Lambda^(s)_{k,sym}(0) as a set of t: start from
-    B(3 R^(s)), subtract reflection-merged classes to a fixed point; the
-    result is S-invariant, S being t -> -t.
+    """S-symmetrized Lambda^(s)_{k,sym}(0) as a set of t, at the builder's
+    k: start from B(3 R^(s)), subtract reflection-merged classes to a fixed
+    point; the result is S-invariant, S being t -> -t.
 
     Precondition: |k| < delta0^(s-2) (the small-k regime), always checked.
     """
+    k, schedule, lat = builder.k, builder.schedule, builder.lat
     if s < 2:
         raise PreconditionFailed("S-symmetrization needs s >= 2")
     if not abs(k) < schedule.delta[s - 2]:
@@ -267,20 +265,21 @@ def symmetrize_S(k: float, s: int, builder: DomainBuilder,
     return stabilized, ell0
 
 
-def symmetrize_T(k: float, s: int, n0: GroupElement, builder: DomainBuilder,
-                 schedule: ScaleSchedule, lat: QuotientLattice
+def symmetrize_T(builder: DomainBuilder, s: int, n0: GroupElement
                  ) -> tuple[frozenset[int], int]:
-    """T-symmetrized domain for the pair {0, n0} as a set of t: start from
-    B(3 R^(s)) union T(B(3 R^(s))), T(n) = n0 - n; subtract to a fixed point.
+    """T-symmetrized domain for the pair {0, n0} as a set of t, at the
+    builder's k: start from B(3 R^(s)) union T(B(3 R^(s))), T(n) = n0 - n;
+    subtract to a fixed point.
 
     The result is T-invariant and must contain B(0, R^(s)) and B(n0, R^(s)).
     The principal pair's own exclusion intervals are the allowed exception, so
     the builder is re-derived with {n0, -n0} exempted if necessary.
     """
+    schedule, lat = builder.schedule, builder.lat
     reflect = lambda t: n0.t - t
     if n0.t not in builder.exempt_modes:
         builder = DomainBuilder(
-            builder.k, builder.schedule, builder.lat,
+            builder.k, schedule, lat,
             exempt_modes=builder.exempt_modes | {n0.t, -n0.t})
     levels = builder.level_sets(s) if s >= 2 else {}
     system = _reflection_classes(levels, reflect)

@@ -438,7 +438,6 @@ class DichotomyResult:
     case: str           # "plus_case" | "minus_case"
     lam: float
     gamma: float
-    bracket_ok: bool
 
 
 @dataclass(frozen=True)
@@ -540,8 +539,7 @@ def quadratic_dichotomy(a1: float, a2: float, b: float, u: float) -> DichotomyRe
     if not r.bracket_ok:
         raise HypothesisFailed("dichotomy bracket", f"u={u} escapes the bracket")
     return DichotomyResult(case="plus_case" if r.plus else "minus_case",
-                           lam=float(r.lam), gamma=float(r.gamma),
-                           bracket_ok=True)
+                           lam=float(r.lam), gamma=float(r.gamma))
 
 
 # --- continued-fraction-functions ---
@@ -710,7 +708,6 @@ def _dichotomy_case_of(f1: CffNode, f2: CffNode, x: float, u: float) -> str:
 
 @dataclass(frozen=True)
 class BranchSolveResult:
-    x_grid: tuple
     zeta_minus: tuple
     zeta_plus: tuple
     derivative_split_ok: bool
@@ -777,7 +774,7 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
         zminus.append(zm)
         zplus.append(zp)
     return BranchSolveResult(
-        x_grid=tuple(x_grid), zeta_minus=tuple(zminus), zeta_plus=tuple(zplus),
+        zeta_minus=tuple(zminus), zeta_plus=tuple(zplus),
         derivative_split_ok=split_ok, convexity_ok=convex_ok,
         continuity_ok=cont_ok,
     )

@@ -233,9 +233,13 @@ class QuotientLattice:
         before is searched. The search runs over the N-translates p with
         |p| <= 2|v|: a minimal representative v - p has |v - p| <= |v|, so
         every one lies in that box, and the result does not depend on which
-        vector of the coset comes in.
+        vector of the coset comes in. A vector without nu components raises
+        ValueError.
         """
         v = tuple(int(x) for x in vec)
+        if len(v) != self.nu:
+            raise ValueError(f"{list(v)} does not have nu = {self.nu} "
+                             f"components")
         t = sum(a * w for a, w in zip(v, self._t_weights))
         elem = self._by_t.get(t)
         if elem is not None:
@@ -314,9 +318,6 @@ def ball_growth_constant(lat: QuotientLattice, radii: Sequence[float]) -> float:
 
 @dataclass(frozen=True)
 class DiophantineReport:
-    a0: float
-    b0: float
-    Rbar0: float
     worst_pair: tuple[GroupElement, float] | None
     satisfied: bool
     box_condition_ok: bool
@@ -348,7 +349,5 @@ def check_diophantine(lat: QuotientLattice, a0: float, b0: float,
         prod_t *= t
     box_ok = Rbar0 ** b0 > prod_t
     satisfied = worst is None or worst[1] >= 1.0
-    return DiophantineReport(
-        a0=a0, b0=b0, Rbar0=Rbar0, worst_pair=worst,
-        satisfied=satisfied, box_condition_ok=box_ok, checked_count=count,
-    )
+    return DiophantineReport(worst_pair=worst, satisfied=satisfied,
+                             box_condition_ok=box_ok, checked_count=count)

@@ -170,7 +170,6 @@ def negated_domain(domain: Sequence[GroupElement], lat: QuotientLattice):
 @dataclass(frozen=True)
 class ConjugationReport:
     max_eig_difference: float
-    tolerance: float
     passed: bool
 
 
@@ -178,8 +177,7 @@ def _compare_spectra(left: DualMatrix, right: DualMatrix) -> ConjugationReport:
     """The two spectra agree to 1e-10."""
     diff = float(np.max(np.abs(np.linalg.eigvalsh(left.values)
                                - np.linalg.eigvalsh(right.values))))
-    return ConjugationReport(max_eig_difference=diff, tolerance=1e-10,
-                             passed=diff <= 1e-10)
+    return ConjugationReport(max_eig_difference=diff, passed=diff <= 1e-10)
 
 
 def translation_conjugation_check(domain: Sequence[GroupElement], m: GroupElement,

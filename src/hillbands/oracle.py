@@ -202,7 +202,6 @@ COLLOCATION_CHUNK_STEPS = 4096
 
 @dataclass(frozen=True)
 class FloquetData:
-    T: Fraction
     E_grid: tuple
     discriminant: tuple
     bands: tuple  # intervals {E : |Delta(E)| <= 2}
@@ -446,7 +445,7 @@ def floquet_scan(E_grid, eps: float, folded: FoldedCoefficients,
             start = None
     if start is not None:
         bands.append((start, float(E_grid[-1])))
-    return FloquetData(T=T, E_grid=tuple(float(x) for x in E_grid),
+    return FloquetData(E_grid=tuple(float(x) for x in E_grid),
                        discriminant=tuple(deltas), bands=tuple(bands),
                        wronskian_drift=float(np.max(drift, initial=0.0)))
 

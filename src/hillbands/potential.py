@@ -96,12 +96,17 @@ def fold(c: FourierCoefficients, lat: QuotientLattice,
 
     Finite support makes the sum exact. The folded decay bound
     (8/kappa0)^nu * exp(-kappa0 |n_bar| / 4) is enforced for alpha0 = 1 and
-    audited (recorded, not raised) for alpha0 < 1.
+    audited (recorded, not raised) for alpha0 < 1. A mode vector without
+    nu components raises ValueError.
     """
+    nu = lat.nu
+    wrong = [list(n) for n in c.entries if len(n) != nu]
+    if wrong:
+        raise ValueError(f"potential modes {wrong} do not have nu = {nu} "
+                         f"components")
     ensure_valid(c)
     if enforce_bound is None:
         enforce_bound = c.alpha0 == 1.0
-    nu = lat.nu
     by_coset: dict[GroupElement, complex] = {}
     r = c.support_radius
     for vec in itertools.product(range(-r, r + 1), repeat=nu):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -72,15 +72,10 @@ class ScaleSchedule:
         return None if s is None else self.shell_sigma(s)
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "beta": self.beta, "s_max": self.s_max,
-            "R": list(self.R), "delta": list(self.delta), "delta0": self.delta0,
-            "eps0": self.eps0, "log_eps0": self.log_eps0, "eps": list(self.eps),
-            "feasible_s": self.feasible_s, "a0": self.a0, "b0": self.b0,
-            "kappa0": self.kappa0, "alpha0": self.alpha0,
-            "sigma_scale": self.sigma_scale,
-            "strict_delta_condition_ok": self.strict_delta_condition_ok,
-        }
+        """Every field but the log arrays."""
+        out = asdict(self)
+        del out["log_R"], out["log_delta"]
+        return out
 
 
 def strict_epsilon0_log(log_delta0: float, kappa0: float, alpha0: float,
@@ -270,43 +265,6 @@ def mode_table(schedule: ScaleSchedule, lat: QuotientLattice,
                    table.hi):
         column.flags.writeable = False
     return table
-
-
-@dataclass(frozen=True)
-class KpmInterval:
-    m: GroupElement
-    shell: int
-    k_minus: float
-    k_plus: float
-    k_minus_s: tuple[float, ...]  # index s = 0..s_max, inflated endpoints
-    k_plus_s: tuple[float, ...]
-
-
-def kpm_intervals(schedule: ScaleSchedule, lat: QuotientLattice,
-                  truncation_R: float) -> list[KpmInterval]:
-    """All intervals for 0 < |m| <= min(truncation_R, 12 R^(s_max)).
-
-    The mirror identities k+-_{-m,s} = -k-+_{m,s} are asserted on the output.
-    """
-    upper = min(truncation_R, 12.0 * schedule.R[schedule.s_max])
-    if not math.isfinite(upper):
-        upper = min(truncation_R, 12.0 * schedule.R[schedule.feasible_s])
-    table = mode_table(schedule, lat, upper)
-    # -m has coordinate -t; its canonical rep need not be -rep (on
-    # omega = (1, 3/7), m = [1,4] has -m = [-4,3])
-    t = table.t.tolist()
-    row = {tm: i for i, tm in enumerate(t)}
-    mirror = [row[-tm] for tm in t]
-    for a, b in ((table.hi, table.lo), (table.lo, table.hi)):
-        assert np.all(np.abs(a + b[:, mirror])
-                      <= 1e-14 * np.maximum(1.0, np.abs(a)))
-    # at s = 0 nothing is inflated, so lo[0], hi[0] are k_m -+ sigma
-    return [KpmInterval(m=m, shell=int(table.shell[i]),
-                        k_minus=float(table.lo[0, i]),
-                        k_plus=float(table.hi[0, i]),
-                        k_minus_s=tuple(table.lo[:, i].tolist()),
-                        k_plus_s=tuple(table.hi[:, i].tolist()))
-            for i, m in enumerate(table.elements)]
 
 
 def excluded_blocker(schedule: ScaleSchedule, lat: QuotientLattice, k: float,

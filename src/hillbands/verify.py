@@ -198,12 +198,12 @@ def suite_domains() -> list[CheckResult]:
     out.append(CheckResult("domains", "nesting dichotomy", rep.passed,
                            float(len(rep.violations))))
     n0 = lat.canonicalize([1])
-    dom_t, ell_t = symmetrize_T(k, 2, n0, builder, schedule, lat)
+    dom_t, ell_t = symmetrize_T(builder, 2, n0)
     t_ok = all(n0.t - t in dom_t for t in dom_t)
     out.append(CheckResult("domains", "T-invariance", t_ok, float(ell_t)))
     k_small = schedule.delta[0] / 4.0
     builder_s = DomainBuilder(k_small, schedule, lat)
-    dom_s, ell_s = symmetrize_S(k_small, 2, builder_s, schedule, lat)
+    dom_s, ell_s = symmetrize_S(builder_s, 2)
     s_ok = all(-t in dom_s for t in dom_s)
     out.append(CheckResult("domains", "S-invariance", s_ok, float(ell_s)))
     out.append(CheckResult("domains", "stabilization bound",

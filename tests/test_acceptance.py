@@ -304,13 +304,13 @@ def test_criterion_11_symmetrization(lat):
     # T-symmetrization at the first resonance
     n0 = lat.canonicalize([1])
     builder = DomainBuilder(-0.5, sched, lat)
-    dom_t, ell_t = symmetrize_T(-0.5, 2, n0, builder, sched, lat)
+    dom_t, ell_t = symmetrize_T(builder, 2, n0)
     ok = ok and all(n0.t - t in dom_t for t in dom_t)
     ok = ok and ell_t < 2**2
     # S-symmetrization in the small-k regime
     k_small = sched.delta[0] / 4.0
     builder_s = DomainBuilder(k_small, sched, lat)
-    dom_s, ell_s = symmetrize_S(k_small, 2, builder_s, sched, lat)
+    dom_s, ell_s = symmetrize_S(builder_s, 2)
     ok = ok and all(-t in dom_s for t in dom_s)
     ok = ok and ell_s < 2**2
     # nesting dichotomy on the constructed hierarchy

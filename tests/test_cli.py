@@ -335,6 +335,42 @@ def test_unknown_audit_name_is_a_config_error(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+RESONANT_2D = {
+    "lattice": {"nu": 2, "omega": ["1", "3/7"]},
+    "potential": {"kind": "cosine", "n0": [1, 0]},
+    "diophantine": {"a0": 0.4, "b0": 3.0, "Rbar0": 6},
+    "truncation_R": 6,
+    "gaps": [[0, 1]],
+}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    # a potential or a gap of the wrong dimension
+    (dict(RESONANT_2D, potential={"kind": "cosine", "n0": [1]}), "nu = 2"),
+    (dict(RESONANT_2D, gaps=[[0, 1], [1]]), "nu = 2"),
+    ({"gaps": [[-1, 0]]}, "nu = 1"),
+    # a diophantine block with a key missing or a precondition failed
+    ({"diophantine": {"a0": 0.5}}, "'b0'"),
+    ({"diophantine": {"a0": 0.5, "b0": 2.0}}, "'Rbar0'"),
+    ({"diophantine": {"a0": 0.5, "b0": 1.0, "Rbar0": 8}}, "b0 > nu"),
+    ({"diophantine": {"a0": 2.0, "b0": 2.0, "Rbar0": 8}}, "0 < a0 < 1"),
+], ids=["potential_nu", "gap_short", "gap_long", "no_b0", "no_Rbar0",
+        "b0_le_nu", "a0_ge_1"])
+def test_bad_block_is_a_config_error_before_any_sample(
+        tmp_path, monkeypatch, capsys, overrides, message):
+    from hillbands import band
+
+    def no_samples(*args, **kwargs):
+        raise AssertionError("a sample was computed")
+
+    monkeypatch.setattr(band, "compute_point", no_samples)
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_strict_mode_run(tmp_path):
     # strict beta = 1/(32 b0); worst-case eps0 underflows but is reported in
     # log space; the sweep itself still runs on the coupling from the config

@@ -152,7 +152,7 @@ def test_proper_system_conditions(lat):
 def test_symmetrize_S_ball_when_no_lower_sets(lat, schedule):
     k = schedule.delta[0] / 4.0
     builder = DomainBuilder(k, schedule, lat)
-    dom, ell = symmetrize_S(k, 2, builder, schedule, lat)
+    dom, ell = symmetrize_S(builder, 2)
     assert dom == tset(lat.ball(3.0 * schedule.R[2]))
     assert ell == 0
     for t in dom:
@@ -162,14 +162,14 @@ def test_symmetrize_S_ball_when_no_lower_sets(lat, schedule):
 def test_symmetrize_S_small_k_precondition(lat, schedule):
     builder = DomainBuilder(0.37, schedule, lat)
     with pytest.raises(PreconditionFailed):
-        symmetrize_S(0.37, 2, builder, schedule, lat)
+        symmetrize_S(builder, 2)
 
 
 def test_symmetrize_T_no_subtractions(lat, schedule):
     k = -0.5
     n0 = lat.canonicalize([1])
     builder = DomainBuilder(k, schedule, lat)
-    dom, ell = symmetrize_T(k, 1, n0, builder, schedule, lat)
+    dom, ell = symmetrize_T(builder, 1, n0)
     ball = frozenset(lat.ball(3.0 * schedule.R[1]))
     mirrored = frozenset(lat.sub(n0, e) for e in ball)
     assert dom == tset(ball | mirrored)
@@ -182,7 +182,7 @@ def test_symmetrize_T_contains_both_boxes(lat, schedule):
     k = -0.5
     n0 = lat.canonicalize([1])
     builder = DomainBuilder(k, schedule, lat)
-    dom, _ = symmetrize_T(k, 2, n0, builder, schedule, lat)
+    dom, _ = symmetrize_T(builder, 2, n0)
     for e in lat.ball(schedule.R[2]):
         assert e.t in dom
         assert lat.add(n0, e).t in dom
@@ -426,7 +426,7 @@ def test_sets_of_t_match_element_set_oracle(case):
         levels, expected = new.level_sets(s), old.level_sets(s)
         assert levels == {s_prime: {m.t: tset(dom) for m, dom in per.items()}
                           for s_prime, per in expected.items()}
-    assert _outcome(symmetrize_S, k, s, new, schedule, lat) == _as_t(
+    assert _outcome(symmetrize_S, new, s) == _as_t(
         _outcome(element_symmetrize_S, k, s, old, schedule, lat))
-    assert _outcome(symmetrize_T, k, s, n0, new, schedule, lat) == _as_t(
+    assert _outcome(symmetrize_T, new, s, n0) == _as_t(
         _outcome(element_symmetrize_T, k, s, n0, old, schedule, lat))

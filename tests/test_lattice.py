@@ -330,6 +330,18 @@ def test_element_of_coordinate_on_a_fresh_table():
             assert _fields(fresh.element(e.t)) == _fields(e)
 
 
+def test_canonicalize_rejects_a_vector_without_nu_components():
+    # zip would truncate the vector and cache the malformed rep under its t:
+    # [1] and [1, 0, 5] both have the t of [1, 0]
+    lat = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
+    for vec in ([1], [1, 0, 5], []):
+        with pytest.raises(ValueError, match="nu = 2"):
+            lat.canonicalize(vec)
+    fresh = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
+    t = fresh.canonicalize([1, 0]).t
+    assert _fields(lat.element(t)) == _fields(fresh.element(t))
+
+
 def test_elements_compare_and_hash_by_t(half_lattice):
     # t is the one key: a record with another rep but the same t is equal
     e = half_lattice.canonicalize([2, 1])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hillbands.errors import NonRealValue, ValidationFailed
+from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.potential import (FourierCoefficients, cosine, eval_potential,
                                  eval_potential_raw, exp_decay, fold,
                                  multi_cosine, random_phase, validate)
@@ -131,3 +132,10 @@ def test_fold_rejects_invalid_input(line_lattice):
                             support_radius=1)
     with pytest.raises(ValidationFailed):
         fold(c, line_lattice)
+
+
+def test_fold_rejects_modes_without_nu_components():
+    # the walk over nu-tuples would miss every 1-tuple and fold to zero
+    lat = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
+    with pytest.raises(ValueError, match="nu = 2"):
+        fold(cosine([2]), lat)

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hillbands import scales
 from hillbands.errors import (BudgetExhausted, PreconditionFailed,
                               ScheduleInfeasible)
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.scales import (build_schedule, epsilon_budget, excluded_blocker,
-                              kpm_intervals, mode_table,
-                              resonance_gap_ordering_audit, resonance_profile,
-                              strict_epsilon0_log)
+                              mode_table, resonance_gap_ordering_audit,
+                              resonance_profile, strict_epsilon0_log)
 
 
 # --- reference oracles: the scalar per-mode loops the mode table replaced ---
@@ -158,47 +156,52 @@ def test_epsilon_budget_examples():
         epsilon_budget(tiny)
 
 
+def _mirror_ok(table):
+    """k^+-_{-m,s} = -k^-+_{m,s} in every row s of the mode table. -m is
+    found by its coordinate -t: its canonical rep need not be -rep(m) (on
+    omega = (1, 3/7), m = [1,4] has -m = [-4,3])."""
+    t = table.t.tolist()
+    row = {tm: i for i, tm in enumerate(t)}
+    mirror = [row[-tm] for tm in t]
+    return all(np.all(np.abs(a + b[:, mirror])
+                      <= 1e-14 * np.maximum(1.0, np.abs(a)))
+               for a, b in ((table.hi, table.lo), (table.lo, table.hi)))
+
+
 def test_kpm_mirror_identity(line_lattice, toy_schedule):
-    intervals = kpm_intervals(toy_schedule, line_lattice, truncation_R=24.0)
-    by_rep = {iv.m.rep: iv for iv in intervals}
-    for iv in intervals:
-        mirror = by_rep[tuple(-v for v in iv.m.rep)]
-        assert iv.k_plus == pytest.approx(-mirror.k_minus, abs=1e-15)
+    table = mode_table(toy_schedule, line_lattice, 24.0)
+    assert _mirror_ok(table)
+    by_rep = {m.rep: i for i, m in enumerate(table.elements)}
+    for i, m in enumerate(table.elements):
+        j = by_rep[tuple(-v for v in m.rep)]
         for s in range(toy_schedule.s_max + 1):
-            assert iv.k_plus_s[s] == pytest.approx(-mirror.k_minus_s[s],
-                                                   abs=1e-15)
+            assert table.hi[s, i] == pytest.approx(-table.lo[s, j], abs=1e-15)
 
 
-def test_kpm_mirror_check_reaches_every_interval(toy_schedule, monkeypatch):
+def test_kpm_mirror_check_reaches_every_interval(toy_schedule):
     # on omega = (1, 3/7) the canonical rep of -m is not always -rep(m)
     lat = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
-    intervals = kpm_intervals(toy_schedule, lat, truncation_R=6.0)
-    by_t = {iv.m.t: iv for iv in intervals}
+    table = mode_table(toy_schedule, lat, 6.0)
+    by_t = {m.t: m for m in table.elements}
     assert all(-t in by_t for t in by_t)
-    odd = [iv.m for iv in intervals
-           if by_t[-iv.m.t].m.rep != tuple(-v for v in iv.m.rep)]
-    assert (len(intervals), len(odd)) == (108, 6)
-    original = scales.mode_table
-    for m in odd:
-        def shifted(schedule, lattice, radius, m=m):
-            table = original(schedule, lattice, radius)
-            hi = table.hi.copy()
-            hi[:, table.elements.index(m)] += 1e-6
-            return dataclasses.replace(table, hi=hi)
+    odd = [i for i, m in enumerate(table.elements)
+           if by_t[-m.t].rep != tuple(-v for v in m.rep)]
+    assert (len(table.elements), len(odd)) == (108, 6)
+    assert _mirror_ok(table)
+    for i in odd:
+        hi = table.hi.copy()
+        hi[:, i] += 1e-6
+        assert not _mirror_ok(dataclasses.replace(table, hi=hi))
 
-        monkeypatch.setattr(scales, "mode_table", shifted)
-        with pytest.raises(AssertionError):
-            kpm_intervals(toy_schedule, lat, truncation_R=6.0)
 
 def test_kpm_sigma_zero_and_monotonicity(line_lattice, toy_schedule):
     sigma0 = toy_schedule.sigma(0)
     assert sigma0 == pytest.approx(
         32.0 * toy_schedule.delta[0] ** (1 / 6) * toy_schedule.sigma_scale)
-    m = line_lattice.canonicalize([1])
-    iv, = [iv for iv in kpm_intervals(toy_schedule, line_lattice, 24.0)
-           if iv.m == m]
+    table = mode_table(toy_schedule, line_lattice, 24.0)
+    i = table.elements.index(line_lattice.canonicalize([1]))
     prev = None
-    for lo, hi in zip(iv.k_minus_s, iv.k_plus_s):
+    for lo, hi in zip(table.lo[:, i], table.hi[:, i]):
         if prev is not None:
             assert hi >= prev[1] - 1e-18
             assert lo <= prev[0] + 1e-18
@@ -350,23 +353,25 @@ def test_excluded_blocker_matches_scalar_oracle(probe, scale, exempt_mode):
 @given(st.sampled_from(TABLE_OMEGAS), st.sampled_from(SIGMA_SCALES),
        st.sampled_from([6.0, 30.0, 200.0]))
 def test_kpm_intervals_match_scalar_endpoints(omega, sigma_scale, radius):
-    # radius 200 exceeds 12 R^(2) = 67, where the intervals stop
+    # radius 200 exceeds 12 R^(2) = 67, where the shells stop
     lat = _table_lattice(omega)
     schedule = _table_schedule(4.0, 0.9, sigma_scale)
-    intervals = kpm_intervals(schedule, lat, truncation_R=radius)
     upper = min(radius, 12.0 * schedule.R[schedule.s_max])
+    table = mode_table(schedule, lat, upper)
+    assert _mirror_ok(table)
     want = [m for m in lat.ball(upper)
             if not m.is_identity and schedule.shell_of(m.norm) is not None]
-    assert [iv.m.rep for iv in intervals] == [m.rep for m in want]
-    for iv in intervals:
-        assert iv.shell == schedule.shell_of(iv.m.norm)
-        sigma = schedule.sigma(iv.m.norm)
-        km = -float(iv.m.xi) / 2.0
-        assert (_bits(iv.k_minus), _bits(iv.k_plus)) == (
+    assert [m.rep for m in table.elements] == [m.rep for m in want]
+    for i, m in enumerate(table.elements):
+        assert table.shell[i] == schedule.shell_of(m.norm)
+        sigma = schedule.sigma(m.norm)
+        km = -float(m.xi) / 2.0
+        # row 0 is not inflated: k_m -+ sigma
+        assert (_bits(table.lo[0, i]), _bits(table.hi[0, i])) == (
             _bits(km - sigma), _bits(km + sigma))
         for s in range(schedule.s_max + 1):
-            lo, hi = kpm_endpoints(schedule, iv.m, s)
-            assert (_bits(iv.k_minus_s[s]), _bits(iv.k_plus_s[s])) == (
+            lo, hi = kpm_endpoints(schedule, m, s)
+            assert (_bits(table.lo[s, i]), _bits(table.hi[s, i])) == (
                 _bits(lo), _bits(hi))
 
 

@@ -281,14 +281,14 @@ def run_band(config: dict,
                  for p in points if p.klass == "error"]
     failures += [{"kind": "audit", "name": a.name, "detail": ""}
                  for a in audits if not a.passed]
-    coeffs = from_config(config["potential"], nu=ctx.lat.nu)
     report_rows = report.to_dict()
     payload = {
         "config": config,
         "content_hash": content_hash(config),
         "schedule": ctx.schedule.to_dict(),
         "diophantine": dio_report,
-        "potential_truncation_tail": coeffs.truncation_tail_bound(ctx.lat.nu),
+        "potential_truncation_tail":
+            ctx.folded.truncation_tail_bound(ctx.lat.nu),
         "report": report_rows,
         "failures": failures,
     }

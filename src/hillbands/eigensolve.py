@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import zhetrd, zhetrd_lwork, zunmqr
 
+from ._lapack import flapack
 from .errors import (AdmissibilityFailed, HypothesisFailed, NoConvergence,
                      OrderingFailed, PreconditionFailed, RootCountMismatch,
                      SingularBlock)
@@ -47,7 +46,7 @@ class PuncturedResolvent:
     eigendecomposition.
 
     H_punctured = U T U^H with T real symmetric tridiagonal and U unitary,
-    and T = Z diag(w) Z^T by one ``eigh_tridiagonal`` call. U is never
+    and T = Z diag(w) Z^T by one LAPACK dstevd call. U is never
     formed: a matrix that is tridiagonal in t order (bandwidth <= 1) stays
     tridiagonal once principal rows are removed, and U is its t-order
     permutation times the phases cumprod(b/|b|) of its subdiagonal b; every
@@ -73,7 +72,7 @@ class PuncturedResolvent:
         else:
             form = _Householder(H[np.ix_(self.others, self.others)])
         self._form = form
-        self.w, self._Z = eigh_tridiagonal(form.d, form.e)
+        self.w, self._Z = _eigh_tridiagonal(form.d, form.e)
         # projections of the coupling columns h(., p)
         columns = self.project(H[np.ix_(self.others, self.principal)])
         self.proj = dict(zip(self.principal, columns.T))
@@ -254,8 +253,9 @@ class _Householder:
 
     def __init__(self, block: np.ndarray):
         n = block.shape[0]
-        lwork = int(zhetrd_lwork(n, lower=1)[0].real)
-        c, self.d, self.e, self.tau, info = zhetrd(block, lower=1, lwork=lwork)
+        lwork = int(flapack.zhetrd_lwork(n, lower=1)[0].real)
+        c, self.d, self.e, self.tau, info = flapack.zhetrd(block, lower=1,
+                                                           lwork=lwork)
         if info != 0:
             raise np.linalg.LinAlgError(f"zhetrd info {info}")
         # contiguous once, so that zunmqr does not copy the view per call
@@ -264,8 +264,9 @@ class _Householder:
     def _apply(self, trans: bytes, x: np.ndarray) -> np.ndarray:
         out = np.array(x, dtype=np.complex128)
         if self.tau.size:
-            out[1:], _, info = zunmqr(b"L", trans, self.reflectors, self.tau,
-                                      out[1:], max(1, out.shape[1]))
+            out[1:], _, info = flapack.zunmqr(b"L", trans, self.reflectors,
+                                              self.tau, out[1:],
+                                              max(1, out.shape[1]))
             if info != 0:
                 raise np.linalg.LinAlgError(f"zunmqr info {info}")
         return out
@@ -277,6 +278,20 @@ class _Householder:
     def from_tridiagonal(self, y: np.ndarray) -> np.ndarray:
         """U y for the columns of y."""
         return self._apply(b"N", y)
+
+
+def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
+    """w ascending and Z with T = Z diag(w) Z^T, for T real symmetric
+    tridiagonal with diagonal d and subdiagonal e, by LAPACK dstevd: what
+    scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd") computes.
+    A NaN or inf in d or e raises ValueError."""
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    if len(d) == 1:
+        return np.array([d[0]]), np.array([[1.0]])
+    w, Z, info = flapack.dstevd(d, e, compute_v=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dstevd info {info}")
+    return w, Z
 
 
 @dataclass(frozen=True)

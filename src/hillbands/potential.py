@@ -34,6 +34,21 @@ class FourierCoefficients:
     def value(self, n: tuple[int, ...]) -> complex:
         return self.entries.get(tuple(n), 0.0 + 0.0j)
 
+
+@dataclass(frozen=True)
+class FoldedCoefficients:
+    """Folded map on the quotient: c(n_bar) = sum over the coset."""
+
+    entries: dict[GroupElement, complex]
+    kappa0: float
+    alpha0: float
+    support_radius: int  # of the coefficients on Z^nu
+    bound_constant: float  # (8 / kappa0)^nu
+    decay_violations: tuple = ()
+
+    def value(self, e: GroupElement) -> complex:
+        return self.entries.get(e, 0.0 + 0.0j)
+
     def truncation_tail_bound(self, nu: int) -> float:
         """sum over |n| > support_radius of exp(-kappa0 |n|^alpha0), over at
         most 4000 shells.
@@ -49,20 +64,6 @@ class FourierCoefficients:
             if term < 1e-18 * max(total, 1.0):
                 break
         return total
-
-
-@dataclass(frozen=True)
-class FoldedCoefficients:
-    """Folded map on the quotient: c(n_bar) = sum over the coset."""
-
-    entries: dict[GroupElement, complex]
-    kappa0: float
-    alpha0: float
-    bound_constant: float  # (8 / kappa0)^nu
-    decay_violations: tuple = ()
-
-    def value(self, e: GroupElement) -> complex:
-        return self.entries.get(e, 0.0 + 0.0j)
 
 
 def validate(c: FourierCoefficients) -> list[str]:
@@ -138,7 +139,8 @@ def fold(c: FourierCoefficients, lat: QuotientLattice,
         )
     return FoldedCoefficients(
         entries=entries, kappa0=c.kappa0, alpha0=c.alpha0,
-        bound_constant=const, decay_violations=tuple(violations),
+        support_radius=c.support_radius, bound_constant=const,
+        decay_violations=tuple(violations),
     )
 
 

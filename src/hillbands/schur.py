@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg.lapack import zhecon, zhesv, zhesv_lwork
 
+from ._lapack import flapack
 from .errors import HypothesisFailed, SingularBlock
 from .lattice import GroupElement, QuotientLattice
 
@@ -63,14 +63,14 @@ def _hermitian_solve(A: np.ndarray, B: np.ndarray, label: str) -> np.ndarray:
     1/||A^-1||_1 = rcond ||A||_1 is at most 1e-13 max(1, ||A||_1), the 1-norm
     form of sigma_min <= 1e-13 max(1, sigma_max).
     """
-    lwork = int(zhesv_lwork(len(A))[0].real)
-    factor, ipiv, X, info = zhesv(A, B, lwork=lwork)
+    lwork = int(flapack.zhesv_lwork(len(A))[0].real)
+    factor, ipiv, X, info = flapack.zhesv(A, B, lwork=lwork)
     if info > 0:
         raise SingularBlock(label, 0.0, "1")
     if info < 0:
         raise np.linalg.LinAlgError(f"zhesv info {info}")
     a_norm = float(np.linalg.norm(A, 1))
-    rcond, info = zhecon(factor, ipiv, a_norm)
+    rcond, info = flapack.zhecon(factor, ipiv, a_norm)
     if info != 0:
         raise np.linalg.LinAlgError(f"zhecon info {info}")
     if rcond * a_norm <= 1e-13 * max(1.0, a_norm):

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hillbands import oracle
+from hillbands import cli, oracle
 from hillbands.cli import K_GRID_MAX_POINTS, k_grid_from, main, run_band
 from hillbands.errors import ConfigError
 
@@ -50,6 +50,24 @@ def test_run_band_writes_files(tmp_path):
     assert payload["report"]["samples"]
     assert payload["report"]["gaps"]
     assert payload["diophantine"]["satisfied"] is True
+
+
+def test_run_band_reads_the_potential_block_once(tmp_path, monkeypatch):
+    # the truncation tail comes from the folded coefficients build_context
+    # made; a second read would redraw a random_phase potential's phases
+    reads = []
+    real = cli.from_config
+    monkeypatch.setattr(cli, "from_config",
+                        lambda *a, **kw: reads.append(a) or real(*a, **kw))
+    out = tmp_path / "out"
+    assert main(["band", str(write_config(tmp_path)), "--output-dir",
+                 str(out)]) == 0
+    assert len(reads) == 1
+    # cosine n0 = 1 has support radius 1: 2 sum_{r >= 2} exp(-r) is left out
+    tail = json.loads((out / "report.json").read_text())[
+        "potential_truncation_tail"]
+    assert tail == pytest.approx(2 * math.exp(-2) / (1 - math.exp(-1)),
+                                 rel=1e-12)
 
 
 def test_run_band_symmetric_across_resonance(tmp_path):

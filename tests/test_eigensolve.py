@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hillbands.eigensolve import (ROOT_TOL, CffNode, DichotomyResult,
-                                  PuncturedResolvent, _sign_change_roots,
+                                  PuncturedResolvent, _eigh_tridiagonal,
+                                  _sign_change_roots,
                                   cff_branch_solve,
                                   cff_build, dichotomy_core, leaf,
                                   quadratic_dichotomy, refine_root,
@@ -174,6 +176,36 @@ def test_householder_resolvent_matches_dense_q_g(case):
         p, q = res.principal
         assert res.G(p, q, E) == pytest.approx(qg.G[(p, q)], rel=1e-10)
         assert res.G(q, p, E) == pytest.approx(qg.G[(q, p)], rel=1e-10)
+
+
+def _scipy_stevd(d, e):
+    from scipy.linalg import eigh_tridiagonal
+
+    return eigh_tridiagonal(d, e, lapack_driver="stevd")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_tridiagonal_eigensolve_is_scipy_stevd_bit_for_bit(data):
+    # the path it replaces: scipy.linalg.eigh_tridiagonal, whose "auto"
+    # driver is stevd on scipy 1.17
+    n = data.draw(st.integers(1, 40), label="n")
+    finite = st.floats(-1e3, 1e3)
+    d = data.draw(arrays(np.float64, n, elements=finite), label="d")
+    e = data.draw(arrays(np.float64, n - 1, elements=finite), label="e")
+    for got, want in zip(_eigh_tridiagonal(d, e), _scipy_stevd(d, e)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    i = data.draw(st.integers(0, 2 * n - 2), label="index into d then e")
+    d_bad, e_bad = d.copy(), e.copy()
+    if i < n:
+        d_bad[i] = bad
+    else:
+        e_bad[i - n] = bad
+    for solve in (_eigh_tridiagonal, _scipy_stevd):
+        with pytest.raises(ValueError):
+            solve(d_bad, e_bad)
 
 
 @given(st.one_of(tridiagonal_cases(), householder_cases()))

@@ -16,11 +16,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 # defaulted parameters and defaulted dataclass fields in src/hillbands
 MAX_DEFAULTED = 74
-# scipy.linalg is the only scipy subpackage the package needs; these cost
-# set-up time on every run (scipy.integrate loads scipy.optimize, which loads
-# scipy.fft and scipy.special)
+# the package needs only scipy's LAPACK extension, scipy.linalg._flapack,
+# which hillbands._lapack loads by path; these cost set-up time on every run
+# (scipy.integrate loads scipy.optimize, which loads scipy.fft and
+# scipy.special)
 UNWANTED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.special",
                   "scipy.fft")
+# what PuncturedResolvent and the checked Hermitian solve call
+LAPACK_WRAPPERS = ("zhetrd", "zhetrd_lwork", "zunmqr", "dstevd", "zhesv",
+                   "zhesv_lwork", "zhecon")
 
 
 def _fresh_interpreter(code: str) -> str:
@@ -45,8 +49,40 @@ def test_entry_points_load_no_scipy_optimize_or_integrate():
     assert loaded == "[]"
 
 
-def test_no_module_imports_scipy_optimize_or_integrate():
-    # function bodies included, so a lazy import cannot come back
+def test_entry_points_load_only_the_lapack_extension_of_scipy_linalg():
+    # scipy/linalg/__init__.py loads numpy.f2py, numpy.testing, numpy.ma and
+    # numpy.random: about half of the set-up time of a run
+    assert _fresh_interpreter(
+        "import sys, hillbands.cli, hillbands.verify; print(sorted(m for m "
+        "in sys.modules if m.startswith('scipy.linalg')))") == \
+        "['scipy.linalg._flapack']"
+
+
+def test_band_and_verify_runs_leave_scipy_linalg_unloaded(tmp_path):
+    config = ROOT / "configs" / "reference.json"
+    assert _fresh_interpreter(
+        "import sys; from hillbands.cli import main; "
+        f"rc = main(['band', {str(config)!r}, '--output-dir', "
+        f"{str(tmp_path)!r}]) + main(['verify', '--suite', 'all']); "
+        "print(rc, 'scipy.linalg' in sys.modules)").splitlines()[-1] == \
+        "0 False"
+
+
+@pytest.mark.parametrize("first", ["hillbands._lapack", "scipy.linalg"])
+def test_loaded_wrappers_are_the_scipy_linalg_lapack_objects(first):
+    # either import order gives one module object, so each wrapper is the
+    # object scipy.linalg.lapack re-exports
+    assert _fresh_interpreter(
+        f"import {first}; import scipy.linalg.lapack as lapack; "
+        "from hillbands._lapack import flapack; "
+        "print(all(getattr(flapack, name) is getattr(lapack, name) for name "
+        f"in {LAPACK_WRAPPERS}))") == "True"
+
+
+def _imports_under(prefixes: tuple[str, ...]) -> list[str]:
+    """path:line name of every import in src/hillbands of a module under one
+    of prefixes, function bodies included, so a lazy import cannot come
+    back."""
     found = []
     for path in sorted((ROOT / "src" / "hillbands").rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -58,8 +94,17 @@ def test_no_module_imports_scipy_optimize_or_integrate():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names
-                      if name.startswith(("scipy.optimize", "scipy.integrate"))]
-    assert found == []
+                      if name.startswith(prefixes)]
+    return found
+
+
+def test_no_module_imports_scipy_optimize_or_integrate():
+    assert _imports_under(("scipy.optimize", "scipy.integrate")) == []
+
+
+def test_no_module_imports_scipy_linalg():
+    # hillbands._lapack loads the extension by path, without an import
+    assert _imports_under(("scipy.linalg",)) == []
 
 
 def _tracing_targets():

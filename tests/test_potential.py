@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -120,9 +121,7 @@ def test_eval_potential_nonreal_raises(line_lattice):
     corrupted = dict(folded.entries)
     key = next(iter(corrupted))
     corrupted[key] = corrupted[key] + 0.2j
-    bad = type(folded)(entries=corrupted, kappa0=folded.kappa0,
-                       alpha0=folded.alpha0,
-                       bound_constant=folded.bound_constant)
+    bad = dataclasses.replace(folded, entries=corrupted)
     with pytest.raises(NonRealValue):
         eval_potential(0.3, bad)
 

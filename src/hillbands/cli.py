@@ -1,4 +1,4 @@
-"""Command-line entry points: band sweeps, verification suites, report export.
+"""Command-line entry points: band sweeps and verification suites.
 
 Config is a single JSON file; frequency rationals are "p/q" strings so
 exactness survives parsing. Reports embed the config, the schedule and a
@@ -144,6 +144,15 @@ def floquet_grid_from(config: dict) -> list[float]:
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
 
 
+def gaps_from(config: dict, lat: QuotientLattice) -> list[tuple]:
+    """(entry, canonical element) for each ``gaps`` entry of the config."""
+    try:
+        return [(mvec, lat.canonicalize([int(v) for v in mvec]))
+                for mvec in config.get("gaps", [])]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config value: {exc}")
+
+
 def output_dir(config: dict, override: str | None) -> Path:
     env = os.environ.get(OUTPUT_DIR_ENV)
     path = Path(override or env or config.get("output_dir", "out"))
@@ -159,28 +168,15 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def _band_csv(samples, path: Path) -> None:
-    """band.csv from the report's ``samples`` rows (BandPoint.to_dict)."""
-    _write_csv(path, ["k", "E", "scale", "class"],
-               ([repr(s["k"]), "" if s["E"] is None else repr(s["E"]),
-                 s["scale"], s["class"]] for s in samples))
-
-
-def _gaps_csv(gaps, path: Path) -> None:
-    """gaps.csv from the report's ``gaps`` rows (GapRecord.to_dict)."""
-    _write_csv(path, ["m", "k_m", "E_minus", "E_plus", "width", "bound"],
-               ([";".join(str(v) for v in g["m"]), repr(g["k_m"]),
-                 repr(g["E_minus"]), repr(g["E_plus"]),
-                 repr(g["width"]), repr(g["bound"])] for g in gaps))
-
-
 def run_band(config: dict,
              out_override: str | None = None) -> tuple[Path, list[dict]]:
-    """Full sweep: band.csv, gaps.csv, report.json under the output dir.
+    """Full sweep: band.csv, gaps.csv, report.json under the output dir, and
+    floquet.csv with the ``floquet`` audit.
 
     Returns the output dir and the run's failures, which report.json lists
-    too: each requested gap that raised, each sample of class ``error`` and
-    each audit that did not pass. A bad ``diophantine`` block or ``gaps``
+    too: each requested gap that raised, each sample of class ``error``,
+    each audit that did not pass and each audit that raised; the files are
+    written all the same. A bad ``diophantine`` block or ``gaps``
     entry, an ``audits`` entry outside AUDITS, or a grid of which band_curve
     keeps no k, raises ConfigError; all but the last before the output dir
     is made. The diophantine check runs on the schedule's a0 and b0.
@@ -191,12 +187,11 @@ def run_band(config: dict,
         dio_check = check_diophantine(
             ctx.lat, ctx.schedule.a0, ctx.schedule.b0,
             _finite(dio["Rbar0"], "diophantine.Rbar0")) if dio else None
-        gap_modes = [(mvec, ctx.lat.canonicalize([int(v) for v in mvec]))
-                     for mvec in config.get("gaps", [])]
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}")
     except (PreconditionFailed, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}")
+    gap_modes = gaps_from(config, ctx.lat)
     audit_names = config.get("audits", ["symmetry", "monotonicity",
                                         "increments"])
     if not isinstance(audit_names, list):
@@ -223,35 +218,43 @@ def run_band(config: dict,
             failures.append({"kind": "gap", "name": f"m={list(mvec)}",
                              "detail": f"{type(exc).__name__}: {exc}"})
 
+    failures += [{"kind": "sample", "name": f"k={p.k!r}", "detail": p.error}
+                 for p in points if p.klass == "error"]
+
     audits = []
-    if "symmetry" in audit_names:
-        neg = band_mod.band_curve(ctx, [-p.k for p in points])
-        audits.append(band_mod.symmetry_audit(points, neg))
-        audits.append(band_mod.conjugate_reflection_audit(points, neg))
-    if "monotonicity" in audit_names:
-        audits.append(band_mod.monotonicity_audit(ctx, points))
-    if "increments" in audit_names:
-        audits.append(band_mod.increment_audit(points))
-    if "decay" in audit_names:
-        for p in points:
-            if p.phi is not None:
-                rec = band_mod.decay_audit(ctx, p, mode="practical")
-                p.decay_fit = rec.details.get("fitted_rate")
-                audits.append(rec)
-    if "gap_spectrum" in audit_names:
-        for g in gaps:
-            audits.append(band_mod.gap_spectrum_audit(ctx, g))
-    if "gap_edge_limits" in audit_names:
-        theta = 0.25 * ctx.schedule.delta[max(1, ctx.s_cap)] ** 0.75
-        for g in gaps:
-            audits.append(band_mod.gap_edge_limit_crosscheck(ctx, g, theta))
-
     floquet_data = None
-    if floquet_grid is not None:
-        from .oracle import floquet_scan, period
+    for name in (a for a in AUDITS if a in audit_names):
+        try:
+            if name == "symmetry":
+                neg = band_mod.band_curve(ctx, [-p.k for p in points])
+                audits.append(band_mod.symmetry_audit(points, neg))
+                audits.append(band_mod.conjugate_reflection_audit(points, neg))
+            elif name == "monotonicity":
+                audits.append(band_mod.monotonicity_audit(ctx, points))
+            elif name == "increments":
+                audits.append(band_mod.increment_audit(points))
+            elif name == "decay":
+                for p in points:
+                    if p.phi is not None:
+                        rec = band_mod.decay_audit(ctx, p, mode="practical")
+                        p.decay_fit = rec.details.get("fitted_rate")
+                        audits.append(rec)
+            elif name == "gap_spectrum":
+                for g in gaps:
+                    audits.append(band_mod.gap_spectrum_audit(ctx, g))
+            elif name == "gap_edge_limits":
+                theta = 0.25 * ctx.schedule.delta[max(1, ctx.s_cap)] ** 0.75
+                for g in gaps:
+                    audits.append(
+                        band_mod.gap_edge_limit_crosscheck(ctx, g, theta))
+            else:
+                from .oracle import floquet_scan, period
 
-        floquet_data = floquet_scan(floquet_grid, ctx.eps, ctx.folded,
-                                    period(ctx.lat.omega))
+                floquet_data = floquet_scan(floquet_grid, ctx.eps, ctx.folded,
+                                            period(ctx.lat.omega))
+        except HillbandsError as exc:
+            failures.append({"kind": "audit", "name": name,
+                             "detail": f"{type(exc).__name__}: {exc}"})
 
     try:
         e0_point = band_mod._ball_fallback(ctx, 0.0)
@@ -277,8 +280,6 @@ def run_band(config: dict,
             k1=min((p.k for p in points), default=0.0),
             k_n0=k_n0_ref, eps0=ctx.schedule.eps0),
     )
-    failures += [{"kind": "sample", "name": f"k={p.k!r}", "detail": p.error}
-                 for p in points if p.klass == "error"]
     failures += [{"kind": "audit", "name": a.name, "detail": ""}
                  for a in audits if not a.passed]
     report_rows = report.to_dict()
@@ -298,37 +299,19 @@ def run_band(config: dict,
         _write_csv(outdir / "floquet.csv", ["E", "Delta"],
                    ([repr(E), repr(d)] for E, d in
                     zip(floquet_data.E_grid, floquet_data.discriminant)))
-    _band_csv(report_rows["samples"], outdir / "band.csv")
-    _gaps_csv(report_rows["gaps"], outdir / "gaps.csv")
+    _write_csv(outdir / "band.csv", ["k", "E", "scale", "class"],
+               ([repr(s["k"]), "" if s["E"] is None else repr(s["E"]),
+                 s["scale"], s["class"]] for s in report_rows["samples"]))
+    _write_csv(outdir / "gaps.csv",
+               ["m", "k_m", "E_minus", "E_plus", "width", "bound"],
+               ([";".join(str(v) for v in g["m"]), repr(g["k_m"]),
+                 repr(g["E_minus"]), repr(g["E_plus"]),
+                 repr(g["width"]), repr(g["bound"])]
+                for g in report_rows["gaps"]))
     with open(outdir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1, default=_json_default)
         fh.write("\n")
-    with open(outdir / "run.log", "w", encoding="utf-8") as fh:
-        for p in points:
-            fh.write(f"k={p.k!r} class={p.klass} scale={p.scale} "
-                     f"E={p.E!r} {p.error}\n")
     return outdir, failures
-
-
-def export_report(report_path: str, fmt: str,
-                  out_override: str | None = None) -> Path:
-    with open(report_path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    outdir = Path(out_override or Path(report_path).parent)
-    outdir.mkdir(parents=True, exist_ok=True)
-    if fmt == "json":
-        target = outdir / "report.export.json"
-        with open(target, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=1,
-                      default=_json_default)
-            fh.write("\n")
-        return target
-    if fmt == "csv":
-        target = outdir / "band.export.csv"
-        _band_csv(payload["report"]["samples"], target)
-        _gaps_csv(payload["report"]["gaps"], outdir / "gaps.export.csv")
-        return target
-    raise ConfigError(f"unknown export format {fmt!r}")
 
 
 def main(argv=None) -> int:
@@ -352,11 +335,6 @@ def main(argv=None) -> int:
     p_verify.add_argument("--suite", default="all",
                           choices=[*SUITES, "all"])
 
-    p_export = sub.add_parser("export", help="re-emit a report")
-    p_export.add_argument("report")
-    p_export.add_argument("--format", default="json", choices=["csv", "json"])
-    p_export.add_argument("--output-dir", default=None)
-
     args = parser.parse_args(argv)
     try:
         if args.command == "band":
@@ -376,10 +354,6 @@ def main(argv=None) -> int:
             failed = [r for r in results if not r.passed]
             print(f"{len(results) - len(failed)}/{len(results)} checks passed")
             return 1 if failed else 0
-        if args.command == "export":
-            target = export_report(args.report, args.format, args.output_dir)
-            print(f"wrote {target}")
-            return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

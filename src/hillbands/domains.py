@@ -41,57 +41,33 @@ def set_distance(a: frozenset[int], b: frozenset[int],
     return min(lat.element(x - y).norm for x in a for y in b)
 
 
-@dataclass
-class SubtractionSystem:
-    """Family of (set of t, level) pairs with the pairing already merged into
-    classes."""
-
-    sets: list[tuple[frozenset[int], int]]
-
-    def check_proper(self, lat: QuotientLattice) -> dict[int, int]:
-        """Condition (i): distinct same-level sets have positive distance.
-
-        Returns the per-level separation radii R_a. Raises NotProper on overlap.
-        """
-        by_level: dict[int, list[frozenset[int]]] = {}
-        for s, t in self.sets:
-            by_level.setdefault(t, []).append(s)
-        radii = {}
-        for t, group in by_level.items():
-            best = None
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    if not group[i].isdisjoint(group[j]):
-                        raise NotProper(
-                            f"same-level ({t}) class sets overlap"
-                        )
-                    d = set_distance(group[i], group[j], lat)
-                    best = d if best is None else min(best, d)
-            if best is not None:
-                radii[t] = best
-        return radii
-
-
-def subtract_stabilize(start: frozenset[int], system: SubtractionSystem,
-                       lat: QuotientLattice, ell_bound: int | None = None
+def subtract_stabilize(start: frozenset[int],
+                       system: list[tuple[frozenset[int], int]],
+                       ell_bound: int | None = None
                        ) -> tuple[frozenset[int], int]:
     """Iterate removal of system sets straddling the current set until stable.
 
-    Returns (stabilized set, ell0). Asserts the Lemma-7.5-style dichotomy on the
+    ``system`` is a subtraction system: (set of t, level) pairs with the
+    pairing already merged into classes. Condition (i), distinct same-level
+    sets disjoint, is checked first (NotProper on overlap). Returns
+    (stabilized set, ell0). Asserts the Lemma-7.5-style dichotomy on the
     result and, when ``ell_bound`` is given (2^s from symmetrization), that
     ell0 < ell_bound.
     """
-    system.check_proper(lat)
+    for i, (a, level_a) in enumerate(system):
+        for b, level_b in system[i + 1:]:
+            if level_a == level_b and not a.isdisjoint(b):
+                raise NotProper(f"same-level ({level_a}) class sets overlap")
     current = frozenset(start)
     ell = 0
     while True:
-        straddlers = [s for s, _ in system.sets if _chained(s, current)]
+        straddlers = [s for s, _ in system if _chained(s, current)]
         if not straddlers:
             break
         removed = frozenset().union(*straddlers)
         current = current - removed
         ell += 1
-    for s, _ in system.sets:
+    for s, _ in system:
         if not (s <= current or s.isdisjoint(current)):
             raise NotProper("stabilized set still chained with a system set")
     if ell_bound is not None and not ell < ell_bound:
@@ -220,8 +196,8 @@ def partition_audit(level_sets: dict) -> bool:
     return True
 
 
-def _reflection_classes(level_sets: dict,
-                        reflect: Callable[[int], int]) -> SubtractionSystem:
+def _reflection_classes(level_sets: dict, reflect: Callable[[int], int]
+                        ) -> list[tuple[frozenset[int], int]]:
     """Classes Lambda(m-class) = union of Lambda(m') and reflect(Lambda(m')) over {m, Sm}."""
     sets: list[tuple[frozenset[int], int]] = []
     for s_prime, per_level in level_sets.items():
@@ -239,30 +215,24 @@ def _reflection_classes(level_sets: dict,
                 done.add(partner)
             merged = frozenset().union(*members)
             sets.append((merged, s_prime))
-    return SubtractionSystem(sets=sets)
+    return sets
 
 
 def symmetrize_S(builder: DomainBuilder, s: int
                  ) -> tuple[frozenset[int], int]:
     """S-symmetrized Lambda^(s)_{k,sym}(0) as a set of t, at the builder's
-    k: start from B(3 R^(s)), subtract reflection-merged classes to a fixed
-    point; the result is S-invariant, S being t -> -t.
+    k: the T-symmetrized domain about the origin, S being T(n) = -n.
 
     Precondition: |k| < delta0^(s-2) (the small-k regime), always checked.
     """
-    k, schedule, lat = builder.k, builder.schedule, builder.lat
+    k, schedule = builder.k, builder.schedule
     if s < 2:
         raise PreconditionFailed("S-symmetrization needs s >= 2")
     if not abs(k) < schedule.delta[s - 2]:
         raise PreconditionFailed(
             f"|k|={abs(k)} not below delta0^({s-2})={schedule.delta[s-2]:.3e}"
         )
-    system = _reflection_classes(builder.level_sets(s), lambda t: -t)
-    start = frozenset(e.t for e in lat.ball(3.0 * schedule.R[s]))
-    stabilized, ell0 = subtract_stabilize(start, system, lat, ell_bound=2**s)
-    if any(-t not in stabilized for t in stabilized):
-        raise NotProper("S-symmetrized set is not S-invariant")
-    return stabilized, ell0
+    return symmetrize_T(builder, s, builder.lat.identity)
 
 
 def symmetrize_T(builder: DomainBuilder, s: int, n0: GroupElement
@@ -273,11 +243,12 @@ def symmetrize_T(builder: DomainBuilder, s: int, n0: GroupElement
 
     The result is T-invariant and must contain B(0, R^(s)) and B(n0, R^(s)).
     The principal pair's own exclusion intervals are the allowed exception, so
-    the builder is re-derived with {n0, -n0} exempted if necessary.
+    the builder is re-derived with {n0, -n0} exempted if necessary (never for
+    n0 = 0, which is not a mode).
     """
     schedule, lat = builder.schedule, builder.lat
     reflect = lambda t: n0.t - t
-    if n0.t not in builder.exempt_modes:
+    if n0.t and n0.t not in builder.exempt_modes:
         builder = DomainBuilder(
             builder.k, schedule, lat,
             exempt_modes=builder.exempt_modes | {n0.t, -n0.t})
@@ -285,7 +256,7 @@ def symmetrize_T(builder: DomainBuilder, s: int, n0: GroupElement
     system = _reflection_classes(levels, reflect)
     ball = frozenset(e.t for e in lat.ball(3.0 * schedule.R[s]))
     start = ball | frozenset(map(reflect, ball))
-    stabilized, ell0 = subtract_stabilize(start, system, lat, ell_bound=2**s)
+    stabilized, ell0 = subtract_stabilize(start, system, ell_bound=2**s)
     if any(reflect(t) not in stabilized for t in stabilized):
         raise NotProper("T-symmetrized set is not T-invariant")
     for e in lat.ball(schedule.R[s]):

@@ -16,7 +16,7 @@ import numpy as np
 from . import band as band_mod
 from .domains import DomainBuilder, nesting_audit, symmetrize_S, symmetrize_T
 from .eigensolve import cff_build, cff_branch_solve, dichotomy_core, leaf
-from .errors import HillbandsError
+from .errors import ConfigError, HillbandsError
 from .lattice import FrequencyVector, QuotientLattice
 from .operators import assemble
 from .oracle import (dense_spectrum, floquet_discriminant, floquet_gap_edges,
@@ -246,7 +246,20 @@ def suite_band(config: dict | None = None) -> list[CheckResult]:
 
 
 def suite_floquet(config: dict | None = None) -> list[CheckResult]:
+    """Free-equation discriminants, and the Floquet edges of one gap against
+    the dual matrix's: m = -1 on the built-in toy, else the config's first
+    ``gaps`` entry (ConfigError when it has none)."""
     ctx = _context_from(config)
+    if config is None:
+        m = ctx.lat.canonicalize([-1])
+    else:
+        from .cli import gaps_from
+
+        modes = gaps_from(config, ctx.lat)
+        if not modes:
+            raise ConfigError("suite floquet checks the first gaps entry of "
+                              "the config, which has none")
+        m = modes[0][1]
     T = period(ctx.lat.omega)
     out = []
     # free equation: Delta(E) = 2 cos(sqrt(E) T)
@@ -256,7 +269,7 @@ def suite_floquet(config: dict | None = None) -> list[CheckResult]:
         worst = max(worst, abs(delta - 2.0 * math.cos(math.sqrt(E) * float(T))))
     out.append(CheckResult("floquet", "free-equation discriminant",
                            worst <= 1e-8, worst))
-    gap = band_mod.gap_edges(ctx, ctx.lat.canonicalize([-1]))
+    gap = band_mod.gap_edges(ctx, m)
     center = 0.5 * (gap.E_minus + gap.E_plus)
     width = max(gap.width, 1e-4)
     lo, hi = floquet_gap_edges((gap.E_minus - 8.0 * width, center),

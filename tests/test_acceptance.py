@@ -14,8 +14,8 @@ import pytest
 from hillbands.band import (BandContext, band_curve, compute_point, decay_audit,
                             gap_edges, gap_resolvent_audit,
                             monotonicity_audit, symmetry_audit)
-from hillbands.domains import (DomainBuilder, SubtractionSystem, nesting_audit,
-                               subtract_stabilize, symmetrize_S, symmetrize_T)
+from hillbands.domains import (DomainBuilder, nesting_audit, subtract_stabilize,
+                               symmetrize_S, symmetrize_T)
 from hillbands.errors import HillbandsError, ScheduleInfeasible
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.eigensolve import (PuncturedResolvent, quadratic_dichotomy,
@@ -323,9 +323,7 @@ def test_criterion_11_symmetrization(lat):
     start_set = frozenset(range(-8, 9))
     s1 = frozenset(range(7, 11))
     s2 = frozenset(range(6, 9))
-    _, ell = subtract_stabilize(start_set,
-                                SubtractionSystem(sets=[(s1, 1), (s2, 2)]),
-                                lat, ell_bound=2**2)
+    _, ell = subtract_stabilize(start_set, [(s1, 1), (s2, 2)], ell_bound=2**2)
     ok = ok and ell == 2
     elapsed = time.perf_counter() - start
     report(11, "S/T symmetrization, nesting, stabilization", elapsed, 30.0,

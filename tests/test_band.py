@@ -17,7 +17,7 @@ from hillbands.band import (BandContext, band_curve, compute_point,
                             monotonicity_audit, symmetry_audit)
 from hillbands.cli import build_context, k_grid_from
 from hillbands.eigensolve import PuncturedResolvent, solve_simple
-from hillbands.errors import HypothesisFailed, PreconditionFailed
+from hillbands.errors import HypothesisFailed, NoConvergence, PreconditionFailed
 from hillbands.operators import TWO_PI_SQ, OperatorSpec, assemble
 from hillbands.oracle import dense_spectrum, floquet_gap_edges, period
 from hillbands.scales import build_schedule
@@ -624,3 +624,21 @@ def test_ball_fallback_samples_are_labelled_n_ball(monkeypatch):
     relabelled = [dataclasses.replace(p, klass="N") for p in points]
     assert (monotonicity_audit(ctx, points).checked
             == monotonicity_audit(ctx, relabelled).checked)
+
+
+def test_failing_ball_fallback_is_an_error_sample(monkeypatch):
+    # at sigma_scale 1e-2, k = 0.35 is excluded without being resonant, so
+    # only the ball fallback solves; when that solve fails too, the sample
+    # carries the fallback's error, not the exclusion
+    config = _reference_config()
+    config["schedule"] = {**config["schedule"], "sigma_scale": 1e-2}
+    ctx = build_context(config)
+    assert compute_point(ctx, 0.35).klass == "N-ball"
+
+    def failing(matrix, principal):
+        raise NoConvergence(7, 0.5)
+
+    monkeypatch.setattr(band, "solve_simple", failing)
+    p = compute_point(ctx, 0.35)
+    assert (p.klass, p.E, p.scale) == ("error", None, 0)
+    assert p.error == f"NoConvergence: {NoConvergence(7, 0.5)}"

@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from hillbands import cli, oracle
+from hillbands import band, cli, oracle
 from hillbands.cli import K_GRID_MAX_POINTS, k_grid_from, main, run_band
-from hillbands.errors import ConfigError
+from hillbands.errors import ConfigError, IntegratorFailure, NoConvergence
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,6 +50,69 @@ def test_run_band_writes_files(tmp_path):
     assert payload["report"]["samples"]
     assert payload["report"]["gaps"]
     assert payload["diophantine"]["satisfied"] is True
+
+
+@pytest.mark.parametrize("audits, floquet", [
+    (["increments"], False), (["increments", "floquet"], True)])
+def test_run_band_writes_only_its_outputs(tmp_path, audits, floquet):
+    cfg = write_config(tmp_path, {"audits": audits,
+                                  "floquet_grid": {"count": 5}})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 0
+    expected = {"band.csv", "gaps.csv", "report.json"}
+    if floquet:
+        expected.add("floquet.csv")
+    assert {f.name for f in out.iterdir()} == expected
+
+
+def test_export_subcommand_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["export", str(tmp_path / "report.json")])
+    assert exc.value.code == 2
+
+
+def test_raising_audit_is_a_failure_and_files_are_written(tmp_path,
+                                                          monkeypatch):
+    # an audit that raises is listed like a failed gap; the sweep's files
+    # are still written
+    def broken(*args, **kwargs):
+        raise IntegratorFailure("step size underflow")
+
+    monkeypatch.setattr(oracle, "floquet_scan", broken)
+    monkeypatch.setattr(band, "gap_spectrum_audit", broken)
+    cfg = write_config(tmp_path, {"audits": ["increments", "gap_spectrum",
+                                             "floquet"]})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 1
+    assert {f.name for f in out.iterdir()} == {"band.csv", "gaps.csv",
+                                               "report.json"}
+    payload = json.loads((out / "report.json").read_text())
+    detail = "IntegratorFailure: step size underflow"
+    assert payload["failures"] == [
+        {"kind": "audit", "name": "gap_spectrum", "detail": detail},
+        {"kind": "audit", "name": "floquet", "detail": detail}]
+    assert [a["name"] for a in payload["report"]["audits"]] == [
+        "scale_increments"]
+    assert "floquet_bands" not in payload
+
+
+def test_failed_k_zero_solve_leaves_e0_null(tmp_path, monkeypatch):
+    real = band._ball_fallback
+
+    def no_k_zero(ctx, k):
+        if k == 0.0:
+            raise NoConvergence(7, 0.5)
+        return real(ctx, k)
+
+    monkeypatch.setattr(band, "_ball_fallback", no_k_zero)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 0
+    assert {f.name for f in out.iterdir()} == {"band.csv", "gaps.csv",
+                                               "report.json"}
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["report"]["E0"] is None
+    assert payload["report"]["samples"] and not payload["failures"]
 
 
 def test_run_band_reads_the_potential_block_once(tmp_path, monkeypatch):
@@ -182,25 +245,6 @@ def test_run_band_deterministic(tmp_path):
     assert (out1 / "report.json").read_bytes() == \
         (out2 / "report.json").read_bytes()
     assert (out1 / "band.csv").read_bytes() == (out2 / "band.csv").read_bytes()
-
-
-def test_export_round_trip(tmp_path):
-    cfg = write_config(tmp_path)
-    out = tmp_path / "out"
-    assert main(["band", str(cfg), "--output-dir", str(out)]) == 0
-    assert main(["export", str(out / "report.json"), "--format", "json"]) == 0
-    original = json.loads((out / "report.json").read_text())
-    exported = json.loads((out / "report.export.json").read_text())
-    assert exported == original
-    assert main(["export", str(out / "report.json"), "--format", "csv"]) == 0
-    lines = (out / "band.export.csv").read_text().strip().splitlines()
-    assert lines[0] == "k,E,scale,class"
-    assert lines[1:] == (out / "band.csv").read_text().strip().splitlines()[1:]
-    # one writer: the exports equal the run's CSVs byte for byte
-    assert original["report"]["gaps"]
-    for name in ("band", "gaps"):
-        assert (out / f"{name}.export.csv").read_bytes() == \
-            (out / f"{name}.csv").read_bytes()
 
 
 def test_gaps_csv_header_only_when_no_gaps(tmp_path):
@@ -428,6 +472,15 @@ def test_verify_subcommand_with_config(tmp_path, suite):
     # edges agree with the dual matrix's only if both read the config's
     cfg = write_config(tmp_path, {"coupling": 0.02})
     assert main(["verify", str(cfg), "--suite", suite]) == 0
+
+
+def test_verify_floquet_checks_the_first_gap_of_the_config(tmp_path):
+    # nu = 2: the built-in toy's m = -1 is no element of this lattice; the
+    # cosine at n0 = (1, 0) opens the gap at m = (1, 0) to first order
+    cfg = write_config(tmp_path, dict(RESONANT_2D, gaps=[[1, 0], [0, 1]]))
+    assert main(["verify", str(cfg), "--suite", "floquet"]) == 0
+    no_gaps = write_config(tmp_path, dict(RESONANT_2D, gaps=[]))
+    assert main(["verify", str(no_gaps), "--suite", "floquet"]) == 2
 
 
 def test_console_script_help():

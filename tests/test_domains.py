@@ -4,8 +4,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hillbands.domains import (DomainBuilder, SubtractionSystem, _chained,
-                               nesting_audit, partition_audit,
+from hillbands import domains
+from hillbands.domains import (DomainBuilder, _chained, nesting_audit,
+                               partition_audit,
                                separation_audit, subtract_stabilize,
                                symmetrize_S, symmetrize_T)
 from hillbands.errors import (ExcludedK, HillbandsError, NotProper,
@@ -105,22 +106,22 @@ def test_partition_audit(lat):
 
 def test_subtract_stabilize_empty_system(lat):
     start = fset(lat, range(-5, 6))
-    out, ell = subtract_stabilize(start, SubtractionSystem(sets=[]), lat)
+    out, ell = subtract_stabilize(start, [])
     assert out == start and ell == 0
 
 
 def test_subtract_stabilize_inside_set_untouched(lat):
     start = fset(lat, range(-5, 6))
-    system = SubtractionSystem(sets=[(fset(lat, range(-1, 2)), 1)])
-    out, ell = subtract_stabilize(start, system, lat)
+    system = [(fset(lat, range(-1, 2)), 1)]
+    out, ell = subtract_stabilize(start, system)
     assert out == start and ell == 0
 
 
 def test_subtract_stabilize_removes_straddler(lat):
     start = fset(lat, range(-5, 6))
     straddler = fset(lat, range(4, 8))  # crosses the boundary at 5
-    system = SubtractionSystem(sets=[(straddler, 1)])
-    out, ell = subtract_stabilize(start, system, lat)
+    system = [(straddler, 1)]
+    out, ell = subtract_stabilize(start, system)
     assert ell == 1
     assert out == start - straddler
     assert straddler.isdisjoint(out)
@@ -131,22 +132,23 @@ def test_subtract_stabilize_cascades(lat):
     start = fset(lat, range(-8, 9))
     s1 = fset(lat, range(7, 11))    # straddles at 8
     s2 = fset(lat, range(6, 9))     # inside initially, straddles after s1 goes
-    system = SubtractionSystem(sets=[(s1, 1), (s2, 2)])
-    out, ell = subtract_stabilize(start, system, lat)
+    system = [(s1, 1), (s2, 2)]
+    out, ell = subtract_stabilize(start, system)
     assert ell == 2
-    for s, _ in system.sets:
+    for s, _ in system:
         assert s <= out or s.isdisjoint(out)
 
 
 def test_proper_system_conditions(lat):
-    overlapping = SubtractionSystem(sets=[(fset(lat, range(0, 4)), 1),
-                                          (fset(lat, range(2, 6)), 1)])
-    with pytest.raises(NotProper):
-        overlapping.check_proper(lat)
-    separated = SubtractionSystem(sets=[(fset(lat, range(0, 3)), 1),
-                                        (fset(lat, range(9, 12)), 1)])
-    radii = separated.check_proper(lat)
-    assert radii[1] == 7  # dist between {0..2} and {9..11}
+    start = fset(lat, range(-5, 6))
+    overlapping = [(fset(lat, range(0, 4)), 1), (fset(lat, range(2, 6)), 1)]
+    with pytest.raises(NotProper, match="same-level"):
+        subtract_stabilize(start, overlapping)
+    # overlap across levels is what the nesting allows
+    nested = [(fset(lat, range(0, 4)), 1), (fset(lat, range(2, 6)), 2)]
+    assert subtract_stabilize(start, nested)[0] == start
+    separated = [(fset(lat, range(0, 3)), 1), (fset(lat, range(9, 12)), 1)]
+    assert subtract_stabilize(start, separated)[0] == start
 
 
 def test_symmetrize_S_ball_when_no_lower_sets(lat, schedule):
@@ -157,6 +159,16 @@ def test_symmetrize_S_ball_when_no_lower_sets(lat, schedule):
     assert ell == 0
     for t in dom:
         assert lat.neg(lat.element(t)).t in dom
+
+
+def test_symmetrize_S_is_T_about_the_origin_on_the_same_builder(
+        lat, schedule, monkeypatch):
+    # t = 0 is no mode, so exempting it changes nothing: the builder and
+    # its memo are kept
+    builder = DomainBuilder(0.005, schedule, lat)
+    want = symmetrize_T(builder, 2, lat.identity)
+    monkeypatch.setattr(domains, "DomainBuilder", None)
+    assert symmetrize_S(builder, 2) == want
 
 
 def test_symmetrize_S_small_k_precondition(lat, schedule):
@@ -196,8 +208,8 @@ def test_symmetric_removal_preserves_invariance(lat):
     start = fset(lat, range(-10, 11))
     s_set = fset(lat, range(8, 13))
     mirror = fset(lat, range(-12, -7))
-    system = SubtractionSystem(sets=[(s_set | mirror, 1)])
-    out, ell = subtract_stabilize(start, system, lat)
+    system = [(s_set | mirror, 1)]
+    out, ell = subtract_stabilize(start, system)
     assert ell == 1
     for t in out:
         assert lat.neg(lat.element(t)).t in out

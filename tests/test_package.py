@@ -15,7 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # defaulted parameters and defaulted dataclass fields in src/hillbands
-MAX_DEFAULTED = 74
+MAX_DEFAULTED = 73
 # the package needs only scipy's LAPACK extension, scipy.linalg._flapack,
 # which hillbands._lapack loads by path; these cost set-up time on every run
 # (scipy.integrate loads scipy.optimize, which loads scipy.fft and
@@ -107,15 +107,16 @@ def test_no_module_imports_scipy_linalg():
     assert _imports_under(("scipy.linalg",)) == []
 
 
-def _tracing_targets():
+def _tracing():
+    """perfbench/tracing.py, loaded by path without installing anything."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    return tracing.TARGETS
+    return tracing
 
 
-@pytest.mark.parametrize("module, attr", [t[:2] for t in _tracing_targets()])
+@pytest.mark.parametrize("module, attr", [t[:2] for t in _tracing().TARGETS])
 def test_traced_name_resolves(module, attr):
     # the tracer wraps these by name; a rename in src would otherwise only
     # break the traced benchmark run
@@ -123,6 +124,18 @@ def test_traced_name_resolves(module, attr):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+def test_traced_suites_are_the_verify_suites():
+    # install() rebinds each verify.SUITES entry that is the traced
+    # suite_<name> function, and wraps QuotientLattice.canonicalize by name
+    from hillbands import lattice, verify
+
+    suites = _tracing().SUITES
+    assert suites == list(verify.SUITES)
+    assert all(verify.SUITES[name] is getattr(verify, f"suite_{name}")
+               for name in suites)
+    assert callable(lattice.QuotientLattice.canonicalize)
 
 
 def _has_default(value: ast.expr | None) -> bool:

@@ -84,7 +84,7 @@ class PuncturedResolvent:
         of x: the input that ``tail`` takes."""
         x = np.asarray(x)
         columns = self._form.to_tridiagonal(x.reshape(len(x), -1))
-        return (self._Z.T @ columns).reshape(x.shape)
+        return _real_times(self._Z.T, columns).reshape(x.shape)
 
     def _weights(self, E) -> np.ndarray:
         """1/(E - w) over the last axis, for a scalar E or an array."""
@@ -116,7 +116,7 @@ class PuncturedResolvent:
     def tail(self, E: float, rhs_proj: np.ndarray) -> np.ndarray:
         """(E - H_punctured)^{-1} applied to a vector given in projections,
         U Z (rhs_proj / (E - w)), in ``others`` order."""
-        y = self._Z @ (self._weights(E) * rhs_proj)
+        y = _real_times(self._Z, self._weights(E) * rhs_proj)
         return self._form.from_tridiagonal(y[:, None])[:, 0]
 
     def gap(self, E: float) -> float:
@@ -280,6 +280,15 @@ class _Householder:
         return self._apply(b"N", y)
 
 
+def _real_times(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a real matrix A and a complex x, as two real products:
+    A @ x itself would first copy A to complex, 16 bytes per entry."""
+    out = np.empty(A.shape[:1] + x.shape[1:], dtype=np.complex128)
+    out.real = A @ np.ascontiguousarray(x.real)
+    out.imag = A @ np.ascontiguousarray(x.imag)
+    return out
+
+
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
     """w ascending and Z with T = Z diag(w) Z^T, for T real symmetric
     tridiagonal with diagonal d and subdiagonal e, by LAPACK dstevd: what
@@ -402,7 +411,7 @@ def solve_pair(punctured: PuncturedResolvent, m_plus: GroupElement,
     tau_seen = float(np.min((vp + punctured.Q(ip, grid))
                             - (vm + punctured.Q(im, grid))))
     # roundoff floor: at an exactly symmetric resonance the true margin is 0
-    noise = 64.0 * np.finfo(float).eps * float(np.linalg.norm(H, np.inf))
+    noise = 64.0 * np.finfo(float).eps * matrix.norm_bound()
     if tau_seen < tau0_required - noise:
         raise OrderingFailed(
             f"ordering margin {tau_seen:.3e} below required {tau0_required:.3e}"

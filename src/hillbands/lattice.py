@@ -80,10 +80,6 @@ class FrequencyVector:
             L = math.lcm(L, c.denominator)
         return L
 
-    def xi_raw(self, vec: Sequence[int]) -> Fraction:
-        return sum((Fraction(int(v)) * c for v, c in zip(vec, self.effective)),
-                   Fraction(0))
-
 
 @dataclass(frozen=True)
 class NullLattice:
@@ -183,9 +179,11 @@ class QuotientLattice:
         self._pinv = self._null_pinv()
         self._coeff_rows = [sum(abs(x) for x in row) for row in self._pinv]
         # xi(v) = xi_spacing * sum_j v_j w_j / g for the integer form w and
-        # g = gcd(w), so these integer weights give t without a division.
+        # g = gcd(w), so these integer weights give t without a division,
+        # and xi is the spacing times t.
         g = math.gcd(*omega.integer_form)
         self._t_weights = tuple(w // g for w in omega.integer_form)
+        self._spacing = Fraction(g, omega.common_denominator)
 
     def _null_pinv(self) -> list[tuple[float, ...]]:
         """Rows of the pseudo-inverse of the null basis (rank x nu)."""
@@ -196,17 +194,13 @@ class QuotientLattice:
         B = np.array(self.null.basis, dtype=float).T  # nu x rank
         return [tuple(float(x) for x in row) for row in np.linalg.pinv(B)]
 
-    def xi(self, vec: Sequence[int]) -> Fraction:
-        return self.omega.xi_raw(vec)
-
     @property
     def identity(self) -> GroupElement:
         return self.element(0)
 
     def xi_spacing(self) -> Fraction:
         """Exact spacing of the (always discrete, rational data) subgroup xi(T)."""
-        return Fraction(math.gcd(*self.omega.integer_form),
-                        self.omega.common_denominator)
+        return self._spacing
 
     def _null_points_in_box(self, radius: int):
         """All p in N(omega) with |p|_inf <= radius."""
@@ -253,7 +247,8 @@ class QuotientLattice:
                 n = _linf(cand)
                 if n < best_norm or (n == best_norm and cand < best):
                     best, best_norm = cand, n
-        elem = GroupElement(rep=best, norm=best_norm, xi=self.xi(best), t=t)
+        elem = GroupElement(rep=best, norm=best_norm, xi=self._spacing * t,
+                            t=t)
         self._by_t[t] = elem
         return elem
 
@@ -303,17 +298,6 @@ class QuotientLattice:
             cached = tuple(sorted(seen, key=GroupElement.key))
             self._ball_cache[r] = cached
         return list(cached)
-
-
-def ball_growth_constant(lat: QuotientLattice, radii: Sequence[float]) -> float:
-    """Empirical C with |B(R)| <= C R^nu, maximized over the sampled radii."""
-    best = 0.0
-    for R in radii:
-        if R <= 0:
-            continue
-        count = len(lat.ball(R))
-        best = max(best, count / R**lat.nu)
-    return best
 
 
 @dataclass(frozen=True)

@@ -75,13 +75,15 @@ def order_domain(domain) -> tuple[GroupElement, ...]:
 def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
              folded: FoldedCoefficients, lat: QuotientLattice,
              check_decay: bool = True) -> DualMatrix:
-    """Assemble the matrix by one gather per row over the coordinate t.
+    """Assemble the matrix offset by offset over the coordinate t.
 
-    H[i, j] = eps*c(t_i - t_j) off the diagonal, read from a table of
-    eps*c over the offsets that can occur; the diagonal adds eps*c(0), the
-    folded zero mode that the Floquet potential carries too. ``fold`` stores
-    c(-n) as exactly conj(c(n)), so the gathered matrix is Hermitian bit for
-    bit.
+    H[i, j] = eps*c(t_i - t_j) off the diagonal: each offset d of the folded
+    support finds its pairs t_i - t_j = d by one searchsorted on the sorted
+    t and writes eps*c(d) there in one step; every other entry is zero. The
+    diagonal adds eps*c(0), the folded zero mode that the Floquet potential
+    carries too. ``fold`` stores c(-n) as exactly conj(c(n)), so the matrix
+    is Hermitian bit for bit. The same pairs give the bandwidth: the largest
+    rank distance in sorted t between two points coupled by a nonzero entry.
     """
     dom = order_domain(domain)
     if not dom:
@@ -89,52 +91,44 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     n = len(dom)
     t = np.array([e.t for e in dom], dtype=np.int64)
     eps = spec.epsilon
-    # table[span + 1 + d] = eps*c(d) for |d| <= span, with a zero at both
-    # ends that the clipped gather returns for every farther offset
-    span = int(t.max() - t.min())
-    span = min(span, max((abs(e.t) for e in folded.entries), default=0))
-    table = np.zeros(2 * span + 3, dtype=np.complex128)
+    order = np.argsort(t)
+    ts = t[order]
+    ranks = np.arange(n)
+    span = int(ts[-1] - ts[0])
+    H = np.zeros((n, n), dtype=np.complex128)
     entries = {}
+    bandwidth = 0
     for e, c in folded.entries.items():
-        if e.t != 0 and abs(e.t) <= span:
-            val = eps * c
-            table[span + 1 + e.t] = val
-            entries[e.t] = (e.norm, abs(val))
-    H = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        np.take(table, t[i] - t + (span + 1), out=H[i], mode="clip")
+        d = e.t
+        if d == 0 or abs(d) > span:
+            continue
+        # ranks i, pos[i] in sorted t with ts[i] - ts[pos[i]] = d
+        pos = np.searchsorted(ts, ts - d)
+        hit = pos < n
+        hit[hit] = ts[pos[hit]] == ts[hit] - d
+        if not hit.any():
+            continue
+        val = eps * c
+        H[order[hit], order[pos[hit]]] = val
+        entries[d] = (e.norm, abs(val))
+        if val != 0:
+            bandwidth = max(bandwidth, int(np.max(np.abs(pos[hit]
+                                                         - ranks[hit]))))
     zero_mode = eps * folded.value(lat.identity)
     H[np.diag_indices(n)] = [spec.diagonal(a.xi) + zero_mode for a in dom]
     if check_decay:
         _check_decay(H, dom, t, entries, spec, folded)
     return DualMatrix(domain=dom, values=H, spec=spec,
                       index={e: i for i, e in enumerate(dom)},
-                      bandwidth=_t_order_bandwidth(t, entries))
-
-
-def _t_order_bandwidth(t, entries) -> int:
-    """Largest rank distance between t and t + d in sorted t, over the
-    nonzero offsets d that occur in the domain; O(#offsets n log n)."""
-    ts = np.sort(t)
-    ranks = np.arange(len(ts))
-    width = 0
-    for d, (_, v) in entries.items():
-        if v == 0:
-            continue
-        pos = np.searchsorted(ts, ts + d)
-        hit = pos < len(ts)
-        hit[hit] = ts[pos[hit]] == ts[hit] + d
-        if hit.any():
-            width = max(width, int(np.max(np.abs(pos[hit] - ranks[hit]))))
-    return width
+                      bandwidth=bandwidth)
 
 
 def _check_decay(H, dom, t, entries, spec, folded) -> None:
     """Raise on an entry above eps*exp(-kappa0 |m-n|^alpha0).
 
     The bound depends only on the offset d = t_i - t_j, whose norm is that of
-    its folded key, so each distinct offset is checked once and counts only
-    when some pair of the domain realizes it.
+    its folded key, so each offset that some pair of the domain realizes (the
+    keys of ``entries``) is checked once.
     """
     eps = abs(spec.epsilon)
     bounds = {}
@@ -142,7 +136,7 @@ def _check_decay(H, dom, t, entries, spec, folded) -> None:
         if v == 0:
             continue
         bound = eps * math.exp(-folded.kappa0 * norm**folded.alpha0)
-        if v > bound * (1 + 1e-12) and np.isin(t + d, t).any():
+        if v > bound * (1 + 1e-12):
             bounds[d] = bound
     if not bounds:
         return

@@ -159,15 +159,6 @@ def eval_potential(x: float, folded: FoldedCoefficients) -> float:
     return total.real
 
 
-def eval_potential_raw(x: float, c: FourierCoefficients, omega) -> float:
-    """Unfolded evaluation sum_n c(n) e^{2 pi i (n.omega_eff) x} (test oracle route)."""
-    total = 0.0 + 0.0j
-    for n, v in c.entries.items():
-        phase = float(omega.xi_raw(n))
-        total += v * cmath.exp(2j * math.pi * phase * x)
-    return total.real
-
-
 # --- built-in generators (seeded, reproducible) ---
 
 def cosine(n0, kappa0: float = 1.0, alpha0: float = 1.0,

@@ -296,7 +296,9 @@ CONFIGURABLE = {"band", "floquet"}
 
 
 def run_suite(name: str, config: dict | None = None) -> list[CheckResult]:
-    """Run one named suite (or all); band and floquet honor a run config."""
+    """Run one named suite (or all); band and floquet honor a run config.
+    A suite that raises a HillbandsError other than ConfigError is one
+    failed check naming the exception, and the other suites still run."""
     if name == "all":
         results = []
         for key in SUITES:
@@ -305,6 +307,12 @@ def run_suite(name: str, config: dict | None = None) -> list[CheckResult]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{sorted(SUITES) + ['all']}")
-    if name in CONFIGURABLE:
-        return SUITES[name](config=config)
-    return SUITES[name]()
+    try:
+        if name in CONFIGURABLE:
+            return SUITES[name](config=config)
+        return SUITES[name]()
+    except ConfigError:
+        raise
+    except HillbandsError as exc:
+        return [CheckResult(name, "raised", False,
+                            detail=f"{type(exc).__name__}: {exc}")]

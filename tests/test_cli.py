@@ -506,3 +506,24 @@ def test_decay_fit_is_the_decay_audit_rate(tmp_path):
             assert fits == rates and all(f is not None for f in fits)
         else:
             assert rates == [] and fits == [None] * len(fits)
+
+
+def test_a_raising_suite_is_one_failed_check_and_the_rest_still_run(
+        tmp_path, capsys):
+    # at kappa0 = 0.5 the cosine's (0, 1) gap is too narrow for the Floquet
+    # brackets of suite floquet, and floquet_gap_edges raises
+    # PreconditionFailed: that suite is one FAIL line, every other suite
+    # still prints its checks, and the exit code stays 1
+    cfg = write_config(tmp_path, dict(
+        RESONANT_2D, potential={"kind": "cosine", "n0": [1, 0],
+                                "kappa0": 0.5}))
+    assert main(["verify", str(cfg), "--suite", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if line.startswith("[FAIL]")]
+    assert failed == [line for line in lines
+                      if line.startswith("[FAIL] floquet/raised ")]
+    assert len(failed) == 1 and "PreconditionFailed: bracket" in failed[0]
+    passed = [line for line in lines if line.startswith("[PASS]")]
+    assert {line.split()[1].split("/")[0] for line in passed} == {
+        "weights", "schur", "dichotomy", "cff", "domains", "band"}
+    assert lines[-1] == f"{len(passed)}/{len(passed) + 1} checks passed"

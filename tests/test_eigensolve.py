@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -233,6 +234,31 @@ def test_resolvent_at_punctured_eigenvalue_raises_singular_block(
     res = PuncturedResolvent(m, [0])
     with pytest.raises(SingularBlock):
         res.Q(0, res.w[0])
+
+
+def test_resolvent_products_never_copy_z_to_complex(line_lattice,
+                                                   cosine_folded):
+    # project and tail multiply the real eigenvectors Z of dstevd by the real
+    # and imaginary parts of a complex vector: no n x n array is allocated,
+    # where a complex copy of Z alone would take 16 n^2 bytes
+    m = assemble(line_lattice.ball(400), OperatorSpec(epsilon=0.05, k=0.21),
+                 cosine_folded, line_lattice)
+    res = PuncturedResolvent(m, [m.row_of(line_lattice.identity)])
+    n = len(res.others)
+    assert n == 800 and m.bandwidth == 1
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=n) + 1j * rng.normal(size=n)
+    E = 0.5 * (res.w[0] + res.w[1])
+    tracemalloc.start()
+    try:
+        y = res.tail(E, res.project(x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n * n
+    block = m.values[np.ix_(res.others, res.others)]
+    ref = np.linalg.solve(E * np.eye(n) - block, x)
+    assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_solve_simple_zero_coupling(line_lattice, cosine_folded):

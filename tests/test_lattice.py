@@ -4,13 +4,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hillbands.errors import PreconditionFailed
 from hillbands.lattice import (FrequencyVector, GroupElement, QuotientLattice,
-                               ball_growth_constant, check_diophantine,
-                               null_lattice)
+                               check_diophantine, null_lattice)
+
+from oracles import xi_raw
 
 
 # --- the vector-keyed canonicalization that the t-keyed table replaced ---
@@ -29,7 +30,7 @@ def vector_keyed_canonicalize(lat, cache, vec):
             n = max(abs(x) for x in cand)
             if n < best_norm or (n == best_norm and cand < best):
                 best, best_norm = cand, n
-    xi = lat.xi(best)
+    xi = xi_raw(lat.omega, best)
     t = xi / lat.xi_spacing()
     assert t.denominator == 1
     elem = GroupElement(rep=best, norm=best_norm, xi=xi, t=int(t))
@@ -92,6 +93,32 @@ def test_group_ops_match_vector_keyed_oracle(case):
             for w in coset:
                 assert lat.canonicalize(w) is a
                 assert _fields(canon(w)) == _fields(ou)
+
+
+@st.composite
+def xi_cases(draw):
+    """nu in {1, 2}, components with denominators up to 13 (their sum |.|
+    reaches 26, so the rescale is often above 1), and a few vectors."""
+    nu = draw(st.sampled_from([1, 2]))
+    component = st.builds(Fraction, st.integers(-13, 13), st.integers(1, 13))
+    omega = draw(st.lists(component, min_size=nu, max_size=nu).filter(any))
+    vec = st.lists(st.integers(-9, 9), min_size=nu, max_size=nu)
+    return (tuple(str(c) for c in omega),
+            draw(st.lists(vec, min_size=1, max_size=5)))
+
+
+@given(xi_cases())
+@example((("1", "3/7"), [[1, 0], [3, -7], [-4, 2]]))  # rescale 2
+def test_canonicalize_xi_is_the_fraction_sum(case):
+    # xi is read off t as xi_spacing * t; it equals the Fraction sum
+    # sum_j v_j effective_j over the representative and over the vector
+    omega, vectors = case
+    lat = _shared_lattice(omega)
+    for v in vectors:
+        e = lat.canonicalize(v)
+        assert isinstance(e.xi, Fraction)
+        assert e.xi == xi_raw(lat.omega, e.rep) == xi_raw(lat.omega, v)
+        assert e.xi == lat.xi_spacing() * e.t
 
 
 def brute_force_kernel_rank(w, box=30):
@@ -232,6 +259,11 @@ def test_ball_examples(line_lattice, half_lattice):
     expected = sum(1 for s in keys
                    if math.ceil(abs(s) / 2) <= 2)  # min linf norm of coset s
     assert len(half_lattice.ball(2)) == expected
+
+
+def ball_growth_constant(lat, radii):
+    """Empirical C with |B(R)| <= C R^nu, maximized over the sampled radii."""
+    return max(len(lat.ball(R)) / R**lat.nu for R in radii if R > 0)
 
 
 def test_ball_monotone_and_growth(half_lattice):

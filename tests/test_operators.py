@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hillbands.operators import (TWO_PI_SQ, DualMatrix, OperatorSpec, assemble,
 from hillbands.potential import cosine, exp_decay, fold, random_phase
 
 from conftest import make_context
+from oracles import gathered_assemble
 
 
 # --- reference oracle: pairwise assembly, one lat.sub per pair ---
@@ -129,6 +131,41 @@ def test_assemble_matches_pairwise_oracle(case):
     assert fast.index == ref.index
     assert np.array_equal(fast.values, ref.values)
     assert np.array_equal(fast.values, fast.values.conj().T)
+
+
+@st.composite
+def gapped_domain_cases(draw):
+    """nu in {1, 2}, omega components with denominators up to 13, cosine or
+    random_phase data, and a ball with a random part of its points left out,
+    so that the domain has gaps in t."""
+    nu = draw(st.sampled_from([1, 2]))
+    component = st.builds(Fraction, st.integers(-13, 13), st.integers(1, 13))
+    omega = draw(st.lists(component, min_size=nu, max_size=nu).filter(any))
+    lat = _lattice(tuple(str(c) for c in omega))
+    if draw(st.booleans()):
+        n0 = draw(st.lists(st.integers(-2, 2), min_size=nu,
+                           max_size=nu).filter(any))
+        coeffs = cosine(n0, kappa0=0.5)
+    else:
+        coeffs = random_phase(draw(st.integers(1, 2)), nu=nu, kappa0=0.5,
+                              seed=draw(st.integers(0, 99)))
+    folded = fold(coeffs, lat, enforce_bound=False)
+    ball = lat.ball(draw(st.integers(0, 8 if nu == 1 else 3)))
+    keep = draw(st.lists(st.booleans(), min_size=len(ball),
+                         max_size=len(ball)))
+    domain = [e for e, k in zip(ball, keep) if k] or ball[:1]
+    spec = OperatorSpec(epsilon=draw(st.sampled_from([0.0, 0.05, 0.3, -2.0])),
+                        k=draw(st.floats(-1.9, 1.9)))
+    return domain, spec, folded, lat
+
+
+@given(gapped_domain_cases())
+def test_assemble_by_offset_is_the_row_gather_bit_for_bit(case):
+    fast = assemble(*case, check_decay=False)
+    ref = gathered_assemble(*case)
+    assert fast.domain == ref.domain
+    assert fast.values.tobytes() == ref.values.tobytes()
+    assert fast.bandwidth == ref.bandwidth
 
 
 def brute_force_bandwidth(matrix):

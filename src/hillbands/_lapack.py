@@ -3,9 +3,11 @@
 
 That ``__init__`` clones the numpy namespace for scipy's array-API layer,
 which loads numpy.f2py, numpy.testing, numpy.ma and numpy.random: about half
-the start-up time of every ``hillbands`` run. ``flapack`` is the module that
-``scipy.linalg.lapack`` re-exports, registered under its own name, so both
-routes reach the same wrapper objects.
+the start-up time of every ``hillbands`` run. scipy's directory is found by
+``importlib.util.find_spec``, so ``scipy/__init__.py`` does not run either
+(it loads scipy._lib._testutils among others). ``flapack`` is the module
+that ``scipy.linalg.lapack`` re-exports, registered under its own name, so
+both routes reach the same wrapper objects.
 """
 
 from __future__ import annotations
@@ -15,15 +17,16 @@ import importlib.util
 import os
 import sys
 
-import scipy
-
 _NAME = "scipy.linalg._flapack"
 
 
 def _load():
     if _NAME in sys.modules:
         return sys.modules[_NAME]
-    directory = os.path.join(scipy.__path__[0], "linalg")
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None:
+        raise ImportError("scipy is not installed")
+    directory = os.path.join(scipy.submodule_search_locations[0], "linalg")
     paths = [os.path.join(directory, "_flapack" + suffix)
              for suffix in importlib.machinery.EXTENSION_SUFFIXES]
     path = next((p for p in paths if os.path.isfile(p)), None)

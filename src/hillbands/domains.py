@@ -94,7 +94,7 @@ class DomainBuilder:
 
     def v_shift(self, m: GroupElement, offset: Fraction) -> float:
         """v(m,k') - v(0,k') = xi(m)(xi(m) + 2k') / lambda at k' = k + offset."""
-        xi = float(m.xi)
+        xi = m.xi_float
         kk = self.k + float(offset)
         return xi * (xi + 2.0 * kk) / LAMBDA
 

@@ -42,22 +42,26 @@ _SECTIONS = np.arange(1, 8) / 8.0
 
 
 class PuncturedResolvent:
-    """Resolvent of the punctured block through one real tridiagonal
-    eigendecomposition.
+    """Resolvent of the punctured block through real tridiagonal
+    eigendecompositions, one per chain.
 
-    H_punctured = U T U^H with T real symmetric tridiagonal and U unitary,
-    and T = Z diag(w) Z^T by one LAPACK dstevd call. U is never
-    formed: a matrix that is tridiagonal in t order (bandwidth <= 1) stays
-    tridiagonal once principal rows are removed, and U is its t-order
-    permutation times the phases cumprod(b/|b|) of its subdiagonal b; every
-    other block is reduced by the Householder reflectors of LAPACK zhetrd,
-    which zunmqr applies (Golub & Van Loan, Matrix Computations, sec. 8.3).
-    Afterwards Q(p, E), G(p, q, E) and the tail (E - H_punctured)^{-1} x
-    cost O(n) per E from the projections Z^T U^H h(., p), for a scalar E
-    or an array of them; the dense-solve route in q_g_functions stays the
-    independent cross-check. With two principals the same weights count
-    the eigenvalues of the whole matrix H below any x (count_below), which
-    brackets them by a search on those counts without a dense eigensolve.
+    H_punctured = U T U^H with T real symmetric tridiagonal and U unitary.
+    U is never formed: a matrix that is tridiagonal in t order (bandwidth
+    <= 1) stays tridiagonal once principal rows are removed, and U is its
+    t-order permutation times the phases cumprod(b/|b|) of its subdiagonal
+    b; every other block is reduced by the Householder reflectors of LAPACK
+    zhetrd, which zunmqr applies (Golub & Van Loan, Matrix Computations,
+    sec. 8.3). T splits into independent chains wherever its subdiagonal is
+    exactly zero: in t order at each removed principal and at each hole of
+    the domain in t. Each chain is diagonalized by its own LAPACK dstevd
+    call, T = Z diag(w) Z^T with Z block diagonal (``_eigh_chains``); only
+    the chain blocks of Z are kept. Afterwards Q(p, E), G(p, q, E) and the
+    tail (E - H_punctured)^{-1} x cost O(n) per E from the projections
+    Z^T U^H h(., p), for a scalar E or an array of them; the dense-solve
+    route in q_g_functions stays the independent cross-check. With two
+    principals the same weights count the eigenvalues of the whole matrix H
+    below any x (count_below), which brackets them by a search on those
+    counts without a dense eigensolve.
     """
 
     def __init__(self, matrix: DualMatrix, principal):
@@ -72,7 +76,7 @@ class PuncturedResolvent:
         else:
             form = _Householder(H[np.ix_(self.others, self.others)])
         self._form = form
-        self.w, self._Z = _eigh_tridiagonal(form.d, form.e)
+        self.w, self._order, self._chains = _eigh_chains(form.d, form.e)
         # projections of the coupling columns h(., p)
         columns = self.project(H[np.ix_(self.others, self.principal)])
         self.proj = dict(zip(self.principal, columns.T))
@@ -84,7 +88,13 @@ class PuncturedResolvent:
         of x: the input that ``tail`` takes."""
         x = np.asarray(x)
         columns = self._form.to_tridiagonal(x.reshape(len(x), -1))
-        return _real_times(self._Z.T, columns).reshape(x.shape)
+        y = np.empty(columns.shape, dtype=np.complex128)
+        for start, Z in self._chains:
+            rows = slice(start, start + len(Z))
+            _real_times(Z.T, columns[rows], y[rows])
+        if self._order is not None:
+            y = y[self._order]
+        return y.reshape(x.shape)
 
     def _weights(self, E) -> np.ndarray:
         """1/(E - w) over the last axis, for a scalar E or an array."""
@@ -116,7 +126,15 @@ class PuncturedResolvent:
     def tail(self, E: float, rhs_proj: np.ndarray) -> np.ndarray:
         """(E - H_punctured)^{-1} applied to a vector given in projections,
         U Z (rhs_proj / (E - w)), in ``others`` order."""
-        y = _real_times(self._Z, self._weights(E) * rhs_proj)
+        x = self._weights(E) * rhs_proj
+        if self._order is not None:
+            chained = np.empty_like(x)
+            chained[self._order] = x
+            x = chained
+        y = np.empty(len(x), dtype=np.complex128)
+        for start, Z in self._chains:
+            rows = slice(start, start + len(Z))
+            _real_times(Z, x[rows], y[rows])
         return self._form.from_tridiagonal(y[:, None])[:, 0]
 
     def gap(self, E: float) -> float:
@@ -152,9 +170,10 @@ class PuncturedResolvent:
         [[x - v_p - Q_p, -G_pq], [-conj G_pq, x - v_q - Q_q]] is the Schur
         complement of the punctured block. The first term counts the w below
         x; S(x) adds 1 positive eigenvalue when det S < 0, else 2 when
-        x - v_p - Q_p > 0, else none. The weights 1/(x - w) are formed once
-        per x. An x that lies exactly on a w is counted at the next float
-        above it that is no w.
+        det S > 0 and x - v_p - Q_p > 0; when det S = 0 (an eigenvalue of H
+        at x), it adds 1 if its trace is positive. The weights 1/(x - w) are
+        formed once per x. An x that lies exactly on a w is counted at the
+        next float above it that is no w.
 
         The term of the w nearest x is the rank-one W v v^H, and it enters
         det S by the determinant lemma, det S' - W v^H adj(S') v, where S'
@@ -178,8 +197,11 @@ class PuncturedResolvent:
         det = (t[:, 0] * t[:, 1] - t[:, 2] ** 2 - t[:, 3] ** 2
                - pole * np.einsum("ij,ij->i", lemma[near], t))
         s_p = t[:, 0] - pole * columns[near, 0]
-        counts = np.searchsorted(self.w, x) + np.where(det < 0, 1,
-                                                        2 * (s_p > 0))
+        s_q = t[:, 1] - pole * columns[near, 1]
+        # det S = 0: eigenvalues 0 (an eigenvalue of H at x) and tr S
+        positive = np.where(det < 0, 1, np.where(det > 0, 2 * (s_p > 0),
+                                                 s_p + s_q > 0))
+        counts = np.searchsorted(self.w, x) + positive
         return counts.reshape(shape)
 
     def eigenvalues(self, indices) -> np.ndarray:
@@ -280,27 +302,58 @@ class _Householder:
         return self._apply(b"N", y)
 
 
-def _real_times(A: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for a real matrix A and a complex x, as two real products:
-    A @ x itself would first copy A to complex, 16 bytes per entry."""
-    out = np.empty(A.shape[:1] + x.shape[1:], dtype=np.complex128)
+def _real_times(A: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    """out = A @ x for a real matrix A and a complex x, as two real
+    products: A @ x itself would first copy A to complex, 16 bytes per
+    entry."""
     out.real = A @ np.ascontiguousarray(x.real)
     out.imag = A @ np.ascontiguousarray(x.imag)
-    return out
 
 
 def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
     """w ascending and Z with T = Z diag(w) Z^T, for T real symmetric
-    tridiagonal with diagonal d and subdiagonal e, by LAPACK dstevd: what
-    scipy.linalg.eigh_tridiagonal(d, e, lapack_driver="stevd") computes.
-    A NaN or inf in d or e raises ValueError."""
-    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    tridiagonal with diagonal d and subdiagonal e, by one LAPACK dstevd call
+    on the whole of T: what scipy.linalg.eigh_tridiagonal(d, e,
+    lapack_driver="stevd") computes. A NaN or inf in d or e raises
+    ValueError. ``_eigh_chains`` splits T first and calls dstevd per chain.
+    """
+    return _stevd(np.asarray_chkfinite(d), np.asarray_chkfinite(e))
+
+
+def _stevd(d: np.ndarray, e: np.ndarray):
+    """dstevd on finite d and e; the 1x1 case returned as is."""
     if len(d) == 1:
-        return np.array([d[0]]), np.array([[1.0]])
+        return d.copy(), np.ones((1, 1))
     w, Z, info = flapack.dstevd(d, e, compute_v=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"dstevd info {info}")
     return w, Z
+
+
+def _eigh_chains(d: np.ndarray, e: np.ndarray):
+    """T = Z diag(w) Z^T chain by chain: (w, order, chains).
+
+    T splits into independent chains at every exact zero of e, and each
+    chain gets its own dstevd call; ``chains`` lists (first row, Z block),
+    the blocks of the block-diagonal Z. w is the stable sort of the chains'
+    eigenvalues, taken in chain order by ``order`` (None for one chain,
+    whose w dstevd already sorts). dstevd's divide and conquer splits at
+    these zeros too, and solves the chains one by one (LAPACK dstedc), so
+    w is bit for bit that of ``_eigh_tridiagonal(d, e)``, and so is Z up to
+    the column order of equal eigenvalues of different chains. The
+    finiteness check runs once on d and e (ValueError).
+    """
+    d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
+    cuts = np.flatnonzero(e == 0) + 1
+    if not cuts.size:
+        w, Z = _stevd(d, e)
+        return w, None, [(0, Z)]
+    starts = [0, *cuts.tolist()]
+    stops = [*starts[1:], len(d)]
+    parts = [_stevd(d[a:b], e[a:b - 1]) for a, b in zip(starts, stops)]
+    w = np.concatenate([w for w, _ in parts])
+    order = np.argsort(w, kind="stable")
+    return w[order], order, [(a, Z) for a, (_, Z) in zip(starts, parts)]
 
 
 @dataclass(frozen=True)

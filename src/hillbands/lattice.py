@@ -147,6 +147,8 @@ class GroupElement:
     rep: tuple[int, ...] = field(compare=False)
     norm: int = field(compare=False)
     xi: Fraction = field(compare=False)
+    # float(xi), converted once: the diagonals and k-axis maps read it
+    xi_float: float = field(compare=False)
     t: int
 
     def key(self):
@@ -247,8 +249,9 @@ class QuotientLattice:
                 n = _linf(cand)
                 if n < best_norm or (n == best_norm and cand < best):
                     best, best_norm = cand, n
-        elem = GroupElement(rep=best, norm=best_norm, xi=self._spacing * t,
-                            t=t)
+        xi = self._spacing * t
+        elem = GroupElement(rep=best, norm=best_norm, xi=xi,
+                            xi_float=float(xi), t=t)
         self._by_t[t] = elem
         return elem
 
@@ -325,7 +328,7 @@ def check_diophantine(lat: QuotientLattice, a0: float, b0: float,
         if e.is_identity:
             continue
         count += 1
-        margin = abs(float(e.xi)) * (e.norm ** b0) / a0
+        margin = abs(e.xi_float) * (e.norm ** b0) / a0
         if worst is None or margin < worst[1]:
             worst = (e, margin)
     prod_t = 1

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -40,8 +39,8 @@ class OperatorSpec:
             raise ValueError(f"epsilon and k must be finite, got "
                              f"epsilon={self.epsilon!r}, k={self.k!r}")
 
-    def diagonal(self, xi: Fraction) -> float:
-        return TWO_PI_SQ * (float(xi) + self.k) ** 2
+    def diagonal(self, xi: float) -> float:
+        return TWO_PI_SQ * (xi + self.k) ** 2
 
 
 @dataclass(frozen=True)
@@ -52,6 +51,9 @@ class DualMatrix:
     values: np.ndarray
     spec: OperatorSpec
     index: dict = field(compare=False, repr=False)
+    # ||values||_inf, the largest row sum of |entries|, summed by assemble
+    # as it writes them
+    norm_inf: float = field(compare=False)
     # largest rank distance, in the domain sorted by t, between two points
     # coupled by a nonzero entry; None (unknown) means treat as dense
     bandwidth: int | None = field(default=None, compare=False)
@@ -64,7 +66,7 @@ class DualMatrix:
         return self.index[e]
 
     def norm_bound(self) -> float:
-        return float(np.linalg.norm(self.values, ord=np.inf))
+        return self.norm_inf
 
 
 def order_domain(domain) -> tuple[GroupElement, ...]:
@@ -82,8 +84,10 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     t and writes eps*c(d) there in one step; every other entry is zero. The
     diagonal adds eps*c(0), the folded zero mode that the Floquet potential
     carries too. ``fold`` stores c(-n) as exactly conj(c(n)), so the matrix
-    is Hermitian bit for bit. The same pairs give the bandwidth: the largest
-    rank distance in sorted t between two points coupled by a nonzero entry.
+    is Hermitian bit for bit. The same pairs give the bandwidth, the largest
+    rank distance in sorted t between two points coupled by a nonzero entry,
+    and ||H||_inf: each offset adds |eps*c(d)| to the row sums of its rows,
+    so no n x n pass over |H| is made.
     """
     dom = order_domain(domain)
     if not dom:
@@ -96,6 +100,7 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     ranks = np.arange(n)
     span = int(ts[-1] - ts[0])
     H = np.zeros((n, n), dtype=np.complex128)
+    row_sums = np.zeros(n)
     entries = {}
     bandwidth = 0
     for e, c in folded.entries.items():
@@ -109,18 +114,22 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
         if not hit.any():
             continue
         val = eps * c
-        H[order[hit], order[pos[hit]]] = val
+        rows = order[hit]
+        H[rows, order[pos[hit]]] = val
+        row_sums[rows] += abs(val)
         entries[d] = (e.norm, abs(val))
         if val != 0:
             bandwidth = max(bandwidth, int(np.max(np.abs(pos[hit]
                                                          - ranks[hit]))))
     zero_mode = eps * folded.value(lat.identity)
-    H[np.diag_indices(n)] = [spec.diagonal(a.xi) + zero_mode for a in dom]
+    diagonal = np.array([spec.diagonal(a.xi_float) + zero_mode for a in dom])
+    H[np.diag_indices(n)] = diagonal
+    row_sums += np.abs(diagonal)
     if check_decay:
         _check_decay(H, dom, t, entries, spec, folded)
     return DualMatrix(domain=dom, values=H, spec=spec,
                       index={e: i for i, e in enumerate(dom)},
-                      bandwidth=bandwidth)
+                      norm_inf=float(np.max(row_sums)), bandwidth=bandwidth)
 
 
 def _check_decay(H, dom, t, entries, spec, folded) -> None:
@@ -179,7 +188,7 @@ def translation_conjugation_check(domain: Sequence[GroupElement], m: GroupElemen
                                   lat: QuotientLattice) -> ConjugationReport:
     """Spectra of H_{m+Lambda, eps, k} and H_{Lambda, eps, k+xi(m)} must agree."""
     left = assemble(translated_domain(domain, m, lat), spec, folded, lat)
-    shifted = OperatorSpec(epsilon=spec.epsilon, k=spec.k + float(m.xi))
+    shifted = OperatorSpec(epsilon=spec.epsilon, k=spec.k + m.xi_float)
     return _compare_spectra(left, assemble(order_domain(domain), shifted,
                                            folded, lat))
 

@@ -212,7 +212,7 @@ def potential_callable(folded: FoldedCoefficients):
     """Vectorized V~(x) for a scalar or an array of x (frequencies and
     amplitudes prebaked); raises NonRealValue, as eval_potential does, when
     the imaginary residue exceeds 1e-12 * max(1, sum |c|)."""
-    freqs = np.array([2.0 * math.pi * float(e.xi) for e in folded.entries])
+    freqs = np.array([2.0 * math.pi * e.xi_float for e in folded.entries])
     amps = np.array(list(folded.entries.values()), dtype=np.complex128)
     scale = max(1.0, float(np.sum(np.abs(amps))))
 
@@ -459,7 +459,7 @@ def bloch_residual(domain, phi, k: float, E: float, eps: float,
     The 128 samples x_i = T i / 128 are evaluated at once, as one
     (128 x |domain|) phase matrix.
     """
-    freqs = 2.0 * math.pi * np.array([float(e.xi) + k for e in domain])
+    freqs = 2.0 * math.pi * np.array([e.xi_float + k for e in domain])
     amps = np.asarray(phi, dtype=np.complex128)
     x = float(T) * np.arange(128) / 128
     phase = np.exp(1j * np.multiply.outer(x, freqs))

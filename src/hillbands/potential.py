@@ -150,7 +150,7 @@ def eval_potential(x: float, folded: FoldedCoefficients) -> float:
     1e-12 * max(1, sum |c|)."""
     total = 0.0 + 0.0j
     for e, v in folded.entries.items():
-        total += v * cmath.exp(2j * math.pi * float(e.xi) * x)
+        total += v * cmath.exp(2j * math.pi * e.xi_float * x)
     scale = max(1.0, sum(abs(v) for v in folded.entries.values()))
     if abs(total.imag) > 1e-12 * scale:
         raise NonRealValue(

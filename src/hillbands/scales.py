@@ -207,7 +207,7 @@ def epsilon_budget(schedule: ScaleSchedule) -> tuple[float, ...]:
 
 def k_of(m: GroupElement) -> float:
     """The resonant momentum k_m = -xi(m)/2 of the mode m."""
-    return -float(m.xi) / 2.0
+    return -m.xi_float / 2.0
 
 
 @dataclass(frozen=True)

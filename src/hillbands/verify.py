@@ -1,9 +1,11 @@
 """Named verification suites behind the `verify` CLI subcommand.
 
-Each suite returns CheckResult records with margins; the CLI prints one line
-per check and exits nonzero when any fails. The suites re-derive expected
-values from independent routes (dense inversion, closed forms, enumeration)
-rather than trusting the code paths they exercise.
+Each suite appends CheckResult records with margins to the list it is
+handed, each check as soon as it is made, so a suite that raises keeps the
+checks it had passed; the CLI prints one line per check and exits nonzero
+when any fails. The suites re-derive expected values from independent
+routes (dense inversion, closed forms, enumeration) rather than trusting the
+code paths they exercise.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def _context_from(config: dict | None) -> band_mod.BandContext:
     return build_context(config)
 
 
-def suite_schur() -> list[CheckResult]:
+def suite_schur(out: list[CheckResult]) -> None:
     rng = np.random.default_rng(7)
     worst = 0.0
     ok = True
@@ -75,19 +77,20 @@ def suite_schur() -> list[CheckResult]:
         perm = rng.permutation(n)
         split = (perm[:cut].tolist(), perm[cut:].tolist())
         try:
-            out = schur_block_inverse(H, split, E, audit=False)
+            inverse = schur_block_inverse(H, split, E, audit=False)
         except HillbandsError:
             ok = False
             continue
         direct = np.linalg.inv(E * np.eye(n) - H)
-        rel = float(np.linalg.norm(out - direct) / np.linalg.norm(direct))
+        rel = float(np.linalg.norm(inverse - direct)
+                    / np.linalg.norm(direct))
         worst = max(worst, rel)
     passed = ok and worst <= 1e-9
-    return [CheckResult("schur", "block-inverse identity", passed, worst,
-                        "100 random matrices")]
+    out.append(CheckResult("schur", "block-inverse identity", passed, worst,
+                           "100 random matrices"))
 
 
-def suite_dichotomy() -> list[CheckResult]:
+def suite_dichotomy(out: list[CheckResult]) -> None:
     rng = np.random.default_rng(11)
     count = 100000
     a1 = rng.uniform(-1.0, 2.0, count)
@@ -113,16 +116,15 @@ def suite_dichotomy() -> list[CheckResult]:
         admissible = np.abs(expr) < gap[s] * gap[s] / 4.0
         classified = dichotomy_core(a1[s], a2[s], b[s], u[s]).classified
         failures += int(np.count_nonzero(admissible & ~classified))
-    return [CheckResult("dichotomy", "classification + bracket",
-                        failures == 0, float(failures),
-                        f"{count} random admissible tuples")]
+    out.append(CheckResult("dichotomy", "classification + bracket",
+                           failures == 0, float(failures),
+                           f"{count} random admissible tuples"))
 
 
-def suite_weights() -> list[CheckResult]:
+def suite_weights(out: list[CheckResult]) -> None:
     rng = np.random.default_rng(3)
     omega = FrequencyVector.parse(["1"])
     lat = QuotientLattice(omega)
-    out = []
     worst_margin = math.inf
     lemma_ok = True
     sums_ok = True
@@ -149,11 +151,9 @@ def suite_weights() -> list[CheckResult]:
     out.append(CheckResult("weights", "trajectory majorant bound", lemma_ok,
                            worst_margin, "20 random profiles"))
     out.append(CheckResult("weights", "weight-sum upper bounds", sums_ok))
-    return out
 
 
-def suite_cff() -> list[CheckResult]:
-    out = []
+def suite_cff(out: list[CheckResult]) -> None:
     # symmetric model: a1 = g + theta, a2 = g - theta, b = c*theta; the
     # smallness conditions confine testing to a narrow (x, u) window
     g0, c = 0.0, 0.5
@@ -179,11 +179,9 @@ def suite_cff() -> list[CheckResult]:
         if not math.isfinite(val):
             finite = False
     out.append(CheckResult("cff", "chi smooth through poles", finite))
-    return out
 
 
-def suite_domains() -> list[CheckResult]:
-    out = []
+def suite_domains(out: list[CheckResult]) -> None:
     omega = FrequencyVector.parse(["1"])
     lat = QuotientLattice(omega)
     schedule = build_schedule("practical", s_max=2, R1=9.0, beta=0.5,
@@ -208,10 +206,9 @@ def suite_domains() -> list[CheckResult]:
     out.append(CheckResult("domains", "S-invariance", s_ok, float(ell_s)))
     out.append(CheckResult("domains", "stabilization bound",
                            ell_t < 2**2 and ell_s < 2**2))
-    return out
 
 
-def suite_band(config: dict | None = None) -> list[CheckResult]:
+def suite_band(out: list[CheckResult], config: dict | None = None) -> None:
     ctx = _context_from(config)
     if config is None:
         ks = [0.05 + 0.01 * i for i in range(20)]
@@ -221,7 +218,6 @@ def suite_band(config: dict | None = None) -> list[CheckResult]:
         ks = [k for k in k_grid_from(config) if k > 0]
     pos = band_mod.band_curve(ctx, ks)
     neg = band_mod.band_curve(ctx, [-k for k in ks])
-    out = []
     sym = band_mod.symmetry_audit(pos, neg)
     out.append(CheckResult("band", "E(k) = E(-k)", sym.passed,
                            sym.details["max_difference"]))
@@ -242,10 +238,10 @@ def suite_band(config: dict | None = None) -> list[CheckResult]:
         worst = max(worst, abs(p.E - nearest) / matrix.norm_bound())
     out.append(CheckResult("band", "dense-oracle agreement",
                            dense_ok and worst <= 1e-8, worst))
-    return out
 
 
-def suite_floquet(config: dict | None = None) -> list[CheckResult]:
+def suite_floquet(out: list[CheckResult],
+                  config: dict | None = None) -> None:
     """Free-equation discriminants, and the Floquet edges of one gap against
     the dual matrix's: m = -1 on the built-in toy, else the config's first
     ``gaps`` entry (ConfigError when it has none)."""
@@ -261,7 +257,6 @@ def suite_floquet(config: dict | None = None) -> list[CheckResult]:
                               "the config, which has none")
         m = modes[0][1]
     T = period(ctx.lat.omega)
-    out = []
     # free equation: Delta(E) = 2 cos(sqrt(E) T)
     worst = 0.0
     for E in (1.0, 4.0, 9.5):
@@ -278,7 +273,6 @@ def suite_floquet(config: dict | None = None) -> list[CheckResult]:
     err = max(abs(lo - gap.E_minus), abs(hi - gap.E_plus))
     out.append(CheckResult("floquet", "gap edges vs dual matrix",
                            err <= 1e-5, err))
-    return out
 
 
 SUITES = {
@@ -297,8 +291,9 @@ CONFIGURABLE = {"band", "floquet"}
 
 def run_suite(name: str, config: dict | None = None) -> list[CheckResult]:
     """Run one named suite (or all); band and floquet honor a run config.
-    A suite that raises a HillbandsError other than ConfigError is one
-    failed check naming the exception, and the other suites still run."""
+    A suite that raises a HillbandsError other than ConfigError ends with
+    one failed check naming the exception, after the checks it had already
+    made, and the other suites still run."""
     if name == "all":
         results = []
         for key in SUITES:
@@ -307,12 +302,15 @@ def run_suite(name: str, config: dict | None = None) -> list[CheckResult]:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{sorted(SUITES) + ['all']}")
+    results: list[CheckResult] = []
     try:
         if name in CONFIGURABLE:
-            return SUITES[name](config=config)
-        return SUITES[name]()
+            SUITES[name](results, config=config)
+        else:
+            SUITES[name](results)
     except ConfigError:
         raise
     except HillbandsError as exc:
-        return [CheckResult(name, "raised", False,
-                            detail=f"{type(exc).__name__}: {exc}")]
+        results.append(CheckResult(name, "raised", False,
+                                   detail=f"{type(exc).__name__}: {exc}"))
+    return results

@@ -52,7 +52,8 @@ def gathered_assemble(domain, spec, folded, lat) -> DualMatrix:
     for i in range(n):
         np.take(table, t[i] - t + (span + 1), out=H[i], mode="clip")
     zero_mode = eps * folded.value(lat.identity)
-    H[np.diag_indices(n)] = [spec.diagonal(a.xi) + zero_mode for a in dom]
+    H[np.diag_indices(n)] = [spec.diagonal(float(a.xi)) + zero_mode
+                             for a in dom]
     ts = np.sort(t)
     ranks = np.arange(n)
     width = 0
@@ -64,4 +65,5 @@ def gathered_assemble(domain, spec, folded, lat) -> DualMatrix:
             width = max(width, int(np.max(np.abs(pos[hit] - ranks[hit]))))
     return DualMatrix(domain=dom, values=H, spec=spec,
                       index={e: i for i, e in enumerate(dom)},
+                      norm_inf=float(np.linalg.norm(H, np.inf)),
                       bandwidth=width)

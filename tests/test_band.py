@@ -579,12 +579,14 @@ def _pole_in_bracket(matrix, m0):
     i0, j = matrix.row_of(m0), matrix.size - 1
     H = matrix.values.copy()
     H[j, :] = H[:, j] = 0.0
-    decoupled = dataclasses.replace(matrix, values=H, bandwidth=None)
+    decoupled = dataclasses.replace(matrix, values=H, bandwidth=None,
+                                    norm_inf=np.linalg.norm(H, np.inf))
     v = float(H[i0, i0].real)
     q = PuncturedResolvent(decoupled, [i0]).Q(i0, v)
     H[j, j] = v + q
     H[j, i0] = H[i0, j] = abs(q) / 2.0
-    return dataclasses.replace(matrix, values=H, bandwidth=None)
+    return dataclasses.replace(matrix, values=H, bandwidth=None,
+                               norm_inf=np.linalg.norm(H, np.inf))
 
 
 def test_pole_inside_the_simple_bracket_is_an_error(reference_context,

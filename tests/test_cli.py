@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hillbands import band, cli, oracle
+from hillbands import band, cli, oracle, verify
 from hillbands.cli import K_GRID_MAX_POINTS, k_grid_from, main, run_band
 from hillbands.errors import ConfigError, IntegratorFailure, NoConvergence
 
@@ -512,8 +512,9 @@ def test_a_raising_suite_is_one_failed_check_and_the_rest_still_run(
         tmp_path, capsys):
     # at kappa0 = 0.5 the cosine's (0, 1) gap is too narrow for the Floquet
     # brackets of suite floquet, and floquet_gap_edges raises
-    # PreconditionFailed: that suite is one FAIL line, every other suite
-    # still prints its checks, and the exit code stays 1
+    # PreconditionFailed: that suite ends in one FAIL line after the check it
+    # had passed, every other suite still prints its checks, and the exit
+    # code stays 1
     cfg = write_config(tmp_path, dict(
         RESONANT_2D, potential={"kind": "cosine", "n0": [1, 0],
                                 "kappa0": 0.5}))
@@ -525,5 +526,20 @@ def test_a_raising_suite_is_one_failed_check_and_the_rest_still_run(
     assert len(failed) == 1 and "PreconditionFailed: bracket" in failed[0]
     passed = [line for line in lines if line.startswith("[PASS]")]
     assert {line.split()[1].split("/")[0] for line in passed} == {
-        "weights", "schur", "dichotomy", "cff", "domains", "band"}
-    assert lines[-1] == f"{len(passed)}/{len(passed) + 1} checks passed"
+        "weights", "schur", "dichotomy", "cff", "domains", "band", "floquet"}
+    floquet = [line for line in lines if " floquet/" in line]
+    assert [line.split()[1] for line in floquet] == [
+        "floquet/free-equation", "floquet/raised"]
+    assert lines[-1] == "17/18 checks passed"
+
+
+def test_a_raising_suite_keeps_the_checks_it_made_before(monkeypatch):
+    def suite(out):
+        out.append(verify.CheckResult("toy", "first", True))
+        raise NoConvergence(3, 0.5)
+
+    monkeypatch.setitem(verify.SUITES, "toy", suite)
+    results = verify.run_suite("toy")
+    assert [(r.name, r.passed) for r in results] == [("first", True),
+                                                    ("raised", False)]
+    assert results[1].detail.startswith("NoConvergence: ")

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hillbands.eigensolve import (ROOT_TOL, CffNode, DichotomyResult,
-                                  PuncturedResolvent, _eigh_tridiagonal,
+                                  PuncturedResolvent, _eigh_chains,
+                                  _eigh_tridiagonal,
                                   _sign_change_roots,
                                   cff_branch_solve,
                                   cff_build, dichotomy_core, leaf,
@@ -209,6 +210,149 @@ def test_tridiagonal_eigensolve_is_scipy_stevd_bit_for_bit(data):
             solve(d_bad, e_bad)
 
 
+# entries of d and e: small integers give ties, the floats stay clear of the
+# range where dstevd rescales a whole chain (norm below 1e-146)
+_ENTRIES = st.one_of(st.integers(-4, 4).map(float),
+                     st.floats(-1e3, 1e3).filter(
+                         lambda x: x == 0 or abs(x) > 1e-100))
+
+
+@st.composite
+def split_tridiagonals(draw):
+    """d and e with exact zeros in e: anywhere, at both ends, and next to
+    each other, which leaves 1x1 chains; chains longer than dstedc's
+    25-row switch to divide and conquer occur too."""
+    n = draw(st.integers(2, 80), label="n")
+    d = draw(arrays(np.float64, n, elements=_ENTRIES), label="d")
+    e = draw(arrays(np.float64, n - 1, elements=_ENTRIES), label="e")
+    zeros = draw(st.lists(st.integers(0, n - 2), min_size=1), label="zeros")
+    if draw(st.booleans(), label="both ends and a pair"):
+        pos = draw(st.integers(0, n - 2))
+        zeros += [0, n - 2, pos, min(pos + 1, n - 2)]
+    e[zeros] = 0.0
+    return d, e
+
+
+def _columns_by_value(w, Z):
+    """For each distinct w, the columns of Z that belong to it, sorted
+    lexicographically: Z up to the order of equal eigenvalues."""
+    out = []
+    for value in np.unique(w):
+        block = Z[:, w == value]
+        out.append(block[:, np.lexsort(block[::-1])])
+    return out
+
+
+@given(split_tridiagonals())
+def test_chains_reproduce_the_whole_dstevd_call(case):
+    d, e = case
+    w_whole, Z_whole = _eigh_tridiagonal(d, e)
+    w, order, chains = _eigh_chains(d, e)
+    assert w.tobytes() == w_whole.tobytes()
+    Z = np.zeros((len(d), len(d)))
+    for start, block in chains:
+        Z[start:start + len(block), start:start + len(block)] = block
+    assert [start for start, _ in chains] == \
+        [0, *(np.flatnonzero(e == 0) + 1)]
+    Z = Z[:, order]
+    # bit for bit (array_equal: a zero's sign aside); dstevd's own selection
+    # sort may order equal eigenvalues of two chains otherwise
+    assert len(np.unique(w)) < len(w) or np.array_equal(Z, Z_whole)
+    for got, want in zip(_columns_by_value(w, Z),
+                         _columns_by_value(w_whole, Z_whole)):
+        assert np.array_equal(got, want)
+
+
+def test_one_chain_takes_the_whole_call_unsorted():
+    rng = np.random.default_rng(5)
+    d, e = rng.normal(size=30), rng.normal(size=29)
+    w, order, chains = _eigh_chains(d, e)
+    assert order is None and len(chains) == 1
+    w_whole, Z_whole = _eigh_tridiagonal(d, e)
+    assert w.tobytes() == w_whole.tobytes()
+    assert chains[0][1].tobytes() == Z_whole.tobytes()
+    with pytest.raises(ValueError):
+        _eigh_chains(np.array([1.0, math.nan]), np.array([0.0]))
+
+
+@st.composite
+def chain_cases(draw):
+    """nu = 1 matrices tridiagonal in t on a ball with holes in t, punctured
+    at one or two points inside a chain: the punctured block splits into
+    chains at the holes and at the principals."""
+    lat = _lattice(draw(st.sampled_from(["1", "2/3"])))
+    if draw(st.booleans()):
+        coeffs = cosine([1], kappa0=draw(st.sampled_from([0.3, 1.0])))
+    else:
+        coeffs = random_phase(1, nu=1, kappa0=0.5,
+                              seed=draw(st.integers(0, 99)))
+    folded = fold(coeffs, lat, enforce_bound=False)
+    ball = lat.ball(draw(st.integers(3, 12)))
+    keep = draw(st.lists(st.booleans(), min_size=len(ball),
+                         max_size=len(ball)))
+    domain = [e for e, k in zip(ball, keep) if k]
+    assume(len(domain) >= 4)
+    spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])),
+                        k=draw(st.floats(-1.9, 1.9)))
+    matrix = assemble(domain, spec, folded, lat, check_decay=False)
+    by_t = sorted(range(matrix.size), key=lambda i: matrix.domain[i].t)
+    inner = st.sampled_from(by_t[1:-1])
+    principal = draw(st.lists(inner, min_size=1, max_size=2, unique=True))
+    return matrix, principal, draw(st.floats(0.0, 1.0))
+
+
+@given(chain_cases())
+def test_chained_resolvent_matches_dense_solves(case):
+    matrix, principal, where = case
+    assert matrix.bandwidth <= 1
+    res = PuncturedResolvent(matrix, principal)
+    H = matrix.values
+    others = res.others
+    block = H[np.ix_(others, others)]
+    # one chain per run of t-neighbours that a nonzero entry couples
+    by_t = sorted(range(len(others)), key=lambda i: matrix.domain[
+        others[i]].t)
+    cuts = sum(block[i, j] == 0 for i, j in zip(by_t[1:], by_t[:-1]))
+    assert len(res._chains) == 1 + cuts
+    w = np.linalg.eigvalsh(block)
+    scale = max(1.0, float(np.max(np.abs(w))))
+    assert np.allclose(res.w, w, rtol=0, atol=1e-12 * scale)
+    E = float(w[0] - 1.0 + where * (w[-1] - w[0] + 2.0))
+    assume(np.min(np.abs(E - w)) > 1e-3 * scale)
+    qg = q_g_functions(H, principal, E)
+    for p in res.principal:
+        assert res.Q(p, E) == pytest.approx(qg.Q[p], rel=1e-10)
+        F = np.linalg.solve(E * np.eye(len(others)) - block, H[others, p])
+        assert np.linalg.norm(res.tail(E, res.proj[p]) - F) \
+            <= 1e-10 * np.linalg.norm(F)
+    if len(res.principal) == 2:
+        p, q = res.principal
+        assert res.G(p, q, E) == pytest.approx(qg.G[(p, q)], rel=1e-10)
+        lam = np.linalg.eigvalsh(H)
+        tol = 1e-14 * max(1.0, matrix.norm_bound())
+        x = np.concatenate(([E], res.w, lam))
+        count = res.count_below(x)
+        assert np.all(np.searchsorted(lam, x - tol) <= count)
+        assert np.all(count <= np.searchsorted(lam, x + tol))
+
+
+def test_count_below_on_an_eigenvalue_of_a_decoupled_principal():
+    # t = -1 couples to no other point and t = 2 only to t = 3: at x = the
+    # eigenvalue near v(2), G = 0 and det S = 0 exactly, and one eigenvalue
+    # of H, v(-1), lies below x
+    lat = _lattice("1")
+    folded = fold(random_phase(1, nu=1, kappa0=0.5, seed=0), lat,
+                  enforce_bound=False)
+    matrix = assemble([lat.canonicalize([v]) for v in (-1, 2, -3, 3)],
+                      OperatorSpec(epsilon=0.05, k=0.0), folded, lat,
+                      check_decay=False)
+    lam = np.linalg.eigvalsh(matrix.values)
+    for pair in ((2, -1), (-1, 2)):
+        res = PuncturedResolvent(matrix, [matrix.row_of(lat.canonicalize([v]))
+                                          for v in pair])
+        assert list(res.count_below(lam[:2])) == [0, 1]
+
+
 @given(st.one_of(tridiagonal_cases(), householder_cases()))
 def test_array_energies_match_scalar_calls_bit_for_bit(case):
     matrix, principal, _ = case
@@ -259,6 +403,29 @@ def test_resolvent_products_never_copy_z_to_complex(line_lattice,
     block = m.values[np.ix_(res.others, res.others)]
     ref = np.linalg.solve(E * np.eye(n) - block, x)
     assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_resolvent_of_a_punctured_ball_keeps_only_its_chain_blocks(
+        line_lattice, cosine_folded):
+    # punctured at 0, the 1001-point cosine ball is two chains of 500: two
+    # dstevd calls of 500 rows, whose Z blocks and workspace take 6 n^2
+    # bytes at the peak, where one call on all n = 1000 rows takes 16 n^2
+    m = assemble(line_lattice.ball(500), OperatorSpec(epsilon=0.05, k=0.11),
+                 cosine_folded, line_lattice)
+    i0 = m.row_of(line_lattice.identity)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = PuncturedResolvent(m, [i0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(res.others)
+    assert n == 1000 and peak < 8 * n * n
+    assert [len(Z) for _, Z in res._chains] == [500, 500]
+    E = solve_simple(m, line_lattice.identity).E
+    assert res.Q(i0, E) == pytest.approx(
+        q_g_functions(m.values, [i0], E).Q[i0], rel=1e-10)
 
 
 def test_solve_simple_zero_coupling(line_lattice, cosine_folded):

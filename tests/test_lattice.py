@@ -33,7 +33,8 @@ def vector_keyed_canonicalize(lat, cache, vec):
     xi = xi_raw(lat.omega, best)
     t = xi / lat.xi_spacing()
     assert t.denominator == 1
-    elem = GroupElement(rep=best, norm=best_norm, xi=xi, t=int(t))
+    elem = GroupElement(rep=best, norm=best_norm, xi=xi, xi_float=float(xi),
+                        t=int(t))
     cache[v] = elem
     if best != v:
         cache[best] = elem
@@ -377,9 +378,11 @@ def test_canonicalize_rejects_a_vector_without_nu_components():
 def test_elements_compare_and_hash_by_t(half_lattice):
     # t is the one key: a record with another rep but the same t is equal
     e = half_lattice.canonicalize([2, 1])
-    same_t = GroupElement(rep=(3, 0), norm=3, xi=e.xi, t=e.t)
+    same_t = GroupElement(rep=(3, 0), norm=3, xi=e.xi, xi_float=e.xi_float,
+                          t=e.t)
     assert same_t == e and hash(same_t) == hash(e) and {e: 1}[same_t] == 1
-    other = GroupElement(rep=e.rep, norm=e.norm, xi=e.xi, t=e.t + 1)
+    other = GroupElement(rep=e.rep, norm=e.norm, xi=e.xi,
+                         xi_float=e.xi_float, t=e.t + 1)
     assert other != e
 
 

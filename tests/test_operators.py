@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -32,7 +33,7 @@ def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
     scale = spec.epsilon
     zero_mode = scale * folded.value(lat.identity)
     for i, a in enumerate(dom):
-        H[i, i] = spec.diagonal(a.xi) + zero_mode
+        H[i, i] = spec.diagonal(float(a.xi)) + zero_mode
         for j in range(i + 1, n):
             diff = lat.sub(a, dom[j])  # H[row, col] = eps * c(row - col)
             val = scale * folded.value(diff)
@@ -48,7 +49,8 @@ def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
                 f"(eps*exp(-kappa0 |m-n|^alpha0))"
             )
     return DualMatrix(domain=dom, values=H, spec=spec,
-                      index={e: i for i, e in enumerate(dom)})
+                      index={e: i for i, e in enumerate(dom)},
+                      norm_inf=float(np.linalg.norm(H, np.inf)))
 
 
 def pairwise_decay_violations(H, dom, spec, folded, lat):
@@ -166,6 +168,27 @@ def test_assemble_by_offset_is_the_row_gather_bit_for_bit(case):
     assert fast.domain == ref.domain
     assert fast.values.tobytes() == ref.values.tobytes()
     assert fast.bandwidth == ref.bandwidth
+    # row sums of nonnegative terms in another order: within a few ulps
+    terms = len(case[2].entries) + 1
+    assert fast.norm_bound() == pytest.approx(
+        ref.norm_bound(), rel=2 * terms * np.finfo(float).eps)
+
+
+def test_norm_bound_is_read_off_the_assembled_row_sums(line_lattice,
+                                                       cosine_folded):
+    # assemble sums |H| row by row as it writes the offsets: norm_bound()
+    # makes no n x n pass, where |H| alone would take 8 n^2 bytes
+    m = assemble(line_lattice.ball(500), OperatorSpec(epsilon=0.05, k=0.11),
+                 cosine_folded, line_lattice)
+    n = m.size
+    tracemalloc.start()
+    try:
+        norm = m.norm_bound()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n
+    assert norm == pytest.approx(np.linalg.norm(m.values, np.inf), rel=1e-15)
 
 
 def brute_force_bandwidth(matrix):
@@ -305,7 +328,8 @@ def test_assemble_diagonal_carries_folded_zero_mode(half_lattice, check_decay):
     spec = OperatorSpec(epsilon=0.05, k=0.3)
     m = assemble(half_lattice.ball(3), spec, folded, half_lattice,
                  check_decay=check_decay)
-    want = [spec.diagonal(e.xi) + spec.epsilon * c0.real for e in m.domain]
+    want = [spec.diagonal(float(e.xi)) + spec.epsilon * c0.real
+            for e in m.domain]
     assert np.diag(m.values).real == pytest.approx(want, abs=1e-15)
     assert not np.diag(m.values).imag.any()
 

@@ -58,6 +58,13 @@ def test_entry_points_load_only_the_lapack_extension_of_scipy_linalg():
         "['scipy.linalg._flapack']"
 
 
+def test_entry_points_do_not_run_scipy_init():
+    # hillbands._lapack finds scipy's directory without importing scipy,
+    # whose __init__ loads scipy._lib._testutils among others
+    assert _fresh_interpreter(
+        "import sys, hillbands.cli; print('scipy' in sys.modules)") == "False"
+
+
 def test_band_and_verify_runs_leave_scipy_linalg_unloaded(tmp_path):
     config = ROOT / "configs" / "reference.json"
     assert _fresh_interpreter(

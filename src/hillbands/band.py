@@ -192,9 +192,8 @@ def _pair_setup(ctx: BandContext, k: float, n: GroupElement, s_use: int,
         ball = ctx.lat.ball(2.0 * ctx.schedule.R[s_use])
         elems = ball + [ctx.lat.sub(n, e) for e in ball]
     matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
-    H = matrix.values
     i0, i1 = matrix.row_of(ctx.lat.identity), matrix.row_of(n)
-    target = 0.5 * (H[i0, i0].real + H[i1, i1].real)
+    target = 0.5 * (matrix.diagonal[i0].real + matrix.diagonal[i1].real)
     punctured = PuncturedResolvent(matrix, [i0, i1])
     w = punctured.eigenvalues_around(target)
     order = np.argsort(np.abs(w - target))
@@ -337,10 +336,9 @@ def gap_edges(ctx: BandContext, m: GroupElement) -> GapRecord:
     punctured, (lo, hi) = _pair_setup(ctx, k_m, m, s_use, widen=0.5,
                                       min_spread=1e-9)
     matrix = punctured.matrix
-    H = matrix.values
     i0 = matrix.row_of(ctx.lat.identity)
     im = matrix.row_of(m)
-    v0 = float(H[i0, i0].real)
+    v0 = float(matrix.diagonal[i0].real)
 
     def equation(E: float, sign: float) -> float:
         return (E - v0 - punctured.Q(i0, E)
@@ -352,7 +350,7 @@ def gap_edges(ctx: BandContext, m: GroupElement) -> GapRecord:
         edges[sign] = (E, punctured.Q(i0, E), punctured.G(i0, im, E))
     del punctured
     for E, Q, G in edges.values():
-        qg = q_g_functions(H, [i0, im], E)
+        qg = q_g_functions(matrix.values, [i0, im], E)
         diff = max(abs(Q - qg.Q[i0]), abs(G - qg.G[(i0, im)]))
         if diff > GAP_EDGE_CROSSCHECK_TOL * max(1.0, abs(E)):
             raise HypothesisFailed(

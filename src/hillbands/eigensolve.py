@@ -51,37 +51,48 @@ class PuncturedResolvent:
     t-order permutation times the phases cumprod(b/|b|) of its subdiagonal
     b; every other block is reduced by the Householder reflectors of LAPACK
     zhetrd, which zunmqr applies (Golub & Van Loan, Matrix Computations,
-    sec. 8.3). T splits into independent chains wherever its subdiagonal is
-    exactly zero: in t order at each removed principal and at each hole of
-    the domain in t. Each chain is diagonalized by its own LAPACK dstevd
-    call, T = Z diag(w) Z^T with Z block diagonal (``_eigh_chains``); only
-    the chain blocks of Z are kept. Afterwards Q(p, E), G(p, q, E) and the
-    tail (E - H_punctured)^{-1} x cost O(n) per E from the projections
-    Z^T U^H h(., p), for a scalar E or an array of them; the dense-solve
-    route in q_g_functions stays the independent cross-check. With two
-    principals the same weights count the eigenvalues of the whole matrix H
-    below any x (count_below), which brackets them by a search on those
-    counts without a dense eigensolve.
+    sec. 8.3). The coupling columns h(., p) and the principals' own entries
+    are read off the matrix's stored nonzeros, and so is T in t order: there
+    the dense view of H is never built. T splits into independent chains
+    wherever its subdiagonal is exactly zero: in t order at each removed
+    principal and at each hole of the domain in t. Each chain is
+    diagonalized by its own LAPACK dstevd call, T = Z diag(w) Z^T with Z
+    block diagonal (``_eigh_chains``); only the chain blocks of Z are kept.
+    Afterwards Q(p, E), G(p, q, E) and the tail (E - H_punctured)^{-1} x
+    cost O(n) per E from the projections Z^T U^H h(., p), for a scalar E or
+    an array of them; the dense-solve route in q_g_functions stays the
+    independent cross-check. With two principals the same weights count the
+    eigenvalues of the whole matrix H below any x (count_below), which
+    brackets them by a search on those counts without a dense eigensolve.
     """
 
     def __init__(self, matrix: DualMatrix, principal):
-        H = matrix.values
         self.principal = tuple(int(p) for p in principal)
-        n = H.shape[0]
-        self.others = [i for i in range(n) if i not in self.principal]
+        self.others = [i for i in range(matrix.size)
+                       if i not in self.principal]
         if not self.others:
             raise ValueError("puncturing removed the whole domain")
         if matrix.bandwidth is not None and matrix.bandwidth <= 1:
             form = _TOrderPhases(matrix, self.others)
         else:
-            form = _Householder(H[np.ix_(self.others, self.others)])
+            form = _Householder(
+                matrix.values[np.ix_(self.others, self.others)])
         self._form = form
         self.w, self._order, self._chains = _eigh_chains(form.d, form.e)
-        # projections of the coupling columns h(., p)
-        columns = self.project(H[np.ix_(self.others, self.principal)])
-        self.proj = dict(zip(self.principal, columns.T))
+        # the principals' columns H e_p: the coupling columns h(., p), their
+        # projections, and the entries H[q, p] between two principals
+        unit = np.zeros(matrix.size, dtype=np.complex128)
+        columns = {}
+        for p in self.principal:
+            unit[p] = 1.0
+            columns[p] = matrix.matvec(unit)
+            unit[p] = 0.0
+        self.proj = dict(zip(self.principal, self.project(np.stack(
+            [columns[p][self.others] for p in self.principal], axis=1)).T))
+        self._between = {(q, p): columns[p][q] for p in self.principal
+                         for q in self.principal}
+        self._v = {p: float(matrix.diagonal[p].real) for p in self.principal}
         self.matrix = matrix
-        self.H = H
 
     def project(self, x: np.ndarray) -> np.ndarray:
         """Z^T U^H x for a vector x in ``others`` order, or for each column
@@ -112,14 +123,14 @@ class PuncturedResolvent:
     def G(self, p: int, q: int, E):
         s = np.sum(np.conj(self.proj[p]) * self.proj[q] * self._weights(E),
                    axis=-1)
-        g = self.H[p, q] + s
+        g = self._between[p, q] + s
         return complex(g) if g.ndim == 0 else g
 
     def chi(self, E):
         """The 2x2 Schur determinant (E - v_p - Q_p)(E - v_q - Q_q) - |G_pq|^2
         of the two principals (p, q), for a scalar E or an array."""
         p, q = self.principal
-        vp, vq = float(self.H[p, p].real), float(self.H[q, q].real)
+        vp, vq = self._v[p], self._v[q]
         return ((E - vp - self.Q(p, E)) * (E - vq - self.Q(q, E))
                 - np.abs(self.G(p, q, E)) ** 2)
 
@@ -154,9 +165,8 @@ class PuncturedResolvent:
         g = np.conj(a) * b
         columns = np.stack([np.abs(a) ** 2, np.abs(b) ** 2, -g.real, -g.imag],
                            axis=-1)
-        h = self.H[p, q]
-        base = np.array([-self.H[p, p].real, -self.H[q, q].real, h.real,
-                         h.imag])
+        h = self._between[p, q]
+        base = np.array([-self._v[p], -self._v[q], h.real, h.imag])
         lemma = np.stack([columns[:, 1], columns[:, 0], 2.0 * g.real,
                           2.0 * g.imag], axis=-1)
         return columns, base, lemma
@@ -212,16 +222,16 @@ class PuncturedResolvent:
         third of the calls of a bisection.
 
         Cauchy interlacing gives lambda_j in [w_{j-2}, w_j]; past the ends
-        of w the Gershgorin discs of H bound the spectrum. The search stops
+        of w the Gershgorin discs of H bound the spectrum, with the radii
+        that assemble stores. The search stops
         when every bracket is no wider than 4 eps max(1, ||H||_inf):
         rounding decides the count below that width, and two neighbouring
         floats in the brackets lie closer, so every step makes progress.
         """
         j = np.asarray(indices)
-        H = self.H
-        diagonal = H.diagonal().real
-        radius = np.sum(np.abs(H), axis=1) - np.abs(diagonal)
-        low, high = np.min(diagonal - radius), np.max(diagonal + radius)
+        diagonal, radii = self.matrix.diagonal.real, self.matrix.radii
+        low = np.min(diagonal - radii)
+        high = np.max(diagonal + radii)
         ends = np.concatenate(([low, low], self.w, [high, high]))
         lo, hi = ends[j], ends[j + 2]
         width = 4.0 * _EPS * max(1.0, self.matrix.norm_bound())
@@ -248,13 +258,19 @@ class _TOrderPhases:
     (Golub & Van Loan, Matrix Computations, sec. 8.4)."""
 
     def __init__(self, matrix: DualMatrix, others: list[int]):
-        H = matrix.values
         t = np.array([matrix.domain[i].t for i in others], dtype=np.int64)
         self.order = np.argsort(t)
         self.inverse = np.argsort(self.order)
         rows = np.asarray(others)[self.order]
-        self.d = H[rows, rows].real
-        sub = H[rows[1:], rows[:-1]]
+        self.d = matrix.diagonal[rows].real
+        # the subdiagonal H[rows[r + 1], rows[r]], read off the stored
+        # entries whose row follows their column in this order
+        rank = np.full(matrix.size, -1)
+        rank[rows] = np.arange(len(rows))
+        sub = np.zeros(len(rows) - 1, dtype=np.complex128)
+        for r, c, value in matrix.offsets:
+            col = rank[c]
+            sub[col[(col >= 0) & (rank[r] == col + 1)]] = value
         self.e = np.abs(sub)
         unit = np.ones_like(sub)
         np.divide(sub, self.e, out=unit, where=self.e != 0)
@@ -310,18 +326,11 @@ def _real_times(A: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     out.imag = A @ np.ascontiguousarray(x.imag)
 
 
-def _eigh_tridiagonal(d: np.ndarray, e: np.ndarray):
-    """w ascending and Z with T = Z diag(w) Z^T, for T real symmetric
-    tridiagonal with diagonal d and subdiagonal e, by one LAPACK dstevd call
-    on the whole of T: what scipy.linalg.eigh_tridiagonal(d, e,
-    lapack_driver="stevd") computes. A NaN or inf in d or e raises
-    ValueError. ``_eigh_chains`` splits T first and calls dstevd per chain.
-    """
-    return _stevd(np.asarray_chkfinite(d), np.asarray_chkfinite(e))
-
-
 def _stevd(d: np.ndarray, e: np.ndarray):
-    """dstevd on finite d and e; the 1x1 case returned as is."""
+    """w ascending and Z with T = Z diag(w) Z^T, for T real symmetric
+    tridiagonal with finite diagonal d and subdiagonal e, by one LAPACK
+    dstevd call: what scipy.linalg.eigh_tridiagonal(d, e,
+    lapack_driver="stevd") computes. The 1x1 case is returned as is."""
     if len(d) == 1:
         return d.copy(), np.ones((1, 1))
     w, Z, info = flapack.dstevd(d, e, compute_v=1)
@@ -339,7 +348,7 @@ def _eigh_chains(d: np.ndarray, e: np.ndarray):
     eigenvalues, taken in chain order by ``order`` (None for one chain,
     whose w dstevd already sorts). dstevd's divide and conquer splits at
     these zeros too, and solves the chains one by one (LAPACK dstedc), so
-    w is bit for bit that of ``_eigh_tridiagonal(d, e)``, and so is Z up to
+    w is bit for bit that of one dstevd call on all of T, and so is Z up to
     the column order of equal eigenvalues of different chains. The
     finiteness check runs once on d and e (ValueError).
     """
@@ -378,8 +387,8 @@ class PairBranches:
     residual_plus: float
 
 
-def _residual(H: np.ndarray, phi: np.ndarray, E: float) -> float:
-    return float(np.max(np.abs(H @ phi - E * phi)))
+def _residual(matrix: DualMatrix, phi: np.ndarray, E: float) -> float:
+    return float(np.max(np.abs(matrix.matvec(phi) - E * phi)))
 
 
 def solve_simple(matrix: DualMatrix, m0: GroupElement) -> EigenPair:
@@ -392,9 +401,8 @@ def solve_simple(matrix: DualMatrix, m0: GroupElement) -> EigenPair:
     of |Q(v)| in f at the far end. A w inside that bracket is a pole of f,
     onto which Brent would converge: HypothesisFailed.
     """
-    H = matrix.values
     i0 = matrix.row_of(m0)
-    v0 = float(H[i0, i0].real)
+    v0 = float(matrix.diagonal[i0].real)
     punctured = PuncturedResolvent(matrix, [i0])
     evaluations = 0
 
@@ -417,7 +425,7 @@ def solve_simple(matrix: DualMatrix, m0: GroupElement) -> EigenPair:
     # phi restricted off m0 solves (E - H_punctured) phi = h(., m0), i.e. +F;
     # the 2x2 closed form pins this sign.
     phi[punctured.others] = punctured.tail(E, punctured.proj[i0])
-    return EigenPair(E=E, phi=phi, residual=_residual(H, phi, E),
+    return EigenPair(E=E, phi=phi, residual=_residual(matrix, phi, E),
                      punctured_gap=punctured.gap(E), iterations=evaluations)
 
 
@@ -454,11 +462,10 @@ def solve_pair(punctured: PuncturedResolvent, m_plus: GroupElement,
     on a 257-point grid (RootCountMismatch) and audits |beta+-| <= 1.
     """
     matrix = punctured.matrix
-    H = matrix.values
     ip, im = matrix.row_of(m_plus), matrix.row_of(m_minus)
     if sorted(punctured.principal) != sorted((ip, im)):
         raise ValueError("the resolvent is not punctured at (m+, m-)")
-    vp, vm = float(H[ip, ip].real), float(H[im, im].real)
+    vp, vm = float(matrix.diagonal[ip].real), float(matrix.diagonal[im].real)
 
     grid = np.linspace(bracket[0], bracket[1], 33)
     tau_seen = float(np.min((vp + punctured.Q(ip, grid))
@@ -483,7 +490,8 @@ def solve_pair(punctured: PuncturedResolvent, m_plus: GroupElement,
     for sign, E_val in (("+", e_plus), ("-", e_minus)):
         own = ip if sign == "+" else im
         other = im if sign == "+" else ip
-        denom = E_val - float(H[other, other].real) - punctured.Q(other, E_val)
+        denom = (E_val - float(matrix.diagonal[other].real)
+                 - punctured.Q(other, E_val))
         beta = punctured.G(other, own, E_val) / denom
         phi = np.zeros(matrix.size, dtype=np.complex128)
         phi[own] = 1.0
@@ -493,7 +501,7 @@ def solve_pair(punctured: PuncturedResolvent, m_plus: GroupElement,
             E_val, punctured.proj[own] + punctured.proj[other] * beta)
         phis[sign] = phi
         betas[sign] = complex(beta)
-        residuals[sign] = _residual(H, phi, E_val)
+        residuals[sign] = _residual(matrix, phi, E_val)
         if abs(beta) > 1.0 + 1e-9:
             raise HypothesisFailed("beta bound", f"|beta{sign}| = {abs(beta):.3e} > 1")
     return PairBranches(

@@ -9,6 +9,7 @@ duality).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -43,20 +44,31 @@ class OperatorSpec:
         return TWO_PI_SQ * (xi + self.k) ** 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualMatrix:
-    """Hermitian dual matrix over an ordered domain."""
+    """Hermitian dual matrix over an ordered domain, stored by its nonzeros.
+
+    H = diag(diagonal), plus the scalar value at (rows[i], cols[i]) for each
+    entry (rows, cols, value) of ``offsets``: ``assemble`` stores one entry
+    per offset d that the domain realizes, with the pairs t_i - t_j = d and
+    the value eps*c(d). The rows of one entry are distinct, so ``matvec``
+    adds each entry in one step.
+    The dense n x n ``values`` is built only where a dense routine reads it.
+    Equality and hashing are by identity.
+    """
 
     domain: tuple[GroupElement, ...]
-    values: np.ndarray
     spec: OperatorSpec
-    index: dict = field(compare=False, repr=False)
-    # ||values||_inf, the largest row sum of |entries|, summed by assemble
-    # as it writes them
-    norm_inf: float = field(compare=False)
+    index: dict = field(repr=False)
+    diagonal: np.ndarray = field(repr=False)
+    offsets: tuple[tuple[np.ndarray, np.ndarray, complex], ...] = field(
+        repr=False)
+    # the Gershgorin radii, each row's sum of |entries| off the diagonal,
+    # summed by assemble as it stores them
+    radii: np.ndarray = field(repr=False)
     # largest rank distance, in the domain sorted by t, between two points
     # coupled by a nonzero entry; None (unknown) means treat as dense
-    bandwidth: int | None = field(default=None, compare=False)
+    bandwidth: int | None
 
     @property
     def size(self) -> int:
@@ -66,7 +78,25 @@ class DualMatrix:
         return self.index[e]
 
     def norm_bound(self) -> float:
-        return self.norm_inf
+        """||H||_inf, the largest row sum of |entries|."""
+        return float(np.max(self.radii + np.abs(self.diagonal)))
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """The dense H, built on first access and kept."""
+        n = self.size
+        H = np.zeros((n, n), dtype=np.complex128)
+        for rows, cols, value in self.offsets:
+            H[rows, cols] = value
+        H[np.diag_indices(n)] = self.diagonal
+        return H
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """H x from the stored nonzeros."""
+        y = self.diagonal * x
+        for rows, cols, value in self.offsets:
+            y[rows] += value * x[cols]
+        return y
 
 
 def order_domain(domain) -> tuple[GroupElement, ...]:
@@ -81,13 +111,13 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
 
     H[i, j] = eps*c(t_i - t_j) off the diagonal: each offset d of the folded
     support finds its pairs t_i - t_j = d by one searchsorted on the sorted
-    t and writes eps*c(d) there in one step; every other entry is zero. The
-    diagonal adds eps*c(0), the folded zero mode that the Floquet potential
-    carries too. ``fold`` stores c(-n) as exactly conj(c(n)), so the matrix
-    is Hermitian bit for bit. The same pairs give the bandwidth, the largest
-    rank distance in sorted t between two points coupled by a nonzero entry,
-    and ||H||_inf: each offset adds |eps*c(d)| to the row sums of its rows,
-    so no n x n pass over |H| is made.
+    t, and the matrix stores them with eps*c(d); every other entry is zero.
+    The diagonal adds eps*c(0), the folded zero mode that the Floquet
+    potential carries too. ``fold`` stores c(-n) as exactly conj(c(n)), so
+    the matrix is Hermitian bit for bit. The same pairs give the bandwidth,
+    the largest rank distance in sorted t between two points coupled by a
+    nonzero entry, and the Gershgorin radii: each offset adds |eps*c(d)| to
+    the radii of its rows. No n x n array is made.
     """
     dom = order_domain(domain)
     if not dom:
@@ -99,8 +129,8 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     ts = t[order]
     ranks = np.arange(n)
     span = int(ts[-1] - ts[0])
-    H = np.zeros((n, n), dtype=np.complex128)
-    row_sums = np.zeros(n)
+    radii = np.zeros(n)
+    offsets = []
     entries = {}
     bandwidth = 0
     for e, c in folded.entries.items():
@@ -115,24 +145,23 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
             continue
         val = eps * c
         rows = order[hit]
-        H[rows, order[pos[hit]]] = val
-        row_sums[rows] += abs(val)
+        offsets.append((rows, order[pos[hit]], val))
+        radii[rows] += abs(val)
         entries[d] = (e.norm, abs(val))
         if val != 0:
             bandwidth = max(bandwidth, int(np.max(np.abs(pos[hit]
                                                          - ranks[hit]))))
     zero_mode = eps * folded.value(lat.identity)
     diagonal = np.array([spec.diagonal(a.xi_float) + zero_mode for a in dom])
-    H[np.diag_indices(n)] = diagonal
-    row_sums += np.abs(diagonal)
     if check_decay:
-        _check_decay(H, dom, t, entries, spec, folded)
-    return DualMatrix(domain=dom, values=H, spec=spec,
+        _check_decay(dom, t, entries, spec, folded)
+    return DualMatrix(domain=dom, spec=spec,
                       index={e: i for i, e in enumerate(dom)},
-                      norm_inf=float(np.max(row_sums)), bandwidth=bandwidth)
+                      diagonal=diagonal, offsets=tuple(offsets), radii=radii,
+                      bandwidth=bandwidth)
 
 
-def _check_decay(H, dom, t, entries, spec, folded) -> None:
+def _check_decay(dom, t, entries, spec, folded) -> None:
     """Raise on an entry above eps*exp(-kappa0 |m-n|^alpha0).
 
     The bound depends only on the offset d = t_i - t_j, whose norm is that of
@@ -154,50 +183,9 @@ def _check_decay(H, dom, t, entries, spec, folded) -> None:
         hits = np.flatnonzero(np.isin(t[i] - t[i + 1:], bad))
         if hits.size:
             j = i + 1 + int(hits[0])
+            d = int(t[i] - t[j])
             raise OffDiagonalDecayError(
-                f"|H({dom[i]},{dom[j]})| = {abs(H[i, j]):.3e} > "
-                f"{bounds[int(t[i] - t[j])]:.3e} "
+                f"|H({dom[i]},{dom[j]})| = {entries[d][1]:.3e} > "
+                f"{bounds[d]:.3e} "
                 f"(eps*exp(-kappa0 |m-n|^alpha0))"
             )
-
-
-def translated_domain(domain: Sequence[GroupElement], m: GroupElement,
-                      lat: QuotientLattice) -> tuple[GroupElement, ...]:
-    return order_domain([lat.add(m, e) for e in domain])
-
-
-def negated_domain(domain: Sequence[GroupElement], lat: QuotientLattice):
-    return order_domain([lat.neg(e) for e in domain])
-
-
-@dataclass(frozen=True)
-class ConjugationReport:
-    max_eig_difference: float
-    passed: bool
-
-
-def _compare_spectra(left: DualMatrix, right: DualMatrix) -> ConjugationReport:
-    """The two spectra agree to 1e-10."""
-    diff = float(np.max(np.abs(np.linalg.eigvalsh(left.values)
-                               - np.linalg.eigvalsh(right.values))))
-    return ConjugationReport(max_eig_difference=diff, passed=diff <= 1e-10)
-
-
-def translation_conjugation_check(domain: Sequence[GroupElement], m: GroupElement,
-                                  spec: OperatorSpec, folded: FoldedCoefficients,
-                                  lat: QuotientLattice) -> ConjugationReport:
-    """Spectra of H_{m+Lambda, eps, k} and H_{Lambda, eps, k+xi(m)} must agree."""
-    left = assemble(translated_domain(domain, m, lat), spec, folded, lat)
-    shifted = OperatorSpec(epsilon=spec.epsilon, k=spec.k + m.xi_float)
-    return _compare_spectra(left, assemble(order_domain(domain), shifted,
-                                           folded, lat))
-
-
-def symmetry_conjugation_check(domain: Sequence[GroupElement], spec: OperatorSpec,
-                               folded: FoldedCoefficients,
-                               lat: QuotientLattice) -> ConjugationReport:
-    """Spectra of H_{Lambda, eps, k} and H_{-Lambda, eps, -k} must agree."""
-    left = assemble(order_domain(domain), spec, folded, lat)
-    flipped = OperatorSpec(epsilon=spec.epsilon, k=-spec.k)
-    return _compare_spectra(left, assemble(negated_domain(domain, lat),
-                                           flipped, folded, lat))

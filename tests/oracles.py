@@ -2,16 +2,21 @@
 
 Each one computes the same quantity as a faster route in ``hillbands`` by the
 direct formula: xi as a Fraction sum over the vector, the potential summed
-over the unfolded coefficients, and the dual matrix gathered row by row.
+over the unfolded coefficients, the dual matrix gathered row by row, and the
+tridiagonal eigensolve by one dstevd call on the whole matrix. The spectral
+conjugation checks compare dense spectra of assembled matrices, and
+``dense_dual_matrix`` wraps a dense H, built by a test, as a DualMatrix.
 """
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from hillbands.operators import DualMatrix, order_domain
+from hillbands.eigensolve import _stevd
+from hillbands.operators import DualMatrix, OperatorSpec, assemble, order_domain
 
 
 def xi_raw(omega, vec) -> Fraction:
@@ -63,7 +68,84 @@ def gathered_assemble(domain, spec, folded, lat) -> DualMatrix:
         hit[hit] = ts[pos[hit]] == ts[hit] + d
         if hit.any():
             width = max(width, int(np.max(np.abs(pos[hit] - ranks[hit]))))
-    return DualMatrix(domain=dom, values=H, spec=spec,
-                      index={e: i for i, e in enumerate(dom)},
-                      norm_inf=float(np.linalg.norm(H, np.inf)),
-                      bandwidth=width)
+    return dense_dual_matrix(dom, spec, H, width)
+
+
+def dense_dual_matrix(domain, spec, H, bandwidth=None) -> DualMatrix:
+    """A DualMatrix whose dense view is H bit for bit, over a domain already
+    in ``order_domain`` order, with the Gershgorin radii summed by numpy.
+
+    The entries off the diagonal are stored by index diagonal j - i and by
+    value, compared bit for bit, so the rows of one entry are distinct and
+    a -0.0 stays apart from +0; every entry whose bits are not those of +0
+    is kept. bandwidth None sends the matrix to the dense (zhetrd) path of
+    the resolvent.
+    """
+    n = len(domain)
+    diagonal = H.diagonal().copy()
+    off = np.abs(H)
+    off[np.diag_indices(n)] = 0.0
+    offsets = []
+    for shift in range(1 - n, n):
+        if shift == 0:
+            continue
+        rows = np.arange(max(0, -shift), min(n, n - shift))
+        values = H[rows, rows + shift]
+        bits = values.view(np.uint64).reshape(-1, 2)
+        keys, group = np.unique(bits, axis=0, return_inverse=True)
+        for k, key in enumerate(keys):
+            if key.any():
+                same = group.ravel() == k
+                offsets.append((rows[same], rows[same] + shift,
+                                values[same][0]))
+    return DualMatrix(domain=tuple(domain), spec=spec,
+                      index={e: i for i, e in enumerate(domain)},
+                      diagonal=diagonal, offsets=tuple(offsets),
+                      radii=off.sum(axis=1), bandwidth=bandwidth)
+
+
+def whole_dstevd(d, e):
+    """w ascending and Z with T = Z diag(w) Z^T, for T real symmetric
+    tridiagonal with diagonal d and subdiagonal e, by one LAPACK dstevd call
+    on the whole of T; a NaN or inf in d or e raises ValueError. The chain
+    split of ``eigensolve._eigh_chains`` reproduces it."""
+    return _stevd(np.asarray_chkfinite(d), np.asarray_chkfinite(e))
+
+
+def translated_domain(domain, m, lat):
+    return order_domain([lat.add(m, e) for e in domain])
+
+
+def negated_domain(domain, lat):
+    return order_domain([lat.neg(e) for e in domain])
+
+
+@dataclass(frozen=True)
+class ConjugationReport:
+    max_eig_difference: float
+    passed: bool
+
+
+def _compare_spectra(left, right) -> ConjugationReport:
+    """The two spectra agree to 1e-10."""
+    diff = float(np.max(np.abs(np.linalg.eigvalsh(left.values)
+                               - np.linalg.eigvalsh(right.values))))
+    return ConjugationReport(max_eig_difference=diff, passed=diff <= 1e-10)
+
+
+def translation_conjugation_check(domain, m, spec, folded,
+                                  lat) -> ConjugationReport:
+    """Spectra of H_{m+Lambda, eps, k} and H_{Lambda, eps, k+xi(m)} must
+    agree."""
+    left = assemble(translated_domain(domain, m, lat), spec, folded, lat)
+    shifted = OperatorSpec(epsilon=spec.epsilon, k=spec.k + m.xi_float)
+    return _compare_spectra(left, assemble(order_domain(domain), shifted,
+                                           folded, lat))
+
+
+def symmetry_conjugation_check(domain, spec, folded, lat) -> ConjugationReport:
+    """Spectra of H_{Lambda, eps, k} and H_{-Lambda, eps, -k} must agree."""
+    left = assemble(order_domain(domain), spec, folded, lat)
+    flipped = OperatorSpec(epsilon=spec.epsilon, k=-spec.k)
+    return _compare_spectra(left, assemble(negated_domain(domain, lat),
+                                           flipped, folded, lat))

@@ -24,6 +24,7 @@ from hillbands.scales import build_schedule
 from hillbands.schur import q_g_functions
 
 from conftest import make_context
+from oracles import dense_dual_matrix
 
 
 def test_band_curve_free_case(line_lattice, cosine_folded, toy_schedule):
@@ -518,6 +519,24 @@ def test_reference_config_domain_routes(reference_context, k, klass, scale,
     assert p.E == pytest.approx(E, rel=1e-12)
 
 
+def test_t_order_pair_route_builds_no_dense_view(reference_context,
+                                                 monkeypatch):
+    # the reference config's OPR sample: a cosine pair matrix, tridiagonal in
+    # t order, solved from its stored nonzeros alone
+    built = []
+    real = band.assemble
+
+    def recording(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(band, "assemble", recording)
+    p = compute_point(reference_context, -0.49)
+    assert p.klass == "OPR" and built
+    for matrix in built:
+        assert matrix.bandwidth <= 1 and "values" not in vars(matrix)
+
+
 def test_failed_root_refinement_lands_in_class_error(reference_context,
                                                      monkeypatch):
     # f is NaN inside every bracket, so brent_root raises ValueError there;
@@ -579,14 +598,12 @@ def _pole_in_bracket(matrix, m0):
     i0, j = matrix.row_of(m0), matrix.size - 1
     H = matrix.values.copy()
     H[j, :] = H[:, j] = 0.0
-    decoupled = dataclasses.replace(matrix, values=H, bandwidth=None,
-                                    norm_inf=np.linalg.norm(H, np.inf))
+    decoupled = dense_dual_matrix(matrix.domain, matrix.spec, H)
     v = float(H[i0, i0].real)
     q = PuncturedResolvent(decoupled, [i0]).Q(i0, v)
     H[j, j] = v + q
     H[j, i0] = H[i0, j] = abs(q) / 2.0
-    return dataclasses.replace(matrix, values=H, bandwidth=None,
-                               norm_inf=np.linalg.norm(H, np.inf))
+    return dense_dual_matrix(matrix.domain, matrix.spec, H)
 
 
 def test_pole_inside_the_simple_bracket_is_an_error(reference_context,

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hillbands.eigensolve import (ROOT_TOL, CffNode, DichotomyResult,
-                                  PuncturedResolvent, _eigh_chains,
-                                  _eigh_tridiagonal,
+                                  PuncturedResolvent, _eigh_chains, _stevd,
                                   _sign_change_roots,
                                   cff_branch_solve,
                                   cff_build, dichotomy_core, leaf,
@@ -24,11 +23,12 @@ from hillbands.errors import (AdmissibilityFailed, HypothesisFailed,
                               PreconditionFailed,
                               RootCountMismatch, SingularBlock)
 from hillbands.lattice import FrequencyVector, QuotientLattice
-from hillbands.operators import (TWO_PI_SQ, OperatorSpec, assemble,
-                                 translated_domain)
+from hillbands.operators import TWO_PI_SQ, OperatorSpec, assemble
 from hillbands.oracle import dense_spectrum
 from hillbands.potential import cosine, fold, random_phase
 from hillbands.schur import q_g_functions
+
+from oracles import translated_domain, whole_dstevd
 
 EPS = float(np.finfo(float).eps)
 
@@ -195,7 +195,7 @@ def test_tridiagonal_eigensolve_is_scipy_stevd_bit_for_bit(data):
     finite = st.floats(-1e3, 1e3)
     d = data.draw(arrays(np.float64, n, elements=finite), label="d")
     e = data.draw(arrays(np.float64, n - 1, elements=finite), label="e")
-    for got, want in zip(_eigh_tridiagonal(d, e), _scipy_stevd(d, e)):
+    for got, want in zip(_stevd(d, e), _scipy_stevd(d, e)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -205,7 +205,7 @@ def test_tridiagonal_eigensolve_is_scipy_stevd_bit_for_bit(data):
         d_bad[i] = bad
     else:
         e_bad[i - n] = bad
-    for solve in (_eigh_tridiagonal, _scipy_stevd):
+    for solve in (_eigh_chains, whole_dstevd, _scipy_stevd):
         with pytest.raises(ValueError):
             solve(d_bad, e_bad)
 
@@ -246,7 +246,7 @@ def _columns_by_value(w, Z):
 @given(split_tridiagonals())
 def test_chains_reproduce_the_whole_dstevd_call(case):
     d, e = case
-    w_whole, Z_whole = _eigh_tridiagonal(d, e)
+    w_whole, Z_whole = whole_dstevd(d, e)
     w, order, chains = _eigh_chains(d, e)
     assert w.tobytes() == w_whole.tobytes()
     Z = np.zeros((len(d), len(d)))
@@ -268,7 +268,7 @@ def test_one_chain_takes_the_whole_call_unsorted():
     d, e = rng.normal(size=30), rng.normal(size=29)
     w, order, chains = _eigh_chains(d, e)
     assert order is None and len(chains) == 1
-    w_whole, Z_whole = _eigh_tridiagonal(d, e)
+    w_whole, Z_whole = whole_dstevd(d, e)
     assert w.tobytes() == w_whole.tobytes()
     assert chains[0][1].tobytes() == Z_whole.tobytes()
     with pytest.raises(ValueError):
@@ -426,6 +426,30 @@ def test_resolvent_of_a_punctured_ball_keeps_only_its_chain_blocks(
     E = solve_simple(m, line_lattice.identity).E
     assert res.Q(i0, E) == pytest.approx(
         q_g_functions(m.values, [i0], E).Q[i0], rel=1e-10)
+
+
+def test_simple_route_on_a_big_ball_never_builds_the_dense_view(
+        line_lattice, cosine_folded):
+    # strict mode's matrix: the cosine ball B(500), n = 1001. Assembly stores
+    # the diagonal and two offsets, and the t-order resolvent and the
+    # residual read them: the dense view alone would take 16 n^2 bytes. The
+    # lattice caches its balls, so the ball is built outside the trace
+    line_lattice.ball(500)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        m = assemble(line_lattice.ball(500),
+                     OperatorSpec(epsilon=0.05, k=0.11), cosine_folded,
+                     line_lattice)
+        pair = solve_simple(m, line_lattice.identity)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = m.size
+    assert n == 1001 and peak < 16 * n * n
+    assert "values" not in vars(m)
+    dense = np.max(np.abs(m.values @ pair.phi - pair.E * pair.phi))
+    assert pair.residual == pytest.approx(dense, abs=1e-15 * m.norm_bound())
 
 
 def test_solve_simple_zero_coupling(line_lattice, cosine_folded):

@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 
 from hillbands.errors import OffDiagonalDecayError
 from hillbands.lattice import FrequencyVector, QuotientLattice
-from hillbands.operators import (TWO_PI_SQ, DualMatrix, OperatorSpec, assemble,
-                                 gamma_for, negated_domain, order_domain,
-                                 symmetry_conjugation_check,
-                                 translated_domain,
-                                 translation_conjugation_check)
+from hillbands.operators import (TWO_PI_SQ, OperatorSpec, assemble, gamma_for,
+                                 order_domain)
 from hillbands.potential import cosine, exp_decay, fold, random_phase
 
 from conftest import make_context
-from oracles import gathered_assemble
+from oracles import (dense_dual_matrix, gathered_assemble, negated_domain,
+                     symmetry_conjugation_check, translated_domain,
+                     translation_conjugation_check)
 
 
 # --- reference oracle: pairwise assembly, one lat.sub per pair ---
@@ -48,9 +47,7 @@ def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
                 f"|H({dom[i]},{dom[j]})| = {a:.3e} > {b:.3e} "
                 f"(eps*exp(-kappa0 |m-n|^alpha0))"
             )
-    return DualMatrix(domain=dom, values=H, spec=spec,
-                      index={e: i for i, e in enumerate(dom)},
-                      norm_inf=float(np.linalg.norm(H, np.inf)))
+    return dense_dual_matrix(dom, spec, H)
 
 
 def pairwise_decay_violations(H, dom, spec, folded, lat):
@@ -172,6 +169,28 @@ def test_assemble_by_offset_is_the_row_gather_bit_for_bit(case):
     terms = len(case[2].entries) + 1
     assert fast.norm_bound() == pytest.approx(
         ref.norm_bound(), rel=2 * terms * np.finfo(float).eps)
+
+
+@given(gapped_domain_cases(), st.integers(0, 2**32 - 1))
+def test_matvec_is_the_dense_product(case, seed):
+    # H x from the stored nonzeros, one scatter-add per offset, against the
+    # dense view's BLAS product: the sums differ only in their order
+    m = assemble(*case, check_decay=False)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=m.size) + 1j * rng.normal(size=m.size)
+    y = m.matvec(x)
+    assert "values" not in vars(m)
+    tol = 1e-15 * m.norm_bound() * np.max(np.abs(x))
+    assert np.max(np.abs(y - m.values @ x)) <= tol
+
+
+def test_dual_matrices_compare_and_hash_by_identity(line_lattice,
+                                                    cosine_folded):
+    spec = OperatorSpec(epsilon=0.05, k=0.3)
+    m = assemble(line_lattice.ball(3), spec, cosine_folded, line_lattice)
+    twin = assemble(line_lattice.ball(3), spec, cosine_folded, line_lattice)
+    assert m == m and m != twin and not m == twin
+    assert hash(m) == hash(m) and len({m, twin, m}) == 2
 
 
 def test_norm_bound_is_read_off_the_assembled_row_sums(line_lattice,

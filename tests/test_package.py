@@ -15,7 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # defaulted parameters and defaulted dataclass fields in src/hillbands
-MAX_DEFAULTED = 73
+MAX_DEFAULTED = 72
 # the package needs only scipy's LAPACK extension, scipy.linalg._flapack,
 # which hillbands._lapack loads by path; these cost set-up time on every run
 # (scipy.integrate loads scipy.optimize, which loads scipy.fft and

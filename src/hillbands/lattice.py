@@ -1,19 +1,20 @@
 """Exact arithmetic on the quotient group T = Z^nu / N(omega).
 
-Frequency vectors are exact rationals; the null lattice N(omega) is the integer
-kernel of m -> m.omega; group elements are canonical coset representatives of
-minimal ell-infinity norm with a lexicographic tie-break. The linear functional
-xi and all coset arithmetic stay in Fraction; only norms and analysis
-quantities are floats.
+Frequency vectors are exact rationals. Each coset is named by its integer
+coordinate t = w.v / gcd(w) for the integer form w of omega, and represented
+by its vector of minimal ell-infinity norm with a lexicographic tie-break.
+xi = spacing * t is an exact Fraction; only norms and analysis quantities are
+floats.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import PreconditionFailed
 
@@ -82,57 +83,6 @@ class FrequencyVector:
 
 
 @dataclass(frozen=True)
-class NullLattice:
-    """Integer basis of N(omega) = { m : m.omega = 0 }, saturated by construction.
-
-    ``unit`` is an integer vector u with u.w = gcd(w) for the integer form w:
-    a vector of coordinate t = 1, so t * u is a vector of coordinate t.
-    """
-
-    basis: tuple[tuple[int, ...], ...]
-    rank: int
-    unit: tuple[int, ...]
-
-    def __post_init__(self):
-        assert self.rank == len(self.basis)
-
-
-def null_lattice(omega: FrequencyVector) -> NullLattice:
-    """Kernel of m -> m.omega by unimodular row reduction on the integer form."""
-    w = list(omega.integer_form)
-    nu = len(w)
-    rows = [[1 if i == j else 0 for j in range(nu)] for i in range(nu)]
-    g = list(w)
-    while True:
-        nz = [i for i in range(nu) if g[i] != 0]
-        if len(nz) <= 1:
-            break
-        pivot = min(nz, key=lambda i: abs(g[i]))
-        for j in nz:
-            if j == pivot:
-                continue
-            q = g[j] // g[pivot]
-            if q:
-                g[j] -= q * g[pivot]
-                rows[j] = [a - q * b for a, b in zip(rows[j], rows[pivot])]
-    basis = [tuple(rows[i]) for i in range(nu) if g[i] == 0]
-    basis = [_sign_normalize(b) for b in basis]
-    basis.sort()
-    # the rows stay unimodular, so the one row left with g != 0 has
-    # row.w = +-gcd(w)
-    (last,) = nz
-    unit = tuple(a if g[last] > 0 else -a for a in rows[last])
-    return NullLattice(basis=tuple(basis), rank=len(basis), unit=unit)
-
-
-def _sign_normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
-    for v in vec:
-        if v != 0:
-            return vec if v > 0 else tuple(-x for x in vec)
-    return vec
-
-
-@dataclass(frozen=True)
 class GroupElement:
     """Canonical coset representative with cached norm, xi value and coordinate.
 
@@ -172,29 +122,20 @@ class QuotientLattice:
 
     def __init__(self, omega: FrequencyVector):
         self.omega = omega
-        self.null = null_lattice(omega)
         self.nu = omega.nu
         # The one element table, keyed by the integer coordinate t: every
         # vector of a coset has the same t, so each coset is searched once.
         self._by_t: dict[int, GroupElement] = {}
         self._ball_cache: dict[int, tuple[GroupElement, ...]] = {}
-        self._pinv = self._null_pinv()
-        self._coeff_rows = [sum(abs(x) for x in row) for row in self._pinv]
         # xi(v) = xi_spacing * sum_j v_j w_j / g for the integer form w and
         # g = gcd(w), so these integer weights give t without a division,
         # and xi is the spacing times t.
         g = math.gcd(*omega.integer_form)
         self._t_weights = tuple(w // g for w in omega.integer_form)
+        self._weights = np.array(self._t_weights, dtype=np.int64)
+        # |t| <= weight_sum * |v|_inf bounds the coordinates of a box
+        self._weight_sum = sum(abs(w) for w in self._t_weights)
         self._spacing = Fraction(g, omega.common_denominator)
-
-    def _null_pinv(self) -> list[tuple[float, ...]]:
-        """Rows of the pseudo-inverse of the null basis (rank x nu)."""
-        if self.null.rank == 0:
-            return []
-        import numpy as np
-
-        B = np.array(self.null.basis, dtype=float).T  # nu x rank
-        return [tuple(float(x) for x in row) for row in np.linalg.pinv(B)]
 
     @property
     def identity(self) -> GroupElement:
@@ -204,33 +145,60 @@ class QuotientLattice:
         """Exact spacing of the (always discrete, rational data) subgroup xi(T)."""
         return self._spacing
 
-    def _null_points_in_box(self, radius: int):
-        """All p in N(omega) with |p|_inf <= radius."""
-        if self.null.rank == 0:
-            return [tuple([0] * self.nu)]
-        ranges = []
-        for rn in self._coeff_rows:
-            bound = int(math.floor(rn * radius)) + 1
-            ranges.append(range(-bound, bound + 1))
-        pts = []
-        basis = self.null.basis
-        for coeffs in itertools.product(*ranges):
-            p = tuple(
-                sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(self.nu)
-            )
-            if _linf(p) <= radius:
-                pts.append(p)
-        return pts
+    def _least(self, r: int, t: int | None) -> list[GroupElement]:
+        """The elements, in (norm, rep) order, of the coordinates that the
+        box |v|_inf <= r reaches, or of coordinate t alone (none if the box
+        misses it); a coordinate new to the table enters it with its least
+        (|v|_inf, v) in the box.
+
+        Exact: a coset that the box reaches has norm <= r, so all of its
+        least-norm vectors lie in the box. For t alone, the scan runs over
+        the other coordinates and solves the last one j with w_j != 0; the
+        weights after j are zero, so the completed vectors stay in
+        lexicographic order.
+        """
+        w = self._weights
+        if r * self._weight_sum >= 2**63:
+            raise OverflowError(f"the coordinates of the box of radius {r} "
+                                f"overflow int64")
+        dims = [2 * r + 1] * self.nu
+        if t is not None:
+            j = max(i for i, x in enumerate(self._t_weights) if x)
+            dims[j] = 1
+        box = np.indices(dims).reshape(self.nu, -1).T - r  # lexicographic
+        if t is None:
+            ts = box @ w
+        else:
+            box[:, j] = 0
+            box[:, j], rem = np.divmod(t - box @ w, w[j])
+            box = box[(rem == 0) & (np.abs(box[:, j]) <= r)]
+            ts = np.full(len(box), t, dtype=np.int64)
+        norms = np.abs(box).max(axis=1)
+        # rows sorted by (t, norm, row): the first row of each t is its least
+        order = np.lexsort((norms, ts))
+        head = np.ones(len(order), dtype=bool)
+        head[1:] = ts[order[1:]] != ts[order[:-1]]
+        first = order[head]
+        first = first[np.lexsort((first, norms[first]))]
+        out = []
+        for coord, rep, norm in zip(ts[first].tolist(), box[first].tolist(),
+                                    norms[first].tolist()):
+            elem = self._by_t.get(coord)
+            if elem is None:
+                xi = self._spacing * coord
+                elem = GroupElement(rep=tuple(rep), norm=norm, xi=xi,
+                                    xi_float=float(xi), t=coord)
+                self._by_t[coord] = elem
+            out.append(elem)
+        return out
 
     def canonicalize(self, vec: Sequence[int]) -> GroupElement:
         """Minimal-ell-infinity, lexicographically-smallest coset representative.
 
-        The element is looked up by its coordinate t; only a coset not seen
-        before is searched. The search runs over the N-translates p with
-        |p| <= 2|v|: a minimal representative v - p has |v - p| <= |v|, so
-        every one lies in that box, and the result does not depend on which
-        vector of the coset comes in. A vector without nu components raises
-        ValueError.
+        The element is looked up by its coordinate t; a coset not seen
+        before is found by the scan for t in the box of radius |v|, which v
+        reaches, so the result does not depend on which vector of the coset
+        comes in. A vector without nu components raises ValueError.
         """
         v = tuple(int(x) for x in vec)
         if len(v) != self.nu:
@@ -240,37 +208,25 @@ class QuotientLattice:
         elem = self._by_t.get(t)
         if elem is not None:
             return elem
-        r = _linf(v)
-        best = v
-        best_norm = r
-        if self.null.rank:
-            for p in self._null_points_in_box(2 * r):
-                cand = tuple(a - b for a, b in zip(v, p))
-                n = _linf(cand)
-                if n < best_norm or (n == best_norm and cand < best):
-                    best, best_norm = cand, n
-        xi = self._spacing * t
-        elem = GroupElement(rep=best, norm=best_norm, xi=xi,
-                            xi_float=float(xi), t=t)
-        self._by_t[t] = elem
+        (elem,) = self._least(_linf(v), t)
         return elem
 
     def element(self, t: int) -> GroupElement:
         """The element of coordinate t.
 
-        A coordinate not yet in the table is canonicalized from its preimage
-        t * unit, first shortened by the nearest integer combination of the
-        null basis: the raw preimage grows like |t| * |unit| and would widen
-        the null-translate search of ``canonicalize`` to match.
+        A coordinate not yet in the table is scanned for in boxes of radius
+        ceil(|t| / sum_j |w_j|), the least norm that |w.v| <= sum_j |w_j| |v|
+        allows, doubled until the box reaches t.
         """
         elem = self._by_t.get(t)
         if elem is not None:
             return elem
-        v = [t * a for a in self.null.unit]
-        coeffs = [round(sum(p * a for p, a in zip(row, v))) for row in self._pinv]
-        for c, b in zip(coeffs, self.null.basis):
-            v = [a - c * x for a, x in zip(v, b)]
-        return self.canonicalize(v)
+        r = -(-abs(t) // self._weight_sum)
+        found = self._least(r, t)
+        while not found:
+            r *= 2
+            found = self._least(r, t)
+        return found[0]
 
     def add(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return self.element(a.t + b.t)
@@ -288,17 +244,16 @@ class QuotientLattice:
     def ball(self, R: float) -> list[GroupElement]:
         """B(R) = { m : |m| <= R }, sorted by (norm, rep).
 
-        Enumerates the integer box of radius floor(R) and deduplicates cosets.
-        Norms are integers, so only the integer part of R matters (cached).
+        One pass over the integer box of radius floor(R) finds every coset
+        it reaches. Norms are integers, so only the integer part of R matters
+        (cached).
         """
         if R < 0:
             raise ValueError("R must be nonnegative")
         r = int(math.floor(R + 1e-12))
         cached = self._ball_cache.get(r)
         if cached is None:
-            box = itertools.product(range(-r, r + 1), repeat=self.nu)
-            seen = {e for e in map(self.canonicalize, box) if e.norm <= r}
-            cached = tuple(sorted(seen, key=GroupElement.key))
+            cached = tuple(self._least(r, None))
             self._ball_cache[r] = cached
         return list(cached)
 

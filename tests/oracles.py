@@ -3,12 +3,15 @@
 Each one computes the same quantity as a faster route in ``hillbands`` by the
 direct formula: xi as a Fraction sum over the vector, the potential summed
 over the unfolded coefficients, the dual matrix gathered row by row, and the
-tridiagonal eigensolve by one dstevd call on the whole matrix. The spectral
-conjugation checks compare dense spectra of assembled matrices, and
-``dense_dual_matrix`` wraps a dense H, built by a test, as a DualMatrix.
+tridiagonal eigensolve by one dstevd call on the whole matrix, and a coset's
+least representative by a search over the translates by the null lattice
+N(omega). The spectral conjugation checks compare dense spectra of assembled
+matrices, and ``dense_dual_matrix`` wraps a dense H, built by a test, as a
+DualMatrix.
 """
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,6 +26,102 @@ def xi_raw(omega, vec) -> Fraction:
     """xi(vec) = sum_j vec_j * effective_j, exactly."""
     return sum((Fraction(int(v)) * c for v, c in zip(vec, omega.effective)),
                Fraction(0))
+
+
+@dataclass(frozen=True)
+class NullLattice:
+    """Integer basis of N(omega) = { m : m.omega = 0 }, saturated by construction.
+
+    ``unit`` is an integer vector u with u.w = gcd(w) for the integer form w:
+    a vector of coordinate t = 1, so t * u is a vector of coordinate t.
+    ``pinv`` holds the rows of the pseudo-inverse of the basis (rank x nu).
+    """
+
+    basis: tuple[tuple[int, ...], ...]
+    rank: int
+    unit: tuple[int, ...]
+    pinv: tuple[tuple[float, ...], ...]
+
+    def __post_init__(self):
+        assert self.rank == len(self.basis)
+
+
+def null_lattice(omega) -> NullLattice:
+    """Kernel of m -> m.omega by unimodular row reduction on the integer form."""
+    w = list(omega.integer_form)
+    nu = len(w)
+    rows = [[1 if i == j else 0 for j in range(nu)] for i in range(nu)]
+    g = list(w)
+    while True:
+        nz = [i for i in range(nu) if g[i] != 0]
+        if len(nz) <= 1:
+            break
+        pivot = min(nz, key=lambda i: abs(g[i]))
+        for j in nz:
+            if j == pivot:
+                continue
+            q = g[j] // g[pivot]
+            if q:
+                g[j] -= q * g[pivot]
+                rows[j] = [a - q * b for a, b in zip(rows[j], rows[pivot])]
+    basis = [tuple(rows[i]) for i in range(nu) if g[i] == 0]
+    basis = [_sign_normalize(b) for b in basis]
+    basis.sort()
+    # the rows stay unimodular, so the one row left with g != 0 has
+    # row.w = +-gcd(w)
+    (last,) = nz
+    unit = tuple(a if g[last] > 0 else -a for a in rows[last])
+    pinv = ()
+    if basis:
+        B = np.array(basis, dtype=float).T  # nu x rank
+        pinv = tuple(tuple(float(x) for x in row) for row in np.linalg.pinv(B))
+    return NullLattice(basis=tuple(basis), rank=len(basis), unit=unit,
+                       pinv=pinv)
+
+
+def _sign_normalize(vec: tuple[int, ...]) -> tuple[int, ...]:
+    for v in vec:
+        if v != 0:
+            return vec if v > 0 else tuple(-x for x in vec)
+    return vec
+
+
+@functools.lru_cache(maxsize=64)
+def null_points_in_box(null, radius):
+    """All p in N(omega) with |p|_inf <= radius, one per row: the
+    coefficients of p are bounded by the pseudo-inverse rows' absolute sums
+    times radius."""
+    if null.rank == 0:
+        return np.zeros((1, len(null.unit)), dtype=np.int64)
+    bounds = np.array([int(math.floor(sum(abs(x) for x in row) * radius)) + 1
+                       for row in null.pinv])
+    coeffs = np.indices(2 * bounds + 1).reshape(null.rank, -1).T - bounds
+    pts = coeffs @ np.array(null.basis, dtype=np.int64)
+    return pts[np.abs(pts).max(axis=1) <= radius]
+
+
+def null_translate_rep(null, vec):
+    """(rep, norm): the least (|v - p|_inf, v - p) over the null translates
+    p with |p| <= 2|v|. A least representative v - p has |v - p| <= |v|, so
+    every one lies in that box."""
+    v = tuple(int(x) for x in vec)
+    cand = np.array(v, dtype=np.int64) - null_points_in_box(
+        null, 2 * max(abs(x) for x in v))
+    norms = np.abs(cand).max(axis=1)
+    # lexsort's last key is the primary one: norm, then v_0, v_1, ...
+    best = np.lexsort(tuple(cand.T[::-1]) + (norms,))[0]
+    return tuple(cand[best].tolist()), int(norms[best])
+
+
+def preimage(null, t):
+    """A vector of coordinate t: t * unit, shortened by the nearest integer
+    combination of the null basis, since the raw preimage grows like
+    |t| * |unit| and would widen the search of ``null_translate_rep``."""
+    v = [t * a for a in null.unit]
+    coeffs = [round(sum(p * a for p, a in zip(row, v))) for row in null.pinv]
+    for c, b in zip(coeffs, null.basis):
+        v = [a - c * x for a, x in zip(v, b)]
+    return v
 
 
 def eval_potential_raw(x: float, c, omega) -> float:

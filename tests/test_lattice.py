@@ -9,27 +9,24 @@ from hypothesis import strategies as st
 
 from hillbands.errors import PreconditionFailed
 from hillbands.lattice import (FrequencyVector, GroupElement, QuotientLattice,
-                               check_diophantine, null_lattice)
+                               check_diophantine)
 
-from oracles import xi_raw
+from oracles import null_lattice, null_translate_rep, preimage, xi_raw
+
+# the oracle's null lattice of each omega, built once
+_null = functools.lru_cache(maxsize=None)(null_lattice)
 
 
 # --- the vector-keyed canonicalization that the t-keyed table replaced ---
 
 def vector_keyed_canonicalize(lat, cache, vec):
     """Reference path: cached per input vector, so each vector of a coset is
-    searched on its own; t is read off xi."""
+    searched on its own, over its null translates; t is read off xi."""
     v = tuple(int(x) for x in vec)
     cached = cache.get(v)
     if cached is not None:
         return cached
-    best, best_norm = v, max(abs(x) for x in v)
-    if lat.null.rank:
-        for p in lat._null_points_in_box(2 * best_norm):
-            cand = tuple(a - b for a, b in zip(v, p))
-            n = max(abs(x) for x in cand)
-            if n < best_norm or (n == best_norm and cand < best):
-                best, best_norm = cand, n
+    best, best_norm = null_translate_rep(_null(lat.omega), v)
     xi = xi_raw(lat.omega, best)
     t = xi / lat.xi_spacing()
     assert t.denominator == 1
@@ -75,7 +72,7 @@ def test_group_ops_match_vector_keyed_oracle(case):
         "sub": canon([x - y for x, y in zip(ou.rep, ov.rep)]),
         "neg": canon([-x for x in ou.rep]),
     }
-    basis = ref_lat.null.basis
+    basis = _null(ref_lat.omega).basis
     coset = [[x + sum(c * b[j] for c, b in zip(shifts, basis))
               for j, x in enumerate(u)] for shifts in shift_list]
     # a fresh lattice misses on every first lookup and meets u's coset first
@@ -122,6 +119,64 @@ def test_canonicalize_xi_is_the_fraction_sum(case):
         assert e.xi == lat.xi_spacing() * e.t
 
 
+@st.composite
+def coset_rule_cases(draw):
+    """nu in {1, 2, 3} with denominators up to 21 (their sum |.| often
+    exceeds 1, so the rescale is above 1), a ball radius, coordinate offsets
+    beyond that ball, and far vectors."""
+    nu = draw(st.sampled_from([1, 2, 3]))
+    component = st.builds(Fraction, st.integers(-21, 21), st.integers(1, 21))
+    omega = draw(st.lists(component, min_size=nu, max_size=nu).filter(any))
+    radius = draw(st.integers(0, 8))
+    beyond = draw(st.lists(st.integers(1, 400), min_size=1, max_size=4))
+    far = 40 if nu == 3 else 400
+    vec = st.lists(st.integers(-far, far), min_size=nu, max_size=nu)
+    return (tuple(str(c) for c in omega), radius, beyond,
+            draw(st.lists(vec, min_size=1, max_size=3)))
+
+
+@given(coset_rule_cases())
+@example((("1", "3/7"), 8, [1, 2, 150], [[0, 10**5], [-3, 7]]))
+@example((("1/2", "1/3", "1/6"), 8, [1, 20], [[0, 0, 40]]))
+def test_least_vector_rule_matches_null_translate_oracle(case):
+    # the least (|v|, v) of a coordinate in a box that reaches it, against
+    # the least null translate of a vector of the coset
+    omega, radius, beyond, vectors = case
+    lat = QuotientLattice(FrequencyVector.parse(omega))
+    null = _null(lat.omega)
+    spacing = lat.xi_spacing()
+
+    def oracle(v):
+        rep, norm = null_translate_rep(null, v)
+        xi = xi_raw(lat.omega, rep)
+        assert xi == xi_raw(lat.omega, v)
+        return rep, norm, xi, int(xi / spacing)
+
+    # the ball: the oracle's canonicalizations of its box, from one vector
+    # of least norm per coset (which keeps the searches small), in
+    # (norm, rep) order
+    shortest = {}
+    for v in itertools.product(range(-radius, radius + 1), repeat=lat.nu):
+        xi, norm = xi_raw(lat.omega, v), max(map(abs, v))
+        if xi not in shortest or norm < shortest[xi][0]:
+            shortest[xi] = (norm, v)
+    expected = sorted((oracle(v) for _, v in shortest.values()),
+                      key=lambda f: (f[1], f[0]))
+    assert [_fields(e) for e in lat.ball(radius)] == expected
+    assert all(norm <= radius for _, norm, _, _ in expected)
+    # coordinates beyond the ball, on the doubling path of element
+    top = max(abs(t) for _, _, _, t in expected)
+    for t in ([top + d for d in beyond] + [-top - d for d in beyond]):
+        v = preimage(null, t)
+        assert xi_raw(lat.omega, v) == spacing * t
+        assert _fields(lat.element(t)) == oracle(v)
+    # far vectors, on a fresh table and on this one
+    fresh = QuotientLattice(FrequencyVector.parse(omega))
+    for v in vectors:
+        assert _fields(fresh.canonicalize(v)) == oracle(v)
+        assert lat.canonicalize(v) is lat.element(fresh.canonicalize(v).t)
+
+
 def brute_force_kernel_rank(w, box=30):
     """Independent oracle: count independent kernel vectors in a box."""
     found = []
@@ -141,8 +196,9 @@ def test_null_lattice_rank0_single_component():
 
 
 def test_null_lattice_half_half(half_lattice):
-    assert half_lattice.null.rank == 1
-    assert half_lattice.null.basis == ((1, -1),)
+    null = null_lattice(half_lattice.omega)
+    assert null.rank == 1
+    assert null.basis == ((1, -1),)
 
 
 def test_null_lattice_mixed_frequencies(mixed_lattice):
@@ -151,8 +207,9 @@ def test_null_lattice_mixed_frequencies(mixed_lattice):
     omega = mixed_lattice.omega
     assert omega.integer_form == (14, 15)
     assert brute_force_kernel_rank(omega.integer_form) == 1
-    assert mixed_lattice.null.rank == 1
-    (b,) = mixed_lattice.null.basis
+    null = null_lattice(omega)
+    assert null.rank == 1
+    (b,) = null.basis
     assert 14 * b[0] + 15 * b[1] == 0
 
 
@@ -163,13 +220,17 @@ def test_canonicalize_examples(half_lattice, line_lattice):
     assert z.rep == (0, 0) and z.norm == 0 and z.xi == 0
     f = QuotientLattice(FrequencyVector.parse(["3/7"])).canonicalize([5])
     assert f.rep == (5,) and f.norm == 5 and f.xi == Fraction(15, 7)
+    # a far vector: t = 7 * 0 + 3 * 10**5 for the weights (7, 3)
+    far = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
+    g = far.canonicalize([0, 10**5])
+    assert g.rep == (30000, 30000) and g.norm == 30000
 
 
 def test_canonicalize_minimality_bruteforce(half_lattice, mixed_lattice):
     # independent check of minimal-norm representatives: enumerate a generous
     # window of null-lattice multiples directly
     for lat in (half_lattice, mixed_lattice):
-        basis = lat.null.basis
+        basis = _null(lat.omega).basis
         for vec in itertools.product(range(-3, 4), repeat=2):
             got = lat.canonicalize(vec)
             best = None
@@ -185,7 +246,7 @@ def test_canonicalize_minimality_bruteforce(half_lattice, mixed_lattice):
 
 def test_canonicalize_minimality_bruteforce_rank2():
     lat = QuotientLattice(FrequencyVector.parse(["1/2", "1/3", "1/6"]))
-    b1, b2 = lat.null.basis
+    b1, b2 = _null(lat.omega).basis
     for vec in itertools.product(range(-2, 3), repeat=3):
         got = lat.canonicalize(vec)
         best = None
@@ -203,7 +264,7 @@ def test_canonicalize_idempotent_and_coset_constant(half_lattice):
     for vec in itertools.product(range(-4, 5), repeat=2):
         e = half_lattice.canonicalize(vec)
         assert half_lattice.canonicalize(e.rep) == e
-        for b in half_lattice.null.basis:
+        for b in _null(half_lattice.omega).basis:
             shifted = tuple(v + x for v, x in zip(vec, b))
             assert half_lattice.canonicalize(shifted) == e
 
@@ -311,8 +372,9 @@ def test_three_dimensional_lattice():
     lat = QuotientLattice(FrequencyVector.parse(["1/2", "1/3", "1/6"]))
     # integer form (3,2,1): kernel rank 2
     assert lat.omega.integer_form == (3, 2, 1)
-    assert lat.null.rank == 2
-    for b in lat.null.basis:
+    null = null_lattice(lat.omega)
+    assert null.rank == 2
+    for b in null.basis:
         assert 3 * b[0] + 2 * b[1] + 1 * b[2] == 0
     # canonicalize and group law stay exact
     a = lat.canonicalize([1, 0, 0])
@@ -352,13 +414,11 @@ def test_integer_coordinate(line_lattice, half_lattice, mixed_lattice):
 
 
 def test_element_of_coordinate_on_a_fresh_table():
-    # element(t) on a table that holds none of the ball canonicalizes the
-    # shortened preimage t * unit to the same record the ball found
+    # element(t) on a table that holds none of the ball scans for t alone
+    # and finds the same record the whole-box pass of the ball found
     for omega in OMEGAS + [("1/2", "1/3", "1/6")]:
         ref = QuotientLattice(FrequencyVector.parse(omega))
         fresh = QuotientLattice(FrequencyVector.parse(omega))
-        unit = fresh.null.unit
-        assert sum(u * w for u, w in zip(unit, fresh._t_weights)) == 1
         for e in reversed(ref.ball(6)):
             assert _fields(fresh.element(e.t)) == _fields(e)
 
@@ -373,6 +433,18 @@ def test_canonicalize_rejects_a_vector_without_nu_components():
     fresh = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
     t = fresh.canonicalize([1, 0]).t
     assert _fields(lat.element(t)) == _fields(fresh.element(t))
+
+
+def test_a_box_whose_coordinates_overflow_int64_raises():
+    # weights (2**61, 1): |t| reaches 4 * (2**61 + 1) >= 2**63 on the box of
+    # radius 4, which int64 arithmetic would wrap without a word
+    lat = QuotientLattice(FrequencyVector.parse(["1", f"1/{2**61}"]))
+    assert lat.omega.integer_form == (2**61, 1)
+    assert len(lat.ball(3)) == 49
+    with pytest.raises(OverflowError):
+        lat.ball(4)
+    with pytest.raises(OverflowError):
+        lat.canonicalize([0, 2**60])
 
 
 def test_elements_compare_and_hash_by_t(half_lattice):

@@ -186,16 +186,6 @@ def nesting_audit(sets: Sequence[tuple[frozenset, int]]) -> NestingReport:
                          checked_pairs=checked)
 
 
-def partition_audit(level_sets: dict) -> bool:
-    """Translated sets used in a Schur step must be pairwise disjoint."""
-    flat = [dom for per_level in level_sets.values() for dom in per_level.values()]
-    for i in range(len(flat)):
-        for j in range(i + 1, len(flat)):
-            if not flat[i].isdisjoint(flat[j]):
-                return False
-    return True
-
-
 def _reflection_classes(level_sets: dict, reflect: Callable[[int], int]
                         ) -> list[tuple[frozenset[int], int]]:
     """Classes Lambda(m-class) = union of Lambda(m') and reflect(Lambda(m')) over {m, Sm}."""

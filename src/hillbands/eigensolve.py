@@ -34,8 +34,6 @@ ROOT_TOL = 1e-12
 CFF_FD_STEP = 1e-5
 # sign-change scan of cff_branch_solve over the whole u window
 CFF_SCAN_POINTS = 513
-# float64 floor under the strict thresholds of check_branch_hypotheses
-BRANCH_NOISE_FLOOR = 1e-14
 # the cut points inside each bracket of PuncturedResolvent.eigenvalues, as
 # fractions of its width
 _SECTIONS = np.arange(1, 8) / 8.0
@@ -863,47 +861,3 @@ def cff_branch_solve(node: CffNode, x_grid: Sequence[float],
         derivative_split_ok=split_ok, convexity_ok=convex_ok,
         continuity_ok=cont_ok,
     )
-
-
-def check_branch_hypotheses(node: CffNode, x_grid, g_minus: Callable,
-                            g_plus: Callable, rho: float,
-                            rho_ell: float) -> dict:
-    """Numeric check of the four branch-lemma hypotheses on the grid.
-
-    sigma1 = (1/8) (grid-inf of min_i tau^{(f_i)})^4; infima are grid infima,
-    never claimed as true infima. The strict thresholds (sigma1^13 rho^8 / 2^83
-    style) can undercut float64 resolution, so comparisons are floored at
-    BRANCH_NOISE_FLOOR; the measured worst values are reported alongside.
-    """
-    taus = []
-    for x in x_grid:
-        for g in (g_minus, g_plus):
-            taus.append(node.children_min_tau(x, g(x)))
-    sigma1 = 0.125 * min(taus) ** 4
-    out = {"sigma1": sigma1, "alpha": True, "beta": True, "gamma": True,
-           "delta": True}
-    thr_alpha = sigma1**13 * rho**8 / 2.0**83
-    worst_chi = 0.0
-    for x in x_grid:
-        for g in (g_minus, g_plus):
-            worst_chi = max(worst_chi, abs(node.chi(x, g(x))))
-    out["worst_chi_on_guides"] = worst_chi
-    out["alpha_threshold"] = thr_alpha
-    if worst_chi >= max(thr_alpha, BRANCH_NOISE_FLOOR):
-        out["alpha"] = False
-    x0 = x_grid[0]
-    prod = node.f1.chi(x0, g_minus(x0)) * node.f2.chi(x0, g_minus(x0))
-    prod_p = node.f1.chi(x0, g_plus(x0)) * node.f2.chi(x0, g_plus(x0))
-    if max(abs(prod), abs(prod_p)) > BRANCH_NOISE_FLOOR:
-        out["beta"] = False
-    for x in x_grid:
-        dm = _fd(node.chi, x, g_minus(x), order=1)
-        dp = _fd(node.chi, x, g_plus(x), order=1)
-        gapx = g_plus(x) - g_minus(x)
-        if not gapx + sigma1**6 * rho**4 / 2.0**39 >= \
-                min((abs(dp) + abs(dm)) / 8.0, rho_ell):
-            out["gamma"] = False
-        if not sigma1**2 * rho**2 / 128.0 + min(-dm, dp) >= \
-                min(sigma1**2 * gapx**2 / 256.0, sigma1**2 * rho**2 / 64.0):
-            out["delta"] = False
-    return out

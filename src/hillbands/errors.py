@@ -39,10 +39,6 @@ class ScheduleInfeasible(HillbandsError):
         super().__init__(msg)
 
 
-class BudgetExhausted(HillbandsError):
-    """The coupling budget eps_s dropped to zero or below."""
-
-
 class ExcludedK(HillbandsError):
     """Momentum falls inside an excluded resonance interval.
 

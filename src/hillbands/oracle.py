@@ -209,9 +209,10 @@ class FloquetData:
 
 
 def potential_callable(folded: FoldedCoefficients):
-    """Vectorized V~(x) for a scalar or an array of x (frequencies and
-    amplitudes prebaked); raises NonRealValue, as eval_potential does, when
-    the imaginary residue exceeds 1e-12 * max(1, sum |c|)."""
+    """Vectorized V~(x) = sum over cosets of c(n_bar) e^{2 pi i xi(n_bar) x}
+    for a scalar or an array of x (frequencies and amplitudes prebaked);
+    raises NonRealValue when the imaginary residue exceeds
+    1e-12 * max(1, sum |c|)."""
     freqs = np.array([2.0 * math.pi * e.xi_float for e in folded.entries])
     amps = np.array(list(folded.entries.values()), dtype=np.complex128)
     scale = max(1.0, float(np.sum(np.abs(amps))))

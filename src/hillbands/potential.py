@@ -1,4 +1,4 @@
-"""Fourier data of the potential, folding onto the quotient, real-space evaluation.
+"""Fourier data of the potential and its folding onto the quotient.
 
 Input coefficients live on Z^nu with finite support; folding sums every
 in-support representative of a coset exactly, so Hermitian symmetry of the
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonRealValue, ValidationFailed
+from .errors import ValidationFailed
 from .lattice import GroupElement, QuotientLattice
 
 
@@ -142,21 +142,6 @@ def fold(c: FourierCoefficients, lat: QuotientLattice,
         support_radius=c.support_radius, bound_constant=const,
         decay_violations=tuple(violations),
     )
-
-
-def eval_potential(x: float, folded: FoldedCoefficients) -> float:
-    """V~(x) = sum over cosets of c(n_bar) e^{2 pi i xi(n_bar) x} (real by
-    symmetry); NonRealValue when the imaginary residue exceeds
-    1e-12 * max(1, sum |c|)."""
-    total = 0.0 + 0.0j
-    for e, v in folded.entries.items():
-        total += v * cmath.exp(2j * math.pi * e.xi_float * x)
-    scale = max(1.0, sum(abs(v) for v in folded.entries.values()))
-    if abs(total.imag) > 1e-12 * scale:
-        raise NonRealValue(
-            f"imaginary residue {total.imag:.3e} at x={x} exceeds tolerance"
-        )
-    return total.real
 
 
 # --- built-in generators (seeded, reproducible) ---

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import BudgetExhausted, PreconditionFailed, ScheduleInfeasible
+from .errors import PreconditionFailed, ScheduleInfeasible
 from .lattice import GroupElement, QuotientLattice
 
 LOG_FLOAT_MAX = math.log(1.7976931348623157e308)
@@ -174,7 +174,10 @@ def build_schedule(mode: str, s_max: int, R1: float | None = None, *,
         eps0_val = 0.5 if eps0 is None else float(eps0)
         log_eps0 = math.log(eps0_val)
 
-    eps = _epsilon_budget(eps0_val, delta, s_max)
+    # eps_s = eps0 - sum_{1<=s'<=s} delta0^(s'), the coupling budget
+    eps = [eps0_val]
+    for u in range(1, s_max + 1):
+        eps.append(eps[-1] - delta[u])
     return ScaleSchedule(
         mode=mode, beta=beta, s_max=s_max,
         log_R=tuple(log_R), log_delta=tuple(log_delta),
@@ -184,23 +187,6 @@ def build_schedule(mode: str, s_max: int, R1: float | None = None, *,
         a0=a0, b0=b0, kappa0=kappa0, alpha0=alpha0, sigma_scale=sigma_scale,
         strict_delta_condition_ok=strict_ok,
     )
-
-
-def _epsilon_budget(eps0: float, delta, s_max: int):
-    eps = [eps0]
-    running = eps0
-    for s in range(1, s_max + 1):
-        running -= delta[s]
-        eps.append(running)
-    return eps
-
-
-def epsilon_budget(schedule: ScaleSchedule) -> tuple[float, ...]:
-    """eps_s = eps0 - sum_{1<=s'<=s} delta0^(s'); raises when exhausted."""
-    for s, e in enumerate(schedule.eps):
-        if e <= 0 and schedule.eps0 > 0:
-            raise BudgetExhausted(f"eps_{s} = {e:.3e} <= 0")
-    return schedule.eps
 
 
 # --- the modes on the k axis: resonant momenta and exclusion intervals ---

@@ -79,14 +79,12 @@ def _hermitian_solve(A: np.ndarray, B: np.ndarray, label: str) -> np.ndarray:
 
 
 def schur_block_inverse(H: np.ndarray, split: tuple[Sequence[int], Sequence[int]],
-                        E: float, audit: bool | None = None) -> np.ndarray:
+                        E: float) -> np.ndarray:
     """(E - H)^{-1} assembled from the four Schur blocks.
 
     split = (indices of block 1, indices of block 2); H exactly Hermitian.
     Raises SingularBlock when (E - H)_11 or the reduced block H2~ is
-    numerically singular (the rule of _hermitian_solve). For |Lambda|
-    <= 64 (or audit=True) the result is checked against direct dense inversion
-    to a relative error of 1e-9.
+    numerically singular (the rule of _hermitian_solve).
     """
     _require_hermitian(H)
     n = H.shape[0]
@@ -109,14 +107,6 @@ def schur_block_inverse(H: np.ndarray, split: tuple[Sequence[int], Sequence[int]
     out[np.ix_(idx1, idx2)] = -H1_inv @ G12 @ H2t_inv
     out[np.ix_(idx2, idx1)] = -H2t_inv @ G21 @ H1_inv
     out[np.ix_(idx2, idx2)] = H2t_inv
-    if audit is None:
-        audit = n <= 64
-    if audit:
-        direct = np.linalg.inv(M)
-        rel = np.linalg.norm(out - direct) / max(np.linalg.norm(direct), 1e-300)
-        if rel > 1e-9:
-            raise SingularBlock(f"schur-vs-direct relative error {rel:.3e}",
-                                1.0 / np.linalg.norm(direct, 2), "2")
     return out
 
 
@@ -530,146 +520,3 @@ def weight_sum_upper_bound_audit(domain: Sequence[GroupElement],
         eps0=eps0, eps0_threshold=threshold,
         worst_pair=worst_pair, worst_ratio=worst_ratio,
     )
-
-
-@dataclass(frozen=True)
-class MsaResult:
-    resolvent: np.ndarray
-    merged_D: dict
-    audited: bool
-    audit_ok: bool
-
-
-def msa_step(H: np.ndarray, domain: Sequence[GroupElement],
-             blocks: Sequence[tuple[Sequence[GroupElement], WeightProfile]],
-             E: float, eps0: float, lat: QuotientLattice,
-             T: float, kappa0: float, alpha0: float,
-             k_max: int = 4) -> MsaResult:
-    """One general multi-scale step: verify the hypotheses, return the full
-    resolvent and the merged D profile.
-
-    Hypotheses: (a) each block resolvent is entrywise below its weight sums
-    (verified by brute force for |block| <= 12); (b) leftover diagonals of
-    (E - H) at least exp(-4T/kappa0);
-    (epscond) smallness of eps0. The conclusion is audited on |Lambda| <= 12.
-    """
-    _require_hermitian(H)
-    domain = list(domain)
-    index = {e: i for i, e in enumerate(domain)}
-    n = len(domain)
-    M = E * np.eye(n, dtype=np.complex128) - H
-
-    # the eps0 smallness condition is the standing assumption; check it first
-    C_growth = max(2.0, (2.0 ** lat.nu) * 1.5)
-    threshold = epscond_threshold(
-        lat, WeightProfile(D={e: 1.0 for e in domain}, T=T, kappa0=kappa0,
-                           alpha0=alpha0), C_growth)
-    if eps0 > threshold:
-        raise HypothesisFailed(
-            "epscond", f"eps0 = {eps0:.3e} above threshold {threshold:.3e}")
-
-    covered: set[GroupElement] = set()
-    for elems, prof in blocks:
-        elems = list(elems)
-        covered.update(elems)
-        idx = [index[e] for e in elems]
-        sub = M[np.ix_(idx, idx)]
-        try:
-            sub_inv = _hermitian_solve(sub, np.eye(len(idx)), f"block {elems}")
-        except SingularBlock as exc:
-            raise HypothesisFailed("a", f"block not invertible: {exc}")
-        if len(elems) <= 12:
-            bound = weight_sums(elems, prof, "R", k_max, eps0, lat).upper_bound
-            above = np.argwhere(np.abs(sub_inv) > bound * (1 + 1e-9) + 1e-15)
-            if above.size:
-                i, j = above[0]
-                raise HypothesisFailed(
-                    "a", f"block resolvent entry ({elems[i]},{elems[j]}) = "
-                    f"{abs(sub_inv[i, j]):.3e} above weight sum {bound[i, j]:.3e}")
-
-    floor = math.exp(-4.0 * T / kappa0) if 4.0 * T / kappa0 < 700 else 0.0
-    for e in domain:
-        if e in covered:
-            continue
-        if abs(M[index[e], index[e]]) < floor:
-            raise HypothesisFailed(
-                "b", f"leftover diagonal at {e}: {abs(M[index[e], index[e]]):.3e} "
-                f"< floor {floor:.3e}")
-
-    resolvent = _hermitian_solve(M, np.eye(n), "full (E - H)")
-    merged: dict = {}
-    for elems, prof in blocks:
-        for e in elems:
-            merged[e] = prof.D[e]
-    default = 4.0 * T / kappa0
-    for e in domain:
-        merged.setdefault(e, default)
-
-    audited = n <= 12
-    audit_ok = True
-    if audited:
-        prof = WeightProfile(D=merged, T=T, kappa0=kappa0, alpha0=alpha0)
-        bound = weight_sums(domain, prof, "R", k_max, eps0, lat).upper_bound
-        audit_ok = not np.any(np.abs(resolvent) > bound + 1e-15)
-    return MsaResult(resolvent=resolvent, merged_D=merged, audited=audited,
-                     audit_ok=audit_ok)
-
-
-@dataclass(frozen=True)
-class TwoPointResult:
-    resolvent: np.ndarray
-    extended_D: dict
-    D0: float
-    audited: bool
-    audit_ok: bool
-
-
-def two_point_extension(H: np.ndarray, domain: Sequence[GroupElement],
-                        m_plus: GroupElement, m_minus: GroupElement,
-                        profile: WeightProfile, E: float, eps0: float,
-                        lat: QuotientLattice,
-                        boundary_distance: float,
-                        k_max: int = 4) -> TwoPointResult:
-    """Two-point extension: D0 = log||(E-H)^-1|| + log eps0^-1 + kappa0 |m+ - m-|^alpha0
-    must clear T * dist(Lambda2, complement)^{alpha0/5}; the profile extended by
-    D(m+-) = D0 stays in the class and bounds the full resolvent (audited small).
-
-    m_plus == m_minus is allowed (single puncture).
-    """
-    _require_hermitian(H)
-    domain = list(domain)
-    index = {e: i for i, e in enumerate(domain)}
-    n = len(domain)
-    M = E * np.eye(n, dtype=np.complex128) - H
-    pair = [m_plus] if m_plus == m_minus else [m_plus, m_minus]
-    others = [e for e in domain if e not in pair]
-    idx_others = [index[e] for e in others]
-    try:
-        _hermitian_solve(M[np.ix_(idx_others, idx_others)],
-                         np.eye(len(idx_others)), "punctured block")
-    except SingularBlock as exc:
-        raise HypothesisFailed("punctured resolvent", str(exc))
-    try:
-        full_inv = _hermitian_solve(M, np.eye(n), "full matrix")
-    except SingularBlock as exc:
-        raise HypothesisFailed("full invertibility", str(exc))
-    hop = float(lat.dist(m_plus, m_minus)) ** profile.alpha0
-    D0 = math.log(np.linalg.norm(full_inv, 2)) + math.log(1.0 / eps0) \
-        + profile.kappa0 * hop
-    D0 = max(D0, 1.0)
-    limit = profile.T * boundary_distance ** (profile.alpha0 / 5.0)
-    if not D0 <= limit:
-        raise HypothesisFailed(
-            "D0", f"D0 = {D0:.3f} above T dist^(alpha0/5) = {limit:.3f}")
-    extended = dict(profile.D)
-    for e in pair:
-        extended[e] = D0
-    ext_profile = WeightProfile(D=extended, T=profile.T, kappa0=profile.kappa0,
-                                alpha0=profile.alpha0)
-    audited = n <= 12
-    audit_ok = True
-    if audited:
-        bound = weight_sums(domain, ext_profile, "R", k_max, eps0, lat).upper_bound
-        audit_ok = not np.any(np.abs(full_inv) > bound + 1e-15)
-    return TwoPointResult(resolvent=full_inv, extended_D=extended, D0=D0,
-                          audited=audited, audit_ok=audit_ok)

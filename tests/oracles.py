@@ -2,12 +2,12 @@
 
 Each one computes the same quantity as a faster route in ``hillbands`` by the
 direct formula: xi as a Fraction sum over the vector, the potential summed
-over the unfolded coefficients, the dual matrix gathered row by row, and the
-tridiagonal eigensolve by one dstevd call on the whole matrix, and a coset's
-least representative by a search over the translates by the null lattice
-N(omega). The spectral conjugation checks compare dense spectra of assembled
-matrices, and ``dense_dual_matrix`` wraps a dense H, built by a test, as a
-DualMatrix.
+over the unfolded coefficients and, one coset at a time, over the folded
+ones, the dual matrix gathered row by row, and the tridiagonal eigensolve by
+one dstevd call on the whole matrix, and a coset's least representative by
+a search over the translates by the null lattice N(omega). The spectral
+conjugation checks compare dense spectra of assembled matrices, and
+``dense_dual_matrix`` wraps a dense H, built by a test, as a DualMatrix.
 """
 
 import cmath
@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from hillbands.eigensolve import _stevd
+from hillbands.errors import NonRealValue
 from hillbands.operators import DualMatrix, OperatorSpec, assemble, order_domain
 
 
@@ -129,6 +130,21 @@ def eval_potential_raw(x: float, c, omega) -> float:
     total = 0.0 + 0.0j
     for n, v in c.entries.items():
         total += v * cmath.exp(2j * math.pi * float(xi_raw(omega, n)) * x)
+    return total.real
+
+
+def eval_potential(x: float, folded) -> float:
+    """V~(x) = sum over cosets of c(n_bar) e^{2 pi i xi(n_bar) x} (real by
+    symmetry); NonRealValue when the imaginary residue exceeds
+    1e-12 * max(1, sum |c|)."""
+    total = 0.0 + 0.0j
+    for e, v in folded.entries.items():
+        total += v * cmath.exp(2j * math.pi * e.xi_float * x)
+    scale = max(1.0, sum(abs(v) for v in folded.entries.values()))
+    if abs(total.imag) > 1e-12 * scale:
+        raise NonRealValue(
+            f"imaginary residue {total.imag:.3e} at x={x} exceeds tolerance"
+        )
     return total.real
 
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from hillbands import domains
 from hillbands.domains import (DomainBuilder, _chained, nesting_audit,
-                               partition_audit,
                                separation_audit, subtract_stabilize,
                                symmetrize_S, symmetrize_T)
 from hillbands.errors import (ExcludedK, HillbandsError, NotProper,
@@ -94,14 +93,6 @@ def test_nesting_audit_disjoint_balls(lat):
     a = fset(lat, range(-3, 4))
     b = fset(lat, range(10, 15))
     assert nesting_audit([(a, 1), (b, 2)]).passed
-
-
-def test_partition_audit(lat):
-    levels = {1: {lat.canonicalize([0]).t: fset(lat, range(-2, 3)),
-                  lat.canonicalize([7]).t: fset(lat, range(6, 9))}}
-    assert partition_audit(levels)
-    levels[1][lat.canonicalize([2]).t] = fset(lat, range(1, 4))
-    assert not partition_audit(levels)
 
 
 def test_subtract_stabilize_empty_system(lat):

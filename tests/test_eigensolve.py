@@ -1034,23 +1034,3 @@ def test_cff_branch_solve_symmetric_model():
     assert res.derivative_split_ok
     assert res.convexity_ok
     assert res.continuity_ok
-
-
-def test_branch_hypotheses_on_symmetric_model():
-    from hillbands.eigensolve import check_branch_hypotheses
-
-    c = 0.4
-    xs = [0.0] + [i / 1000.0 for i in range(1, 6)]
-    # the admissibility grid avoids x = 0 where a1 = a2 degenerates; the
-    # hypothesis check still evaluates at x = 0 (condition beta lives there)
-    grid = [(x, u) for x in xs[1:] for u in (-0.005, 0.0, 0.005)]
-    n1, _ = cff_build(leaf(lambda x, u: x), leaf(lambda x, u: -x),
-                      lambda x, u: (c * x) ** 2, grid)
-    root = lambda x: math.sqrt(x * x * (1 + c * c))
-    out = check_branch_hypotheses(n1, xs, lambda x: -root(x),
-                                  lambda x: root(x), rho=0.01, rho_ell=0.01)
-    # the guide curves are the exact roots: (alpha) and (beta) hold; tau at
-    # level 1 is the constant 1, so sigma1 = 1/8
-    assert out["sigma1"] == pytest.approx(0.125)
-    assert out["alpha"] and out["beta"]
-    assert out["gamma"] and out["delta"]

@@ -15,8 +15,9 @@ from hillbands.oracle import (bloch_residual, brent_root, dense_spectrum,
                               floquet_discriminant, floquet_gap_edges,
                               floquet_scan, ivp_discriminant, period,
                               potential_callable)
-from hillbands.potential import (cosine, eval_potential, exp_decay, fold,
-                                 random_phase)
+from hillbands.potential import cosine, exp_decay, fold, random_phase
+
+from oracles import eval_potential
 
 
 def test_dense_spectrum_diagonal():

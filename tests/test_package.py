@@ -1,7 +1,7 @@
 """The package's import surface: what a bare import loads, which scipy
 subpackages the entry points pull in, the names the span tracer of the
-benchmark (perfbench/tracing.py) rebinds, and the number of options the
-package exposes."""
+benchmark (perfbench/tracing.py) rebinds, the number of options the package
+exposes, and that every definition in it has a caller in it."""
 
 import ast
 import importlib
@@ -15,7 +15,15 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 # defaulted parameters and defaulted dataclass fields in src/hillbands
-MAX_DEFAULTED = 72
+MAX_DEFAULTED = 69
+# top-level functions, classes and methods of src/hillbands that no code in
+# src/hillbands refers to, each with the reason it stays in the package
+UNREFERENCED_ALLOWED = {
+    "band.gap_resolvent_audit": "acceptance criterion 07 runs it",
+    "oracle.bloch_residual": "acceptance criterion 12 runs it",
+    "domains.separation_audit": "ROADMAP item 4 gives it a caller",
+    "scales.resonance_gap_ordering_audit": "ROADMAP item 2 gives it a caller",
+}
 # the package needs only scipy's LAPACK extension, scipy.linalg._flapack,
 # which hillbands._lapack loads by path; these cost set-up time on every run
 # (scipy.integrate loads scipy.optimize, which loads scipy.fft and
@@ -180,3 +188,42 @@ def test_defaulted_options_do_not_grow():
         f"{count} defaulted parameters and dataclass fields in src/hillbands, "
         f"above {MAX_DEFAULTED}: make a single-valued option a constant; "
         f"lower MAX_DEFAULTED to the new count whenever an option goes")
+
+
+def _unreferenced(root: Path) -> list[str]:
+    """module.name of every top-level function and class, and
+    module.Class.name of every method that is not a dunder, whose name no
+    ``ast.Name`` or ``ast.Attribute`` under root carries. Docstrings and
+    comments do not count as references."""
+    defined = []
+    referenced = set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            defined.append((f"{path.stem}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined += [
+                    (f"{path.stem}.{node.name}.{sub.name}", sub.name)
+                    for sub in node.body
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not (sub.name.startswith("__")
+                             and sub.name.endswith("__"))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [qualified for qualified, name in defined if name not in referenced]
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    unreferenced = _unreferenced(ROOT / "src" / "hillbands")
+    test_only = sorted(set(unreferenced) - set(UNREFERENCED_ALLOWED))
+    assert not test_only, (
+        f"only tests reach {test_only}: give each a caller in src/hillbands, "
+        f"move it into tests/oracles.py, or delete it")
+    called = sorted(set(UNREFERENCED_ALLOWED) - set(unreferenced))
+    assert not called, f"{called} gained a caller: drop it from the allowlist"

@@ -6,12 +6,11 @@ import pytest
 
 from hillbands.errors import NonRealValue, ValidationFailed
 from hillbands.lattice import FrequencyVector, QuotientLattice
-from hillbands.potential import (FourierCoefficients, cosine, eval_potential,
-                                 exp_decay, fold, multi_cosine, random_phase,
-                                 validate)
+from hillbands.potential import (FourierCoefficients, cosine, exp_decay, fold,
+                                 multi_cosine, random_phase, validate)
 from hillbands.oracle import period
 
-from oracles import eval_potential_raw
+from oracles import eval_potential, eval_potential_raw
 
 
 def test_validate_exp_decay_ok():

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hillbands.errors import HypothesisFailed, SingularBlock
+from hillbands.errors import SingularBlock
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.schur import (WeightLemmaReport, WeightProfile, _hop_table,
-                             _trajectories, hop_sum_constant, msa_step,
-                             mu_of_set, q_g_functions, schur_block_inverse,
-                             two_point_extension, verify_weight_lemma,
-                             weight_sum_upper_bound_audit, weight_sums)
+                             _trajectories, hop_sum_constant, mu_of_set,
+                             q_g_functions, schur_block_inverse,
+                             verify_weight_lemma, weight_sum_upper_bound_audit,
+                             weight_sums)
 
 
 @pytest.fixture(scope="module")
@@ -127,34 +127,17 @@ def test_q_g_singular_threshold_is_relative_to_the_one_norm():
             assert q_g_functions(H, [0], 0.0).Q[0] == pytest.approx(0.25)
 
 
-EPS0 = 1e-40
-
-
-def _near_diagonal(lat, n):
-    """A domain of n points and an exactly Hermitian H on it: a diagonal in
-    [1, 2] plus couplings EPS0 e^{-0.9 |i-j|}, within the msa_step and
-    two_point_extension hypotheses; with its weight profile."""
-    domain = [lat.canonicalize([r]) for r in range(n)]
+def _near_diagonal(n):
+    """An exactly Hermitian n x n matrix: a diagonal in [1, 2] plus couplings
+    1e-40 e^{-0.9 |i-j|}."""
     H = np.diag(np.linspace(1.0, 2.0, n)).astype(complex)
     for i in range(n):
         for j in range(i + 1, n):
-            H[i, j] = H[j, i] = EPS0 * math.exp(-0.9 * abs(i - j))
-    prof = WeightProfile(D={e: 1.2 for e in domain}, T=8.0, kappa0=0.9,
-                         alpha0=1.0)
-    return domain, H, prof
+            H[i, j] = H[j, i] = 1e-40 * math.exp(-0.9 * abs(i - j))
+    return H
 
 
-def _msa(H, domain, blocks, E, lat):
-    return msa_step(H, domain, blocks, E, EPS0, lat, T=8.0, kappa0=0.9,
-                    alpha0=1.0)
-
-
-def _two_point(H, domain, prof, E, lat):
-    return two_point_extension(H, domain, domain[0], domain[1], prof, E,
-                               EPS0, lat, boundary_distance=1e6)
-
-
-def test_checked_inverse_singular_and_regular(lat):
+def test_checked_inverse_singular_and_regular():
     # every inverse goes through the one checked Hermitian solve
     def rel(out, want):
         return np.linalg.norm(out - want) / np.linalg.norm(want)
@@ -164,12 +147,6 @@ def test_checked_inverse_singular_and_regular(lat):
     # E = 0 and H = -A: E - H is A exactly
     out = schur_block_inverse(-A, ([0, 1, 2], [3, 4, 5]), 0.0)
     assert rel(out, np.linalg.inv(A)) <= 1e-12
-    domain, H, prof = _near_diagonal(lat, 5)
-    M = 5.0 * np.eye(5) - H
-    assert rel(_msa(H, domain, [(domain, prof)], 5.0, lat).resolvent,
-               np.linalg.inv(M)) <= 1e-12
-    assert rel(_two_point(H, domain, prof, 5.0, lat).resolvent,
-               np.linalg.inv(M)) <= 1e-12
 
     B = A.copy()
     B[5, :] = B[0, :]           # rank 5, still exactly Hermitian
@@ -181,24 +158,22 @@ def test_checked_inverse_singular_and_regular(lat):
     assert "singular value" not in str(exc.value)
     assert exc.value.norm == "1"
     assert exc.value.distance_to_singularity <= 1e-13
-    # the threshold is relative to max(1, sigma_max); no blocks leaves the
-    # whole 2 x 2 matrix to the full inverse
-    two = [lat.canonicalize([0]), lat.canonicalize([1])]
-    with pytest.raises(SingularBlock, match="full"):
-        _msa(-np.diag([1.0, 1e-14]), two, [], 0.0, lat)
+    # the threshold is relative to max(1, sigma_max): a 1 x 1 block H2~ of
+    # 1e-14 is singular, one of 1e-12 is not
+    with pytest.raises(SingularBlock, match="H2~"):
+        schur_block_inverse(-np.diag([1.0, 1e-14]), ([0], [1]), 0.0)
     small = np.diag([1.0, 1e-12])
-    assert rel(_msa(-small, two, [], 0.0, lat).resolvent,
+    assert rel(schur_block_inverse(-small, ([0], [1]), 0.0),
                np.linalg.inv(small)) <= 1e-12
 
 
-@pytest.mark.parametrize("entry", ["schur_block_inverse", "q_g_functions",
-                                   "msa_step", "two_point_extension"])
+@pytest.mark.parametrize("entry", ["schur_block_inverse", "q_g_functions"])
 @pytest.mark.parametrize("defect", ["off-diagonal", "diagonal"])
-def test_non_hermitian_input_is_rejected(lat, entry, defect):
+def test_non_hermitian_input_is_rejected(entry, defect):
     # the solves read one triangle of each block, so without the check a
     # matrix that is not exactly Hermitian would silently be solved as
     # another one
-    domain, H, prof = _near_diagonal(lat, 5)
+    H = _near_diagonal(5)
     if defect == "off-diagonal":
         H[3, 1] += 1e-3
     else:
@@ -207,8 +182,6 @@ def test_non_hermitian_input_is_rejected(lat, entry, defect):
         "schur_block_inverse":
             lambda: schur_block_inverse(H, ([0, 1], [2, 3, 4]), 5.0),
         "q_g_functions": lambda: q_g_functions(H, [0], 5.0),
-        "msa_step": lambda: _msa(H, domain, [(domain, prof)], 5.0, lat),
-        "two_point_extension": lambda: _two_point(H, domain, prof, 5.0, lat),
     }[entry]
     with pytest.raises(ValueError, match="exactly Hermitian"):
         call()
@@ -651,110 +624,6 @@ def test_mu_of_set(lat):
     domain = [lat.canonicalize([r]) for r in range(-3, 4)]
     assert mu_of_set(domain, lat.canonicalize([0]), lat) == 4
     assert mu_of_set(domain, lat.canonicalize([3]), lat) == 1
-
-
-def test_msa_step_single_block(lat):
-    domain = [lat.canonicalize([r]) for r in range(-2, 3)]
-    n = len(domain)
-    rng = np.random.default_rng(5)
-    H = np.diag(np.linspace(1.0, 2.0, n)).astype(complex)
-    eps0 = 1e-40
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = eps0 * math.exp(-0.9 * abs(i - j)) * 0.5
-            H[i, j] = v
-            H[j, i] = v
-    prof = WeightProfile(D={e: 1.2 for e in domain}, T=8.0, kappa0=0.9,
-                         alpha0=1.0)
-    E = 5.0
-    res = msa_step(H, domain, [(domain, prof)], E, eps0, lat, T=8.0,
-                   kappa0=0.9, alpha0=1.0)
-    assert np.allclose(res.resolvent, np.linalg.inv(E * np.eye(n) - H))
-    assert res.audit_ok
-    assert res.merged_D == prof.D
-
-
-def test_msa_step_two_blocks_and_leftover(lat):
-    left = [lat.canonicalize([r]) for r in (-6, -5)]
-    right = [lat.canonicalize([r]) for r in (5, 6)]
-    leftover = [lat.canonicalize([0])]
-    domain = left + leftover + right
-    index = {e: i for i, e in enumerate(domain)}
-    n = len(domain)
-    eps0 = 1e-40
-    H = np.zeros((n, n), dtype=complex)
-    for e in domain:
-        H[index[e], index[e]] = 1.0 + 0.1 * e.rep[0]
-    for a in domain:
-        for b in domain:
-            if a != b:
-                H[index[a], index[b]] = eps0 * math.exp(
-                    -0.9 * lat.sub(a, b).norm)
-    profs = [(left, WeightProfile(D={e: 1.0 for e in left}, T=8.0,
-                                  kappa0=0.9, alpha0=1.0)),
-             (right, WeightProfile(D={e: 1.0 for e in right}, T=8.0,
-                                   kappa0=0.9, alpha0=1.0))]
-    res = msa_step(H, domain, profs, E=9.0, eps0=eps0, lat=lat, T=8.0,
-                   kappa0=0.9, alpha0=1.0)
-    assert res.audit_ok
-    # leftover point gets the default D = 4T/kappa0
-    assert res.merged_D[leftover[0]] == pytest.approx(4 * 8.0 / 0.9)
-
-
-def test_msa_step_hypothesis_b_fails(lat):
-    domain = [lat.canonicalize([r]) for r in (-1, 0, 1)]
-    H = np.diag([1.0, 3.0 - 1e-18, 1.5]).astype(complex)
-    prof = WeightProfile(D={domain[0]: 1.0}, T=8.0, kappa0=0.9, alpha0=1.0)
-    with pytest.raises(HypothesisFailed) as exc:
-        # E sits exactly on the leftover diagonal: |E - H(n,n)| below the floor
-        msa_step(H, domain, [([domain[0]], WeightProfile(
-            D={domain[0]: 1.0}, T=8.0, kappa0=0.9, alpha0=1.0))],
-            E=3.0, eps0=1e-40, lat=lat, T=8.0, kappa0=0.9, alpha0=1.0)
-    assert exc.value.item == "b"
-
-
-def test_two_point_extension_pair(lat):
-    domain = [lat.canonicalize([r]) for r in range(-3, 4)]
-    n = len(domain)
-    eps0 = 1e-40
-    H = np.diag(np.linspace(1.0, 2.5, n)).astype(complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            H[i, j] = H[j, i] = eps0 * math.exp(-0.9 * abs(i - j))
-    m_plus = lat.canonicalize([0])
-    m_minus = lat.canonicalize([1])
-    prof = WeightProfile(
-        D={e: 1.0 for e in domain if e not in (m_plus, m_minus)},
-        T=8.0, kappa0=0.9, alpha0=1.0)
-    res = two_point_extension(H, domain, m_plus, m_minus, prof, E=6.0,
-                              eps0=eps0, lat=lat, boundary_distance=1e6)
-    assert res.extended_D[m_plus] == res.extended_D[m_minus] == res.D0
-    assert res.audit_ok
-
-
-def test_two_point_extension_single_puncture(lat):
-    domain = [lat.canonicalize([r]) for r in range(-2, 3)]
-    n = len(domain)
-    H = np.diag(np.linspace(0.5, 1.5, n)).astype(complex)
-    prof = WeightProfile(D={e: 1.0 for e in domain if e.rep != (0,)},
-                         T=8.0, kappa0=0.9, alpha0=1.0)
-    m0 = lat.canonicalize([0])
-    res = two_point_extension(H, domain, m0, m0, prof, E=4.0, eps0=1e-40,
-                              lat=lat, boundary_distance=1e6)
-    assert res.extended_D[m0] == res.D0
-
-
-def test_two_point_extension_d0_violation(lat):
-    domain = [lat.canonicalize([r]) for r in range(-2, 3)]
-    n = len(domain)
-    H = np.diag(np.linspace(0.5, 1.5, n)).astype(complex)
-    prof = WeightProfile(D={e: 1.0 for e in domain if e.rep != (0,)},
-                         T=8.0, kappa0=0.9, alpha0=1.0)
-    m0 = lat.canonicalize([0])
-    with pytest.raises(HypothesisFailed) as exc:
-        two_point_extension(H, domain, m0, m0, prof, E=4.0, eps0=1e-40,
-                            lat=lat, boundary_distance=1e-6)
-    assert exc.value.item == "D0"
 
 
 def test_path_norm_and_weights(lat):

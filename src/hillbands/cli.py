@@ -20,7 +20,8 @@ import sys
 from pathlib import Path
 
 from . import band as band_mod
-from .errors import ConfigError, HillbandsError, PreconditionFailed
+from .errors import (ConfigError, HillbandsError, PreconditionFailed,
+                     ValidationFailed)
 from .lattice import FrequencyVector, QuotientLattice, check_diophantine
 from .potential import fold, from_config
 from .scales import build_schedule
@@ -85,7 +86,6 @@ def build_context(config: dict) -> band_mod.BandContext:
             kappa0=coeffs.kappa0, alpha0=coeffs.alpha0, nu=omega.nu,
             eps0=sched_cfg.get("eps0"),
             sigma_scale=float(sched_cfg.get("sigma_scale", 1.0)),
-            truncate=bool(sched_cfg.get("truncate", True)),
         )
         return band_mod.BandContext(
             lat=lat, folded=folded, schedule=schedule,
@@ -96,7 +96,8 @@ def build_context(config: dict) -> band_mod.BandContext:
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}")
-    except (TypeError, ValueError) as exc:
+    except (PreconditionFailed, ValidationFailed, TypeError,
+            ValueError) as exc:
         raise ConfigError(f"invalid config value: {exc}")
 
 
@@ -176,10 +177,11 @@ def run_band(config: dict,
     Returns the output dir and the run's failures, which report.json lists
     too: each requested gap that raised, each sample of class ``error``,
     each audit that did not pass and each audit that raised; the files are
-    written all the same. A bad ``diophantine`` block or ``gaps``
-    entry, an ``audits`` entry outside AUDITS, or a grid of which band_curve
-    keeps no k, raises ConfigError; all but the last before the output dir
-    is made. The diophantine check runs on the schedule's a0 and b0.
+    written all the same. An invalid schedule or potential (a folded decay
+    violation included), a bad ``diophantine`` block or ``gaps`` entry, an
+    ``audits`` entry outside AUDITS, or a grid of which band_curve keeps no
+    k, raises ConfigError; all but the last before the output dir is made.
+    The diophantine check runs on the schedule's a0 and b0.
     """
     ctx = build_context(config)
     dio = config.get("diophantine")

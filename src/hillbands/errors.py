@@ -30,13 +30,11 @@ class ScheduleInfeasible(HillbandsError):
     ``largest_feasible`` is the largest scale index that still fits.
     """
 
-    def __init__(self, requested, largest_feasible, reason=""):
+    def __init__(self, requested, largest_feasible):
         self.requested = requested
         self.largest_feasible = largest_feasible
-        msg = f"scale {requested} infeasible (largest feasible s={largest_feasible})"
-        if reason:
-            msg += f": {reason}"
-        super().__init__(msg)
+        super().__init__(f"scale {requested} infeasible "
+                         f"(largest feasible s={largest_feasible})")
 
 
 class ExcludedK(HillbandsError):
@@ -136,7 +134,3 @@ class PreconditionFailed(HillbandsError):
 
 class IntegratorFailure(HillbandsError):
     """The ODE integrator failed to meet its tolerance."""
-
-
-class OffDiagonalDecayError(HillbandsError):
-    """Assembled matrix violates the off-diagonal decay bound."""

@@ -16,7 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import OffDiagonalDecayError
 from .lattice import GroupElement, QuotientLattice
 from .potential import FoldedCoefficients
 
@@ -105,8 +104,7 @@ def order_domain(domain) -> tuple[GroupElement, ...]:
 
 
 def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
-             folded: FoldedCoefficients, lat: QuotientLattice,
-             check_decay: bool = True) -> DualMatrix:
+             folded: FoldedCoefficients, lat: QuotientLattice) -> DualMatrix:
     """Assemble the matrix offset by offset over the coordinate t.
 
     H[i, j] = eps*c(t_i - t_j) off the diagonal: each offset d of the folded
@@ -117,7 +115,8 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     the matrix is Hermitian bit for bit. The same pairs give the bandwidth,
     the largest rank distance in sorted t between two points coupled by a
     nonzero entry, and the Gershgorin radii: each offset adds |eps*c(d)| to
-    the radii of its rows. No n x n array is made.
+    the radii of its rows. No n x n array is made. The entries need no
+    decay check here: ``fold`` checks the bound on every coset.
     """
     dom = order_domain(domain)
     if not dom:
@@ -131,7 +130,6 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
     span = int(ts[-1] - ts[0])
     radii = np.zeros(n)
     offsets = []
-    entries = {}
     bandwidth = 0
     for e, c in folded.entries.items():
         d = e.t
@@ -147,45 +145,13 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
         rows = order[hit]
         offsets.append((rows, order[pos[hit]], val))
         radii[rows] += abs(val)
-        entries[d] = (e.norm, abs(val))
         if val != 0:
             bandwidth = max(bandwidth, int(np.max(np.abs(pos[hit]
                                                          - ranks[hit]))))
     zero_mode = eps * folded.value(lat.identity)
     diagonal = np.array([spec.diagonal(a.xi_float) + zero_mode for a in dom])
-    if check_decay:
-        _check_decay(dom, t, entries, spec, folded)
     return DualMatrix(domain=dom, spec=spec,
                       index={e: i for i, e in enumerate(dom)},
                       diagonal=diagonal, offsets=tuple(offsets), radii=radii,
                       bandwidth=bandwidth)
 
-
-def _check_decay(dom, t, entries, spec, folded) -> None:
-    """Raise on an entry above eps*exp(-kappa0 |m-n|^alpha0).
-
-    The bound depends only on the offset d = t_i - t_j, whose norm is that of
-    its folded key, so each offset that some pair of the domain realizes (the
-    keys of ``entries``) is checked once.
-    """
-    eps = abs(spec.epsilon)
-    bounds = {}
-    for d, (norm, v) in entries.items():
-        if v == 0:
-            continue
-        bound = eps * math.exp(-folded.kappa0 * norm**folded.alpha0)
-        if v > bound * (1 + 1e-12):
-            bounds[d] = bound
-    if not bounds:
-        return
-    bad = np.array(list(bounds))
-    for i in range(len(dom)):
-        hits = np.flatnonzero(np.isin(t[i] - t[i + 1:], bad))
-        if hits.size:
-            j = i + 1 + int(hits[0])
-            d = int(t[i] - t[j])
-            raise OffDiagonalDecayError(
-                f"|H({dom[i]},{dom[j]})| = {entries[d][1]:.3e} > "
-                f"{bounds[d]:.3e} "
-                f"(eps*exp(-kappa0 |m-n|^alpha0))"
-            )

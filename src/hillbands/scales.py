@@ -66,11 +66,6 @@ class ScaleSchedule:
         """sigma = 32 (delta0^(s-1))^(1/6) on shell s."""
         return 32.0 * self.delta[s - 1] ** (1.0 / 6.0) * self.sigma_scale
 
-    def sigma(self, norm: float) -> float | None:
-        """sigma(m) on the shell of m; sigma(0) from delta0^(0); None beyond s_max."""
-        s = 1 if norm == 0 else self.shell_of(norm)
-        return None if s is None else self.shell_sigma(s)
-
     def to_dict(self) -> dict:
         """Every field but the log arrays."""
         out = asdict(self)
@@ -100,8 +95,7 @@ def build_schedule(mode: str, s_max: int, R1: float | None = None, *,
                    a0: float = 0.5, b0: float = 2.0,
                    kappa0: float = 1.0, alpha0: float = 1.0, nu: int = 1,
                    eps0: float | None = None,
-                   sigma_scale: float = 1.0,
-                   truncate: bool = False) -> ScaleSchedule:
+                   sigma_scale: float = 1.0) -> ScaleSchedule:
     """Build the scale schedule.
 
     Practical mode: user beta in (0,1) and R1 > e. Strict mode: beta = 1/(32 b0)
@@ -110,9 +104,10 @@ def build_schedule(mode: str, s_max: int, R1: float | None = None, *,
     underflows). R1 may be given via ``log_R1`` since strict-mode floors can
     overflow float64 themselves.
 
-    Raises ScheduleInfeasible when the requested s_max underflows double
-    precision, unless truncate=True; the log arrays always cover the full
-    range, feasible_s marks the usable prefix of the float views.
+    Scales past the last one whose R^(s) and delta0^(s-1) fit in double
+    precision stay in the schedule: the log arrays always cover the full
+    range, feasible_s marks the usable prefix of the float views, and
+    ``require_feasible`` raises ScheduleInfeasible beyond it.
     """
     if log_R1 is None:
         if R1 is None:
@@ -155,12 +150,6 @@ def build_schedule(mode: str, s_max: int, R1: float | None = None, *,
             feasible = s
         else:
             break
-
-    if feasible < s_max and not truncate:
-        raise ScheduleInfeasible(
-            s_max, feasible,
-            reason=f"delta0^({feasible}) underflows double precision",
-        )
 
     log_delta0 = log_delta[0] / 4.0  # delta0^4 = delta0^(0)
     delta0 = math.exp(log_delta0) if log_delta0 > -746.0 else 0.0

@@ -49,7 +49,7 @@ def _toy_context() -> band_mod.BandContext:
     lat = QuotientLattice(FrequencyVector.parse(["1"]))
     folded = fold(cosine([1], kappa0=1.0), lat)
     schedule = build_schedule("practical", s_max=2, R1=12.0, beta=0.5,
-                              eps0=0.5, sigma_scale=1e-8, truncate=True)
+                              eps0=0.5, sigma_scale=1e-8)
     return band_mod.BandContext(lat=lat, folded=folded, schedule=schedule,
                                 eps=0.05, truncation_R=12.0,
                                 s_cap=1, use_domains=False)
@@ -185,7 +185,7 @@ def suite_domains(out: list[CheckResult]) -> None:
     omega = FrequencyVector.parse(["1"])
     lat = QuotientLattice(omega)
     schedule = build_schedule("practical", s_max=2, R1=9.0, beta=0.5,
-                              eps0=0.5, sigma_scale=1e-9, truncate=True)
+                              eps0=0.5, sigma_scale=1e-9)
     k = 0.37
     builder = DomainBuilder(k, schedule, lat)
     levels = builder.level_sets(2)

@@ -39,7 +39,7 @@ def cosine_folded(line_lattice):
 @pytest.fixture(scope="session")
 def toy_schedule():
     return build_schedule("practical", s_max=2, R1=12.0, beta=0.5, eps0=0.5,
-                          sigma_scale=1e-8, truncate=True)
+                          sigma_scale=1e-8)
 
 
 def make_context(line_lattice, cosine_folded, toy_schedule, eps=0.05,

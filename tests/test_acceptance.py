@@ -51,7 +51,7 @@ def folded(lat):
 @pytest.fixture(scope="module")
 def schedule():
     return build_schedule("practical", s_max=2, R1=12.0, beta=0.5, eps0=0.5,
-                          sigma_scale=1e-8, truncate=True)
+                          sigma_scale=1e-8)
 
 
 def context(lat, folded, schedule, eps, truncation_R=12.0):
@@ -286,8 +286,11 @@ def test_criterion_10_schedule_recurrence():
         ok = ok and abs(sched.log_R[u] - rhs) <= 1e-12 * abs(rhs)
         ok = ok and abs(sched.delta[u] - math.exp(-sched.log_R[u] ** 2)) \
             <= 1e-12 * sched.delta[u]
+    longer = build_schedule("practical", s_max=5, R1=math.e**4, beta=0.5,
+                            eps0=1.0)
+    ok = ok and longer.feasible_s == 3
     try:
-        build_schedule("practical", s_max=5, R1=math.e**4, beta=0.5, eps0=1.0)
+        longer.require_feasible(4)
         ok = False
     except ScheduleInfeasible as exc:
         ok = ok and exc.largest_feasible == 3
@@ -299,7 +302,7 @@ def test_criterion_10_schedule_recurrence():
 def test_criterion_11_symmetrization(lat):
     start = time.perf_counter()
     sched = build_schedule("practical", s_max=2, R1=9.0, beta=0.5, eps0=0.5,
-                           sigma_scale=1e-9, truncate=True)
+                           sigma_scale=1e-9)
     ok = True
     # T-symmetrization at the first resonance
     n0 = lat.canonicalize([1])

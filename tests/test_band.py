@@ -361,7 +361,7 @@ def test_decay_audit_zero_coupling(line_lattice, cosine_folded, toy_schedule):
 
 def test_increment_audit_with_domains(line_lattice, cosine_folded):
     schedule = build_schedule("practical", s_max=3, R1=9.0, beta=0.5,
-                              eps0=0.5, sigma_scale=1e-9, truncate=True)
+                              eps0=0.5, sigma_scale=1e-9)
     ctx = BandContext(lat=line_lattice, folded=cosine_folded,
                       schedule=schedule, eps=0.05, truncation_R=12.0,
                       s_cap=3, use_domains=True)
@@ -379,7 +379,7 @@ def test_eigenvector_scale_increment(line_lattice, cosine_folded):
     from hillbands.eigensolve import solve_simple
 
     schedule = build_schedule("practical", s_max=3, R1=9.0, beta=0.5,
-                              eps0=0.5, sigma_scale=1e-9, truncate=True)
+                              eps0=0.5, sigma_scale=1e-9)
     lat = line_lattice
     k = 0.37
     builder = DomainBuilder(k, schedule, lat)
@@ -463,7 +463,7 @@ def test_subexponential_decay_pipeline(line_lattice):
 
     folded = fold(exp_decay(5, nu=1, kappa0=1.0, alpha0=0.8), line_lattice)
     sched = build_schedule("practical", s_max=2, R1=12.0, beta=0.5, eps0=0.5,
-                           sigma_scale=1e-8, truncate=True, kappa0=1.0,
+                           sigma_scale=1e-8, kappa0=1.0,
                            alpha0=0.8)
     ctx = BandContext(lat=line_lattice, folded=folded, schedule=sched,
                       eps=0.03, truncation_R=10.0, s_cap=1, use_domains=False)
@@ -480,7 +480,7 @@ def test_subexponential_decay_pipeline(line_lattice):
 
 def test_error_points_recorded_not_raised(line_lattice, cosine_folded):
     schedule = build_schedule("practical", s_max=1, R1=9.0, beta=0.5,
-                              eps0=0.5, sigma_scale=1.0, truncate=True)
+                              eps0=0.5, sigma_scale=1.0)
     ctx = BandContext(lat=line_lattice, folded=cosine_folded,
                       schedule=schedule, eps=0.05, truncation_R=12.0,
                       s_cap=1, use_domains=True)

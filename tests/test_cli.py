@@ -433,6 +433,53 @@ def test_bad_block_is_a_config_error_before_any_sample(
     assert not out.exists()
 
 
+def _explicit(c_plus, c_minus):
+    return {"kind": "explicit", "coefficients": [
+        {"n": [1], "re": c_plus}, {"n": [-1], "re": c_minus}]}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"schedule": dict(BASE_CONFIG["schedule"], beta=1.5)}, "beta in (0,1)"),
+    ({"schedule": dict(BASE_CONFIG["schedule"], R1=2.0)}, "R1 > e"),
+    ({"mode": "bogus"}, "unknown mode 'bogus'"),
+    ({"potential": _explicit(0.9, 0.9)}, "decay bound fails at n=(1,)"),
+    ({"potential": _explicit(0.3, 0.2)}, "conjugate symmetry fails"),
+], ids=["beta", "R1", "mode", "raw_decay", "conjugate_symmetry"])
+def test_bad_schedule_or_potential_is_a_config_error_before_any_sample(
+        tmp_path, monkeypatch, capsys, overrides, message):
+    def no_samples(*args, **kwargs):
+        raise AssertionError("a sample was computed")
+
+    monkeypatch.setattr(band, "compute_point", no_samples)
+    cfg = write_config(tmp_path, overrides)
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert message in err[0]
+    assert not out.exists()
+    assert main(["verify", str(cfg), "--suite", "band"]) == 2
+
+
+def test_folded_decay_violation_is_a_config_error(tmp_path, capsys):
+    # on omega = (1, 1) the modes (1, 0) and (0, 1) fold onto one coset:
+    # |c| = 0.72 > e^-1 there and on its mirror, though each raw c(n) = 0.36
+    # stays below the bound
+    cfg = write_config(tmp_path, {
+        "lattice": {"nu": 2, "omega": ["1", "1"]},
+        "potential": {"kind": "multi_cosine", "kappa0": 1.0, "alpha0": 1.0,
+                      "modes": [{"n": [1, 0], "amplitude": 0.36},
+                                {"n": [0, 1], "amplitude": 0.36}]},
+        "diophantine": None, "gaps": [], "k_grid": {"list": [0.11, 0.31]}})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    assert "folded decay bound fails at [-1,0]: |c| = 7.200e-01" in err[0]
+    assert "folded decay bound fails at [0,1]: |c| = 7.200e-01" in err[0]
+    assert not out.exists()
+
+
 def test_strict_mode_run(tmp_path):
     # strict beta = 1/(32 b0); worst-case eps0 underflows but is reported in
     # log space; the sweep itself still runs on the coupling from the config

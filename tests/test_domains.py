@@ -24,7 +24,7 @@ def lat():
 def schedule():
     # R^(1) = 9, R^(2) ~ 11.2; sigma shrunk so the k-axis is mostly admissible
     return build_schedule("practical", s_max=2, R1=9.0, beta=0.5, eps0=0.5,
-                          sigma_scale=1e-9, truncate=True)
+                          sigma_scale=1e-9)
 
 
 def fset(lat, reps):
@@ -65,7 +65,7 @@ def test_unmodified_ball_when_nothing_straddles(lat, schedule):
 
 def test_excluded_k_raises(lat):
     wide = build_schedule("practical", s_max=2, R1=9.0, beta=0.5, eps0=0.5,
-                          sigma_scale=1.0, truncate=True)
+                          sigma_scale=1.0)
     # verbatim sigma(m) = 32 delta^(1/6) swallows the whole axis at this scale
     builder = DomainBuilder(0.37, wide, lat)
     with pytest.raises(ExcludedK) as exc:
@@ -378,10 +378,10 @@ ORACLE_CASES = {
     # nu: (lattice, schedule, scales drawn)
     1: (QuotientLattice(FrequencyVector.parse(["1"])),
         build_schedule("practical", s_max=2, R1=9.0, beta=0.5, eps0=0.5,
-                       sigma_scale=1e-9, truncate=True), (1, 2)),
+                       sigma_scale=1e-9), (1, 2)),
     2: (QuotientLattice(FrequencyVector.parse(["1", "3/7"])),
         build_schedule("practical", s_max=1, R1=4.0, beta=0.5, eps0=0.5,
-                       sigma_scale=1e-9, truncate=True, nu=2), (1,)),
+                       sigma_scale=1e-9, nu=2), (1,)),
 }
 
 

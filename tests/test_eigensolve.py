@@ -61,7 +61,7 @@ def tridiagonal_cases(draw):
         domain = ball
     spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])),
                         k=draw(st.floats(-1.9, 1.9)))
-    matrix = assemble(domain, spec, folded, lat, check_decay=False)
+    matrix = assemble(domain, spec, folded, lat)
     by_t = sorted(range(matrix.size), key=lambda i: matrix.domain[i].t)
     ends = [by_t[0], by_t[-1]]
     pick = st.sampled_from(range(matrix.size))
@@ -150,7 +150,7 @@ def householder_cases(draw):
     spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])),
                         k=draw(st.floats(-0.45, 0.45)))
     matrix = dataclasses.replace(
-        assemble(domain, spec, folded, lat, check_decay=False), bandwidth=None)
+        assemble(domain, spec, folded, lat), bandwidth=None)
     principal = draw(st.lists(st.sampled_from(range(matrix.size)),
                               min_size=count, max_size=count, unique=True))
     return matrix, principal, draw(st.floats(0.0, 1.0))
@@ -294,7 +294,7 @@ def chain_cases(draw):
     assume(len(domain) >= 4)
     spec = OperatorSpec(epsilon=draw(st.sampled_from([0.05, 0.3, 2.0])),
                         k=draw(st.floats(-1.9, 1.9)))
-    matrix = assemble(domain, spec, folded, lat, check_decay=False)
+    matrix = assemble(domain, spec, folded, lat)
     by_t = sorted(range(matrix.size), key=lambda i: matrix.domain[i].t)
     inner = st.sampled_from(by_t[1:-1])
     principal = draw(st.lists(inner, min_size=1, max_size=2, unique=True))
@@ -344,8 +344,7 @@ def test_count_below_on_an_eigenvalue_of_a_decoupled_principal():
     folded = fold(random_phase(1, nu=1, kappa0=0.5, seed=0), lat,
                   enforce_bound=False)
     matrix = assemble([lat.canonicalize([v]) for v in (-1, 2, -3, 3)],
-                      OperatorSpec(epsilon=0.05, k=0.0), folded, lat,
-                      check_decay=False)
+                      OperatorSpec(epsilon=0.05, k=0.0), folded, lat)
     lam = np.linalg.eigvalsh(matrix.values)
     for pair in ((2, -1), (-1, 2)):
         res = PuncturedResolvent(matrix, [matrix.row_of(lat.canonicalize([v]))
@@ -907,7 +906,7 @@ def _pair_matrix(family, seed, radius, n_index, eps, k):
     n = rest[n_index % len(rest)]
     spec = OperatorSpec(epsilon=eps, k=k)
     matrix = assemble(list(ball) + [lat.sub(n, e) for e in ball], spec,
-                      folded, lat, check_decay=False)
+                      folded, lat)
     assert (matrix.bandwidth <= 1) == (family == "cosine_1d")
     return matrix, [matrix.row_of(lat.identity), matrix.row_of(n)]
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hillbands.errors import OffDiagonalDecayError
+from hillbands.errors import ValidationFailed
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.operators import (TWO_PI_SQ, OperatorSpec, assemble, gamma_for,
                                  order_domain)
@@ -22,7 +23,7 @@ from oracles import (dense_dual_matrix, gathered_assemble, negated_domain,
 
 # --- reference oracle: pairwise assembly, one lat.sub per pair ---
 
-def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
+def pairwise_assemble(domain, spec, folded, lat):
     """Fill the upper triangle pair by pair and mirror-conjugate it."""
     dom = order_domain(domain)
     if not dom:
@@ -39,37 +40,19 @@ def pairwise_assemble(domain, spec, folded, lat, check_decay=True):
             if val != 0:
                 H[i, j] = val
                 H[j, i] = val.conjugate()
-    if check_decay:
-        bad = pairwise_decay_violations(H, dom, spec, folded, lat)
-        if bad:
-            i, j, a, b = bad[0]
-            raise OffDiagonalDecayError(
-                f"|H({dom[i]},{dom[j]})| = {a:.3e} > {b:.3e} "
-                f"(eps*exp(-kappa0 |m-n|^alpha0))"
-            )
     return dense_dual_matrix(dom, spec, H)
 
 
-def pairwise_decay_violations(H, dom, spec, folded, lat):
-    bad = []
-    eps = abs(spec.epsilon)
-    for i in range(len(dom)):
-        for j in range(i + 1, len(dom)):
-            v = abs(H[i, j])
-            if v == 0:
-                continue
-            d = lat.sub(dom[j], dom[i]).norm
-            bound = eps * math.exp(-folded.kappa0 * d**folded.alpha0)
-            if v > bound * (1 + 1e-12):
-                bad.append((i, j, v, bound))
-    return bad
-
-
-def _outcome(build, *args):
-    try:
-        return build(*args), None
-    except OffDiagonalDecayError as exc:
-        return None, str(exc)
+def folded_decay_violations(coeffs, lat):
+    """The cosets d != 0, sorted by key, whose sum of c over the coset,
+    taken entry by entry over c's support, exceeds exp(-kappa0 |d|^alpha0)."""
+    sums = {}
+    for n, v in coeffs.entries.items():
+        d = lat.canonicalize(n)
+        sums[d] = sums.get(d, 0j) + v
+    return sorted((d for d, v in sums.items() if not d.is_identity and abs(v)
+                   > math.exp(-coeffs.kappa0 * d.norm**coeffs.alpha0)
+                   * (1 + 1e-12)), key=lambda d: d.key())
 
 
 OMEGAS = [("1",), ("2/3",), ("1", "3/7"), ("1/2", "1/2"), ("2/5", "3/7"),
@@ -82,7 +65,8 @@ def _lattice(omega):
 
 
 @st.composite
-def assembly_cases(draw):
+def folding_cases(draw):
+    """(coefficients, lattice): the data that assembly_cases folds."""
     omega = draw(st.sampled_from(OMEGAS))
     lat = _lattice(omega)
     nu = lat.nu
@@ -98,6 +82,13 @@ def assembly_cases(draw):
                               seed=draw(st.integers(0, 99)))
     else:
         coeffs = exp_decay(radius, nu=nu, kappa0=kappa0)
+    return coeffs, lat
+
+
+@st.composite
+def assembly_cases(draw):
+    coeffs, lat = draw(folding_cases())
+    nu = lat.nu
     folded = fold(coeffs, lat, enforce_bound=False)
 
     ball = lat.ball(draw(st.integers(0, 6 if nu == 1 else 3)))
@@ -121,11 +112,8 @@ def assembly_cases(draw):
 
 @given(assembly_cases())
 def test_assemble_matches_pairwise_oracle(case):
-    fast, fast_err = _outcome(assemble, *case)
-    ref, ref_err = _outcome(pairwise_assemble, *case)
-    assert fast_err == ref_err
-    if ref is None:
-        return
+    fast = assemble(*case)
+    ref = pairwise_assemble(*case)
     assert fast.domain == ref.domain
     assert fast.index == ref.index
     assert np.array_equal(fast.values, ref.values)
@@ -160,7 +148,7 @@ def gapped_domain_cases(draw):
 
 @given(gapped_domain_cases())
 def test_assemble_by_offset_is_the_row_gather_bit_for_bit(case):
-    fast = assemble(*case, check_decay=False)
+    fast = assemble(*case)
     ref = gathered_assemble(*case)
     assert fast.domain == ref.domain
     assert fast.values.tobytes() == ref.values.tobytes()
@@ -175,7 +163,7 @@ def test_assemble_by_offset_is_the_row_gather_bit_for_bit(case):
 def test_matvec_is_the_dense_product(case, seed):
     # H x from the stored nonzeros, one scatter-add per offset, against the
     # dense view's BLAS product: the sums differ only in their order
-    m = assemble(*case, check_decay=False)
+    m = assemble(*case)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=m.size) + 1j * rng.normal(size=m.size)
     y = m.matvec(x)
@@ -219,7 +207,7 @@ def brute_force_bandwidth(matrix):
 
 @given(assembly_cases())
 def test_bandwidth_matches_brute_force(case):
-    matrix = assemble(*case, check_decay=False)
+    matrix = assemble(*case)
     assert matrix.bandwidth == brute_force_bandwidth(matrix)
 
 
@@ -320,33 +308,46 @@ def test_symmetric_domain_at_k_zero(line_lattice, cosine_folded):
 
 
 def test_offdiagonal_decay_enforced(half_lattice):
-    # folding stacks cosets: on omega = (1/2, 1/2) the coset of (1, 0) holds
+    # folding stacks cosets: on omega = (1/2, 1/2) the coset of (0, 1) holds
     # (1, 0), (0, 1), (2, -1) and (-1, 2), so c sums to 2e^-1 + 2e^-2, above
-    # the envelope e^-1, and assembly must reject it
-    folded = fold(exp_decay(2, nu=2, kappa0=1.0), half_lattice)
-    spec = OperatorSpec(epsilon=0.1, k=0.3)
-    with pytest.raises(OffDiagonalDecayError) as fast:
-        assemble(half_lattice.ball(2), spec, folded, half_lattice)
-    with pytest.raises(OffDiagonalDecayError) as ref:
-        pairwise_assemble(half_lattice.ball(2), spec, folded, half_lattice)
-    assert str(fast.value) == str(ref.value)
-    # the violating offset must occur in the domain: a lone site has none
-    assemble(half_lattice.ball(0), spec, folded, half_lattice)
+    # the envelope e^-1 of every matrix entry eps*c(d), and fold must reject
+    # it by name
+    with pytest.raises(ValidationFailed) as exc:
+        fold(exp_decay(2, nu=2, kappa0=1.0), half_lattice)
+    assert (f"folded decay bound fails at [0,1]: |c| = "
+            f"{2 * math.exp(-1) + 2 * math.exp(-2):.3e} > "
+            f"{math.exp(-1):.3e}") in str(exc.value)
 
 
-@pytest.mark.parametrize("check_decay", [False, True])
-def test_assemble_diagonal_carries_folded_zero_mode(half_lattice, check_decay):
+@given(folding_cases())
+def test_fold_rejects_exactly_the_cosets_above_the_decay_bound(case):
+    coeffs, lat = case
+    bad = folded_decay_violations(coeffs, lat)
+    if bad:
+        with pytest.raises(ValidationFailed) as exc:
+            fold(coeffs, lat)
+        named = re.findall(r"folded decay bound fails at (\[[-\d,]+\])",
+                           str(exc.value))
+        assert named == [repr(d) for d in bad]
+    else:
+        fold(coeffs, lat)
+    # without the bound, the same data assembles on any domain
+    folded = fold(coeffs, lat, enforce_bound=False)
+    m = assemble(lat.ball(3 if lat.nu == 1 else 2),
+                 OperatorSpec(epsilon=0.3, k=0.2), folded, lat)
+    assert np.array_equal(m.values, m.values.conj().T)
+
+
+def test_assemble_diagonal_carries_folded_zero_mode(half_lattice):
     # (1, -1) spans the null lattice of omega = (1/2, 1/2): folding sums c
-    # over its multiples into the identity coset, the constant c(0); the
-    # decay check, which passes here, leaves the diagonal alone
+    # over its multiples into the identity coset, the constant c(0)
     coeffs = random_phase(2, nu=2, kappa0=0.5, seed=1, amplitude_scale=0.5)
     folded = fold(coeffs, half_lattice, enforce_bound=False)
     c0 = sum(coeffs.value((j, -j)) for j in (-2, -1, 1, 2))
     assert abs(c0) > 0.1
     assert folded.value(half_lattice.identity) == pytest.approx(c0, abs=1e-15)
     spec = OperatorSpec(epsilon=0.05, k=0.3)
-    m = assemble(half_lattice.ball(3), spec, folded, half_lattice,
-                 check_decay=check_decay)
+    m = assemble(half_lattice.ball(3), spec, folded, half_lattice)
     want = [spec.diagonal(float(e.xi)) + spec.epsilon * c0.real
             for e in m.domain]
     assert np.diag(m.values).real == pytest.approx(want, abs=1e-15)

@@ -105,7 +105,7 @@ def test_discriminant_gap_band_membership(line_lattice, cosine_folded):
     from hillbands.scales import build_schedule
 
     sched = build_schedule("practical", s_max=2, R1=12.0, beta=0.5, eps0=0.5,
-                           sigma_scale=1e-8, truncate=True)
+                           sigma_scale=1e-8)
     ctx = BandContext(lat=line_lattice, folded=cosine_folded, schedule=sched,
                       eps=0.05, truncation_R=12.0, s_cap=1, use_domains=False)
     g = gap_edges(ctx, line_lattice.canonicalize([-1]))

@@ -74,14 +74,17 @@ def test_folded_conjugate_symmetry_exact(half_lattice):
         assert folded.value(half_lattice.neg(e)) == v.conjugate()
 
 
-def test_folded_decay_bound(line_lattice):
-    c = exp_decay(6, nu=1, kappa0=1.0)
-    folded = fold(c, line_lattice)
-    const = folded.bound_constant
-    assert const == pytest.approx(8.0)
-    for e, v in folded.entries.items():
-        assert abs(v) <= const * math.exp(-e.norm / 4.0) * (1 + 1e-12)
-    assert folded.decay_violations == ()
+def test_folded_decay_bound(line_lattice, half_lattice):
+    # the trivial quotient keeps each c(n) on its own coset, at the bound
+    # exp(-kappa0 |n|^alpha0); on omega = (1/2, 1/2) the coset of (0, 1) adds
+    # c(1, 0) and c(0, 1) and goes over it
+    for alpha0 in (1.0, 0.5):
+        folded = fold(exp_decay(6, nu=1, kappa0=1.0, alpha0=alpha0),
+                      line_lattice)
+        for e, v in folded.entries.items():
+            assert abs(v) <= math.exp(-e.norm**alpha0) * (1 + 1e-12)
+        with pytest.raises(ValidationFailed, match=r"fails at \[0,1\]:"):
+            fold(exp_decay(1, nu=2, kappa0=1.0, alpha0=alpha0), half_lattice)
 
 
 def test_eval_potential_zero(line_lattice):

@@ -16,19 +16,25 @@ from hillbands.scales import (build_schedule, excluded_blocker, mode_table,
 
 # --- reference oracles: the scalar per-mode loops the mode table replaced ---
 
+def sigma(schedule, norm):
+    """sigma(m) on the shell of m; sigma(0) from delta0^(0); None beyond s_max."""
+    s = 1 if norm == 0 else schedule.shell_of(norm)
+    return None if s is None else schedule.shell_sigma(s)
+
+
 def kpm_endpoints(schedule, m, s_inflate):
     """(k^-_{m,s}, k^+_{m,s}) or None when m lies beyond the schedule's shells."""
-    sigma = schedule.sigma(m.norm)
-    if sigma is None:
+    sigma_m = sigma(schedule, m.norm)
+    if sigma_m is None:
         return None
     km = -float(m.xi) / 2.0
     inflate = 0.0
     for r in range(0, s_inflate):
         dr = schedule.delta[r] ** 0.5 * schedule.sigma_scale
-        if dr <= sigma:
+        if dr <= sigma_m:
             inflate += dr
     inflate *= 64.0
-    return km - sigma - inflate, km + sigma + inflate
+    return km - sigma_m - inflate, km + sigma_m + inflate
 
 
 def excluded_blocker_oracle(schedule, lat, k, scale, exempt=frozenset()):
@@ -95,16 +101,16 @@ def test_schedule_recurrence_relative_error():
 
 
 def test_schedule_infeasibility_detection():
+    # log R^(u) = 4, 8, 32, 512: R^(4) fits, but delta0^(3) = e^-1024 does not
+    schedule = build_schedule("practical", s_max=5, R1=math.e**4, beta=0.5,
+                              eps0=1.0)
+    assert schedule.feasible_s == 3
+    assert schedule.delta[3] == 0.0          # e^-1024 underflows
+    assert schedule.log_delta[3] == -1024.0  # but the log view survives
+    schedule.require_feasible(3)
     with pytest.raises(ScheduleInfeasible) as exc:
-        build_schedule("practical", s_max=5, R1=math.e**4, beta=0.5, eps0=1.0)
-    assert exc.value.largest_feasible == 3
-    tolerated = build_schedule("practical", s_max=5, R1=math.e**4, beta=0.5,
-                               eps0=1.0, truncate=True)
-    assert tolerated.feasible_s == 3
-    assert tolerated.delta[3] == 0.0          # e^-1024 underflows
-    assert tolerated.log_delta[3] == -1024.0  # but the log view survives
-    with pytest.raises(ScheduleInfeasible):
-        tolerated.require_feasible(4)
+        schedule.require_feasible(4)
+    assert (exc.value.requested, exc.value.largest_feasible) == (4, 3)
 
 
 def test_practical_preconditions():
@@ -117,7 +123,7 @@ def test_practical_preconditions():
 def test_strict_beta_value():
     # beta1 = 1/(32 b0); with kappa0 = 1 the R1 floor is only log(100/a0)
     s = build_schedule("strict", s_max=1, R1=250.0, a0=0.5, b0=2.0,
-                       kappa0=1.0, alpha0=1.0, truncate=True)
+                       kappa0=1.0, alpha0=1.0)
     assert s.beta == pytest.approx(1.0 / 64.0)
 
 
@@ -129,7 +135,7 @@ def test_strict_mode_log_space_budget():
     # budget statement eps_s > eps0/2 lives in log space: it reduces to
     # log delta0^(1) < log eps0 - log 4 (the sum is dominated by delta0^(1))
     s = build_schedule("strict", s_max=2, log_R1=30000.0, a0=0.5, b0=2.0,
-                       kappa0=1.0, alpha0=1.0, truncate=True)
+                       kappa0=1.0, alpha0=1.0)
     assert s.feasible_s == 0 and s.eps0 == 0.0  # nothing representable
     log_d0 = s.log_delta[0] / 4.0
     assert s.log_eps0 == strict_epsilon0_log(log_d0, 1.0, 1.0, 1)
@@ -141,7 +147,7 @@ def test_strict_mode_log_space_budget():
 def test_strict_r1_floor_enforced():
     with pytest.raises(PreconditionFailed):
         build_schedule("strict", s_max=1, R1=10.0, a0=0.5, b0=2.0,
-                       kappa0=1.0, truncate=True)
+                       kappa0=1.0)
 
 
 def test_epsilon_budget_examples():
@@ -190,7 +196,7 @@ def test_kpm_mirror_check_reaches_every_interval(toy_schedule):
 
 
 def test_kpm_sigma_zero_and_monotonicity(line_lattice, toy_schedule):
-    sigma0 = toy_schedule.sigma(0)
+    sigma0 = sigma(toy_schedule, 0)
     assert sigma0 == pytest.approx(
         32.0 * toy_schedule.delta[0] ** (1 / 6) * toy_schedule.sigma_scale)
     table = mode_table(toy_schedule, line_lattice, 24.0)
@@ -304,7 +310,7 @@ def _table_lattice(omega):
 @functools.lru_cache(maxsize=None)
 def _table_schedule(R1, beta, sigma_scale):
     return build_schedule("practical", s_max=2, R1=R1, beta=beta, eps0=0.5,
-                          sigma_scale=sigma_scale, truncate=True)
+                          sigma_scale=sigma_scale)
 
 
 def _bits(x):
@@ -359,11 +365,11 @@ def test_kpm_intervals_match_scalar_endpoints(omega, sigma_scale, radius):
     assert [m.rep for m in table.elements] == [m.rep for m in want]
     for i, m in enumerate(table.elements):
         assert table.shell[i] == schedule.shell_of(m.norm)
-        sigma = schedule.sigma(m.norm)
+        sigma_m = sigma(schedule, m.norm)
         km = -float(m.xi) / 2.0
         # row 0 is not inflated: k_m -+ sigma
         assert (_bits(table.lo[0, i]), _bits(table.hi[0, i])) == (
-            _bits(km - sigma), _bits(km + sigma))
+            _bits(km - sigma_m), _bits(km + sigma_m))
         for s in range(schedule.s_max + 1):
             lo, hi = kpm_endpoints(schedule, m, s)
             assert (_bits(table.lo[s, i]), _bits(table.hi[s, i])) == (

@@ -338,11 +338,14 @@ def test_fold_rejects_exactly_the_cosets_above_the_decay_bound(case):
     assert np.array_equal(m.values, m.values.conj().T)
 
 
-def test_assemble_diagonal_carries_folded_zero_mode(half_lattice):
+@pytest.mark.parametrize("enforce_bound", [False, True])
+def test_assemble_diagonal_carries_folded_zero_mode(half_lattice,
+                                                    enforce_bound):
     # (1, -1) spans the null lattice of omega = (1/2, 1/2): folding sums c
-    # over its multiples into the identity coset, the constant c(0)
+    # over its multiples into the identity coset, the constant c(0); the
+    # decay bound, which holds here, leaves the folded data alone
     coeffs = random_phase(2, nu=2, kappa0=0.5, seed=1, amplitude_scale=0.5)
-    folded = fold(coeffs, half_lattice, enforce_bound=False)
+    folded = fold(coeffs, half_lattice, enforce_bound=enforce_bound)
     c0 = sum(coeffs.value((j, -j)) for j in (-2, -1, 1, 2))
     assert abs(c0) > 0.1
     assert folded.value(half_lattice.identity) == pytest.approx(c0, abs=1e-15)

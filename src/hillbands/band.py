@@ -450,7 +450,7 @@ def monotonicity_audit(ctx: BandContext,
 
 
 def decay_audit(ctx: BandContext, point: BandPoint,
-                mode: str = "strict") -> AuditRecord:
+                mode: str) -> AuditRecord:
     """Multi-center eigenvector decay.
 
     strict: |phi(n)| <= sqrt(eps) sum_{m in m^(l)} exp(-(7/8) kappa0 |n-m|^alpha0)
@@ -462,7 +462,8 @@ def decay_audit(ctx: BandContext, point: BandPoint,
                            details={"error": "no eigenvector"})
     centers = [ctx.lat.identity]
     if point.profile is not None and point.profile.resonant:
-        centers = sorted(point.profile.top_reflection_set(),
+        centers = sorted(map(ctx.lat.element,
+                             point.profile.top_reflection_set()),
                          key=GroupElement.key)
     kappa0, alpha0 = ctx.folded.kappa0, ctx.folded.alpha0
     sq_eps = math.sqrt(abs(ctx.eps))

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import ExcludedK, NotProper, PreconditionFailed
 from .lattice import GroupElement, QuotientLattice
 from .scales import ScaleSchedule, excluded_blocker
@@ -43,16 +45,14 @@ def set_distance(a: frozenset[int], b: frozenset[int],
 
 def subtract_stabilize(start: frozenset[int],
                        system: list[tuple[frozenset[int], int]],
-                       ell_bound: int | None = None
-                       ) -> tuple[frozenset[int], int]:
+                       ell_bound: int) -> tuple[frozenset[int], int]:
     """Iterate removal of system sets straddling the current set until stable.
 
     ``system`` is a subtraction system: (set of t, level) pairs with the
     pairing already merged into classes. Condition (i), distinct same-level
     sets disjoint, is checked first (NotProper on overlap). Returns
     (stabilized set, ell0). Asserts the Lemma-7.5-style dichotomy on the
-    result and, when ``ell_bound`` is given (2^s from symmetrization), that
-    ell0 < ell_bound.
+    result and that ell0 < ell_bound (2^s from symmetrization).
     """
     for i, (a, level_a) in enumerate(system):
         for b, level_b in system[i + 1:]:
@@ -70,7 +70,7 @@ def subtract_stabilize(start: frozenset[int],
     for s, _ in system:
         if not (s <= current or s.isdisjoint(current)):
             raise NotProper("stabilized set still chained with a system set")
-    if ell_bound is not None and not ell < ell_bound:
+    if not ell < ell_bound:
         raise NotProper(f"stabilization took {ell} >= bound {ell_bound}")
     return current, ell
 
@@ -78,10 +78,8 @@ def subtract_stabilize(start: frozenset[int],
 class DomainBuilder:
     """Builds the per-momentum hierarchy Lambda^(s)_k(m) with exact-offset memoization.
 
-    ``v_shift(m, offset)`` is the normalized diagonal difference
-    v(m, k+offset) - v(0, k+offset). Every scale is gated on the k-axis
-    exclusion intervals (raising ExcludedK), skipping the modes whose
-    coordinate t is in ``exempt_modes``.
+    Every scale is gated on the k-axis exclusion intervals (raising
+    ExcludedK), skipping the modes whose coordinate t is in ``exempt_modes``.
     """
 
     def __init__(self, k: float, schedule: ScaleSchedule, lat: QuotientLattice,
@@ -91,12 +89,6 @@ class DomainBuilder:
         self.lat = lat
         self.exempt_modes = frozenset(exempt_modes)
         self._memo: dict[tuple[int, Fraction], frozenset[int]] = {}
-
-    def v_shift(self, m: GroupElement, offset: Fraction) -> float:
-        """v(m,k') - v(0,k') = xi(m)(xi(m) + 2k') / lambda at k' = k + offset."""
-        xi = m.xi_float
-        kk = self.k + float(offset)
-        return xi * (xi + 2.0 * kk) / LAMBDA
 
     def threshold(self, s_prime: int, s: int) -> float:
         """Membership threshold for level s' inside the scale-s build."""
@@ -141,19 +133,22 @@ class DomainBuilder:
 
         Returns {s': {t of the center: frozenset of t}}, built top-down; a
         center already swallowed by a higher level is skipped (the paper's
-        exclusion clause).
+        exclusion clause). A center m of the scan qualifies at level s' when
+        |v(m, k') - v(0, k')| = |xi(m)(xi(m) + 2k')| / lambda <= tau at
+        k' = k + offset.
         """
         out: dict[int, dict[int, frozenset[int]]] = {}
         claimed: set[int] = set()
         scan = self.lat.ball(3.0 * self.schedule.R[s] + 3.0 * self.schedule.R[s - 1] + 1)
+        xi = np.array([m.xi_float for m in scan])
+        v = np.abs(xi * (xi + 2.0 * (self.k + float(offset))) / LAMBDA)
         for s_prime in range(s - 1, 0, -1):
             tau = self.threshold(s_prime, s)
             sets_here: dict[int, frozenset[int]] = {}
             if tau > 0:
-                for m in scan:
-                    if m.t in claimed:
-                        continue
-                    if abs(self.v_shift(m, offset)) <= tau:
+                for i in np.flatnonzero(v <= tau):
+                    m = scan[i]
+                    if m.t not in claimed:
                         inner = self.lambda0(s_prime, offset + m.xi)
                         sets_here[m.t] = frozenset(m.t + x for x in inner)
             out[s_prime] = sets_here

@@ -70,7 +70,7 @@ class PuncturedResolvent:
                        if i not in self.principal]
         if not self.others:
             raise ValueError("puncturing removed the whole domain")
-        if matrix.bandwidth is not None and matrix.bandwidth <= 1:
+        if matrix.bandwidth <= 1:
             form = _TOrderPhases(matrix, self.others)
         else:
             form = _Householder(
@@ -101,9 +101,7 @@ class PuncturedResolvent:
         for start, Z in self._chains:
             rows = slice(start, start + len(Z))
             _real_times(Z.T, columns[rows], y[rows])
-        if self._order is not None:
-            y = y[self._order]
-        return y.reshape(x.shape)
+        return y[self._order].reshape(x.shape)
 
     def _weights(self, E) -> np.ndarray:
         """1/(E - w) over the last axis, for a scalar E or an array."""
@@ -135,11 +133,8 @@ class PuncturedResolvent:
     def tail(self, E: float, rhs_proj: np.ndarray) -> np.ndarray:
         """(E - H_punctured)^{-1} applied to a vector given in projections,
         U Z (rhs_proj / (E - w)), in ``others`` order."""
-        x = self._weights(E) * rhs_proj
-        if self._order is not None:
-            chained = np.empty_like(x)
-            chained[self._order] = x
-            x = chained
+        x = np.empty_like(rhs_proj, dtype=np.complex128)
+        x[self._order] = self._weights(E) * rhs_proj
         y = np.empty(len(x), dtype=np.complex128)
         for start, Z in self._chains:
             rows = slice(start, start + len(Z))
@@ -343,19 +338,15 @@ def _eigh_chains(d: np.ndarray, e: np.ndarray):
     T splits into independent chains at every exact zero of e, and each
     chain gets its own dstevd call; ``chains`` lists (first row, Z block),
     the blocks of the block-diagonal Z. w is the stable sort of the chains'
-    eigenvalues, taken in chain order by ``order`` (None for one chain,
-    whose w dstevd already sorts). dstevd's divide and conquer splits at
-    these zeros too, and solves the chains one by one (LAPACK dstedc), so
+    eigenvalues, taken in chain order by ``order`` (the identity for one
+    chain, whose w dstevd already sorts). dstevd's divide and conquer splits
+    at these zeros too, and solves the chains one by one (LAPACK dstedc), so
     w is bit for bit that of one dstevd call on all of T, and so is Z up to
     the column order of equal eigenvalues of different chains. The
     finiteness check runs once on d and e (ValueError).
     """
     d, e = np.asarray_chkfinite(d), np.asarray_chkfinite(e)
-    cuts = np.flatnonzero(e == 0) + 1
-    if not cuts.size:
-        w, Z = _stevd(d, e)
-        return w, None, [(0, Z)]
-    starts = [0, *cuts.tolist()]
+    starts = [0, *(np.flatnonzero(e == 0) + 1).tolist()]
     stops = [*starts[1:], len(d)]
     parts = [_stevd(d[a:b], e[a:b - 1]) for a, b in zip(starts, stops)]
     w = np.concatenate([w for w, _ in parts])
@@ -451,7 +442,7 @@ def _sign_change_roots(f: Callable, lo: float, hi: float,
 
 def solve_pair(punctured: PuncturedResolvent, m_plus: GroupElement,
                m_minus: GroupElement, bracket: tuple[float, float], *,
-               tau0_required: float = 0.0) -> PairBranches:
+               tau0_required: float) -> PairBranches:
     """Both roots of chi = 0 inside the bracket, with branch eigenvectors,
     on the resolvent of the matrix punctured at the pair (m+, m-).
 
@@ -681,7 +672,7 @@ def leaf(a: Callable) -> CffNode:
     return CffNode(level=0, kind="leaf", a=a)
 
 
-def _fd(fun, x, u, h=None, order=1):
+def _fd(fun, x, u, h=None, *, order):
     # second differences need a larger step: cancellation noise goes like
     # eps/h^2, and the admissibility thresholds can be tiny
     if h is None:

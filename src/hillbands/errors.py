@@ -91,7 +91,7 @@ class NoConvergence(HillbandsError):
 class RootCountMismatch(HillbandsError):
     """Root finder saw a number of sign changes different from the expected two."""
 
-    def __init__(self, expected, found, locations=()):
+    def __init__(self, expected, found, locations):
         self.expected = expected
         self.found = found
         self.locations = tuple(locations)
@@ -120,12 +120,9 @@ class AdmissibilityFailed(HillbandsError):
 class HypothesisFailed(HillbandsError):
     """A named hypothesis of a multi-scale step or branch lemma failed."""
 
-    def __init__(self, item, detail=""):
+    def __init__(self, item, detail):
         self.item = item
-        msg = f"hypothesis ({item}) failed"
-        if detail:
-            msg += f": {detail}"
-        super().__init__(msg)
+        super().__init__(f"hypothesis ({item}) failed: {detail}")
 
 
 class PreconditionFailed(HillbandsError):

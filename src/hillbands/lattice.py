@@ -113,10 +113,6 @@ class GroupElement:
         return f"[{','.join(str(v) for v in self.rep)}]"
 
 
-def _linf(vec: Sequence[int]) -> int:
-    return max(abs(int(v)) for v in vec)
-
-
 class QuotientLattice:
     """The quotient group with canonicalization, balls and the group operation."""
 
@@ -193,23 +189,16 @@ class QuotientLattice:
         return out
 
     def canonicalize(self, vec: Sequence[int]) -> GroupElement:
-        """Minimal-ell-infinity, lexicographically-smallest coset representative.
-
-        The element is looked up by its coordinate t; a coset not seen
-        before is found by the scan for t in the box of radius |v|, which v
-        reaches, so the result does not depend on which vector of the coset
-        comes in. A vector without nu components raises ValueError.
+        """Minimal-ell-infinity, lexicographically-smallest coset representative:
+        the element of v's coordinate t, so the result does not depend on
+        which vector of the coset comes in. A vector without nu components
+        raises ValueError.
         """
         v = tuple(int(x) for x in vec)
         if len(v) != self.nu:
             raise ValueError(f"{list(v)} does not have nu = {self.nu} "
                              f"components")
-        t = sum(a * w for a, w in zip(v, self._t_weights))
-        elem = self._by_t.get(t)
-        if elem is not None:
-            return elem
-        (elem,) = self._least(_linf(v), t)
-        return elem
+        return self.element(sum(a * w for a, w in zip(v, self._t_weights)))
 
     def element(self, t: int) -> GroupElement:
         """The element of coordinate t.

@@ -66,8 +66,8 @@ class DualMatrix:
     # summed by assemble as it stores them
     radii: np.ndarray = field(repr=False)
     # largest rank distance, in the domain sorted by t, between two points
-    # coupled by a nonzero entry; None (unknown) means treat as dense
-    bandwidth: int | None
+    # coupled by a nonzero entry
+    bandwidth: int
 
     @property
     def size(self) -> int:

@@ -243,7 +243,7 @@ def mode_table(schedule: ScaleSchedule, lat: QuotientLattice,
 
 
 def excluded_blocker(schedule: ScaleSchedule, lat: QuotientLattice, k: float,
-                     scale: int, exempt=frozenset()):
+                     scale: int, exempt):
     """First mode 0 < |m| <= 12 R^(scale), in ball order, whose open interval
     (k^-_{m,scale-1}, k^+_{m,scale-1}) contains k, with that interval; None
     when there is none. ``exempt`` holds the t of modes to skip (the principal
@@ -269,7 +269,7 @@ class ResonanceProfile:
     ell: int                              # ell(k); -1 when k resonates nowhere
     n_points: tuple[GroupElement, ...]    # n^(0..ell)
     s_levels: tuple[int, ...]
-    reflection_sets: tuple[frozenset, ...]  # m^(0..ell)
+    reflection_sets: tuple[frozenset, ...]  # m^(0..ell), as sets of t
 
     @property
     def resonant(self) -> bool:
@@ -309,11 +309,11 @@ def resonance_profile(k: float, schedule: ScaleSchedule, lat: QuotientLattice,
                   key=lambda i: (table.norm[i], sign * table.t[i]))
     n_points = tuple(table.elements[i] for i in hits)
     s_levels = tuple(int(table.shell[i]) for i in hits)
-    # m^(ell) = m^(ell-1) | (n^(ell) - m^(ell-1)), from m^(-1) = {0}
+    # m^(ell) = m^(ell-1) | (n^(ell) - m^(ell-1)), from m^(-1) = {0}, on t
     reflection = []
     for n_ell in n_points:
-        current = reflection[-1] if reflection else frozenset({lat.identity})
-        reflection.append(current | {lat.sub(n_ell, x) for x in current})
+        current = reflection[-1] if reflection else frozenset({0})
+        reflection.append(current | {n_ell.t - x for x in current})
     return ResonanceProfile(k=k, ell=len(n_points) - 1, n_points=n_points,
                             s_levels=s_levels,
                             reflection_sets=tuple(reflection))

@@ -369,7 +369,7 @@ class WeightLemmaReport:
 
 
 def verify_weight_lemma(domain: Sequence[GroupElement], profile: WeightProfile,
-                        lat: QuotientLattice, k_max: int = 5) -> WeightLemmaReport:
+                        lat: QuotientLattice, k_max: int) -> WeightLemmaReport:
     """Check W_{D,kappa0}(gamma) <= exp(k M^2 - kappa0 (1 - 2^-9) ||gamma|| + 2 Dbar)
     for every admissible R-class trajectory; audit the corollary cases and the
     hop-sum growth constant."""
@@ -477,7 +477,7 @@ class WeightSumBoundReport:
 def weight_sum_upper_bound_audit(domain: Sequence[GroupElement],
                                  profile: WeightProfile, eps0: float,
                                  lat: QuotientLattice,
-                                 k_max: int = 5) -> WeightSumBoundReport:
+                                 k_max: int) -> WeightSumBoundReport:
     """Audit the closed-form weight-sum upper bounds against brute force:
 
     S(m,n) <= min[ 3 eps0^(1/2) exp(-(7/8) kappa0 |m-n|^alpha0 + 2T (min mu)^(1/5)),

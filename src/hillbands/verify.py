@@ -208,7 +208,7 @@ def suite_domains(out: list[CheckResult]) -> None:
                            ell_t < 2**2 and ell_s < 2**2))
 
 
-def suite_band(out: list[CheckResult], config: dict | None = None) -> None:
+def suite_band(out: list[CheckResult], config: dict | None) -> None:
     ctx = _context_from(config)
     if config is None:
         ks = [0.05 + 0.01 * i for i in range(20)]
@@ -240,8 +240,7 @@ def suite_band(out: list[CheckResult], config: dict | None = None) -> None:
                            dense_ok and worst <= 1e-8, worst))
 
 
-def suite_floquet(out: list[CheckResult],
-                  config: dict | None = None) -> None:
+def suite_floquet(out: list[CheckResult], config: dict | None) -> None:
     """Free-equation discriminants, and the Floquet edges of one gap against
     the dual matrix's: m = -1 on the built-in toy, else the config's first
     ``gaps`` entry (ConfigError when it has none)."""

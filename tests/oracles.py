@@ -186,15 +186,15 @@ def gathered_assemble(domain, spec, folded, lat) -> DualMatrix:
     return dense_dual_matrix(dom, spec, H, width)
 
 
-def dense_dual_matrix(domain, spec, H, bandwidth=None) -> DualMatrix:
+def dense_dual_matrix(domain, spec, H, bandwidth) -> DualMatrix:
     """A DualMatrix whose dense view is H bit for bit, over a domain already
     in ``order_domain`` order, with the Gershgorin radii summed by numpy.
 
     The entries off the diagonal are stored by index diagonal j - i and by
     value, compared bit for bit, so the rows of one entry are distinct and
     a -0.0 stays apart from +0; every entry whose bits are not those of +0
-    is kept. bandwidth None sends the matrix to the dense (zhetrd) path of
-    the resolvent.
+    is kept. A bandwidth above 1, such as the matrix size, sends the matrix
+    to the dense (zhetrd) path of the resolvent.
     """
     n = len(domain)
     diagonal = H.diagonal().copy()

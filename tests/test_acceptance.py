@@ -123,7 +123,7 @@ def test_criterion_03_pair_branches(lat, folded):
     pair = [matrix.row_of(lat.identity), matrix.row_of(n0)]
     branches = solve_pair(PuncturedResolvent(matrix, pair), lat.identity, n0,
                           (float(two[0] - 0.1 * spread),
-                           float(two[1] + 0.1 * spread)))
+                           float(two[1] + 0.1 * spread)), tau0_required=0.0)
     err = max(abs(branches.E_minus - two[0]), abs(branches.E_plus - two[1]))
     ok = (err <= 1e-8 and branches.E_minus < branches.E_plus
           and branches.residual_minus <= 1e-9
@@ -355,7 +355,8 @@ def test_criterion_12_duality_residual(lat, folded):
     spread = two[1] - two[0]
     pair = [m2.row_of(lat.identity), m2.row_of(n0)]
     br = solve_pair(PuncturedResolvent(m2, pair), lat.identity, n0,
-                    (float(two[0] - 0.1 * spread), float(two[1] + 0.1 * spread)))
+                    (float(two[0] - 0.1 * spread), float(two[1] + 0.1 * spread)),
+                    tau0_required=0.0)
     worst = max(worst, bloch_residual(m2.domain, br.phi_plus, -0.5, br.E_plus,
                                       eps, folded, T))
     worst = max(worst, bloch_residual(m2.domain, br.phi_minus, -0.5,

@@ -414,7 +414,8 @@ def test_pair_spectral_window_uniqueness(toy_context):
     spread = two[1] - two[0]
     pair = [matrix.row_of(lat.identity), matrix.row_of(n0)]
     br = solve_pair(PuncturedResolvent(matrix, pair), lat.identity, n0,
-                    (float(two[0] - 0.1 * spread), float(two[1] + 0.1 * spread)))
+                    (float(two[0] - 0.1 * spread), float(two[1] + 0.1 * spread)),
+                    tau0_required=0.0)
     window = 8.0 * toy_context.schedule.delta[1] ** 0.25
     inside = [x for x in w if abs(x - v0) < window]
     assert sorted(inside) == pytest.approx([br.E_minus, br.E_plus])
@@ -598,12 +599,12 @@ def _pole_in_bracket(matrix, m0):
     i0, j = matrix.row_of(m0), matrix.size - 1
     H = matrix.values.copy()
     H[j, :] = H[:, j] = 0.0
-    decoupled = dense_dual_matrix(matrix.domain, matrix.spec, H)
+    decoupled = dense_dual_matrix(matrix.domain, matrix.spec, H, matrix.size)
     v = float(H[i0, i0].real)
     q = PuncturedResolvent(decoupled, [i0]).Q(i0, v)
     H[j, j] = v + q
     H[j, i0] = H[i0, j] = abs(q) / 2.0
-    return dense_dual_matrix(matrix.domain, matrix.spec, H)
+    return dense_dual_matrix(matrix.domain, matrix.spec, H, matrix.size)
 
 
 def test_pole_inside_the_simple_bracket_is_an_error(reference_context,

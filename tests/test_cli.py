@@ -513,6 +513,22 @@ def test_verify_output_matches_golden(suite, capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_reference_run_matches_golden(tmp_path):
+    # the four files of configs/reference.json, byte for byte, as committed
+    # under tests/golden/reference/: a change that keeps the results keeps
+    # every digit of them
+    config = cli.load_config(ROOT / "configs" / "reference.json")
+    outdir, failures = run_band(config, str(tmp_path))
+    assert failures == []
+    golden = ROOT / "tests" / "golden" / "reference"
+    names = sorted(p.name for p in golden.iterdir())
+    assert names == ["band.csv", "floquet.csv", "gaps.csv", "report.json"]
+    assert sorted(p.name for p in outdir.iterdir()) == names
+    for name in names:
+        assert (outdir / name).read_bytes() == (golden / name).read_bytes(), \
+            name
+
+
 @pytest.mark.parametrize("suite", ["band", "floquet"])
 def test_verify_subcommand_with_config(tmp_path, suite):
     # coupling 0.02, not the 0.05 of the built-in context: the floquet gap

@@ -5,8 +5,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hillbands import domains
-from hillbands.domains import (DomainBuilder, _chained, nesting_audit,
-                               separation_audit, subtract_stabilize,
+from hillbands.domains import (LAMBDA, DomainBuilder, _chained,
+                               nesting_audit, separation_audit, subtract_stabilize,
                                symmetrize_S, symmetrize_T)
 from hillbands.errors import (ExcludedK, HillbandsError, NotProper,
                               PreconditionFailed)
@@ -97,14 +97,14 @@ def test_nesting_audit_disjoint_balls(lat):
 
 def test_subtract_stabilize_empty_system(lat):
     start = fset(lat, range(-5, 6))
-    out, ell = subtract_stabilize(start, [])
+    out, ell = subtract_stabilize(start, [], ell_bound=1)
     assert out == start and ell == 0
 
 
 def test_subtract_stabilize_inside_set_untouched(lat):
     start = fset(lat, range(-5, 6))
     system = [(fset(lat, range(-1, 2)), 1)]
-    out, ell = subtract_stabilize(start, system)
+    out, ell = subtract_stabilize(start, system, ell_bound=len(system) + 1)
     assert out == start and ell == 0
 
 
@@ -112,7 +112,7 @@ def test_subtract_stabilize_removes_straddler(lat):
     start = fset(lat, range(-5, 6))
     straddler = fset(lat, range(4, 8))  # crosses the boundary at 5
     system = [(straddler, 1)]
-    out, ell = subtract_stabilize(start, system)
+    out, ell = subtract_stabilize(start, system, ell_bound=len(system) + 1)
     assert ell == 1
     assert out == start - straddler
     assert straddler.isdisjoint(out)
@@ -124,7 +124,7 @@ def test_subtract_stabilize_cascades(lat):
     s1 = fset(lat, range(7, 11))    # straddles at 8
     s2 = fset(lat, range(6, 9))     # inside initially, straddles after s1 goes
     system = [(s1, 1), (s2, 2)]
-    out, ell = subtract_stabilize(start, system)
+    out, ell = subtract_stabilize(start, system, ell_bound=len(system) + 1)
     assert ell == 2
     for s, _ in system:
         assert s <= out or s.isdisjoint(out)
@@ -134,12 +134,12 @@ def test_proper_system_conditions(lat):
     start = fset(lat, range(-5, 6))
     overlapping = [(fset(lat, range(0, 4)), 1), (fset(lat, range(2, 6)), 1)]
     with pytest.raises(NotProper, match="same-level"):
-        subtract_stabilize(start, overlapping)
+        subtract_stabilize(start, overlapping, ell_bound=3)
     # overlap across levels is what the nesting allows
     nested = [(fset(lat, range(0, 4)), 1), (fset(lat, range(2, 6)), 2)]
-    assert subtract_stabilize(start, nested)[0] == start
+    assert subtract_stabilize(start, nested, ell_bound=3)[0] == start
     separated = [(fset(lat, range(0, 3)), 1), (fset(lat, range(9, 12)), 1)]
-    assert subtract_stabilize(start, separated)[0] == start
+    assert subtract_stabilize(start, separated, ell_bound=3)[0] == start
 
 
 def test_symmetrize_S_ball_when_no_lower_sets(lat, schedule):
@@ -200,7 +200,7 @@ def test_symmetric_removal_preserves_invariance(lat):
     s_set = fset(lat, range(8, 13))
     mirror = fset(lat, range(-12, -7))
     system = [(s_set | mirror, 1)]
-    out, ell = subtract_stabilize(start, system)
+    out, ell = subtract_stabilize(start, system, ell_bound=len(system) + 1)
     assert ell == 1
     for t in out:
         assert lat.neg(lat.element(t)).t in out
@@ -249,7 +249,9 @@ def test_boundary_distance(lat):
 
 class ElementBuilder:
     """DomainBuilder.lambda0 and level_sets on frozensets of GroupElement,
-    translating through lat.add; thresholds and exclusions are read from a
+    translating through lat.add, with the threshold test
+    |xi(m)(xi(m) + 2k')| / lambda <= tau at k' = k + offset evaluated one
+    center at a time; thresholds and exclusions are read from a
     DomainBuilder."""
 
     def __init__(self, k, schedule, lat, exempt_modes=frozenset()):
@@ -280,13 +282,15 @@ class ElementBuilder:
         out, claimed = {}, set()
         R = self.schedule.R
         scan = self.lat.ball(3.0 * R[s] + 3.0 * R[s - 1] + 1)
+        kk = self.k + float(offset)
         for s_prime in range(s - 1, 0, -1):
             tau = self.rules.threshold(s_prime, s)
             sets_here = {}
             if tau > 0:
                 for m in scan:
+                    xi = m.xi_float
                     if m not in claimed and \
-                            abs(self.rules.v_shift(m, offset)) <= tau:
+                            abs(xi * (xi + 2.0 * kk) / LAMBDA) <= tau:
                         inner = self.lambda0(s_prime, offset + m.xi)
                         sets_here[m] = frozenset(self.lat.add(m, e)
                                                  for e in inner)
@@ -403,7 +407,7 @@ def oracle_cases(draw):
         x = draw(st.sampled_from([1, 8, 11, 15])) * draw(st.sampled_from([-1, 1]))
         k = -x / 2 + draw(st.floats(-0.1, 0.1)) / abs(x)
         t0 = draw(st.sampled_from([t0, int(x / lat.xi_spacing())]))
-    assume(all(excluded_blocker(schedule, lat, k, u) is None
+    assume(all(excluded_blocker(schedule, lat, k, u, frozenset()) is None
                for u in range(1, s + 1)))
     return lat, schedule, s, k, lat.element(t0)
 

@@ -40,7 +40,7 @@ def pairwise_assemble(domain, spec, folded, lat):
             if val != 0:
                 H[i, j] = val
                 H[j, i] = val.conjugate()
-    return dense_dual_matrix(dom, spec, H)
+    return dense_dual_matrix(dom, spec, H, len(dom))
 
 
 def folded_decay_violations(coeffs, lat):
@@ -220,10 +220,11 @@ def test_bandwidth_of_cosine_ball_and_oracle_default(line_lattice,
                     line_lattice).bandwidth == 0
     assert assemble(line_lattice.ball(5), OperatorSpec(epsilon=0.0, k=0.3),
                     cosine_folded, line_lattice).bandwidth == 0
-    # built without assemble: unknown, which the resolvent treats as dense
+    # built without assemble: the matrix size, which the resolvent treats
+    # as dense
     ref = pairwise_assemble(line_lattice.ball(5), spec, cosine_folded,
                             line_lattice)
-    assert ref.bandwidth is None
+    assert ref.bandwidth == ref.size == 11
 
 
 def test_assemble_diagonal_at_zero_coupling(line_lattice, cosine_folded):

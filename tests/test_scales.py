@@ -220,7 +220,7 @@ def test_resonance_profile_exact_hit(line_lattice, toy_schedule):
     k = -0.5  # k_{n0} exactly
     p = resonance_profile(k, toy_schedule, line_lattice, truncation_R=12.0)
     assert p.resonant and p.n_points == (n0,)
-    assert p.reflection_sets[0] == frozenset({line_lattice.identity, n0})
+    assert p.reflection_sets[0] == frozenset({0, n0.t})
 
 
 def test_resonance_profile_oracle_equivalence(line_lattice, toy_schedule):
@@ -263,13 +263,13 @@ def test_two_resonance_synthetic_reflection_sets(line_lattice, toy_schedule):
     assert p.n_points == (n1, n2)
     m0 = {lat.identity, n1}
     m1 = m0 | {lat.sub(n2, x) for x in m0}
-    assert p.reflection_sets[0] == frozenset(m0)
-    assert p.reflection_sets[1] == frozenset(m1)
+    assert p.reflection_sets[0] == frozenset(x.t for x in m0)
+    assert p.reflection_sets[1] == frozenset(x.t for x in m1)
     assert len(p.reflection_sets[1]) == 4
     # reflection invariance: T_{n^(l)}(m^(l)) = m^(l)
     for ell, refl in enumerate(p.reflection_sets):
         n_ell = p.n_points[ell]
-        assert {lat.sub(n_ell, x) for x in refl} == set(refl)
+        assert {lat.sub(n_ell, lat.element(x)).t for x in refl} == set(refl)
 
 
 def test_reflection_set_size_bound(line_lattice, toy_schedule):
@@ -391,7 +391,8 @@ def test_resonance_profile_matches_scalar_oracle(omega, R1_beta, data):
     if len(set(norms)) == len(norms):
         assert [n.rep for n in p.n_points] == [n.rep for n in n_points]
         assert p.s_levels == s_levels
-        assert p.reflection_sets == reflection
+        assert p.reflection_sets == tuple(frozenset(x.t for x in r)
+                                          for r in reflection)
     else:
         # equal norms: ordered by t at k >= 0 and by -t at k < 0
         sign = 1 if k >= 0 else -1

@@ -394,9 +394,11 @@ def symmetry_audit(points_pos: Sequence[BandPoint],
 
 
 def conjugate_reflection_audit(points_pos, points_neg) -> AuditRecord:
-    """phi(n; -k) = conj(phi(-n; k)) on paired samples."""
+    """phi(n; -k) = conj(phi(-n; k)) on paired samples; a sample at -k
+    whose domain lacks the mirror of a point of the sample at k fails it."""
     worst = 0.0
     checked = 0
+    mirrored = True
     for p, q in zip(points_pos, points_neg):
         if p.phi is None or q.phi is None:
             continue
@@ -410,8 +412,11 @@ def conjugate_reflection_audit(points_pos, points_neg) -> AuditRecord:
             worst = max(worst, abs(q.phi[j] - np.conj(p.phi[i])))
         if ok_here:
             checked += 1
+        else:
+            mirrored = False
     return AuditRecord(name="conjugate_reflection",
-                       passed=worst <= SYMMETRY_TOL, checked=checked,
+                       passed=mirrored and worst <= SYMMETRY_TOL,
+                       checked=checked,
                        details={"max_difference": worst, "tolerance": SYMMETRY_TOL})
 
 
@@ -597,21 +602,3 @@ def gap_resolvent_audit(ctx: BandContext, m: GroupElement, E: float,
                  "far_cutoff": cutoff, "violations": violations,
                  "probes": probes},
     )
-
-
-@dataclass
-class BandReport:
-    points: list[BandPoint]
-    gaps: list[GapRecord]
-    E0: float | None
-    audits: list[AuditRecord]
-    kzero_variants: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": [p.to_dict() for p in self.points],
-            "gaps": [g.to_dict() for g in self.gaps],
-            "E0": self.E0,
-            "audits": [a.to_dict() for a in self.audits],
-            "kzero_variants": self.kzero_variants,
-        }

@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import band as band_mod
+from . import oracle
 from .errors import (ConfigError, HillbandsError, PreconditionFailed,
                      ValidationFailed)
 from .lattice import FrequencyVector, QuotientLattice, check_diophantine
@@ -150,7 +151,7 @@ def gaps_from(config: dict, lat: QuotientLattice) -> list[tuple]:
     try:
         return [(mvec, lat.canonicalize([int(v) for v in mvec]))
                 for mvec in config.get("gaps", [])]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}")
 
 
@@ -179,8 +180,9 @@ def run_band(config: dict,
     each audit that did not pass and each audit that raised; the files are
     written all the same. An invalid schedule or potential (a folded decay
     violation included), a bad ``diophantine`` block or ``gaps`` entry, an
-    ``audits`` entry outside AUDITS, or a grid of which band_curve keeps no
-    k, raises ConfigError; all but the last before the output dir is made.
+    ``audits`` entry outside AUDITS, a bad ``k_grid`` or ``floquet_grid``,
+    or a grid of which band_curve keeps no k, raises ConfigError before the
+    output dir is made.
     The diophantine check runs on the schedule's a0 and b0.
     """
     ctx = build_context(config)
@@ -202,7 +204,6 @@ def run_band(config: dict,
     if unknown:
         raise ConfigError(f"unknown audits {unknown}: the known ones are "
                           f"{list(AUDITS)}")
-    outdir = output_dir(config, out_override)
     k_grid = k_grid_from(config)
     floquet_grid = (floquet_grid_from(config) if "floquet" in audit_names
                     else None)
@@ -210,6 +211,7 @@ def run_band(config: dict,
     if not points:
         raise ConfigError(f"no k of k_grid is left: every k within 1e-12 of "
                           f"a k_m is dropped, here {k_grid}")
+    outdir = output_dir(config, out_override)
 
     gaps = []
     failures = []
@@ -250,10 +252,9 @@ def run_band(config: dict,
                     audits.append(
                         band_mod.gap_edge_limit_crosscheck(ctx, g, theta))
             else:
-                from .oracle import floquet_scan, period
-
-                floquet_data = floquet_scan(floquet_grid, ctx.eps, ctx.folded,
-                                            period(ctx.lat.omega))
+                floquet_data = oracle.floquet_scan(
+                    floquet_grid, ctx.eps, ctx.folded,
+                    oracle.period(ctx.lat.omega))
         except HillbandsError as exc:
             failures.append({"kind": "audit", "name": name,
                              "detail": f"{type(exc).__name__}: {exc}"})
@@ -275,16 +276,18 @@ def run_band(config: dict,
         }
 
     k_n0_ref = abs(gaps[0].k_m) if gaps else 0.5
-    report = band_mod.BandReport(
-        points=points, gaps=gaps, E0=E0, audits=audits,
-        kzero_variants=band_mod.k_zero_variants(
+    report_rows = {
+        "samples": [p.to_dict() for p in points],
+        "gaps": [g.to_dict() for g in gaps],
+        "E0": E0,
+        "audits": [a.to_dict() for a in audits],
+        "kzero_variants": band_mod.k_zero_variants(
             k=max((p.k for p in points), default=1.0),
             k1=min((p.k for p in points), default=0.0),
             k_n0=k_n0_ref, eps0=ctx.schedule.eps0),
-    )
+    }
     failures += [{"kind": "audit", "name": a.name, "detail": ""}
                  for a in audits if not a.passed]
-    report_rows = report.to_dict()
     payload = {
         "config": config,
         "content_hash": content_hash(config),

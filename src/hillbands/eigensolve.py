@@ -4,9 +4,9 @@ The simple route solves E = v(m0) + Q(m0; E) by Brent's method on a bracket
 that holds the root and no pole, and reads the eigenvector off the punctured
 resolvent. The pair route locates the two roots of the 2x2 Schur determinant
 chi and assembles both branch eigenvectors.
-The continued-fraction-function (CFF) layer tracks nested resonant branches
-through the regularized companions chi^{(f)} = mu^{(f)} f, which stay smooth
-where f itself blows up.
+The continued-fraction-function (CFF) layer builds the level-1 pair of two
+leaves and tracks its branches through the regularized companion
+chi^{(f)} = mu^{(f)} f, which stays smooth where f itself blows up.
 """
 
 from __future__ import annotations
@@ -625,7 +625,7 @@ class CffNode:
     Leaves (level 0) are the linear factors u - a(x,u) with chi = f, mu = 1,
     tau = 1. A composite at level l >= 1 is f = f_first - b^2 / f_second with
     mu multiplying in the trailing child and chi = chi1*chi2 - mu1*mu2*b^2
-    (smooth through the poles of f). sign/sign_history are set for levels >= 2.
+    (smooth through the poles of f). cff_build makes level 1 only.
     """
 
     level: int
@@ -635,8 +635,6 @@ class CffNode:
     f2: "CffNode | None" = None
     b2: Callable | None = None
     choice: int = 1                  # 1: f = f1 - b^2/f2 ; 2: f = f2 - b^2/f1
-    sign: int | None = None
-    sign_history: tuple = ()
 
     def f(self, x: float, u: float) -> float:
         if self.kind == "leaf":
@@ -684,100 +682,31 @@ def _fd(fun, x, u, h=None, *, order):
 
 def cff_build(f1: CffNode, f2: CffNode, b2: Callable,
               grid: Sequence[tuple[float, float]]) -> tuple[CffNode, CffNode]:
-    """Build the composite pair {f(.,1), f(.,2)} after checking admissibility
-    on the sample grid; raises AdmissibilityFailed naming condition and point.
-
-    For leaf children this is the level-1 construction (the basic smallness
-    conditions); for composite children the full (a)-(e) list applies,
-    including the consistent dichotomy case and equal sign histories.
+    """Build the level-1 composite pair {f(.,1), f(.,2)} of two leaves after
+    checking the basic smallness conditions on the sample grid; raises
+    AdmissibilityFailed naming condition and point.
     """
-    level = max(f1.level, f2.level) + 1
-    if f1.level != f2.level:
-        raise AdmissibilityFailed("equal-levels", None,
-                                  f"children at levels {f1.level} != {f2.level}")
-    if level == 1:
-        for (x, u) in grid:
-            a1v, a2v = f1.a(x, u), f2.a(x, u)
-            if not a1v > a2v:
-                raise AdmissibilityFailed("(iii) a1 > a2", (x, u))
-            for fun, name in ((f1.a, "a1"), (f2.a, "a2")):
-                if abs(_fd(fun, x, u, order=1)) >= 0.5:
-                    raise AdmissibilityFailed(f"(v) |d_u {name}| < 1/2", (x, u))
-                if abs(_fd(fun, x, u, order=2)) >= 1 / 64:
-                    raise AdmissibilityFailed(f"|d2_u {name}| < 1/64", (x, u))
-            bv = math.sqrt(abs(b2(x, u)))
-            db2 = abs(_fd(b2, x, u, order=1))
-            if not db2 < max(bv / 4.0, 1e-12):
-                raise AdmissibilityFailed("(v) |d_u b^2| < |b|/4", (x, u))
-            if not abs(u - a1v) < 1 / 64 or not abs(u - a2v) < 1 / 64:
-                raise AdmissibilityFailed("|u - a_i| < 1/64", (x, u))
-            if not abs(b2(x, u)) < 1 / 64:
-                raise AdmissibilityFailed("b^2 < 1/64", (x, u))
-        case = None
-    else:
-        cases = set()
-        for (x, u) in grid:
-            chi1, chi2 = f1.chi(x, u), f2.chi(x, u)
-            if not chi1 < chi2:
-                raise AdmissibilityFailed("(a) chi(f1) < chi(f2)", (x, u))
-            min_tau = min(f1.tau(x, u), f2.tau(x, u))
-            for fi, name in ((f1, "f1"), (f2, "f2")):
-                try:
-                    fv = abs(fi.f(x, u))
-                except ZeroDivisionError:
-                    raise AdmissibilityFailed("(b) f_i finite", (x, u), name)
-                if not fv < min_tau**10:
-                    raise AdmissibilityFailed(
-                        "(b) |f_i| < (min tau)^10", (x, u),
-                        f"|{name}| = {fv:.3e} vs {min_tau**10:.3e}")
-            bv = abs(math.sqrt(abs(b2(x, u))))
-            if not bv < min_tau**10:
-                raise AdmissibilityFailed("(d) |b| < (min tau)^10", (x, u))
-            db2 = abs(_fd(b2, x, u, order=1))
-            if bv > 0 and not db2 < min_tau**10 * bv:
-                raise AdmissibilityFailed("(d) |d_u b^2| < (min tau)^10 |b|", (x, u))
-            d2b2 = abs(_fd(b2, x, u, order=2))
-            if not d2b2 < min_tau**10 + 1e-12:
-                raise AdmissibilityFailed("(d) |d2_u b^2| < (min tau)^10", (x, u))
-            cases.add(_dichotomy_case_of(f1, f2, x, u))
-        if len(cases) > 1:
-            raise AdmissibilityFailed("(c) consistent dichotomy case", grid[0],
-                                      f"mixed cases {cases}")
-        case = cases.pop() if cases else None
-        if f1.sign_history != f2.sign_history:
-            raise AdmissibilityFailed("(e) equal sign histories", None)
-    node1 = CffNode(level=level, kind="composite", f1=f1, f2=f2, b2=b2, choice=1)
-    node2 = CffNode(level=level, kind="composite", f1=f1, f2=f2, b2=b2, choice=2)
-    if level >= 2 and case is not None:
-        sgn = +1 if case == "plus_case" else -1
-        base = f1.sign if f1.sign is not None else 1
-        for node in (node1, node2):
-            node.sign = sgn * base
-            node.sign_history = (node.sign,) + f1.sign_history
-    return node1, node2
-
-
-def _dichotomy_case_of(f1: CffNode, f2: CffNode, x: float, u: float) -> str:
-    """Dichotomy case of the children's quadratic at (x,u), per the chi data."""
-    cases = []
-    for fi in (f1, f2):
-        chi_lead = fi.f1.chi(x, u)
-        chi_trail = fi.f2.chi(x, u)
-        a_hi = u - min(chi_lead, chi_trail)
-        a_lo = u - max(chi_lead, chi_trail)
-        mu_prod = fi.f1.mu(x, u) * fi.f2.mu(x, u)
-        b2_eff = mu_prod * fi.b2(x, u)
-        if b2_eff < 0:
-            raise AdmissibilityFailed("(c) nonnegative effective b^2", (x, u),
-                                      "depth beyond validated nesting")
-        try:
-            res = quadratic_dichotomy(a_hi, a_lo, math.sqrt(b2_eff), u)
-        except (PreconditionFailed, HypothesisFailed) as exc:
-            raise AdmissibilityFailed("(c) dichotomy applicable", (x, u), str(exc))
-        cases.append(res.case)
-    if cases[0] != cases[1]:
-        raise AdmissibilityFailed("(c) same case for i=1,2", (x, u))
-    return cases[0]
+    if f1.kind != "leaf" or f2.kind != "leaf":
+        raise AdmissibilityFailed("leaf children", None)
+    for (x, u) in grid:
+        a1v, a2v = f1.a(x, u), f2.a(x, u)
+        if not a1v > a2v:
+            raise AdmissibilityFailed("(iii) a1 > a2", (x, u))
+        for fun, name in ((f1.a, "a1"), (f2.a, "a2")):
+            if abs(_fd(fun, x, u, order=1)) >= 0.5:
+                raise AdmissibilityFailed(f"(v) |d_u {name}| < 1/2", (x, u))
+            if abs(_fd(fun, x, u, order=2)) >= 1 / 64:
+                raise AdmissibilityFailed(f"|d2_u {name}| < 1/64", (x, u))
+        bv = math.sqrt(abs(b2(x, u)))
+        db2 = abs(_fd(b2, x, u, order=1))
+        if not db2 < max(bv / 4.0, 1e-12):
+            raise AdmissibilityFailed("(v) |d_u b^2| < |b|/4", (x, u))
+        if not abs(u - a1v) < 1 / 64 or not abs(u - a2v) < 1 / 64:
+            raise AdmissibilityFailed("|u - a_i| < 1/64", (x, u))
+        if not abs(b2(x, u)) < 1 / 64:
+            raise AdmissibilityFailed("b^2 < 1/64", (x, u))
+    return (CffNode(level=1, kind="composite", f1=f1, f2=f2, b2=b2, choice=1),
+            CffNode(level=1, kind="composite", f1=f1, f2=f2, b2=b2, choice=2))
 
 
 @dataclass(frozen=True)

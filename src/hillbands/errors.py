@@ -108,13 +108,10 @@ class AdmissibilityFailed(HillbandsError):
     Names the violated condition and the grid point.
     """
 
-    def __init__(self, condition, point, detail=""):
+    def __init__(self, condition, point):
         self.condition = condition
         self.point = point
-        msg = f"admissibility condition {condition} failed at {point}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
+        super().__init__(f"admissibility condition {condition} failed at {point}")
 
 
 class HypothesisFailed(HillbandsError):

@@ -372,6 +372,54 @@ def test_increment_audit_with_domains(line_lattice, cosine_folded):
     assert rec.passed
 
 
+def _synthetic_point(k, E, **fields):
+    return band.BandPoint(k=k, E=E, scale=1, klass="N",
+                          punctured_gap=None, **fields)
+
+
+def test_increment_audit_fails_above_bound_and_on_growth():
+    # 1e-3 exceeds its bound 1e-6, and 2e-3 > 1e-3 does not contract
+    p = _synthetic_point(0.1, 1.0, increments=(1e-3, 2e-3),
+                         increment_bounds=(1e-6, 1e-2), matrix_norm=1.0)
+    rec = increment_audit([p])
+    floor = band.NOISE_FLOOR_ULPS * np.finfo(float).eps
+    assert rec.passed is False and rec.name == "scale_increments"
+    assert rec.checked == 3
+    assert rec.details["failures"] == [
+        {"k": 0.1, "increment": 1e-3, "bound": 1e-6, "floor": floor},
+        {"k": 0.1, "contraction": (1e-3, 2e-3), "floor": floor}]
+
+
+def test_monotonicity_audit_fails_on_a_flat_band(toy_context):
+    # dE = 0 misses the lower bound k0^2 (k - k1)^2 > 0
+    points = [_synthetic_point(0.1, 1.0), _synthetic_point(0.2, 1.0)]
+    rec = monotonicity_audit(toy_context, points)
+    assert rec.passed is False and rec.checked == 1
+    (failure,) = rec.details["failures"]
+    assert (failure["k1"], failure["k"], failure["dE"]) == (0.1, 0.2, 0.0)
+    assert failure["lower"] > failure["dE"]
+
+
+def test_conjugate_reflection_audit_fails_on_a_missing_mirror(line_lattice):
+    # phi agrees at n = 0, but the domain at -k lacks the mirror of n = 1
+    e0, e1 = line_lattice.element(0), line_lattice.element(1)
+    pos = _synthetic_point(0.1, 1.0, phi=np.array([1.0 + 0j, 0.5 + 0j]),
+                           domain=(e0, e1))
+    neg = _synthetic_point(-0.1, 1.0, phi=np.array([1.0 + 0j]),
+                           domain=(e0,))
+    rec = conjugate_reflection_audit([pos], [neg])
+    assert rec.passed is False and rec.name == "conjugate_reflection"
+    assert rec.checked == 0
+    assert rec.details["max_difference"] == 0.0
+
+
+def test_decay_audit_fails_without_an_eigenvector(toy_context):
+    rec = decay_audit(toy_context, _synthetic_point(0.1, None),
+                      mode="practical")
+    assert rec.passed is False and rec.name == "decay"
+    assert rec.checked == 0 and rec.details == {"error": "no eigenvector"}
+
+
 def test_eigenvector_scale_increment(line_lattice, cosine_folded):
     # |phi^(s)(n) - phi^(s-1)(n)| on the common domain stays below
     # max(2 eps delta0^(s-1)^5, machine-noise floor)

@@ -8,7 +8,8 @@ import pytest
 
 from hillbands import band, cli, oracle, verify
 from hillbands.cli import K_GRID_MAX_POINTS, k_grid_from, main, run_band
-from hillbands.errors import ConfigError, IntegratorFailure, NoConvergence
+from hillbands.errors import (ConfigError, HypothesisFailed, IntegratorFailure,
+                              NoConvergence)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -269,7 +270,7 @@ def test_grid_of_resonance_momenta_is_a_config_error(tmp_path, capsys):
                                   "gaps": []})
     out = tmp_path / "out"
     assert main(["band", str(cfg), "--output-dir", str(out)]) == 2
-    assert not (out / "report.json").exists()
+    assert not out.exists()
     assert "[0.5, 1.0]" in capsys.readouterr().err
 
 
@@ -288,7 +289,7 @@ def test_nonfinite_inputs_are_config_errors(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
     out = tmp_path / "out"
     assert main(["band", str(cfg), "--output-dir", str(out)]) == 2
-    assert not (out / "report.json").exists()
+    assert not out.exists()
     if "k_grid" in overrides:
         assert main(["verify", str(cfg), "--suite", "band"]) == 2
 
@@ -416,8 +417,12 @@ RESONANT_2D = {
     ({"diophantine": {"a0": 0.5, "b0": 2.0}}, "'Rbar0'"),
     ({"diophantine": {"a0": 0.5, "b0": 1.0, "Rbar0": 8}}, "b0 > nu"),
     ({"diophantine": {"a0": 2.0, "b0": 2.0, "Rbar0": 8}}, "0 < a0 < 1"),
+    # a gap whose box overflows int64, a lattice.nu other than len(omega)
+    ({"gaps": [[10000000000000000000]]}, "overflow int64"),
+    ({"lattice": {"nu": 2, "omega": ["1"]}},
+     "lattice.nu does not match omega length"),
 ], ids=["potential_nu", "gap_short", "gap_long", "no_b0", "no_Rbar0",
-        "b0_le_nu", "a0_ge_1"])
+        "b0_le_nu", "a0_ge_1", "gap_overflow", "lattice_nu"])
 def test_bad_block_is_a_config_error_before_any_sample(
         tmp_path, monkeypatch, capsys, overrides, message):
     from hillbands import band
@@ -500,11 +505,24 @@ def test_strict_mode_run(tmp_path):
     assert all(s["E"] is not None for s in payload["report"]["samples"])
 
 
+def test_check_failure_escaping_run_band_exits_1(tmp_path, monkeypatch,
+                                                 capsys):
+    def raises(*args, **kwargs):
+        raise HypothesisFailed("band curve", "injected")
+
+    monkeypatch.setattr(band, "band_curve", raises)
+    cfg = write_config(tmp_path)
+    assert main(["band", str(cfg), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == ("check failure: hypothesis (band curve) failed: "
+                   "injected\n")
+
+
 def test_verify_subcommand_exit_codes():
     assert main(["verify", "--suite", "schur"]) == 0
 
 
-@pytest.mark.parametrize("suite", ["weights", "dichotomy"])
+@pytest.mark.parametrize("suite", ["weights", "dichotomy", "cff"])
 def test_verify_output_matches_golden(suite, capsys):
     # the stdout of these suites, byte for byte, as committed under
     # tests/golden/: the brute-force lemma checks keep their exact results

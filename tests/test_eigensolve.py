@@ -1009,6 +1009,20 @@ def test_cff_admissibility_violation_named():
     assert "(iii)" in exc.value.condition
 
 
+def test_cff_build_takes_leaf_children_only():
+    # the level-1 construction: a composite child is no input of cff_build
+    grid = [(0.0, u) for u in (-0.006, 0.0, 0.006)]
+    zero = lambda x, u: 0.0
+    n1, n2 = cff_build(leaf(lambda x, u: 0.004), leaf(lambda x, u: -0.004),
+                       zero, grid)
+    assert n1.level == n2.level == 1
+    for children in ((n1, n2), (n1, leaf(lambda x, u: -0.004)),
+                     (leaf(lambda x, u: 0.004), n2)):
+        with pytest.raises(AdmissibilityFailed) as exc:
+            cff_build(*children, zero, grid)
+        assert exc.value.condition == "leaf children"
+
+
 def test_cff_branch_solve_constant_roots():
     # chi = (u - a)(u - a') with no x dependence: zeta(+-) constant
     a1 = lambda x, u: 0.004

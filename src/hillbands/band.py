@@ -5,7 +5,7 @@ Per k the pipeline builds the resonance profile, routes to the matching class
 domain for a resonance, iterated pair solving for chains validated to nesting
 depth 2), and records E at every feasible scale together with the
 scale-increment convergence certificate. Audits compare against the paper-level
-bounds on the normalized energy axis and against the dense oracle.
+bounds on the normalized energy axis and against the dense and Floquet oracles.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .scales import (ModeTable, ResonanceProfile, ScaleSchedule, k_of,
                      mode_table, resonance_profile)
 from .schur import q_g_functions
 from .eigensolve import PuncturedResolvent, solve_simple, solve_pair
-from .oracle import dense_spectrum, refine_root
+from .oracle import dense_spectrum, floquet_gap_edges, period, refine_root
 
 # increments at desk scale sit below float64 resolution; audits use this floor
 NOISE_FLOOR_ULPS = 256.0
@@ -38,6 +38,10 @@ GAP_EDGE_CROSSCHECK_TOL = 1e-9
 # E(k) = E(-k) and phi(n; -k) = conj(phi(-n; k)) hold exactly; this is the
 # allowed difference between the two independent solves at k and -k
 SYMMETRY_TOL = 1e-9
+# dense_recheck: allowed |E - nearest dense eigenvalue| per ||H||_inf
+DENSE_RECHECK_TOL = 1e-8
+# floquet_gap_edges: allowed |Floquet edge - dual-matrix edge|
+FLOQUET_EDGE_TOL = 1e-5
 
 
 @dataclass
@@ -558,6 +562,46 @@ def gap_spectrum_audit(ctx: BandContext, gap: GapRecord) -> AuditRecord:
               if gap.E_minus + delta < x < gap.E_plus - delta]
     return AuditRecord(name="gap_spectrum", passed=not inside, checked=len(w),
                        details={"eigenvalues_inside": inside, "delta": delta})
+
+
+def dense_recheck_audit(ctx: BandContext,
+                        points: Sequence[BandPoint]) -> AuditRecord:
+    """Each E(k) within DENSE_RECHECK_TOL ||H||_inf of the dense eigenvalue
+    of B(truncation_R) nearest (2 pi)^2 k^2; a sample without E fails it."""
+    worst = 0.0
+    checked = 0
+    ball = ctx.lat.ball(ctx.truncation_R)
+    for p in points:
+        if p.E is None:
+            continue
+        checked += 1
+        matrix = assemble(ball, ctx.spec(p.k), ctx.folded, ctx.lat)
+        w, _ = dense_spectrum(matrix)
+        nearest = w[np.argmin(np.abs(w - TWO_PI_SQ * p.k ** 2))]
+        worst = max(worst, float(abs(p.E - nearest) / matrix.norm_bound()))
+    return AuditRecord(name="dense_recheck",
+                       passed=checked == len(points)
+                       and worst <= DENSE_RECHECK_TOL,
+                       checked=checked,
+                       details={"max_difference": worst,
+                                "tolerance": DENSE_RECHECK_TOL})
+
+
+def floquet_gap_edge_audit(ctx: BandContext, gap: GapRecord) -> AuditRecord:
+    """The gap's edges against the Floquet edges, the roots of
+    |Delta(E)| = 2 in brackets reaching 8 max(width, 1e-4) past each edge;
+    raises PreconditionFailed when a bracket holds no root (a closed gap)."""
+    center = 0.5 * (gap.E_minus + gap.E_plus)
+    width = max(gap.width, 1e-4)
+    lo, hi = floquet_gap_edges((gap.E_minus - 8.0 * width, center),
+                               (center, gap.E_plus + 8.0 * width),
+                               ctx.eps, ctx.folded, period(ctx.lat.omega))
+    err = max(abs(lo - gap.E_minus), abs(hi - gap.E_plus))
+    return AuditRecord(name="floquet_gap_edges", passed=err <= FLOQUET_EDGE_TOL,
+                       checked=2,
+                       details={"m": list(gap.m.rep), "floquet_edges": [lo, hi],
+                                "max_difference": err,
+                                "tolerance": FLOQUET_EDGE_TOL})
 
 
 def gap_resolvent_audit(ctx: BandContext, m: GroupElement, E: float,

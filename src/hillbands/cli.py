@@ -33,8 +33,8 @@ OUTPUT_DIR_ENV = "HILLBANDS_OUTDIR"
 # use 21
 K_GRID_MAX_POINTS = 100_000
 # the names a config's "audits" list may hold
-AUDITS = ("symmetry", "monotonicity", "increments", "decay", "gap_spectrum",
-          "gap_edge_limits", "floquet")
+AUDITS = ("symmetry", "monotonicity", "increments", "decay", "dense_recheck",
+          "gap_spectrum", "gap_edge_limits", "floquet_gap_edges", "floquet")
 
 
 def load_config(path: str) -> dict:
@@ -243,6 +243,8 @@ def run_band(config: dict,
                         rec = band_mod.decay_audit(ctx, p, mode="practical")
                         p.decay_fit = rec.details.get("fitted_rate")
                         audits.append(rec)
+            elif name == "dense_recheck":
+                audits.append(band_mod.dense_recheck_audit(ctx, points))
             elif name == "gap_spectrum":
                 for g in gaps:
                     audits.append(band_mod.gap_spectrum_audit(ctx, g))
@@ -251,6 +253,9 @@ def run_band(config: dict,
                 for g in gaps:
                     audits.append(
                         band_mod.gap_edge_limit_crosscheck(ctx, g, theta))
+            elif name == "floquet_gap_edges":
+                for g in gaps:
+                    audits.append(band_mod.floquet_gap_edge_audit(ctx, g))
             else:
                 floquet_data = oracle.floquet_scan(
                     floquet_grid, ctx.eps, ctx.folded,
@@ -334,9 +339,8 @@ def main(argv=None) -> int:
     p_band.add_argument("config")
     p_band.add_argument("--output-dir", default=None)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("config", nargs="?", default=None,
-                          help="optional config (suites use built-in toys)")
+    p_verify = sub.add_parser("verify",
+                              help="run a verification suite on built-in inputs")
     p_verify.add_argument("--suite", default="all",
                           choices=[*SUITES, "all"])
 
@@ -352,8 +356,7 @@ def main(argv=None) -> int:
                 print(f"failed {f['kind']} {f['name']}{detail}", file=sys.stderr)
             return 1 if failures else 0
         if args.command == "verify":
-            config = load_config(args.config) if args.config else None
-            results = run_suite(args.suite, config)
+            results = run_suite(args.suite)
             for r in results:
                 print(r.line())
             failed = [r for r in results if not r.passed]

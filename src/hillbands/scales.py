@@ -89,8 +89,7 @@ def strict_epsilon0_log(log_delta0: float, kappa0: float, alpha0: float,
     return 3.0 * min(log_t1, log_t2, log_t3)
 
 
-def build_schedule(mode: str, s_max: int, R1: float | None = None, *,
-                   log_R1: float | None = None,
+def build_schedule(mode: str, s_max: int, R1: float, *,
                    beta: float | None = None,
                    a0: float = 0.5, b0: float = 2.0,
                    kappa0: float = 1.0, alpha0: float = 1.0, nu: int = 1,
@@ -101,18 +100,15 @@ def build_schedule(mode: str, s_max: int, R1: float | None = None, *,
     Practical mode: user beta in (0,1) and R1 > e. Strict mode: beta = 1/(32 b0)
     and R1 must clear log R1 >= alpha0^-1 max(log(100/a0), 2^34 beta^-1 log kappa0^-1);
     eps0 is then the worst-case constant (kept in log space where it
-    underflows). R1 may be given via ``log_R1`` since strict-mode floors can
-    overflow float64 themselves.
+    underflows). Only log R1 is read, so R1 may be an int beyond float64,
+    as strict-mode floors can be.
 
     Scales past the last one whose R^(s) and delta0^(s-1) fit in double
     precision stay in the schedule: the log arrays always cover the full
     range, feasible_s marks the usable prefix of the float views, and
     ``require_feasible`` raises ScheduleInfeasible beyond it.
     """
-    if log_R1 is None:
-        if R1 is None:
-            raise PreconditionFailed("give R1 or log_R1")
-        log_R1 = math.log(R1)
+    log_R1 = math.log(R1)
     if mode == "strict":
         beta = 1.0 / (32.0 * b0)
         floor = max(math.log(100.0 / a0),

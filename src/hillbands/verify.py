@@ -1,11 +1,13 @@
 """Named verification suites behind the `verify` CLI subcommand.
 
-Each suite appends CheckResult records with margins to the list it is
-handed, each check as soon as it is made, so a suite that raises keeps the
-checks it had passed; the CLI prints one line per check and exits nonzero
-when any fails. The suites re-derive expected values from independent
-routes (dense inversion, closed forms, enumeration) rather than trusting the
-code paths they exercise.
+Each suite runs on built-in inputs and appends CheckResult records with
+margins to the list it is handed, each check as soon as it is made, so a
+suite that raises keeps the checks it had passed; the CLI prints one line
+per check and exits nonzero when any fails. The suites re-derive expected
+values from independent routes (dense inversion, closed forms, enumeration)
+rather than trusting the code paths they exercise. A run config's oracle
+checks are `band` audits (``dense_recheck``, ``floquet_gap_edges``); the
+band and floquet suites call the same audit functions on the built-in toy.
 """
 
 from __future__ import annotations
@@ -18,11 +20,9 @@ import numpy as np
 from . import band as band_mod
 from .domains import DomainBuilder, nesting_audit, symmetrize_S, symmetrize_T
 from .eigensolve import cff_build, cff_branch_solve, dichotomy_core, leaf
-from .errors import ConfigError, HillbandsError
+from .errors import HillbandsError
 from .lattice import FrequencyVector, QuotientLattice
-from .operators import assemble
-from .oracle import (dense_spectrum, floquet_discriminant, floquet_gap_edges,
-                     period)
+from .oracle import floquet_discriminant, period
 from .potential import cosine, fold
 from .scales import build_schedule
 from .schur import (WeightProfile, schur_block_inverse, verify_weight_lemma,
@@ -53,14 +53,6 @@ def _toy_context() -> band_mod.BandContext:
     return band_mod.BandContext(lat=lat, folded=folded, schedule=schedule,
                                 eps=0.05, truncation_R=12.0,
                                 s_cap=1, use_domains=False)
-
-
-def _context_from(config: dict | None) -> band_mod.BandContext:
-    if config is None:
-        return _toy_context()
-    from .cli import build_context
-
-    return build_context(config)
 
 
 def suite_schur(out: list[CheckResult]) -> None:
@@ -208,14 +200,9 @@ def suite_domains(out: list[CheckResult]) -> None:
                            ell_t < 2**2 and ell_s < 2**2))
 
 
-def suite_band(out: list[CheckResult], config: dict | None) -> None:
-    ctx = _context_from(config)
-    if config is None:
-        ks = [0.05 + 0.01 * i for i in range(20)]
-    else:
-        from .cli import k_grid_from
-
-        ks = [k for k in k_grid_from(config) if k > 0]
+def suite_band(out: list[CheckResult]) -> None:
+    ctx = _toy_context()
+    ks = [0.05 + 0.01 * i for i in range(20)]
     pos = band_mod.band_curve(ctx, ks)
     neg = band_mod.band_curve(ctx, [-k for k in ks])
     sym = band_mod.symmetry_audit(pos, neg)
@@ -224,37 +211,15 @@ def suite_band(out: list[CheckResult], config: dict | None) -> None:
     mono = band_mod.monotonicity_audit(ctx, pos)
     out.append(CheckResult("band", "monotonicity bounds", mono.passed,
                            float(len(mono.details["failures"]))))
-    worst = 0.0
-    dense_ok = True
-    ball = ctx.lat.ball(ctx.truncation_R)
-    for p in pos:
-        if p.E is None:
-            dense_ok = False
-            continue
-        matrix = assemble(ball, ctx.spec(p.k), ctx.folded, ctx.lat)
-        w, _ = dense_spectrum(matrix)
-        target = (2.0 * math.pi) ** 2 * p.k ** 2
-        nearest = w[np.argmin(np.abs(w - target))]
-        worst = max(worst, abs(p.E - nearest) / matrix.norm_bound())
-    out.append(CheckResult("band", "dense-oracle agreement",
-                           dense_ok and worst <= 1e-8, worst))
+    dense = band_mod.dense_recheck_audit(ctx, pos)
+    out.append(CheckResult("band", "dense-oracle agreement", dense.passed,
+                           dense.details["max_difference"]))
 
 
-def suite_floquet(out: list[CheckResult], config: dict | None) -> None:
-    """Free-equation discriminants, and the Floquet edges of one gap against
-    the dual matrix's: m = -1 on the built-in toy, else the config's first
-    ``gaps`` entry (ConfigError when it has none)."""
-    ctx = _context_from(config)
-    if config is None:
-        m = ctx.lat.canonicalize([-1])
-    else:
-        from .cli import gaps_from
-
-        modes = gaps_from(config, ctx.lat)
-        if not modes:
-            raise ConfigError("suite floquet checks the first gaps entry of "
-                              "the config, which has none")
-        m = modes[0][1]
+def suite_floquet(out: list[CheckResult]) -> None:
+    """Free-equation discriminants, and the Floquet edges of the toy's gap
+    m = -1 against the dual matrix's."""
+    ctx = _toy_context()
     T = period(ctx.lat.omega)
     # free equation: Delta(E) = 2 cos(sqrt(E) T)
     worst = 0.0
@@ -263,15 +228,10 @@ def suite_floquet(out: list[CheckResult], config: dict | None) -> None:
         worst = max(worst, abs(delta - 2.0 * math.cos(math.sqrt(E) * float(T))))
     out.append(CheckResult("floquet", "free-equation discriminant",
                            worst <= 1e-8, worst))
-    gap = band_mod.gap_edges(ctx, m)
-    center = 0.5 * (gap.E_minus + gap.E_plus)
-    width = max(gap.width, 1e-4)
-    lo, hi = floquet_gap_edges((gap.E_minus - 8.0 * width, center),
-                               (center, gap.E_plus + 8.0 * width),
-                               ctx.eps, ctx.folded, T)
-    err = max(abs(lo - gap.E_minus), abs(hi - gap.E_plus))
+    gap = band_mod.gap_edges(ctx, ctx.lat.canonicalize([-1]))
+    edges = band_mod.floquet_gap_edge_audit(ctx, gap)
     out.append(CheckResult("floquet", "gap edges vs dual matrix",
-                           err <= 1e-5, err))
+                           edges.passed, edges.details["max_difference"]))
 
 
 SUITES = {
@@ -285,30 +245,21 @@ SUITES = {
 }
 
 
-CONFIGURABLE = {"band", "floquet"}
-
-
-def run_suite(name: str, config: dict | None = None) -> list[CheckResult]:
-    """Run one named suite (or all); band and floquet honor a run config.
-    A suite that raises a HillbandsError other than ConfigError ends with
-    one failed check naming the exception, after the checks it had already
-    made, and the other suites still run."""
+def run_suite(name: str) -> list[CheckResult]:
+    """Run one named suite (or all). A suite that raises a HillbandsError
+    ends with one failed check naming the exception, after the checks it had
+    already made, and the other suites still run."""
     if name == "all":
         results = []
         for key in SUITES:
-            results.extend(run_suite(key, config))
+            results.extend(run_suite(key))
         return results
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from "
                        f"{sorted(SUITES) + ['all']}")
     results: list[CheckResult] = []
     try:
-        if name in CONFIGURABLE:
-            SUITES[name](results, config=config)
-        else:
-            SUITES[name](results)
-    except ConfigError:
-        raise
+        SUITES[name](results)
     except HillbandsError as exc:
         results.append(CheckResult(name, "raised", False,
                                    detail=f"{type(exc).__name__}: {exc}"))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from hillbands import band, oracle
 from hillbands.band import (BandContext, band_curve, compute_point,
                             conjugate_reflection_audit, decay_audit,
+                            dense_recheck_audit, floquet_gap_edge_audit,
                             gap_edges, gap_resolvent_audit,
                             gap_spectrum_audit, increment_audit,
                             monotonicity_audit, symmetry_audit)
@@ -418,6 +419,34 @@ def test_decay_audit_fails_without_an_eigenvector(toy_context):
                       mode="practical")
     assert rec.passed is False and rec.name == "decay"
     assert rec.checked == 0 and rec.details == {"error": "no eigenvector"}
+
+
+def test_dense_recheck_audit_fails_on_a_shifted_energy(toy_context):
+    # 1e-3 is above 1e-8 ||H||_inf (about 6e-5 on B(12)); a sample without
+    # E fails the audit too
+    points = band_curve(toy_context, [-0.15, 0.15, 0.3])
+    rec = dense_recheck_audit(toy_context, points)
+    assert rec.passed and rec.checked == 3
+    assert rec.details["max_difference"] <= band.DENSE_RECHECK_TOL
+    shifted = dataclasses.replace(points[1], E=points[1].E + 1e-3)
+    rec = dense_recheck_audit(toy_context, [points[0], shifted, points[2]])
+    assert rec.passed is False and rec.name == "dense_recheck"
+    assert rec.details["max_difference"] > band.DENSE_RECHECK_TOL
+    rec = dense_recheck_audit(toy_context,
+                              [points[0], _synthetic_point(0.2, None)])
+    assert rec.passed is False and rec.checked == 1
+
+
+@pytest.mark.parametrize("edge", ["E_minus", "E_plus"])
+def test_floquet_gap_edge_audit_fails_on_a_shifted_edge(toy_context, edge):
+    gap = gap_edges(toy_context, toy_context.lat.canonicalize([-1]))
+    rec = floquet_gap_edge_audit(toy_context, gap)
+    assert rec.passed and rec.name == "floquet_gap_edges"
+    assert rec.details["max_difference"] <= 1e-9
+    shifted = dataclasses.replace(gap, **{edge: getattr(gap, edge) + 1e-4})
+    rec = floquet_gap_edge_audit(toy_context, shifted)
+    assert rec.passed is False
+    assert rec.details["max_difference"] > band.FLOQUET_EDGE_TOL
 
 
 def test_eigenvector_scale_increment(line_lattice, cosine_folded):

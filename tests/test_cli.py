@@ -290,8 +290,6 @@ def test_nonfinite_inputs_are_config_errors(tmp_path, overrides):
     out = tmp_path / "out"
     assert main(["band", str(cfg), "--output-dir", str(out)]) == 2
     assert not out.exists()
-    if "k_grid" in overrides:
-        assert main(["verify", str(cfg), "--suite", "band"]) == 2
 
 
 @pytest.mark.parametrize("grid", [
@@ -463,7 +461,6 @@ def test_bad_schedule_or_potential_is_a_config_error_before_any_sample(
     assert len(err) == 1 and err[0].startswith("config error:")
     assert message in err[0]
     assert not out.exists()
-    assert main(["verify", str(cfg), "--suite", "band"]) == 2
 
 
 def test_folded_decay_violation_is_a_config_error(tmp_path, capsys):
@@ -522,6 +519,15 @@ def test_verify_subcommand_exit_codes():
     assert main(["verify", "--suite", "schur"]) == 0
 
 
+def test_verify_takes_no_config(tmp_path):
+    # the oracle checks of a config are band's dense_recheck and
+    # floquet_gap_edges audits
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(cfg), "--suite", "band"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("suite", ["weights", "dichotomy", "cff"])
 def test_verify_output_matches_golden(suite, capsys):
     # the stdout of these suites, byte for byte, as committed under
@@ -547,21 +553,34 @@ def test_reference_run_matches_golden(tmp_path):
             name
 
 
-@pytest.mark.parametrize("suite", ["band", "floquet"])
-def test_verify_subcommand_with_config(tmp_path, suite):
-    # coupling 0.02, not the 0.05 of the built-in context: the floquet gap
-    # edges agree with the dual matrix's only if both read the config's
-    cfg = write_config(tmp_path, {"coupling": 0.02})
-    assert main(["verify", str(cfg), "--suite", suite]) == 0
+def _oracle_audits(out):
+    report = json.loads((out / "report.json").read_text())
+    return [a for a in report["report"]["audits"]
+            if a["name"] in ("dense_recheck", "floquet_gap_edges")]
 
 
-def test_verify_floquet_checks_the_first_gap_of_the_config(tmp_path):
+@pytest.mark.parametrize("audit", ["dense_recheck", "floquet_gap_edges"])
+def test_band_oracle_audit_reads_the_config(tmp_path, audit):
+    # coupling 0.02, not the 0.05 of the built-in toy: the Floquet gap edges
+    # agree with the dual matrix's only if both read the config's
+    cfg = write_config(tmp_path, {"coupling": 0.02, "audits": [audit]})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 0
+    audits = _oracle_audits(out)
+    assert [a["name"] for a in audits] == [audit]
+    assert audits[0]["passed"] and audits[0]["checked"] > 0
+
+
+def test_floquet_gap_edges_audit_checks_the_gaps_of_the_config(tmp_path):
     # nu = 2: the built-in toy's m = -1 is no element of this lattice; the
     # cosine at n0 = (1, 0) opens the gap at m = (1, 0) to first order
-    cfg = write_config(tmp_path, dict(RESONANT_2D, gaps=[[1, 0], [0, 1]]))
-    assert main(["verify", str(cfg), "--suite", "floquet"]) == 0
-    no_gaps = write_config(tmp_path, dict(RESONANT_2D, gaps=[]))
-    assert main(["verify", str(no_gaps), "--suite", "floquet"]) == 2
+    cfg = write_config(tmp_path, dict(RESONANT_2D, gaps=[[1, 0]],
+                                      audits=["floquet_gap_edges"]))
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 0
+    audits = _oracle_audits(out)
+    assert [(a["details"]["m"], a["passed"]) for a in audits] == [
+        ([1, 0], True)]
 
 
 def test_console_script_help():
@@ -589,29 +608,31 @@ def test_decay_fit_is_the_decay_audit_rate(tmp_path):
             assert rates == [] and fits == [None] * len(fits)
 
 
-def test_a_raising_suite_is_one_failed_check_and_the_rest_still_run(
+def test_floquet_gap_edges_on_a_closed_gap_is_one_failure_and_the_rest_run(
         tmp_path, capsys):
     # at kappa0 = 0.5 the cosine's (0, 1) gap is too narrow for the Floquet
-    # brackets of suite floquet, and floquet_gap_edges raises
-    # PreconditionFailed: that suite ends in one FAIL line after the check it
-    # had passed, every other suite still prints its checks, and the exit
-    # code stays 1
+    # brackets of the floquet_gap_edges audit, and floquet_gap_edges raises
+    # PreconditionFailed: the run lists that audit under failures, the other
+    # audits still run, every file is written, and the exit code is 1
     cfg = write_config(tmp_path, dict(
         RESONANT_2D, potential={"kind": "cosine", "n0": [1, 0],
-                                "kappa0": 0.5}))
-    assert main(["verify", str(cfg), "--suite", "all"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    failed = [line for line in lines if line.startswith("[FAIL]")]
-    assert failed == [line for line in lines
-                      if line.startswith("[FAIL] floquet/raised ")]
-    assert len(failed) == 1 and "PreconditionFailed: bracket" in failed[0]
-    passed = [line for line in lines if line.startswith("[PASS]")]
-    assert {line.split()[1].split("/")[0] for line in passed} == {
-        "weights", "schur", "dichotomy", "cff", "domains", "band", "floquet"}
-    floquet = [line for line in lines if " floquet/" in line]
-    assert [line.split()[1] for line in floquet] == [
-        "floquet/free-equation", "floquet/raised"]
-    assert lines[-1] == "17/18 checks passed"
+                                "kappa0": 0.5},
+        audits=["symmetry", "increments", "dense_recheck",
+                "floquet_gap_edges", "floquet"],
+        floquet_grid={"count": 5}))
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 1
+    payload = json.loads((out / "report.json").read_text())
+    failures = payload["failures"]
+    assert [(f["kind"], f["name"]) for f in failures] == [
+        ("audit", "floquet_gap_edges")]
+    assert failures[0]["detail"].startswith("PreconditionFailed: bracket")
+    assert [(a["name"], a["passed"]) for a in payload["report"]["audits"]] == [
+        ("symmetry", True), ("conjugate_reflection", True),
+        ("scale_increments", True), ("dense_recheck", True)]
+    assert (out / "floquet.csv").exists()
+    assert capsys.readouterr().err.startswith(
+        "failed audit floquet_gap_edges: PreconditionFailed: bracket")
 
 
 def test_a_raising_suite_keeps_the_checks_it_made_before(monkeypatch):

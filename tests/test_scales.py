@@ -134,7 +134,8 @@ def test_strict_mode_log_space_budget():
     # Eq-(2epsilon0)-style eps0 always underflows in strict mode, so the
     # budget statement eps_s > eps0/2 lives in log space: it reduces to
     # log delta0^(1) < log eps0 - log 4 (the sum is dominated by delta0^(1))
-    s = build_schedule("strict", s_max=2, log_R1=30000.0, a0=0.5, b0=2.0,
+    # an int R1 past float64: log R1 = 13029 log 10 = 30000.6
+    s = build_schedule("strict", s_max=2, R1=10**13029, a0=0.5, b0=2.0,
                        kappa0=1.0, alpha0=1.0)
     assert s.feasible_s == 0 and s.eps0 == 0.0  # nothing representable
     log_d0 = s.log_delta[0] / 4.0

@@ -11,7 +11,7 @@ bounds on the normalized energy axis and against the dense and Floquet oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -293,15 +293,17 @@ def band_curve(ctx: BandContext, k_grid: Sequence[float]) -> list[BandPoint]:
             if not np.any(np.abs(k - k_m) < 1e-12)]
 
 
-def gap_edge_limit_crosscheck(ctx: BandContext, gap: GapRecord,
-                              theta: float) -> AuditRecord:
+def gap_edge_limit_crosscheck(ctx: BandContext, gap: GapRecord) -> AuditRecord:
     """One-sided band-curve limits vs the scalar-equation edges.
 
+    With theta = (delta0^(max(1, s_cap)))^(3/4) / 4, a quarter of the
+    resonance width at the capped scale,
     |E^(+-)(k_m) - E(k_m +- theta)| must stay within the local modulus bound
     2 (|k_m| + 1) theta plus the in-between resonance moduli; the paper states
     it at the lambda-normalized scale, so the raw comparison carries the
     (2 pi)^2 (and lambda on the resonance sum) factors. Floor 1e-7.
     """
+    theta = 0.25 * ctx.schedule.delta[max(1, ctx.s_cap)] ** 0.75
     failures = []
     lam = 256.0 * gamma_for(gap.k_m)
     k_m = ctx.modes().k
@@ -374,7 +376,7 @@ class AuditRecord:
     name: str
     passed: bool
     checked: int
-    details: dict = field(default_factory=dict)
+    details: dict
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed,

@@ -85,7 +85,7 @@ def build_context(config: dict) -> band_mod.BandContext:
             beta=sched_cfg.get("beta"),
             a0=float(a0), b0=float(b0),
             kappa0=coeffs.kappa0, alpha0=coeffs.alpha0, nu=omega.nu,
-            eps0=sched_cfg.get("eps0"),
+            eps0=sched_cfg.get("eps0", 0.5),
             sigma_scale=float(sched_cfg.get("sigma_scale", 1.0)),
         )
         return band_mod.BandContext(
@@ -170,15 +170,22 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def _raised(kind: str, name: str, exc: HillbandsError) -> dict:
+    """The failure entry of a gap or audit that raised."""
+    return {"kind": kind, "name": name,
+            "detail": f"{type(exc).__name__}: {exc}"}
+
+
 def run_band(config: dict,
-             out_override: str | None = None) -> tuple[Path, list[dict]]:
+             out_override: str | None) -> tuple[Path, list[dict]]:
     """Full sweep: band.csv, gaps.csv, report.json under the output dir, and
     floquet.csv with the ``floquet`` audit.
 
     Returns the output dir and the run's failures, which report.json lists
     too: each requested gap that raised, each sample of class ``error``,
-    each audit that did not pass and each audit that raised; the files are
-    written all the same. An invalid schedule or potential (a folded decay
+    each audit that did not pass and each audit that raised, a per-gap
+    audit once for each gap, as ``<audit> m=[rep]``; the files are written
+    all the same. An invalid schedule or potential (a folded decay
     violation included), a bad ``diophantine`` block or ``gaps`` entry, an
     ``audits`` entry outside AUDITS, a bad ``k_grid`` or ``floquet_grid``,
     or a grid of which band_curve keeps no k, raises ConfigError before the
@@ -219,15 +226,26 @@ def run_band(config: dict,
         try:
             gaps.append(band_mod.gap_edges(ctx, m))
         except HillbandsError as exc:
-            failures.append({"kind": "gap", "name": f"m={list(mvec)}",
-                             "detail": f"{type(exc).__name__}: {exc}"})
+            failures.append(_raised("gap", f"m={list(mvec)}", exc))
 
     failures += [{"kind": "sample", "name": f"k={p.k!r}", "detail": p.error}
                  for p in points if p.klass == "error"]
 
     audits = []
     floquet_data = None
+    # each gap of a per-gap audit runs and fails on its own
+    per_gap = {"gap_spectrum": band_mod.gap_spectrum_audit,
+               "gap_edge_limits": band_mod.gap_edge_limit_crosscheck,
+               "floquet_gap_edges": band_mod.floquet_gap_edge_audit}
     for name in (a for a in AUDITS if a in audit_names):
+        if name in per_gap:
+            for g in gaps:
+                try:
+                    audits.append(per_gap[name](ctx, g))
+                except HillbandsError as exc:
+                    failures.append(
+                        _raised("audit", f"{name} m={list(g.m.rep)}", exc))
+            continue
         try:
             if name == "symmetry":
                 neg = band_mod.band_curve(ctx, [-p.k for p in points])
@@ -245,24 +263,12 @@ def run_band(config: dict,
                         audits.append(rec)
             elif name == "dense_recheck":
                 audits.append(band_mod.dense_recheck_audit(ctx, points))
-            elif name == "gap_spectrum":
-                for g in gaps:
-                    audits.append(band_mod.gap_spectrum_audit(ctx, g))
-            elif name == "gap_edge_limits":
-                theta = 0.25 * ctx.schedule.delta[max(1, ctx.s_cap)] ** 0.75
-                for g in gaps:
-                    audits.append(
-                        band_mod.gap_edge_limit_crosscheck(ctx, g, theta))
-            elif name == "floquet_gap_edges":
-                for g in gaps:
-                    audits.append(band_mod.floquet_gap_edge_audit(ctx, g))
             else:
                 floquet_data = oracle.floquet_scan(
                     floquet_grid, ctx.eps, ctx.folded,
                     oracle.period(ctx.lat.omega))
         except HillbandsError as exc:
-            failures.append({"kind": "audit", "name": name,
-                             "detail": f"{type(exc).__name__}: {exc}"})
+            failures.append(_raised("audit", name, exc))
 
     try:
         e0_point = band_mod._ball_fallback(ctx, 0.0)

@@ -58,7 +58,6 @@ class DualMatrix:
 
     domain: tuple[GroupElement, ...]
     spec: OperatorSpec
-    index: dict = field(repr=False)
     diagonal: np.ndarray = field(repr=False)
     offsets: tuple[tuple[np.ndarray, np.ndarray, complex], ...] = field(
         repr=False)
@@ -74,7 +73,7 @@ class DualMatrix:
         return len(self.domain)
 
     def row_of(self, e: GroupElement) -> int:
-        return self.index[e]
+        return self.domain.index(e)
 
     def norm_bound(self) -> float:
         """||H||_inf, the largest row sum of |entries|."""
@@ -150,8 +149,6 @@ def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,
                                                          - ranks[hit]))))
     zero_mode = eps * folded.value(lat.identity)
     diagonal = np.array([spec.diagonal(a.xi_float) + zero_mode for a in dom])
-    return DualMatrix(domain=dom, spec=spec,
-                      index={e: i for i, e in enumerate(dom)},
-                      diagonal=diagonal, offsets=tuple(offsets), radii=radii,
-                      bandwidth=bandwidth)
+    return DualMatrix(domain=dom, spec=spec, diagonal=diagonal,
+                      offsets=tuple(offsets), radii=radii, bandwidth=bandwidth)
 

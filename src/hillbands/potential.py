@@ -135,9 +135,9 @@ def fold(c: FourierCoefficients, lat: QuotientLattice,
 
 # --- built-in generators (seeded, reproducible) ---
 
-def cosine(n0, kappa0: float = 1.0, alpha0: float = 1.0,
-           amplitude: float | None = None) -> FourierCoefficients:
-    """Single cosine: c(+-n0) = amplitude (default: the decay-bound maximum)."""
+def cosine(n0, kappa0: float, alpha0: float,
+           amplitude: float | None) -> FourierCoefficients:
+    """Single cosine: c(+-n0) = amplitude (None: the decay-bound maximum)."""
     n0 = tuple(int(v) for v in n0)
     norm = max(abs(v) for v in n0)
     if norm == 0:
@@ -150,7 +150,7 @@ def cosine(n0, kappa0: float = 1.0, alpha0: float = 1.0,
                                support_radius=norm)
 
 
-def multi_cosine(modes, kappa0: float = 1.0, alpha0: float = 1.0) -> FourierCoefficients:
+def multi_cosine(modes, kappa0: float, alpha0: float) -> FourierCoefficients:
     """Cosines at several modes: iterable of (n, amplitude)."""
     entries: dict[tuple[int, ...], complex] = {}
     radius = 0
@@ -164,8 +164,8 @@ def multi_cosine(modes, kappa0: float = 1.0, alpha0: float = 1.0) -> FourierCoef
                                support_radius=radius)
 
 
-def exp_decay(support_radius: int, nu: int = 1, kappa0: float = 1.0,
-              alpha0: float = 1.0) -> FourierCoefficients:
+def exp_decay(support_radius: int, nu: int, kappa0: float,
+              alpha0: float) -> FourierCoefficients:
     """c(n) = exp(-kappa0 |n|^alpha0) for 0 < |n| <= support_radius (real, symmetric)."""
     entries = {}
     for vec in itertools.product(range(-support_radius, support_radius + 1), repeat=nu):
@@ -177,9 +177,8 @@ def exp_decay(support_radius: int, nu: int = 1, kappa0: float = 1.0,
                                support_radius=support_radius)
 
 
-def random_phase(support_radius: int, nu: int = 1, kappa0: float = 1.0,
-                 alpha0: float = 1.0, seed: int = 0,
-                 amplitude_scale: float = 1.0) -> FourierCoefficients:
+def random_phase(support_radius: int, nu: int, kappa0: float, alpha0: float,
+                 seed: int, amplitude_scale: float) -> FourierCoefficients:
     """Random phases on the decay envelope, conjugate-symmetric, seeded."""
     if not (0 < amplitude_scale <= 1):
         raise ValueError("amplitude_scale must be in (0, 1]")

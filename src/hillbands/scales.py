@@ -89,19 +89,17 @@ def strict_epsilon0_log(log_delta0: float, kappa0: float, alpha0: float,
     return 3.0 * min(log_t1, log_t2, log_t3)
 
 
-def build_schedule(mode: str, s_max: int, R1: float, *,
-                   beta: float | None = None,
-                   a0: float = 0.5, b0: float = 2.0,
-                   kappa0: float = 1.0, alpha0: float = 1.0, nu: int = 1,
-                   eps0: float | None = None,
-                   sigma_scale: float = 1.0) -> ScaleSchedule:
+def build_schedule(mode: str, s_max: int, R1: float, *, beta: float | None,
+                   a0: float, b0: float, kappa0: float, alpha0: float,
+                   nu: int, eps0: float, sigma_scale: float) -> ScaleSchedule:
     """Build the scale schedule.
 
-    Practical mode: user beta in (0,1) and R1 > e. Strict mode: beta = 1/(32 b0)
-    and R1 must clear log R1 >= alpha0^-1 max(log(100/a0), 2^34 beta^-1 log kappa0^-1);
-    eps0 is then the worst-case constant (kept in log space where it
-    underflows). Only log R1 is read, so R1 may be an int beyond float64,
-    as strict-mode floors can be.
+    Practical mode: user beta in (0,1), R1 > e and user eps0. Strict mode:
+    beta = 1/(32 b0) and R1 must clear
+    log R1 >= alpha0^-1 max(log(100/a0), 2^34 beta^-1 log kappa0^-1); eps0
+    is then the worst-case constant (kept in log space where it
+    underflows), and the beta and eps0 passed are not read. Only log R1 is
+    read, so R1 may be an int beyond float64, as strict-mode floors can be.
 
     Scales past the last one whose R^(s) and delta0^(s-1) fit in double
     precision stay in the schedule: the log arrays always cover the full
@@ -156,7 +154,7 @@ def build_schedule(mode: str, s_max: int, R1: float, *,
         dcond = (2.0**32) / (alpha0 * beta) * math.log(1.0 / kappa0)
         strict_ok = (-log_delta0) > dcond
     else:
-        eps0_val = 0.5 if eps0 is None else float(eps0)
+        eps0_val = float(eps0)
         log_eps0 = math.log(eps0_val)
 
     # eps_s = eps0 - sum_{1<=s'<=s} delta0^(s'), the coupling budget
@@ -281,25 +279,17 @@ class ResonanceProfile:
 
 
 def resonance_profile(k: float, schedule: ScaleSchedule, lat: QuotientLattice,
-                      truncation_R: float,
-                      width_override=None) -> ResonanceProfile:
+                      truncation_R: float) -> ResonanceProfile:
     """The resonances of k among 0 < |n| <= truncation_R and their reflection sets.
 
     n resonates when |k - k_n| < (delta0^(shell))^(3/4), the analysis family
     of intervals. The resonances are ordered by norm, ties by t for k >= 0 and
     by -t for k < 0, so the profile of -k mirrors that of k.
-    ``width_override`` is a testing hook: a callable (element, shell) ->
-    half-width | None (None = schedule width).
     """
     table = mode_table(schedule, lat, truncation_R)
     widths = [0.0] + [schedule.delta[s] ** 0.75
                       for s in range(1, schedule.s_max + 1)]
     width = np.array(widths)[table.shell]
-    if width_override is not None:
-        for i in np.flatnonzero(table.shell):
-            replaced = width_override(table.elements[i], int(table.shell[i]))
-            if replaced is not None:
-                width[i] = replaced
     sign = 1 if k >= 0 else -1
     hits = sorted(np.flatnonzero(np.abs(k - table.k) < width).tolist(),
                   key=lambda i: (table.norm[i], sign * table.t[i]))

@@ -45,6 +45,9 @@ HERMITIAN_TOL = 1e-12
 # hop_sum_constant sums the ball of this radius exactly and bounds the shells
 # beyond it
 HOP_SUM_RADIUS = 40
+# the ball growth constant C of the eps0 smallness condition
+# (epscond_threshold)
+BALL_GROWTH = 3.0
 
 # --- dense linear algebra with singularity reporting ---
 
@@ -438,14 +441,13 @@ def hop_sum_constant(lat: QuotientLattice, kappa: float, alpha0: float) -> float
     return total + rem
 
 
-def epscond_threshold(lat: QuotientLattice, profile: WeightProfile,
-                      C_growth: float) -> float:
+def epscond_threshold(lat: QuotientLattice, profile: WeightProfile) -> float:
     """The smallness threshold for eps0: min(e^{-B}/(2 C_hop), 2^-8 C^-4 (T/kappa)^{-8 nu/alpha0})
-    with B = 8 T / kappa0."""
+    with B = 8 T / kappa0 and C = BALL_GROWTH."""
     C_hop = hop_sum_constant(lat, profile.kappa0 * (1 - 2.0 ** (-9)), profile.alpha0)
     B = 8.0 * profile.T / profile.kappa0
     t1 = math.exp(-B) / (2.0 * C_hop) if B < 700 else 0.0
-    t2 = 2.0 ** (-8) * C_growth ** (-4) * \
+    t2 = 2.0 ** (-8) * BALL_GROWTH ** (-4) * \
         (profile.T / profile.kappa0) ** (-8.0 * lat.nu / profile.alpha0)
     return min(t1, t2)
 
@@ -487,7 +489,7 @@ def weight_sum_upper_bound_audit(domain: Sequence[GroupElement],
     valid under the eps0 smallness condition (ball growth constant 3), which
     is evaluated and reported.
     """
-    threshold = epscond_threshold(lat, profile, 3.0)
+    threshold = epscond_threshold(lat, profile)
     dbar = max(profile.D[p] for p in domain)
     mu = {a: mu_of_set(domain, a, lat) for a in domain}
     total = weight_sums(domain, profile, "R", k_max, eps0, lat).upper_bound

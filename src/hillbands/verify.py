@@ -47,8 +47,9 @@ class CheckResult:
 def _toy_context() -> band_mod.BandContext:
     """eps = 0.05 on the cosine c(+-1) = e^-1 over omega = 1."""
     lat = QuotientLattice(FrequencyVector.parse(["1"]))
-    folded = fold(cosine([1], kappa0=1.0), lat)
+    folded = fold(cosine([1], kappa0=1.0, alpha0=1.0, amplitude=None), lat)
     schedule = build_schedule("practical", s_max=2, R1=12.0, beta=0.5,
+                              a0=0.5, b0=2.0, kappa0=1.0, alpha0=1.0, nu=1,
                               eps0=0.5, sigma_scale=1e-8)
     return band_mod.BandContext(lat=lat, folded=folded, schedule=schedule,
                                 eps=0.05, truncation_R=12.0,
@@ -177,6 +178,7 @@ def suite_domains(out: list[CheckResult]) -> None:
     omega = FrequencyVector.parse(["1"])
     lat = QuotientLattice(omega)
     schedule = build_schedule("practical", s_max=2, R1=9.0, beta=0.5,
+                              a0=0.5, b0=2.0, kappa0=1.0, alpha0=1.0, nu=1,
                               eps0=0.5, sigma_scale=1e-9)
     k = 0.37
     builder = DomainBuilder(k, schedule, lat)

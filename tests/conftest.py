@@ -33,13 +33,15 @@ def mixed_lattice():
 
 @pytest.fixture(scope="session")
 def cosine_folded(line_lattice):
-    return fold(cosine([1], kappa0=1.0), line_lattice)
+    return fold(cosine([1], kappa0=1.0, alpha0=1.0,
+                       amplitude=None), line_lattice)
 
 
 @pytest.fixture(scope="session")
 def toy_schedule():
     return build_schedule("practical", s_max=2, R1=12.0, beta=0.5, eps0=0.5,
-                          sigma_scale=1e-8)
+                          sigma_scale=1e-8, a0=0.5, b0=2.0, kappa0=1.0,
+                          alpha0=1.0, nu=1)
 
 
 def make_context(line_lattice, cosine_folded, toy_schedule, eps=0.05,

@@ -214,7 +214,6 @@ def dense_dual_matrix(domain, spec, H, bandwidth) -> DualMatrix:
                 offsets.append((rows[same], rows[same] + shift,
                                 values[same][0]))
     return DualMatrix(domain=tuple(domain), spec=spec,
-                      index={e: i for i, e in enumerate(domain)},
                       diagonal=diagonal, offsets=tuple(offsets),
                       radii=off.sum(axis=1), bandwidth=bandwidth)
 

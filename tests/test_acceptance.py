@@ -45,13 +45,14 @@ def lat():
 
 @pytest.fixture(scope="module")
 def folded(lat):
-    return fold(cosine([1], kappa0=1.0), lat)
+    return fold(cosine([1], kappa0=1.0, alpha0=1.0, amplitude=None), lat)
 
 
 @pytest.fixture(scope="module")
 def schedule():
     return build_schedule("practical", s_max=2, R1=12.0, beta=0.5, eps0=0.5,
-                          sigma_scale=1e-8)
+                          sigma_scale=1e-8, a0=0.5, b0=2.0, kappa0=1.0,
+                          alpha0=1.0, nu=1)
 
 
 def context(lat, folded, schedule, eps, truncation_R=12.0):
@@ -142,7 +143,7 @@ def test_criterion_04_gap_bound_and_floquet(lat, schedule):
     # Floquet discriminant resolves all three at the 1e-5 tolerance
     from hillbands.potential import exp_decay
 
-    rich = fold(exp_decay(5, nu=1, kappa0=1.0), lat)
+    rich = fold(exp_decay(5, nu=1, kappa0=1.0, alpha0=1.0), lat)
     ctx = context(lat, rich, schedule, eps=0.05)
     T = period(lat.omega)
     ok = True
@@ -279,7 +280,8 @@ def test_criterion_09_quadratic_dichotomy():
 def test_criterion_10_schedule_recurrence():
     start = time.perf_counter()
     sched = build_schedule("practical", s_max=3, R1=math.e**4, beta=0.5,
-                           eps0=1.0)
+                           eps0=1.0, a0=0.5, b0=2.0, kappa0=1.0, alpha0=1.0,
+                           nu=1, sigma_scale=1.0)
     ok = True
     for u in range(2, 4):
         rhs = 0.5 * sched.log_R[u - 1] ** 2
@@ -287,7 +289,8 @@ def test_criterion_10_schedule_recurrence():
         ok = ok and abs(sched.delta[u] - math.exp(-sched.log_R[u] ** 2)) \
             <= 1e-12 * sched.delta[u]
     longer = build_schedule("practical", s_max=5, R1=math.e**4, beta=0.5,
-                            eps0=1.0)
+                            eps0=1.0, a0=0.5, b0=2.0, kappa0=1.0, alpha0=1.0,
+                            nu=1, sigma_scale=1.0)
     ok = ok and longer.feasible_s == 3
     try:
         longer.require_feasible(4)
@@ -302,7 +305,8 @@ def test_criterion_10_schedule_recurrence():
 def test_criterion_11_symmetrization(lat):
     start = time.perf_counter()
     sched = build_schedule("practical", s_max=2, R1=9.0, beta=0.5, eps0=0.5,
-                           sigma_scale=1e-9)
+                           sigma_scale=1e-9, a0=0.5, b0=2.0, kappa0=1.0,
+                           alpha0=1.0, nu=1)
     ok = True
     # T-symmetrization at the first resonance
     n0 = lat.canonicalize([1])

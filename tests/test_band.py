@@ -218,9 +218,10 @@ def test_gap_edge_limits_crosscheck(toy_context):
 
     m = toy_context.lat.canonicalize([-1])
     g = gap_edges(toy_context, m)
-    theta = 0.25 * toy_context.schedule.delta[1] ** 0.75
-    rec = gap_edge_limit_crosscheck(toy_context, g, theta)
+    rec = gap_edge_limit_crosscheck(toy_context, g)
     assert rec.passed and rec.checked == 2
+    # a quarter of the resonance width at s_cap = 1
+    assert rec.details["theta"] == 0.25 * toy_context.schedule.delta[1] ** 0.75
 
 
 def test_gap_edges_crosscheck_is_live(toy_context, monkeypatch):
@@ -362,7 +363,8 @@ def test_decay_audit_zero_coupling(line_lattice, cosine_folded, toy_schedule):
 
 def test_increment_audit_with_domains(line_lattice, cosine_folded):
     schedule = build_schedule("practical", s_max=3, R1=9.0, beta=0.5,
-                              eps0=0.5, sigma_scale=1e-9)
+                              eps0=0.5, sigma_scale=1e-9, a0=0.5, b0=2.0,
+                              kappa0=1.0, alpha0=1.0, nu=1)
     ctx = BandContext(lat=line_lattice, folded=cosine_folded,
                       schedule=schedule, eps=0.05, truncation_R=12.0,
                       s_cap=3, use_domains=True)
@@ -456,7 +458,8 @@ def test_eigenvector_scale_increment(line_lattice, cosine_folded):
     from hillbands.eigensolve import solve_simple
 
     schedule = build_schedule("practical", s_max=3, R1=9.0, beta=0.5,
-                              eps0=0.5, sigma_scale=1e-9)
+                              eps0=0.5, sigma_scale=1e-9, a0=0.5, b0=2.0,
+                              kappa0=1.0, alpha0=1.0, nu=1)
     lat = line_lattice
     k = 0.37
     builder = DomainBuilder(k, schedule, lat)
@@ -542,7 +545,7 @@ def test_subexponential_decay_pipeline(line_lattice):
     folded = fold(exp_decay(5, nu=1, kappa0=1.0, alpha0=0.8), line_lattice)
     sched = build_schedule("practical", s_max=2, R1=12.0, beta=0.5, eps0=0.5,
                            sigma_scale=1e-8, kappa0=1.0,
-                           alpha0=0.8)
+                           alpha0=0.8, a0=0.5, b0=2.0, nu=1)
     ctx = BandContext(lat=line_lattice, folded=folded, schedule=sched,
                       eps=0.03, truncation_R=10.0, s_cap=1, use_domains=False)
     p = compute_point(ctx, 0.29)
@@ -558,7 +561,8 @@ def test_subexponential_decay_pipeline(line_lattice):
 
 def test_error_points_recorded_not_raised(line_lattice, cosine_folded):
     schedule = build_schedule("practical", s_max=1, R1=9.0, beta=0.5,
-                              eps0=0.5, sigma_scale=1.0)
+                              eps0=0.5, sigma_scale=1.0, a0=0.5, b0=2.0,
+                              kappa0=1.0, alpha0=1.0, nu=1)
     ctx = BandContext(lat=line_lattice, folded=cosine_folded,
                       schedule=schedule, eps=0.05, truncation_R=12.0,
                       s_cap=1, use_domains=True)

@@ -90,7 +90,7 @@ def test_raising_audit_is_a_failure_and_files_are_written(tmp_path,
     payload = json.loads((out / "report.json").read_text())
     detail = "IntegratorFailure: step size underflow"
     assert payload["failures"] == [
-        {"kind": "audit", "name": "gap_spectrum", "detail": detail},
+        {"kind": "audit", "name": "gap_spectrum m=[-1]", "detail": detail},
         {"kind": "audit", "name": "floquet", "detail": detail}]
     assert [a["name"] for a in payload["report"]["audits"]] == [
         "scale_increments"]
@@ -537,20 +537,52 @@ def test_verify_output_matches_golden(suite, capsys):
     assert capsys.readouterr().out == golden
 
 
-def test_reference_run_matches_golden(tmp_path):
-    # the four files of configs/reference.json, byte for byte, as committed
-    # under tests/golden/reference/: a change that keeps the results keeps
-    # every digit of them
-    config = cli.load_config(ROOT / "configs" / "reference.json")
+def _assert_run_matches_golden(config, name, tmp_path):
+    """The four files of a run, byte for byte, as committed under
+    tests/golden/<name>/: a change that keeps the results keeps every digit
+    of them."""
     outdir, failures = run_band(config, str(tmp_path))
     assert failures == []
-    golden = ROOT / "tests" / "golden" / "reference"
+    golden = ROOT / "tests" / "golden" / name
     names = sorted(p.name for p in golden.iterdir())
     assert names == ["band.csv", "floquet.csv", "gaps.csv", "report.json"]
     assert sorted(p.name for p in outdir.iterdir()) == names
     for name in names:
         assert (outdir / name).read_bytes() == (golden / name).read_bytes(), \
             name
+    return json.loads((outdir / "report.json").read_text())
+
+
+def test_reference_run_matches_golden(tmp_path):
+    config = cli.load_config(ROOT / "configs" / "reference.json")
+    _assert_run_matches_golden(config, "reference", tmp_path)
+
+
+# the resonant_2d benchmark workload at seed 1, with every audit: nu = 2,
+# the pair routes and every audit name through run_band
+RESONANT_2D_WORKLOAD = {
+    "lattice": {"nu": 2, "omega": ["1", "3/7"]},
+    "potential": {"kind": "random_phase", "support_radius": 2,
+                  "amplitude_scale": 0.5, "kappa0": 0.5, "alpha0": 1.0,
+                  "seed": 1},
+    "coupling": 0.05,
+    "mode": "practical",
+    "schedule": {"beta": 0.5, "R1": 9.0, "s_max": 2, "s_cap": 1,
+                 "sigma_scale": 1e-8, "eps0": 0.5},
+    "k_grid": {"list": [0.05, 0.15, 0.225, 0.35]},
+    "truncation_R": 6,
+    "use_domains": False,
+    "gaps": [[0, 1]],
+    "audits": list(cli.AUDITS),
+    "floquet_grid": {"min": 0.5, "max": 60.0, "count": 20},
+}
+
+
+def test_resonant_2d_run_with_every_audit_matches_golden(tmp_path):
+    report = _assert_run_matches_golden(RESONANT_2D_WORKLOAD, "resonant_2d",
+                                        tmp_path)
+    audits = report["report"]["audits"]
+    assert len(audits) == 12 and all(a["passed"] for a in audits)
 
 
 def _oracle_audits(out):
@@ -612,8 +644,9 @@ def test_floquet_gap_edges_on_a_closed_gap_is_one_failure_and_the_rest_run(
         tmp_path, capsys):
     # at kappa0 = 0.5 the cosine's (0, 1) gap is too narrow for the Floquet
     # brackets of the floquet_gap_edges audit, and floquet_gap_edges raises
-    # PreconditionFailed: the run lists that audit under failures, the other
-    # audits still run, every file is written, and the exit code is 1
+    # PreconditionFailed: the run lists that audit under failures with its
+    # gap, the other audits still run, every file is written, and the exit
+    # code is 1
     cfg = write_config(tmp_path, dict(
         RESONANT_2D, potential={"kind": "cosine", "n0": [1, 0],
                                 "kappa0": 0.5},
@@ -625,14 +658,32 @@ def test_floquet_gap_edges_on_a_closed_gap_is_one_failure_and_the_rest_run(
     payload = json.loads((out / "report.json").read_text())
     failures = payload["failures"]
     assert [(f["kind"], f["name"]) for f in failures] == [
-        ("audit", "floquet_gap_edges")]
+        ("audit", "floquet_gap_edges m=[0, 1]")]
     assert failures[0]["detail"].startswith("PreconditionFailed: bracket")
     assert [(a["name"], a["passed"]) for a in payload["report"]["audits"]] == [
         ("symmetry", True), ("conjugate_reflection", True),
         ("scale_increments", True), ("dense_recheck", True)]
     assert (out / "floquet.csv").exists()
     assert capsys.readouterr().err.startswith(
-        "failed audit floquet_gap_edges: PreconditionFailed: bracket")
+        "failed audit floquet_gap_edges m=[0, 1]: PreconditionFailed: bracket")
+
+
+def test_a_gap_that_raises_leaves_the_other_gaps_of_its_audit(tmp_path):
+    # the closed (0, 1) gap raises in floquet_gap_edges; the (1, 0) gap
+    # listed after it is still checked, and passes
+    cfg = write_config(tmp_path, dict(
+        RESONANT_2D, potential={"kind": "cosine", "n0": [1, 0],
+                                "kappa0": 0.5},
+        gaps=[[0, 1], [1, 0]], audits=["gap_spectrum", "floquet_gap_edges"]))
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 1
+    payload = json.loads((out / "report.json").read_text())
+    assert [(f["kind"], f["name"]) for f in payload["failures"]] == [
+        ("audit", "floquet_gap_edges m=[0, 1]")]
+    assert [(a["name"], a["passed"], a["details"].get("m"))
+            for a in payload["report"]["audits"]] == [
+        ("gap_spectrum", True, None), ("gap_spectrum", True, None),
+        ("floquet_gap_edges", True, [1, 0])]
 
 
 def test_a_raising_suite_keeps_the_checks_it_made_before(monkeypatch):

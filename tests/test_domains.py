@@ -24,7 +24,8 @@ def lat():
 def schedule():
     # R^(1) = 9, R^(2) ~ 11.2; sigma shrunk so the k-axis is mostly admissible
     return build_schedule("practical", s_max=2, R1=9.0, beta=0.5, eps0=0.5,
-                          sigma_scale=1e-9)
+                          sigma_scale=1e-9, a0=0.5, b0=2.0, kappa0=1.0,
+                          alpha0=1.0, nu=1)
 
 
 def fset(lat, reps):
@@ -65,7 +66,8 @@ def test_unmodified_ball_when_nothing_straddles(lat, schedule):
 
 def test_excluded_k_raises(lat):
     wide = build_schedule("practical", s_max=2, R1=9.0, beta=0.5, eps0=0.5,
-                          sigma_scale=1.0)
+                          sigma_scale=1.0, a0=0.5, b0=2.0, kappa0=1.0,
+                          alpha0=1.0, nu=1)
     # verbatim sigma(m) = 32 delta^(1/6) swallows the whole axis at this scale
     builder = DomainBuilder(0.37, wide, lat)
     with pytest.raises(ExcludedK) as exc:
@@ -382,10 +384,12 @@ ORACLE_CASES = {
     # nu: (lattice, schedule, scales drawn)
     1: (QuotientLattice(FrequencyVector.parse(["1"])),
         build_schedule("practical", s_max=2, R1=9.0, beta=0.5, eps0=0.5,
-                       sigma_scale=1e-9), (1, 2)),
+                       sigma_scale=1e-9, a0=0.5, b0=2.0, kappa0=1.0,
+                       alpha0=1.0, nu=1), (1, 2)),
     2: (QuotientLattice(FrequencyVector.parse(["1", "3/7"])),
         build_schedule("practical", s_max=1, R1=4.0, beta=0.5, eps0=0.5,
-                       sigma_scale=1e-9, nu=2), (1,)),
+                       sigma_scale=1e-9, nu=2, a0=0.5, b0=2.0,
+                       kappa0=1.0, alpha0=1.0), (1,)),
 }
 
 

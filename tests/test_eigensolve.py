@@ -45,10 +45,12 @@ def tridiagonal_cases(draw):
     random_phase, on ball, translated and ball+mirror domains."""
     lat = _lattice(draw(st.sampled_from(["1", "2/3"])))
     if draw(st.booleans()):
-        coeffs = cosine([1], kappa0=draw(st.sampled_from([0.3, 1.0])))
+        coeffs = cosine([1], kappa0=draw(st.sampled_from([0.3, 1.0])),
+                        alpha0=1.0, amplitude=None)
     else:
         coeffs = random_phase(1, nu=1, kappa0=0.5,
-                              seed=draw(st.integers(0, 99)))
+                              seed=draw(st.integers(0, 99)), alpha0=1.0,
+                              amplitude_scale=1.0)
     folded = fold(coeffs, lat, enforce_bound=False)
     ball = lat.ball(draw(st.integers(1, 8)))
     shape = draw(st.sampled_from(["ball", "translate", "mirror"]))
@@ -109,7 +111,8 @@ def test_tridiagonal_resolvent_matches_dense_q_g(case):
 
 def test_tridiagonal_and_dense_resolvent_agree(line_lattice):
     # complex tridiagonal data, with a domain gap that zeroes a subdiagonal
-    folded = fold(random_phase(1, nu=1, kappa0=0.5, seed=7), line_lattice,
+    folded = fold(random_phase(1, nu=1, kappa0=0.5, seed=7,
+                               alpha0=1.0, amplitude_scale=1.0), line_lattice,
                   enforce_bound=False)
     domain = [line_lattice.canonicalize([v])
               for v in (-5, -4, -3, -1, 0, 1, 2, 6, 7)]
@@ -144,7 +147,7 @@ def householder_cases(draw):
     zhetrd path."""
     lat = _lattice("1", "3/7")
     coeffs = random_phase(2, nu=2, kappa0=0.5, seed=draw(st.integers(0, 99)),
-                          amplitude_scale=0.5)
+                          amplitude_scale=0.5, alpha0=1.0)
     folded = fold(coeffs, lat, enforce_bound=False)
     count = draw(st.integers(1, 2))
     domain = list(lat.ball(4))[:draw(st.sampled_from([1, 2, 3, 50])) + count]
@@ -284,10 +287,12 @@ def chain_cases(draw):
     chains at the holes and at the principals."""
     lat = _lattice(draw(st.sampled_from(["1", "2/3"])))
     if draw(st.booleans()):
-        coeffs = cosine([1], kappa0=draw(st.sampled_from([0.3, 1.0])))
+        coeffs = cosine([1], kappa0=draw(st.sampled_from([0.3, 1.0])),
+                        alpha0=1.0, amplitude=None)
     else:
         coeffs = random_phase(1, nu=1, kappa0=0.5,
-                              seed=draw(st.integers(0, 99)))
+                              seed=draw(st.integers(0, 99)), alpha0=1.0,
+                              amplitude_scale=1.0)
     folded = fold(coeffs, lat, enforce_bound=False)
     ball = lat.ball(draw(st.integers(3, 12)))
     keep = draw(st.lists(st.booleans(), min_size=len(ball),
@@ -343,7 +348,8 @@ def test_count_below_on_an_eigenvalue_of_a_decoupled_principal():
     # eigenvalue near v(2), G = 0 and det S = 0 exactly, and one eigenvalue
     # of H, v(-1), lies below x
     lat = _lattice("1")
-    folded = fold(random_phase(1, nu=1, kappa0=0.5, seed=0), lat,
+    folded = fold(random_phase(1, nu=1, kappa0=0.5, seed=0, alpha0=1.0,
+                               amplitude_scale=1.0), lat,
                   enforce_bound=False)
     matrix = assemble([lat.canonicalize([v]) for v in (-1, 2, -3, 3)],
                       OperatorSpec(epsilon=0.05, k=0.0), folded, lat)
@@ -898,11 +904,13 @@ def _pair_matrix(family, seed, radius, n_index, eps, k):
     complex random_phase take zhetrd."""
     if family == "cosine_1d":
         lat = _lattice("1")
-        coeffs = cosine([1], kappa0=1.0)
+        coeffs = cosine([1], kappa0=1.0, alpha0=1.0, amplitude=None)
     else:
         lat = _lattice("1", "3/7")
-        coeffs = cosine([1, 0], kappa0=1.0) if family == "cosine_2d" else \
-            random_phase(2, nu=2, kappa0=0.5, seed=seed, amplitude_scale=0.5)
+        coeffs = cosine([1, 0], kappa0=1.0, alpha0=1.0, amplitude=None) \
+            if family == "cosine_2d" else \
+            random_phase(2, nu=2, kappa0=0.5, seed=seed, amplitude_scale=0.5,
+                         alpha0=1.0)
     folded = fold(coeffs, lat, enforce_bound=False)
     ball = lat.ball(radius)
     rest = [e for e in ball if e != lat.identity]

@@ -105,7 +105,8 @@ def test_discriminant_gap_band_membership(line_lattice, cosine_folded):
     from hillbands.scales import build_schedule
 
     sched = build_schedule("practical", s_max=2, R1=12.0, beta=0.5, eps0=0.5,
-                           sigma_scale=1e-8)
+                           sigma_scale=1e-8, a0=0.5, b0=2.0, kappa0=1.0,
+                           alpha0=1.0, nu=1)
     ctx = BandContext(lat=line_lattice, folded=cosine_folded, schedule=sched,
                       eps=0.05, truncation_R=12.0, s_cap=1, use_domains=False)
     g = gap_edges(ctx, line_lattice.canonicalize([-1]))
@@ -145,7 +146,8 @@ def test_bloch_duality_complex_potential(line_lattice):
     from hillbands.operators import OperatorSpec, assemble
     from hillbands.potential import fold, random_phase
 
-    folded = fold(random_phase(4, nu=1, kappa0=1.0, seed=12), line_lattice)
+    folded = fold(random_phase(4, nu=1, kappa0=1.0, seed=12,
+                               alpha0=1.0, amplitude_scale=1.0), line_lattice)
     T = period(line_lattice.omega)
     m = assemble(line_lattice.ball(10.0), OperatorSpec(epsilon=0.05, k=0.27),
                  folded, line_lattice)
@@ -229,12 +231,13 @@ def floquet_cases(draw):
     if kind == "cosine":
         n0 = draw(st.sampled_from([[1], [2]] if nu == 1
                                   else [[1, 0], [0, 1], [1, 1]]))
-        coeffs = cosine(n0, kappa0=1.0)
+        coeffs = cosine(n0, kappa0=1.0, alpha0=1.0, amplitude=None)
     elif kind == "random_phase":
         coeffs = random_phase(2, nu=nu, kappa0=1.0,
-                              seed=draw(st.integers(0, 99)))
+                              seed=draw(st.integers(0, 99)), alpha0=1.0,
+                              amplitude_scale=1.0)
     else:
-        coeffs = exp_decay(2, nu=nu, kappa0=1.0)
+        coeffs = exp_decay(2, nu=nu, kappa0=1.0, alpha0=1.0)
     folded = fold(coeffs, lat, enforce_bound=False)
     T = period(lat.omega)
     # sqrt(E) T = j pi is a gap (or, at eps = 0, a band edge);
@@ -266,7 +269,8 @@ def test_collocation_matches_dop853(omega, E):
     # E = -0.5 lies below the spectrum: at omega = (1, 3/7) (T = 14) |Delta|
     # is about 2e4
     lat = QuotientLattice(FrequencyVector.parse(list(omega)))
-    folded = fold(random_phase(2, nu=lat.omega.nu, kappa0=1.0, seed=1), lat,
+    folded = fold(random_phase(2, nu=lat.omega.nu, kappa0=1.0, seed=1,
+                               alpha0=1.0, amplitude_scale=1.0), lat,
                   enforce_bound=False)
     T = period(lat.omega)
     reference = dop853_discriminant(E, 0.05, folded, T)
@@ -276,7 +280,8 @@ def test_collocation_matches_dop853(omega, E):
 
 def test_collocation_chunks_multiply_in_order(monkeypatch):
     lat = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
-    folded = fold(cosine([1, 0], kappa0=1.0), lat, enforce_bound=False)
+    folded = fold(cosine([1, 0], kappa0=1.0,
+                         alpha0=1.0, amplitude=None), lat, enforce_bound=False)
     T = period(lat.omega)
     whole = ivp_discriminant(3.0, 0.05, folded, T)
     monkeypatch.setattr(oracle, "COLLOCATION_CHUNK_STEPS", 7)
@@ -289,7 +294,8 @@ def test_collocation_chunks_multiply_in_order(monkeypatch):
        st.lists(st.floats(0.05, 60.0), min_size=1, max_size=6))
 def test_magnus_free_equation(omega, energies):
     lat = QuotientLattice(FrequencyVector.parse(list(omega)))
-    folded = fold(cosine([1] * lat.omega.nu, kappa0=1.0), lat,
+    folded = fold(cosine([1] * lat.omega.nu, kappa0=1.0, alpha0=1.0,
+                         amplitude=None), lat,
                   enforce_bound=False)
     T = float(period(lat.omega))
     data = floquet_scan(energies, 0.0, folded, period(lat.omega))
@@ -440,7 +446,8 @@ def test_wronskian_check_scales_with_the_monodromy(monkeypatch):
     # T = 14 below the spectrum: |Delta| reaches 4e8, and forming det M
     # loses about 1e-16 |M|^2, far above an absolute 1e-9
     lat = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
-    folded = fold(cosine([1, 0], kappa0=1.0), lat, enforce_bound=False)
+    folded = fold(cosine([1, 0], kappa0=1.0,
+                         alpha0=1.0, amplitude=None), lat, enforce_bound=False)
     T = period(lat.omega)
     energies = [-2.0, -0.5]
     delta, drift = oracle._discriminants(energies, 0.05, folded, T)
@@ -469,7 +476,8 @@ def test_floquet_rejects_nonfinite_energy(line_lattice, cosine_folded, E):
        st.sampled_from([0.0, 0.05]))
 def test_bloch_residual_matches_loop(omega, seed, k, E, eps):
     lat = QuotientLattice(FrequencyVector.parse(list(omega)))
-    folded = fold(random_phase(2, nu=lat.omega.nu, kappa0=1.0, seed=seed % 97),
+    folded = fold(random_phase(2, nu=lat.omega.nu, kappa0=1.0, seed=seed % 97,
+                               alpha0=1.0, amplitude_scale=1.0),
                   lat, enforce_bound=False)
     domain = lat.ball(3)
     rng = np.random.default_rng(seed)

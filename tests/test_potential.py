@@ -14,7 +14,7 @@ from oracles import eval_potential, eval_potential_raw
 
 
 def test_validate_exp_decay_ok():
-    c = exp_decay(5, nu=1, kappa0=1.0)
+    c = exp_decay(5, nu=1, kappa0=1.0, alpha0=1.0)
     assert validate(c) == []
 
 
@@ -40,7 +40,7 @@ def test_validate_flags_decay_violation():
 
 
 def test_fold_identity_on_rank0(line_lattice):
-    c = exp_decay(4, nu=1, kappa0=1.0)
+    c = exp_decay(4, nu=1, kappa0=1.0, alpha0=1.0)
     folded = fold(c, line_lattice)
     for n, v in c.entries.items():
         e = line_lattice.canonicalize(n)
@@ -49,14 +49,15 @@ def test_fold_identity_on_rank0(line_lattice):
 
 def test_fold_two_term_coset_sum(half_lattice):
     # (1,0) and (0,1) differ by (1,-1) in the null lattice: values add
-    c = multi_cosine([((1, 0), 0.25), ((0, 1), 0.25)], kappa0=0.5)
+    c = multi_cosine([((1, 0), 0.25), ((0, 1), 0.25)], kappa0=0.5, alpha0=1.0)
     folded = fold(c, half_lattice)
     e = half_lattice.canonicalize([1, 0])
     assert folded.value(e) == pytest.approx(0.5)
 
 
 def test_fold_matches_bruteforce_oracle(half_lattice):
-    c = random_phase(7, nu=2, kappa0=1.0, seed=42, amplitude_scale=0.9)
+    c = random_phase(7, nu=2, kappa0=1.0, seed=42, amplitude_scale=0.9,
+                     alpha0=1.0)
     folded = fold(c, half_lattice, enforce_bound=False)
     # independent oracle: classify cosets of span{(1,-1)} by a+b and sum
     sums = {}
@@ -68,7 +69,8 @@ def test_fold_matches_bruteforce_oracle(half_lattice):
 
 
 def test_folded_conjugate_symmetry_exact(half_lattice):
-    c = random_phase(5, nu=2, kappa0=1.0, seed=3, amplitude_scale=0.8)
+    c = random_phase(5, nu=2, kappa0=1.0, seed=3, amplitude_scale=0.8,
+                     alpha0=1.0)
     folded = fold(c, half_lattice, enforce_bound=False)
     for e, v in folded.entries.items():
         assert folded.value(half_lattice.neg(e)) == v.conjugate()
@@ -94,7 +96,7 @@ def test_eval_potential_zero(line_lattice):
 
 
 def test_eval_potential_cosine(line_lattice):
-    c = cosine([1], kappa0=0.1, amplitude=0.5)
+    c = cosine([1], kappa0=0.1, amplitude=0.5, alpha0=1.0)
     folded = fold(c, line_lattice)
     for x in (0.0, 0.1, 0.37, 0.5):
         assert eval_potential(x, folded) == pytest.approx(
@@ -102,7 +104,8 @@ def test_eval_potential_cosine(line_lattice):
 
 
 def test_eval_potential_periodicity(mixed_lattice):
-    c = random_phase(3, nu=2, kappa0=1.0, seed=7)
+    c = random_phase(3, nu=2, kappa0=1.0, seed=7, alpha0=1.0,
+                     amplitude_scale=1.0)
     folded = fold(c, mixed_lattice, enforce_bound=False)
     T = float(period(mixed_lattice.omega))
     rng = np.random.default_rng(0)
@@ -112,7 +115,8 @@ def test_eval_potential_periodicity(mixed_lattice):
 
 
 def test_fold_then_evaluate_equals_evaluate_then_restrict(half_lattice):
-    c = random_phase(4, nu=2, kappa0=1.0, seed=11, amplitude_scale=0.7)
+    c = random_phase(4, nu=2, kappa0=1.0, seed=11, amplitude_scale=0.7,
+                     alpha0=1.0)
     folded = fold(c, half_lattice, enforce_bound=False)
     rng = np.random.default_rng(5)
     for x in rng.uniform(-3, 3, 25):
@@ -121,7 +125,8 @@ def test_fold_then_evaluate_equals_evaluate_then_restrict(half_lattice):
 
 
 def test_eval_potential_nonreal_raises(line_lattice):
-    folded = fold(cosine([1], kappa0=0.1, amplitude=0.5), line_lattice)
+    folded = fold(cosine([1], kappa0=0.1, amplitude=0.5,
+                         alpha0=1.0), line_lattice)
     corrupted = dict(folded.entries)
     key = next(iter(corrupted))
     corrupted[key] = corrupted[key] + 0.2j
@@ -141,4 +146,4 @@ def test_fold_rejects_modes_without_nu_components():
     # the walk over nu-tuples would miss every 1-tuple and fold to zero
     lat = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
     with pytest.raises(ValueError, match="nu = 2"):
-        fold(cosine([2]), lat)
+        fold(cosine([2], kappa0=1.0, alpha0=1.0, amplitude=None), lat)

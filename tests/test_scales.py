@@ -54,8 +54,7 @@ def excluded_blocker_oracle(schedule, lat, k, scale, exempt=frozenset()):
     return None
 
 
-def resonance_profile_oracle(k, schedule, lat, truncation_R,
-                             width_override=None):
+def resonance_profile_oracle(k, schedule, lat, truncation_R):
     """(n_points, s_levels, reflection_sets), resonances ordered by (norm, rep)."""
     res = []
     for e in lat.ball(truncation_R):
@@ -65,10 +64,6 @@ def resonance_profile_oracle(k, schedule, lat, truncation_R,
         if shell is None:
             continue
         width = schedule.delta[shell] ** 0.75
-        if width_override is not None:
-            replaced = width_override(e, shell)
-            if replaced is not None:
-                width = replaced
         if abs(k - (-float(e.xi) / 2.0)) < width:
             res.append((e, shell))
     res.sort(key=lambda pair: pair[0].key())
@@ -84,7 +79,9 @@ def resonance_profile_oracle(k, schedule, lat, truncation_R,
 
 
 def test_schedule_example_values():
-    s = build_schedule("practical", s_max=3, R1=math.e**4, beta=0.5, eps0=1.0)
+    s = build_schedule("practical", s_max=3, R1=math.e**4, beta=0.5, eps0=1.0,
+                       a0=0.5, b0=2.0, kappa0=1.0, alpha0=1.0, nu=1,
+                       sigma_scale=1.0)
     assert s.delta[1] == pytest.approx(math.e**-16, rel=1e-12)
     assert s.R[2] == pytest.approx(math.e**8, rel=1e-12)
     assert s.delta[2] == pytest.approx(math.e**-64, rel=1e-12)
@@ -92,7 +89,9 @@ def test_schedule_example_values():
 
 
 def test_schedule_recurrence_relative_error():
-    s = build_schedule("practical", s_max=3, R1=math.e**4, beta=0.5, eps0=1.0)
+    s = build_schedule("practical", s_max=3, R1=math.e**4, beta=0.5, eps0=1.0,
+                       a0=0.5, b0=2.0, kappa0=1.0, alpha0=1.0, nu=1,
+                       sigma_scale=1.0)
     for u in range(2, s.s_max + 1):
         lhs = s.log_R[u]
         rhs = s.beta * s.log_R[u - 1] ** 2
@@ -103,7 +102,8 @@ def test_schedule_recurrence_relative_error():
 def test_schedule_infeasibility_detection():
     # log R^(u) = 4, 8, 32, 512: R^(4) fits, but delta0^(3) = e^-1024 does not
     schedule = build_schedule("practical", s_max=5, R1=math.e**4, beta=0.5,
-                              eps0=1.0)
+                              eps0=1.0, a0=0.5, b0=2.0, kappa0=1.0, alpha0=1.0,
+                              nu=1, sigma_scale=1.0)
     assert schedule.feasible_s == 3
     assert schedule.delta[3] == 0.0          # e^-1024 underflows
     assert schedule.log_delta[3] == -1024.0  # but the log view survives
@@ -115,15 +115,19 @@ def test_schedule_infeasibility_detection():
 
 def test_practical_preconditions():
     with pytest.raises(PreconditionFailed):
-        build_schedule("practical", s_max=2, R1=2.0, beta=0.5)  # R1 <= e
+        build_schedule("practical", s_max=2, R1=2.0, beta=0.5,
+                       a0=0.5, b0=2.0, kappa0=1.0, alpha0=1.0, nu=1,
+                       eps0=0.5, sigma_scale=1.0)  # R1 <= e
     with pytest.raises(PreconditionFailed):
-        build_schedule("practical", s_max=2, R1=10.0, beta=1.5)
+        build_schedule("practical", s_max=2, R1=10.0, beta=1.5, a0=0.5, b0=2.0,
+                       kappa0=1.0, alpha0=1.0, nu=1, eps0=0.5, sigma_scale=1.0)
 
 
 def test_strict_beta_value():
     # beta1 = 1/(32 b0); with kappa0 = 1 the R1 floor is only log(100/a0)
     s = build_schedule("strict", s_max=1, R1=250.0, a0=0.5, b0=2.0,
-                       kappa0=1.0, alpha0=1.0)
+                       kappa0=1.0, alpha0=1.0, beta=None, nu=1, eps0=0.5,
+                       sigma_scale=1.0)
     assert s.beta == pytest.approx(1.0 / 64.0)
 
 
@@ -136,7 +140,8 @@ def test_strict_mode_log_space_budget():
     # log delta0^(1) < log eps0 - log 4 (the sum is dominated by delta0^(1))
     # an int R1 past float64: log R1 = 13029 log 10 = 30000.6
     s = build_schedule("strict", s_max=2, R1=10**13029, a0=0.5, b0=2.0,
-                       kappa0=1.0, alpha0=1.0)
+                       kappa0=1.0, alpha0=1.0, beta=None, nu=1, eps0=0.5,
+                       sigma_scale=1.0)
     assert s.feasible_s == 0 and s.eps0 == 0.0  # nothing representable
     log_d0 = s.log_delta[0] / 4.0
     assert s.log_eps0 == strict_epsilon0_log(log_d0, 1.0, 1.0, 1)
@@ -148,11 +153,14 @@ def test_strict_mode_log_space_budget():
 def test_strict_r1_floor_enforced():
     with pytest.raises(PreconditionFailed):
         build_schedule("strict", s_max=1, R1=10.0, a0=0.5, b0=2.0,
-                       kappa0=1.0)
+                       kappa0=1.0, beta=None, alpha0=1.0, nu=1, eps0=0.5,
+                       sigma_scale=1.0)
 
 
 def test_epsilon_budget_examples():
-    s = build_schedule("practical", s_max=2, R1=12.0, beta=0.5, eps0=1.0)
+    s = build_schedule("practical", s_max=2, R1=12.0, beta=0.5, eps0=1.0,
+                       a0=0.5, b0=2.0, kappa0=1.0, alpha0=1.0, nu=1,
+                       sigma_scale=1.0)
     # eps_s = eps0 - sum delta0^(s'), hand-checked
     assert s.eps[1] == pytest.approx(1.0 - s.delta[1])
     assert s.eps[2] == pytest.approx(1.0 - s.delta[1] - s.delta[2])
@@ -242,31 +250,28 @@ def test_resonance_profile_oracle_equivalence(line_lattice, toy_schedule):
         assert set(p.n_points) == expected
 
 
-def _two_resonance_profile(line_lattice, toy_schedule):
-    # per-element width override makes exactly n=1 and n=9 resonate at
-    # k = -0.45 (uniform k_n spacing rules this out with per-shell widths)
-    def widths(e, shell):
-        if e.rep == (1,):
-            return 0.06
-        if e.rep == (9,):
-            return 4.2
-        return None
-
-    return resonance_profile(-0.45, toy_schedule, line_lattice,
-                             truncation_R=12.0, width_override=widths)
+def _two_resonance_profile():
+    """The profile of k = 0.225 on omega = (1, 3/7) under the resonant_2d
+    benchmark schedule: n = [-1, 0] and [0, -2] both resonate on shell 1."""
+    lat = QuotientLattice(FrequencyVector.parse(["1", "3/7"]))
+    schedule = build_schedule("practical", s_max=2, R1=9.0, beta=0.5,
+                              a0=0.5, b0=2.0, kappa0=0.5, alpha0=1.0, nu=2,
+                              eps0=0.5, sigma_scale=1e-8)
+    profile = resonance_profile(0.225, schedule, lat, truncation_R=6.0)
+    return lat, schedule, profile
 
 
-def test_two_resonance_synthetic_reflection_sets(line_lattice, toy_schedule):
-    lat = line_lattice
-    p = _two_resonance_profile(line_lattice, toy_schedule)
-    n1 = lat.canonicalize([1])
-    n2 = lat.canonicalize([9])
+def test_two_resonance_reflection_sets():
+    lat, _, p = _two_resonance_profile()
+    n1 = lat.canonicalize([-1, 0])
+    n2 = lat.canonicalize([0, -2])
     assert p.n_points == (n1, n2)
+    assert (p.ell, p.s_levels) == (1, (1, 1))
     m0 = {lat.identity, n1}
     m1 = m0 | {lat.sub(n2, x) for x in m0}
-    assert p.reflection_sets[0] == frozenset(x.t for x in m0)
-    assert p.reflection_sets[1] == frozenset(x.t for x in m1)
-    assert len(p.reflection_sets[1]) == 4
+    assert p.reflection_sets[0] == frozenset(x.t for x in m0) == {-7, 0}
+    assert p.reflection_sets[1] == frozenset(x.t for x in m1) \
+        == {-7, -6, 0, 1}
     # reflection invariance: T_{n^(l)}(m^(l)) = m^(l)
     for ell, refl in enumerate(p.reflection_sets):
         n_ell = p.n_points[ell]
@@ -285,14 +290,15 @@ def test_ordering_audit_single_resonance(line_lattice, toy_schedule):
     assert rep.passed and rep.checked_pairs == 0  # vacuous
 
 
-def test_ordering_audit_flags_adversarial_widths(line_lattice, toy_schedule):
-    # adversarial widths put the second resonance at |n|=9 although the
-    # separation lemma demands |n^(1)| > R^(s^(0)+1)/2 = R^(2)/2 ~ 10.9
-    p = _two_resonance_profile(line_lattice, toy_schedule)
-    rep = resonance_gap_ordering_audit(p, toy_schedule)
+def test_ordering_audit_flags_a_close_second_resonance():
+    # the second resonance has |n| = 2 although the separation lemma
+    # demands |n^(1)| > R^(s^(0)+1)/2 = R^(2)/2 ~ 5.59
+    _, schedule, p = _two_resonance_profile()
+    rep = resonance_gap_ordering_audit(p, schedule)
     assert rep.checked_pairs == 1
-    assert 9 <= 0.5 * toy_schedule.R[2]
+    assert 2 <= 0.5 * schedule.R[2] == pytest.approx(5.5887, abs=1e-4)
     assert not rep.passed and len(rep.violations) == 1
+    assert rep.violations[0][:2] == p.n_points
 
 
 # --- the mode table against the scalar oracles ---
@@ -311,7 +317,8 @@ def _table_lattice(omega):
 @functools.lru_cache(maxsize=None)
 def _table_schedule(R1, beta, sigma_scale):
     return build_schedule("practical", s_max=2, R1=R1, beta=beta, eps0=0.5,
-                          sigma_scale=sigma_scale)
+                          sigma_scale=sigma_scale, a0=0.5, b0=2.0, kappa0=1.0,
+                          alpha0=1.0, nu=1)
 
 
 def _bits(x):

@@ -26,7 +26,8 @@ from .scales import (ModeTable, ResonanceProfile, ScaleSchedule, k_of,
                      mode_table, resonance_profile)
 from .schur import q_g_functions
 from .eigensolve import PuncturedResolvent, solve_simple, solve_pair
-from .oracle import dense_spectrum, floquet_gap_edges, period, refine_root
+from .oracle import (CROSSCHECK_TOL, dense_spectrum, floquet_gap_edges,
+                     floquet_scan, period, refine_root)
 
 # increments at desk scale sit below float64 resolution; audits use this floor
 NOISE_FLOOR_ULPS = 256.0
@@ -38,9 +39,9 @@ GAP_EDGE_CROSSCHECK_TOL = 1e-9
 # E(k) = E(-k) and phi(n; -k) = conj(phi(-n; k)) hold exactly; this is the
 # allowed difference between the two independent solves at k and -k
 SYMMETRY_TOL = 1e-9
-# dense_recheck: allowed |E - nearest dense eigenvalue| per ||H||_inf
+# dense_recheck: allowed |E - its indexed dense eigenvalue| per ||H||_inf
 DENSE_RECHECK_TOL = 1e-8
-# floquet_gap_edges: allowed |Floquet edge - dual-matrix edge|
+# floquet_gap_edges: allowed |Floquet edge - dual edge|; a closed gap's offset
 FLOQUET_EDGE_TOL = 1e-5
 
 
@@ -568,8 +569,9 @@ def gap_spectrum_audit(ctx: BandContext, gap: GapRecord) -> AuditRecord:
 
 def dense_recheck_audit(ctx: BandContext,
                         points: Sequence[BandPoint]) -> AuditRecord:
-    """Each E(k) within DENSE_RECHECK_TOL ||H||_inf of the dense eigenvalue
-    of B(truncation_R) nearest (2 pi)^2 k^2; a sample without E fails it."""
+    """Each E(k) within DENSE_RECHECK_TOL ||H||_inf of eigenvalue number
+    j = #{n : Re H_nn < Re H_00} (from 0) of B(truncation_R): the eigenvalues
+    E(k + xi_n) sort as the diagonals do. A sample without E fails it."""
     worst = 0.0
     checked = 0
     ball = ctx.lat.ball(ctx.truncation_R)
@@ -579,8 +581,9 @@ def dense_recheck_audit(ctx: BandContext,
         checked += 1
         matrix = assemble(ball, ctx.spec(p.k), ctx.folded, ctx.lat)
         w, _ = dense_spectrum(matrix)
-        nearest = w[np.argmin(np.abs(w - TWO_PI_SQ * p.k ** 2))]
-        worst = max(worst, float(abs(p.E - nearest) / matrix.norm_bound()))
+        v = matrix.diagonal.real
+        j = int(np.count_nonzero(v < v[matrix.row_of(ctx.lat.identity)]))
+        worst = max(worst, float(abs(p.E - w[j]) / matrix.norm_bound()))
     return AuditRecord(name="dense_recheck",
                        passed=checked == len(points)
                        and worst <= DENSE_RECHECK_TOL,
@@ -590,16 +593,28 @@ def dense_recheck_audit(ctx: BandContext,
 
 
 def floquet_gap_edge_audit(ctx: BandContext, gap: GapRecord) -> AuditRecord:
-    """The gap's edges against the Floquet edges, the roots of
-    |Delta(E)| = 2 in brackets reaching 8 max(width, 1e-4) past each edge;
-    raises PreconditionFailed when a bracket holds no root (a closed gap)."""
-    center = 0.5 * (gap.E_minus + gap.E_plus)
-    width = max(gap.width, 1e-4)
-    lo, hi = floquet_gap_edges((gap.E_minus - 8.0 * width, center),
-                               (center, gap.E_plus + 8.0 * width),
-                               ctx.eps, ctx.folded, period(ctx.lat.omega))
-    err = max(abs(lo - gap.E_minus), abs(hi - gap.E_plus))
-    return AuditRecord(name="floquet_gap_edges", passed=err <= FLOQUET_EDGE_TOL,
+    """An open gap's edges within FLOQUET_EDGE_TOL of the floquet_gap_edges
+    roots; an edge without one fails. A closed gap E_minus == E_plus = E0
+    passes when |Delta| <= 2 at E0 +- FLOQUET_EDGE_TOL and ||Delta(E0)| - 2|
+    <= CROSSCHECK_TOL max(1, |Delta|), all three from one floquet_scan."""
+    T = period(ctx.lat.omega)
+    if gap.E_minus == gap.E_plus:
+        E0 = gap.E_minus
+        below, at, above = floquet_scan(
+            [E0 - FLOQUET_EDGE_TOL, E0, E0 + FLOQUET_EDGE_TOL], ctx.eps,
+            ctx.folded, T).discriminant
+        passed = (max(abs(below), abs(above)) <= 2.0
+                  and abs(abs(at) - 2.0) <= CROSSCHECK_TOL * max(1.0, abs(at)))
+        return AuditRecord(name="floquet_gap_edges", passed=passed, checked=3,
+                           details={"m": list(gap.m.rep), "closed": True,
+                                    "discriminants": [below, at, above],
+                                    "tolerance": CROSSCHECK_TOL})
+    lo, hi = floquet_gap_edges(gap.E_minus, gap.E_plus, ctx.eps, ctx.folded,
+                               T)
+    err = None if lo is None or hi is None else max(abs(lo - gap.E_minus),
+                                                    abs(hi - gap.E_plus))
+    return AuditRecord(name="floquet_gap_edges",
+                       passed=err is not None and err <= FLOQUET_EDGE_TOL,
                        checked=2,
                        details={"m": list(gap.m.rep), "floquet_edges": [lo, hi],
                                 "max_difference": err,

@@ -20,8 +20,7 @@ import numpy as np
 
 from ._lapack import flapack
 from .errors import (AdmissibilityFailed, HypothesisFailed, NoConvergence,
-                     OrderingFailed, PreconditionFailed, RootCountMismatch,
-                     SingularBlock)
+                     OrderingFailed, RootCountMismatch, SingularBlock)
 from .lattice import GroupElement
 from .operators import DualMatrix
 from .oracle import refine_root
@@ -58,10 +57,11 @@ class PuncturedResolvent:
     block diagonal (``_eigh_chains``); only the chain blocks of Z are kept.
     Afterwards Q(p, E), G(p, q, E) and the tail (E - H_punctured)^{-1} x
     cost O(n) per E from the projections Z^T U^H h(., p), for a scalar E or
-    an array of them; the dense-solve route in q_g_functions stays the
-    independent cross-check. With two principals the same weights count the
-    eigenvalues of the whole matrix H below any x (count_below), which
-    brackets them by a search on those counts without a dense eigensolve.
+    an array of them; the dense solve of q_g_functions stays the
+    independent cross-check of a pair. With two principals the same weights
+    count the eigenvalues of the whole matrix H below any x (count_below),
+    which brackets them by a search on those counts without a dense
+    eigensolve.
     """
 
     def __init__(self, matrix: DualMatrix, principal):
@@ -508,15 +508,8 @@ _EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
-class DichotomyResult:
-    case: str           # "plus_case" | "minus_case"
-    lam: float
-    gamma: float
-
-
-@dataclass(frozen=True)
 class DichotomyArrays:
-    """The checks of quadratic_dichotomy, elementwise over its inputs."""
+    """The checks of the quadratic dichotomy, elementwise over its inputs."""
 
     ordered: np.ndarray     # a1 > a2
     expr: np.ndarray        # (u - a1)(u - a2) - b^2
@@ -531,16 +524,19 @@ class DichotomyArrays:
 
     @property
     def classified(self) -> np.ndarray:
-        """Where quadratic_dichotomy returns a case instead of raising."""
+        """Where exactly one case holds, with u inside the bracket."""
         return (self.ordered & self.in_range & (self.plus != self.minus)
                 & self.bracket_ok)
 
 
 def dichotomy_core(a1, a2, b, u) -> DichotomyArrays:
-    """quadratic_dichotomy over float64 arrays (or float64 scalars) at once.
-
-    Where a precondition fails the later fields are meaningless; the inf and
-    nan such elements produce are not warned about.
+    """Classify solutions u of |(u-a1)(u-a2) - b^2| < (a1-a2)^2 / 4 over
+    float64 arrays (or float64 scalars) at once: ``classified`` holds where
+    exactly one case holds and u lies in the universal bracket
+    a2 - |gamma|(a1-a2) - |b| <= u <= a1 + |gamma|(a1-a2) + |b|, each check
+    within the rounding margin below. Where a precondition fails the later
+    fields are meaningless; the inf and nan such elements produce are not
+    warned about.
 
     |expr| is exactly the bound at a case threshold (a1 + a2 +- 2|b|)/2,
     which floats place to within 3 ulps of the largest operand S. The bound
@@ -585,35 +581,6 @@ def dichotomy_core(a1, a2, b, u) -> DichotomyArrays:
                            margin=margin, in_range=in_range, lam=lam,
                            gamma=gamma, plus=plus, minus=minus,
                            bracket_ok=bracket_ok)
-
-
-def quadratic_dichotomy(a1: float, a2: float, b: float, u: float) -> DichotomyResult:
-    """Classify a solution of |(u-a1)(u-a2) - b^2| < (a1-a2)^2 / 4, less the
-    rounding margin of dichotomy_core.
-
-    Exactly one of the two cases holds; the universal bracket
-    a2 - |gamma|(a1-a2) - |b| <= u <= a1 + |gamma|(a1-a2) + |b| is asserted,
-    both within the rounding margin.
-    Evaluated by dichotomy_core on float64 scalars. Raises
-    PreconditionFailed when a1 <= a2 or the inequality fails, then
-    HypothesisFailed when both or neither case holds or u escapes the
-    bracket.
-    """
-    r = dichotomy_core(np.float64(a1), np.float64(a2), np.float64(b),
-                       np.float64(u))
-    if not r.ordered:
-        raise PreconditionFailed("require a1 > a2")
-    if not r.in_range:
-        raise PreconditionFailed(
-            f"|(u-a1)(u-a2) - b^2| = {abs(r.expr):.3e} not < (a1-a2)^2/4 = "
-            f"{r.bound:.3e} less the rounding margin {r.margin:.3e}")
-    if r.plus == r.minus:
-        raise HypothesisFailed("dichotomy exclusivity",
-                               f"plus={bool(r.plus)} minus={bool(r.minus)} at u={u}")
-    if not r.bracket_ok:
-        raise HypothesisFailed("dichotomy bracket", f"u={u} escapes the bracket")
-    return DichotomyResult(case="plus_case" if r.plus else "minus_case",
-                           lam=float(r.lam), gamma=float(r.gamma))
 
 
 # --- continued-fraction-functions ---

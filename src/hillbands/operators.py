@@ -98,8 +98,9 @@ class DualMatrix:
 
 
 def order_domain(domain) -> tuple[GroupElement, ...]:
-    """Deterministic layout: sort by (norm, lexicographic rep)."""
-    return tuple(sorted(set(domain), key=GroupElement.key))
+    """Deterministic layout: sort by (norm, lexicographic rep). dict.fromkeys
+    keeps a sorted input (a cached ball) sorted, so its sort is linear."""
+    return tuple(sorted(dict.fromkeys(domain), key=GroupElement.key))
 
 
 def assemble(domain: Sequence[GroupElement], spec: OperatorSpec,

@@ -384,20 +384,16 @@ def floquet_discriminant(E: float, eps: float, folded: FoldedCoefficients,
     return float(delta[0])
 
 
-def floquet_gap_edges(bracket_low: tuple[float, float],
-                      bracket_high: tuple[float, float], eps: float,
+def floquet_gap_edges(E_minus: float, E_plus: float, eps: float,
                       folded: FoldedCoefficients, T: Fraction
-                      ) -> tuple[float, float]:
-    """Gap edges by refine_root on |Delta| - 2 inside each one-sided
-    bracket, to 1e-10; NoConvergence when an edge does not converge or
-    Delta is NaN.
-
-    In a gap |Delta| > 2 and on band interiors |Delta| < 2; the brackets must
-    straddle one crossing each (typically seeded from the dense spectrum),
-    else PreconditionFailed. Each distinct energy is integrated once: the
-    straddle check and Brent's first steps read the same ends, and the two
-    brackets typically share their inner end.
-    """
+                      ) -> tuple[float | None, float | None]:
+    """The Floquet edges of the dual gap [E_minus, E_plus]: the roots of
+    |Delta| - 2 by refine_root to 1e-10 in (E_minus - 8 w, c) and
+    (c, E_plus + 8 w), c the midpoint and w = max(E_plus - E_minus, 1e-4).
+    An edge whose bracket ends give |Delta| - 2 the same sign is None;
+    NoConvergence when an edge does not converge or Delta is NaN. Each
+    distinct energy is integrated once (the sign checks and Brent's first
+    steps read the same ends, and the brackets share c)."""
     values: dict[float, float] = {}
 
     def g(E: float) -> float:
@@ -405,15 +401,15 @@ def floquet_gap_edges(bracket_low: tuple[float, float],
             values[E] = abs(floquet_discriminant(E, eps, folded, T)) - 2.0
         return values[E]
 
-    def edge(bracket):
-        a, b = bracket
+    def edge(a: float, b: float) -> float | None:
         if g(a) * g(b) > 0:
-            raise PreconditionFailed(
-                f"bracket ({a}, {b}) does not straddle |Delta| = 2"
-            )
+            return None
         return refine_root(g, a, b, 1e-10)
 
-    return edge(bracket_low), edge(bracket_high)
+    center = 0.5 * (E_minus + E_plus)
+    width = max(E_plus - E_minus, 1e-4)
+    return (edge(E_minus - 8.0 * width, center),
+            edge(center, E_plus + 8.0 * width))
 
 
 def floquet_scan(E_grid, eps: float, folded: FoldedCoefficients,

@@ -1,4 +1,4 @@
-"""Schur-complement resolvent engine, Q/G/F functions, trajectory weights.
+"""Schur-complement resolvent engine, Q/G functions, trajectory weights.
 
 The weight bookkeeping follows the combinatorial definitions exactly: a
 trajectory is a sequence of points of Lambda with consecutive points distinct,
@@ -115,56 +115,47 @@ def schur_block_inverse(H: np.ndarray, split: tuple[Sequence[int], Sequence[int]
 
 @dataclass(frozen=True)
 class QGResult:
-    """Q values, G couplings and the F vector."""
+    """Q values and G couplings of a pair of principal points."""
 
-    principal: tuple[int, ...]          # indices into the domain ordering
-    others: tuple[int, ...]
     Q: dict                             # principal index -> Q value (real for real data)
-    G: dict                             # (i, j) principal pairs -> G value
-    F: np.ndarray | None                # F(m0, n) over others (single principal only)
+    G: dict                             # (p, q) and (q, p) -> G value
 
 
 def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float) -> QGResult:
-    """Q, G, F relative to one or two principal points, from one Hermitian
+    """Q and G relative to a pair of principal points, from one Hermitian
     solve (E - H_punctured) X = h(., principal); no inverse is formed.
 
-    Q(p) = h(p,.) X(., p); G(p,q) = h(p,q) + h(p,.) X(., q); F(p,n) = X(n, p).
-    H exactly Hermitian; SingularBlock by the rule of _hermitian_solve.
-    Self-adjointness (Q real, G_{pq} = conj(G_{qp})) verified for real inputs.
+    Q(p) = h(p,.) X(., p); G(p,q) = h(p,q) + h(p,.) X(., q). ValueError
+    unless principal is two distinct indices. H exactly Hermitian;
+    SingularBlock by the rule of _hermitian_solve. Self-adjointness (Q real,
+    G_{pq} = conj(G_{qp})) verified for real inputs.
     """
     _require_hermitian(H)
-    n = H.shape[0]
     principal = tuple(int(p) for p in principal)
-    others = tuple(i for i in range(n) if i not in principal)
-    if not others:
+    if len(principal) != 2 or principal[0] == principal[1]:
+        raise ValueError(f"principal {principal} is not two distinct indices")
+    rows = [i for i in range(H.shape[0]) if i not in principal]
+    if not rows:
         raise ValueError("puncturing removed the whole domain")
-    rows = list(others)
-    A = E * np.eye(len(others), dtype=np.complex128) - H[np.ix_(rows, rows)]
+    A = E * np.eye(len(rows), dtype=np.complex128) - H[np.ix_(rows, rows)]
     X = _hermitian_solve(A, H[np.ix_(rows, principal)],
                          "punctured block (E - H_punctured)")
     column = dict(zip(principal, X.T))
     Q: dict = {}
-    G: dict = {}
     for p in principal:
         q_val = complex(H[p, rows] @ column[p])
         if abs(q_val.imag) > HERMITIAN_TOL * max(1.0, abs(q_val)):
             raise HypothesisFailed("Q self-adjointness",
                                    f"Im Q = {q_val.imag:.3e}")
         Q[p] = q_val.real
-    for p in principal:
-        for q in principal:
-            if p == q:
-                continue
-            G[(p, q)] = complex(H[p, q] + H[p, rows] @ column[q])
-    if len(principal) == 2:
-        p, q = principal
-        mismatch = abs(G[(p, q)] - np.conj(G[(q, p)]))
-        scale = max(1.0, abs(G[(p, q)]))
-        if mismatch > HERMITIAN_TOL * scale:
-            raise HypothesisFailed("G conjugate symmetry",
-                                   f"|G_pq - conj(G_qp)| = {mismatch:.3e}")
-    F = column[principal[0]] if len(principal) == 1 else None
-    return QGResult(principal=principal, others=others, Q=Q, G=G, F=F)
+    p, q = principal
+    G = {(a, b): complex(H[a, b] + H[a, rows] @ column[b])
+         for a, b in ((p, q), (q, p))}
+    mismatch = abs(G[(p, q)] - np.conj(G[(q, p)]))
+    if mismatch > HERMITIAN_TOL * max(1.0, abs(G[(p, q)])):
+        raise HypothesisFailed("G conjugate symmetry",
+                               f"|G_pq - conj(G_qp)| = {mismatch:.3e}")
+    return QGResult(Q=Q, G=G)
 
 
 # --- trajectory weights ---

@@ -4,8 +4,9 @@ Each one computes the same quantity as a faster route in ``hillbands`` by the
 direct formula: xi as a Fraction sum over the vector, the potential summed
 over the unfolded coefficients and, one coset at a time, over the folded
 ones, the dual matrix gathered row by row, and the tridiagonal eigensolve by
-one dstevd call on the whole matrix, and a coset's least representative by
-a search over the translates by the null lattice N(omega). The spectral
+one dstevd call on the whole matrix, the Q, G and tails of a punctured
+block by a dense solve, and a coset's least representative by a search over
+the translates by the null lattice N(omega). The spectral
 conjugation checks compare dense spectra of assembled matrices, and
 ``dense_dual_matrix`` wraps a dense H, built by a test, as a DualMatrix.
 """
@@ -224,6 +225,20 @@ def whole_dstevd(d, e):
     on the whole of T; a NaN or inf in d or e raises ValueError. The chain
     split of ``eigensolve._eigh_chains`` reproduces it."""
     return _stevd(np.asarray_chkfinite(d), np.asarray_chkfinite(e))
+
+
+def dense_q_g(H, principal, E):
+    """Q(p) = h(p,.) F(p), G(p, q) = h(p, q) + h(p,.) F(q) and the tails
+    F(p) = (E - H_punctured)^{-1} h(., p), by numpy's dense solve, for one or
+    two principals: the reference values of the punctured resolvent."""
+    others = [i for i in range(H.shape[0]) if i not in principal]
+    A = E * np.eye(len(others)) - H[np.ix_(others, others)]
+    F = dict(zip(principal, np.linalg.solve(
+        A, H[np.ix_(others, list(principal))]).T))
+    Q = {p: float((H[p, others] @ F[p]).real) for p in principal}
+    G = {(p, q): complex(H[p, q] + H[p, others] @ F[q])
+         for p in principal for q in principal if p != q}
+    return Q, G, F
 
 
 def translated_domain(domain, m, lat):

@@ -255,7 +255,7 @@ class _DenseQG:
         return q_g_functions(self.H, self.principal, E).G[(p, q)]
 
 
-def random_phase_2d_context(omega):
+def random_phase_2d_context(omega, coupling=0.05):
     """The resonant_2d benchmark's data (complex random_phase, seed 1) on
     the given nu = 2 frequency."""
     return build_context({
@@ -263,7 +263,7 @@ def random_phase_2d_context(omega):
         "potential": {"kind": "random_phase", "support_radius": 2,
                       "amplitude_scale": 0.5, "kappa0": 0.5, "alpha0": 1.0,
                       "seed": 1},
-        "coupling": 0.05,
+        "coupling": coupling,
         "schedule": {"beta": 0.5, "R1": 9.0, "s_max": 2, "s_cap": 1,
                      "sigma_scale": 1e-8, "eps0": 0.5},
         "truncation_R": 6,
@@ -290,11 +290,8 @@ def test_gap_edges_match_floquet_with_a_folded_zero_mode(omega):
     ctx = random_phase_2d_context(omega)
     assert abs(ctx.folded.value(ctx.lat.identity)) > 0.03
     gap = gap_edges(ctx, ctx.lat.canonicalize([0, 1]))
-    center = 0.5 * (gap.E_minus + gap.E_plus)
-    width = max(gap.width, 1e-4)
-    lo, hi = floquet_gap_edges((gap.E_minus - 8.0 * width, center),
-                               (center, gap.E_plus + 8.0 * width), ctx.eps,
-                               ctx.folded, period(ctx.lat.omega))
+    lo, hi = floquet_gap_edges(gap.E_minus, gap.E_plus, ctx.eps, ctx.folded,
+                               period(ctx.lat.omega))
     for dual, ode in ((gap.E_minus, lo), (gap.E_plus, hi)):
         assert abs(dual - ode) <= 1e-9 * max(1.0, abs(dual))
 
@@ -437,6 +434,55 @@ def test_dense_recheck_audit_fails_on_a_shifted_energy(toy_context):
     rec = dense_recheck_audit(toy_context,
                               [points[0], _synthetic_point(0.2, None)])
     assert rec.passed is False and rec.checked == 1
+
+
+@pytest.mark.parametrize("omega, coupling, ks", [
+    (["1", "5/8"], 0.2, [0.03]), (["1", "3/7"], 0.5, [0.03, 0.07])])
+def test_dense_recheck_audit_labels_E_by_the_index_rule(omega, coupling, ks):
+    # pair samples whose E is eigenvalue j = #{n : v(n) < v(0)} of
+    # B(truncation_R) to 1e-16 ||H||_inf, while the eigenvalue nearest
+    # (2 pi)^2 k^2 is number j + 1, 6.6e-6 ||H||_inf (5/8) and 1.2e-4 (3/7)
+    # away
+    ctx = random_phase_2d_context(omega, coupling)
+    points = band_curve(ctx, ks)
+    assert [p.klass for p in points] == ["OPR"] * len(ks)
+    rec = dense_recheck_audit(ctx, points)
+    assert rec.passed and rec.checked == len(ks)
+    assert rec.details["max_difference"] <= 1e-16
+
+
+def test_floquet_gap_edge_audit_on_a_closed_gap():
+    # the cosine at n0 = (1, 0) with kappa0 = 0.5 leaves the (0, 1) gap
+    # closed: |Delta| - 2 is about -1e-8 at E0 +- 1e-5 and 2e-15 at E0
+    ctx = build_context({
+        "lattice": {"nu": 2, "omega": ["1", "3/7"]},
+        "potential": {"kind": "cosine", "n0": [1, 0], "kappa0": 0.5},
+        "coupling": 0.05,
+        "schedule": {"beta": 0.5, "R1": 9.0, "s_max": 2, "s_cap": 1,
+                     "sigma_scale": 1e-8, "eps0": 0.5},
+        "truncation_R": 6,
+    })
+    gap = gap_edges(ctx, ctx.lat.canonicalize([0, 1]))
+    assert gap.E_minus == gap.E_plus
+    rec = floquet_gap_edge_audit(ctx, gap)
+    assert rec.passed and rec.checked == 3 and rec.details["closed"] is True
+    below, at, above = rec.details["discriminants"]
+    assert max(abs(below), abs(above)) < 2.0 < abs(at) + 1e-12
+    E = gap.E_minus + 1e-3
+    moved = floquet_gap_edge_audit(
+        ctx, dataclasses.replace(gap, E_minus=E, E_plus=E))
+    assert moved.passed is False and moved.details["closed"] is True
+
+
+def test_floquet_gap_edge_audit_fails_an_open_gap_without_floquet_edges(
+        toy_context):
+    # [20, 20.1] lies inside a band of the toy: no Floquet edge near it
+    gap = gap_edges(toy_context, toy_context.lat.canonicalize([-1]))
+    rec = floquet_gap_edge_audit(
+        toy_context, dataclasses.replace(gap, E_minus=20.0, E_plus=20.1))
+    assert rec.passed is False
+    assert rec.details["floquet_edges"] == [None, None]
+    assert rec.details["max_difference"] is None
 
 
 @pytest.mark.parametrize("edge", ["E_minus", "E_plus"])

@@ -640,46 +640,54 @@ def test_decay_fit_is_the_decay_audit_rate(tmp_path):
             assert rates == [] and fits == [None] * len(fits)
 
 
-def test_floquet_gap_edges_on_a_closed_gap_is_one_failure_and_the_rest_run(
-        tmp_path, capsys):
-    # at kappa0 = 0.5 the cosine's (0, 1) gap is too narrow for the Floquet
-    # brackets of the floquet_gap_edges audit, and floquet_gap_edges raises
-    # PreconditionFailed: the run lists that audit under failures with its
-    # gap, the other audits still run, every file is written, and the exit
-    # code is 1
+# kappa0 = 0.5: the cosine at n0 = (1, 0) couples t only to t + 7Z, so the
+# gap at m = (0, 1) (t = 3) is closed, E- = E+ exactly
+CLOSED_GAP = dict(RESONANT_2D, potential={"kind": "cosine", "n0": [1, 0],
+                                          "kappa0": 0.5},
+                  gaps=[[0, 1], [1, 0]])
+
+
+def test_floquet_gap_edges_reports_a_closed_gap_as_closed(tmp_path):
+    # the closed (0, 1) gap is a verdict of the audit, as the open (1, 0)
+    # gap is: both records pass, and the run exits 0
     cfg = write_config(tmp_path, dict(
-        RESONANT_2D, potential={"kind": "cosine", "n0": [1, 0],
-                                "kappa0": 0.5},
-        audits=["symmetry", "increments", "dense_recheck",
-                "floquet_gap_edges", "floquet"],
+        CLOSED_GAP, audits=["symmetry", "increments", "dense_recheck",
+                            "floquet_gap_edges", "floquet"],
         floquet_grid={"count": 5}))
     out = tmp_path / "out"
-    assert main(["band", str(cfg), "--output-dir", str(out)]) == 1
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 0
     payload = json.loads((out / "report.json").read_text())
-    failures = payload["failures"]
-    assert [(f["kind"], f["name"]) for f in failures] == [
-        ("audit", "floquet_gap_edges m=[0, 1]")]
-    assert failures[0]["detail"].startswith("PreconditionFailed: bracket")
-    assert [(a["name"], a["passed"]) for a in payload["report"]["audits"]] == [
+    assert payload["failures"] == []
+    gaps = payload["report"]["gaps"]
+    assert gaps[0]["E_minus"] == gaps[0]["E_plus"]
+    audits = payload["report"]["audits"]
+    assert [(a["name"], a["passed"]) for a in audits] == [
         ("symmetry", True), ("conjugate_reflection", True),
-        ("scale_increments", True), ("dense_recheck", True)]
+        ("scale_increments", True), ("dense_recheck", True),
+        ("floquet_gap_edges", True), ("floquet_gap_edges", True)]
+    closed, open_ = audits[4]["details"], audits[5]["details"]
+    assert closed["m"] == [0, 1] and closed["closed"] is True
+    assert len(closed["discriminants"]) == 3
+    assert open_["m"] == [1, 0] and "closed" not in open_
     assert (out / "floquet.csv").exists()
-    assert capsys.readouterr().err.startswith(
-        "failed audit floquet_gap_edges m=[0, 1]: PreconditionFailed: bracket")
 
 
-def test_a_gap_that_raises_leaves_the_other_gaps_of_its_audit(tmp_path):
-    # the closed (0, 1) gap raises in floquet_gap_edges; the (1, 0) gap
-    # listed after it is still checked, and passes
+def test_a_gap_that_raises_leaves_the_other_gaps_of_its_audit(
+        tmp_path, monkeypatch):
+    # the scan of the closed (0, 1) gap raises; the (1, 0) gap listed after
+    # it is still checked, and passes
+    def failing_scan(*args):
+        raise IntegratorFailure("injected")
+
+    monkeypatch.setattr(band, "floquet_scan", failing_scan)
     cfg = write_config(tmp_path, dict(
-        RESONANT_2D, potential={"kind": "cosine", "n0": [1, 0],
-                                "kappa0": 0.5},
-        gaps=[[0, 1], [1, 0]], audits=["gap_spectrum", "floquet_gap_edges"]))
+        CLOSED_GAP, audits=["gap_spectrum", "floquet_gap_edges"]))
     out = tmp_path / "out"
     assert main(["band", str(cfg), "--output-dir", str(out)]) == 1
     payload = json.loads((out / "report.json").read_text())
     assert [(f["kind"], f["name"]) for f in payload["failures"]] == [
         ("audit", "floquet_gap_edges m=[0, 1]")]
+    assert payload["failures"][0]["detail"] == "IntegratorFailure: injected"
     assert [(a["name"], a["passed"], a["details"].get("m"))
             for a in payload["report"]["audits"]] == [
         ("gap_spectrum", True, None), ("gap_spectrum", True, None),

@@ -11,12 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hillbands.eigensolve import (ROOT_TOL, CffNode, DichotomyResult,
-                                  PuncturedResolvent, _eigh_chains, _stevd,
-                                  _sign_change_roots,
-                                  cff_branch_solve,
-                                  cff_build, dichotomy_core, leaf,
-                                  quadratic_dichotomy, refine_root,
+from hillbands.eigensolve import (ROOT_TOL, CffNode, PuncturedResolvent,
+                                  _eigh_chains, _stevd, _sign_change_roots,
+                                  cff_branch_solve, cff_build,
+                                  dichotomy_core, leaf, refine_root,
                                   solve_pair, solve_simple)
 from hillbands.errors import (AdmissibilityFailed, HypothesisFailed,
                               NoConvergence, OrderingFailed,
@@ -26,9 +24,8 @@ from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.operators import TWO_PI_SQ, OperatorSpec, assemble
 from hillbands.oracle import dense_spectrum
 from hillbands.potential import cosine, fold, random_phase
-from hillbands.schur import q_g_functions
 
-from oracles import translated_domain, whole_dstevd
+from oracles import dense_q_g, translated_domain, whole_dstevd
 
 EPS = float(np.finfo(float).eps)
 
@@ -97,16 +94,14 @@ def test_tridiagonal_resolvent_matches_dense_q_g(case):
     assume(np.min(np.abs(E - w)) > 1e-3 * scale)
     # the same decomposition, up to eigenvector phases, as the dense path
     assert np.allclose(res.w, w, rtol=0, atol=1e-12 * scale)
-    qg = q_g_functions(H, principal, E)
+    Q, G, F = dense_q_g(H, principal, E)
     for p in res.principal:
-        assert res.Q(p, E) == pytest.approx(qg.Q[p], rel=1e-10)
+        assert res.Q(p, E) == pytest.approx(Q[p], rel=1e-10)
+        assert np.linalg.norm(res.tail(E, res.proj[p]) - F[p]) \
+            <= 1e-10 * np.linalg.norm(F[p])
     if len(res.principal) == 2:
         p, q = res.principal
-        assert res.G(p, q, E) == pytest.approx(qg.G[(p, q)], rel=1e-10)
-    else:
-        p = res.principal[0]
-        F = res.tail(E, res.proj[p])
-        assert np.linalg.norm(F - qg.F) <= 1e-10 * np.linalg.norm(qg.F)
+        assert res.G(p, q, E) == pytest.approx(G[(p, q)], rel=1e-10)
 
 
 def test_tridiagonal_and_dense_resolvent_agree(line_lattice):
@@ -171,17 +166,15 @@ def test_householder_resolvent_matches_dense_q_g(case):
     assert np.max(np.abs(res.w - w)) <= 1e-13 * scale
     E = float(w[0] - 1.0 + where * (w[-1] - w[0] + 2.0))
     assume(np.min(np.abs(E - w)) > 1e-3 * scale)
-    qg = q_g_functions(H, principal, E)
-    K = np.linalg.inv(E * np.eye(len(others)) - H[np.ix_(others, others)])
+    Q, G, F = dense_q_g(H, principal, E)
     for p in res.principal:
-        assert res.Q(p, E) == pytest.approx(qg.Q[p], rel=1e-10)
-        F = K @ H[others, p]
-        assert np.linalg.norm(res.tail(E, res.proj[p]) - F) \
-            <= 1e-10 * np.linalg.norm(F)
+        assert res.Q(p, E) == pytest.approx(Q[p], rel=1e-10)
+        assert np.linalg.norm(res.tail(E, res.proj[p]) - F[p]) \
+            <= 1e-10 * np.linalg.norm(F[p])
     if len(res.principal) == 2:
         p, q = res.principal
-        assert res.G(p, q, E) == pytest.approx(qg.G[(p, q)], rel=1e-10)
-        assert res.G(q, p, E) == pytest.approx(qg.G[(q, p)], rel=1e-10)
+        assert res.G(p, q, E) == pytest.approx(G[(p, q)], rel=1e-10)
+        assert res.G(q, p, E) == pytest.approx(G[(q, p)], rel=1e-10)
 
 
 def _scipy_stevd(d, e):
@@ -326,15 +319,14 @@ def test_chained_resolvent_matches_dense_solves(case):
     assert np.allclose(res.w, w, rtol=0, atol=1e-12 * scale)
     E = float(w[0] - 1.0 + where * (w[-1] - w[0] + 2.0))
     assume(np.min(np.abs(E - w)) > 1e-3 * scale)
-    qg = q_g_functions(H, principal, E)
+    Q, G, F = dense_q_g(H, principal, E)
     for p in res.principal:
-        assert res.Q(p, E) == pytest.approx(qg.Q[p], rel=1e-10)
-        F = np.linalg.solve(E * np.eye(len(others)) - block, H[others, p])
-        assert np.linalg.norm(res.tail(E, res.proj[p]) - F) \
-            <= 1e-10 * np.linalg.norm(F)
+        assert res.Q(p, E) == pytest.approx(Q[p], rel=1e-10)
+        assert np.linalg.norm(res.tail(E, res.proj[p]) - F[p]) \
+            <= 1e-10 * np.linalg.norm(F[p])
     if len(res.principal) == 2:
         p, q = res.principal
-        assert res.G(p, q, E) == pytest.approx(qg.G[(p, q)], rel=1e-10)
+        assert res.G(p, q, E) == pytest.approx(G[(p, q)], rel=1e-10)
         lam = np.linalg.eigvalsh(H)
         tol = 1e-14 * max(1.0, matrix.norm_bound())
         x = np.concatenate(([E], res.w, lam))
@@ -432,7 +424,7 @@ def test_resolvent_of_a_punctured_ball_keeps_only_its_chain_blocks(
     assert [len(Z) for _, Z in res._chains] == [500, 500]
     E = solve_simple(m, line_lattice.identity).E
     assert res.Q(i0, E) == pytest.approx(
-        q_g_functions(m.values, [i0], E).Q[i0], rel=1e-10)
+        dense_q_g(m.values, [i0], E)[0][i0], rel=1e-10)
 
 
 def test_simple_route_on_a_big_ball_never_builds_the_dense_view(
@@ -589,19 +581,21 @@ def test_solve_pair_ordering_hypothesis(line_lattice, cosine_folded):
 
 
 def test_quadratic_dichotomy_examples():
-    res = quadratic_dichotomy(1.0, 0.0, 0.0, 1.0)
-    assert res.case == "plus_case"
-    assert res.lam == 0.0 and res.gamma == 0.0
-    res2 = quadratic_dichotomy(1.0, 0.0, 0.0, 0.0)
-    assert res2.case == "minus_case"
-    with pytest.raises(PreconditionFailed):
-        quadratic_dichotomy(0.0, 1.0, 0.0, 0.5)  # a1 <= a2
-    with pytest.raises(PreconditionFailed):
-        quadratic_dichotomy(1.0, 0.0, 0.0, 0.5)  # u exactly at the midpoint
+    # (a1, a2, b, u): u = a1 is plus_case, u = a2 minus_case; a1 <= a2 and
+    # u exactly at the midpoint are outside the dichotomy
+    r = dichotomy_core(np.array([1.0, 1.0, 0.0, 1.0]),
+                       np.array([0.0, 0.0, 1.0, 0.0]), np.zeros(4),
+                       np.array([1.0, 0.0, 0.5, 0.5]))
+    assert list(r.classified) == [True, True, False, False]
+    assert list(r.plus[:2]) == [True, False]
+    assert list(r.minus[:2]) == [False, True]
+    assert r.lam[0] == 0.0 and r.gamma[0] == 0.0
+    assert not r.ordered[2] and r.ordered[3] and not r.in_range[3]
 
 
 def dichotomy_oracle(a1, a2, b, u):
-    """Reference path: quadratic_dichotomy in Python floats, check by check."""
+    """Reference path: the dichotomy in Python floats, check by check; the
+    case with lam and gamma, or the exception of the first failed check."""
     if not a1 > a2:
         raise PreconditionFailed("require a1 > a2")
     gap = a1 - a2
@@ -628,18 +622,17 @@ def dichotomy_oracle(a1, a2, b, u):
                   and (u - a1 - spread - abs(b)) * width <= margin)
     if not bracket_ok:
         raise HypothesisFailed("dichotomy bracket", f"u={u} escapes the bracket")
-    return DichotomyResult(case="plus_case" if plus else "minus_case",
-                           lam=lam, gamma=gamma)
+    return "plus_case" if plus else "minus_case", lam, gamma
 
 
-def _outcome(fn, *args):
-    """A DichotomyResult with lam and gamma as bit patterns, or the exception
-    type and message."""
+def _outcome(*args):
+    """The oracle's case with lam and gamma as bit patterns, or the
+    exception type and message."""
     try:
-        res = fn(*args)
+        case, lam, gamma = dichotomy_oracle(*args)
     except (PreconditionFailed, HypothesisFailed) as exc:
         return type(exc), str(exc)
-    return res.case, float(res.lam).hex(), float(res.gamma).hex()
+    return case, float(lam).hex(), float(gamma).hex()
 
 
 _reals = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
@@ -692,13 +685,12 @@ def dichotomy_tuples(draw):
            -15.874460378740705),
           (1.066265319979152, -0.7723407366441521, 0.08408930433865333,
            0.06287298732884664)])
-def test_dichotomy_core_and_wrapper_match_scalar_oracle(tuples):
+def test_dichotomy_core_matches_scalar_oracle(tuples):
     a1, a2, b, u = (np.array(col) for col in zip(*tuples))
     r = dichotomy_core(a1, a2, b, u)
     for i, args in enumerate(tuples):
-        want = _outcome(dichotomy_oracle, *args)
-        assert _outcome(quadratic_dichotomy, *args) == want
-        # the array core element by element, read in the wrapper's order
+        want = _outcome(*args)
+        # the array core element by element, read in the oracle's order
         if not r.ordered[i] or not r.in_range[i]:
             got = PreconditionFailed
         elif r.plus[i] == r.minus[i] or not r.bracket_ok[i]:
@@ -716,7 +708,7 @@ def test_dichotomy_threshold_tuple_is_on_the_boundary():
     args = (-15.266314576329023, -17.115159879299416, 0.31627684907351344,
             -15.874460378740705)
     with pytest.raises(PreconditionFailed, match="rounding margin"):
-        quadratic_dichotomy(*args)
+        dichotomy_oracle(*args)
     r = dichotomy_core(*(np.float64(x) for x in args))
     assert abs(r.expr) < r.bound and not r.in_range and not r.classified
 
@@ -728,23 +720,22 @@ def test_dichotomy_threshold_tuple_is_on_the_boundary():
 def test_dichotomy_never_fails_exclusivity_near_a_threshold(
         a1, gap, b_frac, side, ulps, direction):
     # u at (a1 + a2 +- 2|b|)/2 moved 1-4 ulps: inside the rounding of the
-    # boundary, so a single case or PreconditionFailed, never HypothesisFailed
+    # boundary, so a single case or outside the inequality, never both
+    # cases, neither or outside the bracket
     a2 = a1 - gap
     b = b_frac * gap / 4.0
     u = 0.5 * (a1 + a2 + side * 2.0 * b)
     for _ in range(ulps):
         u = math.nextafter(u, direction)
-    try:
-        res = quadratic_dichotomy(a1, a2, b, u)
-    except PreconditionFailed:
+    r = dichotomy_core(*(np.float64(x) for x in (a1, a2, b, u)))
+    if not (r.ordered and r.in_range):
         return
-    assert res.case == ("plus_case" if side > 0 else "minus_case")
+    assert r.classified and r.plus == (side > 0)
 
 
 def test_dichotomy_bound_is_exclusive():
     # |expr| exactly (a1-a2)^2/4: u at the midpoint with b = 0 is outside
-    assert _outcome(quadratic_dichotomy, 1.0, 0.0, 0.0, 0.5) == \
-        _outcome(dichotomy_oracle, 1.0, 0.0, 0.0, 0.5)
+    assert _outcome(1.0, 0.0, 0.0, 0.5)[0] is PreconditionFailed
     r = dichotomy_core(np.array([1.0, 3.0]), np.array([0.0, 1.0]),
                        np.array([0.0, 0.0]), np.array([0.5, 2.0]))
     assert list(r.expr) == [-0.25, -1.0] and list(r.bound) == [0.25, 1.0]
@@ -754,9 +745,10 @@ def test_dichotomy_bound_is_exclusive():
 def test_dichotomy_at_zero_coupling_regression():
     # b = 0 puts u exactly on a threshold, a1 - |gamma|(a1 - a2) here:
     # without the margin on the thresholds rounding left it in neither case
-    res = quadratic_dichotomy(0.9108850619643629, -0.3031060739581761, 0.0,
-                              -0.14530864354001088)
-    assert res.case == "minus_case"
+    r = dichotomy_core(np.float64(0.9108850619643629),
+                       np.float64(-0.3031060739581761), np.float64(0.0),
+                       np.float64(-0.14530864354001088))
+    assert r.classified and r.minus
 
 
 @pytest.mark.parametrize("b_scale", [0.0, 1e-9])

@@ -157,10 +157,11 @@ def test_bloch_duality_complex_potential(line_lattice):
 
 
 def test_floquet_gap_edges_bracket_check(line_lattice, cosine_folded):
+    # [20, 20.1] lies inside the band between the gaps near pi^2 and 4 pi^2:
+    # neither bracket holds a root of |Delta| - 2
     T = period(line_lattice.omega)
-    with pytest.raises(PreconditionFailed):
-        floquet_gap_edges((9.0, 9.1), (10.9, 11.0), 0.05,
-                          cosine_folded, T)
+    assert floquet_gap_edges(20.0, 20.1, 0.05, cosine_folded, T) == (None,
+                                                                     None)
 
 
 # --- the Magnus discriminant against the solve_ivp path it replaced ---
@@ -199,11 +200,11 @@ def ivp_scan_bands(E_grid, deltas):
     return bands
 
 
-def ivp_gap_edges(bracket_low, bracket_high, eps, folded, T, xtol=1e-10):
-    """The replaced floquet_gap_edges: brentq on the solve_ivp discriminant."""
+def ivp_edge(bracket, eps, folded, T, xtol=1e-10):
+    """The replaced floquet_gap_edges, one edge: brentq on the solve_ivp
+    discriminant."""
     g = lambda E: abs(dop853_discriminant(E, eps, folded, T)) - 2.0
-    return tuple(float(brentq(g, a, b, xtol=xtol))
-                 for a, b in (bracket_low, bracket_high))
+    return float(brentq(g, *bracket, xtol=xtol))
 
 
 def loop_bloch_residual(domain, phi, k, E, eps, folded, T, samples=128):
@@ -319,47 +320,43 @@ def test_floquet_scan_bands_match_ivp_scan(line_lattice, cosine_folded, grid):
     assert 0.0 <= data.wronskian_drift <= 1e-9
 
 
-def _gap_and_brackets(line_lattice, cosine_folded, toy_schedule, m):
+def _gap(line_lattice, cosine_folded, toy_schedule, m):
     from hillbands.band import gap_edges
 
     from conftest import make_context
 
     ctx = make_context(line_lattice, cosine_folded, toy_schedule)
-    gap = gap_edges(ctx, line_lattice.canonicalize(m))
-    center = 0.5 * (gap.E_minus + gap.E_plus)
-    width = max(gap.width, 1e-4)
-    return gap, center, ((gap.E_minus - 8.0 * width, center),
-                         (center, gap.E_plus + 8.0 * width))
+    return gap_edges(ctx, line_lattice.canonicalize(m))
 
 
 def test_floquet_gap_edges_match_ivp_path(line_lattice, cosine_folded,
                                           toy_schedule):
-    gap, center, brackets = _gap_and_brackets(line_lattice, cosine_folded,
-                                              toy_schedule, [-1])
+    # solve_ivp's edge in a bracket of 2e-6 around each Magnus edge: the
+    # m = -1 gap is 0.037 wide, so |Delta| - 2 changes sign across it
+    gap = _gap(line_lattice, cosine_folded, toy_schedule, [-1])
     T = period(line_lattice.omega)
-    fast = floquet_gap_edges(*brackets, 0.05, cosine_folded, T)
-    slow = ivp_gap_edges(*brackets, 0.05, cosine_folded, T)
+    fast = floquet_gap_edges(gap.E_minus, gap.E_plus, 0.05, cosine_folded, T)
+    slow = [ivp_edge((E - 1e-6, E + 1e-6), 0.05, cosine_folded, T)
+            for E in fast]
     assert fast == pytest.approx(slow, abs=1e-9)
 
 
 def test_unconverged_floquet_edge_raises_no_convergence(
         line_lattice, cosine_folded, toy_schedule, monkeypatch):
-    _, _, brackets = _gap_and_brackets(line_lattice, cosine_folded,
-                                       toy_schedule, [-1])
+    gap = _gap(line_lattice, cosine_folded, toy_schedule, [-1])
     monkeypatch.setattr(oracle, "BRENT_MAXITER", 2)
     with pytest.raises(NoConvergence, match="after 2 iterations"):
-        floquet_gap_edges(*brackets, 0.05, cosine_folded,
+        floquet_gap_edges(gap.E_minus, gap.E_plus, 0.05, cosine_folded,
                           period(line_lattice.omega))
 
 
 def test_floquet_gap_edges_integrate_each_energy_once(
         line_lattice, cosine_folded, toy_schedule, monkeypatch):
-    # the straddle checks, Brent's first steps and the shared inner end of
-    # the two brackets all read one value per energy
-    _, _, brackets = _gap_and_brackets(line_lattice, cosine_folded,
-                                       toy_schedule, [-1])
+    # the sign checks, Brent's first steps and the end the two brackets
+    # share all read one value per energy
+    gap = _gap(line_lattice, cosine_folded, toy_schedule, [-1])
     T = period(line_lattice.omega)
-    want = floquet_gap_edges(*brackets, 0.05, cosine_folded, T)
+    want = floquet_gap_edges(gap.E_minus, gap.E_plus, 0.05, cosine_folded, T)
     energies = []
     real = oracle.floquet_discriminant
 
@@ -368,21 +365,18 @@ def test_floquet_gap_edges_integrate_each_energy_once(
         return real(E, *args)
 
     monkeypatch.setattr(oracle, "floquet_discriminant", counted)
-    assert floquet_gap_edges(*brackets, 0.05, cosine_folded, T) == want
-    assert brackets[0][1] == brackets[1][0] in energies
+    assert floquet_gap_edges(gap.E_minus, gap.E_plus, 0.05, cosine_folded,
+                             T) == want
     assert len(energies) == len(set(energies)) > 3
 
 
 def test_nan_discriminant_is_no_convergence(line_lattice, cosine_folded,
                                             toy_schedule, monkeypatch):
-    _, _, brackets = _gap_and_brackets(line_lattice, cosine_folded,
-                                       toy_schedule, [-1])
-    real = oracle.floquet_discriminant
-    monkeypatch.setattr(
-        oracle, "floquet_discriminant",
-        lambda E, *args: real(E, *args) if E == brackets[0][0] else math.nan)
+    gap = _gap(line_lattice, cosine_folded, toy_schedule, [-1])
+    monkeypatch.setattr(oracle, "floquet_discriminant",
+                        lambda E, *args: math.nan)
     with pytest.raises(NoConvergence, match="NaN|nan"):
-        floquet_gap_edges(*brackets, 0.05, cosine_folded,
+        floquet_gap_edges(gap.E_minus, gap.E_plus, 0.05, cosine_folded,
                           period(line_lattice.omega))
 
 
@@ -391,10 +385,9 @@ def test_floquet_gap_edges_on_second_order_gap(line_lattice, cosine_folded,
     # The m = -2 gap is 1.7e-5 wide, so |Delta| - 2 is flat at its edges and
     # an error in Delta moves an edge by far more. The Magnus edges stay within
     # 1e-8 of the dual-matrix edges; the solve_ivp ones are off by about 1e-6.
-    gap, center, brackets = _gap_and_brackets(line_lattice, cosine_folded,
-                                              toy_schedule, [-2])
+    gap = _gap(line_lattice, cosine_folded, toy_schedule, [-2])
     T = period(line_lattice.omega)
-    fast = floquet_gap_edges(*brackets, 0.05, cosine_folded, T)
+    fast = floquet_gap_edges(gap.E_minus, gap.E_plus, 0.05, cosine_folded, T)
     assert fast == pytest.approx((gap.E_minus, gap.E_plus), abs=1e-8)
 
 

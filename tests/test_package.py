@@ -20,7 +20,6 @@ MAX_DEFAULTED = 24
 # src/hillbands refers to, each with the reason it stays in the package
 UNREFERENCED_ALLOWED = {
     "band.gap_resolvent_audit": "acceptance criterion 07 runs it",
-    "eigensolve.quadratic_dichotomy": "acceptance criterion 09 runs it",
     "oracle.bloch_residual": "acceptance criterion 12 runs it",
     "domains.separation_audit": "ROADMAP item 4 gives it a caller",
     "scales.resonance_gap_ordering_audit": "ROADMAP item 2 gives it a caller",

@@ -52,17 +52,29 @@ def test_schur_inverse_singular_raises():
 
 def test_q_g_zero_coupling(lat):
     H = np.diag([0.0, 2.0, 5.0]).astype(complex)
-    qg = q_g_functions(H, [0], E=0.3)
-    assert qg.Q[0] == 0.0
-    assert np.allclose(qg.F, 0.0)
+    qg = q_g_functions(H, [0, 1], E=0.3)
+    assert qg.Q == {0: 0.0, 1: 0.0}
+    assert qg.G == {(0, 1): 0.0, (1, 0): 0.0}
 
 
 def test_q_scalar_closed_form():
-    # |Lambda| = 2: Q(m0) = |c|^2 eps^2 / (E - v1)
-    eps_c = 0.3 + 0.1j
-    H = np.array([[1.0, eps_c], [np.conj(eps_c), 4.0]])
-    qg = q_g_functions(H, [0], E=2.0)
+    # |Lambda| = 3, one point left after the pair: Q(p) = |h(p, 2)|^2 /
+    # (E - v2) and G(0, 1) = h(0, 1) + h(0, 2) h(2, 1) / (E - v2)
+    eps_c, eps_d = 0.3 + 0.1j, 0.2 - 0.05j
+    H = np.array([[1.0, 0.1, eps_c], [0.1, 1.5, eps_d],
+                  [np.conj(eps_c), np.conj(eps_d), 4.0]])
+    qg = q_g_functions(H, [0, 1], E=2.0)
     assert qg.Q[0] == pytest.approx(abs(eps_c) ** 2 / (2.0 - 4.0))
+    assert qg.Q[1] == pytest.approx(abs(eps_d) ** 2 / (2.0 - 4.0))
+    assert qg.G[(0, 1)] == pytest.approx(
+        0.1 + eps_c * np.conj(eps_d) / (2.0 - 4.0))
+
+
+@pytest.mark.parametrize("principal", [[0], [1, 1], [0, 1, 2]])
+def test_q_g_takes_two_distinct_principals(principal):
+    H = np.diag([0.0, 2.0, 5.0, 7.0]).astype(complex)
+    with pytest.raises(ValueError, match="two distinct indices"):
+        q_g_functions(H, principal, 0.3)
 
 
 def test_q_g_pair_against_dense_punctured_inverse():
@@ -72,11 +84,6 @@ def test_q_g_pair_against_dense_punctured_inverse():
     qg = q_g_functions(H, [0, 2], E)
     others = [1, 3, 4]
     K = np.linalg.inv(E * np.eye(3) - H[np.ix_(others, others)])
-    # the solved columns K h(., p), read through F with one principal
-    for p in (0, 2):
-        rest = [i for i in range(5) if i != p]
-        K_p = np.linalg.inv(E * np.eye(4) - H[np.ix_(rest, rest)])
-        assert np.allclose(q_g_functions(H, [p], E).F, K_p @ H[rest, p])
     for p in (0, 2):
         expected = (H[p, others] @ K @ H[others, p]).real
         assert qg.Q[p] == pytest.approx(expected)
@@ -85,11 +92,11 @@ def test_q_g_pair_against_dense_punctured_inverse():
     assert qg.G[(0, 2)] == pytest.approx(np.conj(qg.G[(2, 0)]))
 
 
-@given(st.integers(0, 2**32 - 1), st.sampled_from([(0,), (0, 3), (6, 2)]),
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(0, 3), (6, 2)]),
        st.floats(0.0, 1.0))
 def test_q_g_solve_matches_explicit_inverses(seed, principal, where):
     # SingularBlock on every eigenvalue of the punctured block; elsewhere
-    # Q, G and F equal their values through an explicit inverse
+    # Q and G equal their values through an explicit inverse
     H = random_hermitian(np.random.default_rng(seed), 7)
     others = [i for i in range(7) if i not in principal]
     w = np.linalg.eigvalsh(H[np.ix_(others, others)])
@@ -100,31 +107,25 @@ def test_q_g_solve_matches_explicit_inverses(seed, principal, where):
     assume(np.min(np.abs(E - w)) > 1e-3)
     K = np.linalg.inv(E * np.eye(len(others)) - H[np.ix_(others, others)])
     qg = q_g_functions(H, principal, E)
-    assert qg.others == tuple(others)
     for p in principal:
         expected = (H[p, others] @ K @ H[others, p]).real
         assert qg.Q[p] == pytest.approx(expected, rel=1e-10, abs=1e-12)
-    if len(principal) == 2:
-        p, q = principal
-        expected = H[p, q] + H[p, others] @ K @ H[others, q]
-        assert qg.G[(p, q)] == pytest.approx(expected, rel=1e-10, abs=1e-12)
-        assert qg.F is None
-    else:
-        F = K @ H[others, principal[0]]
-        assert np.linalg.norm(qg.F - F) <= 1e-10 * np.linalg.norm(F)
+    p, q = principal
+    expected = H[p, q] + H[p, others] @ K @ H[others, q]
+    assert qg.G[(p, q)] == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def test_q_g_singular_threshold_is_relative_to_the_one_norm():
     # A = E - H_punctured = diag(1, d): 1/||A^-1||_1 = d against
     # 1e-13 max(1, ||A||_1) = 1e-13
     for d, singular in ((1e-14, True), (1e-12, False)):
-        H = np.diag([5.0, -1.0, -d]).astype(complex)
+        H = np.diag([5.0, -1.0, -d, 7.0]).astype(complex)
         H[0, 1] = H[1, 0] = 0.5
         if singular:
             with pytest.raises(SingularBlock):
-                q_g_functions(H, [0], 0.0)
+                q_g_functions(H, [0, 3], 0.0)
         else:
-            assert q_g_functions(H, [0], 0.0).Q[0] == pytest.approx(0.25)
+            assert q_g_functions(H, [0, 3], 0.0).Q[0] == pytest.approx(0.25)
 
 
 def _near_diagonal(n):
@@ -181,7 +182,7 @@ def test_non_hermitian_input_is_rejected(entry, defect):
     call = {
         "schur_block_inverse":
             lambda: schur_block_inverse(H, ([0, 1], [2, 3, 4]), 5.0),
-        "q_g_functions": lambda: q_g_functions(H, [0], 5.0),
+        "q_g_functions": lambda: q_g_functions(H, [0, 4], 5.0),
     }[entry]
     with pytest.raises(ValueError, match="exactly Hermitian"):
         call()

@@ -49,8 +49,9 @@ class PuncturedResolvent:
     b; every other block is reduced by the Householder reflectors of LAPACK
     zhetrd, which zunmqr applies (Golub & Van Loan, Matrix Computations,
     sec. 8.3). The coupling columns h(., p) and the principals' own entries
-    are read off the matrix's stored nonzeros, and so is T in t order: there
-    the dense view of H is never built. T splits into independent chains
+    are read off the matrix's stored nonzeros, and so is T in t order or the
+    block that zhetrd reduces (``punctured_block``): the dense view of H is
+    never built. T splits into independent chains
     wherever its subdiagonal is exactly zero: in t order at each removed
     principal and at each hole of the domain in t. Each chain is
     diagonalized by its own LAPACK dstevd call, T = Z diag(w) Z^T with Z
@@ -73,8 +74,7 @@ class PuncturedResolvent:
         if matrix.bandwidth <= 1:
             form = _TOrderPhases(matrix, self.others)
         else:
-            form = _Householder(
-                matrix.values[np.ix_(self.others, self.others)])
+            form = _Householder(matrix, self.others)
         self._form = form
         self.w, self._order, self._chains = _eigh_chains(form.d, form.e)
         # the principals' columns H e_p: the coupling columns h(., p), their
@@ -112,23 +112,30 @@ class PuncturedResolvent:
                                 float(np.min(np.abs(d))), "2")
         return 1.0 / d
 
+    def _q(self, p: int, weights: np.ndarray) -> np.ndarray:
+        return np.sum(np.abs(self.proj[p]) ** 2 * weights, axis=-1)
+
+    def _g(self, p: int, q: int, weights: np.ndarray) -> np.ndarray:
+        return self._between[p, q] + np.sum(
+            np.conj(self.proj[p]) * self.proj[q] * weights, axis=-1)
+
     def Q(self, p: int, E):
-        q = np.sum(np.abs(self.proj[p]) ** 2 * self._weights(E), axis=-1)
+        q = self._q(p, self._weights(E))
         return float(q) if q.ndim == 0 else q
 
     def G(self, p: int, q: int, E):
-        s = np.sum(np.conj(self.proj[p]) * self.proj[q] * self._weights(E),
-                   axis=-1)
-        g = self._between[p, q] + s
+        g = self._g(p, q, self._weights(E))
         return complex(g) if g.ndim == 0 else g
 
     def chi(self, E):
         """The 2x2 Schur determinant (E - v_p - Q_p)(E - v_q - Q_q) - |G_pq|^2
-        of the two principals (p, q), for a scalar E or an array."""
+        of the two principals (p, q), for a scalar E or an array; the
+        weights 1/(E - w) are formed once for all three sums."""
         p, q = self.principal
-        vp, vq = self._v[p], self._v[q]
-        return ((E - vp - self.Q(p, E)) * (E - vq - self.Q(q, E))
-                - np.abs(self.G(p, q, E)) ** 2)
+        weights = self._weights(E)
+        return ((E - self._v[p] - self._q(p, weights))
+                * (E - self._v[q] - self._q(q, weights))
+                - np.abs(self._g(p, q, weights)) ** 2)
 
     def tail(self, E: float, rhs_proj: np.ndarray) -> np.ndarray:
         """(E - H_punctured)^{-1} applied to a vector given in projections,
@@ -278,15 +285,36 @@ class _TOrderPhases:
         return (self.phase[:, None] * y)[self.inverse]
 
 
+def punctured_block(matrix: DualMatrix, others: list[int]) -> np.ndarray:
+    """H restricted to the rows and columns ``others``, in that order, as a
+    Fortran-ordered array scattered from the matrix's stored nonzeros: the
+    entries of ``values`` at the same places, without the dense view."""
+    n = len(others)
+    rank = np.full(matrix.size, -1)
+    rank[others] = np.arange(n)
+    block = np.zeros((n, n), dtype=np.complex128, order="F")
+    for rows, cols, value in matrix.offsets:
+        r, c = rank[rows], rank[cols]
+        kept = (r >= 0) & (c >= 0)
+        block[r[kept], c[kept]] = value
+    block[np.diag_indices(n)] = matrix.diagonal[others]
+    return block
+
+
 class _Householder:
     """U = H(1) ... H(n-1), the reflectors of zhetrd('L'), kept as zhetrd
-    leaves them and applied by zunmqr to rows 1: as LAPACK's zunmtr does."""
+    leaves them and applied by zunmqr to rows 1: as LAPACK's zunmtr does.
 
-    def __init__(self, block: np.ndarray):
-        n = block.shape[0]
+    zhetrd reduces the punctured block in place: the block is built once, in
+    the Fortran order that f2py hands to LAPACK without a copy, and freed on
+    return."""
+
+    def __init__(self, matrix: DualMatrix, others: list[int]):
+        n = len(others)
         lwork = int(flapack.zhetrd_lwork(n, lower=1)[0].real)
-        c, self.d, self.e, self.tau, info = flapack.zhetrd(block, lower=1,
-                                                           lwork=lwork)
+        c, self.d, self.e, self.tau, info = flapack.zhetrd(
+            punctured_block(matrix, others), lower=1, lwork=lwork,
+            overwrite_a=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"zhetrd info {info}")
         # contiguous once, so that zunmqr does not copy the view per call

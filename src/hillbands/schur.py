@@ -59,20 +59,21 @@ def _require_hermitian(H: np.ndarray) -> None:
 
 def _hermitian_solve(A: np.ndarray, B: np.ndarray, label: str) -> np.ndarray:
     """X with A X = B for a Hermitian A, by LAPACK zhesv (Bunch-Kaufman);
-    zhesv reads only the upper triangle of A.
+    zhesv reads only the upper triangle of A, and overwrites A with its
+    factor when A is Fortran-ordered: the callers pass blocks of their own.
 
     The one singularity rule: SingularBlock(label) when zhesv meets an
     exactly singular factor, or when zhecon's estimate of
     1/||A^-1||_1 = rcond ||A||_1 is at most 1e-13 max(1, ||A||_1), the 1-norm
     form of sigma_min <= 1e-13 max(1, sigma_max).
     """
+    a_norm = float(np.linalg.norm(A, 1))
     lwork = int(flapack.zhesv_lwork(len(A))[0].real)
-    factor, ipiv, X, info = flapack.zhesv(A, B, lwork=lwork)
+    factor, ipiv, X, info = flapack.zhesv(A, B, lwork=lwork, overwrite_a=1)
     if info > 0:
         raise SingularBlock(label, 0.0, "1")
     if info < 0:
         raise np.linalg.LinAlgError(f"zhesv info {info}")
-    a_norm = float(np.linalg.norm(A, 1))
     rcond, info = flapack.zhecon(factor, ipiv, a_norm)
     if info != 0:
         raise np.linalg.LinAlgError(f"zhecon info {info}")
@@ -137,7 +138,13 @@ def q_g_functions(H: np.ndarray, principal: Sequence[int], E: float) -> QGResult
     rows = [i for i in range(H.shape[0]) if i not in principal]
     if not rows:
         raise ValueError("puncturing removed the whole domain")
-    A = E * np.eye(len(rows), dtype=np.complex128) - H[np.ix_(rows, rows)]
+    # E - H_punctured, gathered column by column in the Fortran order in
+    # which zhesv factors it in place, so that the block is held once
+    n = len(rows)
+    A = np.empty((n, n), dtype=np.complex128, order="F")
+    for j, col in enumerate(rows):
+        np.negative(H[rows, col], out=A[:, j])
+        A[j, j] += E
     X = _hermitian_solve(A, H[np.ix_(rows, principal)],
                          "punctured block (E - H_punctured)")
     column = dict(zip(principal, X.T))

@@ -90,14 +90,18 @@ def suite_dichotomy(out: list[CheckResult]) -> None:
     gap = rng.uniform(1e-6, 2.0, count)
     a2 = a1 - gap
     b = rng.uniform(0.0, 1.0, count) * gap / 4.0
-    # u from the admissible set: (u-a1)(u-a2) = b^2 + t*(gap^2/4), |t| < 1
-    t = rng.uniform(-0.999, 0.999, count)
-    rhs = b * b + t * gap * gap / 4.0
-    mid = (a1 + a2) / 2.0
-    disc = gap * gap / 4.0 + rhs
-    root = np.sqrt(np.maximum(disc, 0.0))
-    side = rng.integers(0, 2, count) * 2 - 1
-    u = mid + side * root
+    # u from the admissible set: (u-a1)(u-a2) = b^2 + t*(gap^2/4), |t| < 1,
+    # so u = mid +- sqrt(gap^2/4 + b^2 + t*gap^2/4), built step by step in
+    # u's one buffer: only a1, a2, b, gap and u stay alive
+    u = rng.uniform(-0.999, 0.999, count)
+    u *= gap
+    u *= gap
+    u /= 4.0
+    u += b * b
+    u += gap * gap / 4.0
+    np.sqrt(np.maximum(u, 0.0, out=u), out=u)
+    u *= rng.integers(0, 2, count) * 2 - 1
+    u += (a1 + a2) / 2.0
     failures = 0
     # blocks of 10^4 keep the core's temporaries (a dozen arrays) small
     # next to the inputs: all 10^5 at once raise peak RSS by about 8 MB

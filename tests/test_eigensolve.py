@@ -427,6 +427,34 @@ def test_resolvent_of_a_punctured_ball_keeps_only_its_chain_blocks(
         dense_q_g(m.values, [i0], E)[0][i0], rel=1e-10)
 
 
+
+def test_householder_resolvent_peaks_at_two_blocks():
+    # the pair matrix of the resonant_2d workload (seed 1) at k = 0.05: the
+    # ball B(2 R1), R1 = 9, and its mirror n - e for the top resonance
+    # n = (1, -3). zhetrd reduces the block scattered from the stored
+    # nonzeros in place, so the peak holds it and the reflectors' copy,
+    # 2 x 16 n^2 bytes; the dense view, a gather of it and f2py's Fortran
+    # copy would add 16 n^2 bytes each
+    lat = _lattice("1", "3/7")
+    folded = fold(random_phase(2, nu=2, kappa0=0.5, seed=1,
+                               amplitude_scale=0.5, alpha0=1.0), lat)
+    ball = lat.ball(18.0)
+    n_top = lat.canonicalize([1, -3])
+    matrix = assemble(ball + [lat.sub(n_top, e) for e in ball],
+                      OperatorSpec(epsilon=0.05, k=0.05), folded, lat)
+    pair = [matrix.row_of(lat.identity), matrix.row_of(n_top)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = PuncturedResolvent(matrix, pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = len(res.others)
+    assert n == 357 and matrix.bandwidth > 1
+    assert peak < 2.5 * 16 * n * n
+    assert "values" not in vars(matrix)
+
 def test_simple_route_on_a_big_ball_never_builds_the_dense_view(
         line_lattice, cosine_folded):
     # strict mode's matrix: the cosine ball B(500), n = 1001. Assembly stores

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hillbands.eigensolve import punctured_block
 from hillbands.errors import ValidationFailed
 from hillbands.lattice import FrequencyVector, QuotientLattice
 from hillbands.operators import (TWO_PI_SQ, OperatorSpec, assemble, gamma_for,
@@ -119,6 +120,21 @@ def test_assemble_matches_pairwise_oracle(case):
     assert np.array_equal(fast.values, ref.values)
     assert np.array_equal(fast.values, fast.values.conj().T)
 
+
+
+@given(assembly_cases(), st.data())
+def test_punctured_block_is_the_pairwise_oracle_restricted(case, data):
+    # the block that zhetrd reduces in place, scattered from the stored
+    # nonzeros with 0, 1 or 2 principals removed
+    matrix = assemble(*case)
+    dense = pairwise_assemble(*case).values
+    principal = data.draw(st.lists(
+        st.integers(0, matrix.size - 1), unique=True,
+        max_size=min(2, matrix.size - 1)))
+    others = [i for i in range(matrix.size) if i not in principal]
+    block = punctured_block(matrix, others)
+    assert block.flags.f_contiguous
+    assert np.array_equal(block, dense[np.ix_(others, others)])
 
 @st.composite
 def gapped_domain_cases(draw):

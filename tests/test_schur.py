@@ -128,6 +128,18 @@ def test_q_g_singular_threshold_is_relative_to_the_one_norm():
             assert q_g_functions(H, [0, 3], 0.0).Q[0] == pytest.approx(0.25)
 
 
+
+def test_solves_leave_a_fortran_ordered_H_unchanged():
+    # zhesv factors its argument in place when it is Fortran-ordered: the
+    # solves hand it blocks of their own, never the caller's H
+    rng = np.random.default_rng(5)
+    H = np.asfortranarray(random_hermitian(rng, 9))
+    before = H.copy(order="F")
+    E = float(np.max(np.linalg.eigvalsh(H))) + 1.0
+    q_g_functions(H, [0, 3], E)
+    schur_block_inverse(H, ([0, 2, 4, 6], [1, 3, 5, 7, 8]), E)
+    assert H.flags.f_contiguous and np.array_equal(H, before)
+
 def _near_diagonal(n):
     """An exactly Hermitian n x n matrix: a diagonal in [1, 2] plus couplings
     1e-40 e^{-0.9 |i-j|}."""

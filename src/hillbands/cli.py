@@ -80,19 +80,23 @@ def build_context(config: dict) -> band_mod.BandContext:
         a0, b0 = (dio["a0"], dio["b0"]) if dio else (0.5, 2.0)
         schedule = build_schedule(
             config.get("mode", "practical"),
-            s_max=int(sched_cfg.get("s_max", 2)),
-            R1=float(sched_cfg.get("R1", 12.0)),
+            s_max=int(_at_least(sched_cfg.get("s_max", 2), "schedule.s_max",
+                                1)),
+            R1=_finite(sched_cfg.get("R1", 12.0), "schedule.R1"),
             beta=sched_cfg.get("beta"),
             a0=float(a0), b0=float(b0),
             kappa0=coeffs.kappa0, alpha0=coeffs.alpha0, nu=omega.nu,
-            eps0=sched_cfg.get("eps0", 0.5),
-            sigma_scale=float(sched_cfg.get("sigma_scale", 1.0)),
+            eps0=_finite(sched_cfg.get("eps0", 0.5), "schedule.eps0"),
+            sigma_scale=_at_least(sched_cfg.get("sigma_scale", 1.0),
+                                  "schedule.sigma_scale", 0),
         )
         return band_mod.BandContext(
             lat=lat, folded=folded, schedule=schedule,
             eps=_finite(config["coupling"], "coupling"),
-            truncation_R=float(config.get("truncation_R", 12.0)),
-            s_cap=int(sched_cfg.get("s_cap", 1)),
+            truncation_R=_at_least(config.get("truncation_R", 12.0),
+                                   "truncation_R", 0),
+            s_cap=int(_at_least(sched_cfg.get("s_cap", 1), "schedule.s_cap",
+                                1)),
             use_domains=bool(config.get("use_domains", False)),
         )
     except KeyError as exc:
@@ -106,10 +110,18 @@ def _finite(value, name: str) -> float:
     """float(value), rejecting NaN and infinities with a ConfigError."""
     try:
         x = float(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {name}: {exc}")
     if not math.isfinite(x):
         raise ConfigError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def _at_least(value, name: str, low: float) -> float:
+    """_finite(value, name), rejecting values below low with a ConfigError."""
+    x = _finite(value, name)
+    if x < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value!r}")
     return x
 
 

@@ -6,9 +6,10 @@ with a fourth-order Magnus scheme, and reads bands off the monodromy trace.
 Each scan is cross-checked at one energy by order-8 Gauss-Legendre
 collocation, an implicit Runge-Kutta method that shares no formula with the
 Magnus scheme. Both routes are kept free of the multi-scale machinery so they
-can arbitrate its outputs; Brent's root finder (brent_root, and refine_root,
-which raises NoConvergence for it) lives here for the same reason, and the
-multi-scale layers import it from this module.
+can arbitrate its outputs; the one root-finding entry point, refine_root,
+which runs scipy's compiled brentq and raises NoConvergence for it, lives
+here for the same reason, and the multi-scale layers import it from this
+module.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._lapack import zeros
 from .errors import (IntegratorFailure, NoConvergence, NonRealValue,
                      PreconditionFailed)
 from .lattice import FrequencyVector
@@ -34,86 +36,31 @@ BRENT_RTOL = 4.0 * sys.float_info.epsilon
 BRENT_MAXITER = 100
 
 
-def brent_root(f: Callable[[float], float], a: float, b: float,
-               xtol: float) -> tuple[float, int, bool]:
-    """(x, iterations, converged) for a root of f in the bracket [a, b].
-
-    Brent's method (Brent, Algorithms for Minimization without Derivatives,
-    1973, ch. 4) as scipy's brentq runs it (Zeros/brentq.c), step for step:
-    inverse quadratic extrapolation or secant interpolation when the step is
-    short enough, bisection otherwise, so it returns the same x after the
-    same number of iterations. ValueError when f is NaN, or when f(a) and
-    f(b) have the same sign.
-    """
-    def value(x: float) -> float:
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is NaN")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre, 0, True
-    if fcur == 0.0:
-        return xcur, 0, True
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for iteration in range(1, BRENT_MAXITER + 1):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur, iteration, True
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:
-                # an underflowed divisor: C gets an infinite or NaN step,
-                # which the test below rejects
-                stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    return xcur, BRENT_MAXITER, False
+def _not_nan(x: float, f: Callable[[float], float]) -> float:
+    """f(x), with ValueError where it is NaN: Brent's loop would bisect on
+    through a NaN and return a point of it as the root."""
+    fx = f(x)
+    if math.isnan(fx):
+        raise ValueError(f"f({x!r}) is NaN")
+    return fx
 
 
 def refine_root(f: Callable[[float], float], a: float, b: float,
                 xtol: float) -> float:
-    """The root of f in the sign-changing bracket [a, b] to xtol, by
-    brent_root. NoConvergence when it stops unconverged after its 100
-    iterations, or with residual NaN when f is NaN or [a, b] does not change
-    sign."""
+    """The root of f in the sign-changing bracket [a, b] to xtol, by scipy's
+    compiled brentq (Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4), with BRENT_RTOL and BRENT_MAXITER. NoConvergence when it
+    stops unconverged, or with residual NaN when f is NaN or [a, b] does not
+    change sign. An exact zero of f at an end is the root."""
     try:
-        x, iterations, converged = brent_root(f, a, b, xtol)
+        x, _, _, flag = zeros._brentq(_not_nan, a, b, xtol, BRENT_RTOL,
+                                      BRENT_MAXITER, (f,), True, False)
     except ValueError as exc:
         raise NoConvergence(0, math.nan) from exc
-    if not converged:
-        raise NoConvergence(iterations, abs(f(x)))
+    # flag 0 is converged; the iteration count, unset by scipy for a root at
+    # an end, is not read
+    if flag != 0:
+        raise NoConvergence(BRENT_MAXITER, abs(f(x)))
     return x
 
 

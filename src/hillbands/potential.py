@@ -204,10 +204,16 @@ def random_phase(support_radius: int, nu: int, kappa0: float, alpha0: float,
 
 
 def from_config(spec: dict, nu: int) -> FourierCoefficients:
-    """Build coefficients from a config block (kind + parameters or explicit list)."""
+    """Build coefficients from a config block (kind + parameters or explicit
+    list). ValueError when kappa0 or alpha0 is not finite and positive."""
     kind = spec.get("kind", "explicit")
     kappa0 = float(spec.get("kappa0", 1.0))
     alpha0 = float(spec.get("alpha0", 1.0))
+    # the decay bound exp(-kappa0 |n|^alpha0) and strict mode's log(1/kappa0)
+    # and 1/alpha0 need both finite and positive
+    if not (0 < kappa0 < math.inf and 0 < alpha0 < math.inf):
+        raise ValueError(f"potential needs finite kappa0 > 0 and alpha0 > 0, "
+                         f"got {kappa0!r}, {alpha0!r}")
     if kind == "cosine":
         return cosine(spec["n0"], kappa0=kappa0, alpha0=alpha0,
                       amplitude=spec.get("amplitude"))

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -667,12 +668,17 @@ def test_t_order_pair_route_builds_no_dense_view(reference_context,
 
 def test_failed_root_refinement_lands_in_class_error(reference_context,
                                                      monkeypatch):
-    # f is NaN inside every bracket, so brent_root raises ValueError there;
-    # the sample must record NoConvergence instead of aborting the sweep
-    real = oracle.brent_root
-    monkeypatch.setattr(
-        oracle, "brent_root", lambda f, a, b, xtol: real(
-            lambda x: f(x) if x in (a, b) else math.nan, a, b, xtol))
+    # f is NaN inside every bracket, so the NaN check under brentq raises
+    # ValueError there; the sample must record NoConvergence instead of
+    # aborting the sweep
+    real = oracle.zeros._brentq
+
+    def brentq(check, a, b, xtol, rtol, maxiter, args, *flags):
+        f = args[0]
+        return real(check, a, b, xtol, rtol, maxiter,
+                    (lambda x: f(x) if x in (a, b) else math.nan,), *flags)
+
+    monkeypatch.setattr(oracle, "zeros", SimpleNamespace(_brentq=brentq))
     p = compute_point(reference_context, 0.49)
     assert p.klass == "error" and p.error.startswith("NoConvergence")
     assert p.to_dict()["punctured_gap"] is None

@@ -3,6 +3,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -180,8 +181,10 @@ def test_failed_audit_and_error_sample_exit_nonzero(tmp_path, monkeypatch):
         if matrix.spec.k != 0.25:
             return real_solve(matrix, m0)
         with monkeypatch.context() as patch:
-            patch.setattr(oracle, "brent_root",
-                          lambda f, a, b, xtol: (a, 100, False))
+            # brentq's full output: (x, calls, iterations, flag), flag -2
+            # for a root it stopped short of
+            patch.setattr(oracle, "zeros", SimpleNamespace(
+                _brentq=lambda f, a, *rest: (a, 102, 100, -2)))
             return real_solve(matrix, m0)
 
     monkeypatch.setattr(band_mod, "solve_simple", solve_simple)
@@ -284,6 +287,19 @@ def test_grid_of_resonance_momenta_is_a_config_error(tmp_path, capsys):
     {"audits": ["floquet"], "floquet_grid": {"count": 1}},
     {"audits": ["floquet"], "floquet_grid": {"max": "abc"}},
     {"audits": ["floquet"], "floquet_grid": {"max": math.nan}},
+    {"truncation_R": math.inf},
+    {"truncation_R": math.nan},
+    {"truncation_R": -1},
+    {"schedule": {**BASE_CONFIG["schedule"], "R1": math.nan}},
+    {"schedule": {**BASE_CONFIG["schedule"], "R1": math.inf}},
+    {"schedule": {**BASE_CONFIG["schedule"], "s_max": 0}},
+    {"schedule": {**BASE_CONFIG["schedule"], "s_cap": 0}},
+    {"potential": {**BASE_CONFIG["potential"], "kappa0": math.nan}},
+    {"schedule": {**BASE_CONFIG["schedule"], "eps0": math.nan}},
+    {"schedule": {**BASE_CONFIG["schedule"], "sigma_scale": math.nan}},
+    {"potential": {**BASE_CONFIG["potential"], "alpha0": math.nan}},
+    # a JSON integer beyond float64 overflows float()
+    {"schedule": {**BASE_CONFIG["schedule"], "R1": 10**400}},
 ])
 def test_nonfinite_inputs_are_config_errors(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)

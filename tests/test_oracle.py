@@ -11,10 +11,10 @@ from hillbands import oracle
 from hillbands.errors import (IntegratorFailure, NoConvergence,
                               PreconditionFailed)
 from hillbands.lattice import FrequencyVector, QuotientLattice
-from hillbands.oracle import (bloch_residual, brent_root, dense_spectrum,
+from hillbands.oracle import (bloch_residual, dense_spectrum,
                               floquet_discriminant, floquet_gap_edges,
                               floquet_scan, ivp_discriminant, period,
-                              potential_callable)
+                              potential_callable, refine_root)
 from hillbands.potential import cosine, exp_decay, fold, random_phase
 
 from oracles import eval_potential
@@ -487,7 +487,7 @@ def test_bloch_residual_matches_loop(omega, seed, k, E, eps):
     assert abs(fast - slow) <= 1e-12 * bound
 
 
-# --- the Brent port against scipy's brentq ---
+# --- refine_root against scipy's public brentq ---
 
 @st.composite
 def brent_cases(draw):
@@ -515,37 +515,45 @@ def brent_cases(draw):
 
 @settings(max_examples=300)
 @given(brent_cases())
-def test_brent_root_is_scipy_brentq_bit_for_bit(case):
+def test_refine_root_is_scipy_brentq_bit_for_bit(case):
     f, a, b, xtol = case
     try:
         x, result = brentq(f, a, b, xtol=xtol, full_output=True, disp=False)
     except ValueError:
-        with pytest.raises(ValueError):
-            brent_root(f, a, b, xtol)
+        with pytest.raises(NoConvergence):
+            refine_root(f, a, b, xtol)
         return
-    got = brent_root(f, a, b, xtol)
+    if not result.converged:
+        with pytest.raises(NoConvergence):
+            refine_root(f, a, b, xtol)
+        return
+    got = refine_root(f, a, b, xtol)
+    assert got.hex() == x.hex()
     if f(a) == 0.0 or f(b) == 0.0:
-        # scipy leaves the iteration count unset on a root at an end
-        assert got == (x, 0, True) and result.converged
-    else:
-        assert got == (x, result.iterations, result.converged)
+        # a root at an end is that end
+        assert got == (a if f(a) == 0.0 else b)
 
 
-def test_brent_root_exhausts_its_iterations_as_brentq_does():
+def test_refine_root_exhausts_its_iterations_as_brentq_does():
     # a step function on [-1e300, 1e300] leaves Brent's method bisecting
     # down to 1e-13 for far more than 100 steps
     f = lambda x: 1.0 if x > 0.3 else -1.0
     x, result = brentq(f, -1e300, 1e300, xtol=1e-13, full_output=True,
                        disp=False)
     assert not result.converged
-    assert brent_root(f, -1e300, 1e300, 1e-13) == (x, 100, False)
+    with pytest.raises(NoConvergence) as exc:
+        refine_root(f, -1e300, 1e300, 1e-13)
+    assert exc.value.iterations == 100
+    assert exc.value.last_residual == abs(f(x))
 
 
-def test_brent_root_rejects_nan_and_an_unsigned_bracket():
-    with pytest.raises(ValueError, match="NaN"):
-        brent_root(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5,
-                   -1.0, 2.0, 1e-12)
-    with pytest.raises(ValueError, match="different signs"):
-        brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+def test_refine_root_rejects_nan_and_an_unsigned_bracket():
+    for f in (lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5,
+              lambda x: x * x + 1.0):
+        with pytest.raises(NoConvergence) as exc:
+            refine_root(f, -1.0, 2.0, 1e-12)
+        assert exc.value.iterations == 0
+        assert math.isnan(exc.value.last_residual)
     # an exact zero at an end is the root, with no iteration
-    assert brent_root(lambda x: x, 0.0, 1.0, 1e-12) == (0.0, 0, True)
+    assert refine_root(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
+    assert refine_root(lambda x: x - 1.0, 0.0, 1.0, 1e-12) == 1.0

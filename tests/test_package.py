@@ -24,12 +24,11 @@ UNREFERENCED_ALLOWED = {
     "domains.separation_audit": "ROADMAP item 4 gives it a caller",
     "scales.resonance_gap_ordering_audit": "ROADMAP item 2 gives it a caller",
 }
-# the package needs only scipy's LAPACK extension, scipy.linalg._flapack,
-# which hillbands._lapack loads by path; these cost set-up time on every run
-# (scipy.integrate loads scipy.optimize, which loads scipy.fft and
-# scipy.special)
-UNWANTED_SCIPY = ("scipy.optimize", "scipy.integrate", "scipy.special",
-                  "scipy.fft")
+# the package needs two compiled extensions of scipy, scipy.linalg._flapack
+# and scipy.optimize._zeros, which hillbands._lapack loads by path; these
+# cost set-up time on every run (scipy.integrate loads scipy.optimize, which
+# loads scipy.fft and scipy.special)
+UNWANTED_SCIPY = ("scipy.integrate", "scipy.special", "scipy.fft")
 # what PuncturedResolvent and the checked Hermitian solve call
 LAPACK_WRAPPERS = ("zhetrd", "zhetrd_lwork", "zunmqr", "dstevd", "zhesv",
                    "zhesv_lwork", "zhecon")
@@ -50,11 +49,14 @@ def test_bare_import_loads_no_submodule_numpy_or_scipy():
         "if m.startswith(('hillbands.', 'numpy', 'scipy'))))") == "[]"
 
 
-def test_entry_points_load_no_scipy_optimize_or_integrate():
+def test_entry_points_load_only_the_brentq_extension_of_scipy_optimize():
+    # scipy/optimize/__init__.py would load scipy.linalg, scipy.sparse and
+    # scipy.special among others
     loaded = _fresh_interpreter(
         "import sys, hillbands.cli, hillbands.verify; print(sorted(m for m "
-        f"in sys.modules if m.startswith({UNWANTED_SCIPY})))")
-    assert loaded == "[]"
+        "in sys.modules if m.startswith(('scipy.optimize',) + "
+        f"{UNWANTED_SCIPY})))")
+    assert loaded == "['scipy.optimize._zeros']"
 
 
 def test_entry_points_load_only_the_lapack_extension_of_scipy_linalg():
@@ -92,6 +94,78 @@ def test_loaded_wrappers_are_the_scipy_linalg_lapack_objects(first):
         "from hillbands._lapack import flapack; "
         "print(all(getattr(flapack, name) is getattr(lapack, name) for name "
         f"in {LAPACK_WRAPPERS}))") == "True"
+
+
+@pytest.mark.parametrize("first", ["hillbands._lapack", "scipy.optimize"])
+def test_loaded_brentq_is_the_scipy_optimize_object(first):
+    # either import order gives one module object, so refine_root runs the
+    # loop that scipy.optimize.brentq runs
+    assert _fresh_interpreter(
+        f"import {first}; from scipy.optimize import _zeros; "
+        "from hillbands._lapack import zeros; "
+        "print(zeros is _zeros and zeros._brentq is _zeros._brentq)") == \
+        "True"
+
+
+# the thread counts of scipy's and numpy's OpenBLAS, read in a run that the
+# environment asks for two threads
+_BLAS_THREADS = (
+    "import ctypes, os; os.environ['OPENBLAS_NUM_THREADS'] = '2'; "
+    "from hillbands import _lapack; "
+    "libs = [(_lapack._directory(p) + '.libs', g) for p, g in ("
+    "('scipy', 'scipy_openblas_get_num_threads'), "
+    "('numpy', 'scipy_openblas_get_num_threads64_'))]; "
+    "print([getattr(ctypes.CDLL(os.path.join(d, n)), g)() for d, g in libs "
+    "for n in os.listdir(d) if n.startswith('libscipy_openblas')])")
+
+
+def test_import_sets_scipy_and_numpy_blas_to_one_thread():
+    assert _fresh_interpreter(_BLAS_THREADS) == "[1, 1]"
+
+
+def test_a_blas_without_the_setter_is_left_alone(tmp_path):
+    from hillbands import _lapack
+
+    libs = _lapack._directory("scipy") + ".libs"
+    assert not _lapack._one_blas_thread(libs, "no_such_setter")
+    assert not _lapack._one_blas_thread(str(tmp_path), "no_such_setter")
+    assert not _lapack._one_blas_thread(str(tmp_path / "missing"),
+                                        "no_such_setter")
+
+
+# a nu = 2 sample of the resonant_2d golden config (a pair route on 359
+# modes, reduced by zhetrd) and numpy's eigh of a 256 x 256 Hermitian
+# matrix: both give other bits at two BLAS threads unless the import pins one
+_THREAD_PROBE = """
+import hashlib, os
+os.environ["OPENBLAS_NUM_THREADS"] = "{threads}"
+import numpy as np
+from hillbands.band import compute_point
+from hillbands.cli import build_context
+from hillbands.oracle import dense_spectrum
+config = {{
+    "lattice": {{"nu": 2, "omega": ["1", "3/7"]}},
+    "potential": {{"kind": "random_phase", "support_radius": 2,
+                  "amplitude_scale": 0.5, "kappa0": 0.5, "alpha0": 1.0,
+                  "seed": 1}},
+    "coupling": 0.05, "mode": "practical",
+    "schedule": {{"beta": 0.5, "R1": 9.0, "s_max": 2, "s_cap": 1,
+                 "sigma_scale": 1e-8, "eps0": 0.5}},
+    "truncation_R": 6, "use_domains": False}}
+p = compute_point(build_context(config), 0.05)
+rng = np.random.default_rng(0)
+A = rng.standard_normal((256, 256)) + 1j * rng.standard_normal((256, 256))
+w, V = dense_spectrum(A + A.conj().T)
+print(p.klass, len(p.domain), p.E.hex(),
+      hashlib.sha256(p.phi.tobytes() + w.tobytes() + V.tobytes()).hexdigest())
+"""
+
+
+def test_outputs_are_the_same_bytes_at_one_and_two_blas_threads():
+    one, two = (_fresh_interpreter(_THREAD_PROBE.format(threads=n))
+                for n in (1, 2))
+    assert one.startswith("GSR-2 359 ")
+    assert one == two
 
 
 def _imports_under(prefixes: tuple[str, ...]) -> list[str]:

@@ -11,7 +11,7 @@ bounds on the normalized energy axis and against the dense and Floquet oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -47,7 +47,8 @@ FLOQUET_EDGE_TOL = 1e-5
 
 @dataclass
 class BandContext:
-    """Everything one k-sweep needs, bundled."""
+    """Everything one k-sweep needs, bundled; s_cap is a feasible scale of
+    the schedule, 1 <= s_cap <= schedule.feasible_s."""
 
     lat: QuotientLattice
     folded: FoldedCoefficients
@@ -56,6 +57,13 @@ class BandContext:
     truncation_R: float
     s_cap: int                      # largest scale the sweep attempts
     use_domains: bool               # False: plain balls B(2 R^(1)) only
+
+    def __post_init__(self):
+        if not 1 <= self.s_cap <= self.schedule.feasible_s:
+            raise ValueError(
+                f"s_cap = {self.s_cap} is not a feasible scale: R^(s) and "
+                f"delta0^(s-1) fit float64 for s <= {self.schedule.feasible_s} "
+                f"only")
 
     def spec(self, k: float) -> OperatorSpec:
         return OperatorSpec(epsilon=self.eps, k=k)
@@ -131,16 +139,12 @@ def k_zero_variants(k: float, k1: float, k_n0: float, eps0: float) -> dict:
 
 
 def _nonresonant_point(ctx: BandContext, k: float,
-                       profile: ResonanceProfile) -> BandPoint:
+                       profile: ResonanceProfile | None) -> BandPoint:
     """Simple route: E at scales 1..s_cap with increments recorded."""
     energies = []
     klass = "N"
-    scale_used = 0
-    pair = None
     builder = DomainBuilder(k, ctx.schedule, ctx.lat)
     for s in range(1, ctx.s_cap + 1):
-        if s > ctx.schedule.feasible_s:
-            break
         try:
             if ctx.use_domains:
                 if s >= 2 and abs(k) < ctx.schedule.delta[s - 2]:
@@ -159,15 +163,10 @@ def _nonresonant_point(ctx: BandContext, k: float,
         matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
         pair = solve_simple(matrix, ctx.lat.identity)
         energies.append(pair.E)
-        scale_used = s
-    if not energies:
-        raise PreconditionFailed(f"no feasible scale at k={k}")
     increments = tuple(abs(b - a) for a, b in zip(energies, energies[1:]))
-    bounds = tuple(
-        abs(ctx.eps) * ctx.schedule.delta[s - 1] ** 6
-        for s in range(2, scale_used + 1)
-    )
-    return BandPoint(k=k, E=energies[-1], scale=scale_used, klass=klass,
+    bounds = tuple(abs(ctx.eps) * ctx.schedule.delta[s - 1] ** 6
+                   for s in range(2, len(energies) + 1))
+    return BandPoint(k=k, E=energies[-1], scale=len(energies), klass=klass,
                      punctured_gap=pair.punctured_gap, increments=increments,
                      increment_bounds=bounds, phi=pair.phi,
                      domain=matrix.domain, profile=profile,
@@ -218,8 +217,7 @@ def _resonant_point(ctx: BandContext, k: float,
     """
     n_top = profile.top()
     s_top = profile.s_levels[-1]
-    s_use = max(1, min(ctx.s_cap, ctx.schedule.feasible_s))
-    s_use = max(s_use, min(s_top, ctx.schedule.feasible_s))
+    s_use = max(ctx.s_cap, min(s_top, ctx.schedule.feasible_s))
     punctured, bracket = _pair_setup(ctx, k, n_top, s_use, widen=0.1,
                                      min_spread=1e-8)
     matrix = punctured.matrix
@@ -277,14 +275,10 @@ def compute_point(ctx: BandContext, k: float) -> BandPoint:
 def _ball_fallback(ctx: BandContext, k: float) -> BandPoint:
     """The simple route on the ball B(2 R^(1)), class N-ball: the retreat of
     a k that the sigma-intervals exclude but the profile does not."""
-    elems = ctx.lat.ball(2.0 * ctx.schedule.R[1])
-    matrix = assemble(elems, ctx.spec(k), ctx.folded, ctx.lat)
-    pair = solve_simple(matrix, ctx.lat.identity)
-    return BandPoint(k=k, E=pair.E, scale=1, klass="N-ball",
-                     punctured_gap=pair.punctured_gap,
-                     phi=pair.phi, domain=matrix.domain,
-                     matrix_norm=matrix.norm_bound(),
-                     iterations=pair.iterations, residual=pair.residual)
+    point = _nonresonant_point(replace(ctx, s_cap=1, use_domains=False), k,
+                               profile=None)
+    point.klass = "N-ball"
+    return point
 
 
 def band_curve(ctx: BandContext, k_grid: Sequence[float]) -> list[BandPoint]:
@@ -297,14 +291,14 @@ def band_curve(ctx: BandContext, k_grid: Sequence[float]) -> list[BandPoint]:
 def gap_edge_limit_crosscheck(ctx: BandContext, gap: GapRecord) -> AuditRecord:
     """One-sided band-curve limits vs the scalar-equation edges.
 
-    With theta = (delta0^(max(1, s_cap)))^(3/4) / 4, a quarter of the
-    resonance width at the capped scale,
+    With theta = (delta0^(s_cap))^(3/4) / 4, a quarter of the resonance
+    width at the capped scale,
     |E^(+-)(k_m) - E(k_m +- theta)| must stay within the local modulus bound
     2 (|k_m| + 1) theta plus the in-between resonance moduli; the paper states
     it at the lambda-normalized scale, so the raw comparison carries the
     (2 pi)^2 (and lambda on the resonance sum) factors. Floor 1e-7.
     """
-    theta = 0.25 * ctx.schedule.delta[max(1, ctx.s_cap)] ** 0.75
+    theta = 0.25 * ctx.schedule.delta[ctx.s_cap] ** 0.75
     failures = []
     lam = 256.0 * gamma_for(gap.k_m)
     k_m = ctx.modes().k
@@ -337,10 +331,9 @@ def gap_edges(ctx: BandContext, m: GroupElement) -> GapRecord:
     k_m = k_of(m)
     if k_m == 0.0:
         raise PreconditionFailed("k_m must be nonzero")
-    s_use = max(1, min(ctx.s_cap, ctx.schedule.feasible_s))
     # at k_m the two principal diagonals agree bit for bit, (xi(m)/2)^2, so
     # the bracket is centred on v(0, k_m)
-    punctured, (lo, hi) = _pair_setup(ctx, k_m, m, s_use, widen=0.5,
+    punctured, (lo, hi) = _pair_setup(ctx, k_m, m, ctx.s_cap, widen=0.5,
                                       min_spread=1e-9)
     matrix = punctured.matrix
     i0 = matrix.row_of(ctx.lat.identity)

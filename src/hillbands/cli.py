@@ -32,6 +32,14 @@ OUTPUT_DIR_ENV = "HILLBANDS_OUTDIR"
 # most points a k_grid min/max/step range may expand to; the shipped configs
 # use 21
 K_GRID_MAX_POINTS = 100_000
+# most energies a floquet_grid may hold: oracle._monodromy holds
+# len(E) x CHUNK_STEPS step matrices at once, about 10 kB per energy on the
+# reference potential, so the cap keeps a scan near 100 MB; the shipped
+# configs use 90
+FLOQUET_GRID_MAX_POINTS = 10_000
+# largest schedule.s_max and s_cap: log R^(s) = beta (log R^(s-1))^2 leaves
+# float64 within a dozen scales, and the schedule holds lists of s_max + 1
+MAX_SCALES = 64
 # the names a config's "audits" list may hold
 AUDITS = ("symmetry", "monotonicity", "increments", "decay", "dense_recheck",
           "gap_spectrum", "gap_edge_limits", "floquet_gap_edges", "floquet")
@@ -77,11 +85,11 @@ def build_context(config: dict) -> band_mod.BandContext:
         folded = fold(coeffs, lat)
         sched_cfg = config.get("schedule", {})
         dio = config.get("diophantine")
-        a0, b0 = (dio["a0"], dio["b0"]) if dio else (0.5, 2.0)
+        a0, b0 = (dio["a0"], dio["b0"]) if dio is not None else (0.5, 2.0)
         schedule = build_schedule(
             config.get("mode", "practical"),
-            s_max=int(_at_least(sched_cfg.get("s_max", 2), "schedule.s_max",
-                                1)),
+            s_max=_integer(sched_cfg.get("s_max", 2), "schedule.s_max", 1,
+                           MAX_SCALES),
             R1=_finite(sched_cfg.get("R1", 12.0), "schedule.R1"),
             beta=sched_cfg.get("beta"),
             a0=float(a0), b0=float(b0),
@@ -90,14 +98,19 @@ def build_context(config: dict) -> band_mod.BandContext:
             sigma_scale=_at_least(sched_cfg.get("sigma_scale", 1.0),
                                   "schedule.sigma_scale", 0),
         )
+        use_domains = config.get("use_domains", False)
+        if not isinstance(use_domains, bool):
+            raise ConfigError(
+                f"use_domains must be true or false, got {use_domains!r}")
         return band_mod.BandContext(
             lat=lat, folded=folded, schedule=schedule,
             eps=_finite(config["coupling"], "coupling"),
             truncation_R=_at_least(config.get("truncation_R", 12.0),
                                    "truncation_R", 0),
-            s_cap=int(_at_least(sched_cfg.get("s_cap", 1), "schedule.s_cap",
-                                1)),
-            use_domains=bool(config.get("use_domains", False)),
+            # the sweep runs the scales that fit float64, up to s_cap
+            s_cap=min(_integer(sched_cfg.get("s_cap", 1), "schedule.s_cap",
+                               1, MAX_SCALES), schedule.feasible_s),
+            use_domains=use_domains,
         )
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}")
@@ -125,6 +138,16 @@ def _at_least(value, name: str, low: float) -> float:
     return x
 
 
+def _integer(value, name: str, low: int, high: int) -> int:
+    """An integral number in [low, high] as an int; a bool, a string, a
+    fraction or a value out of range is a ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not low <= value <= high or value != int(value)):
+        raise ConfigError(
+            f"{name} must be an integer in [{low}, {high}], got {value!r}")
+    return int(value)
+
+
 def k_grid_from(config: dict) -> list[float]:
     kg = config.get("k_grid", {})
     if "list" in kg:
@@ -148,13 +171,10 @@ def floquet_grid_from(config: dict) -> list[float]:
     fg = config.get("floquet_grid", {})
     lo = _finite(fg.get("min", 0.5), "floquet_grid.min")
     hi = _finite(fg.get("max", 30.0), "floquet_grid.max")
-    count = _finite(fg.get("count", 120), "floquet_grid.count")
-    if count != int(count) or count < 2:
-        raise ConfigError(
-            f"floquet_grid.count must be an integer >= 2, got {fg.get('count')!r}")
+    count = _integer(fg.get("count", 120), "floquet_grid.count", 2,
+                     FLOQUET_GRID_MAX_POINTS)
     if not lo < hi:
         raise ConfigError(f"floquet_grid needs min < max, got {lo!r}, {hi!r}")
-    count = int(count)
     return [lo + i * (hi - lo) / (count - 1) for i in range(count)]
 
 
@@ -163,7 +183,7 @@ def gaps_from(config: dict, lat: QuotientLattice) -> list[tuple]:
     try:
         return [(mvec, lat.canonicalize([int(v) for v in mvec]))
                 for mvec in config.get("gaps", [])]
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (PreconditionFailed, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid config value: {exc}")
 
 
@@ -206,10 +226,12 @@ def run_band(config: dict,
     """
     ctx = build_context(config)
     dio = config.get("diophantine")
+    dio_check = None
     try:
-        dio_check = check_diophantine(
-            ctx.lat, ctx.schedule.a0, ctx.schedule.b0,
-            _finite(dio["Rbar0"], "diophantine.Rbar0")) if dio else None
+        if dio is not None:
+            dio_check = check_diophantine(
+                ctx.lat, ctx.schedule.a0, ctx.schedule.b0,
+                _finite(dio["Rbar0"], "diophantine.Rbar0"))
     except KeyError as exc:
         raise ConfigError(f"missing config key: {exc}")
     except (PreconditionFailed, TypeError, ValueError) as exc:

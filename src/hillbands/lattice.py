@@ -43,9 +43,12 @@ class FrequencyVector:
 
     @classmethod
     def parse(cls, items: Iterable) -> "FrequencyVector":
-        """Build from 'p/q' strings (or ints/Fractions)."""
-        comps = tuple(Fraction(str(it)) for it in items)
-        return cls(comps)
+        """Build from 'p/q' strings (or ints/Fractions); a zero denominator
+        raises ValueError."""
+        try:
+            return cls(tuple(Fraction(str(it)) for it in items))
+        except ZeroDivisionError as exc:
+            raise ValueError(f"frequency with a zero denominator: {exc}")
 
     @property
     def nu(self) -> int:
@@ -155,8 +158,8 @@ class QuotientLattice:
         """
         w = self._weights
         if r * self._weight_sum >= 2**63:
-            raise OverflowError(f"the coordinates of the box of radius {r} "
-                                f"overflow int64")
+            raise PreconditionFailed(f"the coordinates of the box of radius "
+                                     f"{r} overflow int64")
         dims = [2 * r + 1] * self.nu
         if t is not None:
             j = max(i for i, x in enumerate(self._t_weights) if x)

@@ -89,6 +89,11 @@ def strict_epsilon0_log(log_delta0: float, kappa0: float, alpha0: float,
     return 3.0 * min(log_t1, log_t2, log_t3)
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf where that leaves float64 (Python raises there)."""
+    return x ** 2 if abs(x) < 1e154 else math.inf
+
+
 def build_schedule(mode: str, s_max: int, R1: float, *, beta: float | None,
                    a0: float, b0: float, kappa0: float, alpha0: float,
                    nu: int, eps0: float, sigma_scale: float) -> ScaleSchedule:
@@ -129,8 +134,8 @@ def build_schedule(mode: str, s_max: int, R1: float, *, beta: float | None,
     log_R[1] = log_R1
     for u in range(1, s_max + 1):
         if u >= 2:
-            log_R[u] = beta * log_R[u - 1] ** 2   # log R^(u) = beta (log R^(u-1))^2
-        log_delta[u] = -(log_R[u] ** 2)
+            log_R[u] = beta * _square(log_R[u - 1])  # beta (log R^(u-1))^2
+        log_delta[u] = -_square(log_R[u])
 
     R = [0.0] * (s_max + 1)
     delta = [0.0] * (s_max + 1)
@@ -242,11 +247,8 @@ def excluded_blocker(schedule: ScaleSchedule, lat: QuotientLattice, k: float,
     (k^-_{m,scale-1}, k^+_{m,scale-1}) contains k, with that interval; None
     when there is none. ``exempt`` holds the t of modes to skip (the principal
     pair of a resonant construction keeps its own interval as the allowed
-    exception)."""
-    upper = 12.0 * schedule.R[min(scale, schedule.s_max)]
-    if not math.isfinite(upper):
-        upper = 12.0 * schedule.R[schedule.feasible_s]
-    table = mode_table(schedule, lat, upper)
+    exception). The scale must be feasible, so that R^(scale) is finite."""
+    table = mode_table(schedule, lat, 12.0 * schedule.R[scale])
     lo, hi = table.lo[scale - 1], table.hi[scale - 1]
     for i in np.flatnonzero((lo < k) & (k < hi)):
         m = table.elements[i]

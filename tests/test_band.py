@@ -606,6 +606,19 @@ def test_subexponential_decay_pipeline(line_lattice):
     assert g.width <= g.bound
 
 
+@pytest.mark.parametrize("s_cap", [0, 4])
+def test_band_context_takes_only_a_feasible_s_cap(line_lattice, cosine_folded,
+                                                   s_cap):
+    # log R^(u) = 4, 8, 32, 512: scales 1..3 fit float64, scale 4 does not
+    schedule = build_schedule("practical", s_max=5, R1=math.e**4, beta=0.5,
+                              eps0=0.5, sigma_scale=1e-9, a0=0.5, b0=2.0,
+                              kappa0=1.0, alpha0=1.0, nu=1)
+    assert schedule.feasible_s == 3
+    make_context(line_lattice, cosine_folded, schedule, s_cap=3)
+    with pytest.raises(ValueError, match=f"s_cap = {s_cap} is not a feasible"):
+        make_context(line_lattice, cosine_folded, schedule, s_cap=s_cap)
+
+
 def test_error_points_recorded_not_raised(line_lattice, cosine_folded):
     schedule = build_schedule("practical", s_max=1, R1=9.0, beta=0.5,
                               eps0=0.5, sigma_scale=1.0, a0=0.5, b0=2.0,

@@ -300,6 +300,18 @@ def test_grid_of_resonance_momenta_is_a_config_error(tmp_path, capsys):
     {"potential": {**BASE_CONFIG["potential"], "alpha0": math.nan}},
     # a JSON integer beyond float64 overflows float()
     {"schedule": {**BASE_CONFIG["schedule"], "R1": 10**400}},
+    # counts are integers, and use_domains is a JSON boolean: "false" would
+    # turn the domains on
+    {"schedule": {**BASE_CONFIG["schedule"], "s_cap": 1.9}},
+    {"schedule": {**BASE_CONFIG["schedule"], "s_max": 2.5}},
+    {"schedule": {**BASE_CONFIG["schedule"], "s_max": True}},
+    {"schedule": {**BASE_CONFIG["schedule"], "s_max": cli.MAX_SCALES + 1}},
+    {"audits": ["floquet"], "floquet_grid": {"count": 12.5}},
+    {"audits": ["floquet"], "floquet_grid": {"count": "12"}},
+    # rejected before the list of 10**12 energies is built
+    {"audits": ["floquet"], "floquet_grid": {"count": 10**12}},
+    {"use_domains": "false"},
+    {"use_domains": 1},
 ])
 def test_nonfinite_inputs_are_config_errors(tmp_path, overrides):
     cfg = write_config(tmp_path, overrides)
@@ -435,8 +447,12 @@ RESONANT_2D = {
     ({"gaps": [[10000000000000000000]]}, "overflow int64"),
     ({"lattice": {"nu": 2, "omega": ["1"]}},
      "lattice.nu does not match omega length"),
+    # an empty diophantine block lacks a0, like any other incomplete one
+    ({"diophantine": {}}, "'a0'"),
+    ({"lattice": {"nu": 1, "omega": ["1/0"]}}, "zero denominator"),
 ], ids=["potential_nu", "gap_short", "gap_long", "no_b0", "no_Rbar0",
-        "b0_le_nu", "a0_ge_1", "gap_overflow", "lattice_nu"])
+        "b0_le_nu", "a0_ge_1", "gap_overflow", "lattice_nu", "empty_dio",
+        "zero_denominator"])
 def test_bad_block_is_a_config_error_before_any_sample(
         tmp_path, monkeypatch, capsys, overrides, message):
     from hillbands import band
@@ -463,7 +479,11 @@ def _explicit(c_plus, c_minus):
     ({"mode": "bogus"}, "unknown mode 'bogus'"),
     ({"potential": _explicit(0.9, 0.9)}, "decay bound fails at n=(1,)"),
     ({"potential": _explicit(0.3, 0.2)}, "conjugate symmetry fails"),
-], ids=["beta", "R1", "mode", "raw_decay", "conjugate_symmetry"])
+    # delta0^(0) = R1^(-1/beta) = 1e-400 underflows: no scale is feasible
+    ({"schedule": dict(BASE_CONFIG["schedule"], R1=1e200)},
+     "s_cap = 0 is not a feasible scale"),
+], ids=["beta", "R1", "mode", "raw_decay", "conjugate_symmetry",
+        "no_feasible_scale"])
 def test_bad_schedule_or_potential_is_a_config_error_before_any_sample(
         tmp_path, monkeypatch, capsys, overrides, message):
     def no_samples(*args, **kwargs):
@@ -477,6 +497,44 @@ def test_bad_schedule_or_potential_is_a_config_error_before_any_sample(
     assert len(err) == 1 and err[0].startswith("config error:")
     assert message in err[0]
     assert not out.exists()
+
+
+def test_s_cap_past_the_schedule_runs_at_the_last_feasible_scale(tmp_path):
+    # s_cap 3 over s_max 2 is clipped to scale 2, for the samples and for
+    # the theta of gap_edge_limits alike
+    cfg = write_config(tmp_path, {
+        "schedule": {**BASE_CONFIG["schedule"], "s_cap": 3},
+        "audits": ["gap_edge_limits"]})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 0
+    payload = json.loads((out / "report.json").read_text())
+    schedule = payload["schedule"]
+    assert schedule["feasible_s"] == schedule["s_max"] == 2
+    assert {s["scale"] for s in payload["report"]["samples"]} == {2}
+    (audit,) = payload["report"]["audits"]
+    assert audit["name"] == "gap_edge_limits" and audit["passed"]
+    assert audit["details"]["theta"] == 0.25 * schedule["delta"][2] ** 0.75
+
+
+def test_a_lattice_overflow_is_a_failed_sample(tmp_path, capsys):
+    # R1 = 1e100 fits float64 at scale 1, but the coordinates of the ball
+    # B(2 R^(1)) overflow int64: each sample and the gap fail, E0 is null
+    cfg = write_config(tmp_path, {
+        "schedule": {**BASE_CONFIG["schedule"], "R1": 1e100}})
+    out = tmp_path / "out"
+    assert main(["band", str(cfg), "--output-dir", str(out)]) == 1
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["schedule"]["feasible_s"] == 1
+    assert payload["report"]["E0"] is None
+    samples = payload["report"]["samples"]
+    assert len(samples) == 4 and all(
+        s["class"] == "error" and s["error"].startswith("PreconditionFailed")
+        and s["error"].endswith("overflow int64") for s in samples)
+    assert [(f["kind"], f["name"]) for f in payload["failures"]] == [
+        ("gap", "m=[-1]")] + [("sample", f"k={s['k']!r}") for s in samples]
+    assert all(f["detail"].endswith("overflow int64")
+               for f in payload["failures"])
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_folded_decay_violation_is_a_config_error(tmp_path, capsys):

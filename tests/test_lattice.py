@@ -437,13 +437,14 @@ def test_canonicalize_rejects_a_vector_without_nu_components():
 
 def test_a_box_whose_coordinates_overflow_int64_raises():
     # weights (2**61, 1): |t| reaches 4 * (2**61 + 1) >= 2**63 on the box of
-    # radius 4, which int64 arithmetic would wrap without a word
+    # radius 4, which int64 arithmetic would wrap without a word; a failed
+    # precondition, so a sample that meets it is an error sample
     lat = QuotientLattice(FrequencyVector.parse(["1", f"1/{2**61}"]))
     assert lat.omega.integer_form == (2**61, 1)
     assert len(lat.ball(3)) == 49
-    with pytest.raises(OverflowError):
+    with pytest.raises(PreconditionFailed, match="overflow int64"):
         lat.ball(4)
-    with pytest.raises(OverflowError):
+    with pytest.raises(PreconditionFailed, match="overflow int64"):
         lat.canonicalize([0, 2**60])
 
 
@@ -461,5 +462,7 @@ def test_elements_compare_and_hash_by_t(half_lattice):
 def test_frequency_vector_validation():
     with pytest.raises(ValueError):
         FrequencyVector.parse(["0", "0"])
+    with pytest.raises(ValueError, match="zero denominator"):
+        FrequencyVector.parse(["1", "1/0"])
     with pytest.raises(ValueError):
         FrequencyVector(())

@@ -39,10 +39,7 @@ def kpm_endpoints(schedule, m, s_inflate):
 
 def excluded_blocker_oracle(schedule, lat, k, scale, exempt=frozenset()):
     """Walks B(12 R^(scale)) and rebuilds every interval; ``exempt`` holds t."""
-    upper = 12.0 * schedule.R[min(scale, schedule.s_max)]
-    if not math.isfinite(upper):
-        upper = 12.0 * schedule.R[schedule.feasible_s]
-    for m in lat.ball(upper):
+    for m in lat.ball(12.0 * schedule.R[scale]):
         if m.is_identity or m.t in exempt:
             continue
         endpoints = kpm_endpoints(schedule, m, scale - 1)
@@ -111,6 +108,19 @@ def test_schedule_infeasibility_detection():
     with pytest.raises(ScheduleInfeasible) as exc:
         schedule.require_feasible(4)
     assert (exc.value.requested, exc.value.largest_feasible) == (4, 3)
+
+
+def test_log_arrays_reach_inf_past_float64():
+    # log R^(u) = 4, 8, 32, 512, 2^17, ..., 2.7e154 at u = 10, whose square
+    # leaves float64: from there on the log arrays are infinite, where
+    # Python's ** would raise OverflowError
+    schedule = build_schedule("practical", s_max=20, R1=math.e**4, beta=0.5,
+                              eps0=1.0, a0=0.5, b0=2.0, kappa0=1.0, alpha0=1.0,
+                              nu=1, sigma_scale=1.0)
+    assert schedule.feasible_s == 3
+    assert math.isfinite(schedule.log_R[10]) and schedule.log_R[11] == math.inf
+    assert schedule.log_delta[10] == -math.inf and schedule.R[20] == math.inf
+    assert schedule.delta[20] == 0.0 and schedule.eps[20] == schedule.eps[3]
 
 
 def test_practical_preconditions():
